@@ -675,6 +675,12 @@ def _parse_watch_batch(line: str):
                     raise ReproError(
                         f"{key}[{relation!r}] entries must be value lists"
                     )
+                for value in row:
+                    if isinstance(value, (list, dict)):
+                        raise ReproError(
+                            f"{key}[{relation!r}] row {row!r}: values must "
+                            f"be scalars, not {type(value).__name__}s"
+                        )
                 collected.append((relation, tuple(row)))
         return tuple(collected)
 
@@ -755,6 +761,11 @@ def cmd_watch(args, out) -> int:
         stats_sink.close()
     if args.stats:
         print(engine.stats.summary(), file=sys.stderr)
+        print(
+            "adom size reads 0: the differential engine never enumerates "
+            "an active domain (positive Datalog is domain-independent)",
+            file=sys.stderr,
+        )
         counters = dict(engine.stats.differential)
         counters.pop("components", None)
         print(
@@ -1058,7 +1069,8 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument(
         "--stats",
         action="store_true",
-        help="print engine counters to stderr at end of stream",
+        help="print engine counters to stderr at end of stream (adom "
+        "size reads 0: no active domain is enumerated)",
     )
     watch.add_argument(
         "--stats-out",

@@ -119,6 +119,10 @@ class EngineStats:
     seconds: float = 0.0
     rule_firings: int = 0
     consequence_calls: int = 0
+    #: |adom(P, I)| as enumerated for the run.  Reads 0 for the
+    #: differential engine, which never enumerates an active domain:
+    #: it accepts positive Datalog only, whose minimum model does not
+    #: depend on the domain.
     adom_size: int = 0
     index_builds: int = 0
     index_updates: int = 0

@@ -32,20 +32,31 @@ affected-fact discovery) goes through
 subprogram, which dispatches to the cost-based planner and the
 compiled slot-plan kernel — never a hand-rolled interpreted loop —
 and deltas freeze to columnar blocks so those passes take the batch
-kernels.  The head-bound matcher used for exact recounts and
-rederivation support checks, :func:`_iter_bound_matches`, also rides
-the compiled tier: it seeds a *bound* rule plan with the candidate
-fact's head valuation, so its cost is bounded by that one fact's
+kernels.  Exact recounts and rederivation support checks go through
+*support probes* (:class:`_SupportProbe`), built once per maintenance
+pass for each rule of the component: the head positions that seed the
+rule's bound variables, the head's constant and repeated-variable
+checks, and a *bound* rule plan under a join order fixed for the pass.
+A check then only indexes the candidate fact and walks the seeded plan
+(:func:`_iter_bound_matches`), so its cost is that one fact's
 derivations rather than the whole rule's match set (this is what
 replaces the old ``MaterializedView._rederive`` full re-enumeration);
-with the compiled tier ablated it falls back to the interpreted
+with the compiled tier ablated the probe falls back to the interpreted
 literal-at-a-time walk.
+
+Cost model: an update costs the facts it touches.  Nothing in
+:meth:`DifferentialEngine.apply` scans the view: the engine never
+enumerates an active domain (positive range-restricted Datalog binds
+every body variable in a positive literal, so its minimum model does
+not depend on the domain and no compiled plan has ``unbound_slots``),
+bulk passes are delta-restricted, and probe setup is paid once per
+pass per rule, not once per checked fact.
 
 Scope: plain (positive) Datalog, the dialect in which both component
 algorithms are exact.  Updates are **atomic**: the entire diff batch
-is validated (no IDB-named relations, consistent arities) before the
-first fact is touched, so a bad fact in a batch can never leave the
-view half-updated.
+is validated (hashable value sequences, no IDB-named relations,
+consistent arities) before the first fact is touched, so a bad fact in
+a batch can never leave the view half-updated.
 """
 
 from __future__ import annotations
@@ -54,7 +65,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Hashable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import SchemaError
 from repro.ast.analysis import validate_program
@@ -66,24 +77,32 @@ from repro.semantics.base import (
     _iter_literal_matches,
     _order_positive,
     _order_positive_indices,
-    evaluation_adom,
     immediate_consequences,
     instantiate_head,
     iter_matches,
 )
 from repro.semantics.plan import (
     PlanCache,
+    RulePlan,
     active_matcher,
     kernel_difference,
     make_delta,
     plan_for,
 )
-from repro.terms import Const
+from repro.terms import Const, Var
 
 Fact = tuple[str, tuple]
 
 COUNTING = "counting"
 DRED = "dred"
+
+#: The active domain every matcher call receives.  The engine accepts
+#: positive range-restricted Datalog only, where every body variable
+#: occurs in a positive literal: no compiled plan has ``unbound_slots``
+#: and the minimum model does not depend on the domain (§3.1), so
+#: computing adom(P, I) would be a view-sized scan per update for
+#: nothing.
+_NO_ADOM: tuple = ()
 
 
 @dataclass
@@ -175,60 +194,88 @@ class _Component:
         self.strategy = DRED if recursive else COUNTING
 
 
-_MISSING = object()
+class _SupportProbe:
+    """One rule's head-bound support check, built once per pass.
 
+    Everything a check needs that does not depend on the candidate
+    fact: which head positions seed the rule's ``bound`` variables
+    (each variable's first head occurrence), the head's constant and
+    repeated-variable checks, and the bound
+    :class:`~repro.semantics.plan.RulePlan` under the join order the
+    view's relation sizes give when the probe is built.  ``plan`` is
+    ``None`` when the compiled tier is off; the interpreted walk then
+    runs instead.
 
-def _head_binding(rule: Rule, values: tuple) -> dict | None:
-    """Unify a rule's (single) head with a fact's values.
-
-    Returns the variable binding, or ``None`` when a head constant or a
-    repeated head variable contradicts the fact.
+    The order only sets speed, never a count, and it cannot go stale
+    within a pass: no pass resizes a body relation while its probes
+    are in use.  DRed checks support before re-adding any survivor,
+    and a counting component's bodies never read its own relation.
     """
-    (head,) = rule.head_literals()
-    binding: dict = {}
-    for term, value in zip(head.atom.terms, values):
-        if isinstance(term, Const):
-            if term.value != value:
-                return None
-        else:
-            seen = binding.get(term, _MISSING)
-            if seen is _MISSING:
-                binding[term] = value
-            elif seen != value:
-                return None
-    return binding
+
+    __slots__ = ("rule", "bound", "seed_positions", "constants", "repeats",
+                 "plan")
+
+    def __init__(self, rule: Rule, db: Database):
+        (head,) = rule.head_literals()
+        first: dict[Var, int] = {}
+        constants: list[tuple[int, object]] = []
+        repeats: list[tuple[int, int]] = []
+        for position, term in enumerate(head.terms):
+            if isinstance(term, Const):
+                constants.append((position, term.value))
+            elif term in first:
+                repeats.append((position, first[term]))
+            else:
+                first[term] = position
+        self.rule = rule
+        self.bound: tuple[Var, ...] = tuple(
+            sorted(first, key=lambda v: v.name)
+        )
+        self.seed_positions = tuple(first[v] for v in self.bound)
+        self.constants = tuple(constants)
+        self.repeats = tuple(repeats)
+        self.plan: RulePlan | None = None
+        if PlanCache.compiled_plans:
+            positive = list(rule.positive_body())
+            order = tuple(_order_positive_indices(positive, db))
+            self.plan = plan_for(rule, order, bound=self.bound)
 
 
-def _iter_bound_matches(rule: Rule, db: Database, valuation: dict):
-    """Body matches of ``rule`` extending a head-seeded ``valuation``.
+def _iter_bound_matches(probe: _SupportProbe, db: Database, values: tuple):
+    """Body matches of ``probe.rule`` deriving the head fact ``values``.
 
     The top-down primitive behind exact recounts and rederivation
-    support checks: with the head variables pre-bound, each positive
-    literal extends the valuation through the relation's incremental
-    indexes, so the cost is the candidate fact's own join fan-out, not
-    the rule's full match set.  Plain-Datalog scope: every body
-    variable occurs in a positive literal, so the valuation is total
-    when the last literal matches.  Callers only count yields, so the
-    items themselves carry no contract — one yield per total body
-    valuation.
+    support checks.  The probe's head checks reject a fact that
+    contradicts a head constant or a repeated head variable; otherwise
+    the fact's values at ``probe.seed_positions`` seed the bound
+    variables, and each positive literal extends them through the
+    relation's incremental indexes, so the cost is the candidate
+    fact's own join fan-out, not the rule's full match set.
+    Plain-Datalog scope: every body variable occurs in a positive
+    literal, so the valuation is total when the last literal matches.
+    Callers only count yields, so the items themselves carry no
+    contract — one yield per total body valuation.
 
-    With the compiled tier on, this dispatches through a *bound*
-    :class:`~repro.semantics.plan.RulePlan`: the seed values occupy
-    slots ``0..k-1``, later occurrences of seeded variables become
-    indexed key fills, and the plan (codegen included) is cached per
-    ``(order, bound)`` alongside the unseeded plans.
+    With the compiled tier on, this runs the probe's bound plan: the
+    seed values occupy slots ``0..k-1`` and later occurrences of
+    seeded variables are indexed key fills.  Nothing is ordered,
+    compiled or looked up per call; that happened once, when the pass
+    built its probes.
 
     Never mutates the database; callers buffer any re-additions and
     apply them only after enumeration finishes (or is abandoned).
     """
-    if PlanCache.compiled_plans:
-        positive = list(rule.positive_body())
-        order = tuple(_order_positive_indices(positive, db))
-        bound = tuple(sorted(valuation, key=lambda v: v.name))
-        plan = plan_for(rule, order, bound=bound)
-        seed = tuple(valuation[v] for v in bound)
-        return plan.iter_seeded(db, (), seed)
-    ordered = _order_positive(list(rule.positive_body()), db)
+    for position, value in probe.constants:
+        if values[position] != value:
+            return iter(())
+    for position, first in probe.repeats:
+        if values[position] != values[first]:
+            return iter(())
+    seed = tuple([values[position] for position in probe.seed_positions])
+    if probe.plan is not None:
+        return probe.plan.iter_seeded(db, _NO_ADOM, seed)
+    valuation = dict(zip(probe.bound, seed))
+    ordered = _order_positive(list(probe.rule.positive_body()), db)
 
     def descend(idx: int) -> Iterator[dict]:
         if idx == len(ordered):
@@ -278,10 +325,6 @@ class DifferentialEngine:
         #: Exact derivation counts for facts of counting components
         #: (DRed components keep no counts).
         self.counts: Counter[Fact] = Counter()
-        self._rules_by_head: dict[str, list[Rule]] = {}
-        for rule in program.rules:
-            for relation in rule.head_relations():
-                self._rules_by_head.setdefault(relation, []).append(rule)
         self._components = self._build_components()
         self._subscriptions: list[Subscription] = []
         self.stats = EngineStats(
@@ -342,13 +385,13 @@ class DifferentialEngine:
 
     def _materialize(self) -> None:
         """Initial evaluation, component by component in topo order."""
-        adom = evaluation_adom(self.program, self.database)
-        self.stats.adom_size = len(adom)
         for comp in self._components:
             if comp.strategy == COUNTING:
                 additions: list[Fact] = []
                 for rule in comp.rules:
-                    for valuation in iter_matches(rule, self.database, adom):
+                    for valuation in iter_matches(
+                        rule, self.database, _NO_ADOM
+                    ):
                         for relation, t, _ in instantiate_head(rule, valuation):
                             self.counts[(relation, t)] += 1
                             additions.append((relation, t))
@@ -363,14 +406,15 @@ class DifferentialEngine:
                 with kernel_difference():
                     delta: dict[str, set[tuple]] = {}
                     heads, _neg, _firings = immediate_consequences(
-                        comp.program, self.database, adom, stats=self.stats
+                        comp.program, self.database, _NO_ADOM,
+                        stats=self.stats,
                     )
                     for relation, t in heads:
                         if self.database.add_fact(relation, t):
                             delta.setdefault(relation, set()).add(t)
                     while delta:
                         heads, _neg, _firings = immediate_consequences(
-                            comp.program, self.database, adom,
+                            comp.program, self.database, _NO_ADOM,
                             delta=_frozen(delta), stats=self.stats,
                         )
                         delta = {}
@@ -428,8 +472,6 @@ class DifferentialEngine:
         deleted = _dict_of(base_deleted)
         overdeleted_total = rederived_total = recounted_total = 0
         if base_inserted or base_deleted:
-            adom = evaluation_adom(self.program, self.database)
-            self.stats.adom_size = len(adom)
             for comp in self._components:
                 ins_in = {
                     rel: ts for rel, ts in inserted.items()
@@ -443,14 +485,14 @@ class DifferentialEngine:
                     continue
                 if comp.strategy == COUNTING:
                     comp_ins, comp_del, recounted = self._counting_update(
-                        comp, adom, ins_in, del_in
+                        comp, ins_in, del_in
                     )
                     recounted_total += recounted
                 else:
                     comp_del, overdeleted, rederived = self._dred_delete(
-                        comp, adom, del_in
+                        comp, del_in
                     )
-                    comp_ins = self._dred_insert(comp, adom, ins_in)
+                    comp_ins = self._dred_insert(comp, ins_in)
                     overdeleted_total += overdeleted
                     rederived_total += rederived
                     cancelled = comp_del & comp_ins
@@ -552,7 +594,6 @@ class DifferentialEngine:
     def _counting_update(
         self,
         comp: _Component,
-        adom: tuple[Hashable, ...],
         ins_in: dict[str, set[tuple]],
         del_in: dict[str, set[tuple]],
     ) -> tuple[set[Fact], set[Fact], int]:
@@ -562,7 +603,8 @@ class DifferentialEngine:
         deleted "ghosts"), which contains both the pre- and post-state,
         so every derivation gained or lost shows up.  The
         over-approximation is harmless: the per-fact recount against
-        the final state is exact.
+        the final state is exact.  The recounts share one set of
+        support probes, built after the ghosts leave.
         """
         ghosts = [
             (rel, t) for rel, ts in sorted(del_in.items()) for t in ts
@@ -577,7 +619,7 @@ class DifferentialEngine:
         # derivable" — most of it is already in the database — so it
         # stays outside ``kernel_difference``.
         affected, _neg, _firings = immediate_consequences(
-            comp.program, self.database, adom,
+            comp.program, self.database, _NO_ADOM,
             delta=_frozen(delta), stats=self.stats,
         )
         for relation, t in ghosts:
@@ -585,9 +627,10 @@ class DifferentialEngine:
 
         added: set[Fact] = set()
         removed: set[Fact] = set()
+        probes = self._support_probes(comp) if affected else {}
         for fact in sorted(affected, key=repr):
             old = self.counts.get(fact, 0)
-            new = self._derivation_count(fact)
+            new = self._derivation_count(fact, probes)
             if new != old:
                 if old == 0 and new > 0:
                     self.database.add_fact(*fact)
@@ -601,22 +644,43 @@ class DifferentialEngine:
                 self.counts.pop(fact, None)
         return added, removed, len(affected)
 
-    def _derivation_count(self, fact: Fact, limit: int | None = None) -> int:
+    def _support_probes(
+        self, comp: _Component
+    ) -> dict[str, list[_SupportProbe]]:
+        """One pass's support probes: head relation → one per rule.
+
+        Built when a pass has its first fact to check, against the
+        view as it stands then, so each rule is ordered and looked up
+        in the plan cache once per pass.
+        """
+        probes: dict[str, list[_SupportProbe]] = {}
+        for rule in comp.rules:
+            (relation,) = rule.head_relations()
+            probes.setdefault(relation, []).append(
+                _SupportProbe(rule, self.database)
+            )
+        return probes
+
+    def _derivation_count(
+        self,
+        fact: Fact,
+        probes: dict[str, list[_SupportProbe]],
+        limit: int | None = None,
+    ) -> int:
         """Exact derivation count of one fact against the current view.
 
-        Head-bound matching: the join is seeded with the fact's own
-        values, so the cost is this fact's derivations, not the rule's
-        full match set.  ``limit`` turns the count into an existence
-        check (rederivation support).
+        Head-bound matching through the pass's ``probes`` (see
+        :meth:`_support_probes`): per rule, the fact's values seed the
+        probe's bound plan, so the cost is this fact's derivations, not
+        the rule's full match set, and no per-fact setup is left.
+        ``limit`` turns the count into an existence check
+        (rederivation support).
         """
         self.stats.differential["support_checks"] += 1
         relation, values = fact
         total = 0
-        for rule in self._rules_by_head.get(relation, ()):
-            binding = _head_binding(rule, values)
-            if binding is None:
-                continue
-            for _ in _iter_bound_matches(rule, self.database, binding):
+        for probe in probes.get(relation, ()):
+            for _ in _iter_bound_matches(probe, self.database, values):
                 total += 1
                 if limit is not None and total >= limit:
                     return total
@@ -627,7 +691,6 @@ class DifferentialEngine:
     def _dred_delete(
         self,
         comp: _Component,
-        adom: tuple[Hashable, ...],
         del_in: dict[str, set[tuple]],
     ) -> tuple[set[Fact], int, int]:
         """DRed for one recursive component.
@@ -640,7 +703,8 @@ class DifferentialEngine:
 
         Phase 2 (delta-restricted rederive): each over-deleted
         candidate gets a head-bound support check against the
-        surviving view; the survivors are buffered, re-added *after*
+        surviving view, all through one set of support probes built
+        for the pass; the survivors are buffered, re-added *after*
         the scan, and then propagated semi-naively — but only into the
         candidate set.  Work is proportional to the over-deletion, not
         the view.
@@ -662,7 +726,7 @@ class DifferentialEngine:
             # candidates to over-delete) — full consequence sets, so
             # no ``kernel_difference`` here either.
             heads, _neg, _firings = immediate_consequences(
-                comp.program, db, adom,
+                comp.program, db, _NO_ADOM,
                 delta=_frozen(frontier), stats=self.stats,
             )
             frontier = {}
@@ -679,10 +743,11 @@ class DifferentialEngine:
             db.remove_fact(relation, t)
 
         rederived: set[Fact] = set()
+        probes = self._support_probes(comp) if overdeleted else {}
         supported = [
             fact
             for fact in sorted(overdeleted, key=repr)
-            if self._derivation_count(fact, limit=1)
+            if self._derivation_count(fact, probes, limit=1)
         ]
         delta: dict[str, set[tuple]] = {}
         for fact in supported:
@@ -696,7 +761,7 @@ class DifferentialEngine:
         with kernel_difference():
             while delta:
                 heads, _neg, _firings = immediate_consequences(
-                    comp.program, db, adom,
+                    comp.program, db, _NO_ADOM,
                     delta=_frozen(delta), stats=self.stats,
                 )
                 delta = {}
@@ -711,7 +776,6 @@ class DifferentialEngine:
     def _dred_insert(
         self,
         comp: _Component,
-        adom: tuple[Hashable, ...],
         ins_in: dict[str, set[tuple]],
     ) -> set[Fact]:
         """Semi-naive insertion propagation within one component."""
@@ -727,7 +791,7 @@ class DifferentialEngine:
         with kernel_difference():
             while delta:
                 heads, _neg, _firings = immediate_consequences(
-                    comp.program, db, adom,
+                    comp.program, db, _NO_ADOM,
                     delta=_frozen(delta), stats=self.stats,
                 )
                 delta = {}
@@ -747,13 +811,46 @@ class DifferentialEngine:
         )
 
 
+def _fact(relation, values) -> Fact:
+    """One batch entry as a ``(relation, tuple)`` fact, checked.
+
+    Raises :class:`SchemaError` naming the entry unless ``relation`` is
+    a name and ``values`` a non-string sequence of hashable values, so
+    a bad entry fails its batch before the first fact is applied.
+    """
+    if not isinstance(relation, str):
+        raise SchemaError(f"relation name {relation!r} is not a string")
+    try:
+        if isinstance(values, (str, bytes)):  # one value, not a sequence
+            raise TypeError
+        t = tuple(values)
+        hash(t)
+    except TypeError:
+        raise SchemaError(
+            f"fact {relation}{values!r}: values must be a sequence of "
+            f"hashable values"
+        ) from None
+    return relation, t
+
+
+def _facts(entries) -> list[Fact]:
+    """A DiffBatch side's ``(relation, values)`` pairs, checked."""
+    facts: list[Fact] = []
+    for entry in entries:
+        try:
+            relation, t = entry
+        except (TypeError, ValueError):
+            raise SchemaError(
+                f"diff entry {entry!r} is not a (relation, values) pair"
+            ) from None
+        facts.append(_fact(relation, t))
+    return facts
+
+
 def _normalize_batch(batch) -> tuple[list[Fact], list[Fact]]:
-    """Coerce a DiffBatch or signed-triple iterable to fact lists."""
+    """Coerce a DiffBatch or signed-triple iterable to checked fact lists."""
     if isinstance(batch, DiffBatch):
-        return (
-            [(relation, tuple(t)) for relation, t in batch.inserts],
-            [(relation, tuple(t)) for relation, t in batch.deletes],
-        )
+        return _facts(batch.inserts), _facts(batch.deletes)
     inserts: list[Fact] = []
     deletes: list[Fact] = []
     for op in batch:
@@ -764,9 +861,9 @@ def _normalize_batch(batch) -> tuple[list[Fact], list[Fact]]:
                 f"diff entry {op!r} is not a (sign, relation, values) triple"
             ) from None
         if sign in ("+", "insert", 1):
-            inserts.append((relation, tuple(t)))
+            inserts.append(_fact(relation, t))
         elif sign in ("-", "delete", -1):
-            deletes.append((relation, tuple(t)))
+            deletes.append(_fact(relation, t))
         else:
             raise SchemaError(f"unknown diff sign {sign!r}")
     return inserts, deletes

@@ -93,6 +93,45 @@ def test_bad_lines_keep_stream_alive(tc_files, monkeypatch):
     )
 
 
+def test_nested_values_yield_error_line_and_stream_continues(
+    tc_files, monkeypatch
+):
+    program, data = tc_files
+    stream = "\n".join(
+        [
+            json.dumps({"delete": {"G": [["a", "b"], [["x"], "y"]]}}),
+            json.dumps({"insert": {"G": [["c", {"k": 1}]]}}),
+            json.dumps({"insert": {"G": [["c", "d"]]}}),
+        ]
+    )
+    code, lines = run_watch(
+        ["watch", program, "--data", data], stream, monkeypatch
+    )
+    assert code == 0
+    snapshot, nested_list, nested_object, applied = lines
+    assert nested_list["seq"] == 1 and "error" in nested_list
+    assert nested_object["seq"] == 2 and "error" in nested_object
+    assert applied["seq"] == 3
+    # G(a, b) survived the rejected batch, so a reaches the new d.
+    assert sorted(applied["inserted"]["T"]) == [
+        ["a", "d"],
+        ["b", "d"],
+        ["c", "d"],
+    ]
+
+
+def test_stats_say_why_adom_size_is_zero(tc_files, monkeypatch, capsys):
+    program, data = tc_files
+    stream = json.dumps({"insert": {"G": [["c", "d"]]}})
+    code, _lines = run_watch(
+        ["watch", program, "--data", data, "--stats"], stream, monkeypatch
+    )
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "adom size:         0" in err
+    assert "never enumerates an active domain" in err
+
+
 def test_empty_stream_prints_snapshot_only(tc_files, monkeypatch):
     program, data = tc_files
     code, lines = run_watch(

@@ -23,6 +23,7 @@ from repro.semantics.differential import (
     RelationDiff,
 )
 from repro.semantics.maintenance import MaterializedView
+from repro.semantics.plan import PlanCache
 from repro.semantics.seminaive import evaluate_datalog_seminaive
 from repro.programs.tc import tc_program, tc_nonlinear_program
 from repro.workloads.graphs import chain, graph_database
@@ -143,6 +144,35 @@ class TestAtomicBatches:
         )
         with pytest.raises(SchemaError):
             engine.apply(batch)
+        assert view_answers(engine) == before
+        assert engine.consistent_with_scratch()
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            DiffBatch(inserts=(("G", ("c", "d")), ("G", (["q"], "r")))),
+            DiffBatch(deletes=(("G", ("n0", "n1")), ("G", ({"x": 1}, "y")))),
+            DiffBatch(inserts=(("G", ("c", "d")), ("G",))),
+            [("+", "G", ("c", "d")), ("+", "G", 5)],
+            [("-", "G", ("n0", "n1")), ("+", "G", "ab")],
+            [("+", "G", ("c", "d")), ("+", ["G"], ("e", "f"))],
+        ],
+        ids=[
+            "unhashable-insert",
+            "unhashable-delete",
+            "not-a-pair",
+            "non-sequence",
+            "string-values",
+            "unhashable-relation",
+        ],
+    )
+    def test_engine_malformed_fact_rejected_before_any_mutation(self, batch):
+        engine = DifferentialEngine(tc_program(), graph_database(chain(3)))
+        before = view_answers(engine)
+        edges = engine.answer("G")
+        with pytest.raises(SchemaError):
+            engine.apply(batch)
+        assert engine.answer("G") == edges
         assert view_answers(engine) == before
         assert engine.consistent_with_scratch()
 
@@ -292,6 +322,87 @@ class TestDifferentialCounters:
         assert engine.stats.differential["rederived"] == 1  # T(a,b) survives
 
 
+class TestUpdateCostGuards:
+    """An update must cost the facts it touches, not the view's size."""
+
+    #: Two parallel a→b paths, then a 25-edge tail from b: deleting
+    #: a→m1 over-deletes T(a, ·) along the whole tail, and the m2 path
+    #: rederives all of it but T(a, m1).
+    LADDER = [("a", "m1"), ("m1", "b"), ("a", "m2"), ("m2", "b"),
+              ("b", "c1")] + [(f"c{i}", f"c{i + 1}") for i in range(1, 25)]
+
+    def test_updates_never_scan_the_active_domain(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("Database.active_domain called")
+
+        rng = random.Random(7)
+        nodes = [f"n{i}" for i in range(12)]
+        with monkeypatch.context() as patch:
+            patch.setattr(Database, "active_domain", forbidden)
+            engine = DifferentialEngine(
+                tc_program(), graph_database(chain(12))
+            )
+            for step in range(40):
+                edge = (rng.choice(nodes), rng.choice(nodes))
+                if step % 2:
+                    engine.delete([("G", edge)])
+                else:
+                    engine.insert([("G", edge)])
+        assert engine.stats.adom_size == 0
+        assert engine.consistent_with_scratch()
+
+    def test_support_probes_compile_once_per_pass(self, monkeypatch):
+        import sys
+
+        from repro.semantics import plan as plan_module
+
+        engine = DifferentialEngine(tc_program(), graph_database(self.LADDER))
+        # Warm the planner's delta variants for this delete, so what is
+        # left to count is the support checks' own setup.
+        engine.delete([("G", ("a", "m1"))])
+        engine.insert([("G", ("a", "m1"))])
+
+        original = plan_module.plan_for
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("repro")
+                    and getattr(module, "plan_for", None) is original):
+                monkeypatch.setattr(module, "plan_for", counted)
+        checks_before = engine.stats.differential["support_checks"]
+        engine.delete([("G", ("a", "m1"))])
+        checks = engine.stats.differential["support_checks"] - checks_before
+        assert checks >= 20
+        rules, passes = len(engine.program.rules), 1  # one DRed pass
+        assert len(calls) <= rules * passes, calls
+        assert engine.consistent_with_scratch()
+
+    @pytest.mark.parametrize("program", [MIXED, TWO_HOP],
+                             ids=["mixed", "two-hop"])
+    def test_probe_plans_have_no_unbound_slots(self, program):
+        engine = DifferentialEngine(program, graph_database(self.LADDER))
+        engine.insert([("G", ("c9", "a")), ("G", ("b", "m1"))])
+        engine.delete([("G", ("a", "m1")), ("G", ("c3", "c4"))])
+        plans = compiled_plans(program)
+        assert any(plan.bound for plan in plans)  # the probes' plans
+        assert all(plan.unbound_slots == () for plan in plans)
+        assert engine.consistent_with_scratch()
+
+
+def compiled_plans(program):
+    """Every cached plan (cover twins included) for the program's rules."""
+    plans = []
+    for rule in program.rules:
+        for plan in PlanCache._plans.get(rule, {}).values():
+            plans.append(plan)
+            plans.extend((plan.cover_twins or {}).values())
+    return plans
+
+
 def stream_step(rng, engine_or_view, edb_schema, constants):
     """One random operation against a view; returns nothing.
 
@@ -380,6 +491,9 @@ def test_random_program_stream_differential(seed):
     for _ in range(8):
         stream_step(rng, engine, edb_schema, constants)
         assert view_answers(engine) == scratch_answers(engine), source
+    # No adom is passed to the matchers, so no plan may need one.
+    for plan in compiled_plans(program):
+        assert plan.unbound_slots == (), (source, plan.rule)
 
 
 def test_random_programs_cover_both_strategies():

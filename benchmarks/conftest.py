@@ -11,30 +11,6 @@ the schema-pinned ``BENCH_engines.json`` artifact on exit (path
 overridable via ``REPRO_BENCH_ARTIFACT``) so the performance
 trajectory is machine-readable across commits.
 
-The matcher ablation (``test_kernel_ablation.py``) records
-:class:`~repro.obs.bench.KernelRecord` measurements through the
-``kernel_artifact`` fixture; those land in the schema-pinned
-``BENCH_kernel.json`` (path overridable via
-``REPRO_KERNEL_ARTIFACT``).
-
-The three-way matcher-tier ablation (``test_codegen_ablation.py``)
-records :class:`~repro.obs.bench.CodegenRecord` measurements through
-the ``codegen_artifact`` fixture; those land in the schema-pinned
-``BENCH_codegen.json`` (path overridable via
-``REPRO_CODEGEN_ARTIFACT``).
-
-The four-way columnar-tier ablation (``test_columnar_ablation.py``)
-records :class:`~repro.obs.bench.ColumnarRecord` measurements through
-the ``columnar_artifact`` fixture; those land in the schema-pinned
-``BENCH_columnar.json`` (path overridable via
-``REPRO_COLUMNAR_ARTIFACT``).
-
-The planner ablation (``test_planner_ablation.py``) records
-:class:`~repro.obs.bench.PlannerRecord` measurements through the
-``planner_artifact`` fixture; those land in the schema-pinned
-``BENCH_planner.json`` (path overridable via
-``REPRO_PLANNER_ARTIFACT``).
-
 The incremental-maintenance ablation (``test_differential_ablation.py``)
 records :class:`~repro.obs.bench.DifferentialRecord` measurements
 through the ``differential_artifact`` fixture; those land in the
@@ -60,10 +36,6 @@ import os
 import pytest
 
 _RECORDS = []
-_KERNEL_RECORDS = []
-_CODEGEN_RECORDS = []
-_COLUMNAR_RECORDS = []
-_PLANNER_RECORDS = []
 _DIFFERENTIAL_RECORDS = []
 _MAGIC_RECORDS = []
 _FEEDBACK_RECORDS = []
@@ -75,14 +47,6 @@ _FEEDBACK_RECORDS = []
 _ARTIFACTS = (
     (_RECORDS, "write_bench_artifact",
      "REPRO_BENCH_ARTIFACT", "BENCH_engines.json"),
-    (_KERNEL_RECORDS, "write_kernel_artifact",
-     "REPRO_KERNEL_ARTIFACT", "BENCH_kernel.json"),
-    (_CODEGEN_RECORDS, "write_codegen_artifact",
-     "REPRO_CODEGEN_ARTIFACT", "BENCH_codegen.json"),
-    (_COLUMNAR_RECORDS, "write_columnar_artifact",
-     "REPRO_COLUMNAR_ARTIFACT", "BENCH_columnar.json"),
-    (_PLANNER_RECORDS, "write_planner_artifact",
-     "REPRO_PLANNER_ARTIFACT", "BENCH_planner.json"),
     (_DIFFERENTIAL_RECORDS, "write_differential_artifact",
      "REPRO_DIFFERENTIAL_ARTIFACT", "BENCH_differential.json"),
     (_MAGIC_RECORDS, "write_magic_artifact",
@@ -102,76 +66,10 @@ class _BenchArtifact:
         _RECORDS.append(BenchRecord.from_stats(benchmark, engine, size, stats))
 
 
-class _KernelArtifact:
-    """The ``kernel_artifact`` fixture's API: ``record(...)`` one cell."""
-
-    @staticmethod
-    def record(benchmark: str, matcher: str, size: int, stats) -> None:
-        from repro.obs.bench import KernelRecord
-
-        _KERNEL_RECORDS.append(
-            KernelRecord.from_stats(benchmark, matcher, size, stats)
-        )
-
-
 @pytest.fixture
 def bench_artifact():
     """Collects (benchmark, engine, size, EngineStats) measurements."""
     return _BenchArtifact
-
-
-class _PlannerArtifact:
-    """The ``planner_artifact`` fixture's API: ``record(...)`` one cell."""
-
-    @staticmethod
-    def record(benchmark: str, planner: str, size: int, stats) -> None:
-        from repro.obs.bench import PlannerRecord
-
-        _PLANNER_RECORDS.append(
-            PlannerRecord.from_stats(benchmark, planner, size, stats)
-        )
-
-
-@pytest.fixture
-def kernel_artifact():
-    """Collects (benchmark, matcher, size, EngineStats) ablation cells."""
-    return _KernelArtifact
-
-
-class _CodegenArtifact:
-    """The ``codegen_artifact`` fixture's API: ``record(...)`` one cell."""
-
-    @staticmethod
-    def record(benchmark: str, matcher: str, size: int, stats) -> None:
-        from repro.obs.bench import CodegenRecord
-
-        _CODEGEN_RECORDS.append(
-            CodegenRecord.from_stats(benchmark, matcher, size, stats)
-        )
-
-
-@pytest.fixture
-def codegen_artifact():
-    """Collects (benchmark, matcher tier, size, EngineStats) cells."""
-    return _CodegenArtifact
-
-
-class _ColumnarArtifact:
-    """The ``columnar_artifact`` fixture's API: ``record(...)`` one cell."""
-
-    @staticmethod
-    def record(benchmark: str, matcher: str, size: int, stats) -> None:
-        from repro.obs.bench import ColumnarRecord
-
-        _COLUMNAR_RECORDS.append(
-            ColumnarRecord.from_stats(benchmark, matcher, size, stats)
-        )
-
-
-@pytest.fixture
-def columnar_artifact():
-    """Collects (benchmark, four-tier matcher, size, EngineStats) cells."""
-    return _ColumnarArtifact
 
 
 class _DifferentialArtifact:
@@ -193,12 +91,6 @@ class _DifferentialArtifact:
                 facts_touched=facts_touched,
             )
         )
-
-
-@pytest.fixture
-def planner_artifact():
-    """Collects (benchmark, planner on/off, size, EngineStats) cells."""
-    return _PlannerArtifact
 
 
 @pytest.fixture

@@ -9,19 +9,15 @@ even on negation-free input.
 
 Index maintenance: the counters on :class:`EngineStats` pin down the
 invariant that evaluation never rebuilds a hash index once built —
-every mutation lands as an in-place update — and a seed-vs-incremental
-wall-clock comparison (via ``Relation.incremental_maintenance``)
-records the resulting speedup.
+every mutation lands as an in-place update.
 
 Set ``REPRO_BENCH_SIZES`` (comma-separated) to override the size sweep,
 e.g. ``REPRO_BENCH_SIZES=8,12`` for a CI smoke run."""
 
 import os
-import time
 
 import pytest
 
-from repro.relational.instance import Relation
 from repro.semantics.inflationary import evaluate_inflationary
 from repro.semantics.naive import evaluate_datalog_naive
 from repro.semantics.noninflationary import evaluate_noninflationary
@@ -146,63 +142,3 @@ def test_seminaive_index_updates_not_rebuilds(benchmark):
     ]
     assert max(ratios) <= 2.0
     assert max(ratios) <= min(ratios) * 1.5
-
-
-def test_incremental_maintenance_beats_seed_rebuilds(benchmark):
-    """Wall-clock: in-place index maintenance vs the seed's rebuild-on-
-    every-mutation behavior, on the workload that thrashed hardest —
-    naive TC on a chain probes T through an index in all ~n stages while
-    T grows in every one of them.  The counters are the hard guarantee
-    (one build vs one rebuild per stage); the timing is recorded in the
-    benchmark output."""
-    n = max(SIZES)
-    db = graph_database(chain(n))
-    program = tc_program()
-
-    def timed():
-        start = time.perf_counter()
-        result = evaluate_datalog_naive(program, db)
-        return time.perf_counter() - start, result
-
-    def measure():
-        # Alternate the two modes round by round so machine drift hits
-        # both equally; keep the best of five rounds each.
-        assert Relation.incremental_maintenance  # the default
-        incremental_times, seed_times = [], []
-        try:
-            for _ in range(5):
-                Relation.incremental_maintenance = True
-                t, incremental = timed()
-                incremental_times.append(t)
-                Relation.incremental_maintenance = False
-                t, seed = timed()
-                seed_times.append(t)
-        finally:
-            Relation.incremental_maintenance = True
-        return min(incremental_times), incremental, min(seed_times), seed
-
-    t_incremental, incremental, t_seed, seed = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
-    assert incremental.answer("T") == seed.answer("T")
-    # Incremental: T's index is built once, then only updated in place.
-    assert incremental.stats.index_builds == 1
-    assert incremental.stats.index_updates > 0
-    # Seed: every stage's mutations threw the index away — one full
-    # rebuild per stage, no in-place updates at all.
-    assert seed.stats.index_builds > n // 2
-    assert seed.stats.index_updates == 0
-
-    speedup = t_seed / t_incremental
-    benchmark.extra_info["seed_seconds"] = round(t_seed, 4)
-    benchmark.extra_info["incremental_seconds"] = round(t_incremental, 4)
-    benchmark.extra_info["speedup"] = round(speedup, 3)
-    print(
-        f"\nindex maintenance wall-clock (naive TC, chain({n})): "
-        f"seed {t_seed:.3f}s, incremental {t_incremental:.3f}s, "
-        f"speedup {speedup:.2f}x"
-    )
-    # On runs long enough to measure, in-place maintenance must not
-    # lose to rebuild-everything (tiny smoke sizes are all noise).
-    if t_seed >= 0.05:
-        assert t_incremental < t_seed * 1.10

@@ -17,10 +17,9 @@ Usage::
   warnings too, ``--format json`` emits the schema-stable report.
 * ``run`` evaluates under a chosen semantics and prints the idb
   relations (or one ``--answer`` relation); ``--trace-out FILE`` also
-  writes the evaluation's event stream as JSON Lines; ``--matcher``
-  overrides the matcher tier (columnar/codegen/compiled/interpreted)
-  and ``--dump-codegen DIR`` writes each rule's generated matcher
-  source.
+  writes the evaluation's event stream as JSON Lines and
+  ``--dump-codegen DIR`` writes the generated matcher source of every
+  plan the run executed.
 * ``stats`` reports engine counters (``--format json`` is pinned by
   ``STATS_SCHEMA_VERSION``); ``trace`` prints the stage-by-stage
   evaluation; ``profile`` aggregates per-rule time/firings/join
@@ -41,7 +40,6 @@ rules: ``G('a', 'b').``
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 
 from repro.errors import ReproError
@@ -353,24 +351,8 @@ def _maybe_save_stats(args, program, result) -> None:
     print(f"stats: saved measured cardinalities to {path}", file=sys.stderr)
 
 
-@contextlib.contextmanager
-def _matcher_override(args):
-    """Apply ``--matcher`` for the duration of one evaluation.
-
-    ``PlanCache`` flags are process-global, and the test-suite drives
-    :func:`main` in-process, so the tier flip is delegated to
-    :func:`repro.semantics.plan.matcher_override` — the one centralized
-    save/flip/restore, which restores the previous tier even when
-    evaluation raises.
-    """
-    from repro.semantics.plan import matcher_override
-
-    with matcher_override(getattr(args, "matcher", None)):
-        yield
-
-
 def _maybe_dump_codegen(args, program) -> None:
-    """Write each rule's generated matcher source when ``--dump-codegen``."""
+    """Write the generated source of the plans that ran (``--dump-codegen``)."""
     directory = getattr(args, "dump_codegen", None)
     if directory is None:
         return
@@ -405,8 +387,7 @@ def cmd_run(args, out) -> int:
         if semantics == "wellfounded":
             from repro.semantics.wellfounded import evaluate_wellfounded
 
-            with _matcher_override(args):
-                model = evaluate_wellfounded(program, db, tracer=tracer)
+            model = evaluate_wellfounded(program, db, tracer=tracer)
             relations = [args.answer] if args.answer else sorted(program.idb)
             for relation in relations:
                 true_rows = sorted(model.answer(relation), key=repr)
@@ -426,8 +407,7 @@ def cmd_run(args, out) -> int:
             print(f"unknown semantics {semantics!r}", file=sys.stderr)
             return 2
 
-        with _matcher_override(args):
-            result = engine(program, db, tracer=tracer)
+        result = engine(program, db, tracer=tracer)
     finally:
         if tracer is not None:
             tracer.close()
@@ -460,8 +440,7 @@ def cmd_stats(args, out) -> int:
         return 2
 
     _maybe_warm_from_stats(args, program)
-    with _matcher_override(args):
-        result = engine(program, db)
+    result = engine(program, db)
     _maybe_save_stats(args, program, result)
     # Memory-density report: measured on the final instance, additive
     # in the stats schema (``storage`` stays None for engines whose
@@ -592,18 +571,17 @@ def cmd_profile(args, out) -> int:
         program, db, tracer=Tracer([collector], planned=planned)
     )
     report = ProfileReport.from_events(collector.events, program=program)
-    # Default traced runs route through the interpreted matcher; surface
-    # that so profile numbers are not read as compiled-kernel timings.
-    # ``--planned`` keeps planner and kernel on (counters-only spans),
-    # so there the matcher reads the full active tier — "columnar" by
-    # default.  (The stable engine returns a model set with no stats —
-    # default there.)
+    # Default traced runs match through the reference matcher; surface
+    # that so profile numbers are not read as production-kernel
+    # timings.  ``--planned`` keeps the production kernels (counters-only
+    # spans), so there the matcher reads "columnar".  (The stable engine
+    # returns a model set with no stats — default there.)
     stats = getattr(result, "stats", None)
     report.matcher = getattr(stats, "matcher", "") or "interpreted"
     # Planned runs carry the *live* planner report (actual rows, prior
-    # sources, adaptive replans); the default traced run bypassed the
-    # planner (by design — probe counts stay exact), so attach the
-    # *static* report for the same program and input instead.
+    # sources, adaptive replans); the default traced run matched through
+    # the reference matcher (by design — probe counts stay exact), so
+    # attach the *static* report for the same program and input instead.
     live_planner = getattr(stats, "planner", None)
     if planned and live_planner is not None:
         report.planner = live_planner
@@ -947,15 +925,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the evaluation's event stream as JSON Lines to FILE",
     )
     run.add_argument(
-        "--matcher",
-        choices=("interpreted", "compiled", "codegen", "columnar"),
-        help="override the matcher tier for this run "
-             "(default: columnar, the full stack)",
-    )
-    run.add_argument(
         "--dump-codegen",
         metavar="DIR",
-        help="write each rule's generated matcher source under DIR",
+        help="write the generated matcher source of every plan the run "
+             "executed under DIR",
     )
     _add_stats_store_flags(run)
 
@@ -976,12 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="human",
         choices=("human", "json"),
         help="output format (default: human)",
-    )
-    stats.add_argument(
-        "--matcher",
-        choices=("interpreted", "compiled", "codegen", "columnar"),
-        help="override the matcher tier for this run "
-             "(default: columnar, the full stack)",
     )
     _add_stats_store_flags(stats)
 
@@ -1021,7 +988,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--planned",
         action="store_true",
-        help="profile with the planner and compiled kernel left ON: "
+        help="profile the production kernels instead of the reference "
+        "matcher: "
         "counters-only rule spans (no per-literal join probes), planner "
         "join orders on each span, and the live planner report attached",
     )

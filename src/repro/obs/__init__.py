@@ -12,14 +12,12 @@ drivers:
 * :mod:`repro.obs.tracer` — :class:`Tracer` (fans events to sinks) and
   the zero-overhead :class:`NullTracer` default;
 * :mod:`repro.obs.probe` — :class:`JoinProbe`, the per-literal
-  candidate/match counter that rides inside ``iter_matches``;
+  candidate/match counter that rides inside the reference matcher;
 * :mod:`repro.obs.sinks` — in-memory collector, JSONL writer, and the
   human hot-rule table;
 * :mod:`repro.obs.profile` — :class:`ProfileReport`, the per-rule
   aggregation behind ``repro profile``;
 * :mod:`repro.obs.bench` — the deterministic ``BENCH_engines.json``,
-  ``BENCH_kernel.json``, ``BENCH_codegen.json``,
-  ``BENCH_columnar.json``, ``BENCH_planner.json``,
   ``BENCH_differential.json``, ``BENCH_magic.json``, and
   ``BENCH_feedback.json`` benchmark artifacts and their pinned-schema
   validators;
@@ -44,47 +42,23 @@ Quickstart::
 
 from repro.obs.bench import (
     BENCH_SCHEMA_VERSION,
-    CODEGEN_SCHEMA_VERSION,
-    COLUMNAR_SCHEMA_VERSION,
     DIFFERENTIAL_SCHEMA_VERSION,
     FEEDBACK_SCHEMA_VERSION,
-    KERNEL_SCHEMA_VERSION,
-    PLANNER_SCHEMA_VERSION,
     BenchRecord,
-    CodegenRecord,
-    ColumnarRecord,
     DifferentialRecord,
     FeedbackRecord,
-    KernelRecord,
-    PlannerRecord,
     bench_artifact_dict,
-    codegen_artifact_dict,
-    columnar_artifact_dict,
     differential_artifact_dict,
     feedback_artifact_dict,
-    kernel_artifact_dict,
     load_bench_artifact,
-    load_codegen_artifact,
-    load_columnar_artifact,
     load_differential_artifact,
     load_feedback_artifact,
-    load_kernel_artifact,
-    load_planner_artifact,
-    planner_artifact_dict,
     validate_bench_artifact,
-    validate_codegen_artifact,
-    validate_columnar_artifact,
     validate_differential_artifact,
     validate_feedback_artifact,
-    validate_kernel_artifact,
-    validate_planner_artifact,
     write_bench_artifact,
-    write_codegen_artifact,
-    write_columnar_artifact,
     write_differential_artifact,
     write_feedback_artifact,
-    write_kernel_artifact,
-    write_planner_artifact,
 )
 from repro.obs.events import (
     TRACE_SCHEMA_VERSION,
@@ -119,55 +93,31 @@ from repro.obs.tracer import NULL_TRACER, NullTracer, RuleSpan, Tracer
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
-    "CODEGEN_SCHEMA_VERSION",
-    "COLUMNAR_SCHEMA_VERSION",
     "DIFFERENTIAL_SCHEMA_VERSION",
     "FEEDBACK_SCHEMA_VERSION",
-    "KERNEL_SCHEMA_VERSION",
-    "PLANNER_SCHEMA_VERSION",
     "METRICS_SCHEMA_VERSION",
     "STATS_STORE_SCHEMA_VERSION",
     "BenchRecord",
-    "CodegenRecord",
-    "ColumnarRecord",
     "DifferentialRecord",
     "FeedbackRecord",
-    "KernelRecord",
-    "PlannerRecord",
     "RunMetrics",
     "StatsStore",
     "StatsStoreWarning",
     "bench_artifact_dict",
-    "codegen_artifact_dict",
-    "columnar_artifact_dict",
     "default_stats_path",
     "differential_artifact_dict",
     "feedback_artifact_dict",
-    "kernel_artifact_dict",
     "load_bench_artifact",
-    "load_codegen_artifact",
-    "load_columnar_artifact",
     "load_differential_artifact",
     "load_feedback_artifact",
-    "load_kernel_artifact",
-    "load_planner_artifact",
-    "planner_artifact_dict",
     "program_content_hash",
     "validate_bench_artifact",
-    "validate_codegen_artifact",
-    "validate_columnar_artifact",
     "validate_differential_artifact",
     "validate_feedback_artifact",
-    "validate_kernel_artifact",
-    "validate_planner_artifact",
     "warm_from_store",
     "write_bench_artifact",
-    "write_codegen_artifact",
-    "write_columnar_artifact",
     "write_differential_artifact",
     "write_feedback_artifact",
-    "write_kernel_artifact",
-    "write_planner_artifact",
     "TRACE_SCHEMA_VERSION",
     "LiteralProfile",
     "RuleEvent",

@@ -1,5 +1,4 @@
-"""Machine-readable benchmark artifacts: ``BENCH_engines.json`` and
-``BENCH_kernel.json``.
+"""Machine-readable benchmark artifacts of the ``benchmarks/`` suite.
 
 The benchmark suite under ``benchmarks/`` asserts *shapes* (who wins,
 what scales how); this module gives it a durable, machine-readable
@@ -8,37 +7,7 @@ across commits.  Each benchmark that exercises an engine records one
 :class:`BenchRecord` — engine name, workload size, wall seconds, rule
 firings, stage count — through the ``bench_artifact`` fixture in
 ``benchmarks/conftest.py``, and the session writes a single
-deterministic JSON document at exit.
-
-``BENCH_kernel.json`` is the matcher ablation twin: each
-:class:`KernelRecord` measures one (benchmark, matcher path, size)
-cell, where the matcher is ``"compiled"`` (the slot-plan kernel of
-:mod:`repro.semantics.plan`) or ``"interpreted"`` (the reference
-matcher with the kernel toggled off), recorded through the
-``kernel_artifact`` fixture.
-
-``BENCH_codegen.json`` is the three-way matcher-tier ablation: each
-:class:`CodegenRecord` measures one (benchmark, matcher tier, size)
-cell, where the tier is ``"codegen"`` (per-plan specialized Python
-emitted by :mod:`repro.semantics.codegen`, the default), ``"compiled"``
-(the slot-plan interpreter with codegen off), or ``"interpreted"``
-(the reference matcher), recorded through the ``codegen_artifact``
-fixture.
-
-``BENCH_columnar.json`` is the four-way matcher-tier ablation: each
-:class:`ColumnarRecord` measures one (benchmark, matcher tier, size)
-cell, where the tier is ``"columnar"`` (whole-delta batch kernels over
-columnar blocks, the default), ``"codegen"`` (per-plan specialized
-Python, tuple at a time), ``"compiled"`` (the slot-plan interpreter),
-or ``"interpreted"`` (the reference matcher), recorded through the
-``columnar_artifact`` fixture.
-
-``BENCH_planner.json`` is the query-planner ablation twin: each
-:class:`PlannerRecord` measures one (benchmark, planner on/off, size)
-cell — both cells under the compiled kernel, so the delta isolates the
-cost-based join ordering, the shared index cover, and the SCC
-scheduling of :mod:`repro.semantics.planner` — recorded through the
-``planner_artifact`` fixture.
+deterministic JSON document at exit (``BENCH_engines.json``).
 
 ``BENCH_differential.json`` is the incremental-maintenance ablation:
 each :class:`DifferentialRecord` measures one (benchmark, mode, size)
@@ -47,6 +16,10 @@ propagated through :class:`~repro.semantics.differential
 .DifferentialEngine`) or ``"scratch"`` (the same update answered by
 re-running semi-naive evaluation from scratch), recorded through the
 ``differential_artifact`` fixture.
+
+``BENCH_magic.json`` is the magic-set ablation: each
+:class:`MagicRecord` measures one bound query answered with and without
+demand restriction, recorded through the ``magic_artifact`` fixture.
 
 ``BENCH_feedback.json`` is the feedback-directed planning ablation:
 each :class:`FeedbackRecord` measures one (benchmark, stats mode,
@@ -58,9 +31,7 @@ previous run saved — see :mod:`repro.obs.store`), recorded through the
 All the schemas are pinned: the ``validate_*_artifact`` functions
 raise :class:`ValueError` on any drift, and CI runs them against the
 artifacts it uploads, so a schema change must be deliberate (bump
-``BENCH_SCHEMA_VERSION`` / ``KERNEL_SCHEMA_VERSION`` /
-``CODEGEN_SCHEMA_VERSION`` / ``COLUMNAR_SCHEMA_VERSION`` /
-``PLANNER_SCHEMA_VERSION`` / ``DIFFERENTIAL_SCHEMA_VERSION`` /
+``BENCH_SCHEMA_VERSION`` / ``DIFFERENTIAL_SCHEMA_VERSION`` /
 ``MAGIC_SCHEMA_VERSION`` / ``FEEDBACK_SCHEMA_VERSION``) rather than
 accidental.  The artifacts
 share one shape — ``{"version": V, "benchmarks": [records]}`` with a
@@ -249,407 +220,6 @@ def load_bench_artifact(path: str) -> list[BenchRecord]:
     """Read and validate an artifact file; raises ValueError on drift."""
     with open(path) as handle:
         return validate_bench_artifact(json.load(handle))
-
-
-# -- BENCH_kernel.json: compiled-vs-interpreted matcher ablation ------------
-
-#: Version of the BENCH_kernel.json schema (same regime as
-#: :data:`BENCH_SCHEMA_VERSION`).
-KERNEL_SCHEMA_VERSION = 1
-
-#: Exact key set of one kernel record.
-KERNEL_RECORD_FIELDS = (
-    "benchmark",
-    "matcher",
-    "size",
-    "seconds",
-    "rule_firings",
-    "stages",
-)
-
-
-@dataclass(frozen=True)
-class KernelRecord:
-    """One (benchmark, matcher path, workload size) measurement."""
-
-    benchmark: str
-    matcher: str
-    size: int
-    seconds: float
-    rule_firings: int
-    stages: int
-
-    @classmethod
-    def from_stats(
-        cls, benchmark: str, matcher: str, size: int, stats
-    ) -> "KernelRecord":
-        """Build a record from an :class:`~repro.semantics.EngineStats`."""
-        return cls(
-            benchmark=benchmark,
-            matcher=matcher,
-            size=size,
-            seconds=stats.seconds,
-            rule_firings=stats.rule_firings,
-            stages=stats.stage_count,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "benchmark": self.benchmark,
-            "matcher": self.matcher,
-            "size": self.size,
-            "seconds": self.seconds,
-            "rule_firings": self.rule_firings,
-            "stages": self.stages,
-        }
-
-
-def kernel_artifact_dict(records: list[KernelRecord]) -> dict[str, Any]:
-    """The artifact document: schema-versioned, deterministically ordered."""
-    return _artifact_dict(records, KERNEL_SCHEMA_VERSION, "matcher")
-
-
-def write_kernel_artifact(records: list[KernelRecord], path: str) -> None:
-    """Write ``BENCH_kernel.json`` (sorted records, sorted keys)."""
-    _write_artifact(kernel_artifact_dict(records), path)
-
-
-def validate_kernel_artifact(data: Any) -> list[KernelRecord]:
-    """Check a kernel artifact document against the pinned schema.
-
-    Returns the parsed records; raises :class:`ValueError` on drift
-    (wrong version, missing/extra keys, wrong types, unknown matcher).
-    """
-    return _validate_artifact(
-        data,
-        label="kernel",
-        version=KERNEL_SCHEMA_VERSION,
-        fields=KERNEL_RECORD_FIELDS,
-        types={
-            "benchmark": str,
-            "matcher": str,
-            "size": int,
-            "seconds": (int, float),
-            "rule_firings": int,
-            "stages": int,
-        },
-        enums={"matcher": ("compiled", "interpreted")},
-        factory=KernelRecord,
-    )
-
-
-def load_kernel_artifact(path: str) -> list[KernelRecord]:
-    """Read and validate a kernel artifact file; raises on drift."""
-    with open(path) as handle:
-        return validate_kernel_artifact(json.load(handle))
-
-
-# -- BENCH_codegen.json: codegen/compiled/interpreted tier ablation -----------
-
-#: Version of the BENCH_codegen.json schema (same regime as
-#: :data:`BENCH_SCHEMA_VERSION`).
-CODEGEN_SCHEMA_VERSION = 1
-
-#: Exact key set of one codegen record.
-CODEGEN_RECORD_FIELDS = (
-    "benchmark",
-    "matcher",
-    "size",
-    "seconds",
-    "rule_firings",
-    "stages",
-)
-
-
-@dataclass(frozen=True)
-class CodegenRecord:
-    """One (benchmark, matcher tier, workload size) measurement.
-
-    ``matcher`` is the full tier ladder: ``"codegen"`` (per-plan
-    specialized Python, the default), ``"compiled"`` (the PR 4
-    slot-plan interpreter with codegen off), or ``"interpreted"`` (the
-    reference matcher).  The tiers are semantics-preserving, so
-    ``rule_firings`` and ``stages`` must agree across all three cells
-    of a (benchmark, size) pair; ``seconds`` carries the speedup
-    evidence.
-    """
-
-    benchmark: str
-    matcher: str
-    size: int
-    seconds: float
-    rule_firings: int
-    stages: int
-
-    @classmethod
-    def from_stats(
-        cls, benchmark: str, matcher: str, size: int, stats
-    ) -> "CodegenRecord":
-        """Build a record from an :class:`~repro.semantics.EngineStats`."""
-        return cls(
-            benchmark=benchmark,
-            matcher=matcher,
-            size=size,
-            seconds=stats.seconds,
-            rule_firings=stats.rule_firings,
-            stages=stats.stage_count,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "benchmark": self.benchmark,
-            "matcher": self.matcher,
-            "size": self.size,
-            "seconds": self.seconds,
-            "rule_firings": self.rule_firings,
-            "stages": self.stages,
-        }
-
-
-def codegen_artifact_dict(records: list[CodegenRecord]) -> dict[str, Any]:
-    """The artifact document: schema-versioned, deterministically ordered."""
-    return _artifact_dict(records, CODEGEN_SCHEMA_VERSION, "matcher")
-
-
-def write_codegen_artifact(records: list[CodegenRecord], path: str) -> None:
-    """Write ``BENCH_codegen.json`` (sorted records, sorted keys)."""
-    _write_artifact(codegen_artifact_dict(records), path)
-
-
-def validate_codegen_artifact(data: Any) -> list[CodegenRecord]:
-    """Check a codegen artifact document against the pinned schema.
-
-    Returns the parsed records; raises :class:`ValueError` on drift
-    (wrong version, missing/extra keys, wrong types, unknown matcher).
-    """
-    return _validate_artifact(
-        data,
-        label="codegen",
-        version=CODEGEN_SCHEMA_VERSION,
-        fields=CODEGEN_RECORD_FIELDS,
-        types={
-            "benchmark": str,
-            "matcher": str,
-            "size": int,
-            "seconds": (int, float),
-            "rule_firings": int,
-            "stages": int,
-        },
-        enums={"matcher": ("codegen", "compiled", "interpreted")},
-        factory=CodegenRecord,
-    )
-
-
-def load_codegen_artifact(path: str) -> list[CodegenRecord]:
-    """Read and validate a codegen artifact file; raises on drift."""
-    with open(path) as handle:
-        return validate_codegen_artifact(json.load(handle))
-
-
-# -- BENCH_columnar.json: columnar batch-kernel tier ablation -----------------
-
-#: Version of the BENCH_columnar.json schema (same regime as
-#: :data:`BENCH_SCHEMA_VERSION`).
-COLUMNAR_SCHEMA_VERSION = 1
-
-#: Exact key set of one columnar record.
-COLUMNAR_RECORD_FIELDS = (
-    "benchmark",
-    "matcher",
-    "size",
-    "seconds",
-    "rule_firings",
-    "stages",
-)
-
-
-@dataclass(frozen=True)
-class ColumnarRecord:
-    """One (benchmark, matcher tier, workload size) measurement.
-
-    ``matcher`` is the full four-tier ladder: ``"columnar"``
-    (whole-delta batch kernels consuming columnar blocks, the
-    default), ``"codegen"`` (per-plan specialized Python, tuple at a
-    time), ``"compiled"`` (the slot-plan interpreter), or
-    ``"interpreted"`` (the reference matcher).  The tiers are
-    semantics-preserving, so ``rule_firings`` and ``stages`` must
-    agree across all four cells of a (benchmark, size) pair;
-    ``seconds`` carries the speedup evidence.
-    """
-
-    benchmark: str
-    matcher: str
-    size: int
-    seconds: float
-    rule_firings: int
-    stages: int
-
-    @classmethod
-    def from_stats(
-        cls, benchmark: str, matcher: str, size: int, stats
-    ) -> "ColumnarRecord":
-        """Build a record from an :class:`~repro.semantics.EngineStats`."""
-        return cls(
-            benchmark=benchmark,
-            matcher=matcher,
-            size=size,
-            seconds=stats.seconds,
-            rule_firings=stats.rule_firings,
-            stages=stats.stage_count,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "benchmark": self.benchmark,
-            "matcher": self.matcher,
-            "size": self.size,
-            "seconds": self.seconds,
-            "rule_firings": self.rule_firings,
-            "stages": self.stages,
-        }
-
-
-def columnar_artifact_dict(records: list[ColumnarRecord]) -> dict[str, Any]:
-    """The artifact document: schema-versioned, deterministically ordered."""
-    return _artifact_dict(records, COLUMNAR_SCHEMA_VERSION, "matcher")
-
-
-def write_columnar_artifact(records: list[ColumnarRecord], path: str) -> None:
-    """Write ``BENCH_columnar.json`` (sorted records, sorted keys)."""
-    _write_artifact(columnar_artifact_dict(records), path)
-
-
-def validate_columnar_artifact(data: Any) -> list[ColumnarRecord]:
-    """Check a columnar artifact document against the pinned schema.
-
-    Returns the parsed records; raises :class:`ValueError` on drift
-    (wrong version, missing/extra keys, wrong types, unknown matcher).
-    """
-    return _validate_artifact(
-        data,
-        label="columnar",
-        version=COLUMNAR_SCHEMA_VERSION,
-        fields=COLUMNAR_RECORD_FIELDS,
-        types={
-            "benchmark": str,
-            "matcher": str,
-            "size": int,
-            "seconds": (int, float),
-            "rule_firings": int,
-            "stages": int,
-        },
-        enums={
-            "matcher": ("columnar", "codegen", "compiled", "interpreted")
-        },
-        factory=ColumnarRecord,
-    )
-
-
-def load_columnar_artifact(path: str) -> list[ColumnarRecord]:
-    """Read and validate a columnar artifact file; raises on drift."""
-    with open(path) as handle:
-        return validate_columnar_artifact(json.load(handle))
-
-
-# -- BENCH_planner.json: query-planner ablation ------------------------------
-
-#: Version of the BENCH_planner.json schema (same regime as
-#: :data:`BENCH_SCHEMA_VERSION`).
-PLANNER_SCHEMA_VERSION = 1
-
-#: Exact key set of one planner record.
-PLANNER_RECORD_FIELDS = (
-    "benchmark",
-    "planner",
-    "size",
-    "seconds",
-    "rule_firings",
-    "stages",
-)
-
-
-@dataclass(frozen=True)
-class PlannerRecord:
-    """One (benchmark, planner on/off, workload size) measurement.
-
-    ``planner`` is ``"on"`` (cost-based orders + shared index cover +
-    SCC scheduling, the default) or ``"off"``
-    (:class:`~repro.semantics.planner.QueryPlanner` disabled — the
-    drivers' legacy global loops with the static greedy join order).
-    Both cells run the compiled kernel, so the delta isolates the
-    planner itself.
-    """
-
-    benchmark: str
-    planner: str
-    size: int
-    seconds: float
-    rule_firings: int
-    stages: int
-
-    @classmethod
-    def from_stats(
-        cls, benchmark: str, planner: str, size: int, stats
-    ) -> "PlannerRecord":
-        """Build a record from an :class:`~repro.semantics.EngineStats`."""
-        return cls(
-            benchmark=benchmark,
-            planner=planner,
-            size=size,
-            seconds=stats.seconds,
-            rule_firings=stats.rule_firings,
-            stages=stats.stage_count,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "benchmark": self.benchmark,
-            "planner": self.planner,
-            "size": self.size,
-            "seconds": self.seconds,
-            "rule_firings": self.rule_firings,
-            "stages": self.stages,
-        }
-
-
-def planner_artifact_dict(records: list[PlannerRecord]) -> dict[str, Any]:
-    """The artifact document: schema-versioned, deterministically ordered."""
-    return _artifact_dict(records, PLANNER_SCHEMA_VERSION, "planner")
-
-
-def write_planner_artifact(records: list[PlannerRecord], path: str) -> None:
-    """Write ``BENCH_planner.json`` (sorted records, sorted keys)."""
-    _write_artifact(planner_artifact_dict(records), path)
-
-
-def validate_planner_artifact(data: Any) -> list[PlannerRecord]:
-    """Check a planner artifact document against the pinned schema.
-
-    Returns the parsed records; raises :class:`ValueError` on drift
-    (wrong version, missing/extra keys, wrong types, unknown mode).
-    """
-    return _validate_artifact(
-        data,
-        label="planner",
-        version=PLANNER_SCHEMA_VERSION,
-        fields=PLANNER_RECORD_FIELDS,
-        types={
-            "benchmark": str,
-            "planner": str,
-            "size": int,
-            "seconds": (int, float),
-            "rule_firings": int,
-            "stages": int,
-        },
-        enums={"planner": ("on", "off")},
-        factory=PlannerRecord,
-    )
-
-
-def load_planner_artifact(path: str) -> list[PlannerRecord]:
-    """Read and validate a planner artifact file; raises on drift."""
-    with open(path) as handle:
-        return validate_planner_artifact(json.load(handle))
 
 
 # -- BENCH_differential.json: incremental-maintenance ablation ----------------

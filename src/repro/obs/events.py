@@ -144,8 +144,8 @@ class RuleEvent:
     deduplicated: int
     literals: tuple[LiteralProfile, ...] = ()
     #: The planner's chosen join order (body-literal indices) when the
-    #: span came from a planned evaluation; ``None`` on the interpreted
-    #: traced path.  Serialized only when present — an additive field
+    #: span came from a planned evaluation; ``None`` on the
+    #: reference-matcher traced path.  Serialized only when present — an additive field
     #: under the pinned schema.
     order: tuple[int, ...] | None = None
 

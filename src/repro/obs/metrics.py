@@ -2,8 +2,8 @@
 
 The planner keeps counters-only metrics on every untraced run already —
 per-rule actual rows, per-variant estimates, join orders, and stage
-wall time all land in ``EngineStats`` (and its live ``planner`` report)
-with no ``JoinProbe`` and no interpreted detour, so collecting them
+wall time all land in ``EngineStats`` (and its per-run ``planner`` report)
+with no ``JoinProbe`` and no reference-matcher detour, so collecting them
 costs nothing beyond the bookkeeping the engines do anyway.  This
 module distills one finished run into a :class:`RunMetrics` snapshot —
 the unit the persistent stats store (:mod:`repro.obs.store`) records
@@ -76,9 +76,9 @@ class RunMetrics:
         ``stats`` is the run's :class:`~repro.semantics.base.EngineStats`
         (or anything duck-typed like it); ``db`` the evaluated database
         whose relation sizes become the measured cardinalities.  Runs
-        without a planner report (traced interpreted runs, planner
-        ablated off) still harvest relation sizes and stage timings —
-        the parts any run can measure.
+        without a planner report (fully traced runs, which match
+        through the reference matcher) still harvest relation sizes and
+        stage timings — the parts any run can measure.
         """
         relations: dict[str, int] = {}
         if db is not None:

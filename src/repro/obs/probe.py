@@ -1,7 +1,7 @@
 """The join probe: per-literal candidate/match counting.
 
-:func:`repro.semantics.base.iter_matches` evaluates a rule body as a
-backtracking join over its positive literals.  A :class:`JoinProbe`
+:func:`repro.semantics.base.reference_matches` evaluates a rule body as
+a backtracking join over its positive literals.  A :class:`JoinProbe`
 slots into that join (via the ``probe`` parameter) and counts, for each
 literal of the chosen join order, how many candidate tuples the index
 lookup produced and how many of them extended the valuation
@@ -9,9 +9,10 @@ consistently.  The ratio is the literal's *selectivity* — the number
 profiling surfaces to answer "which literal of the hot rule is doing
 all the work".
 
-The probe reuses the engine's own candidate-lookup logic
+The probe reuses the reference matcher's own candidate-lookup logic
 (:func:`~repro.semantics.base._literal_candidates`), so the counted
-join is byte-for-byte the join the engine runs.
+join is byte-for-byte the join that matcher runs — and, under the same
+join order, the matches production enumerates.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class JoinProbe:
         valuation: dict[Var, Hashable],
         restricted: frozenset[tuple] | None,
     ) -> Iterator[dict[Var, Hashable]]:
-        """The counting twin of ``base._iter_literal_matches``."""
+        """One literal's join step in the reference matcher, counted."""
         candidates, free = _literal_candidates(lit, db, valuation, restricted)
         if idx not in self.labels:
             self.labels[idx] = repr(lit)

@@ -53,7 +53,7 @@ class RuleProfileRow:
     literals: list[LiteralProfile] = field(default_factory=list)
     #: Distinct planner join orders this rule's spans ran under, in
     #: first-seen order (planned-mode profiles only; empty on the
-    #: interpreted traced path, where evaluation follows body order).
+    #: reference-matcher traced path, which uses its own greedy order).
     orders: list[list[int]] = field(default_factory=list)
 
     def merge_event(self, event: RuleEvent) -> None:
@@ -106,13 +106,13 @@ class ProfileReport:
     """Per-rule hot-spot report for one engine run."""
 
     engine: str = ""
-    #: Matcher tier of the profiled run.  Default profiles are collected
-    #: through the interpreted twin (the compiled and codegen kernels
-    #: have no probe hooks), so this is ``"interpreted"`` — recorded
-    #: explicitly so readers comparing against ``repro stats`` (codegen
-    #: by default) are not misled.  ``repro profile --planned`` keeps
-    #: the planner and the full matcher stack on (counters-only spans)
-    #: and reports the active tier — ``"codegen"`` by default.
+    #: Matcher of the profiled run.  Default profiles are collected
+    #: through the reference matcher (the generated kernels have no
+    #: probe hooks), so this is ``"interpreted"`` — recorded explicitly
+    #: so readers comparing against ``repro stats`` (``"columnar"``)
+    #: are not misled.  ``repro profile --planned`` keeps the
+    #: production kernels (counters-only spans) and reports
+    #: ``"columnar"``.
     matcher: str = ""
     seconds: float = 0.0
     stages: int = 0

@@ -29,7 +29,7 @@ class RuleSpan:
     """An open rule span: one rule being evaluated in one pass.
 
     Engines bump ``firings`` / ``emitted`` / ``deduplicated`` while the
-    rule runs, pass ``probe`` into :func:`iter_matches`, and call
+    rule runs, pass ``probe`` into :func:`reference_matches`, and call
     :meth:`close` when the rule's work in this pass is done.  Engines
     whose bookkeeping continues after matching (the choice engine
     commits firings in a separate shuffled pass) call :meth:`stop`
@@ -50,7 +50,7 @@ class RuleSpan:
         self.emitted = 0
         self.deduplicated = 0
         #: Join order the planner ran this span under (planned mode
-        #: only; the interpreted traced path leaves it ``None``).
+        #: only; the reference-matcher traced path leaves it ``None``).
         self.order: tuple[int, ...] | None = None
         self._t0 = perf_counter()
         self._seconds: float | None = None
@@ -86,13 +86,13 @@ class Tracer:
     added/removed (used by ``repro trace``); the default keeps stage
     spans to counters only.
 
-    ``planned=True`` asks the engines to keep the query planner and
-    compiled kernel enabled while tracing: rule spans then come from
-    the planner's own evaluation loop as counters only (firings,
-    emitted, wall time, chosen join ``order`` — no per-literal
-    ``JoinProbe`` statistics), so the profile describes the join orders
-    production actually runs instead of the interpreted matcher's
-    body order.
+    ``planned=True`` asks the engines to keep the production kernels
+    while tracing: rule spans then come from the planner's own
+    evaluation loop as counters only (firings, emitted, wall time,
+    chosen join ``order`` — no per-literal ``JoinProbe`` statistics), so
+    the profile describes the join orders production actually runs
+    instead of the reference matcher's greedy order.  Either way the
+    engines keep the stage structure of an untraced run.
     """
 
     enabled = True

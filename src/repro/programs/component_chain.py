@@ -20,8 +20,8 @@ stage revisits all 2K rules (and re-checks K still-closed gates)
 against deltas that can only ever touch one component.  The
 SCC-scheduled evaluator runs one component's delta loop at a time and
 the relation→rules dispatch map confines each delta to its two rules —
-work drops from O(K²·L) rule visits to O(K·L).  This is the headline
-workload of ``benchmarks/test_planner_ablation.py``.
+work drops from O(K²·L) rule visits to O(K·L).  The ``bench/``
+harness runs it as ``gated_components``.
 """
 
 from __future__ import annotations

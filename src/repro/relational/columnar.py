@@ -16,20 +16,20 @@ insert/enumerate/query storage interface):
   swap-remove discard, maintained *incrementally* by
   :class:`~repro.relational.instance.Relation` alongside the set and
   the hash/chain indexes (same lifecycle: built lazily on first use,
-  dropped when ``incremental_maintenance`` is off);
-* a :class:`DeltaBlock` — the batch format the columnar matcher tier
-  passes between semi-naive stages: one stage's delta as parallel
-  *value* columns plus the frozen fact set.  Iterating a block yields
-  rows in exactly the frozenset's enumeration order, so every
-  row-at-a-time consumer (and every seeded engine) sees the same
-  sequence whether the drivers froze a plain set or wrapped a block;
+  then kept in sync);
+* a :class:`DeltaBlock` — the batch format the semi-naive drivers pass
+  between stages: one stage's delta as a fixed row sequence plus the
+  frozen fact set.  Iterating a block yields rows in exactly the
+  frozenset's enumeration order, so every row-at-a-time consumer (and
+  every seeded engine) sees the same sequence whether it got a plain
+  set or a block;
 * :func:`storage_report` — the memory-density surface of
   ``repro stats``: per-relation bytes as a set of tuples vs as interned
   columns, plus the interner's own footprint.
 
 The join kernels (:mod:`repro.semantics.codegen`'s ``*_batch_*``
-variants) consume :class:`DeltaBlock` columns in value space — probe
-keys must hash against the value-keyed chain indexes — while the
+variants) consume :class:`DeltaBlock` rows in value space — probe keys
+must hash against the value-keyed chain indexes — while the
 :class:`ColumnStore` keeps the materialized relations dense.  Running
 the joins themselves in id space over column stores is the next rung
 (see ROADMAP).
@@ -99,7 +99,7 @@ class ColumnStore:
     swapped into the hole and the arrays shrink by one.
 
     Row order is *not* part of the storage contract — swap-remove
-    reorders — which is why the batch execution tier draws its blocks
+    reorders — which is why the batch kernels draw their blocks
     from the (insertion-ordered) delta sets, not from here.
     """
 
@@ -171,24 +171,20 @@ class ColumnStore:
 
 
 class DeltaBlock:
-    """One relation's semi-naive delta as a column-sliced batch.
+    """One relation's semi-naive delta as a batch of rows.
 
-    ``facts`` is the frozen delta set the row-at-a-time matchers (and
-    the planner's size estimates) consume; ``rows`` fixes the set's
-    enumeration order; ``columns`` is the same data as parallel value
-    columns for the ``*_batch_*`` codegen kernels (``None`` when the
-    block is empty — an empty block has no arity to slice).  A block is
-    a drop-in for the frozenset it wraps everywhere a delta flows:
-    iteration yields the identical row sequence, so flipping the
-    columnar tier cannot perturb seeded engines.
+    ``facts`` is the frozen delta set (membership tests); ``rows``
+    fixes the set's enumeration order, and is what the ``*_batch_*``
+    codegen kernels unpack row by row.  A block is a drop-in for the
+    frozenset it wraps everywhere a delta flows: iteration yields the
+    identical row sequence, so wrapping cannot perturb seeded engines.
     """
 
-    __slots__ = ("facts", "rows", "columns")
+    __slots__ = ("facts", "rows")
 
     def __init__(self, facts: frozenset[tuple]):
         self.facts = facts
         self.rows = tuple(facts)
-        self.columns = tuple(zip(*self.rows)) if self.rows else None
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.rows)

@@ -26,8 +26,9 @@ feed the engines' :class:`~repro.semantics.base.EngineStats`.
 Two physical index shapes coexist:
 
 * *flat* hash indexes (:meth:`Relation.index`) — one dict per distinct
-  position tuple, keys in position order; built by the interpreted
-  matcher and the planner-off compiled kernel;
+  position tuple, keys in position order; built by the reference
+  matcher and by compiled plans the planner did not rewrite onto a
+  chain (``iter_matches``, the differential engine's support probes);
 * *chain* indexes (:meth:`Relation.chain_index`) — a nested-dict trie
   whose column order is chosen by the query planner's minimal index
   cover (MISP), so a single physical index serves every key template
@@ -44,9 +45,8 @@ A third storage shape rides along the same lifecycle: the *interned
 column store* (:meth:`Relation.column_store`), the relation's facts as
 parallel ``array('q')`` columns of dense constant ids from the
 database's shared :class:`~repro.relational.columnar.Interner`.  Like
-the indexes it is built lazily on first request, maintained in place
-on every ``add``/``discard``/``clear`` while
-:attr:`Relation.incremental_maintenance` is on, and dropped otherwise.
+the indexes it is built lazily on first request and maintained in place
+on every ``add``/``discard``/``clear``.
 ``Database.storage_report()`` prices the two representations against
 each other for ``repro stats``.
 """
@@ -78,13 +78,6 @@ class Relation:
         "_index_updates",
         "_index_drops",
     )
-
-    #: Class-wide switch.  When True (the default), mutations update live
-    #: indexes in place; when False, every mutation drops all cached
-    #: indexes (the pre-incremental behavior).  The benchmark suite flips
-    #: this to measure the win of incremental maintenance; production
-    #: code should never touch it.
-    incremental_maintenance: bool = True
 
     def __init__(self, name: str, arity: int, tuples: Iterable[tuple] = ()):
         self.name = name
@@ -193,18 +186,12 @@ class Relation:
             return False
         self._tuples.add(t)
         self._version += 1
-        if Relation.incremental_maintenance:
-            if self._indexes:
-                self._index_insert(t)
-            if self._chains:
-                self._chain_insert(t)
-            if self._store is not None:
-                self._store.append(t)
-        else:
-            self._indexes.clear()
-            self._chains.clear()
-            self._chain_counts.clear()
-            self._store = None
+        if self._indexes:
+            self._index_insert(t)
+        if self._chains:
+            self._chain_insert(t)
+        if self._store is not None:
+            self._store.append(t)
         return True
 
     def add_batch(self, ts) -> list[tuple]:
@@ -230,22 +217,16 @@ class Relation:
                 )
         tuples.update(fresh)
         self._version += len(fresh)
-        if Relation.incremental_maintenance:
-            if self._indexes:
-                for t in fresh:
-                    self._index_insert(t)
-            if self._chains:
-                for t in fresh:
-                    self._chain_insert(t)
-            store = self._store
-            if store is not None:
-                for t in fresh:
-                    store.append(t)
-        else:
-            self._indexes.clear()
-            self._chains.clear()
-            self._chain_counts.clear()
-            self._store = None
+        if self._indexes:
+            for t in fresh:
+                self._index_insert(t)
+        if self._chains:
+            for t in fresh:
+                self._chain_insert(t)
+        store = self._store
+        if store is not None:
+            for t in fresh:
+                store.append(t)
         return fresh
 
     def discard(self, t: tuple) -> bool:
@@ -255,18 +236,12 @@ class Relation:
             return False
         self._tuples.remove(t)
         self._version += 1
-        if Relation.incremental_maintenance:
-            if self._indexes:
-                self._index_remove(t)
-            if self._chains:
-                self._chain_remove(t)
-            if self._store is not None:
-                self._store.discard(t)
-        else:
-            self._indexes.clear()
-            self._chains.clear()
-            self._chain_counts.clear()
-            self._store = None
+        if self._indexes:
+            self._index_remove(t)
+        if self._chains:
+            self._chain_remove(t)
+        if self._store is not None:
+            self._store.discard(t)
         return True
 
     def update(self, tuples: Iterable[tuple]) -> int:
@@ -281,30 +256,24 @@ class Relation:
         if self._tuples:
             self._tuples.clear()
             self._version += 1
-            if Relation.incremental_maintenance:
-                # Keep the indexes live (all empty) so later adds
-                # maintain them without a rebuild.
-                for table in self._indexes.values():
-                    table.clear()
-                for order, root in self._chains.items():
-                    root.clear()
-                    counts = self._chain_counts[order]
-                    for depth in range(len(counts)):
-                        counts[depth] = 0
-                if self._store is not None:
-                    self._store.clear()
-            else:
-                self._indexes.clear()
-                self._chains.clear()
-                self._chain_counts.clear()
-                self._store = None
+            # Keep the indexes live (all empty) so later adds maintain
+            # them without a rebuild.
+            for table in self._indexes.values():
+                table.clear()
+            for order, root in self._chains.items():
+                root.clear()
+                counts = self._chain_counts[order]
+                for depth in range(len(counts)):
+                    counts[depth] = 0
+            if self._store is not None:
+                self._store.clear()
 
     def replace(self, tuples: Iterable[tuple]) -> None:
         """Replace the whole content (used by while-language assignment)."""
         new = {self._check(t) for t in tuples}
         if new == self._tuples:
             return
-        if (self._indexes or self._chains) and Relation.incremental_maintenance:
+        if self._indexes or self._chains:
             added = new - self._tuples
             removed = self._tuples - new
             if len(added) + len(removed) <= len(new):
@@ -327,10 +296,7 @@ class Relation:
                 self._chain_counts.clear()
                 self._store = None
         else:
-            self._indexes.clear()
-            self._chains.clear()
-            self._chain_counts.clear()
-            self._store = None
+            self._store = None  # no index to patch alongside: rebuild lazily
         self._tuples = new
         self._version += 1
 
@@ -474,7 +440,7 @@ class Relation:
         A full-depth probe returns the live bucket itself (iterating it
         yields the tuples in the same insertion order the snapshot
         would).  The caller must not mutate the relation while
-        consuming the result — the codegen tier's fused ``run_emit``
+        consuming the result — the generated fused ``emit_*``
         path qualifies, since it never yields control mid-walk.
         """
         node = self._chains.get(order)
@@ -551,34 +517,31 @@ class Relation:
 
         Built on first use from the live tuple set; thereafter kept in
         sync incrementally by :meth:`add`/:meth:`discard`/:meth:`replace`
-        (same lifecycle as the hash and chain indexes — dropped when
-        ``incremental_maintenance`` is off or a wholesale replace makes
-        patching more expensive than rebuilding).
+        (same lifecycle as the hash and chain indexes — dropped when a
+        wholesale replace makes patching more expensive than
+        rebuilding).
         """
         store = self._store
         if store is None or store.interner is not interner:
-            store = ColumnStore(self.arity, interner, self._tuples)
-            if Relation.incremental_maintenance:
-                self._store = store
+            store = self._store = ColumnStore(self.arity, interner, self._tuples)
         return store
 
     def copy(self) -> "Relation":
         clone = Relation(self.name, self.arity)
         clone._tuples = set(self._tuples)
-        if Relation.incremental_maintenance:
-            # Carrying the live indexes over is cheaper than letting the
-            # clone rebuild them from scratch on first use.
-            clone._indexes = {
-                positions: {key: dict(bucket) for key, bucket in table.items()}
-                for positions, table in self._indexes.items()
-            }
-            clone._chains = {
-                order: self._copy_trie(root, len(order))
-                for order, root in self._chains.items()
-            }
-            clone._chain_counts = {
-                order: list(counts) for order, counts in self._chain_counts.items()
-            }
+        # Carrying the live indexes over is cheaper than letting the
+        # clone rebuild them from scratch on first use.
+        clone._indexes = {
+            positions: {key: dict(bucket) for key, bucket in table.items()}
+            for positions, table in self._indexes.items()
+        }
+        clone._chains = {
+            order: self._copy_trie(root, len(order))
+            for order, root in self._chains.items()
+        }
+        clone._chain_counts = {
+            order: list(counts) for order, counts in self._chain_counts.items()
+        }
         return clone
 
     @staticmethod

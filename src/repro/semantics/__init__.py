@@ -21,9 +21,11 @@ Nondeterministic engines:
 * :mod:`repro.semantics.posscert` — possibility/certainty semantics
   (§5.3).
 
-All engines share the rule matcher in :mod:`repro.semantics.base`,
-which by default runs rules through the compiled slot-plan kernel of
-:mod:`repro.semantics.plan` (toggle: ``PlanCache.compiled_plans``).
+All engines share the rule matcher in :mod:`repro.semantics.base`:
+one production path (the planner plus the compiled plans of
+:mod:`repro.semantics.plan` and their generated kernels) and one
+reference matcher, ``reference_matches``, the test oracle that fully
+traced runs call explicitly.
 """
 
 from repro.semantics.base import (
@@ -35,6 +37,7 @@ from repro.semantics.base import (
     iter_matches,
     instantiate_head,
     immediate_consequences,
+    reference_matches,
 )
 from repro.semantics.plan import PlanCache, RulePlan, plan_for
 from repro.semantics.naive import evaluate_datalog_naive
@@ -79,6 +82,7 @@ __all__ = [
     "iter_matches",
     "instantiate_head",
     "immediate_consequences",
+    "reference_matches",
     "PlanCache",
     "RulePlan",
     "plan_for",

@@ -6,31 +6,29 @@ respect to the current instance — valuations of the rule's variables
 into adom(P, K) making every positive body literal a fact of K, every
 negative literal a non-fact, and every (in)equality literal true.
 
-:func:`iter_matches` implements this with a backtracking join over the
-positive literals (driven by per-relation hash indexes), followed by
-equality propagation, active-domain enumeration of any variables bound
-by no positive literal, and final checks of negative and inequality
-literals.  Variables occurring *only* in negative literals range over
-the full active domain, exactly as the paper's semantics prescribes
-(this is what makes ``CT(x,y) ← ¬T(x,y)`` meaningful).
+Two matchers compute it:
 
-Three matcher tiers produce those instantiations:
+* the **production** path — each (rule, join order) compiled once into
+  a slot plan (:mod:`repro.semantics.plan`) and from there into
+  specialized Python (:mod:`repro.semantics.codegen`).
+  :func:`iter_matches` is its generator API; :func:`immediate_consequences`
+  hands whole passes to the planner (:func:`repro.semantics.planner
+  .consequences`), which runs the batch kernels;
+* the **reference** matcher, :func:`reference_matches` — a direct
+  recursive-generator backtracking join over the positive literals
+  (driven by per-relation hash indexes), followed by equality
+  propagation, active-domain enumeration of any variables bound by no
+  positive literal, and final checks of negative and inequality
+  literals.  Variables occurring *only* in negative literals range over
+  the full active domain, exactly as the paper's semantics prescribes
+  (this is what makes ``CT(x,y) ← ¬T(x,y)`` meaningful).  It is the test
+  oracle, and fully traced runs call it explicitly: the obs
+  :class:`~repro.obs.JoinProbe` hooks between its candidate lookup and
+  valuation extension.
 
-* the **codegen** tier (:mod:`repro.semantics.codegen`, the default) —
-  each plan additionally compiles to specialized Python source
-  (``PlanCache.codegen``), dispatched inside the plan itself;
-* the **compiled** kernel (:mod:`repro.semantics.plan`) —
-  each (rule, join order) is compiled once into a flat slot-based plan
-  and executed as an iterative walk over candidate tuples;
-* the **interpreted** twin below — the direct recursive-generator
-  implementation, which also serves as the reference semantics, the
-  ablation baseline (``PlanCache.compiled_plans = False``), and the
-  path every traced run takes (the obs :class:`~repro.obs.JoinProbe`
-  hooks between its candidate lookup and valuation extension).
-
-Both paths enumerate matches in the same order and must stay
-byte-for-byte equivalent; ``tests/test_plan_kernel.py`` and the
-differential suites pin that equivalence.
+Under the same join order both enumerate the same matches in the same
+order; ``tests/test_plan_kernel.py`` and the differential suites pin
+that equivalence.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from typing import Hashable, Iterator
 from repro.ast.program import Program
 from repro.ast.rules import EqLit, Lit, Rule
 from repro.relational.instance import Database
-from repro.semantics.plan import PlanCache, active_matcher, plan_for
+from repro.semantics.plan import active_matcher, plan_for
 from repro.terms import Const, Var, apply_valuation
 
 #: Version of the ``repro stats --format json`` schema.  Bump on any
@@ -110,11 +108,10 @@ class EngineStats:
     """
 
     engine: str = ""
-    #: Which matcher tier produced the instantiations: ``"columnar"``
-    #: (whole-delta batch kernels, the default), ``"codegen"``
-    #: (specialized per-plan scalar functions), ``"compiled"`` (the
-    #: slot-plan kernel) or ``"interpreted"`` (the reference path,
-    #: always used when a tracer observes the run).
+    #: Which matcher produced the instantiations: ``"columnar"`` (the
+    #: production path: planner plus generated batch and scalar
+    #: kernels) or ``"interpreted"`` (the reference matcher, which a
+    #: full tracer observes the run through).
     matcher: str = ""
     seconds: float = 0.0
     rule_firings: int = 0
@@ -127,10 +124,10 @@ class EngineStats:
     index_builds: int = 0
     index_updates: int = 0
     index_drops: int = 0
-    #: Query-planner report (plan cache traffic, per-rule join orders
-    #: with estimated vs. actual cardinality, index-cover size), or
-    #: ``None`` when the planner never engaged (planner off, traced run,
-    #: or an engine outside the planned paths).  A plain dict so the
+    #: This run's query-planner report (plan cache traffic, per-rule
+    #: join orders with estimated vs. actual cardinality, index-cover
+    #: size), or ``None`` when the planner never engaged (a fully traced
+    #: run, or an engine outside the planned paths).  A plain dict so the
     #: pinned stats JSON stays ``json.dumps``-able; see
     #: :func:`repro.semantics.planner.explain` for the shape.
     planner: dict | None = None
@@ -244,10 +241,10 @@ class StatsRecorder:
         self.tracer = (
             tracer if tracer is not None and tracer.enabled else None
         )
-        # Traced runs route through the interpreted twin so the join
-        # probe's per-literal counts stay exact — except planned-mode
-        # tracers, which deliberately keep the compiled kernel (and
-        # planner) on and settle for counters-only rule spans.
+        # Fully traced runs match through the reference matcher so the
+        # join probe's per-literal counts stay exact — except
+        # planned-mode tracers, which keep the production kernels and
+        # settle for counters-only rule spans.
         planned = self.tracer is not None and getattr(
             self.tracer, "planned", False
         )
@@ -517,42 +514,6 @@ def _extend_valuation(
             del valuation[var]
 
 
-def _iter_literal_matches(
-    lit: Lit,
-    db: Database,
-    valuation: dict[Var, Hashable],
-    restricted: frozenset[tuple] | None = None,
-) -> Iterator[dict[Var, Hashable]]:
-    """Extend ``valuation`` over one positive literal; yields and undoes.
-
-    This is the fused (untraced) twin of
-    ``_literal_candidates`` + ``_extend_valuation``; the pair exists so
-    the observability probe can count candidates between the two steps.
-    Any change here must be mirrored there.
-    """
-    bound_positions, bound_values, free = _literal_binding(lit, valuation)
-    rel = db.relation(lit.relation)
-    if restricted is not None:
-        candidates: Iterator[tuple] | list[tuple] = [
-            t
-            for t in restricted
-            if all(t[p] == v for p, v in zip(bound_positions, bound_values))
-        ]
-    elif rel is None:
-        candidates = []
-    elif not free and bound_positions:
-        exact = tuple(bound_values)
-        candidates = [exact] if exact in rel else []
-    elif bound_positions:
-        # Snapshot, as in _literal_candidates: the bucket is a live
-        # ordered set and consumers may add facts between yields.
-        bucket = rel.index(bound_positions).get(tuple(bound_values))
-        candidates = list(bucket) if bucket else []
-    else:
-        candidates = list(rel)
-    return _extend_valuation(candidates, free, valuation)
-
-
 def _propagate_equalities(
     equalities: list[EqLit], valuation: dict[Var, Hashable]
 ) -> tuple[bool, list[Var]]:
@@ -622,45 +583,55 @@ def iter_matches(
     db: Database,
     adom: tuple[Hashable, ...],
     delta: dict[str, frozenset[tuple]] | None = None,
-    probe=None,
 ) -> Iterator[dict[Var, Hashable]]:
     """All instantiations of ``rule`` w.r.t. ``db`` (see module docstring).
 
-    Yields valuations covering every body variable (head-only invention
-    variables are *not* bound here — the invention engine handles them).
-    The yielded dict is reused; callers must copy it if they keep it.
+    The production generator: the rule's compiled plan under the greedy
+    size-driven join order, one valuation per match.  Yields valuations
+    covering every body variable (head-only invention variables are
+    *not* bound here — the invention engine handles them).  The yielded
+    dict is reused; callers must copy it if they keep it.
 
     ``delta``, when given, restricts matching so that at least one
     positive literal matches a delta fact (semi-naive evaluation): the
-    generator is run once per positive literal occurrence with that
+    plan is run once per positive literal occurrence with that
     occurrence restricted to the delta, which may yield duplicate
     valuations — callers dedupe via the set of derived facts.
 
     Universal (∀) rules are handled by
     :func:`iter_universal_matches`; this function ignores the
     ``universal`` marker and treats all variables existentially.
-
-    ``probe`` (a :class:`repro.obs.JoinProbe`, duck-typed) observes the
-    per-literal join: candidates considered and matches produced, keyed
-    by the literal's position in the chosen join order.  ``None`` (the
-    default) costs a single ``is None`` test per join level.  Probed
-    runs always take the interpreted path, so the probe's counts are
-    exact; unprobed runs take the compiled kernel (unless
-    ``PlanCache.compiled_plans`` is off), which enumerates the same
-    valuations in the same order.
+    Enumeration order equals :func:`reference_matches`'s, so seeded
+    engines replay identically whichever of the two they run.
     """
-    positive = list(rule.positive_body())
-    if probe is None and PlanCache.compiled_plans:
-        order = tuple(_order_positive_indices(positive, db))
-        plan = plan_for(rule, order)
-        out: dict[Var, Hashable] = {}
-        out_vars = plan.out_vars
-        for slots in plan.iter_slot_matches(db, adom, delta):
-            for var, s in out_vars:
-                out[var] = slots[s]
-            yield out
-        return
-    ordered = _order_positive(positive, db)
+    order = tuple(_order_positive_indices(list(rule.positive_body()), db))
+    plan = plan_for(rule, order)
+    out: dict[Var, Hashable] = {}
+    out_vars = plan.out_vars
+    for slots in plan.iter_slot_matches(db, adom, delta):
+        for var, s in out_vars:
+            out[var] = slots[s]
+        yield out
+
+
+def reference_matches(
+    rule: Rule,
+    db: Database,
+    adom: tuple[Hashable, ...],
+    delta: dict[str, frozenset[tuple]] | None = None,
+    probe=None,
+) -> Iterator[dict[Var, Hashable]]:
+    """The reference matcher: :func:`iter_matches` computed directly.
+
+    Same contract and same enumeration order as :func:`iter_matches`,
+    by a recursive backtracking join over valuation dicts instead of a
+    compiled plan.  The test oracle, and the matcher fully traced runs
+    call explicitly: ``probe`` (a :class:`repro.obs.JoinProbe`,
+    duck-typed) observes the per-literal join — candidates considered
+    and matches produced, keyed by the literal's position in the join
+    order.
+    """
+    ordered = _order_positive(list(rule.positive_body()), db)
 
     def run(restricted_index: int | None) -> Iterator[dict[Var, Hashable]]:
         valuation: dict[Var, Hashable] = {}
@@ -671,10 +642,13 @@ def iter_matches(
                 return
             lit = ordered[idx]
             restricted = None
-            if restricted_index is not None and idx == restricted_index:
-                restricted = (delta or {}).get(lit.relation, frozenset())
+            if idx == restricted_index:
+                restricted = delta.get(lit.relation, frozenset())
             if probe is None:
-                matches = _iter_literal_matches(lit, db, valuation, restricted)
+                candidates, free = _literal_candidates(
+                    lit, db, valuation, restricted
+                )
+                matches = _extend_valuation(candidates, free, valuation)
             else:
                 matches = probe.iter_matches(idx, lit, db, valuation, restricted)
             for _ in matches:
@@ -708,13 +682,9 @@ def iter_matches(
     if delta is None:
         yield from run(None)
     else:
-        touched = {
-            i
-            for i, lit in enumerate(ordered)
-            if lit.relation in delta and delta[lit.relation]
-        }
-        for i in sorted(touched):
-            yield from run(i)
+        for i, lit in enumerate(ordered):
+            if delta.get(lit.relation):
+                yield from run(i)
 
 
 def iter_universal_matches(
@@ -788,6 +758,7 @@ def immediate_consequences(
     delta: dict[str, frozenset[tuple]] | None = None,
     stats: EngineStats | None = None,
     tracer=None,
+    add_only: bool = False,
 ) -> tuple[set[tuple[str, tuple]], set[tuple[str, tuple]], int]:
     """One parallel firing of all rules: Γ_P's new inferences.
 
@@ -798,125 +769,21 @@ def immediate_consequences(
     the current instance (inflationary union, deletion policies, …).
     ``stats``, when given, has its ``consequence_calls`` bumped.
 
-    ``tracer`` (a :class:`repro.obs.Tracer`, duck-typed), when enabled,
-    diverts evaluation through the instrumented per-rule path, emitting
-    one rule span per rule with firings, tuples emitted/deduplicated,
-    and per-literal join statistics.  With no tracer the hot loop below
-    is untouched.
+    Evaluation is the planner's (:func:`repro.semantics.planner
+    .consequences`), which also handles ``tracer`` (a
+    :class:`repro.obs.Tracer`, duck-typed): one rule span per rule,
+    with per-literal join counts from the reference matcher unless the
+    tracer is planned-mode.  ``add_only`` declares the caller an
+    add-only fixpoint loop, letting the batch kernels drop heads
+    already in ``db`` (see :meth:`repro.semantics.plan.RulePlan
+    .run_emit`); ``positive`` then holds at least every new fact.
     """
+    # Lazy import: the planner builds on this module's matcher
+    # primitives.
+    from repro.semantics import planner
+
     if stats is not None:
         stats.consequence_calls += 1
-    if tracer is not None and tracer.enabled:
-        # Lazy import: planner builds on this module's matcher
-        # primitives.
-        from repro.semantics import planner as _planner
-
-        if (
-            getattr(tracer, "planned", False)
-            and _planner.QueryPlanner.enabled
-        ):
-            # Planned-mode tracing: keep the planner (and compiled
-            # kernel) engaged and let it emit counters-only rule spans,
-            # so the profile shows the join orders production runs.
-            handled = _planner.consequences(
-                program, db, adom, delta, stats, tracer=tracer
-            )
-            if handled is not None:
-                return handled
-        return _traced_consequences(program, db, adom, delta, tracer)
-    # Lazy import: planner builds on this module's matcher primitives.
-    from repro.semantics import planner as _planner
-
-    if _planner.QueryPlanner.enabled:
-        handled = _planner.consequences(program, db, adom, delta, stats)
-        if handled is not None:
-            return handled
-    positive: set[tuple[str, tuple]] = set()
-    negative: set[tuple[str, tuple]] = set()
-    firings = 0
-    if PlanCache.compiled_plans:
-        # Compiled path: head facts come straight from the plan's
-        # emitter templates — no valuation dict is ever built (except
-        # for invention rules, whose heads need variables no slot
-        # holds).
-        for rule in program.rules:
-            body = list(rule.positive_body())
-            if delta is not None and not body:
-                continue
-            order = tuple(_order_positive_indices(body, db))
-            plan = plan_for(rule, order)
-            emitters = plan.emitters
-            if emitters is None:
-                out_vars = plan.out_vars
-                for slots in plan.iter_slot_matches(db, adom, delta):
-                    firings += 1
-                    valuation = {var: slots[s] for var, s in out_vars}
-                    for relation, t, is_positive in instantiate_head(
-                        rule, valuation
-                    ):
-                        if is_positive:
-                            positive.add((relation, t))
-                        else:
-                            negative.add((relation, t))
-            else:
-                for slots in plan.iter_slot_matches(db, adom, delta):
-                    firings += 1
-                    for relation, template, fills, is_positive in emitters:
-                        for position, s in fills:
-                            template[position] = slots[s]
-                        fact = (relation, tuple(template))
-                        if is_positive:
-                            positive.add(fact)
-                        else:
-                            negative.add(fact)
-        return positive, negative, firings
-    for rule in program.rules:
-        # Rules with an empty positive body can never match a delta fact.
-        if delta is not None and not rule.positive_body():
-            continue
-        for valuation in iter_matches(rule, db, adom, delta=delta):
-            firings += 1
-            for relation, t, is_positive in instantiate_head(rule, valuation):
-                if is_positive:
-                    positive.add((relation, t))
-                else:
-                    negative.add((relation, t))
-    return positive, negative, firings
-
-
-def _traced_consequences(
-    program: Program,
-    db: Database,
-    adom: tuple[Hashable, ...],
-    delta: dict[str, frozenset[tuple]] | None,
-    tracer,
-) -> tuple[set[tuple[str, tuple]], set[tuple[str, tuple]], int]:
-    """The instrumented twin of the loop in :func:`immediate_consequences`.
-
-    Identical inferences; additionally opens one rule span per rule and
-    attributes wall time, firings, emitted and deduplicated tuples, and
-    per-literal join counts to it.  ``deduplicated`` counts head
-    instantiations already inferred earlier in this pass.
-    """
-    positive: set[tuple[str, tuple]] = set()
-    negative: set[tuple[str, tuple]] = set()
-    firings = 0
-    for rule_index, rule in enumerate(program.rules):
-        if delta is not None and not rule.positive_body():
-            continue
-        span = tracer.rule_span(rule_index, rule)
-        for valuation in iter_matches(
-            rule, db, adom, delta=delta, probe=span.probe
-        ):
-            span.firings += 1
-            for relation, t, is_positive in instantiate_head(rule, valuation):
-                fact = (relation, t)
-                target = positive if is_positive else negative
-                span.emitted += 1
-                if fact in target:
-                    span.deduplicated += 1
-                else:
-                    target.add(fact)
-        firings += span.firings
-        span.close()
-    return positive, negative, firings
+    return planner.consequences(
+        program, db, adom, delta, stats, tracer=tracer, add_only=add_only
+    )

@@ -36,6 +36,7 @@ from repro.semantics.base import (
     evaluation_adom,
     instantiate_head,
     iter_matches,
+    reference_matches,
 )
 from repro.terms import Var
 
@@ -100,7 +101,9 @@ def evaluate_with_choice(
             else:
                 span = tracer.rule_span(rule_index, rule)
                 spans[rule_index] = span
-                matches = iter_matches(rule, current, adom, probe=span.probe)
+                matches = reference_matches(
+                    rule, current, adom, probe=span.probe
+                )
             for valuation in matches:
                 result.rule_firings += 1
                 candidates.append((rule_index, dict(valuation)))

@@ -1,43 +1,41 @@
 """Source-emitting backend: each :class:`~repro.semantics.plan.RulePlan`
 compiled to specialized Python.
 
-PR 4's slot-plan kernel removed the per-candidate term walking of the
-interpreted matcher, but :meth:`RulePlan._run` is still a generic
-interpreter: every candidate tuple pays a loop over ``Step`` records,
-``binds``/``withins`` tuples, and an ``iters`` backtracking stack that
-encode the *rule*, not the data.  None of that varies at runtime, so
-this module compiles it away entirely: for each plan it emits a small
-Python module — one specialized function per semi-naive variant — and
-``exec``\\ s it once, keeping the source string for debugging
-(``repro run --dump-codegen DIR`` writes it out).
+A generic interpreter over a plan would pay, for every candidate tuple,
+a loop over ``Step`` records, ``binds``/``withins`` tuples, and a
+backtracking stack that encode the *rule*, not the data.  None of that
+varies at runtime, so this module compiles it away entirely: for each
+plan it emits a small Python module — one specialized function per
+semi-naive variant — and ``exec``\\ s it once, keeping the source string
+for debugging (``repro run --dump-codegen DIR`` writes it out).
 
 Per plan the generated module contains:
 
-* ``walk_full`` / ``walk_r{i}`` — generator twins of
-  :meth:`RulePlan._run`: the full-pass walk and one variant per step
-  ``i`` with that step's candidates drawn from the delta.  The join
-  becomes literal nested ``for`` loops; index keys are tuple displays
-  over baked constants and slot reads; repeat checks and residual
-  (in)equalities are inline ``if``\\ s with constant indices.
-* ``emit_full`` / ``emit_r{i}`` — the fused single-positive-head twins
-  of :meth:`RulePlan.run_emit`.  These drop the slot list for flat
-  locals (``v0, v1, …``) and bake the head template into the ``add``
-  call.  Because the fused path never yields, nothing can mutate the
-  database mid-walk, so these variants also skip the defensive bucket
-  snapshots (``list(bucket)`` / ``list(rel)``) and probe chain tries
-  through :meth:`Relation.probe_chain_live` — the main reason the tier
-  beats the plan interpreter.
-* ``group_r{i}`` — the delta grouping of ``_run`` with the key
-  positions baked in.
+* ``walk_full`` / ``walk_r{i}`` — the generator walks behind
+  ``RulePlan.iter_slot_matches``/``iter_seeded``: the full-pass walk
+  and one variant per step ``i`` with that step's candidates drawn from
+  the delta.  The join becomes literal nested ``for`` loops; index keys
+  are tuple displays over baked constants and slot reads; repeat checks
+  and residual (in)equalities are inline ``if``\\ s with constant
+  indices.
+* ``emit_full`` / ``emit_r{i}`` — the fused single-positive-head
+  variants behind :meth:`RulePlan.run_emit`.  These drop the slot list
+  for flat locals (``v0, v1, …``) and bake the head template into the
+  ``add`` call.  Because the fused path never yields, nothing can
+  mutate the database mid-walk, so these variants also skip the
+  defensive bucket snapshots (``list(bucket)`` / ``list(rel)``) and
+  probe chain tries through :meth:`Relation.probe_chain_live`.
+* ``group_r{i}`` — the delta grouping of the restricted variants with
+  the key positions baked in.
 * ``emit_batch_full``/``emit_batch_r0`` and
-  ``walk_batch_full``/``walk_batch_r0`` — the columnar tier's batch
-  kernels (:func:`_emit_batch`): one list comprehension per variant
-  that consumes a whole delta block, with probe ``.get``\\ s hoisted
-  and full-depth chain probes inlined as trie walks.  Dispatched by
-  ``run_emit_batch``/``run_walk_batch`` when
-  :attr:`~repro.semantics.plan.PlanCache.columnar` is on; shapes that
-  don't batch (delta at a non-leading occurrence, bound plans, no
-  loopable step) fall back to the scalar variants.
+  ``walk_batch_full``/``walk_batch_r0`` — the batch kernels
+  (:func:`_emit_batch`): one list comprehension per variant that
+  consumes a whole delta block, with probe ``.get``\\ s hoisted and
+  full-depth chain probes inlined as trie walks.  Dispatched by
+  ``run_emit_batch``/``run_walk_batch``; shapes that don't batch (delta
+  at a non-leading occurrence, bound plans, no loopable step) and
+  blocks under :attr:`CodegenPlan.BATCH_MIN_ROWS` run the scalar
+  variants.
 
 Enumeration-order identity (the contract seeded choice/nondeterministic
 engines replay against) is preserved construct by construct: buckets
@@ -52,11 +50,7 @@ yield, so no consumer can create the relation mid-walk), and the flat
 index table is fetched once per walk at first probe instead of per
 probe (the live table dict is stable within a walk).
 
-The tier sits behind :attr:`PlanCache.codegen` (default on; precedence
-codegen > compiled > interpreted) and is dispatched per call inside
-``RulePlan._run`` / ``RulePlan.run_emit``, so flipping the toggle
-mid-session bypasses compiled functions immediately — no staleness
-window.  Compiled functions are cached on the plan object itself
+Compiled functions are cached on the plan object itself
 (``RulePlan.codegen_fns``): they die with the plan on
 :meth:`PlanCache.clear`, planner replans build fresh plans (hence fresh
 functions), and :func:`~repro.semantics.plan.plan_with_cover` resets
@@ -186,8 +180,8 @@ def _emit_variant(src: _Source, plan, restricted_index: int,
             in_loop = True
         elif step.exact:
             # Fully bound: a membership probe, not a loop.  ``continue``
-            # statements below still behave exactly like the interpreted
-            # walk's single-candidate iterator exhausting.
+            # statements below still behave exactly like the reference
+            # matcher's single-candidate lookup exhausting.
             src.add(indent, f"if {_tuple_expr(key)} in rel{d}:")
         elif step.chain_order is not None:
             chain_key = _tuple_expr([key[i] for i in step.chain_perm])
@@ -267,7 +261,7 @@ def _emit_batch(src: _Source, plan, restricted_index: int,
                 fused: bool) -> str | None:
     """One batch (whole-delta) kernel; ``None`` if the shape won't batch.
 
-    The columnar tier's variants consume an entire delta block in one
+    The batch variants consume an entire delta block in one
     call — rows unpacked straight into named locals, index/bucket
     ``.get``\\ s hoisted out of the loop, full-depth chain probes
     inlined as trie walks.  The walk flavor builds its row list with a
@@ -300,10 +294,11 @@ def _emit_batch(src: _Source, plan, restricted_index: int,
         params += ", rows"
     if fused:
         # ``known`` is the head relation's live tuple set (or ``()``):
-        # the dispatch passes it to push semi-naive's difference into
-        # the kernel, and passes ``()`` for consumers that need the
-        # full consequence set (the differential engine's affected-
-        # fact and over-deletion passes).
+        # the dispatch passes it for add-only callers, to push
+        # semi-naive's difference into the kernel, and passes ``()``
+        # for consumers that need the full consequence set (the
+        # differential engine's affected-fact and over-deletion
+        # passes).
         params += ", known"
     bail = "return 0" if fused else "return []"
 
@@ -607,10 +602,10 @@ def _emit_group(src: _Source, index: int, positions) -> str:
 class CodegenPlan:
     """One plan's compiled functions plus the source they came from.
 
-    ``run``/``run_emit`` mirror the signatures ``RulePlan._run`` /
-    ``RulePlan.run_emit`` dispatch with (minus the head spec, which is
-    baked — callers verify it against ``head_relation``/``head_fills``
-    before dispatching).
+    ``run``/``run_emit_batch`` take the arguments ``RulePlan``
+    dispatches with (minus the head spec, which is baked — callers
+    verify it against ``head_relation``/``head_fills`` before
+    dispatching).
     """
 
     __slots__ = (
@@ -628,7 +623,7 @@ class CodegenPlan:
 
     def run(self, db, adom, restricted_index: int, restricted,
             seed=None) -> Iterator:
-        """Generator twin of the interpreted ``_run``.
+        """The generator walk: every match as the (reused) slot list.
 
         ``seed`` pre-fills the leading (bound) slots — the differential
         engine's head-seeded rederivation probes; the generated walks
@@ -649,7 +644,7 @@ class CodegenPlan:
 
     def run_emit(self, db, adom, restricted_index: int, restricted,
                  out: set) -> int:
-        """Fused twin of ``RulePlan.run_emit``; returns firings."""
+        """The scalar fused walk; returns firings."""
         if restricted_index < 0:
             return self._emits[0](db, adom, out.add)
         group = self._groups[restricted_index]
@@ -674,25 +669,23 @@ class CodegenPlan:
     # everything but the clock.
     BATCH_MIN_ROWS = 8
 
-    #: When True, batch emit kernels receive the head relation's live
-    #: tuple set and subtract it before flattening — semi-naive's
-    #: difference, one bulk op instead of a per-fact membership probe
-    #: downstream.  Off by default: a consequence set then means
-    #: "everything derivable", which is what non-monotone consumers
-    #: (trigger programs' ``negative - positive``, the differential
-    #: engine's affected/over-deletion passes) rely on.  Add-only
-    #: fixpoint loops opt in via
-    #: :func:`repro.semantics.plan.kernel_difference`.
-    subtract_known = False
-
     def run_emit_batch(self, db, adom, restricted_index: int, restricted,
-                       out: set) -> int:
-        """Columnar-tier fused dispatch: batch kernel or scalar fallback.
+                       out: set, add_only: bool) -> int:
+        """Fused dispatch: batch kernel or scalar fallback.
 
         Variants without a batch shape (delta at a non-leading
         occurrence, no loopable step, …) and deltas smaller than
         :data:`BATCH_MIN_ROWS` drop to :meth:`run_emit` — same
         firings, same facts.
+
+        ``add_only`` (an add-only fixpoint caller, see
+        ``RulePlan.run_emit``) hands the batch kernel the head
+        relation's live tuple set to subtract before flattening —
+        semi-naive's difference, one bulk op instead of a per-fact
+        membership probe downstream.  Otherwise the consequence set
+        means "everything derivable", which non-monotone consumers
+        (trigger programs' ``negative - positive``, the differential
+        engine's affected/over-deletion passes) rely on.
         """
         fn = None
         if restricted_index < 0:
@@ -706,7 +699,7 @@ class CodegenPlan:
         if fn is None:
             return self.run_emit(db, adom, restricted_index, restricted, out)
         known: set | tuple = ()
-        if CodegenPlan.subtract_known:
+        if add_only:
             hrel = db.relation(self.head_relation)
             if hrel is not None:
                 known = hrel.live_set()
@@ -810,34 +803,57 @@ def compile_plan(plan) -> CodegenPlan:
     return cg
 
 
-def dump_codegen(program, directory: str) -> list[str]:
-    """Write each rule's generated source under ``directory``.
+def _dump_name(rule_index: int, plan) -> str:
+    """A plan's dump file stem: rule index, join order, bound variables."""
+    order = "_".join(map(str, plan.order)) if plan.order else "empty"
+    name = f"rule{rule_index}_order_{order}"
+    if plan.bound:
+        name += "_bound_" + "_".join(v.name for v in plan.bound)
+    return name
 
-    Dumps every cached plan of every rule (compiling on demand if a
-    plan has not run under the codegen tier yet), one file per (rule,
-    join order).  Returns the written paths.  Debug tooling for
-    ``repro run --dump-codegen``; cover twins built by the planner live
-    on its decisions, not in the plan cache, so this shows the
-    flat-index variants.
+
+def dump_codegen(program, directory: str) -> list[str]:
+    """Write the generated source of every plan the program ran.
+
+    One file per plan whose functions were compiled: base plans, the
+    planner's chain-cover twins (``RulePlan.cover_twins`` — usually the
+    code that actually ran), and the differential engine's bound
+    plans, named by rule index, join order, bound variables and cover
+    twin number.  Nothing new is compiled unless no plan of the
+    program ever ran (a traced run, or no run at all); then each
+    rule's cached plans — or its source-order plan — are compiled so
+    the dump still shows the code a run generates.  Returns the
+    written paths.  Debug tooling for ``repro run --dump-codegen``.
     """
     import os
 
     from repro.semantics.plan import PlanCache, plan_for
 
+    plans: list[tuple[str, object]] = []
+    for i, rule in enumerate(program.rules):
+        for plan in (PlanCache._plans.get(rule) or {}).values():
+            stem = _dump_name(i, plan)
+            plans.append((stem, plan))
+            for k, twin in enumerate((plan.cover_twins or {}).values()):
+                plans.append((f"{stem}_cover{k}", twin))
+    ran = [(stem, plan) for stem, plan in plans if plan.codegen_fns is not None]
+    if not ran:
+        for i, rule in enumerate(program.rules):
+            cached = list((PlanCache._plans.get(rule) or {}).values())
+            if not cached:
+                cached = [
+                    plan_for(rule, tuple(range(len(rule.positive_body()))))
+                ]
+            for plan in cached:
+                if plan.codegen_fns is None:
+                    plan.codegen_fns = compile_plan(plan)
+                ran.append((_dump_name(i, plan), plan))
+
     os.makedirs(directory, exist_ok=True)
     paths: list[str] = []
-    for i, rule in enumerate(program.rules):
-        per_rule = PlanCache._plans.get(rule)
-        plans = list(per_rule.values()) if per_rule else []
-        if not plans:
-            plans = [plan_for(rule, tuple(range(len(rule.positive_body()))))]
-        for plan in plans:
-            fns = plan.codegen_fns
-            if fns is None:
-                fns = compile_plan(plan)
-            order = "_".join(map(str, plan.order)) if plan.order else "empty"
-            path = os.path.join(directory, f"rule{i}_order_{order}.py")
-            with open(path, "w") as handle:
-                handle.write(fns.source)
-            paths.append(path)
+    for stem, plan in ran:
+        path = os.path.join(directory, f"{stem}.py")
+        with open(path, "w") as handle:
+            handle.write(plan.codegen_fns.source)
+        paths.append(path)
     return paths

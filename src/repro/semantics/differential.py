@@ -30,19 +30,20 @@ All bulk propagation (insertion deltas, over-deletion frontiers,
 affected-fact discovery) goes through
 :func:`repro.semantics.base.immediate_consequences` on a per-component
 subprogram, which dispatches to the cost-based planner and the
-compiled slot-plan kernel — never a hand-rolled interpreted loop —
-and deltas freeze to columnar blocks so those passes take the batch
-kernels.  Exact recounts and rederivation support checks go through
-*support probes* (:class:`_SupportProbe`), built once per maintenance
-pass for each rule of the component: the head positions that seed the
-rule's bound variables, the head's constant and repeated-variable
-checks, and a *bound* rule plan under a join order fixed for the pass.
+generated kernels, and deltas freeze to delta blocks so those passes
+take the batch kernels.  The add-only passes (initial fixpoint,
+rederivation, insertion) say so with ``add_only=True``; the passes
+that read consequences as "everything derivable" (affected-fact
+discovery, over-deletion) do not.  Exact recounts and rederivation
+support checks go through *support probes* (:class:`_SupportProbe`),
+built once per maintenance pass for each rule of the component: the
+head positions that seed the rule's bound variables, the head's
+constant and repeated-variable checks, and a *bound* rule plan under a
+join order fixed for the pass.
 A check then only indexes the candidate fact and walks the seeded plan
 (:func:`_iter_bound_matches`), so its cost is that one fact's
 derivations rather than the whole rule's match set (this is what
-replaces the old ``MaterializedView._rederive`` full re-enumeration);
-with the compiled tier ablated the probe falls back to the interpreted
-literal-at-a-time walk.
+replaces the old ``MaterializedView._rederive`` full re-enumeration).
 
 Cost model: an update costs the facts it touches.  Nothing in
 :meth:`DifferentialEngine.apply` scans the view: the engine never
@@ -65,7 +66,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.errors import SchemaError
 from repro.ast.analysis import validate_program
@@ -74,18 +75,14 @@ from repro.ast.rules import Rule
 from repro.relational.instance import Database
 from repro.semantics.base import (
     EngineStats,
-    _iter_literal_matches,
-    _order_positive,
     _order_positive_indices,
     immediate_consequences,
     instantiate_head,
     iter_matches,
 )
 from repro.semantics.plan import (
-    PlanCache,
     RulePlan,
     active_matcher,
-    kernel_difference,
     make_delta,
     plan_for,
 )
@@ -186,7 +183,7 @@ class _Component:
         #: The component's rules as a standalone program: bulk delta
         #: propagation runs ``immediate_consequences`` on it, which
         #: dispatches through the planner (its own cached context) and
-        #: the compiled kernel.
+        #: the generated kernels.
         self.program = Program(rules, name=name)
         self.reads: frozenset[str] = frozenset(
             relation for rule in rules for relation in rule.body_relations()
@@ -198,13 +195,11 @@ class _SupportProbe:
     """One rule's head-bound support check, built once per pass.
 
     Everything a check needs that does not depend on the candidate
-    fact: which head positions seed the rule's ``bound`` variables
+    fact: which head positions seed the plan's ``bound`` variables
     (each variable's first head occurrence), the head's constant and
     repeated-variable checks, and the bound
     :class:`~repro.semantics.plan.RulePlan` under the join order the
-    view's relation sizes give when the probe is built.  ``plan`` is
-    ``None`` when the compiled tier is off; the interpreted walk then
-    runs instead.
+    view's relation sizes give when the probe is built.
 
     The order only sets speed, never a count, and it cannot go stale
     within a pass: no pass resizes a body relation while its probes
@@ -212,8 +207,7 @@ class _SupportProbe:
     and a counting component's bodies never read its own relation.
     """
 
-    __slots__ = ("rule", "bound", "seed_positions", "constants", "repeats",
-                 "plan")
+    __slots__ = ("seed_positions", "constants", "repeats", "plan")
 
     def __init__(self, rule: Rule, db: Database):
         (head,) = rule.head_literals()
@@ -227,22 +221,16 @@ class _SupportProbe:
                 repeats.append((position, first[term]))
             else:
                 first[term] = position
-        self.rule = rule
-        self.bound: tuple[Var, ...] = tuple(
-            sorted(first, key=lambda v: v.name)
-        )
-        self.seed_positions = tuple(first[v] for v in self.bound)
+        bound = tuple(sorted(first, key=lambda v: v.name))
+        self.seed_positions = tuple(first[v] for v in bound)
         self.constants = tuple(constants)
         self.repeats = tuple(repeats)
-        self.plan: RulePlan | None = None
-        if PlanCache.compiled_plans:
-            positive = list(rule.positive_body())
-            order = tuple(_order_positive_indices(positive, db))
-            self.plan = plan_for(rule, order, bound=self.bound)
+        order = tuple(_order_positive_indices(list(rule.positive_body()), db))
+        self.plan: RulePlan = plan_for(rule, order, bound=bound)
 
 
 def _iter_bound_matches(probe: _SupportProbe, db: Database, values: tuple):
-    """Body matches of ``probe.rule`` deriving the head fact ``values``.
+    """Body matches of ``probe.plan.rule`` deriving the head fact ``values``.
 
     The top-down primitive behind exact recounts and rederivation
     support checks.  The probe's head checks reject a fact that
@@ -256,11 +244,10 @@ def _iter_bound_matches(probe: _SupportProbe, db: Database, values: tuple):
     Callers only count yields, so the items themselves carry no
     contract — one yield per total body valuation.
 
-    With the compiled tier on, this runs the probe's bound plan: the
-    seed values occupy slots ``0..k-1`` and later occurrences of
-    seeded variables are indexed key fills.  Nothing is ordered,
-    compiled or looked up per call; that happened once, when the pass
-    built its probes.
+    This runs the probe's bound plan: the seed values occupy slots
+    ``0..k-1`` and later occurrences of seeded variables are indexed
+    key fills.  Nothing is ordered, compiled or looked up per call;
+    that happened once, when the pass built its probes.
 
     Never mutates the database; callers buffer any re-additions and
     apply them only after enumeration finishes (or is abandoned).
@@ -272,19 +259,7 @@ def _iter_bound_matches(probe: _SupportProbe, db: Database, values: tuple):
         if values[position] != values[first]:
             return iter(())
     seed = tuple([values[position] for position in probe.seed_positions])
-    if probe.plan is not None:
-        return probe.plan.iter_seeded(db, _NO_ADOM, seed)
-    valuation = dict(zip(probe.bound, seed))
-    ordered = _order_positive(list(probe.rule.positive_body()), db)
-
-    def descend(idx: int) -> Iterator[dict]:
-        if idx == len(ordered):
-            yield valuation
-            return
-        for _ in _iter_literal_matches(ordered[idx], db, valuation):
-            yield from descend(idx + 1)
-
-    return descend(0)
+    return probe.plan.iter_seeded(db, _NO_ADOM, seed)
 
 
 def _dict_of(facts: Iterable[Fact]) -> dict[str, set[tuple]]:
@@ -295,8 +270,8 @@ def _dict_of(facts: Iterable[Fact]) -> dict[str, set[tuple]]:
 
 
 def _frozen(delta: dict[str, set[tuple]]) -> dict:
-    """Freeze a delta for propagation — delta *blocks* when the full
-    matcher stack is on, so bulk passes take the batch kernels."""
+    """Freeze a delta for propagation as delta *blocks*, so bulk passes
+    take the batch kernels."""
     return {rel: make_delta(ts) for rel, ts in delta.items() if ts}
 
 
@@ -362,17 +337,6 @@ class DifferentialEngine:
 
         schedule = _planner.plan_context(self.program).schedule
         name = self.program.name or "program"
-        if schedule is None:  # pragma: no cover - positive Datalog is
-            # always schedulable; kept so an exotic caller degrades to
-            # whole-program DRed instead of crashing.
-            return [
-                _Component(
-                    frozenset(self.program.idb),
-                    self.program.rules,
-                    recursive=True,
-                    name=f"{name}#all",
-                )
-            ]
         return [
             _Component(
                 comp.relations,
@@ -403,24 +367,24 @@ class DifferentialEngine:
             else:
                 # Add-only fixpoint: the batch kernels may subtract
                 # already-present heads before emitting.
-                with kernel_difference():
-                    delta: dict[str, set[tuple]] = {}
+                delta: dict[str, set[tuple]] = {}
+                heads, _neg, _firings = immediate_consequences(
+                    comp.program, self.database, _NO_ADOM,
+                    stats=self.stats, add_only=True,
+                )
+                for relation, t in heads:
+                    if self.database.add_fact(relation, t):
+                        delta.setdefault(relation, set()).add(t)
+                while delta:
                     heads, _neg, _firings = immediate_consequences(
                         comp.program, self.database, _NO_ADOM,
-                        stats=self.stats,
+                        delta=_frozen(delta), stats=self.stats,
+                        add_only=True,
                     )
+                    delta = {}
                     for relation, t in heads:
                         if self.database.add_fact(relation, t):
                             delta.setdefault(relation, set()).add(t)
-                    while delta:
-                        heads, _neg, _firings = immediate_consequences(
-                            comp.program, self.database, _NO_ADOM,
-                            delta=_frozen(delta), stats=self.stats,
-                        )
-                        delta = {}
-                        for relation, t in heads:
-                            if self.database.add_fact(relation, t):
-                                delta.setdefault(relation, set()).add(t)
 
     # -- public API ---------------------------------------------------------
 
@@ -617,7 +581,7 @@ class DifferentialEngine:
                 delta.setdefault(relation, set()).update(ts)
         # Affected discovery reads consequences as "everything
         # derivable" — most of it is already in the database — so it
-        # stays outside ``kernel_difference``.
+        # is not an add-only pass.
         affected, _neg, _firings = immediate_consequences(
             comp.program, self.database, _NO_ADOM,
             delta=_frozen(delta), stats=self.stats,
@@ -724,7 +688,7 @@ class DifferentialEngine:
         while frontier:
             # The frontier wants heads that ARE in the database (the
             # candidates to over-delete) — full consequence sets, so
-            # no ``kernel_difference`` here either.
+            # not an add-only pass either.
             heads, _neg, _firings = immediate_consequences(
                 comp.program, db, _NO_ADOM,
                 delta=_frozen(frontier), stats=self.stats,
@@ -757,20 +721,19 @@ class DifferentialEngine:
             delta.setdefault(relation, set()).add(t)
         # Every head this loop can act on is an over-deleted fact not
         # yet re-added — never currently in the database — so the
-        # in-kernel difference cannot hide one.
-        with kernel_difference():
-            while delta:
-                heads, _neg, _firings = immediate_consequences(
-                    comp.program, db, _NO_ADOM,
-                    delta=_frozen(delta), stats=self.stats,
-                )
-                delta = {}
-                for fact in heads:
-                    if fact in overdeleted and fact not in rederived:
-                        relation, t = fact
-                        db.add_fact(relation, t)
-                        rederived.add(fact)
-                        delta.setdefault(relation, set()).add(t)
+        # in-kernel difference of an add-only pass cannot hide one.
+        while delta:
+            heads, _neg, _firings = immediate_consequences(
+                comp.program, db, _NO_ADOM,
+                delta=_frozen(delta), stats=self.stats, add_only=True,
+            )
+            delta = {}
+            for fact in heads:
+                if fact in overdeleted and fact not in rederived:
+                    relation, t = fact
+                    db.add_fact(relation, t)
+                    rederived.add(fact)
+                    delta.setdefault(relation, set()).add(t)
         return overdeleted - rederived, len(overdeleted), len(rederived)
 
     def _dred_insert(
@@ -788,18 +751,17 @@ class DifferentialEngine:
         }
         # Add-only: already-present heads are no-ops here, so the
         # kernels may subtract them at the source.
-        with kernel_difference():
-            while delta:
-                heads, _neg, _firings = immediate_consequences(
-                    comp.program, db, _NO_ADOM,
-                    delta=_frozen(delta), stats=self.stats,
-                )
-                delta = {}
-                for fact in heads:
-                    relation, t = fact
-                    if db.add_fact(relation, t):
-                        added.add(fact)
-                        delta.setdefault(relation, set()).add(t)
+        while delta:
+            heads, _neg, _firings = immediate_consequences(
+                comp.program, db, _NO_ADOM,
+                delta=_frozen(delta), stats=self.stats, add_only=True,
+            )
+            delta = {}
+            for fact in heads:
+                relation, t = fact
+                if db.add_fact(relation, t):
+                    added.add(fact)
+                    delta.setdefault(relation, set()).add(t)
         return added
 
     # -- misc ---------------------------------------------------------------

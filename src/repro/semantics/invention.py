@@ -39,6 +39,7 @@ from repro.semantics.base import (
     StatsRecorder,
     instantiate_head,
     iter_matches,
+    reference_matches,
 )
 from repro.terms import Var
 
@@ -118,10 +119,13 @@ def evaluate_with_invention(
             if tracer is not None:
                 span = tracer.rule_span(rule_index, rule)
                 spans[rule_index] = span
-            for valuation in iter_matches(
-                rule, current, frozen_adom,
-                probe=span.probe if span is not None else None,
-            ):
+            if span is None:
+                matches = iter_matches(rule, current, frozen_adom)
+            else:  # traced: the reference matcher, which the probe observes
+                matches = reference_matches(
+                    rule, current, frozen_adom, probe=span.probe
+                )
+            for valuation in matches:
                 result.rule_firings += 1
                 stage_firings += 1
                 if span is not None:

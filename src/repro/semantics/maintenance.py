@@ -20,7 +20,7 @@ now a facade over :class:`repro.semantics.differential
 .DifferentialEngine`, which runs DRed per *recursive* SCC (and
 derivation counting on nonrecursive ones), schedules components in
 the planner's topological order, and routes propagation through the
-compiled kernel.  Every update returns the net changes, and the
+planner and its generated kernels.  Every update returns the net changes, and the
 invariant ``view == evaluate_from_scratch(base)`` is property-tested.
 """
 

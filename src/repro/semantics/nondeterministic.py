@@ -43,6 +43,7 @@ from repro.semantics.base import (
     instantiate_head,
     iter_matches,
     iter_universal_matches,
+    reference_matches,
 )
 
 #: Reserved relation name for the ⊥ fact of N-Datalog¬⊥.
@@ -94,8 +95,11 @@ def _rule_matches(rule, db, adom, probe=None) -> Iterator[dict]:
     if rule.universal:
         # ∀-rules bypass the backtracking join, so no probe counts.
         yield from iter_universal_matches(rule, db, adom)
+    elif probe is None:
+        yield from iter_matches(rule, db, adom)
     else:
-        yield from iter_matches(rule, db, adom, probe=probe)
+        # Traced: the reference matcher, which the probe observes.
+        yield from reference_matches(rule, db, adom, probe=probe)
 
 
 def _candidate_steps(

@@ -1,12 +1,10 @@
-"""Compiled rule plans: a slot-based join kernel for the shared matcher.
+"""Compiled rule plans: the production matcher.
 
-:func:`repro.semantics.base.iter_matches` evaluates a rule body as a
-backtracking join.  The interpreted path re-derives everything per
-partial valuation: it splits each literal into bound/free positions
-with ``isinstance`` tests, builds index keys term by term, and threads
-a ``dict[Var, value]`` through nested generators.  None of that depends
-on the data — only on the rule and the chosen join order — so this
-module compiles it away once per (rule, join order):
+Every engine's primitive is the set of instantiations of a rule body
+(PAPER §4.1).  :func:`repro.semantics.base.reference_matches` computes
+it directly — a recursive backtracking join over valuation dicts — and
+stays as the reference oracle.  Production compiles the same join once
+per (rule, join order):
 
 * each positive literal becomes a :class:`Step` — a static record of
   its index-key template (constants prefilled, bound-variable slots
@@ -17,82 +15,51 @@ module compiles it away once per (rule, join order):
   into ``RulePlan.never`` at compile time);
 * residual negative literals become (relation, tuple-template) probes
   and (in)equalities become slot/constant comparisons;
-* head literals become emitter templates, so
-  :func:`~repro.semantics.base.immediate_consequences` can produce head
-  facts without ever materializing a valuation dict.
+* head literals become emitter templates, so the planner can produce
+  head facts without ever materializing a valuation dict.
 
-The runtime inner loop (:meth:`RulePlan.iter_slot_matches`) is an
-iterative backtracking walk over flat candidate tuples and one
-fixed-size slot list — no ``isinstance``, no per-candidate term
-walking, no dict churn.  Valuations remain dicts at the API boundary:
-``iter_matches`` reconstructs one (reused) dict per match from
-``RulePlan.out_vars``.
+:mod:`repro.semantics.codegen` then turns each plan into specialized
+Python — the join as literal nested loops — and every execution method
+here dispatches to those generated functions (``codegen_fns``, compiled
+on first use and cached on the plan itself, so they are invalidated
+exactly when the plan is: :meth:`PlanCache.clear` drops plans and
+functions together, a planner replan selects or builds a different
+plan object, and :func:`plan_with_cover` resets the slot on its
+chain-probing twin).  Semi-naive drivers freeze each stage's delta
+through :func:`make_delta`, which wraps it in a
+:class:`~repro.relational.columnar.DeltaBlock`; ``run_emit`` and
+``run_rows`` hand whole blocks to the ``emit_batch_*``/``walk_batch_*``
+kernels and fall back to the scalar variants for small blocks
+(``CodegenPlan.BATCH_MIN_ROWS``) and shapes without a batch kernel.
+The generator flavor (``iter_matches`` and the seeded engines) keeps
+the scalar walk: a batch kernel materializes its whole result, which is
+exactly what consumers that mutate between yields must not see.
 
 Semi-naive delta restriction reuses the same compiled steps: the plan
 is executed once per touched literal index with that step's candidates
 drawn from the delta set instead of an index, exactly mirroring the
-interpreted twin — so one compiled plan covers every restricted
+reference matcher — so one compiled plan covers every restricted
 variant of a join order.
 
 Plans are cached per rule (weakly) keyed on the join order, so the
-cheap size-driven ``_order_positive`` choice still runs per rule per
-stage and merely *selects* among cached plans.
+cheap size-driven join-order choice still runs per rule per stage and
+merely *selects* among cached plans.
 
-Match enumeration order is byte-for-byte the interpreted path's order:
-index buckets preserve insertion order, full scans iterate the
-relation's tuple set, restricted runs iterate the delta frozenset, and
-adom-enumerated variables are ordered by name — all exactly as the
-interpreted twin does.  Engines seeded on match order (choice,
-nondeterministic) therefore produce identical runs under either
-matcher.
-
-The whole layer sits behind :attr:`PlanCache.compiled_plans`
-(mirroring ``Relation.incremental_maintenance``): flipping it off
-routes every engine through the interpreted matcher, which the
-benchmark suite uses to ablate compiled vs interpreted
-(``BENCH_kernel.json``).
-
-On top of the plan interpreter sits a third tier,
-:attr:`PlanCache.codegen` (default on): ``_run``/``run_emit`` dispatch
-per call to functions *generated from the plan* by
-:mod:`repro.semantics.codegen` — the walk above with the step dispatch,
-slot lists, and check loops compiled into literal Python.  Precedence
-is codegen > compiled > interpreted; traced runs still drop to the
-interpreted matcher upstream so per-literal ``JoinProbe`` counts stay
-exact.  The compiled functions are cached on the plan itself
-(``codegen_fns``), so they are invalidated exactly when the plan is:
-:meth:`PlanCache.clear` drops the plans (and their functions) together,
-a planner replan selects or builds a different plan object, and
-:func:`plan_with_cover` resets the slot on its chain-probing twin.
-``BENCH_codegen.json`` carries the three-way ablation.
-
-The fourth and top tier is *columnar batch execution*
-(:attr:`PlanCache.columnar`, default on; precedence columnar > codegen
-> compiled > interpreted).  Semi-naive drivers freeze each stage's
-delta through :func:`make_delta`, which wraps it in a
-:class:`~repro.relational.columnar.DeltaBlock` — the frozen fact set
-plus its rows/columns — and ``run_emit``/``run_rows`` dispatch to the
-``emit_batch_*``/``walk_batch_*`` kernels codegen emits alongside the
-scalar variants: one list comprehension that consumes the whole block
-(rows unpacked into locals, probe ``.get``\\ s hoisted, chain-trie
-walks inlined) instead of resuming a generator frame per tuple.  The
-generator flavor (``iter_matches`` and the seeded engines) keeps the
-scalar walk: a batch kernel materializes its whole result, which is
-exactly what consumers that mutate between yields must not see.
-
-:func:`matcher_override` is the one sanctioned way to flip tiers
-temporarily (CLI ``--matcher``, benchmarks, tests): it restores all
-three class toggles even when the body raises.
+Match enumeration order is byte-for-byte the reference matcher's
+order under the same join order: index buckets preserve insertion
+order, full scans iterate the relation's tuple set, restricted runs
+iterate the delta, and adom-enumerated variables are ordered by name.
+Engines seeded on match order (choice, nondeterministic) therefore
+produce identical runs whether traced (reference) or not.
 """
 
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from typing import Hashable, Iterator
 from weakref import WeakKeyDictionary
 
-from repro.ast.rules import EqLit, Lit, Rule
+from repro.ast.rules import EqLit, Rule
 from repro.relational.columnar import DeltaBlock
 from repro.relational.instance import Database
 from repro.semantics.codegen import CodegenPlan, compile_plan
@@ -100,32 +67,7 @@ from repro.terms import Const, Var
 
 
 class PlanCache:
-    """The compiled-plan registry and its class-wide toggles."""
-
-    #: Class-wide switch.  When True (the default), ``iter_matches`` and
-    #: ``immediate_consequences`` run compiled plans; when False, every
-    #: engine uses the interpreted matcher (the pre-kernel behavior).
-    #: The benchmark suite flips this to measure the kernel's win;
-    #: production code should never touch it.
-    compiled_plans: bool = True
-
-    #: Third matcher tier: when True (the default) and
-    #: ``compiled_plans`` is on, plans execute the specialized functions
-    #: :mod:`repro.semantics.codegen` emits for them instead of the
-    #: generic slot walk below.  Checked per ``_run``/``run_emit`` call,
-    #: so flipping it mid-session bypasses (without discarding) any
-    #: already-compiled functions immediately.
-    codegen: bool = True
-
-    #: Fourth matcher tier: when True (the default) and the codegen
-    #: tier is active, ``run_emit``/``run_rows`` dispatch to the batch
-    #: kernels (``emit_batch_*``/``walk_batch_*``) and the semi-naive
-    #: drivers wrap stage deltas in
-    #: :class:`~repro.relational.columnar.DeltaBlock`\\ s via
-    #: :func:`make_delta`.  Checked per call like ``codegen``, so
-    #: flipping it mid-session takes effect immediately; plans without
-    #: a batchable shape fall back to the scalar codegen variants.
-    columnar: bool = True
+    """The compiled-plan registry."""
 
     #: rule → {join order (indices into positive_body) → RulePlan}.
     #: Weak on the rule so plans die with the program; structurally
@@ -143,105 +85,27 @@ class PlanCache:
 
 
 def active_matcher() -> str:
-    """The matcher tier an untraced run will use right now.
+    """The matcher an untraced run uses: the batch-kernel stack.
 
-    ``"columnar"`` > ``"codegen"`` > ``"compiled"`` > ``"interpreted"``:
-    each tier only applies on top of the ones below it, so turning a
-    lower toggle off wins regardless of the toggles above.
+    There is one production path, so this is always ``"columnar"``;
+    fully traced runs report ``"interpreted"`` (the reference matcher)
+    through :class:`~repro.semantics.base.StatsRecorder` instead.
     """
-    if not PlanCache.compiled_plans:
-        return "interpreted"
-    if not PlanCache.codegen:
-        return "compiled"
-    return "columnar" if PlanCache.columnar else "codegen"
-
-
-#: Tier name → (compiled_plans, codegen, columnar) toggle settings.
-_TIER_FLAGS = {
-    "interpreted": (False, False, False),
-    "compiled": (True, False, False),
-    "codegen": (True, True, False),
-    "columnar": (True, True, True),
-}
-
-
-@contextmanager
-def matcher_override(matcher: str | None):
-    """Temporarily force one matcher tier; restore the toggles on exit.
-
-    The single sanctioned way to flip :class:`PlanCache`'s class-level
-    toggles (CLI ``--matcher``, benchmark ablations, tests): all three
-    flags are saved before the switch and restored in a ``finally``, so
-    an exception mid-run cannot leak a flipped toggle into later
-    evaluations.  ``None`` means "leave the tiers alone" (no-op), which
-    lets callers pass an optional flag straight through.
-    """
-    if matcher is None:
-        yield
-        return
-    flags = _TIER_FLAGS[matcher]  # unknown names raise before flipping
-    saved = (
-        PlanCache.compiled_plans,
-        PlanCache.codegen,
-        PlanCache.columnar,
-    )
-    try:
-        PlanCache.compiled_plans, PlanCache.codegen, PlanCache.columnar = flags
-        yield
-    finally:
-        (
-            PlanCache.compiled_plans,
-            PlanCache.codegen,
-            PlanCache.columnar,
-        ) = saved
-
-
-@contextmanager
-def kernel_difference():
-    """Enable the batch kernels' in-kernel difference for this block.
-
-    Inside the context the fused ``emit_batch_*`` kernels subtract the
-    head relation's current content before emitting — semi-naive's
-    difference pushed into the kernel as one bulk
-    ``difference_update``, so downstream absorption touches only
-    genuinely new facts.  Sound exactly when the caller is an
-    *add-only* fixpoint loop (anything it does with an emitted fact
-    already in the database is a no-op): the semi-naive drivers, the
-    planner's scheduled fixpoint, the differential engine's insertion
-    and rederivation passes.  Consumers that read consequence sets as
-    "everything derivable" — trigger steps computing
-    ``negative - positive``, noninflationary conflict policies, the
-    differential engine's affected/over-deletion discovery — must
-    stay outside.
-    """
-    saved = CodegenPlan.subtract_known
-    CodegenPlan.subtract_known = True
-    try:
-        yield
-    finally:
-        CodegenPlan.subtract_known = saved
+    return "columnar"
 
 
 def make_delta(facts) -> "frozenset[tuple] | DeltaBlock":
     """Freeze one relation's stage delta for the next semi-naive pass.
 
-    Under the full columnar stack non-empty deltas become
+    Non-empty deltas become
     :class:`~repro.relational.columnar.DeltaBlock`\\ s — the frozen set
-    plus its row/column slices, ready for the batch kernels — otherwise
-    a plain ``frozenset``.  A block iterates in exactly the frozenset's
+    plus its rows, ready for the batch kernels; empty ones stay a plain
+    ``frozenset``.  A block iterates in exactly the frozenset's
     enumeration order, so every row-at-a-time consumer (including the
-    seeded engines and the scalar fallbacks) sees the same sequence
-    under either wrapping.
+    seeded engines and the scalar fallbacks) sees the same sequence.
     """
     frozen = frozenset(facts)
-    if (
-        frozen
-        and PlanCache.columnar
-        and PlanCache.codegen
-        and PlanCache.compiled_plans
-    ):
-        return DeltaBlock(frozen)
-    return frozen
+    return DeltaBlock(frozen) if frozen else frozen
 
 
 class Step:
@@ -249,7 +113,7 @@ class Step:
 
     ``key_positions`` are the tuple positions bound before this step
     runs (constants and already-bound variables, in position order —
-    the same tuple the interpreted path indexes on, so both matchers
+    the same tuple the reference matcher indexes on, so both matchers
     share the relation's index cache).  ``key_template``/``key_fills``
     build the index key without walking terms: constants are prefilled,
     fills patch bound slots in.  ``binds`` are the (position → slot)
@@ -322,7 +186,6 @@ class RulePlan:
         "post_checks",
         "out_vars",
         "emitters",
-        "trivial_finish",
         "codegen_fns",
         "cover_twins",
     )
@@ -345,10 +208,9 @@ class RulePlan:
         #: lives and dies with this plan object (see PlanCache.clear).
         self.codegen_fns = None
         #: Memoized :func:`plan_with_cover` twins, keyed by the applied
-        #: per-step chain specs.  Planner contexts are per-evaluation,
-        #: so without this each run would rebuild (and, under the
-        #: codegen tier, recompile) every cover twin.  Same lifecycle
-        #: as the plan itself.
+        #: per-step chain specs.  Planner contexts are per-program, so
+        #: without this each program would rebuild (and recompile)
+        #: every cover twin.  Same lifecycle as the plan itself.
         self.cover_twins = None
         positive = rule.positive_body()
         slot_of: dict[Var, int] = {}
@@ -455,7 +317,7 @@ class RulePlan:
         enumerated = set(unbound)
 
         # Pre-checks run once per join match, before enumeration (the
-        # interpreted twin checks them during propagation); post-checks
+        # reference matcher checks them during propagation); post-checks
         # involve enumerated variables and run per adom combination.
         pre_checks: list[tuple] = []
         post_checks: list[tuple] = []
@@ -493,14 +355,6 @@ class RulePlan:
             neg_checks.append((lit.relation, template, tuple(fills)))
         self.neg_checks = tuple(neg_checks)
 
-        self.trivial_finish = not (
-            self.assigns
-            or self.pre_checks
-            or self.unbound_slots
-            or self.neg_checks
-            or self.post_checks
-        )
-
         # -- output reconstruction and head emitters ---------------------
         self.n_slots = len(slot_of)
         self.out_vars = tuple(slot_of.items())
@@ -527,6 +381,13 @@ class RulePlan:
 
     # -- execution ----------------------------------------------------------
 
+    def _compiled(self) -> CodegenPlan:
+        """This plan's generated functions, compiled on first use."""
+        fns = self.codegen_fns
+        if fns is None:
+            fns = self.codegen_fns = compile_plan(self)
+        return fns
+
     def iter_slot_matches(
         self,
         db: Database,
@@ -535,38 +396,20 @@ class RulePlan:
     ) -> Iterator[list]:
         """All matches, as the (reused) slot list.
 
-        Mirrors ``iter_matches``: without ``delta`` the plan runs once;
-        with it, once per step whose relation has delta facts, that
-        step's candidates restricted to the delta.
+        Mirrors ``reference_matches``: without ``delta`` the plan runs
+        once; with it, once per step whose relation has delta facts,
+        that step's candidates restricted to the delta.
         """
         if self.never:
             return
+        fns = self._compiled()
         if delta is None:
-            yield from self._run(db, adom, -1, None)
+            yield from fns.run(db, adom, -1, None)
         else:
             for index, step in enumerate(self.steps):
                 restricted = delta.get(step.relation)
                 if restricted:
-                    yield from self._run(db, adom, index, restricted)
-
-    def iter_restricted(
-        self,
-        db: Database,
-        adom: tuple[Hashable, ...],
-        step_index: int,
-        restricted: frozenset[tuple],
-    ) -> Iterator[list]:
-        """One semi-naive variant: ``steps[step_index]`` drawn from
-        ``restricted``.
-
-        The planner path: it compiles a distinct delta-first order per
-        restricted occurrence, so each variant is its own plan and runs
-        exactly one restricted step (``iter_slot_matches`` instead runs
-        every touched variant of one shared order).
-        """
-        if self.never or not restricted:
-            return
-        yield from self._run(db, adom, step_index, restricted)
+                    yield from fns.run(db, adom, index, restricted)
 
     def iter_seeded(
         self,
@@ -584,48 +427,7 @@ class RulePlan:
         """
         if self.never:
             return iter(())
-        return self._run(db, adom, -1, None, seed)
-
-    def _candidates(
-        self,
-        step: Step,
-        db: Database,
-        slots: list,
-        restricted: "frozenset[tuple] | dict[tuple, list[tuple]] | None",
-    ) -> Iterator[tuple]:
-        """Candidate tuples for one step under the current slots."""
-        key = step.key
-        if key is None:
-            template = step.key_template
-            for i, s in step.key_fills:
-                template[i] = slots[s]
-            key = tuple(template)
-        if restricted is not None:
-            if step.key_positions:
-                # ``restricted`` was grouped by this step's key positions
-                # in _run, so the probe is a hash lookup, not a scan.
-                return iter(restricted.get(key, ()))
-            return iter(restricted)
-        rel = db.relation(step.relation)
-        if rel is None:
-            return iter(())
-        if step.exact:
-            return iter((key,)) if key in rel else iter(())
-        if step.key_positions:
-            if step.chain_order is not None:
-                chain_key = step.chain_key
-                if chain_key is None:
-                    chain_key = tuple(key[i] for i in step.chain_perm)
-                # probe_chain snapshots (returns a fresh list), matching
-                # the flat path's bucket copy below.
-                return iter(
-                    rel.probe_chain(step.chain_order, step.chain_depth, chain_key)
-                )
-            bucket = rel.index(step.key_positions).get(key)
-            # Snapshot: consumers may add facts between yields, and a
-            # live bucket must not be mutated mid-iteration.
-            return iter(list(bucket)) if bucket else iter(())
-        return iter(list(rel))
+        return self._compiled().run(db, adom, -1, None, seed)
 
     def run_rows(
         self,
@@ -636,124 +438,17 @@ class RulePlan:
     ) -> "list[tuple] | Iterator[list]":
         """Slot rows of one plan run, batch-kernelled when possible.
 
-        The planner's multi-head/negative-head emit path: unlike the
-        generator flavor its consumer never mutates the database while
-        draining, so under the columnar tier the whole run comes back
-        as one materialized list from a ``walk_batch_*`` kernel.  Plans
-        or variants without a batch shape fall back to ``_run``.
+        The planner's multi-head/negative-head emit path: its consumer
+        never mutates the database while draining, so the whole run
+        comes back as one materialized list from a ``walk_batch_*``
+        kernel.  Variants without a batch shape fall back to the
+        generated scalar walk.
         """
-        if PlanCache.columnar and PlanCache.codegen:
-            fns = self.codegen_fns
-            if fns is None:
-                fns = self.codegen_fns = compile_plan(self)
-            rows = fns.run_walk_batch(db, adom, restricted_index, restricted)
-            if rows is not None:
-                return rows
-        return self._run(db, adom, restricted_index, restricted)
-
-    def _run(
-        self,
-        db: Database,
-        adom: tuple[Hashable, ...],
-        restricted_index: int,
-        restricted: frozenset[tuple] | None,
-        seed: tuple[Hashable, ...] | None = None,
-    ) -> Iterator[list]:
-        """The backtracking walk — codegen'd when the tier is on.
-
-        Every consumer funnels through here (``iter_slot_matches``,
-        ``iter_restricted``, the planner's ``_emit`` path), so this one
-        per-call check is the whole codegen dispatch for the generator
-        flavor.
-        """
-        if PlanCache.codegen:
-            fns = self.codegen_fns
-            if fns is None:
-                fns = self.codegen_fns = compile_plan(self)
-            return fns.run(db, adom, restricted_index, restricted, seed)
-        return self._run_interpreted(
-            db, adom, restricted_index, restricted, seed
-        )
-
-    def _run_interpreted(
-        self,
-        db: Database,
-        adom: tuple[Hashable, ...],
-        restricted_index: int,
-        restricted: frozenset[tuple] | None,
-        seed: tuple[Hashable, ...] | None = None,
-    ) -> Iterator[list]:
-        """The iterative backtracking walk over the compiled steps."""
-        slots = [None] * self.n_slots
-        if seed is not None:
-            slots[: len(seed)] = seed
-        steps = self.steps
-        n = len(steps)
-        if n == 0:
-            yield from self._finish(db, adom, slots)
-            return
-        if restricted is not None:
-            positions = steps[restricted_index].key_positions
-            if positions:
-                # Group the delta once by the restricted step's key, so
-                # each probe is O(1) instead of an O(|delta|) filter.
-                # Per-key order is the delta set's own iteration order —
-                # exactly what filtering it would have produced.
-                grouped: dict[tuple, list[tuple]] = {}
-                for t in restricted:
-                    grouped.setdefault(
-                        tuple(t[p] for p in positions), []
-                    ).append(t)
-                restricted = grouped
-        last = n - 1
-        trivial = self.trivial_finish
-        iters: list = [None] * n
-        iters[0] = self._candidates(
-            steps[0], db, slots, restricted if restricted_index == 0 else None
-        )
-        depth = 0
-        while True:
-            step = steps[depth]
-            it = iters[depth]
-            if depth == last:
-                binds = step.binds
-                withins = step.withins
-                for candidate in it:
-                    for p2, p1 in withins:
-                        if candidate[p2] != candidate[p1]:
-                            break
-                    else:
-                        for position, s in binds:
-                            slots[s] = candidate[position]
-                        if trivial:
-                            yield slots
-                        else:
-                            yield from self._finish(db, adom, slots)
-                depth -= 1
-                if depth < 0:
-                    return
-                continue
-            advanced = False
-            for candidate in it:
-                for p2, p1 in step.withins:
-                    if candidate[p2] != candidate[p1]:
-                        break
-                else:
-                    for position, s in step.binds:
-                        slots[s] = candidate[position]
-                    depth += 1
-                    iters[depth] = self._candidates(
-                        steps[depth],
-                        db,
-                        slots,
-                        restricted if restricted_index == depth else None,
-                    )
-                    advanced = True
-                    break
-            if not advanced:
-                depth -= 1
-                if depth < 0:
-                    return
+        fns = self._compiled()
+        rows = fns.run_walk_batch(db, adom, restricted_index, restricted)
+        if rows is not None:
+            return rows
+        return fns.run(db, adom, restricted_index, restricted)
 
     def run_emit(
         self,
@@ -765,150 +460,36 @@ class RulePlan:
         template: list,
         fills: list[tuple[int, int]],
         out: set,
+        add_only: bool,
     ) -> int:
-        """``_run`` fused with single-positive-head emission.
+        """One plan run fused with single-positive-head emission.
 
         The planner's hottest call: rules with one positive head (the
-        overwhelmingly common shape) spend most of their time resuming
-        the ``_run`` generator once per matched row and re-dispatching
-        in the consumer; this walks the steps and adds
-        ``(relation, tuple(template))`` to ``out`` in the same frame.
-        Must mirror ``_run``'s traversal exactly — the planner
-        differential suite (planner on/off × compiled/interpreted) pins
-        the equivalence.  Returns the number of matches (firings).
+        overwhelmingly common shape) add ``(relation, fact)`` pairs to
+        ``out`` straight from the generated kernel, which bakes the head
+        spec in — ``relation``/``template``/``fills`` must be this
+        plan's own emitter, and the guard refuses any other.  Dispatch
+        prefers the ``emit_batch_*`` kernels (whole-delta list
+        comprehensions) and falls back to the scalar fused walk for
+        small deltas and shapes without a batch kernel.  Returns the
+        number of matches (firings).
 
-        Under the codegen tier the call dispatches to the fused
-        specialized variant, which bakes the head spec in — the guard
-        confirms the caller passed this plan's own emitter before
-        trusting the baked one.  Under the columnar tier on top, the
-        dispatch prefers the ``emit_batch_*`` kernels (whole-delta list
-        comprehensions); variants without a batch shape fall back to
-        the scalar fused walk inside ``run_emit_batch``.
+        ``add_only`` tells the batch kernels the caller is an add-only
+        fixpoint loop, for which a head already in the database is a
+        no-op: they may then subtract the head relation's content
+        before emitting (semi-naive's difference pushed into the
+        kernel).  Callers that read the result as "everything
+        derivable" pass False.
         """
-        if PlanCache.codegen:
-            fns = self.codegen_fns
-            if fns is None:
-                fns = self.codegen_fns = compile_plan(self)
-            if (fns._emits is not None and relation == fns.head_relation
-                    and fills == fns.head_fills):
-                if PlanCache.columnar:
-                    return fns.run_emit_batch(
-                        db, adom, restricted_index, restricted, out
-                    )
-                return fns.run_emit(db, adom, restricted_index, restricted, out)
-        fired = 0
-        add = out.add
-        slots = [None] * self.n_slots
-        steps = self.steps
-        n = len(steps)
-        if n == 0:
-            for finished in self._finish(db, adom, slots):
-                fired += 1
-                for position, s in fills:
-                    template[position] = finished[s]
-                add((relation, tuple(template)))
-            return fired
-        if restricted is not None:
-            positions = steps[restricted_index].key_positions
-            if positions:
-                grouped: dict[tuple, list[tuple]] = {}
-                for t in restricted:
-                    grouped.setdefault(
-                        tuple(t[p] for p in positions), []
-                    ).append(t)
-                restricted = grouped
-        last = n - 1
-        trivial = self.trivial_finish
-        iters: list = [None] * n
-        iters[0] = self._candidates(
-            steps[0], db, slots, restricted if restricted_index == 0 else None
+        fns = self._compiled()
+        if (fns._emits is None or relation != fns.head_relation
+                or fills != fns.head_fills):
+            raise ValueError(
+                "run_emit needs the plan's own single positive head"
+            )
+        return fns.run_emit_batch(
+            db, adom, restricted_index, restricted, out, add_only
         )
-        depth = 0
-        while True:
-            step = steps[depth]
-            it = iters[depth]
-            if depth == last:
-                binds = step.binds
-                withins = step.withins
-                for candidate in it:
-                    for p2, p1 in withins:
-                        if candidate[p2] != candidate[p1]:
-                            break
-                    else:
-                        for position, s in binds:
-                            slots[s] = candidate[position]
-                        if trivial:
-                            fired += 1
-                            for position, s in fills:
-                                template[position] = slots[s]
-                            add((relation, tuple(template)))
-                        else:
-                            for finished in self._finish(db, adom, slots):
-                                fired += 1
-                                for position, s in fills:
-                                    template[position] = finished[s]
-                                add((relation, tuple(template)))
-                depth -= 1
-                if depth < 0:
-                    return fired
-                continue
-            advanced = False
-            for candidate in it:
-                for p2, p1 in step.withins:
-                    if candidate[p2] != candidate[p1]:
-                        break
-                else:
-                    for position, s in step.binds:
-                        slots[s] = candidate[position]
-                    depth += 1
-                    iters[depth] = self._candidates(
-                        steps[depth],
-                        db,
-                        slots,
-                        restricted if restricted_index == depth else None,
-                    )
-                    advanced = True
-                    break
-            if not advanced:
-                depth -= 1
-                if depth < 0:
-                    return fired
-
-    def _finish(
-        self, db: Database, adom: tuple[Hashable, ...], slots: list
-    ) -> Iterator[list]:
-        """Equality assigns/checks, adom enumeration, residual checks."""
-        for dst, src, value in self.assigns:
-            slots[dst] = value if src is None else slots[src]
-        for ls, lc, rs, rc, positive in self.pre_checks:
-            left = slots[ls] if ls is not None else lc
-            right = slots[rs] if rs is not None else rc
-            if (left == right) != positive:
-                return
-        unbound = self.unbound_slots
-        if not unbound:
-            if self._residual_ok(db, slots):
-                yield slots
-            return
-        for values in itertools.product(adom, repeat=len(unbound)):
-            for s, value in zip(unbound, values):
-                slots[s] = value
-            if self._residual_ok(db, slots):
-                yield slots
-
-    def _residual_ok(self, db: Database, slots: list) -> bool:
-        """Negative-literal and per-enumeration equality checks."""
-        for relation, template, fills in self.neg_checks:
-            for position, s in fills:
-                template[position] = slots[s]
-            if db.has_fact(relation, tuple(template)):
-                return False
-        for ls, lc, rs, rc, positive in self.post_checks:
-            left = slots[ls] if ls is not None else lc
-            right = slots[rs] if rs is not None else rc
-            if (left == right) != positive:
-                return False
-        return True
 
 
 def plan_for(
@@ -944,12 +525,13 @@ def plan_with_cover(
     key-position set) → (chain column order, probe depth).  Steps with
     no assignment — full scans and fully-bound membership probes — are
     shared with the original plan unchanged; the cached original itself
-    is never mutated, because seeded engines and planner-off runs keep
-    executing it against flat indexes.
+    is never mutated, because ``iter_matches`` (the seeded engines) and
+    the differential engine's support probes keep executing it against
+    flat indexes.
 
     Twins are memoized on the base plan keyed by the applied per-step
-    chain specs: planner contexts are per-evaluation, and rebuilding a
-    twin each run would recompile its codegen functions each run too.
+    chain specs: planner contexts are per-program, and rebuilding a
+    twin for each program would recompile its codegen functions too.
     The memo shares the plan cache's lifecycle (cleared together,
     replaced together on replans that change the order).
     """

@@ -1,8 +1,9 @@
 """The cost-based query planner (join ordering, index cover, scheduling).
 
-PR 4's compiled kernel made each (rule, join order) fast; this module
-decides *which* order runs, *which* physical indexes exist, and *which
-rules a stage visits at all*.  Three coordinated pieces:
+Compiled plans (:mod:`repro.semantics.plan`) make each (rule, join
+order) fast; this module decides *which* order runs, *which* physical
+indexes exist, and *which rules a stage visits at all*.  Three
+coordinated pieces:
 
 **Cardinality-driven join ordering.**  :func:`_cost_order` replaces the
 static greedy heuristic of ``base._order_positive_indices`` with a
@@ -16,7 +17,7 @@ break on (estimate, −shared-variables, |R|, body position), so runs are
 reproducible and seeded-run-stable.  Decisions are cached per (rule,
 restricted occurrence) with a snapshot of the literal cardinalities;
 a stage re-plans only when some cardinality drifts past
-``QueryPlanner.replan_ratio`` (plan-cache hits are the common case, and
+``_REPLAN_RATIO`` (plan-cache hits are the common case, and
 a replan that re-derives the *same* order costs no plan rebuild).
 Semi-naive variants force the delta-restricted occurrence first — the
 delta is the small side by construction — then order the rest by cost.
@@ -45,55 +46,43 @@ loop, with the relation→rules dispatch map in :func:`consequences`
 ensuring rules whose positive bodies are disjoint from the delta are
 never visited (no plan lookup, no delta grouping, nothing).  Components
 negated from a later component are complete before the negation is
-read; a component containing a negative edge is not schedulable and the
-driver falls back to its legacy global loop.
+read.  A program with no sound schedule (a negative edge inside a
+component, or a rule whose heads span components) runs as one
+recursive component holding every rule.
 
-Everything is gated on :attr:`QueryPlanner.enabled` (flipped off by the
-ablation benchmarks) and engages only in untraced runs — traced runs
-keep the interpreted matcher and its exact ``JoinProbe`` counts — and
-never in ``iter_matches`` itself, so seeded nondeterministic engines
-keep their byte-identical enumeration order.  Planner decisions are
-surfaced additively via ``EngineStats.planner`` (see :func:`explain`).
+Every evaluation that computes Γ_P goes through :func:`consequences`.
+A full (non-planned) tracer keeps the schedule but matches each rule
+through the reference matcher, so its ``JoinProbe`` counts stay exact;
+``iter_matches`` never consults the planner, so seeded
+nondeterministic engines keep their byte-identical enumeration order.
+Each run's planner work is surfaced additively as a report of its own,
+``EngineStats.planner`` (see :func:`explain` for the shape); cached
+join-order decisions outlive the run, the report does not.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterator
-from weakref import WeakSet
+from weakref import WeakSet, ref
 
 from repro.ast.analysis import _sccs, precedence_graph
 from repro.ast.program import Program
 from repro.ast.rules import Lit
 from repro.relational.instance import Database
 from repro.semantics.plan import (
-    PlanCache,
     RulePlan,
-    kernel_difference,
     make_delta,
     plan_for,
     plan_with_cover,
 )
 from repro.terms import Var
 
-
-class QueryPlanner:
-    """Class-wide planner switches (mirroring ``PlanCache``).
-
-    ``enabled`` — when True (the default), untraced evaluation routes
-    through :func:`consequences` (dispatch + cost-based orders + shared
-    indexes) and the scheduling drivers use :func:`scheduled_fixpoint`.
-    The ablation benchmarks flip it off to measure the planner's win;
-    production code should never touch it.
-
-    ``replan_ratio``/``replan_slack`` — a cached join-order decision is
-    kept while every literal cardinality ``n`` stays within
-    ``ratio * old + slack`` of its decision-time snapshot (and vice
-    versa); outside that band the stage re-plans.
-    """
-
-    enabled: bool = True
-    replan_ratio: float = 2.0
-    replan_slack: int = 4
+#: A cached join-order decision is kept while every literal cardinality
+#: ``n`` stays within ``_REPLAN_RATIO * old + _REPLAN_SLACK`` of its
+#: decision-time snapshot (and vice versa); outside that band the stage
+#: re-plans.
+_REPLAN_RATIO = 2.0
+_REPLAN_SLACK = 4
 
 
 class _Decision:
@@ -108,6 +97,7 @@ class _Decision:
         "plan_epoch",
         "stale",
         "observed",
+        "sources",
     )
 
     def __init__(
@@ -139,16 +129,14 @@ class _Decision:
 class _RuleState:
     """Per-rule planner bookkeeping inside a :class:`PlanContext`."""
 
-    __slots__ = ("decisions", "lookups", "hits", "replans", "actual")
+    __slots__ = ("decisions", "lookups")
 
     def __init__(self):
         #: variant (None = full pass, int = restricted occurrence) →
         #: cached :class:`_Decision`.
         self.decisions: dict[int | None, _Decision] = {}
+        #: Decision lookups over the context's lifetime.
         self.lookups = 0
-        self.hits = 0
-        self.replans = 0
-        self.actual = 0
 
 
 class _Component:
@@ -181,19 +169,17 @@ class PlanContext:
         "var_sets",
         "dispatch",
         "states",
-        "plannable",
         "schedule",
+        "scheduled_components",
         "assign",
         "chains",
+        "cover_summary",
         "cover_epoch",
         "assign_epoch",
-        "lookups",
-        "hits",
-        "replans",
-        "adaptive_replans",
         "priors",
         "measured",
         "report",
+        "report_owner",
     )
 
     def __init__(self, program: Program):
@@ -212,22 +198,34 @@ class PlanContext:
             relation: tuple(ids) for relation, ids in dispatch.items()
         }
         self.states = [_RuleState() for _ in self.rules]
-        self.plannable = not any(rule.universal for rule in self.rules)
-        self.schedule = _build_schedule(self, program) if self.plannable else None
+        schedule = _build_schedule(self, program)
+        #: Number of sound SCC components, or ``None`` when the program
+        #: has no sound schedule and runs as one recursive component.
+        self.scheduled_components = (
+            len(schedule) if schedule is not None else None
+        )
+        if schedule is None:
+            schedule = [
+                _Component(
+                    frozenset(program.idb),
+                    tuple(range(len(self.rules))),
+                    recursive=True,
+                )
+            ]
+        self.schedule: list[_Component] = schedule
         #: MISP output: (relation, template) → (chain order, probe depth).
         self.assign: dict[
             tuple[str, frozenset[int]], tuple[tuple[int, ...], int]
         ] = {}
         #: relation → chain column orders the current cover keeps.
         self.chains: dict[str, list[tuple[int, ...]]] = {}
+        #: relation → {"templates": n, "chains": m} for the current
+        #: cover; replaced, never mutated, so reports may share it.
+        self.cover_summary: dict[str, dict[str, int]] = {}
         #: Bumped whenever a decision's join order changes; compiled
         #: plans and the cover are lazily rebuilt against it.
         self.cover_epoch = 0
         self.assign_epoch = -1
-        self.lookups = 0
-        self.hits = 0
-        self.replans = 0
-        self.adaptive_replans = 0
         #: Static cardinality priors (repro.analysis.dataflow), computed
         #: lazily the first time a relation is cold (size 0) at decision
         #: time — warm-only runs never pay for the analysis.
@@ -237,21 +235,45 @@ class PlanContext:
         #: previous run.  Consulted for cold relations before the static
         #: priors; live sizes always win.
         self.measured: dict[str, int] | None = None
-        #: Live JSON-ready report, mutated in place and shared with
-        #: ``EngineStats.planner`` (see :func:`explain` for the shape).
-        self.report: dict = {
-            "plan_lookups": 0,
-            "plan_hits": 0,
-            "replans": 0,
-            "adaptive_replans": 0,
-            "rules": {},
-            "index_cover": {},
-            "static_priors": {},
-            "measured_stats": {},
-            "scheduled_components": (
-                len(self.schedule) if self.schedule is not None else None
-            ),
-        }
+        #: The current run's report and a weak reference to the
+        #: ``EngineStats`` it belongs to (see :func:`_run_report`).
+        self.report: dict = {}
+        self.report_owner = None
+
+
+def _new_report(ctx: PlanContext) -> dict:
+    """An empty planner report for one run (shape: :func:`explain`)."""
+    measured = ctx.measured or {}
+    return {
+        "plan_lookups": 0,
+        "plan_hits": 0,
+        "replans": 0,
+        "adaptive_replans": 0,
+        "rules": {},
+        "index_cover": ctx.cover_summary,
+        "static_priors": {},
+        "measured_stats": {r: measured[r] for r in sorted(measured)},
+        "scheduled_components": ctx.scheduled_components,
+    }
+
+
+def _run_report(ctx: PlanContext, stats) -> dict:
+    """The report this call's planner work counts into.
+
+    One report per run: the first call carrying a given ``EngineStats``
+    starts a fresh report and later calls with the same stats continue
+    it, so a finished run's ``stats.planner`` never changes when the
+    program is evaluated again.  A call without stats counts into a
+    throwaway report.
+    """
+    if stats is None:
+        return _new_report(ctx)
+    owner = ctx.report_owner
+    if owner is None or owner() is not stats:
+        ctx.report = _new_report(ctx)
+        ctx.report_owner = ref(stats)
+    stats.planner = ctx.report
+    return ctx.report
 
 
 #: Programs currently carrying a cached context (see ``plan_context``).
@@ -313,7 +335,6 @@ def warm_plan_context(
         if n > 0 and isinstance(relation, str):
             cleaned[relation] = n
     ctx.measured = cleaned or None
-    ctx.report["measured_stats"] = {r: cleaned[r] for r in sorted(cleaned)}
     if cleaned:
         for state in ctx.states:
             for decision in state.decisions.values():
@@ -474,10 +495,8 @@ def _cost_order(
 
 def _outside_band(a: float, b: float) -> bool:
     """Are two counts outside the replan tolerance band of each other?"""
-    ratio = QueryPlanner.replan_ratio
-    slack = QueryPlanner.replan_slack
     low, high = (a, b) if a <= b else (b, a)
-    return high > ratio * low + slack
+    return high > _REPLAN_RATIO * low + _REPLAN_SLACK
 
 
 def _drifted(old: tuple[int, ...], new: tuple[int, ...]) -> bool:
@@ -488,7 +507,7 @@ def _drifted(old: tuple[int, ...], new: tuple[int, ...]) -> bool:
     return False
 
 
-def _adapt(ctx: PlanContext, decision: _Decision, fired: int) -> None:
+def _adapt(report: dict, decision: _Decision, fired: int) -> None:
     """Mid-run adaptive replanning check after one plan execution.
 
     When the rows a decision actually produced leave the replan band
@@ -505,12 +524,11 @@ def _adapt(ctx: PlanContext, decision: _Decision, fired: int) -> None:
     observed = decision.observed
     if observed is None or _outside_band(float(observed), float(fired)):
         decision.stale = True
-        ctx.adaptive_replans += 1
-        ctx.report["adaptive_replans"] = ctx.adaptive_replans
+        report["adaptive_replans"] += 1
     decision.observed = fired
 
 
-def _static_prior(ctx: PlanContext, relation: str) -> int:
+def _static_prior(ctx: PlanContext, report: dict, relation: str) -> int:
     """The static row-count prior for a cold relation.
 
     Computed once per context from the dataflow cardinality bounds
@@ -525,12 +543,22 @@ def _static_prior(ctx: PlanContext, relation: str) -> int:
 
         priors = ctx.priors = planner_priors(Program(ctx.rules))
     value = priors.get(relation, 1)
-    ctx.report["static_priors"].setdefault(relation, value)
+    report["static_priors"].setdefault(relation, value)
     return value
+
+
+def _variant_report(decision: _Decision) -> dict:
+    """A decision's entry under ``report["rules"][rule][variant]``."""
+    return {
+        "order": list(decision.order),
+        "estimated_rows": round(decision.est_rows, 2),
+        "sources": dict(decision.sources),
+    }
 
 
 def _decision(
     ctx: PlanContext,
+    report: dict,
     rule_id: int,
     occ: int | None,
     db: Database,
@@ -539,7 +567,7 @@ def _decision(
     """The (cached, drift-checked) decision for one rule variant."""
     state = ctx.states[rule_id]
     state.lookups += 1
-    ctx.lookups += 1
+    report["plan_lookups"] += 1
     lits = ctx.positive[rule_id]
     measured = ctx.measured
     sizes: list[int] = []
@@ -564,7 +592,7 @@ def _decision(
                 size = rows
                 sources.append("measured")
             else:
-                size = _static_prior(ctx, lit.relation)
+                size = _static_prior(ctx, report, lit.relation)
                 sources.append(
                     "static"
                     if ctx.priors and lit.relation in ctx.priors
@@ -576,17 +604,19 @@ def _decision(
     else:
         snapshot = tuple(s for j, s in enumerate(sizes) if j != occ)
     decision = state.decisions.get(occ)
+    entry = report["rules"].setdefault(str(rule_id), {})
+    variant_key = "full" if occ is None else f"delta@{occ}"
     if (
         decision is not None
         and not decision.stale
         and not _drifted(decision.snapshot, snapshot)
     ):
-        state.hits += 1
-        ctx.hits += 1
+        report["plan_hits"] += 1
+        if variant_key not in entry:  # first use in this run
+            entry[variant_key] = _variant_report(decision)
     else:
         if decision is not None:
-            state.replans += 1
-            ctx.replans += 1
+            report["replans"] += 1
         order, est_rows = _cost_order(
             lits, ctx.var_sets[rule_id], sizes, db, restricted_occ=occ
         )
@@ -605,25 +635,17 @@ def _decision(
             decision.snapshot = snapshot
             decision.est_rows = est_rows
             decision.stale = False
-        entry = ctx.report["rules"].setdefault(str(rule_id), {})
-        variant_key = "full" if occ is None else f"delta@{occ}"
-        previous = entry.get(variant_key)
-        fresh: dict = {
-            "order": list(decision.order),
-            "estimated_rows": round(decision.est_rows, 2),
-            "sources": {
-                lit.relation: src for lit, src in zip(lits, sources)
-            },
+        decision.sources = {
+            lit.relation: src for lit, src in zip(lits, sources)
         }
+        fresh = _variant_report(decision)
+        previous = entry.get(variant_key)
         if previous is not None and "actual_rows" in previous:
             fresh["actual_rows"] = previous["actual_rows"]
         entry[variant_key] = fresh
     if decision.plan is None or decision.plan_epoch != ctx.cover_epoch:
         base = plan_for(ctx.rules[rule_id], decision.order)
-        if PlanCache.compiled_plans:
-            decision.plan = plan_with_cover(base, _ensure_cover(ctx))
-        else:
-            decision.plan = base
+        decision.plan = plan_with_cover(base, _ensure_cover(ctx))
         decision.plan_epoch = ctx.cover_epoch
     return decision
 
@@ -714,7 +736,7 @@ def _ensure_cover(
     ctx.assign = assign
     ctx.chains = chains
     ctx.assign_epoch = ctx.cover_epoch
-    ctx.report["index_cover"] = {
+    ctx.cover_summary = {
         relation: {
             "templates": len(templates[relation]),
             "chains": len(chains.get(relation, [])),
@@ -733,8 +755,6 @@ def apply_cover(ctx: PlanContext, db: Database) -> None:
     in ``Relation.index_drops`` → ``EngineStats.index_drops``.  Index
     shapes the cover knows nothing about are left alone.
     """
-    if not PlanCache.compiled_plans:
-        return
     assign = _ensure_cover(ctx)
     if not assign and not ctx.chains:
         return
@@ -800,15 +820,16 @@ def _fire(
     rule,
     positive: set[tuple[str, tuple]],
     negative: set[tuple[str, tuple]],
+    add_only: bool,
 ) -> int:
     """Run one compiled plan variant and emit its inferences.
 
     Single-positive-head rules take the fused ``RulePlan.run_emit``
     path (no per-row generator resume — this is the hottest loop in the
-    repository; under the columnar tier it dispatches on to the batch
-    kernels); everything else drains ``plan.run_rows`` — a materialized
-    batch when one exists, the generator walk otherwise — through
-    :func:`_emit`.
+    repository; it dispatches on to the batch kernels, which may drop
+    known heads when ``add_only``); everything else drains
+    ``plan.run_rows`` — a materialized batch when one exists, the
+    generator walk otherwise — through :func:`_emit`.
     """
     if plan.never:
         return 0
@@ -817,7 +838,7 @@ def _fire(
         relation, template, fills, _ = emitters[0]
         return plan.run_emit(
             db, adom, restricted_pos, restricted,
-            relation, template, fills, positive,
+            relation, template, fills, positive, add_only,
         )
     return _emit(
         plan,
@@ -828,25 +849,46 @@ def _fire(
     )
 
 
-def _interpreted_rule(
-    rule,
+def _traced_pass(
+    ctx: PlanContext,
+    ids,
     db: Database,
     adom: tuple[Hashable, ...],
     delta,
+    tracer,
     positive: set[tuple[str, tuple]],
     negative: set[tuple[str, tuple]],
 ) -> int:
-    """Kernel-off fallback: one rule via the interpreted matcher."""
-    from repro.semantics.base import instantiate_head, iter_matches
+    """One pass through the reference matcher, one probed span per rule.
+
+    A full tracer's view of :func:`consequences`: identical inferences,
+    and each rule of ``ids`` (on delta passes, each with a non-empty
+    positive body) gets a rule span carrying wall time, firings,
+    emitted and deduplicated tuples — head instantiations already
+    inferred earlier in this pass — and per-literal join counts.
+    """
+    from repro.semantics.base import instantiate_head, reference_matches
 
     firings = 0
-    for valuation in iter_matches(rule, db, adom, delta=delta):
-        firings += 1
-        for relation, t, is_positive in instantiate_head(rule, valuation):
-            if is_positive:
-                positive.add((relation, t))
-            else:
-                negative.add((relation, t))
+    for i in ids:
+        if delta is not None and not ctx.positive[i]:
+            continue
+        rule = ctx.rules[i]
+        span = tracer.rule_span(i, rule)
+        for valuation in reference_matches(
+            rule, db, adom, delta, probe=span.probe
+        ):
+            span.firings += 1
+            for relation, t, is_positive in instantiate_head(rule, valuation):
+                fact = (relation, t)
+                target = positive if is_positive else negative
+                span.emitted += 1
+                if fact in target:
+                    span.deduplicated += 1
+                else:
+                    target.add(fact)
+        firings += span.firings
+        span.close()
     return firings
 
 
@@ -859,75 +901,66 @@ def consequences(
     rule_ids: tuple[int, ...] | None = None,
     count_call: bool = False,
     tracer=None,
+    add_only: bool = False,
 ):
-    """Planner-routed immediate consequences; ``None`` defers to legacy.
+    """Planner-routed immediate consequences.
 
     Same contract as :func:`repro.semantics.base.immediate_consequences`
-    — ``(positive, negative, firings)`` with identical inferences — but
-    with the planner's three optimizations applied: semi-naive calls
-    visit only the rules the relation→rules dispatch map selects for
-    the delta (each with its own delta-first cost-based order), full
-    passes run each rule under its cost-based order, and with the
-    compiled kernel on, index probes go through the minimal shared
-    chain cover.  Under the interpreted matcher (kernel ablated off)
-    only the dispatch map applies — candidate enumeration stays exactly
-    the interpreted twin's.
+    — ``(positive, negative, firings)`` — with the planner's three
+    optimizations applied: semi-naive calls visit only the rules the
+    relation→rules dispatch map selects for the delta (each with its
+    own delta-first cost-based order), full passes run each rule under
+    its cost-based order, and index probes go through the minimal
+    shared chain cover.
 
     ``rule_ids`` restricts evaluation to one scheduled component;
     ``count_call`` makes this call bump ``stats.consequence_calls``
     (the scheduled drivers call here directly, bypassing
-    ``immediate_consequences``'s own bump).
+    ``immediate_consequences``'s own bump).  ``add_only`` lets the
+    batch kernels drop heads already in ``db`` (see
+    :meth:`repro.semantics.plan.RulePlan.run_emit`).
 
-    ``tracer`` (a planned-mode :class:`repro.obs.Tracer`, duck-typed),
-    when given, receives one counters-only rule span per rule visited —
-    firings, emitted rows, wall time, and the decision's join order —
-    without disturbing the compiled hot path with per-literal probes.
+    ``tracer`` (a :class:`repro.obs.Tracer`, duck-typed), when given,
+    receives one rule span per rule visited.  A planned-mode tracer
+    gets counters-only spans — firings, emitted rows, wall time, and
+    the decision's join order — from the production kernels; a full
+    tracer's pass runs through the reference matcher instead
+    (:func:`_traced_pass`), with exact per-literal join counts and no
+    planner report.
     """
-    if not QueryPlanner.enabled:
-        return None
     ctx = plan_context(program)
-    if not ctx.plannable:
-        return None
-    if stats is not None:
-        if count_call:
-            stats.consequence_calls += 1
-        stats.planner = ctx.report
+    if stats is not None and count_call:
+        stats.consequence_calls += 1
+    if tracer is not None and not tracer.enabled:
+        tracer = None
     positive: set[tuple[str, tuple]] = set()
     negative: set[tuple[str, tuple]] = set()
-    firings = 0
-    compiled = PlanCache.compiled_plans
     rules = ctx.rules
-    rule_report = ctx.report["rules"]
+    ids = range(len(rules)) if rule_ids is None else rule_ids
+    if tracer is not None and not getattr(tracer, "planned", False):
+        firings = _traced_pass(
+            ctx, ids, db, adom, delta, tracer, positive, negative
+        )
+        return positive, negative, firings
+    report = _run_report(ctx, stats)
+    rule_report = report["rules"]
+    firings = 0
     if delta is None:
-        ids = range(len(rules)) if rule_ids is None else rule_ids
         for i in ids:
             span = None if tracer is None else tracer.rule_span(i, rules[i])
-            if compiled:
-                decision = _decision(ctx, i, None, db, 0)
-                fired = _fire(
-                    decision.plan, db, adom, -1, None,
-                    rules[i], positive, negative,
-                )
-                _adapt(ctx, decision, fired)
-                ventry = rule_report.setdefault(str(i), {}).get("full")
-                if ventry is not None:
-                    ventry["actual_rows"] = (
-                        ventry.get("actual_rows", 0) + fired
-                    )
-                if span is not None:
-                    span.order = decision.order
-            else:
-                state = ctx.states[i]
-                state.lookups += 1
-                ctx.lookups += 1
-                fired = _interpreted_rule(
-                    rules[i], db, adom, None, positive, negative
-                )
+            decision = _decision(ctx, report, i, None, db, 0)
+            fired = _fire(
+                decision.plan, db, adom, -1, None,
+                rules[i], positive, negative, add_only,
+            )
+            _adapt(report, decision, fired)
+            entry = rule_report[str(i)]
+            variant = entry["full"]
+            variant["actual_rows"] = variant.get("actual_rows", 0) + fired
+            entry["actual_rows"] = entry.get("actual_rows", 0) + fired
             firings += fired
-            state = ctx.states[i]
-            state.actual += fired
-            rule_report.setdefault(str(i), {})["actual_rows"] = state.actual
             if span is not None:
+                span.order = decision.order
                 span.firings = fired
                 span.emitted = fired
                 span.close()
@@ -941,48 +974,33 @@ def consequences(
         for i in sorted(selected):
             rule = rules[i]
             span = None if tracer is None else tracer.rule_span(i, rule)
-            if compiled:
-                fired = 0
-                for occ, lit in enumerate(ctx.positive[i]):
-                    restricted = delta.get(lit.relation)
-                    if not restricted:
-                        continue
-                    decision = _decision(ctx, i, occ, db, len(restricted))
-                    fired_occ = _fire(
-                        decision.plan, db, adom,
-                        decision.restricted_pos, restricted,
-                        rule, positive, negative,
-                    )
-                    _adapt(ctx, decision, fired_occ)
-                    ventry = rule_report.setdefault(str(i), {}).get(
-                        f"delta@{occ}"
-                    )
-                    if ventry is not None:
-                        ventry["actual_rows"] = (
-                            ventry.get("actual_rows", 0) + fired_occ
-                        )
-                    if span is not None:
-                        span.order = decision.order
-                    fired += fired_occ
-            else:
-                state = ctx.states[i]
-                state.lookups += 1
-                ctx.lookups += 1
-                fired = _interpreted_rule(
-                    rule, db, adom, delta, positive, negative
+            entry = rule_report.setdefault(str(i), {})
+            fired = 0
+            for occ, lit in enumerate(ctx.positive[i]):
+                restricted = delta.get(lit.relation)
+                if not restricted:
+                    continue
+                decision = _decision(ctx, report, i, occ, db, len(restricted))
+                fired_occ = _fire(
+                    decision.plan, db, adom,
+                    decision.restricted_pos, restricted,
+                    rule, positive, negative, add_only,
                 )
+                _adapt(report, decision, fired_occ)
+                variant = entry[f"delta@{occ}"]
+                variant["actual_rows"] = (
+                    variant.get("actual_rows", 0) + fired_occ
+                )
+                if span is not None:
+                    span.order = decision.order
+                fired += fired_occ
+            entry["actual_rows"] = entry.get("actual_rows", 0) + fired
             firings += fired
-            state = ctx.states[i]
-            state.actual += fired
-            rule_report.setdefault(str(i), {})["actual_rows"] = state.actual
             if span is not None:
                 span.firings = fired
                 span.emitted = fired
                 span.close()
-    report = ctx.report
-    report["plan_lookups"] = ctx.lookups
-    report["plan_hits"] = ctx.hits
-    report["replans"] = ctx.replans
+    report["index_cover"] = ctx.cover_summary
     return positive, negative, firings
 
 
@@ -1000,27 +1018,23 @@ def scheduled_fixpoint(
     collect: "set[tuple[str, tuple]] | None" = None,
     tracer=None,
 ):
-    """Evaluate to fixpoint one SCC at a time; ``None`` defers to legacy.
+    """Evaluate to fixpoint one SCC at a time, mutating ``db`` in place.
 
-    Mutates ``db`` in place exactly as the drivers' global loops do:
-    per component one full pass, then (for components recursive through
-    a positive edge) a delta loop over that component's rules only.
-    ``recorder``/``result``, when given, receive the same per-pass
-    stage records and :class:`~repro.semantics.base.StageTrace` entries
-    the legacy loops produce; ``collect`` (the well-founded driver's
-    mode) accumulates every newly derived fact.  Ends with the index
-    cover's garbage collection on ``db``.
+    Per component one full pass, then (for components recursive through
+    a positive edge) a delta loop over that component's rules only; a
+    program with no sound schedule is one recursive component.
+    ``recorder``/``result``, when given, receive one stage record and
+    one :class:`~repro.semantics.base.StageTrace` per pass;
+    ``collect`` (the well-founded driver's mode) accumulates every
+    newly derived fact.  ``tracer`` is handed to every pass (see
+    :func:`consequences`), so traced runs keep this stage structure.
+    Ends with the index cover's garbage collection on ``db``.
 
-    Returns ``(total firings, last stage number)``, or ``None`` when
-    the planner is off or the program has no sound schedule.
+    Returns ``(total firings, last stage number)``.
     """
     from repro.semantics.base import StageTrace
 
-    if not QueryPlanner.enabled:
-        return None
     ctx = plan_context(program)
-    if not ctx.plannable or ctx.schedule is None:
-        return None
     if stats is None and recorder is not None:
         stats = recorder.stats
     firings_total = 0
@@ -1059,40 +1073,41 @@ def scheduled_fixpoint(
         return delta
 
     # The whole schedule is an add-only fixpoint (``absorb`` only ever
-    # inserts), so the batch kernels may subtract already-known heads
-    # at the source — see ``kernel_difference``.
-    with kernel_difference():
-        for component in ctx.schedule:
+    # inserts), so every pass lets the batch kernels subtract
+    # already-known heads at the source.
+    for component in ctx.schedule:
+        positive, _negative, firings = consequences(
+            program,
+            db,
+            adom,
+            stats=stats,
+            rule_ids=component.rule_ids,
+            count_call=True,
+            tracer=tracer,
+            add_only=True,
+        )
+        firings_total += firings
+        delta = absorb(positive, firings)
+        if not component.recursive:
+            continue
+        while delta:
+            frozen = {
+                relation: make_delta(facts)
+                for relation, facts in delta.items()
+            }
             positive, _negative, firings = consequences(
                 program,
                 db,
                 adom,
+                delta=frozen,
                 stats=stats,
                 rule_ids=component.rule_ids,
                 count_call=True,
                 tracer=tracer,
+                add_only=True,
             )
             firings_total += firings
             delta = absorb(positive, firings)
-            if not component.recursive:
-                continue
-            while delta:
-                frozen = {
-                    relation: make_delta(facts)
-                    for relation, facts in delta.items()
-                }
-                positive, _negative, firings = consequences(
-                    program,
-                    db,
-                    adom,
-                    delta=frozen,
-                    stats=stats,
-                    rule_ids=component.rule_ids,
-                    count_call=True,
-                    tracer=tracer,
-                )
-                firings_total += firings
-                delta = absorb(positive, firings)
     apply_cover(ctx, db)
     if recorder is not None:
         recorder.settle()
@@ -1102,12 +1117,12 @@ def scheduled_fixpoint(
 # -- observability ----------------------------------------------------------
 
 
-def explain(program: Program, db: Database) -> dict | None:
+def explain(program: Program, db: Database) -> dict:
     """A static planner report against the current database state.
 
     Decides every rule's full-pass join order (through the normal
     cached/drift-checked path), computes the index cover, and returns a
-    deep copy of the planner report — the shape ``EngineStats.planner``
+    planner report of its own — the shape ``EngineStats.planner``
     carries::
 
         {"plan_lookups": int, "plan_hits": int, "replans": int,
@@ -1126,22 +1141,15 @@ def explain(program: Program, db: Database) -> dict | None:
          "measured_stats": {"<relation>": int}, # stats-store cardinalities
          "scheduled_components": int | None}
 
-    Pure with respect to ``db`` (estimates never build indexes);
-    returns ``None`` for programs the planner does not handle.
-    ``repro profile`` attaches this to its JSON report.
+    Pure with respect to ``db`` (estimates never build indexes), and
+    never touches a run's report.  ``repro profile`` attaches this to
+    its JSON report.
     """
     import copy
 
-    if not QueryPlanner.enabled:
-        return None
     ctx = plan_context(program)
-    if not ctx.plannable:
-        return None
+    report = _new_report(ctx)
     for i in range(len(ctx.rules)):
-        _decision(ctx, i, None, db, 0)
-    if PlanCache.compiled_plans:
-        _ensure_cover(ctx)
-    ctx.report["plan_lookups"] = ctx.lookups
-    ctx.report["plan_hits"] = ctx.hits
-    ctx.report["replans"] = ctx.replans
-    return copy.deepcopy(ctx.report)
+        _decision(ctx, report, i, None, db, 0)
+    report["index_cover"] = ctx.cover_summary
+    return copy.deepcopy(report)

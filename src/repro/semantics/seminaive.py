@@ -16,14 +16,12 @@ from __future__ import annotations
 from repro.ast.program import Dialect, Program
 from repro.ast.analysis import validate_program
 from repro.relational.instance import Database
+from repro.semantics import planner
 from repro.semantics.base import (
     EvaluationResult,
-    StageTrace,
     StatsRecorder,
     evaluation_adom,
-    immediate_consequences,
 )
-from repro.semantics.plan import kernel_difference, make_delta
 
 
 def evaluate_datalog_seminaive(
@@ -32,7 +30,12 @@ def evaluate_datalog_seminaive(
     validate: bool = True,
     tracer=None,
 ) -> EvaluationResult:
-    """Minimum model via semi-naive (delta-driven) evaluation."""
+    """Minimum model via semi-naive (delta-driven) evaluation.
+
+    SCC-scheduled (:func:`repro.semantics.planner.scheduled_fixpoint`):
+    one component at a time in topological order, each with its own
+    delta loop.  A tracer rides along on the same schedule.
+    """
     if validate:
         validate_program(program, Dialect.DATALOG)
     if tracer is not None and not tracer.enabled:
@@ -43,59 +46,9 @@ def evaluate_datalog_seminaive(
     adom = evaluation_adom(program, db)
     result = EvaluationResult(current)
     recorder = StatsRecorder("seminaive", current, tracer=tracer)
-
-    if tracer is None or getattr(tracer, "planned", False):
-        # SCC-scheduled evaluation: one component at a time in
-        # topological order, each with its own delta loop.  Falls back
-        # to the global loop below when the planner is off.  A
-        # planned-mode tracer rides along (counters-only rule spans).
-        from repro.semantics import planner
-
-        scheduled = planner.scheduled_fixpoint(
-            program, current, adom, recorder=recorder, result=result,
-            tracer=tracer,
-        )
-        if scheduled is not None:
-            result.rule_firings = scheduled[0]
-            result.stats = recorder.finish(adom_size=len(adom))
-            return result
-
-    # Stage 1: full evaluation.
-    positive, _negative, firings = immediate_consequences(
-        program, current, adom, stats=recorder.stats, tracer=tracer
+    result.rule_firings, _ = planner.scheduled_fixpoint(
+        program, current, adom, recorder=recorder, result=result,
+        tracer=tracer,
     )
-    result.rule_firings += firings
-    trace = StageTrace(1)
-    delta: dict[str, set[tuple]] = {}
-    for relation, t in positive:
-        if current.add_fact(relation, t):
-            trace.new_facts.append((relation, t))
-            delta.setdefault(relation, set()).add(t)
-    recorder.stage(1, firings, added=len(trace.new_facts), trace=trace)
-    if trace.new_facts:
-        result.stages.append(trace)
-
-    stage = 1
-    # Add-only delta loop: the batch kernels may subtract known heads.
-    with kernel_difference():
-        while delta:
-            stage += 1
-            frozen_delta = {rel: make_delta(ts) for rel, ts in delta.items()}
-            positive, _negative, firings = immediate_consequences(
-                program, current, adom, delta=frozen_delta,
-                stats=recorder.stats, tracer=tracer
-            )
-            result.rule_firings += firings
-            trace = StageTrace(stage)
-            delta = {}
-            for relation, t in positive:
-                if current.add_fact(relation, t):
-                    trace.new_facts.append((relation, t))
-                    delta.setdefault(relation, set()).add(t)
-            recorder.stage(
-                stage, firings, added=len(trace.new_facts), trace=trace
-            )
-            if trace.new_facts:
-                result.stages.append(trace)
     result.stats = recorder.finish(adom_size=len(adom))
     return result

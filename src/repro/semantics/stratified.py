@@ -17,14 +17,12 @@ from __future__ import annotations
 from repro.ast.program import Dialect, Program
 from repro.ast.analysis import stratify, validate_program
 from repro.relational.instance import Database
+from repro.semantics import planner
 from repro.semantics.base import (
     EvaluationResult,
-    StageTrace,
     StatsRecorder,
     evaluation_adom,
-    immediate_consequences,
 )
-from repro.semantics.plan import kernel_difference, make_delta
 
 
 def evaluate_stratified(
@@ -56,59 +54,14 @@ def evaluate_stratified(
         if not rules:
             continue
         subprogram = Program(rules, name=f"{program.name}-stratum")
-        if tracer is None or getattr(tracer, "planned", False):
-            # SCC-scheduled: a stratum may span several components
-            # (negation only cuts *between* strata), so each gets its
-            # own topologically-ordered delta loop.  A planned-mode
-            # tracer rides along (counters-only rule spans).
-            from repro.semantics import planner
-
-            scheduled = planner.scheduled_fixpoint(
-                subprogram, current, adom,
-                recorder=recorder, result=result, stage_start=stage,
-                tracer=tracer,
-            )
-            if scheduled is not None:
-                result.rule_firings += scheduled[0]
-                stage = scheduled[1]
-                continue
-        # Full pass, then delta-driven passes over this stratum's relations.
-        positive, _negative, firings = immediate_consequences(
-            subprogram, current, adom, stats=recorder.stats, tracer=tracer
+        # SCC-scheduled: a stratum may span several components
+        # (negation only cuts *between* strata), so each gets its own
+        # topologically-ordered delta loop.
+        firings, stage = planner.scheduled_fixpoint(
+            subprogram, current, adom,
+            recorder=recorder, result=result, stage_start=stage,
+            tracer=tracer,
         )
         result.rule_firings += firings
-        delta: dict[str, set[tuple]] = {}
-        stage += 1
-        trace = StageTrace(stage)
-        for relation, t in positive:
-            if current.add_fact(relation, t):
-                trace.new_facts.append((relation, t))
-                delta.setdefault(relation, set()).add(t)
-        recorder.stage(stage, firings, added=len(trace.new_facts), trace=trace)
-        if trace.new_facts:
-            result.stages.append(trace)
-        # Add-only delta loop within the stratum: the batch kernels
-        # may subtract known heads.
-        with kernel_difference():
-            while delta:
-                frozen_delta = {
-                    rel: make_delta(ts) for rel, ts in delta.items()
-                }
-                positive, _negative, firings = immediate_consequences(
-                    subprogram, current, adom, delta=frozen_delta,
-                    stats=recorder.stats, tracer=tracer
-                )
-                result.rule_firings += firings
-                stage += 1
-                trace = StageTrace(stage)
-                delta = {}
-                for relation, t in positive:
-                    if current.add_fact(relation, t):
-                        trace.new_facts.append((relation, t))
-                        delta.setdefault(relation, set()).add(t)
-                recorder.stage(stage, firings, added=len(trace.new_facts),
-                               trace=trace)
-                if trace.new_facts:
-                    result.stages.append(trace)
     result.stats = recorder.finish(adom_size=len(adom))
     return result

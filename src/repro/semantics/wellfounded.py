@@ -29,12 +29,8 @@ from repro.ast.analysis import validate_program
 from repro.ast.rules import Lit, Rule
 from repro.logic.formula import Atom
 from repro.relational.instance import Database
-from repro.semantics.base import (
-    EngineStats,
-    StatsRecorder,
-    evaluation_adom,
-    immediate_consequences,
-)
+from repro.semantics import planner
+from repro.semantics.base import EngineStats, StatsRecorder, evaluation_adom
 
 _ASSUMED_SUFFIX = "__wf_assumed"
 
@@ -133,51 +129,14 @@ def _least_model(
     for relation, t in assumed:
         work.add_fact(_assumed_name(relation), t)
 
-    if tracer is None or getattr(tracer, "planned", False):
-        # SCC-scheduled least model: the transformed program negates
-        # only assumption/edb relations, so every component schedules.
-        # A planned-mode tracer rides along (counters-only rule spans).
-        from repro.semantics import planner
-
-        collected: set[tuple[str, tuple]] = set()
-        scheduled = planner.scheduled_fixpoint(
-            transformed, work, adom, stats=stats, collect=collected,
-            tracer=tracer,
-        )
-        if scheduled is not None:
-            return (
-                frozenset(collected),
-                scheduled[0],
-                work.index_totals(),
-            )
-
-    firings_total = 0
-    positive, _negative, firings = immediate_consequences(
-        transformed, work, adom, stats=stats, tracer=tracer
-    )
-    firings_total += firings
-    delta: dict[str, set[tuple]] = {}
+    # SCC-scheduled least model: the transformed program negates only
+    # assumption/edb relations, so every component schedules.
     derived: set[tuple[str, tuple]] = set()
-    for relation, t in positive:
-        if work.add_fact(relation, t):
-            derived.add((relation, t))
-            delta.setdefault(relation, set()).add(t)
-    while delta:
-        frozen = {rel: frozenset(ts) for rel, ts in delta.items()}
-        positive, _negative, firings = immediate_consequences(
-            transformed, work, adom, delta=frozen, stats=stats, tracer=tracer
-        )
-        firings_total += firings
-        delta = {}
-        for relation, t in positive:
-            if work.add_fact(relation, t):
-                derived.add((relation, t))
-                delta.setdefault(relation, set()).add(t)
-    return (
-        frozenset(derived),
-        firings_total,
-        work.index_totals(),
+    firings, _ = planner.scheduled_fixpoint(
+        transformed, work, adom, stats=stats, collect=derived,
+        tracer=tracer,
     )
+    return frozenset(derived), firings, work.index_totals()
 
 
 def alternating_sequence(

@@ -1,18 +1,19 @@
-"""The codegen matcher tier: emitted source, dispatch, cache coherence.
+"""The generated kernels: emitted source, dispatch, cache coherence.
 
-The contract under test: :mod:`repro.semantics.codegen` is an
-*optimization tier* — byte-identical match enumeration, identical
-answers, firings, and stages versus the compiled kernel and the
-reference interpreted matcher, under every engine.  The evidence here
-is layered: shape checks on the emitted source, a 50-program
-three-way differential across four semantics, seeded byte-identical
-replays of the choice and nondeterministic engines, and the cache
-coherence rules (toggle flips bypass immediately, ``PlanCache.clear``
-and cover twins never run stale functions).
+The contract under test: :mod:`repro.semantics.codegen` is the
+production matcher — byte-identical match enumeration, identical
+answers, firings, and stages versus the reference matcher
+(``reference_matches``, which a full tracer runs), under every engine.
+The evidence here is layered: shape checks on the emitted source, a
+50-program production-vs-reference differential across four
+semantics, seeded byte-identical replays of the choice and
+nondeterministic engines, the cache coherence rules
+(``PlanCache.clear`` and cover twins never run stale functions), and
+``--dump-codegen`` writing exactly the code that ran.
 """
 
-import contextlib
 import io
+import os
 import random
 
 import pytest
@@ -22,13 +23,13 @@ from repro.parser import parse_program
 from repro.relational.instance import Database
 from repro.semantics.choice import evaluate_with_choice
 from repro.semantics.codegen import compile_plan, dump_codegen
-from repro.semantics.differential import DifferentialEngine
 from repro.semantics.naive import evaluate_datalog_naive
 from repro.semantics.nondeterministic import run_nondeterministic
+from repro.obs import CollectorSink, Tracer
+from repro.semantics.base import reference_matches
 from repro.semantics.plan import (
     PlanCache,
     active_matcher,
-    matcher_override,
     plan_for,
     plan_with_cover,
 )
@@ -38,17 +39,16 @@ from repro.semantics.wellfounded import evaluate_wellfounded
 from repro.workloads.graphs import chain, graph_database
 from tests.test_differential_engines import random_program_and_database
 
-TIERS = ("columnar", "codegen", "compiled", "interpreted")
+#: The two matchers: production (generated kernels, reported as
+#: "columnar") and the reference matcher a full tracer runs.
+TIERS = ("columnar", "interpreted")
 
 
-@contextlib.contextmanager
-def _tier(tier: str):
-    """Run the body under one matcher tier, restoring the defaults."""
-    # the defaults: the full stack is on
-    assert (PlanCache.compiled_plans and PlanCache.codegen
-            and PlanCache.columnar)
-    with matcher_override(tier):
-        yield
+def _run(engine, tier: str, *args, **kwargs):
+    """``engine(*args)`` on one matcher: traced for the reference."""
+    if tier == "interpreted":
+        kwargs["tracer"] = Tracer([CollectorSink()])
+    return engine(*args, **kwargs)
 
 
 TC_NONLINEAR = "T(x, y) :- G(x, y).\nT(x, y) :- T(x, z), T(z, y).\n"
@@ -99,11 +99,11 @@ class TestEmittedSource:
         db = _tc_db(4)
         db.ensure_relation("T", 2).update(db.tuples("G"))
         rows = {tuple(slots) for slots in cg.run(db, (), -1, None)}
-        interpreted = {
-            tuple(slots)
-            for slots in plan._run_interpreted(db, (), -1, None)
+        reference = {
+            tuple(valuation[var] for var, _slot in plan.out_vars)
+            for valuation in reference_matches(plan.rule, db, ())
         }
-        assert rows == interpreted
+        assert rows == reference
 
     def test_dump_codegen_writes_sources(self, tmp_path):
         program = parse_program(TC_NONLINEAR)
@@ -117,40 +117,37 @@ class TestEmittedSource:
 
 
 class TestTierDispatch:
-    """Tier precedence, stats surface, and the traced-run downgrade."""
+    """Which matcher runs, the stats surface, and the traced-run route."""
 
     def test_columnar_is_the_default(self):
-        assert PlanCache.codegen and PlanCache.columnar
         assert active_matcher() == "columnar"
-        with matcher_override("codegen"):
-            assert active_matcher() == "codegen"
+        result = evaluate_datalog_seminaive(
+            parse_program(TC_NONLINEAR), _tc_db()
+        )
+        assert result.stats.matcher == "columnar"
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_stats_report_the_tier(self, tier):
         program = parse_program(TC_NONLINEAR)
-        with _tier(tier):
-            result = evaluate_datalog_seminaive(program, _tc_db())
+        result = _run(evaluate_datalog_seminaive, tier, program, _tc_db())
         assert result.stats.matcher == tier
 
     def test_tiers_agree_on_answers(self):
         program = parse_program(TC_NONLINEAR)
-        answers = {}
-        firings = {}
+        outcomes = set()
         for tier in TIERS:
-            with _tier(tier):
-                result = evaluate_datalog_seminaive(program, _tc_db())
-            answers[tier] = result.answer("T")
-            firings[tier] = result.stats.rule_firings
-        assert len(set(map(frozenset, answers.values()))) == 1
-        assert len(set(firings.values())) == 1
+            result = _run(evaluate_datalog_seminaive, tier, program, _tc_db())
+            outcomes.add((
+                result.answer("T"),
+                result.stats.rule_firings,
+                result.stats.stage_count,
+            ))
+        assert len(outcomes) == 1
 
     def test_traced_run_drops_to_interpreted(self):
-        # Join-probe counts must stay exact, so a traced run bypasses
-        # both compiled tiers even while codegen is on.
-        from repro.obs import CollectorSink, Tracer
-
+        # Join-probe counts must stay exact, so a traced run matches
+        # through the reference matcher, not the generated kernels.
         program = parse_program(TC_NONLINEAR)
-        assert PlanCache.codegen
         result = evaluate_datalog_seminaive(
             program, _tc_db(), tracer=Tracer([CollectorSink()])
         )
@@ -160,56 +157,13 @@ class TestTierDispatch:
 class TestCacheCoherence:
     """Stale codegen'd functions must never run."""
 
-    def test_toggle_flips_bypass_immediately(self):
-        # Warm the codegen cache, then flip tiers *without* clearing
-        # any cache: each subsequent run must use (and report) its own
-        # tier and produce identical answers.
-        program = parse_program(TC_NONLINEAR)
-        db = _tc_db()
-        with _tier("columnar"):
-            warm = evaluate_datalog_seminaive(program, db)
-        with _tier("codegen"):
-            codegen = evaluate_datalog_seminaive(program, db)
-        with _tier("compiled"):
-            compiled = evaluate_datalog_seminaive(program, db)
-        with _tier("interpreted"):
-            interpreted = evaluate_datalog_seminaive(program, db)
-        with _tier("columnar"):
-            again = evaluate_datalog_seminaive(program, db)
-        assert warm.answer("T") == codegen.answer("T")
-        assert warm.answer("T") == compiled.answer("T")
-        assert warm.answer("T") == interpreted.answer("T")
-        assert warm.answer("T") == again.answer("T")
-        assert codegen.stats.matcher == "codegen"
-        assert compiled.stats.matcher == "compiled"
-        assert interpreted.stats.matcher == "interpreted"
-        assert again.stats.matcher == "columnar"
-
-    def test_toggle_flip_between_differential_batches(self):
-        # A maintained view evaluated across a mid-session tier flip
-        # must match the from-scratch model at every step.
-        program = parse_program(TC_NONLINEAR)
-        base = graph_database(chain(6))
-        with _tier("columnar"):
-            engine = DifferentialEngine(program, base)
-        with _tier("compiled"):
-            engine.apply([("+", "G", ("n5", "x0")), ("+", "G", ("x0", "x1"))])
-        with _tier("codegen"):
-            engine.apply([("-", "G", ("n2", "n3"))])
-        scratch_base = graph_database(chain(6))
-        scratch_base.add_fact("G", ("n5", "x0"))
-        scratch_base.add_fact("G", ("x0", "x1"))
-        scratch_base.remove_fact("G", ("n2", "n3"))
-        scratch = evaluate_datalog_seminaive(program, scratch_base)
-        assert engine.database.tuples("T") == scratch.answer("T")
-
     def test_plan_cache_clear_drops_codegen_functions(self):
         program = parse_program(TC_NONLINEAR)
         rule = program.rules[1]
         plan = plan_for(rule, (0, 1))
         db = _tc_db(4)
         db.ensure_relation("T", 2).update(db.tuples("G"))
-        list(plan._run(db, (), -1, None))
+        list(plan.iter_slot_matches(db, ()))
         assert plan.codegen_fns is not None
         PlanCache.clear()
         fresh = plan_for(rule, (0, 1))
@@ -222,7 +176,7 @@ class TestCacheCoherence:
         plan = plan_for(rule, (0, 1))
         db = _tc_db(4)
         db.ensure_relation("T", 2).update(db.tuples("G"))
-        list(plan._run(db, (), -1, None))
+        list(plan.iter_slot_matches(db, ()))
         assert plan.codegen_fns is not None
         step = plan.steps[1]
         assert step.key_positions and not step.exact
@@ -240,7 +194,8 @@ class TestCacheCoherence:
 
 
 class TestThreeWayDifferential:
-    """50 random programs: all tiers agree under every semantics."""
+    """50 random programs: production and reference agree under every
+    semantics."""
 
     @pytest.mark.parametrize("seed", range(50))
     def test_tiers_agree(self, seed):
@@ -255,8 +210,7 @@ class TestThreeWayDifferential:
         for name, engine in engines.items():
             outcomes = {}
             for tier in TIERS:
-                with _tier(tier):
-                    result = engine(program, db.copy())
+                result = _run(engine, tier, program, db.copy())
                 outcomes[tier] = (
                     {r: result.answer(r) for r in program.idb},
                     result.stats.rule_firings,
@@ -269,8 +223,7 @@ class TestThreeWayDifferential:
         # the alternating fixpoint still exercises the residual probes.
         wf = {}
         for tier in TIERS:
-            with _tier(tier):
-                model = evaluate_wellfounded(program, db.copy())
+            model = _run(evaluate_wellfounded, tier, program, db.copy())
             wf[tier] = (model.true_facts, model.unknown_facts(),
                         model.stats.rule_firings)
         for tier in TIERS[1:]:
@@ -286,13 +239,14 @@ intree(y) :- tree(x, y).
 
 
 class TestSeededReplay:
-    """Seeded engines replay byte-identically under every tier.
+    """Seeded engines replay byte-identically on either matcher.
 
     The choice and nondeterministic engines consume matches through a
     seeded RNG, so any divergence in *enumeration order* — not just in
     the match set — changes their output.  Identical committed choices
-    and identical step sequences across tiers are therefore the
-    strongest order-identity evidence available.
+    and identical step sequences between production and the reference
+    matcher (a traced run) are therefore the strongest order-identity
+    evidence available.
     """
 
     def _tree_db(self) -> Database:
@@ -311,10 +265,10 @@ class TestSeededReplay:
         program = parse_program(SPANNING_TREE)
         outcomes = {}
         for tier in TIERS:
-            with _tier(tier):
-                result = evaluate_with_choice(
-                    program, self._tree_db(), seed=seed
-                )
+            result = _run(
+                evaluate_with_choice, tier, program, self._tree_db(),
+                seed=seed,
+            )
             outcomes[tier] = (
                 result.answer("tree"),
                 result.answer("root"),
@@ -331,8 +285,8 @@ class TestSeededReplay:
         db = Database({"S": [("a",), ("b",), ("c",), ("d",)]})
         outcomes = {}
         for tier in TIERS:
-            with _tier(tier):
-                run = run_nondeterministic(program, db.copy(), seed=seed)
+            run = _run(run_nondeterministic, tier, program, db.copy(),
+                       seed=seed)
             outcomes[tier] = (
                 [(s.rule_index, s.inserted, s.deleted) for s in run.steps],
                 run.aborted,
@@ -343,7 +297,8 @@ class TestSeededReplay:
 
 
 class TestCliMatcherFlag:
-    """``repro run/stats --matcher`` and ``run --dump-codegen``."""
+    """``repro run`` prints the same answers on either matcher, and
+    ``--dump-codegen`` writes the code that ran."""
 
     @pytest.fixture
     def tc_files(self, tmp_path):
@@ -358,28 +313,14 @@ class TestCliMatcherFlag:
         code = main(argv, out=out)
         return code, out.getvalue()
 
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_stats_matcher_override(self, tc_files, tier):
-        import json
-
-        program, data = tc_files
-        code, output = self._run(
-            ["stats", program, "--data", data, "--semantics", "seminaive",
-             "--format", "json", "--matcher", tier]
-        )
-        assert code == 0
-        assert json.loads(output)["matcher"] == tier
-        # The override is scoped to the one evaluation.
-        assert (PlanCache.compiled_plans and PlanCache.codegen
-                and PlanCache.columnar)
-
-    def test_run_matcher_override_same_answers(self, tc_files):
+    def test_run_and_traced_run_print_the_same_answers(self, tc_files, tmp_path):
+        # ``--trace-out`` runs the reference matcher under a tracer.
         program, data = tc_files
         outputs = set()
-        for tier in TIERS:
+        for extra in ([], ["--trace-out", str(tmp_path / "t.jsonl")]):
             code, output = self._run(
                 ["run", program, "--data", data,
-                 "--semantics", "seminaive", "--matcher", tier]
+                 "--semantics", "seminaive", *extra]
             )
             assert code == 0
             outputs.add(output)
@@ -398,3 +339,46 @@ class TestCliMatcherFlag:
         assert all(name.endswith(".py") for name in written)
         text = (dump / written[0]).read_text()
         assert "# codegen for rule:" in text
+
+
+class TestDumpCodegen:
+    """``dump_codegen`` writes the plans that ran, cover twins included."""
+
+    def _ran_sources(self, program):
+        sources = set()
+        for rule in program.rules:
+            for plan in PlanCache._plans.get(rule, {}).values():
+                for candidate in (plan, *(plan.cover_twins or {}).values()):
+                    if candidate.codegen_fns is not None:
+                        sources.add(candidate.codegen_fns.source)
+        return sources
+
+    def test_dumps_exactly_the_code_that_ran(self, tmp_path):
+        PlanCache.clear()
+        program = parse_program(TC_NONLINEAR)
+        evaluate_datalog_seminaive(program, graph_database(chain(20)))
+        ran = self._ran_sources(program)
+        paths = dump_codegen(program, str(tmp_path))
+        dumped = [open(path).read() for path in paths]
+        # Nothing compiled on demand: every file is code that ran, and
+        # every plan that ran is in a file of its own.
+        assert self._ran_sources(program) == ran
+        assert set(dumped) == ran
+        assert len(dumped) == len(set(paths)) == len(ran)
+        # The recursive rule ran on chain-cover twins: its files probe
+        # chain tries, not flat indexes.
+        recursive = [
+            text for path, text in zip(paths, dumped)
+            if os.path.basename(path).startswith("rule1_")
+        ]
+        assert recursive
+        assert all(".index(" not in text for text in recursive)
+        assert all("chain" in text for text in recursive)
+
+    def test_never_ran_program_compiles_on_demand(self, tmp_path):
+        PlanCache.clear()
+        program = parse_program(TC_NONLINEAR)
+        paths = dump_codegen(program, str(tmp_path))
+        assert len(paths) == len(program.rules)
+        for path in paths:
+            assert "def walk_full(" in open(path).read()

@@ -1,15 +1,14 @@
-"""Columnar storage and batch execution: the pieces under the tier.
+"""Columnar storage and batch execution: the pieces under the kernels.
 
-:mod:`tests.test_codegen` pins the columnar *tier* end-to-end (answer
-parity, seeded replays, dispatch precedence).  This module tests the
-parts it is built from: the interner/column-store/delta-block storage
-trio, the bulk relation mutators the batch drivers use
-(``add_batch``/``live_set``), the snapshot-vs-live contract of the two
-chain-probe flavors, chain-count maintenance under heavy ``discard``
-(the noninflationary engines' skewed-bucket pattern), the shape of the
-emitted batch kernels, and the flag hygiene of ``matcher_override`` /
-``kernel_difference`` (a mid-run exception must not leak a flipped
-class-level toggle into later tests).
+:mod:`tests.test_codegen` pins the production matcher end-to-end
+(answer parity with the reference matcher, seeded replays).  This
+module tests the parts it is built from: the interner/column-store/
+delta-block storage trio, the bulk relation mutators the batch drivers
+use (``add_batch``/``live_set``), the snapshot-vs-live contract of the
+two chain-probe flavors, chain-count maintenance under heavy
+``discard`` (the noninflationary engines' skewed-bucket pattern), the
+shape of the emitted batch kernels, and the explicit ``add_only``
+argument that lets them drop known heads.
 """
 
 import pytest
@@ -18,14 +17,11 @@ from repro.errors import SchemaError
 from repro.parser import parse_program
 from repro.relational.columnar import ColumnStore, DeltaBlock, Interner
 from repro.relational.instance import Database, Relation
+from repro.obs import CollectorSink, Tracer
+from repro.semantics.base import evaluation_adom, immediate_consequences
 from repro.semantics.codegen import CodegenPlan, compile_plan
 from repro.semantics.differential import DifferentialEngine
-from repro.semantics.plan import (
-    PlanCache,
-    kernel_difference,
-    matcher_override,
-    plan_for,
-)
+from repro.semantics.plan import make_delta, plan_for
 from repro.semantics.seminaive import evaluate_datalog_seminaive
 from repro.workloads.graphs import chain, graph_database
 
@@ -104,15 +100,9 @@ class TestDeltaBlock:
         assert len(block) == 20 and block
         assert (0, 1) in block and (1, 0) not in block
 
-    def test_columns_are_parallel_slices(self):
-        block = DeltaBlock(frozenset({(1, 2), (3, 4)}))
-        for c0, c1 in zip(*block.columns):
-            assert (c0, c1) in block.facts
-
     def test_empty_block(self):
         block = DeltaBlock(frozenset())
         assert not block and len(block) == 0
-        assert block.columns is None
         assert list(block) == []
 
 
@@ -265,64 +255,56 @@ class TestBatchKernelShape:
         # dispatch must take the scalar fused path instead.
         assert 1 < CodegenPlan.BATCH_MIN_ROWS <= 16
 
-    def test_subtract_known_defaults_off(self):
-        # Full consequence sets are the safe default: active-database
+    def test_known_heads_kept_unless_add_only(self):
+        # Full consequence sets are the default: active-database
         # trigger steps and noninflationary conflict policies read
-        # consequences as "everything derivable".
-        assert CodegenPlan.subtract_known is False
-
-
-class TestFlagHygiene:
-
-    def test_matcher_override_restores_on_exception(self):
-        saved = (PlanCache.compiled_plans, PlanCache.codegen,
-                 PlanCache.columnar)
-        with pytest.raises(RuntimeError):
-            with matcher_override("interpreted"):
-                assert not PlanCache.codegen
-                raise RuntimeError("mid-run failure")
-        assert (PlanCache.compiled_plans, PlanCache.codegen,
-                PlanCache.columnar) == saved
-
-    def test_matcher_override_rejects_unknown_tier(self):
-        saved = (PlanCache.compiled_plans, PlanCache.codegen,
-                 PlanCache.columnar)
-        with pytest.raises(KeyError):
-            with matcher_override("vectorized-gpu"):
-                pass  # pragma: no cover
-        assert (PlanCache.compiled_plans, PlanCache.codegen,
-                PlanCache.columnar) == saved
-
-    def test_kernel_difference_restores_on_exception(self):
-        assert CodegenPlan.subtract_known is False
-        with pytest.raises(RuntimeError):
-            with kernel_difference():
-                assert CodegenPlan.subtract_known is True
-                raise RuntimeError("mid-fixpoint failure")
-        assert CodegenPlan.subtract_known is False
-
-    def test_kernel_difference_nests(self):
-        with kernel_difference():
-            with kernel_difference():
-                assert CodegenPlan.subtract_known is True
-            assert CodegenPlan.subtract_known is True
-        assert CodegenPlan.subtract_known is False
+        # consequences as "everything derivable".  Only a caller that
+        # says ``add_only=True`` lets the batch kernel drop heads the
+        # database already holds.
+        program = parse_program("T(x, y) :- G(x, y).")
+        edges = [(i, i + 1) for i in range(2 * CodegenPlan.BATCH_MIN_ROWS)]
+        db = Database({"G": edges, "T": edges[:3]})
+        adom = evaluation_adom(program, db)
+        delta = {"G": make_delta(edges)}
+        full, _neg, fired = immediate_consequences(
+            program, db, adom, delta=delta
+        )
+        assert full == {("T", t) for t in edges}
+        new, _neg, fired_add_only = immediate_consequences(
+            program, db, adom, delta=delta, add_only=True
+        )
+        assert new == {("T", t) for t in edges[3:]}
+        assert fired_add_only == fired == len(edges)
 
 
 class TestKernelDifferenceParity:
 
     def test_subtraction_does_not_change_answers_or_stages(self):
+        # One semi-naive loop per setting of ``add_only``: dropping known
+        # heads in the kernel changes what each pass returns, never the
+        # fixpoint, its stages or its firings.
         program = parse_program(TC_NONLINEAR)
-        db = graph_database(chain(12))
-        with matcher_override("columnar"):
-            with_diff = evaluate_datalog_seminaive(program, db)
-        # Force every kernel to emit full consequence sets.
-        with matcher_override("columnar"), kernel_difference():
-            CodegenPlan.subtract_known = False
-            without = evaluate_datalog_seminaive(program, db)
-        assert with_diff.database.tuples("T") == without.database.tuples("T")
-        assert with_diff.stats.stage_count == without.stats.stage_count
-        assert with_diff.rule_firings == without.rule_firings
+        outcomes = []
+        for add_only in (True, False):
+            db = graph_database(chain(12))
+            db.ensure_relation("T", 2)
+            adom = evaluation_adom(program, db)
+            delta, stages, firings = None, 0, 0
+            while delta is None or delta:
+                frozen = None if delta is None else {
+                    rel: make_delta(ts) for rel, ts in delta.items()
+                }
+                positive, _neg, fired = immediate_consequences(
+                    program, db, adom, delta=frozen, add_only=add_only
+                )
+                stages += 1
+                firings += fired
+                delta = {}
+                for relation, t in positive:
+                    if db.add_fact(relation, t):
+                        delta.setdefault(relation, set()).add(t)
+            outcomes.append((db.tuples("T"), stages, firings))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestStorageReport:
@@ -354,16 +336,19 @@ class TestStorageReport:
 class TestDifferentialThroughTiers:
 
     def test_single_update_parity_columnar_vs_interpreted(self):
+        # The maintained view (production kernels) against a from-scratch
+        # evaluation through the reference matcher (a traced run).
         program = parse_program(TC_NONLINEAR)
-        outcomes = {}
-        for tier in ("columnar", "interpreted"):
-            with matcher_override(tier):
-                engine = DifferentialEngine(
-                    program, graph_database(chain(10))
-                )
-                engine.insert([("G", (10, 11))])
-                engine.delete([("G", (4, 5))])
-                assert engine.consistent_with_scratch()
-                outcomes[tier] = {"T": engine.answer("T"),
-                                  "G": engine.answer("G")}
-        assert outcomes["columnar"] == outcomes["interpreted"]
+        engine = DifferentialEngine(program, graph_database(chain(10)))
+        engine.insert([("G", (10, 11))])
+        engine.delete([("G", (4, 5))])
+        assert engine.consistent_with_scratch()
+        base = graph_database(chain(10))
+        base.add_fact("G", (10, 11))
+        base.remove_fact("G", (4, 5))
+        reference = evaluate_datalog_seminaive(
+            program, base, tracer=Tracer([CollectorSink()])
+        )
+        assert reference.stats.matcher == "interpreted"
+        assert engine.answer("T") == reference.answer("T")
+        assert engine.answer("G") == reference.answer("G")

@@ -93,11 +93,12 @@ def test_engines_agree_on_minimum_model(seed):
 
 @pytest.mark.parametrize("seed", range(50))
 def test_compiled_and_interpreted_matchers_agree(seed):
-    """The slot-plan kernel is a pure optimization: on every random
+    """The compiled kernels are a pure optimization: on every random
     program, each engine must produce byte-identical results — database,
-    per-stage additions, stage counts, rule firings — whether the
-    matcher is compiled or interpreted."""
-    from repro.semantics.plan import PlanCache
+    per-stage additions, stage counts, rule firings — whether it runs
+    production (compiled) or, under a full tracer, the reference
+    (interpreted) matcher."""
+    from repro.obs import CollectorSink, Tracer
 
     rng = random.Random(seed)
     source, db = random_program_and_database(rng)
@@ -108,14 +109,10 @@ def test_compiled_and_interpreted_matchers_agree(seed):
         "stratified": evaluate_stratified,
     }
 
-    assert PlanCache.compiled_plans  # the default
     for name, engine in engines.items():
-        try:
-            compiled = engine(program, db)
-            PlanCache.compiled_plans = False
-            interpreted = engine(program, db)
-        finally:
-            PlanCache.compiled_plans = True
+        compiled = engine(program, db)
+        interpreted = engine(program, db, tracer=Tracer([CollectorSink()]))
+        assert interpreted.stats.matcher == "interpreted"
         context = f"{name}: {source}"
         assert (
             compiled.database.canonical() == interpreted.database.canonical()

@@ -237,60 +237,53 @@ class TestRecorderInvariants:
             # Stages partition a sub-interval of the whole run.
             assert sum(s.seconds for s in stats.stages) <= stats.seconds, engine
 
-    def test_index_counters_follow_maintenance_toggle(self):
+    def test_index_counters_count_live_maintenance(self):
         from repro.relational.instance import Relation
 
         from repro.programs.tc import tc_nonlinear_program
         from repro.workloads.graphs import chain, graph_database
 
         program = tc_nonlinear_program()
-        db = graph_database(chain(12))
-        assert Relation.incremental_maintenance  # the default
-        try:
-            incremental = evaluate_datalog_seminaive(program, db).stats
-            Relation.incremental_maintenance = False
-            rebuilding = evaluate_datalog_seminaive(program, db).stats
-        finally:
-            Relation.incremental_maintenance = True
-        # Incremental: build each physical index once, then in-place
-        # updates only.  The planner's cover for nonlinear TC keeps two
-        # chain indexes on T — one per join side — hence two builds.
-        assert incremental.index_builds == 2
-        assert incremental.index_updates > 0
-        # Seed behavior: a rebuild per mutated stage, no updates.
-        assert rebuilding.index_builds > 1
-        assert rebuilding.index_updates == 0
+        result = evaluate_datalog_seminaive(
+            program, graph_database(chain(12))
+        )
+        stats = result.stats
+        # Build each physical index once, then in-place updates only.
+        # The planner's cover for nonlinear TC keeps two chain indexes
+        # on T — one per join side — hence two builds.
+        assert stats.index_builds == 2
+        assert stats.index_updates > 0
+        # The live chains equal chains built fresh on a copy of the
+        # final tuples.
+        live = result.database.relation("T")
+        fresh = Relation("T", 2, live.tuples())
+        chains = [key for kind, key in live.live_indexes() if kind == "chain"]
+        assert len(chains) == 2
+        for order in chains:
+            for depth in range(1, len(order) + 1):
+                assert live.chain_key_count(order, depth) == (
+                    fresh.chain_key_count(order, depth)
+                )
+            for t in live.tuples():
+                key = tuple(t[p] for p in order)
+                assert sorted(live.probe_chain(order, len(order), key)) == (
+                    sorted(fresh.probe_chain(order, len(order), key))
+                )
 
-    def test_matcher_field_follows_compiled_plans_toggle(self):
-        from repro.semantics.plan import PlanCache
+    def test_matcher_field_names_production_or_reference(self):
+        from repro.obs import CollectorSink, Tracer
 
         program = parse_program(TC)
         db = Database(GRAPH)
-        # Defaults: the full stack, columnar on top.
-        assert (PlanCache.compiled_plans and PlanCache.codegen
-                and PlanCache.columnar)
-        try:
-            columnar = evaluate_datalog_seminaive(program, db).stats
-            PlanCache.columnar = False
-            codegen = evaluate_datalog_seminaive(program, db).stats
-            PlanCache.codegen = False
-            compiled = evaluate_datalog_seminaive(program, db).stats
-            PlanCache.compiled_plans = False
-            interpreted = evaluate_datalog_seminaive(program, db).stats
-        finally:
-            PlanCache.compiled_plans = True
-            PlanCache.codegen = True
-            PlanCache.columnar = True
-        assert columnar.matcher == "columnar"
-        assert codegen.matcher == "codegen"
-        assert compiled.matcher == "compiled"
-        assert interpreted.matcher == "interpreted"
-        # The matcher choice never changes what gets computed.
-        assert columnar.rule_firings == interpreted.rule_firings
-        assert codegen.rule_firings == interpreted.rule_firings
-        assert compiled.rule_firings == interpreted.rule_firings
-        assert codegen.stage_count == interpreted.stage_count
-        assert compiled.stage_count == interpreted.stage_count
+        production = evaluate_datalog_seminaive(program, db).stats
+        reference = evaluate_datalog_seminaive(
+            program, db, tracer=Tracer([CollectorSink()])
+        ).stats
+        assert production.matcher == "columnar"
+        assert reference.matcher == "interpreted"
+        # The matcher never changes what gets computed.
+        assert production.rule_firings == reference.rule_firings
+        assert production.stage_count == reference.stage_count
 
     def test_traced_runs_report_the_interpreted_matcher(self):
         from repro.obs import CollectorSink, Tracer

@@ -96,17 +96,30 @@ class TestIncrementalIndexes:
         assert_index_consistent(clone, (0,))
         assert ("c",) not in rel.index((0,))  # original unaffected
 
-    def test_toggle_restores_seed_invalidation(self):
-        rel = Relation("R", 1, [("a",)])
+    def test_live_indexes_equal_fresh_builds_on_a_copy(self):
+        rel = Relation("R", 2, [("a", i) for i in range(6)])
         rel.index((0,))
-        try:
-            Relation.incremental_maintenance = False
-            rel.add(("b",))
-            assert_index_consistent(rel, (0,))
-            assert rel.index_builds == 2  # was dropped and rebuilt
-            assert rel.index_updates == 0
-        finally:
-            Relation.incremental_maintenance = True
+        rel.index((1,))
+        rel.chain_index((0, 1))
+        for i in range(6, 18):
+            rel.add(("bc"[i % 2], i))
+        for i in range(0, 18, 4):
+            rel.discard(("a" if i < 6 else "bc"[i % 2], i))
+        # Every change above was an in-place update, no rebuild.
+        assert rel.index_builds == 3
+        fresh = Relation("R", 2, rel.tuples())
+        for positions in ((0,), (1,)):
+            assert {k: set(b) for k, b in rel.index(positions).items()} == {
+                k: set(b) for k, b in fresh.index(positions).items()
+            }
+        for key in {t[:1] for t in rel.tuples()}:
+            assert sorted(rel.probe_chain((0, 1), 1, key)) == sorted(
+                fresh.probe_chain((0, 1), 1, key)
+            )
+        for depth in (1, 2):
+            assert rel.chain_key_count((0, 1), depth) == (
+                fresh.chain_key_count((0, 1), depth)
+            )
 
     def test_database_index_counters_sum_relations(self):
         db = Database({"R": [("a",)], "S": [("b", "c")]})

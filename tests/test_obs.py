@@ -15,14 +15,12 @@ import pytest
 from repro.obs import (
     BENCH_SCHEMA_VERSION,
     DIFFERENTIAL_SCHEMA_VERSION,
-    KERNEL_SCHEMA_VERSION,
     TRACE_SCHEMA_VERSION,
     BenchRecord,
     CollectorSink,
     DifferentialRecord,
     HotRuleTableSink,
     JsonlSink,
-    KernelRecord,
     LiteralProfile,
     NULL_TRACER,
     NullTracer,
@@ -34,16 +32,12 @@ from repro.obs import (
     Tracer,
     bench_artifact_dict,
     differential_artifact_dict,
-    kernel_artifact_dict,
     load_bench_artifact,
     load_differential_artifact,
-    load_kernel_artifact,
     validate_bench_artifact,
     validate_differential_artifact,
-    validate_kernel_artifact,
     write_bench_artifact,
     write_differential_artifact,
-    write_kernel_artifact,
 )
 from repro.parser import parse_program
 from repro.relational.instance import Database
@@ -384,65 +378,6 @@ class TestBenchArtifact:
         assert record.rule_firings == result.stats.rule_firings
         assert record.stages == result.stats.stage_count
         validate_bench_artifact(bench_artifact_dict([record]))
-
-
-class TestKernelArtifact:
-    RECORDS = [
-        KernelRecord("tc_nonlinear_chain", "interpreted", 60, 1.5, 40433, 7),
-        KernelRecord("tc_nonlinear_chain", "compiled", 60, 0.03, 40433, 7),
-    ]
-
-    def test_dict_sorted_and_versioned(self):
-        d = kernel_artifact_dict(list(self.RECORDS))
-        assert d["version"] == KERNEL_SCHEMA_VERSION
-        matchers = [r["matcher"] for r in d["benchmarks"]]
-        assert matchers == ["compiled", "interpreted"]
-
-    def test_write_load_roundtrip(self, tmp_path):
-        path = str(tmp_path / "BENCH_kernel.json")
-        write_kernel_artifact(list(self.RECORDS), path)
-        loaded = load_kernel_artifact(path)
-        assert set(loaded) == set(self.RECORDS)
-
-    def test_validator_rejects_drift(self):
-        good = kernel_artifact_dict(list(self.RECORDS))
-        with pytest.raises(ValueError):
-            validate_kernel_artifact({**good, "version": 99})
-        with pytest.raises(ValueError):
-            validate_kernel_artifact({**good, "extra": 1})
-        bad_record = dict(good["benchmarks"][0])
-        bad_record["surprise"] = True
-        with pytest.raises(ValueError):
-            validate_kernel_artifact(
-                {"version": KERNEL_SCHEMA_VERSION, "benchmarks": [bad_record]}
-            )
-        wrong_matcher = dict(good["benchmarks"][0])
-        wrong_matcher["matcher"] = "jit"
-        with pytest.raises(ValueError):
-            validate_kernel_artifact(
-                {"version": KERNEL_SCHEMA_VERSION,
-                 "benchmarks": [wrong_matcher]}
-            )
-
-    def test_from_stats(self):
-        from repro.semantics.plan import PlanCache
-
-        # The kernel artifact is the two-way PR 4 ablation: its
-        # "compiled" cell means the plan interpreter, codegen off.
-        assert PlanCache.codegen  # the default
-        try:
-            PlanCache.codegen = False
-            result = evaluate_datalog_seminaive(
-                parse_program(TC), Database(GRAPH)
-            )
-        finally:
-            PlanCache.codegen = True
-        record = KernelRecord.from_stats(
-            "tc", result.stats.matcher, 4, result.stats
-        )
-        assert record.matcher == "compiled"
-        assert record.rule_firings == result.stats.rule_firings
-        validate_kernel_artifact(kernel_artifact_dict([record]))
 
 
 class TestDifferentialArtifact:

@@ -1,8 +1,8 @@
-"""The compiled slot-plan kernel (semantics/plan) vs the interpreted twin.
+"""The compiled plans (semantics/plan) vs the reference matcher.
 
-Every test here is a parity or representation check on the compiled
-matcher: same matches, in the same order, as the interpreted path —
-plus the plan-cache contract, the ``compiled_plans`` toggle, and the
+Every test here is a parity or representation check on the production
+matcher: same matches, in the same order, as ``reference_matches`` —
+plus the plan-cache contract, the matcher a traced run reports, and the
 two satellite fixes that ride along (O(1) index bucket deletion,
 hoisted join-order variable sets).
 """
@@ -18,41 +18,35 @@ from repro.semantics.base import (
     evaluation_adom,
     immediate_consequences,
     iter_matches,
+    reference_matches,
 )
-from repro.semantics.plan import PlanCache, RulePlan, plan_for
+from repro.semantics.plan import RulePlan, plan_for
 from repro.terms import Var
 
 
 def both_matchers(rule_text, db, delta=None, program_text=None):
-    """(compiled, interpreted) match lists for one rule, same adom."""
+    """(production, reference) match lists for one rule, same adom."""
     rule = parse_rule(rule_text)
     program = parse_program(program_text or rule_text)
     adom = evaluation_adom(program, db)
     frozen = (
         {k: frozenset(v) for k, v in delta.items()} if delta is not None else None
     )
-
-    def run():
-        return [dict(v) for v in iter_matches(rule, db, adom, delta=frozen)]
-
-    assert PlanCache.compiled_plans  # the default
-    try:
-        compiled = run()
-        PlanCache.compiled_plans = False
-        interpreted = run()
-    finally:
-        PlanCache.compiled_plans = True
-    return compiled, interpreted
+    production = [dict(v) for v in iter_matches(rule, db, adom, delta=frozen)]
+    reference = [
+        dict(v) for v in reference_matches(rule, db, adom, delta=frozen)
+    ]
+    return production, reference
 
 
 def assert_parity(rule_text, db, delta=None, program_text=None):
-    compiled, interpreted = both_matchers(
+    production, reference = both_matchers(
         rule_text, db, delta=delta, program_text=program_text
     )
     # Order matters: seeded engines (choice, nondeterministic) consume
     # match order, so the kernel must reproduce it exactly.
-    assert compiled == interpreted
-    return compiled
+    assert production == reference
+    return production
 
 
 class TestMatchParity:
@@ -188,18 +182,20 @@ class TestPlanRepresentation:
         assert a is not b and a == b
         assert plan_for(a, (0,)) is plan_for(b, (0,))
 
-    def test_toggle_routes_to_interpreted(self):
+    def test_traced_run_reports_the_reference_matcher(self):
+        from repro.obs import CollectorSink, Tracer
         from repro.semantics.seminaive import evaluate_datalog_seminaive
 
         program = parse_program("T(x, y) :- G(x, y). T(x, y) :- G(x, z), T(z, y).")
         db = Database({"G": [("a", "b"), ("b", "c")]})
-        try:
-            PlanCache.compiled_plans = False
-            result = evaluate_datalog_seminaive(program, db)
-        finally:
-            PlanCache.compiled_plans = True
-        assert result.stats.matcher == "interpreted"
-        assert len(result.answer("T")) == 3
+        traced = evaluate_datalog_seminaive(
+            program, db, tracer=Tracer([CollectorSink()])
+        )
+        plain = evaluate_datalog_seminaive(program, db)
+        assert traced.stats.matcher == "interpreted"
+        assert plain.stats.matcher == "columnar"
+        assert traced.answer("T") == plain.answer("T")
+        assert len(traced.answer("T")) == 3
 
 
 class TestIndexRemoveFast:

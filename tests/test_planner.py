@@ -6,25 +6,29 @@ their contracts: chain (trie) indexes and their statistics on
 (MISP), the deterministic cost-based join order, the relation→rules
 dispatch map (delta-disjoint rules incur zero plan lookups), index GC
 (a wide relation ends the run with only covered indexes live), the
-planner-on/off differential across all deterministic engines, and
-byte-identical seeded nondeterministic replay with the planner on.
+production-vs-reference differential across all deterministic engines
+(the reference is a traced run, which keeps the production schedule),
+per-run planner reports, and byte-identical seeded nondeterministic
+replay.
 """
 
+import copy
 import random
 
 import pytest
 
+from repro.obs import CollectorSink, RunMetrics, Tracer
 from repro.parser import parse_program
 from repro.programs.component_chain import (
     component_chain_database,
     component_chain_program,
+    component_chain_source,
     reference_component_chain,
 )
 from repro.relational.instance import Database, Relation
 from repro.semantics.naive import evaluate_datalog_naive
 from repro.semantics.nondeterministic import run_nondeterministic
 from repro.semantics.planner import (
-    QueryPlanner,
     _cost_order,
     clear_contexts,
     consequences,
@@ -41,12 +45,15 @@ from tests.test_differential_engines import random_program_and_database
 
 @pytest.fixture(autouse=True)
 def fresh_planner():
-    """Each test starts from clean contexts and the default toggle."""
+    """Each test starts from clean contexts."""
     clear_contexts()
-    QueryPlanner.enabled = True
     yield
     clear_contexts()
-    QueryPlanner.enabled = True
+
+
+def traced(engine, program, db):
+    """``engine`` under a full tracer: the reference matcher."""
+    return engine(program, db, tracer=Tracer([CollectorSink()]))
 
 
 # -- chain (trie) indexes ---------------------------------------------------
@@ -296,13 +303,11 @@ class TestIndexGC:
 
 class TestScheduledParity:
     def run_both(self, engine, program, db):
-        on = engine(program, db)
-        QueryPlanner.enabled = False
-        off = engine(program, db)
-        QueryPlanner.enabled = True
-        return on, off
+        return engine(program, db), traced(engine, program, db)
 
     def test_component_chain_matches_legacy_and_reference(self):
+        # Production against the reference matcher and against the
+        # independent reference answers.
         program = component_chain_program(4)
         db = component_chain_database(4)
         on, off = self.run_both(evaluate_datalog_seminaive, program, db)
@@ -337,13 +342,23 @@ class TestScheduledParity:
         db = Database({
             "moves": [("a", "b"), ("b", "a"), ("b", "c")],
         })
-        on = evaluate_wellfounded(program, db)
-        QueryPlanner.enabled = False
-        off = evaluate_wellfounded(program, db)
-        QueryPlanner.enabled = True
+        on, off = self.run_both(evaluate_wellfounded, program, db)
         assert on.true_facts == off.true_facts
         assert on.unknown_facts() == off.unknown_facts()
         assert on.rule_firings == off.rule_firings
+
+    @pytest.mark.parametrize(
+        "engine", [evaluate_datalog_seminaive, evaluate_stratified]
+    )
+    def test_traced_runs_take_the_production_schedule(self, engine):
+        program = parse_program(component_chain_source(3, 4))
+        db = component_chain_database(3, 4)
+        plain, reference = self.run_both(engine, program, db)
+        assert reference.stats.matcher == "interpreted"
+        for result in (plain, reference):
+            assert result.rule_firings == 18
+            assert result.stats.stage_count == 12
+        assert plain.database.canonical() == reference.database.canonical()
 
 
 # -- planner report ---------------------------------------------------------
@@ -389,6 +404,33 @@ class TestReport:
         json_planner = result.stats.to_dict()["planner"]
         assert json_planner["rules"]["0"]["actual_rows"] == 3
 
+    def test_each_run_reports_only_its_own_work(self):
+        # Cached decisions outlive a run; its report does not: a second
+        # evaluation of the same parsed program leaves the first run's
+        # report alone and counts exactly what a fresh program counts.
+        from repro.programs.tc import tc_program
+        from repro.workloads.graphs import chain, graph_database
+
+        program = tc_program()
+        first = evaluate_datalog_seminaive(program, graph_database(chain(10)))
+        before = copy.deepcopy(first.stats.planner)
+        second = evaluate_datalog_seminaive(
+            program, graph_database(chain(30))
+        )
+        fresh = evaluate_datalog_seminaive(
+            tc_program(), graph_database(chain(30))
+        )
+        assert first.stats.planner is not second.stats.planner
+        assert first.stats.planner == before
+        assert before["plan_lookups"] == 11
+        report = second.stats.planner
+        assert report["plan_lookups"] == fresh.stats.planner["plan_lookups"]
+        assert report["plan_lookups"] == 31
+        assert report["rules"]["1"]["actual_rows"] == 406
+        assert report["rules"] == fresh.stats.planner["rules"]
+        metrics = RunMetrics.from_run(program, second.stats, second.database)
+        assert metrics.rules["1"]["actual_rows"] == 406
+
     def test_plan_cache_hits_dominate_on_stable_cardinalities(self):
         program = component_chain_program(3)
         db = component_chain_database(3)
@@ -414,31 +456,23 @@ ENGINES = {
 
 @pytest.mark.parametrize("seed", range(50))
 def test_planner_differential_on_random_programs(seed):
-    """Planner-on and planner-off agree on 50 random programs, across
-    naive/seminaive/stratified/wellfounded."""
+    """The planned production path and the reference matcher agree on
+    50 random programs, across naive/seminaive/stratified/wellfounded."""
     rng = random.Random(seed)
     source, db = random_program_and_database(rng)
     program = parse_program(source, name=f"planner-random-{seed}")
 
-    assert QueryPlanner.enabled
     for name, engine in ENGINES.items():
-        try:
-            on = engine(program, db)
-            QueryPlanner.enabled = False
-            off = engine(program, db)
-        finally:
-            QueryPlanner.enabled = True
+        on = engine(program, db)
+        off = traced(engine, program, db)
         context = f"{name}: {source}"
         assert on.database.canonical() == off.database.canonical(), context
         assert on.rule_firings == off.rule_firings, context
+        assert on.stats.stage_count == off.stats.stage_count, context
     # Well-founded semantics of a positive program is its minimum model;
     # the planner must not disturb the alternating fixpoint either.
-    try:
-        wf_on = evaluate_wellfounded(program, db)
-        QueryPlanner.enabled = False
-        wf_off = evaluate_wellfounded(program, db)
-    finally:
-        QueryPlanner.enabled = True
+    wf_on = evaluate_wellfounded(program, db)
+    wf_off = traced(evaluate_wellfounded, program, db)
     assert wf_on.true_facts == wf_off.true_facts, source
     assert wf_on.possible_facts == wf_off.possible_facts, source
 
@@ -458,21 +492,23 @@ class TestSeededReplay:
         return [(tuple(s.inserted), tuple(s.deleted)) for s in run.steps]
 
     def test_same_seed_replays_byte_identically_with_planner(self):
-        assert QueryPlanner.enabled
         first = self.run(seed=7)
         second = self.run(seed=7)
         assert self.steps_of(first) == self.steps_of(second)
         assert first.database.canonical() == second.database.canonical()
 
-    def test_planner_toggle_does_not_touch_the_sampler(self):
+    def test_planner_state_does_not_touch_the_sampler(self):
         # The planner never reaches iter_matches, so a seeded run is the
-        # same trajectory with the planner on or off.
-        on = self.run(seed=11)
-        QueryPlanner.enabled = False
-        off = self.run(seed=11)
-        QueryPlanner.enabled = True
-        assert self.steps_of(on) == self.steps_of(off)
-        assert on.database.canonical() == off.database.canonical()
+        # same trajectory before and after a planned evaluation of the
+        # same program object filled its planner context.
+        program = parse_program(self.SOURCE, name="seeded-replay")
+        db = Database({"S": [("a",), ("b",), ("c",)]})
+        before = run_nondeterministic(program, db, seed=11)
+        consequences(program, db, ("a", "b", "c"))
+        assert plan_context(program).states[0].lookups == 1
+        after = run_nondeterministic(program, db, seed=11)
+        assert self.steps_of(before) == self.steps_of(after)
+        assert before.database.canonical() == after.database.canonical()
 
 
 # -- static priors: cardinality bounds for cold relations -------------------

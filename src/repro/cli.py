@@ -442,13 +442,6 @@ def cmd_stats(args, out) -> int:
     _maybe_warm_from_stats(args, program)
     result = engine(program, db)
     _maybe_save_stats(args, program, result)
-    # Memory-density report: measured on the final instance, additive
-    # in the stats schema (``storage`` stays None for engines whose
-    # results carry no database).
-    final_db = getattr(result, "database", None)
-    stats_obj = getattr(result, "stats", None)
-    if final_db is not None and stats_obj is not None:
-        stats_obj.storage = final_db.storage_report()
     if getattr(args, "format", "human") == "json":
         import json
 
@@ -458,21 +451,6 @@ def cmd_stats(args, out) -> int:
         print(json.dumps(document, indent=2), file=out)
     else:
         print(result.stats.summary(), file=out)
-        storage = getattr(stats_obj, "storage", None)
-        if storage is not None:
-            interner = storage["interner"]
-            print(
-                f"interner:          {interner['constants']} constants, "
-                f"{interner['bytes']} bytes",
-                file=out,
-            )
-            for name, rel in storage["relations"].items():
-                print(
-                    f"  {name}: {rel['rows']} rows, "
-                    f"set {rel['set_bytes']} B, "
-                    f"columns {rel['column_bytes']} B",
-                    file=out,
-                )
     return 0
 
 

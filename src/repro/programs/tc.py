@@ -43,7 +43,7 @@ def tc_nonlinear_program() -> Program:
     """Nonlinear transitive closure: T joined with itself.
 
     Computes the same answer as :func:`tc_program` in O(log n) stages;
-    the self-join probes the growing T through a hash index, which makes
+    the self-join probes the growing T through a chain index, which makes
     this the canonical stress test for incremental index maintenance.
     """
     return parse_program(

@@ -7,48 +7,35 @@ chaining engines grow and shrink them — but expose cheap snapshots
 (:meth:`Database.canonical`) used for equality tests and for the cycle
 detection that powers nontermination checks in Datalog¬¬.
 
-Relations maintain hash indexes on demand: ``Relation.index((0, 2))``
-returns a dict from values at positions 0 and 2 to the matching tuples,
-which the rule matcher uses to avoid full scans.  Buckets are dicts used
-as *ordered sets* (``dict[tuple, None]``): insertion order matches the
-old list-append order (so seeded nondeterministic engines see the same
-enumeration order), while deletion is O(1) instead of the O(bucket)
-``list.remove`` scan — which matters for the noninflationary/while
-engines that discard heavily from skewed buckets.  Indexes are maintained
-*incrementally*: once built, an index is updated in place on every
-``add``/``discard`` instead of being discarded and rebuilt — the
-difference between O(facts) and O(stages × facts) total index work over
-a fixpoint computation.  ``Relation.version`` is a monotone counter
-bumped on every mutation; snapshot consumers key caches on it.  The
-counters :attr:`Relation.index_builds` / :attr:`Relation.index_updates`
-feed the engines' :class:`~repro.semantics.base.EngineStats`.
+Besides its tuple set a relation keeps one kind of index: the *chain*
+(trie) index (:meth:`Relation.chain_index`), a nested-dict trie over a
+column order.  Level d maps the value at position ``order[d]`` to the
+next level, and the node below the last level is a bucket — a dict used
+as an *ordered set* (``dict[tuple, None]``).  Insertion order matches
+the old list-append order (so seeded nondeterministic engines see the
+same enumeration order), while deletion is O(1) instead of the
+O(bucket) ``list.remove`` scan — which matters for the
+noninflationary/while engines that discard heavily from skewed buckets.
 
-Two physical index shapes coexist:
+One chain answers every key template that is a prefix of its order
+(:meth:`Relation.probe_chain`), which is what lets the query planner's
+minimum chain cover (MISP) serve several templates with one physical
+index.  A keyed lookup the planner has not pointed at a cover chain —
+the reference matcher, ``iter_matches``, the differential engine's
+support probes — uses the *identity chain*: its key positions in
+ascending order, probed at full depth, whose bucket is exactly a hash
+index's bucket on those positions.  Per-depth distinct-key counts are
+maintained live and feed the planner's cardinality estimates
+(:meth:`Relation.distinct_estimate`).
 
-* *flat* hash indexes (:meth:`Relation.index`) — one dict per distinct
-  position tuple, keys in position order; built by the reference
-  matcher and by compiled plans the planner did not rewrite onto a
-  chain (``iter_matches``, the differential engine's support probes);
-* *chain* indexes (:meth:`Relation.chain_index`) — a nested-dict trie
-  whose column order is chosen by the query planner's minimal index
-  cover (MISP), so a single physical index serves every key template
-  that is a prefix of the chain.  :meth:`Relation.probe_chain` answers
-  a prefix probe at any depth; per-depth distinct-key counts are
-  maintained live and feed the planner's cardinality estimates
-  (:meth:`Relation.distinct_estimate`).
-
-Either shape can be dropped (:meth:`drop_index` /
-:meth:`drop_chain_index`) — the planner garbage-collects indexes its
-cover no longer needs, counted by :attr:`Relation.index_drops`.
-
-A third storage shape rides along the same lifecycle: the *interned
-column store* (:meth:`Relation.column_store`), the relation's facts as
-parallel ``array('q')`` columns of dense constant ids from the
-database's shared :class:`~repro.relational.columnar.Interner`.  Like
-the indexes it is built lazily on first request and maintained in place
-on every ``add``/``discard``/``clear``.
-``Database.storage_report()`` prices the two representations against
-each other for ``repro stats``.
+Chains are maintained *incrementally*: once built, a chain is updated
+in place on every ``add``/``discard`` instead of being discarded and
+rebuilt — the difference between O(facts) and O(stages × facts) total
+index work over a fixpoint computation.  The planner garbage-collects
+chains its cover no longer needs (:meth:`Relation.drop_chain_index`).
+The counters :attr:`Relation.index_builds`,
+:attr:`Relation.index_updates` and :attr:`Relation.index_drops` feed
+the engines' :class:`~repro.semantics.base.EngineStats`.
 """
 
 from __future__ import annotations
@@ -56,7 +43,6 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Iterator
 
 from repro.errors import SchemaError
-from repro.relational.columnar import ColumnStore, Interner, storage_report
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
 Fact = tuple[str, tuple[Hashable, ...]]
@@ -69,11 +55,8 @@ class Relation:
         "name",
         "arity",
         "_tuples",
-        "_indexes",
         "_chains",
         "_chain_counts",
-        "_store",
-        "_version",
         "_index_builds",
         "_index_updates",
         "_index_drops",
@@ -83,17 +66,12 @@ class Relation:
         self.name = name
         self.arity = arity
         self._tuples: set[tuple] = set()
-        self._indexes: dict[tuple[int, ...], dict[tuple, dict[tuple, None]]] = {}
         #: Chain (trie) indexes: column order → nested dicts; the node
         #: after the last column is the bucket (``dict[tuple, None]``).
         self._chains: dict[tuple[int, ...], dict] = {}
         #: Per-chain live statistics: ``counts[d]`` is the number of
         #: distinct key prefixes of length d+1 (planner fan-out input).
         self._chain_counts: dict[tuple[int, ...], list[int]] = {}
-        #: Interned column store, or None until :meth:`column_store`
-        #: activates it; maintained alongside the indexes thereafter.
-        self._store: ColumnStore | None = None
-        self._version = 0
         self._index_builds = 0
         self._index_updates = 0
         self._index_drops = 0
@@ -111,32 +89,6 @@ class Relation:
         return t
 
     # -- incremental index maintenance --------------------------------------
-
-    def _index_insert(self, t: tuple) -> None:
-        """Append ``t`` under its key in every live index."""
-        for positions, table in self._indexes.items():
-            key = tuple(t[p] for p in positions)
-            bucket = table.get(key)
-            if bucket is None:
-                table[key] = {t: None}
-            else:
-                bucket[t] = None
-            self._index_updates += 1
-
-    def _index_remove(self, t: tuple) -> None:
-        """Remove ``t`` from its key's bucket in every live index.
-
-        O(1) per bucket: the bucket is an insertion-ordered dict, so
-        deletion is a hash delete — no O(bucket) ``list.remove`` scan.
-        """
-        for positions, table in self._indexes.items():
-            key = tuple(t[p] for p in positions)
-            bucket = table.get(key)
-            if bucket is not None:
-                del bucket[t]
-                if not bucket:
-                    del table[key]
-            self._index_updates += 1
 
     def _chain_insert(self, t: tuple) -> None:
         """Thread ``t`` into every live chain index (one update each)."""
@@ -185,13 +137,8 @@ class Relation:
         if t in self._tuples:
             return False
         self._tuples.add(t)
-        self._version += 1
-        if self._indexes:
-            self._index_insert(t)
         if self._chains:
             self._chain_insert(t)
-        if self._store is not None:
-            self._store.append(t)
         return True
 
     def add_batch(self, ts) -> list[tuple]:
@@ -201,8 +148,8 @@ class Relation:
         one ``set.update`` replace the per-fact ``add`` call chain.
         Callers pass engine-built tuples (head instantiations), so the
         per-tuple coercion of :meth:`_check` is skipped — only the
-        arity is verified.  Index, chain, and column-store maintenance
-        still runs per new tuple; returned order follows ``ts``.
+        arity is verified.  Chain maintenance still runs per new tuple;
+        returned order follows ``ts``.
         """
         tuples = self._tuples
         fresh = [t for t in ts if t not in tuples]
@@ -216,17 +163,9 @@ class Relation:
                     f"{self.name!r} has arity {arity}"
                 )
         tuples.update(fresh)
-        self._version += len(fresh)
-        if self._indexes:
-            for t in fresh:
-                self._index_insert(t)
         if self._chains:
             for t in fresh:
                 self._chain_insert(t)
-        store = self._store
-        if store is not None:
-            for t in fresh:
-                store.append(t)
         return fresh
 
     def discard(self, t: tuple) -> bool:
@@ -235,13 +174,8 @@ class Relation:
         if t not in self._tuples:
             return False
         self._tuples.remove(t)
-        self._version += 1
-        if self._indexes:
-            self._index_remove(t)
         if self._chains:
             self._chain_remove(t)
-        if self._store is not None:
-            self._store.discard(t)
         return True
 
     def update(self, tuples: Iterable[tuple]) -> int:
@@ -255,50 +189,33 @@ class Relation:
     def clear(self) -> None:
         if self._tuples:
             self._tuples.clear()
-            self._version += 1
-            # Keep the indexes live (all empty) so later adds maintain
+            # Keep the chains live (all empty) so later adds maintain
             # them without a rebuild.
-            for table in self._indexes.values():
-                table.clear()
             for order, root in self._chains.items():
                 root.clear()
                 counts = self._chain_counts[order]
                 for depth in range(len(counts)):
                     counts[depth] = 0
-            if self._store is not None:
-                self._store.clear()
 
     def replace(self, tuples: Iterable[tuple]) -> None:
         """Replace the whole content (used by while-language assignment)."""
         new = {self._check(t) for t in tuples}
         if new == self._tuples:
             return
-        if self._indexes or self._chains:
+        if self._chains:
             added = new - self._tuples
             removed = self._tuples - new
             if len(added) + len(removed) <= len(new):
-                # Small diff: patch the live indexes in place.
-                store = self._store
+                # Small diff: patch the live chains in place.
                 for t in removed:
-                    self._index_remove(t)
                     self._chain_remove(t)
-                    if store is not None:
-                        store.discard(t)
                 for t in added:
-                    self._index_insert(t)
                     self._chain_insert(t)
-                    if store is not None:
-                        store.append(t)
             else:
                 # Wholesale change: cheaper to rebuild lazily.
-                self._indexes.clear()
                 self._chains.clear()
                 self._chain_counts.clear()
-                self._store = None
-        else:
-            self._store = None  # no index to patch alongside: rebuild lazily
         self._tuples = new
-        self._version += 1
 
     def __contains__(self, t: tuple) -> bool:
         return t in self._tuples
@@ -318,11 +235,6 @@ class Relation:
         return f"Relation({self.name!r}/{self.arity}, {len(self)} tuples)"
 
     @property
-    def version(self) -> int:
-        """Monotone counter bumped on every mutation (index cache key)."""
-        return self._version
-
-    @property
     def index_builds(self) -> int:
         """How many times a full index was built from scratch."""
         return self._index_builds
@@ -336,10 +248,6 @@ class Relation:
     def index_drops(self) -> int:
         """How many live indexes the planner's GC freed."""
         return self._index_drops
-
-    def index_counters(self) -> tuple[int, int]:
-        """(full builds, incremental updates) — see :class:`EngineStats`."""
-        return self._index_builds, self._index_updates
 
     def tuples(self) -> frozenset[tuple]:
         """An immutable snapshot of the current content."""
@@ -355,27 +263,6 @@ class Relation:
         """
         return self._tuples
 
-    def index(self, positions: tuple[int, ...]) -> dict[tuple, dict[tuple, None]]:
-        """A hash index on the given positions, built lazily and cached.
-
-        Maps each distinct key (the projection of a tuple onto
-        ``positions``) to an ordered set (``dict[tuple, None]``) of the
-        tuples with that key; iterate a bucket directly for the matching
-        tuples.  The returned dict is live — it is maintained in place
-        by subsequent mutations — so callers must not modify it, and
-        must snapshot a bucket before iterating across their own writes.
-        """
-        cached = self._indexes.get(positions)
-        if cached is not None:
-            return cached
-        built: dict[tuple, dict[tuple, None]] = {}
-        for t in self._tuples:
-            key = tuple(t[p] for p in positions)
-            built.setdefault(key, {})[t] = None
-        self._indexes[positions] = built
-        self._index_builds += 1
-        return built
-
     # -- chain (trie) indexes -----------------------------------------------
 
     def chain_index(self, order: tuple[int, ...]) -> dict:
@@ -385,9 +272,10 @@ class Relation:
         next level; the node below the last level is an ordered-set bucket
         (``dict[tuple, None]``).  Any key template whose positions are a
         prefix of ``order`` can be answered by :meth:`probe_chain`, which
-        is what lets the planner's minimal cover replace several flat
-        indexes with one chain.  Like flat indexes the returned trie is
-        live; callers must not modify it.
+        is what lets the planner's minimal cover serve several templates
+        with one chain.  The returned trie is live — maintained in place
+        by subsequent mutations — so callers must not modify it, and
+        must snapshot a bucket before iterating across their own writes.
         """
         cached = self._chains.get(order)
         if cached is not None:
@@ -412,36 +300,15 @@ class Relation:
 
     def probe_chain(
         self, order: tuple[int, ...], depth: int, key: tuple
-    ) -> list[tuple]:
+    ) -> "Iterable[tuple]":
         """Tuples whose values at ``order[:depth]`` equal ``key``.
 
-        A full-depth probe reads one bucket; a prefix probe collects the
-        buckets under the matched subtrie (enumeration order is insertion
-        order, same as the equivalent flat-index bucket).
-        """
-        node = self._chains.get(order)
-        if node is None:
-            node = self.chain_index(order)
-        for v in key:
-            node = node.get(v)
-            if node is None:
-                return []
-        if depth == len(order):
-            return list(node)
-        out: list[tuple] = []
-        self._collect(node, len(order) - depth, out)
-        return out
-
-    def probe_chain_live(
-        self, order: tuple[int, ...], depth: int, key: tuple
-    ) -> "Iterable[tuple]":
-        """:meth:`probe_chain` without the defensive snapshot.
-
-        A full-depth probe returns the live bucket itself (iterating it
-        yields the tuples in the same insertion order the snapshot
-        would).  The caller must not mutate the relation while
-        consuming the result — the generated fused ``emit_*``
-        path qualifies, since it never yields control mid-walk.
+        A full-depth probe returns the live bucket itself, in insertion
+        order; a prefix probe returns a fresh list of the buckets under
+        the matched subtrie.  A miss returns ``()``.  A caller that
+        mutates the relation while consuming a full-depth result must
+        snapshot it with ``list(...)`` first, as the reference matcher
+        does.
         """
         node = self._chains.get(order)
         if node is None:
@@ -464,45 +331,23 @@ class Relation:
         for child in node.values():
             Relation._collect(child, remaining - 1, out)
 
-    def chain_key_count(self, order: tuple[int, ...], depth: int) -> int:
-        """Distinct key prefixes of length ``depth`` in a live chain."""
-        if depth == 0:
-            return 1 if self._tuples else 0
-        counts = self._chain_counts.get(order)
-        if counts is None:
-            self.chain_index(order)
-            counts = self._chain_counts[order]
-        return counts[depth - 1]
-
     def distinct_estimate(self, positions: frozenset[int]) -> int | None:
-        """Distinct-key count for a position set, from live indexes only.
+        """Distinct-key count for a position set, from live chains only.
 
-        Consults flat indexes first, then chain prefixes; returns ``None``
-        when no live index covers the set (the planner then falls back to
-        a heuristic).  Never builds anything — estimates must be free.
+        Any live chain whose prefix of that length is exactly the set
+        answers; returns ``None`` when none does (the planner then falls
+        back to a heuristic).  Never builds anything — estimates must
+        be free.
         """
-        flat = self._indexes.get(tuple(sorted(positions)))
-        if flat is not None:
-            return len(flat)
+        depth = len(positions)
         for order, counts in self._chain_counts.items():
-            depth = len(positions)
             if depth <= len(order) and frozenset(order[:depth]) == positions:
                 return counts[depth - 1] if depth else len(self._tuples)
         return None
 
-    def live_indexes(self) -> list[tuple[str, tuple[int, ...]]]:
-        """Shapes currently materialized: ("flat"|"chain", positions/order)."""
-        out: list[tuple[str, tuple[int, ...]]] = []
-        out.extend(("flat", positions) for positions in self._indexes)
-        out.extend(("chain", order) for order in self._chains)
-        return out
-
-    def drop_index(self, positions: tuple[int, ...]) -> bool:
-        """Free a flat index (planner GC); True if one was live."""
-        if self._indexes.pop(positions, None) is None:
-            return False
-        self._index_drops += 1
-        return True
+    def live_indexes(self) -> list[tuple[int, ...]]:
+        """The column orders of the chains currently materialized."""
+        return list(self._chains)
 
     def drop_chain_index(self, order: tuple[int, ...]) -> bool:
         """Free a chain index (planner GC); True if one was live."""
@@ -512,29 +357,11 @@ class Relation:
         self._index_drops += 1
         return True
 
-    def column_store(self, interner: Interner) -> ColumnStore:
-        """This relation's facts as interned columns (lazy, maintained).
-
-        Built on first use from the live tuple set; thereafter kept in
-        sync incrementally by :meth:`add`/:meth:`discard`/:meth:`replace`
-        (same lifecycle as the hash and chain indexes — dropped when a
-        wholesale replace makes patching more expensive than
-        rebuilding).
-        """
-        store = self._store
-        if store is None or store.interner is not interner:
-            store = self._store = ColumnStore(self.arity, interner, self._tuples)
-        return store
-
     def copy(self) -> "Relation":
         clone = Relation(self.name, self.arity)
         clone._tuples = set(self._tuples)
-        # Carrying the live indexes over is cheaper than letting the
+        # Carrying the live chains over is cheaper than letting the
         # clone rebuild them from scratch on first use.
-        clone._indexes = {
-            positions: {key: dict(bucket) for key, bucket in table.items()}
-            for positions, table in self._indexes.items()
-        }
         clone._chains = {
             order: self._copy_trie(root, len(order))
             for order, root in self._chains.items()
@@ -582,7 +409,7 @@ class Database:
     arity is fixed by a first fact or an :meth:`ensure_relation` call.
     """
 
-    __slots__ = ("_relations", "_deferred", "_interner")
+    __slots__ = ("_relations", "_deferred")
 
     def __init__(
         self,
@@ -590,7 +417,6 @@ class Database:
     ):
         self._relations: dict[str, Relation] = {}
         self._deferred: set[str] = set()
-        self._interner: Interner | None = None
         if contents:
             for key, tuples in contents.items():
                 tuples = [t if isinstance(t, tuple) else tuple(t) for t in tuples]
@@ -657,29 +483,13 @@ class Database:
         out.extend(sorted(self._deferred))
         return out
 
-    def index_counters(self) -> tuple[int, int]:
-        """(full index builds, incremental index updates), summed.
-
-        Reads the slots directly: this runs once per evaluation stage
-        over every relation, and the property-descriptor indirection
-        is measurable there.
-        """
-        builds = updates = 0
-        for rel in self._relations.values():
-            builds += rel._index_builds
-            updates += rel._index_updates
-        return builds, updates
-
-    def index_drop_count(self) -> int:
-        """Indexes freed by planner GC, summed over relations."""
-        return sum(rel._index_drops for rel in self._relations.values())
-
     def index_totals(self) -> tuple[int, int, int]:
-        """(builds, updates, drops) in one relation walk.
+        """(builds, updates, drops), summed over relations in one walk.
 
         The stage-accounting hot path: :class:`StatsRecorder` diffs
-        these totals after every consequence pass, so the three sums
-        share a single pass instead of walking the relations twice.
+        these totals after every consequence pass.  Reads the slots
+        directly, since the property-descriptor indirection is
+        measurable there.
         """
         builds = updates = drops = 0
         for rel in self._relations.values():
@@ -710,28 +520,6 @@ class Database:
         return DatabaseSchema(
             [RelationSchema(rel.name, rel.arity) for rel in self._relations.values()]
         )
-
-    def interner(self) -> Interner:
-        """The database's shared constant interner (created on first use).
-
-        One interner per database keeps ids consistent across relations;
-        clones start with a fresh interner so ids never leak between
-        instances that then diverge.
-        """
-        if self._interner is None:
-            self._interner = Interner()
-        return self._interner
-
-    def column_store(self, name: str) -> ColumnStore | None:
-        """The named relation's interned column store (None if absent)."""
-        rel = self._relations.get(name)
-        if rel is None:
-            return None
-        return rel.column_store(self.interner())
-
-    def storage_report(self) -> dict:
-        """Per-relation set-vs-columns byte densities (see columnar module)."""
-        return storage_report(self)
 
     def copy(self) -> "Database":
         clone = Database()

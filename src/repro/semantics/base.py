@@ -16,7 +16,7 @@ Two matchers compute it:
   .consequences`), which runs the batch kernels;
 * the **reference** matcher, :func:`reference_matches` — a direct
   recursive-generator backtracking join over the positive literals
-  (driven by per-relation hash indexes), followed by equality
+  (driven by each relation's identity chains), followed by equality
   propagation, active-domain enumeration of any variables bound by no
   positive literal, and final checks of negative and inequality
   literals.  Variables occurring *only* in negative literals range over
@@ -46,7 +46,7 @@ from repro.terms import Const, Var, apply_valuation
 
 #: Version of the ``repro stats --format json`` schema.  Bump on any
 #: field rename/removal; additions are allowed.
-STATS_SCHEMA_VERSION = 1
+STATS_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -138,12 +138,6 @@ class EngineStats:
     #: ``json.dumps``-able; populated only by
     #: :class:`repro.semantics.differential.DifferentialEngine`.
     differential: dict | None = None
-    #: Memory-density report (per-relation bytes as a set of tuples vs
-    #: as interned columns, plus interner size), or ``None`` when no
-    #: caller measured it.  Populated by ``repro stats`` from
-    #: :meth:`repro.relational.instance.Database.storage_report`; a
-    #: plain dict under the additive-changes rule like ``planner``.
-    storage: dict | None = None
     stages: list[StageStats] = field(default_factory=list)
 
     @property
@@ -197,10 +191,11 @@ class EngineStats:
     def to_dict(self) -> dict:
         """The pinned JSON shape of ``repro stats --format json``.
 
-        ``matcher``, ``index_drops``, ``planner``, ``differential`` and
-        ``storage`` were added under the additive-changes rule of
-        ``STATS_SCHEMA_VERSION``; everything else is the version-1
-        shape.
+        Version 2 of ``STATS_SCHEMA_VERSION``: the ``storage`` key of
+        version 1 is gone, because relations no longer keep the
+        interned column store it priced — a removal, hence the bump.
+        ``matcher``, ``index_drops``, ``planner`` and ``differential``
+        were added to version 1 under the additive-changes rule.
         """
         return {
             "engine": self.engine,
@@ -215,7 +210,6 @@ class EngineStats:
             "index_drops": self.index_drops,
             "planner": self.planner,
             "differential": self.differential,
-            "storage": self.storage,
             "stages": [s.to_dict() for s in self.stages],
         }
 
@@ -273,14 +267,13 @@ class StatsRecorder:
         firings: int = 0,
         added: int = 0,
         removed: int = 0,
-        counters: tuple[int, int] | tuple[int, int, int] | None = None,
+        counters: tuple[int, int, int] | None = None,
         trace: StageTrace | None = None,
     ) -> None:
         """Close out one consequence pass and record its stats.
 
-        ``counters``, when given explicitly, is ``(builds, updates)`` or
-        ``(builds, updates, drops)`` — the two-element form (used by
-        engines that predate index GC) implies zero drops.  ``trace``,
+        ``counters``, when given explicitly, is ``(builds, updates,
+        drops)``, as :meth:`Database.index_totals` returns.  ``trace``,
         when given and a fact-collecting tracer is attached, lets the
         stage span carry the actual facts added/removed (the ``repro
         trace`` rendering path).
@@ -305,7 +298,7 @@ class StatsRecorder:
             removed=removed,
             index_builds=counters[0],
             index_updates=counters[1],
-            index_drops=counters[2] if len(counters) > 2 else 0,
+            index_drops=counters[2],
         )
         self.stats.stages.append(record)
         if self.tracer is not None:
@@ -481,10 +474,12 @@ def _literal_candidates(
         exact = tuple(bound_values)
         candidates = [exact] if exact in rel else []
     elif bound_positions:
-        # Snapshot the bucket: consumers may add facts between yields,
-        # and the live ordered-set bucket must not grow mid-iteration.
-        bucket = rel.index(bound_positions).get(tuple(bound_values))
-        candidates = list(bucket) if bucket else []
+        # The identity chain, probed at full depth.  Snapshot the
+        # bucket: consumers may add facts between yields, and the live
+        # ordered-set bucket must not grow mid-iteration.
+        candidates = list(rel.probe_chain(
+            bound_positions, len(bound_positions), bound_values
+        ))
     else:
         candidates = list(rel)
     return candidates, free

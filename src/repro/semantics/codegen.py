@@ -14,24 +14,24 @@ Per plan the generated module contains:
 * ``walk_full`` / ``walk_r{i}`` — the generator walks behind
   ``RulePlan.iter_slot_matches``/``iter_seeded``: the full-pass walk
   and one variant per step ``i`` with that step's candidates drawn from
-  the delta.  The join becomes literal nested ``for`` loops; index keys
-  are tuple displays over baked constants and slot reads; repeat checks
-  and residual (in)equalities are inline ``if``\\ s with constant
-  indices.
+  the delta.  The join becomes literal nested ``for`` loops; a
+  full-depth chain probe is one ``.get`` per trie level over baked
+  constants and slot reads (:func:`_trie_get`); repeat checks and
+  residual (in)equalities are inline ``if``\\ s with constant indices.
 * ``emit_full`` / ``emit_r{i}`` — the fused single-positive-head
   variants behind :meth:`RulePlan.run_emit`.  These drop the slot list
   for flat locals (``v0, v1, …``) and bake the head template into the
   ``add`` call.  Because the fused path never yields, nothing can
   mutate the database mid-walk, so these variants also skip the
   defensive bucket snapshots (``list(bucket)`` / ``list(rel)``) and
-  probe chain tries through :meth:`Relation.probe_chain_live`.
+  iterate the live buckets.
 * ``group_r{i}`` — the delta grouping of the restricted variants with
   the key positions baked in.
 * ``emit_batch_full``/``emit_batch_r0`` and
   ``walk_batch_full``/``walk_batch_r0`` — the batch kernels
   (:func:`_emit_batch`): one list comprehension per variant that
-  consumes a whole delta block, with probe ``.get``\\ s hoisted and
-  full-depth chain probes inlined as trie walks.  Dispatched by
+  consumes a whole delta block, with each chain root's ``.get`` hoisted
+  and full-depth probes inlined as the same trie walks.  Dispatched by
   ``run_emit_batch``/``run_walk_batch``; shapes that don't batch (delta
   at a non-leading occurrence, bound plans, no loopable step) and
   blocks under :attr:`CodegenPlan.BATCH_MIN_ROWS` run the scalar
@@ -46,16 +46,18 @@ in ``unbound_slots`` order, and the generator flavor keeps the per-probe
 snapshots because its consumers *can* mutate between yields.  Two
 intentional micro-divergences, both unobservable: a step whose relation
 is missing at walk start returns immediately (the walk could never
-yield, so no consumer can create the relation mid-walk), and the flat
-index table is fetched once per walk at first probe instead of per
-probe (the live table dict is stable within a walk).
+yield, so no consumer can create the relation mid-walk), and a chain's
+root is fetched once per walk at first probe instead of per probe (the
+live root dict is stable within a walk).  A prefix probe (a cover
+chain probed above its last level) is a :meth:`Relation.probe_chain`
+call, whose fresh list needs no snapshot.
 
 Compiled functions are cached on the plan object itself
 (``RulePlan.codegen_fns``): they die with the plan on
 :meth:`PlanCache.clear`, planner replans build fresh plans (hence fresh
 functions), and :func:`~repro.semantics.plan.plan_with_cover` resets
-the slot on its twin so a chain-probing plan never runs the base plan's
-flat-index code.
+the slot on its twin so a cover-probing plan never runs the base plan's
+identity-chain code.
 """
 
 from __future__ import annotations
@@ -117,6 +119,26 @@ def _key_exprs(src: _Source, step, slot_ref) -> list[str]:
     return exprs
 
 
+def _trie_get(get: str, keys: list[str]) -> str:
+    """A full-depth chain probe inlined as one ``.get`` per trie level.
+
+    ``get`` names the chain root's bound ``.get``; ``keys`` are the key
+    expressions in column order.  The expression is the bucket, or a
+    falsy value on a miss.  Levels are pruned when emptied, so ``or``
+    never swallows a live-but-empty node.
+    """
+    expr = f"{get}({keys[0]})"
+    for k in keys[1:]:
+        expr = f"({expr} or _E).get({k})"
+    return expr
+
+
+def _full_depth(step) -> bool:
+    """Whether ``step`` probes its chain at full depth (inlined)."""
+    return (step.chain_order is not None
+            and step.chain_depth == len(step.chain_order))
+
+
 def _template_expr(src: _Source, template, fills, slot_ref) -> str:
     """Tuple display for a (template, fills) pair (head or negation)."""
     exprs = [src.lit(value) for value in template]
@@ -156,8 +178,7 @@ def _emit_variant(src: _Source, plan, restricted_index: int,
         src.add(1, f"rel{d} = db.relation({src.lit(step.relation)})")
         src.add(1, f"if rel{d} is None:")
         src.add(2, bail)
-        if (step.key_positions and not step.exact
-                and step.chain_order is None):
+        if _full_depth(step):
             src.add(1, f"t{d} = None")
     if fused:
         # The fused walk never yields, so the database is frozen for
@@ -183,21 +204,25 @@ def _emit_variant(src: _Source, plan, restricted_index: int,
             # statements below still behave exactly like the reference
             # matcher's single-candidate lookup exhausting.
             src.add(indent, f"if {_tuple_expr(key)} in rel{d}:")
-        elif step.chain_order is not None:
-            chain_key = _tuple_expr([key[i] for i in step.chain_perm])
-            probe = "probe_chain_live" if fused else "probe_chain"
-            src.add(indent,
-                    f"for c{d} in rel{d}.{probe}({step.chain_order!r}, "
-                    f"{step.chain_depth}, {chain_key}):")
-            in_loop = True
-        elif step.key_positions:
+        elif _full_depth(step):
+            # The root is fetched at the walk's first probe, so a walk
+            # that never reaches this step never builds the chain.
+            ks = [key[i] for i in step.chain_perm]
             src.add(indent, f"if t{d} is None:")
-            src.add(indent + 1, f"t{d} = rel{d}.index({step.key_positions!r})")
-            src.add(indent, f"b{d} = t{d}.get({_tuple_expr(key)})")
+            src.add(indent + 1,
+                    f"t{d} = rel{d}.chain_index({step.chain_order!r}).get")
+            src.add(indent, f"b{d} = {_trie_get(f't{d}', ks)}")
             src.add(indent, f"if b{d}:")
             indent += 1
             bucket = f"b{d}" if fused else f"list(b{d})"
             src.add(indent, f"for c{d} in {bucket}:")
+            in_loop = True
+        elif step.chain_order is not None:
+            # A prefix probe: probe_chain collects a fresh list.
+            chain_key = _tuple_expr([key[i] for i in step.chain_perm])
+            src.add(indent,
+                    f"for c{d} in rel{d}.probe_chain({step.chain_order!r}, "
+                    f"{step.chain_depth}, {chain_key}):")
             in_loop = True
         else:
             scan = f"rel{d}" if fused else f"list(rel{d})"
@@ -262,15 +287,15 @@ def _emit_batch(src: _Source, plan, restricted_index: int,
     """One batch (whole-delta) kernel; ``None`` if the shape won't batch.
 
     The batch variants consume an entire delta block in one
-    call — rows unpacked straight into named locals, index/bucket
-    ``.get``\\ s hoisted out of the loop, full-depth chain probes
-    inlined as trie walks.  The walk flavor builds its row list with a
-    single list comprehension (``LIST_APPEND``-driven, no per-row
-    generator resume); the fused flavor runs the same clause chain as
-    a nested block loop dedup-ing bare head tuples into a local set —
-    self-joins fire the same head many times over, and skipping the
-    ``(relation, tuple)`` wrapper allocation per firing pays for
-    wrapping the deduped survivors once at the end.
+    call — rows unpacked straight into named locals, each chain root's
+    ``.get`` hoisted out of the loop, full-depth chain probes inlined
+    as trie walks (:func:`_trie_get`).  The walk flavor builds its row
+    list with a single list comprehension (``LIST_APPEND``-driven, no
+    per-row generator resume); the fused flavor runs the same clause
+    chain as a nested block loop dedup-ing bare head tuples into a
+    local set — self-joins fire the same head many times over, and
+    skipping the ``(relation, tuple)`` wrapper allocation per firing
+    pays for wrapping the deduped survivors once at the end.
 
     Batched shapes: ≥ 1 step, unbound plans only (seeded slots have no
     local to live in), and the restricted variant only for the leading
@@ -349,36 +374,18 @@ def _emit_batch(src: _Source, plan, restricted_index: int,
             cond(f"{_tuple_expr(key)} in rel{d}")
         elif step.chain_order is not None:
             ks = [key[i] for i in step.chain_perm]
-            if step.chain_depth == len(step.chain_order):
-                # Full-depth probe: inline the trie walk — each level
-                # is a dict keyed on one column value, the leaf is the
-                # bucket.  Levels are pruned when emptied, so ``or``
-                # never swallows a live-but-empty node.
+            if _full_depth(step):
                 prologue.append(
                     f"g{d} = rel{d}.chain_index({step.chain_order!r}).get"
                 )
-                expr = f"g{d}({ks[0]})"
-                for k in ks[1:]:
-                    expr = f"({expr} or _E).get({k})"
-                expr += " or ()"
+                expr = _trie_get(f"g{d}", ks) + " or ()"
             else:
-                prologue.append(f"p{d} = rel{d}.probe_chain_live")
+                prologue.append(f"p{d} = rel{d}.probe_chain")
                 expr = (f"p{d}({step.chain_order!r}, {step.chain_depth}, "
                         f"{_tuple_expr(ks)})")
             clauses.append(f"for {targets(d)} in {expr}")
             if arities[d]:
                 probe_info[d] = (expr, key_expr_of(ks))
-            last_for = (len(clauses) - 1, d)
-            has_for = True
-        elif step.key_positions:
-            prologue.append(f"g{d} = rel{d}.index({step.key_positions!r}).get")
-            clauses.append(
-                f"for {targets(d)} in g{d}({_tuple_expr(key)}) or ()"
-            )
-            if arities[d]:
-                probe_info[d] = (
-                    f"g{d}({_tuple_expr(key)}) or ()", key_expr_of(key)
-                )
             last_for = (len(clauses) - 1, d)
             has_for = True
         else:
@@ -732,7 +739,7 @@ def compile_plan(plan) -> CodegenPlan:
     src.add(0, f"# join order: {plan.order!r}   slots: "
                + " ".join(f"{v.name}={s}" for v, s in plan.out_vars))
     src.add(0, "")
-    # Shared empty dict for the batch kernels' inlined trie walks
+    # Shared empty dict for the inlined trie walks
     # (``(g(k0) or _E).get(k1)``); read-only by construction.
     src.add(0, "_E = {}")
     src.add(0, "")

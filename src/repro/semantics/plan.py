@@ -8,8 +8,9 @@ per (rule, join order):
 
 * each positive literal becomes a :class:`Step` — a static record of
   its index-key template (constants prefilled, bound-variable slots
-  patched in), the (position → slot) pairs it binds, and the
-  within-literal repeated-variable checks;
+  patched in), the chain index it probes (its identity chain unless
+  the planner's cover says otherwise), the (position → slot) pairs it
+  binds, and the within-literal repeated-variable checks;
 * equality propagation becomes a fixed sequence of slot assignments
   plus precomputed consistency checks (contradictory constants fold
   into ``RulePlan.never`` at compile time);
@@ -25,12 +26,12 @@ on first use and cached on the plan itself, so they are invalidated
 exactly when the plan is: :meth:`PlanCache.clear` drops plans and
 functions together, a planner replan selects or builds a different
 plan object, and :func:`plan_with_cover` resets the slot on its
-chain-probing twin).  Semi-naive drivers freeze each stage's delta
-through :func:`make_delta`, which wraps it in a
-:class:`~repro.relational.columnar.DeltaBlock`; ``run_emit`` and
-``run_rows`` hand whole blocks to the ``emit_batch_*``/``walk_batch_*``
-kernels and fall back to the scalar variants for small blocks
-(``CodegenPlan.BATCH_MIN_ROWS``) and shapes without a batch kernel.
+cover-probing twin).  Semi-naive drivers freeze each stage's delta
+through :func:`make_delta`, which wraps it in a :class:`DeltaBlock`;
+``run_emit`` and ``run_rows`` hand whole blocks to the
+``emit_batch_*``/``walk_batch_*`` kernels and fall back to the scalar
+variants for small blocks (``CodegenPlan.BATCH_MIN_ROWS``) and shapes
+without a batch kernel.
 The generator flavor (``iter_matches`` and the seeded engines) keeps
 the scalar walk: a batch kernel materializes its whole result, which is
 exactly what consumers that mutate between yields must not see.
@@ -60,7 +61,6 @@ from typing import Hashable, Iterator
 from weakref import WeakKeyDictionary
 
 from repro.ast.rules import EqLit, Rule
-from repro.relational.columnar import DeltaBlock
 from repro.relational.instance import Database
 from repro.semantics.codegen import CodegenPlan, compile_plan
 from repro.terms import Const, Var
@@ -94,11 +94,42 @@ def active_matcher() -> str:
     return "columnar"
 
 
+class DeltaBlock:
+    """One relation's semi-naive delta as a batch of rows.
+
+    ``facts`` is the frozen delta set (membership tests); ``rows``
+    fixes the set's enumeration order, and is what the ``*_batch_*``
+    codegen kernels unpack row by row.  A block is a drop-in for the
+    frozenset it wraps everywhere a delta flows: iteration yields the
+    identical row sequence, so wrapping cannot perturb seeded engines.
+    """
+
+    __slots__ = ("facts", "rows")
+
+    def __init__(self, facts: frozenset[tuple]):
+        self.facts = facts
+        self.rows = tuple(facts)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __bool__(self) -> bool:
+        return bool(self.rows)
+
+    def __contains__(self, t: tuple) -> bool:
+        return t in self.facts
+
+    def __repr__(self) -> str:
+        return f"DeltaBlock({len(self.rows)} rows)"
+
+
 def make_delta(facts) -> "frozenset[tuple] | DeltaBlock":
     """Freeze one relation's stage delta for the next semi-naive pass.
 
-    Non-empty deltas become
-    :class:`~repro.relational.columnar.DeltaBlock`\\ s — the frozen set
+    Non-empty deltas become :class:`DeltaBlock`\\ s — the frozen set
     plus its rows, ready for the batch kernels; empty ones stay a plain
     ``frozenset``.  A block iterates in exactly the frozenset's
     enumeration order, so every row-at-a-time consumer (including the
@@ -112,22 +143,22 @@ class Step:
     """One compiled positive literal of a join order.
 
     ``key_positions`` are the tuple positions bound before this step
-    runs (constants and already-bound variables, in position order —
-    the same tuple the reference matcher indexes on, so both matchers
-    share the relation's index cache).  ``key_template``/``key_fills``
-    build the index key without walking terms: constants are prefilled,
-    fills patch bound slots in.  ``binds`` are the (position → slot)
-    pairs this step binds; ``withins`` are (position, earlier position)
-    equality checks for variables repeated *within* the literal.
-    ``exact`` marks a fully-bound literal (membership probe, no index).
+    runs (constants and already-bound variables, in position order).
+    ``key_template``/``key_fills`` build the index key without walking
+    terms: constants are prefilled, fills patch bound slots in.
+    ``binds`` are the (position → slot) pairs this step binds;
+    ``withins`` are (position, earlier position) equality checks for
+    variables repeated *within* the literal.  ``exact`` marks a
+    fully-bound literal (membership probe, no index).
 
-    A step normally probes the flat index on ``key_positions``.  The
-    query planner may instead point it at a shared *chain* index from
-    its minimal cover (:func:`plan_with_cover`): ``chain_order`` names
-    the trie's column order, ``chain_depth`` how many levels this
-    step's key binds, and ``chain_perm`` re-orders the built key (which
-    is in position order) into column order.  ``chain_key`` is the
-    permuted key precomputed when it is constant.
+    A keyed step probes a chain index: ``chain_order`` names the
+    trie's column order, ``chain_depth`` how many levels this step's
+    key binds, and ``chain_perm`` re-orders the built key (which is in
+    position order) into column order.  By default the chain is the
+    *identity chain* — ``key_positions`` itself, probed at full depth,
+    the same chain the reference matcher probes, so both matchers share
+    one index.  The query planner may instead point the step at a
+    shared chain from its minimal cover (:func:`plan_with_cover`).
     """
 
     __slots__ = (
@@ -135,14 +166,12 @@ class Step:
         "key_positions",
         "key_template",
         "key_fills",
-        "key",
         "binds",
         "withins",
         "exact",
         "chain_order",
         "chain_depth",
         "chain_perm",
-        "chain_key",
     )
 
     def __init__(
@@ -158,15 +187,13 @@ class Step:
         self.key_positions = key_positions
         self.key_template = list(key_template)
         self.key_fills = key_fills
-        #: Constant key, precomputed when no slot ever patches it.
-        self.key = tuple(key_template) if not key_fills else None
         self.binds = binds
         self.withins = withins
         self.exact = bool(key_positions) and not binds and not withins
-        self.chain_order = None
-        self.chain_depth = 0
-        self.chain_perm = ()
-        self.chain_key = None
+        keyed = bool(key_positions) and not self.exact
+        self.chain_order = key_positions if keyed else None
+        self.chain_depth = len(key_positions) if keyed else 0
+        self.chain_perm = tuple(range(len(key_positions))) if keyed else ()
 
 
 class RulePlan:
@@ -527,7 +554,7 @@ def plan_with_cover(
     shared with the original plan unchanged; the cached original itself
     is never mutated, because ``iter_matches`` (the seeded engines) and
     the differential engine's support probes keep executing it against
-    flat indexes.
+    identity chains.
 
     Twins are memoized on the base plan keyed by the applied per-step
     chain specs: planner contexts are per-program, and rebuilding a
@@ -560,7 +587,6 @@ def plan_with_cover(
         clone.key_positions = step.key_positions
         clone.key_template = list(step.key_template)
         clone.key_fills = step.key_fills
-        clone.key = step.key
         clone.binds = step.binds
         clone.withins = step.withins
         clone.exact = step.exact
@@ -571,19 +597,14 @@ def plan_with_cover(
         clone.chain_perm = tuple(
             step.key_positions.index(order[d]) for d in range(depth)
         )
-        clone.chain_key = (
-            tuple(step.key[i] for i in clone.chain_perm)
-            if step.key is not None
-            else None
-        )
         steps.append(clone)
     twin = RulePlan.__new__(RulePlan)
     for name in RulePlan.__slots__:
         setattr(twin, name, getattr(plan, name))
     twin.steps = tuple(steps)
     # The slot copy above carried the base plan's codegen'd functions,
-    # which probe flat indexes — stale for a chain-probing twin.  Reset
-    # so the twin compiles its own (the cache-coherence contract).
+    # which probe identity chains — stale for a cover-probing twin.
+    # Reset so the twin compiles its own (the cache-coherence contract).
     twin.codegen_fns = None
     twin.cover_twins = None
     twins[specs] = twin

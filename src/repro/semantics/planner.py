@@ -32,10 +32,10 @@ automatic-index-selection construction).  Each chain becomes one
 physical trie index (:meth:`Relation.chain_index`) whose column order
 lists each template's new positions in turn, so every covered template
 is a *prefix* of the chain; plan steps are rewritten to probe the
-shared chain (:func:`repro.semantics.plan.plan_with_cover`) and
-:func:`apply_cover` garbage-collects flat indexes the cover subsumes
-and chains a newer cover abandoned (counted in
-``EngineStats.index_drops``).
+shared chain (:func:`repro.semantics.plan.plan_with_cover`) instead of
+their identity chains, and :func:`apply_cover` garbage-collects live
+chains whose key set the cover serves through a different chain
+(counted in ``EngineStats.index_drops``).
 
 **SCC-scheduled semi-naive.**  :func:`scheduled_fixpoint` evaluates the
 predicate dependency graph one strongly connected component at a time
@@ -747,13 +747,14 @@ def _ensure_cover(
 
 
 def apply_cover(ctx: PlanContext, db: Database) -> None:
-    """Garbage-collect physical indexes the cover no longer needs.
+    """Garbage-collect chains the cover makes redundant.
 
-    Flat indexes whose key template the chain cover serves are
-    redundant (the chain answers the same probes by prefix), and chains
-    from a superseded cover epoch are dead; both are dropped, counted
-    in ``Relation.index_drops`` → ``EngineStats.index_drops``.  Index
-    shapes the cover knows nothing about are left alone.
+    On each relation the cover touches, a live chain the cover does not
+    list is dropped when the cover serves that chain's whole key set
+    (a listed chain answers the same probes by prefix), counted in
+    ``Relation.index_drops`` → ``EngineStats.index_drops``.  Any other
+    chain — one whose key set the cover knows nothing about — is not
+    the planner's to free and is left alone.
     """
     assign = _ensure_cover(ctx)
     if not assign and not ctx.chains:
@@ -764,12 +765,9 @@ def apply_cover(ctx: PlanContext, db: Database) -> None:
         if rel is None:
             continue
         keep = set(ctx.chains.get(relation, ()))
-        for kind, key in rel.live_indexes():
-            if kind == "chain":
-                if key not in keep:
-                    rel.drop_chain_index(key)
-            elif (relation, frozenset(key)) in assign:
-                rel.drop_index(key)
+        for order in rel.live_indexes():
+            if order not in keep and (relation, frozenset(order)) in assign:
+                rel.drop_chain_index(order)
 
 
 # -- consequence evaluation -------------------------------------------------

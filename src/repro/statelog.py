@@ -197,7 +197,7 @@ def run_statelog(
 
         # (2) inductive rules produce the next base state.
         if inductive is None:
-            recorder.stage(step, step_firings, counters=closed.index_counters())
+            recorder.stage(step, step_firings, counters=closed.index_totals())
             result.stats = recorder.finish(adom_size=len(closed.active_domain()))
             return result
         next_base = Database()
@@ -212,7 +212,7 @@ def run_statelog(
             step,
             step_firings,
             added=next_base.fact_count(),
-            counters=closed.index_counters(),
+            counters=closed.index_totals(),
         )
         if deductive is not None:
             next_closed = evaluate_stratified(
@@ -329,7 +329,7 @@ def run_async_statelog(
             step,
             step_firings,
             added=next_base.fact_count(),
-            counters=closed.index_counters(),
+            counters=closed.index_totals(),
         )
 
         if not pending:

@@ -206,17 +206,12 @@ class TestStatsJson:
             "version", "engine", "matcher", "seconds", "stage_count",
             "rule_firings", "consequence_calls", "adom_size",
             "index_builds", "index_updates", "index_drops", "planner",
-            "differential", "storage", "stages",
+            "differential", "stages",
         }
         assert stats["engine"] == "seminaive"
-        # Additive fields under STATS_SCHEMA_VERSION=1: which matcher
-        # tier produced the instantiations (untraced runs take the
-        # columnar tier by default) and the query planner's report.
+        # Which matcher produced the instantiations (untraced runs take
+        # the production path) and the query planner's report.
         assert stats["matcher"] == "columnar"
-        # ``repro stats`` measures memory density on the final instance.
-        assert set(stats["storage"]) == {"relations", "interner"}
-        for rel in stats["storage"]["relations"].values():
-            assert set(rel) == {"rows", "set_bytes", "column_bytes"}
         assert stats["planner"] is not None
         assert {"plan_lookups", "plan_hits", "replans", "rules",
                 "index_cover", "scheduled_components"} <= set(stats["planner"])
@@ -241,7 +236,7 @@ class TestStatsJson:
         )
         assert code == 0
         stats = json.loads(output)
-        assert stats["version"] == 1
+        assert stats["version"] == 2
         assert stats["stage_count"] == 4
         assert stats["rule_firings"] == 6
         assert stats["adom_size"] == 4

@@ -186,11 +186,13 @@ class TestCacheCoherence:
         twin = plan_with_cover(plan, assign)
         assert twin is not plan
         # The slot copy must not carry the base plan's functions: they
-        # probe flat indexes, the twin probes chains.
+        # probe the identity chain (0,), the twin the cover's (0, 1).
         assert twin.codegen_fns is None
         twin_cg = compile_plan(twin)
-        assert "probe_chain" in twin_cg.source
-        assert "probe_chain" not in plan.codegen_fns.source
+        assert "probe_chain((0, 1), 1, " in twin_cg.source
+        assert "chain_index((0,))" not in twin_cg.source
+        assert "chain_index((0,))" in plan.codegen_fns.source
+        assert "probe_chain(" not in plan.codegen_fns.source
 
 
 class TestThreeWayDifferential:
@@ -365,14 +367,14 @@ class TestDumpCodegen:
         assert self._ran_sources(program) == ran
         assert set(dumped) == ran
         assert len(dumped) == len(set(paths)) == len(ran)
-        # The recursive rule ran on chain-cover twins: its files probe
-        # chain tries, not flat indexes.
+        # Every keyed probe walks a chain trie, base plans included;
+        # the recursive rule ran on chain-cover twins.
+        assert all(".index(" not in text for text in dumped)
         recursive = [
             text for path, text in zip(paths, dumped)
             if os.path.basename(path).startswith("rule1_")
         ]
         assert recursive
-        assert all(".index(" not in text for text in recursive)
         assert all("chain" in text for text in recursive)
 
     def test_never_ran_program_compiles_on_demand(self, tmp_path):

@@ -1,91 +1,30 @@
-"""Columnar storage and batch execution: the pieces under the kernels.
+"""Batch execution: the pieces under the kernels.
 
 :mod:`tests.test_codegen` pins the production matcher end-to-end
 (answer parity with the reference matcher, seeded replays).  This
-module tests the parts it is built from: the interner/column-store/
-delta-block storage trio, the bulk relation mutators the batch drivers
-use (``add_batch``/``live_set``), the snapshot-vs-live contract of the
-two chain-probe flavors, chain-count maintenance under heavy
-``discard`` (the noninflationary engines' skewed-bucket pattern), the
-shape of the emitted batch kernels, and the explicit ``add_only``
-argument that lets them drop known heads.
+module tests the parts it is built from: delta blocks, the bulk
+relation mutators the batch drivers use (``add_batch``/``live_set``),
+the live-vs-snapshot contract of chain probes at full and prefix
+depth, chain-count maintenance under heavy ``discard`` (the
+noninflationary engines' skewed-bucket pattern), the shape of the
+emitted batch kernels, and the explicit ``add_only`` argument that
+lets them drop known heads.
 """
 
 import pytest
 
 from repro.errors import SchemaError
 from repro.parser import parse_program
-from repro.relational.columnar import ColumnStore, DeltaBlock, Interner
 from repro.relational.instance import Database, Relation
 from repro.obs import CollectorSink, Tracer
 from repro.semantics.base import evaluation_adom, immediate_consequences
 from repro.semantics.codegen import CodegenPlan, compile_plan
 from repro.semantics.differential import DifferentialEngine
-from repro.semantics.plan import make_delta, plan_for
+from repro.semantics.plan import DeltaBlock, make_delta, plan_for
 from repro.semantics.seminaive import evaluate_datalog_seminaive
 from repro.workloads.graphs import chain, graph_database
 
 TC_NONLINEAR = "T(x, y) :- G(x, y).\nT(x, y) :- T(x, z), T(z, y).\n"
-
-
-class TestInterner:
-
-    def test_dense_ids_in_first_intern_order(self):
-        interner = Interner()
-        assert interner.intern("a") == 0
-        assert interner.intern("b") == 1
-        assert interner.intern("a") == 0  # stable on re-intern
-        assert len(interner) == 2
-
-    def test_bijection(self):
-        interner = Interner()
-        values = ["x", 7, ("nested",), "x"]
-        ids = [interner.intern(v) for v in values]
-        assert [interner.value(i) for i in ids] == values
-        assert interner.lookup("never") is None
-        assert interner.nbytes() > 0
-
-
-class TestColumnStore:
-
-    def _store(self, tuples=()):
-        return ColumnStore(2, Interner(), tuples)
-
-    def test_append_and_membership(self):
-        store = self._store()
-        assert store.append((1, 2))
-        assert not store.append((1, 2))  # duplicate
-        assert (1, 2) in store and (2, 1) not in store
-        assert len(store) == 1
-        assert store.row(0) == (1, 2)
-
-    def test_swap_remove_keeps_rows_decodable(self):
-        rows = [(i, i + 1) for i in range(6)]
-        store = self._store(rows)
-        # Remove from the middle: the last row swaps into the hole.
-        assert store.discard((2, 3))
-        assert not store.discard((2, 3))
-        assert len(store) == 5
-        assert set(store) == set(rows) - {(2, 3)}
-        # Every surviving row decodes to itself at its current index.
-        for t, row in store._row_of.items():
-            assert store.row(row) == t
-
-    def test_discard_last_row(self):
-        store = self._store([(1, 2), (3, 4)])
-        assert store.discard((3, 4))
-        assert set(store) == {(1, 2)}
-
-    def test_clear(self):
-        store = self._store([(1, 2)])
-        store.clear()
-        assert len(store) == 0 and store.nbytes() == 0
-        assert store.append((5, 6))
-
-    def test_nbytes_is_column_payload(self):
-        store = self._store([(1, 2), (3, 4), (5, 6)])
-        # 3 rows x 2 columns x 8-byte ids.
-        assert store.nbytes() == 3 * 2 * 8
 
 
 class TestDeltaBlock:
@@ -121,26 +60,6 @@ class TestAddBatch:
         with pytest.raises(SchemaError):
             rel.add_batch([(1, 2), (3,)])
 
-    def test_maintains_live_indexes_and_store(self):
-        rel = Relation("R", 2, [(1, 2)])
-        index = rel.index((0,))
-        trie = rel.chain_index((0, 1))
-        store = rel.column_store(Interner())
-        rel.add_batch([(1, 9), (7, 8)])
-        assert set(index[(1,)]) == {(1, 2), (1, 9)}
-        assert set(trie[7][8]) == {(7, 8)}
-        assert (7, 8) in store and len(store) == 3
-        # The maintained shapes match a from-scratch rebuild.
-        rebuilt = Relation("R", 2, rel.tuples())
-        assert rebuilt.index((0,)) == rel.index((0,))
-        assert rebuilt.chain_index((0, 1)) == rel.chain_index((0, 1))
-
-    def test_version_counts_fresh_only(self):
-        rel = Relation("R", 1, [(1,)])
-        before = rel.version
-        rel.add_batch([(1,), (2,), (3,)])
-        assert rel.version == before + 2
-
 
 class TestLiveSet:
 
@@ -154,14 +73,15 @@ class TestLiveSet:
 
 
 class TestChainProbeSemantics:
-    """Satellite: ``probe_chain_live`` vs ``probe_chain`` under mutation."""
+    """``probe_chain`` under mutation: a full-depth probe returns the
+    live bucket, a prefix probe a fresh list."""
 
     def _rel(self):
         return Relation("R", 2, [(1, 2), (1, 3), (4, 5)])
 
     def test_probe_chain_is_a_snapshot(self):
         rel = self._rel()
-        bucket = rel.probe_chain((0, 1), 1, (1,))
+        bucket = rel.probe_chain((0, 1), 1, (1,))  # a prefix probe
         assert sorted(bucket) == [(1, 2), (1, 3)]
         rel.add((1, 9))
         rel.discard((1, 2))
@@ -172,24 +92,32 @@ class TestChainProbeSemantics:
 
     def test_probe_chain_live_full_depth_tracks_mutation(self):
         rel = self._rel()
-        bucket = rel.probe_chain_live((0, 1), 2, (1, 2))
+        bucket = rel.probe_chain((0, 1), 2, (1, 2))
         assert list(bucket) == [(1, 2)]
         rel.discard((1, 2))
-        # Full-depth live probes return the bucket itself: the discard
-        # is visible.  This is exactly why the fused kernels may not
-        # yield control mid-walk.
+        # Full-depth probes return the bucket itself: the discard is
+        # visible.  This is exactly why the fused kernels may not yield
+        # control mid-walk, and why the reference matcher snapshots.
         assert list(bucket) == []
 
     def test_probe_flavors_agree_when_quiescent(self):
+        # A prefix probe of a longer chain, a full-depth probe of the
+        # identity chain on the same positions, and a filter of the
+        # tuple set answer one template alike.
         rel = self._rel()
         for depth, key in ((0, ()), (1, (1,)), (2, (1, 3))):
-            assert (sorted(rel.probe_chain((0, 1), depth, key))
-                    == sorted(rel.probe_chain_live((0, 1), depth, key)))
+            expected = sorted(t for t in rel if t[:depth] == key)
+            assert sorted(rel.probe_chain((0, 1), depth, key)) == expected
+            if depth:
+                identity = tuple(range(depth))
+                assert sorted(rel.probe_chain(identity, depth, key)) == (
+                    expected
+                )
 
     def test_missing_key_is_empty_for_both(self):
         rel = self._rel()
-        assert rel.probe_chain((0, 1), 1, (99,)) == []
-        assert list(rel.probe_chain_live((0, 1), 1, (99,))) == []
+        assert list(rel.probe_chain((0, 1), 1, (99,))) == []
+        assert list(rel.probe_chain((0, 1), 2, (1, 99))) == []
 
 
 class TestChainCountsUnderDiscard:
@@ -202,32 +130,33 @@ class TestChainCountsUnderDiscard:
         thin = [(i, 0) for i in range(1, 11)]
         rel = Relation("R", 2, fat + thin)
         rel.chain_index((0, 1))
-        assert rel.chain_key_count((0, 1), 1) == 11
-        assert rel.chain_key_count((0, 1), 2) == 60
+        depth1, depth2 = frozenset({0}), frozenset({0, 1})
+        assert rel.distinct_estimate(depth1) == 11
+        assert rel.distinct_estimate(depth2) == 60
         for t in fat[:-1]:
             rel.discard(t)
         # The fat bucket survives with one row; both depths shrank.
-        assert rel.chain_key_count((0, 1), 1) == 11
-        assert rel.chain_key_count((0, 1), 2) == 11
+        assert rel.distinct_estimate(depth1) == 11
+        assert rel.distinct_estimate(depth2) == 11
         rel.discard(fat[-1])
         # Pruning the last row of the key drops the depth-1 node too.
-        assert rel.chain_key_count((0, 1), 1) == 10
+        assert rel.distinct_estimate(depth1) == 10
         # The maintained counts match a from-scratch rebuild.
         rebuilt = Relation("R", 2, rel.tuples())
         rebuilt.chain_index((0, 1))
-        for depth in (1, 2):
-            assert (rel.chain_key_count((0, 1), depth)
-                    == rebuilt.chain_key_count((0, 1), depth))
+        for positions in (depth1, depth2):
+            assert (rel.distinct_estimate(positions)
+                    == rebuilt.distinct_estimate(positions))
 
     def test_discard_to_empty_and_refill(self):
         rel = Relation("R", 2, [(1, 2), (1, 3)])
         rel.chain_index((0, 1))
         for t in [(1, 2), (1, 3)]:
             rel.discard(t)
-        assert rel.chain_key_count((0, 1), 1) == 0
+        assert rel.distinct_estimate(frozenset({0})) == 0
         rel.add((5, 6))
-        assert rel.chain_key_count((0, 1), 1) == 1
-        assert rel.probe_chain((0, 1), 2, (5, 6)) == [(5, 6)]
+        assert rel.distinct_estimate(frozenset({0})) == 1
+        assert list(rel.probe_chain((0, 1), 2, (5, 6))) == [(5, 6)]
 
 
 class TestBatchKernelShape:
@@ -305,32 +234,6 @@ class TestKernelDifferenceParity:
                         delta.setdefault(relation, set()).add(t)
             outcomes.append((db.tuples("T"), stages, firings))
         assert outcomes[0] == outcomes[1]
-
-
-class TestStorageReport:
-
-    def test_report_shape_and_density(self):
-        db = graph_database(chain(30))
-        result = evaluate_datalog_seminaive(parse_program(TC_NONLINEAR), db)
-        report = result.database.storage_report()
-        assert set(report) == {"relations", "interner"}
-        assert report["interner"]["constants"] > 0
-        t = report["relations"]["T"]
-        assert t["rows"] == len(result.database.tuples("T"))
-        assert t["column_bytes"] == t["rows"] * 2 * 8
-        # The density claim the tier is named for: interned columns are
-        # smaller than the tuple shells they replace.
-        assert t["column_bytes"] < t["set_bytes"]
-
-    def test_store_is_maintained_after_first_report(self):
-        db = Database()
-        rel = db.ensure_relation("R", 2)
-        rel.add((1, 2))
-        first = db.storage_report()["relations"]["R"]
-        rel.add((3, 4))
-        second = db.storage_report()["relations"]["R"]
-        assert first["rows"] == 1 and second["rows"] == 2
-        assert second["column_bytes"] == 2 * 2 * 8
 
 
 class TestDifferentialThroughTiers:

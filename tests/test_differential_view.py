@@ -322,6 +322,41 @@ class TestDifferentialCounters:
         assert engine.stats.differential["rederived"] == 1  # T(a,b) survives
 
 
+class TestIndexShape:
+    """A relation keeps one index per column order: the planner's
+    cover, ``iter_matches`` and the support probes share chains."""
+
+    def test_no_relation_keeps_two_indexes(self):
+        # G is probed on position 0 by the planner's cover for T, by the
+        # counting component's materialization through iter_matches, and
+        # by the support probes; position 1 only by H's cover.
+        program = parse_program(
+            """
+            T(x, y) :- G(x, y).
+            T(x, y) :- G(x, z), T(z, y).
+            H(x, z) :- G(x, y), G(y, z).
+            """
+        )
+        edges = [(i, j) for i in range(8) for j in (i + 1, i + 2) if j < 8]
+        engine = DifferentialEngine(program, Database({"G": edges}))
+        for batch in (
+            [("+", "G", (0, 7))],
+            [("-", "G", (2, 3))],
+            [("+", "G", (3, 6))],
+            [("-", "G", (0, 1))],
+        ):
+            engine.apply(batch)
+        assert engine.consistent_with_scratch()
+        db = engine.database
+        assert sorted(db.relation("G").live_indexes()) == [(0,), (1,)]
+        for name in db.relation_names():
+            rel = db.relation(name)
+            live = rel.live_indexes()
+            assert len(live) == len(set(live)), name
+            # Each live chain was built once, and nothing else was.
+            assert rel.index_builds == len(live), name
+
+
 class TestUpdateCostGuards:
     """An update must cost the facts it touches, not the view's size."""
 

@@ -152,19 +152,20 @@ class TestStatsRecorder:
         # Engines evaluating over scratch databases (well-founded,
         # Statelog) pass each phase's own counter totals explicitly.
         recorder = StatsRecorder("custom")
-        recorder.stage(1, 5, added=2, counters=(3, 7))
-        recorder.stage(2, 1, counters=(4, 9))
+        recorder.stage(1, 5, added=2, counters=(3, 7, 0))
+        recorder.stage(2, 1, counters=(4, 9, 1))
         stats = recorder.finish(adom_size=10)
         assert stats.rule_firings == 6
         assert stats.index_builds == 3 + 4
         assert stats.index_updates == 7 + 9
+        assert stats.index_drops == 1
         assert stats.stages[1].index_builds == 4
         assert stats.adom_size == 10
 
     def test_watch_diffs_database_counters(self):
         db = Database({"R": [("a", "b")]})
         recorder = StatsRecorder("custom", db)
-        db.relation("R").index((0,))
+        db.relation("R").chain_index((0,))
         db.add_fact("R", ("c", "d"))
         recorder.stage(1, 1)
         stats = recorder.finish()
@@ -257,12 +258,14 @@ class TestRecorderInvariants:
         # final tuples.
         live = result.database.relation("T")
         fresh = Relation("T", 2, live.tuples())
-        chains = [key for kind, key in live.live_indexes() if kind == "chain"]
+        chains = live.live_indexes()
         assert len(chains) == 2
         for order in chains:
+            fresh.chain_index(order)
             for depth in range(1, len(order) + 1):
-                assert live.chain_key_count(order, depth) == (
-                    fresh.chain_key_count(order, depth)
+                positions = frozenset(order[:depth])
+                assert live.distinct_estimate(positions) == (
+                    fresh.distinct_estimate(positions)
                 )
             for t in live.tuples():
                 key = tuple(t[p] for p in order)

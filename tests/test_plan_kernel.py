@@ -199,30 +199,31 @@ class TestPlanRepresentation:
 
 
 class TestIndexRemoveFast:
+    """Deletion from the identity chain on position 0, the chain every
+    unplanned keyed probe on that position uses."""
+
     def test_large_skewed_bucket_deletion_is_fast(self):
         """Satellite: discarding from one huge bucket must not be
         O(bucket) per deletion.  20k tuples share the indexed key; with
         the old ``list.remove`` this loop is ~2×10⁸ comparisons."""
         n = 20_000
         rel = Relation("R", 2, [("k", i) for i in range(n)])
-        index = rel.index((0,))
-        assert len(index[("k",)]) == n
+        assert len(rel.probe_chain((0,), 1, ("k",))) == n
         start = time.perf_counter()
         for i in range(n):
             assert rel.discard(("k", i))
         elapsed = time.perf_counter() - start
         assert elapsed < 2.5
         assert len(rel) == 0
-        assert ("k",) not in rel.index((0,))
+        assert "k" not in rel.chain_index((0,))
 
     def test_removal_keeps_index_consistent(self):
         rel = Relation("R", 2, [("k", 1), ("k", 2), ("q", 3)])
-        rel.index((0,))
+        rel.chain_index((0,))
         rel.discard(("k", 1))
         rel.add(("k", 4))
-        index = rel.index((0,))
-        assert list(index[("k",)]) == [("k", 2), ("k", 4)]
-        assert list(index[("q",)]) == [("q", 3)]
+        assert list(rel.probe_chain((0,), 1, ("k",))) == [("k", 2), ("k", 4)]
+        assert list(rel.probe_chain((0,), 1, ("q",))) == [("q", 3)]
         # Still one build: all of the above were in-place updates.
         assert rel.index_builds == 1
 
@@ -231,11 +232,11 @@ class TestIndexRemoveFast:
         # reorder the surviving tuples (a swap-pop would), and later
         # additions must append at the end.
         rel = Relation("R", 2, [("k", i) for i in range(6)])
-        before = list(rel.index((0,))[("k",)])
+        before = list(rel.probe_chain((0,), 1, ("k",)))
         victim = before[2]
         rel.discard(victim)
         rel.add(("k", 99))
-        after = list(rel.index((0,))[("k",)])
+        after = list(rel.probe_chain((0,), 1, ("k",)))
         assert after == [t for t in before if t != victim] + [("k", 99)]
         assert rel.index_builds == 1  # all of that was in-place
 

@@ -73,7 +73,7 @@ class TestChainIndexes:
         assert sorted(rel.probe_chain((0, 1), 2, ("a", "p"))) == [
             ("a", "p", 1), ("a", "p", 2)
         ]
-        assert rel.probe_chain((0, 1), 2, ("b", "q")) == []
+        assert list(rel.probe_chain((0, 1), 2, ("b", "q"))) == []
 
     def test_probe_prefix_depth(self):
         rel = self.make_relation()
@@ -83,18 +83,18 @@ class TestChainIndexes:
     def test_chain_key_counts(self):
         rel = self.make_relation()
         rel.chain_index((0, 1))
-        assert rel.chain_key_count((0, 1), 1) == 2  # a, b
-        assert rel.chain_key_count((0, 1), 2) == 3  # ap, aq, bp
+        assert rel.distinct_estimate(frozenset({0})) == 2  # a, b
+        assert rel.distinct_estimate(frozenset({0, 1})) == 3  # ap, aq, bp
 
     def test_incremental_maintenance(self):
         rel = self.make_relation()
         rel.chain_index((0, 1))
         rel.add(("c", "r", 5))
         assert rel.probe_chain((0, 1), 1, ("c",)) == [("c", "r", 5)]
-        assert rel.chain_key_count((0, 1), 1) == 3
+        assert rel.distinct_estimate(frozenset({0})) == 3
         rel.discard(("c", "r", 5))
-        assert rel.probe_chain((0, 1), 1, ("c",)) == []
-        assert rel.chain_key_count((0, 1), 1) == 2
+        assert list(rel.probe_chain((0, 1), 1, ("c",))) == []
+        assert rel.distinct_estimate(frozenset({0})) == 2
 
     def test_distinct_estimate_is_free(self):
         rel = self.make_relation()
@@ -105,19 +105,17 @@ class TestChainIndexes:
         rel.chain_index((0, 1))
         assert rel.distinct_estimate(frozenset({0})) == 2
         assert rel.distinct_estimate(frozenset({0, 1})) == 3
-        rel.index((2,))
+        rel.chain_index((2,))
         assert rel.distinct_estimate(frozenset({2})) == 4
 
     def test_drop_counts(self):
         rel = self.make_relation()
-        rel.index((0,))
+        rel.chain_index((0,))
         rel.chain_index((0, 1))
-        assert sorted(rel.live_indexes()) == [
-            ("chain", (0, 1)), ("flat", (0,))
-        ]
-        assert rel.drop_index((0,))
+        assert sorted(rel.live_indexes()) == [(0,), (0, 1)]
+        assert rel.drop_chain_index((0,))
         assert rel.drop_chain_index((0, 1))
-        assert not rel.drop_index((0,))  # already gone
+        assert not rel.drop_chain_index((0,))  # already gone
         assert rel.index_drops == 2
         assert rel.live_indexes() == []
 
@@ -126,8 +124,8 @@ class TestChainIndexes:
         rel.chain_index((0, 1))
         clone = rel.copy()
         rel.add(("z", "z", 9))
-        assert clone.probe_chain((0, 1), 1, ("z",)) == []
-        assert clone.chain_key_count((0, 1), 1) == 2
+        assert list(clone.probe_chain((0, 1), 1, ("z",))) == []
+        assert clone.distinct_estimate(frozenset({0})) == 2
 
 
 # -- minimum chain cover (MISP) ---------------------------------------------
@@ -264,38 +262,58 @@ class TestDispatch:
         assert positive == {("T", (0, 2))}
 
 
-# -- index GC: only covered indexes survive ---------------------------------
+# -- index GC: one rule for the one index kind -----------------------------
 
 
 class TestIndexGC:
-    def test_wide_relation_ends_with_covered_indexes_only(self):
-        program = parse_program(
-            "P(z) :- A(x), W(x, y, z).", name="gc-wide"
-        )
+    """A live chain the cover does not list is dropped exactly when the
+    cover serves its whole key set; the cover adopts the chains it
+    lists, and leaves chains it knows nothing about alone."""
+
+    def wide(self, body: str, a_facts, *prebuilt):
+        program = parse_program(f"P(z) :- {body}.", name="gc-wide")
         db = Database({
-            "A": [("a",), ("b",)],
+            "A": a_facts,
             "W": [(c, f"y{i}", i) for i in range(15)
                   for c in ("a", "b")],
         })
         w = db.relation("W")
-        # Simulate the pre-planner regime: per-template flat indexes
-        # already materialized, plus one shape the cover won't know.
-        w.index((0,))
-        w.index((2,))
+        for order in prebuilt:
+            w.chain_index(order)
         result = evaluate_datalog_seminaive(program, db)
-        assert len(result.answer("P")) == 15
-        final = result.database.relation("W")
-        live = dict(final.live_indexes())
-        kinds = [kind for kind, _ in final.live_indexes()]
-        # The flat {0} index is subsumed by the chain cover and dropped;
-        # the unrelated {2} index is not the planner's to free.
-        assert ("flat", (0,)) not in final.live_indexes()
-        assert ("flat", (2,)) in final.live_indexes()
-        assert "chain" in kinds, live
-        assert final.index_drops == 1
-        assert result.stats.index_drops == 1
         cover = result.stats.planner["index_cover"]["W"]
         assert cover == {"templates": 1, "chains": 1}
+        return result, result.database.relation("W")
+
+    def test_wide_relation_ends_with_covered_indexes_only(self):
+        # The identity chain on {0} is the cover's own chain: adopted
+        # as is — the run builds nothing and drops nothing.
+        result, final = self.wide("A(x), W(x, y, z)",
+                                  [("a",), ("b",)], (0,))
+        assert len(result.answer("P")) == 15
+        assert final.live_indexes() == [(0,)]
+        assert final.index_builds == 0  # carried over by the copy
+        assert result.stats.index_builds == 0
+        assert result.stats.index_drops == 0
+
+    def test_served_but_unlisted_chain_is_dropped(self):
+        # The cover serves {0, 1} through (0, 1); the pre-built (1, 0)
+        # answers the same probes, so the planner frees it.
+        result, final = self.wide("A(x, y), W(x, y, z)",
+                                  [("a", "y1"), ("b", "y2")], (1, 0))
+        assert result.answer("P") == {(1,), (2,)}
+        assert final.live_indexes() == [(0, 1)]
+        assert result.stats.index_builds == 1
+        assert final.index_drops == 1
+        assert result.stats.index_drops == 1
+
+    def test_unrelated_chain_is_left_alone(self):
+        # No template on {2}: that chain is not the planner's to free.
+        result, final = self.wide("A(x), W(x, y, z)",
+                                  [("a",), ("b",)], (2,))
+        assert sorted(final.live_indexes()) == [(0,), (2,)]
+        assert result.stats.index_builds == 1
+        assert result.stats.index_drops == 0
 
 
 # -- scheduling parity ------------------------------------------------------

@@ -1,7 +1,6 @@
 """PERF — incremental maintenance vs from-scratch re-evaluation.
 
-The ablation behind ``BENCH_differential.json``: the latency of one
-single-edge base update, answered either by
+The latency of one single-edge base update, answered either by
 :class:`~repro.semantics.differential.DifferentialEngine` (per-SCC
 DRed/counting with delta-restricted rederivation, routed through the
 planner and compiled kernel) or by throwing the view away and
@@ -18,9 +17,8 @@ re-running semi-naive evaluation on the updated base.
 Shape asserted: the maintained view equals from-scratch evaluation
 after every measured update (parity always), and at full sizes
 (``size >= SPEEDUP_FLOOR``) the differential update is strictly
-faster and touches fewer facts than the view it maintains.  At CI
-smoke sizes wall-clock is recorded, not asserted — the committed
-full-size artifact carries the speedup evidence.
+faster and touches fewer facts than the view it maintains.  Below
+that floor (CI smoke sizes) wall-clock is not asserted.
 
 Set ``REPRO_BENCH_SIZES`` (comma-separated) to override the size
 sweep, e.g. ``REPRO_BENCH_SIZES=8,12`` for a CI smoke run."""
@@ -59,7 +57,7 @@ def _best_latency(operation, restore):
     ``restore()`` undoes the operation between rounds (untimed), so
     every round measures the same state transition.  GC is paused
     around the timed region; minimum-of-rounds discards scheduler
-    noise, matching the other ablations' timing discipline.
+    noise, matching the feedback ablation's timing discipline.
     """
     operation()  # warmup
     restore()
@@ -78,18 +76,7 @@ def _best_latency(operation, restore):
     return best
 
 
-def _scratch_facts(result, program):
-    """The work a from-scratch answer cannot avoid: the whole view."""
-    return sum(
-        len(result.answer(relation)) for relation in sorted(program.idb)
-    ) + sum(
-        len(result.database.tuples(relation))
-        for relation in sorted(program.edb)
-    )
-
-
-def _run_cell(differential_artifact, benchmark_name, size, program, base,
-              edge_relation, edge):
+def _run_cell(benchmark_name, size, program, base, edge_relation, edge):
     """Measure both modes of one single-edge-insert update cell."""
     engine = DifferentialEngine(program, base)
 
@@ -119,21 +106,12 @@ def _run_cell(differential_artifact, benchmark_name, size, program, base,
         )
         assert touched < engine.stats.differential["view_size"]
 
-    differential_artifact.record(
-        benchmark_name, "differential", size, diff_seconds, touched
-    )
-    differential_artifact.record(
-        benchmark_name, "scratch", size, scratch_seconds,
-        _scratch_facts(result, program),
-    )
-
 
 @pytest.mark.parametrize("n", SIZES)
-def test_differential_tc_nonlinear(differential_artifact, n):
+def test_differential_tc_nonlinear(n):
     # Fresh node attached to the chain head: O(n) new closure pairs
     # out of a Θ(n²) view.
     _run_cell(
-        differential_artifact,
         "tc_nonlinear_chain",
         n,
         tc_nonlinear_program(),
@@ -144,12 +122,11 @@ def test_differential_tc_nonlinear(differential_artifact, n):
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_differential_component_chain(differential_artifact, n):
+def test_differential_component_chain(n):
     # n gated components of chain length 8; the update lands in E0, so
     # downstream components' inputs are unchanged and the per-SCC
     # sweep skips them entirely.
     _run_cell(
-        differential_artifact,
         "component_chain",
         n,
         component_chain_program(n, length=8),

@@ -48,23 +48,21 @@ def _graph(n: int):
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("engine", list(ENGINES))
-def test_tc_scaling(benchmark, bench_artifact, engine, n):
+def test_tc_scaling(benchmark, engine, n):
     db = _graph(n)
     run = ENGINES[engine]
     result = benchmark(run, tc_program(), db)
     reference = evaluate_datalog_seminaive(tc_program(), db).answer("T")
     assert result.answer("T") == reference
-    bench_artifact.record("tc_scaling", engine, n, result.stats)
 
 
 @pytest.mark.parametrize("n", [16, 24])
-def test_tc_wellfounded(benchmark, bench_artifact, n):
+def test_tc_wellfounded(benchmark, n):
     db = _graph(n)
     model = benchmark(evaluate_wellfounded, tc_program(), db)
     reference = evaluate_datalog_seminaive(tc_program(), db).answer("T")
     assert model.answer("T") == reference
     assert model.is_total()
-    bench_artifact.record("tc_scaling", "wellfounded", n, model.stats)
 
 
 @pytest.mark.parametrize("depth", [3, 5])

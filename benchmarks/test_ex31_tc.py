@@ -15,27 +15,24 @@ SIZES = [32, 64, 128]
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_tc_naive_chain(benchmark, bench_artifact, n):
+def test_tc_naive_chain(benchmark, n):
     db = graph_database(chain(n))
     result = benchmark(evaluate_datalog_naive, tc_program(), db)
     assert len(result.answer("T")) == n * (n - 1) // 2
-    bench_artifact.record("ex31_tc_chain", "naive", n, result.stats)
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_tc_seminaive_chain(benchmark, bench_artifact, n):
+def test_tc_seminaive_chain(benchmark, n):
     db = graph_database(chain(n))
     result = benchmark(evaluate_datalog_seminaive, tc_program(), db)
     assert len(result.answer("T")) == n * (n - 1) // 2
-    bench_artifact.record("ex31_tc_chain", "seminaive", n, result.stats)
 
 
 @pytest.mark.parametrize("n", [24, 48])
-def test_tc_seminaive_random(benchmark, bench_artifact, n):
+def test_tc_seminaive_random(benchmark, n):
     db = graph_database(random_gnp(n, 2.0 / n, seed=n))
     result = benchmark(evaluate_datalog_seminaive, tc_program(), db)
     assert result.stage_count >= 1
-    bench_artifact.record("ex31_tc_random", "seminaive", n, result.stats)
 
 
 def test_seminaive_firing_gap_grows(benchmark):

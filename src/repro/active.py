@@ -93,12 +93,6 @@ def event_relations(program: Program) -> set[str]:
     return out
 
 
-def _base_relation(event: str) -> str:
-    if event.startswith(INSERT_PREFIX):
-        return event[len(INSERT_PREFIX):]
-    return event[len(DELETE_PREFIX):]
-
-
 def _validate(program: Program) -> None:
     validate_program(program, Dialect.DATALOG_NEGNEG)
     for rule in program.rules:

@@ -16,8 +16,6 @@ Implements the syntactic conditions of the paper:
 
 from __future__ import annotations
 
-from typing import Hashable
-
 from repro.errors import DialectError, SafetyError, StratificationError
 from repro.ast.program import (
     Dialect,
@@ -28,7 +26,6 @@ from repro.ast.program import (
     Program,
 )
 from repro.ast.rules import ChoiceLit, Lit, Rule
-from repro.terms import Var
 
 
 def precedence_graph(program: Program) -> dict[str, set[tuple[str, bool]]]:
@@ -171,17 +168,6 @@ def is_semipositive(program: Program) -> bool:
     return True
 
 
-def _positively_bound_vars(rule: Rule) -> set[Var]:
-    """Variables bound by a positive relational literal or by x = const.
-
-    Thin wrapper over :func:`repro.analysis.safety.positively_bound_vars`
-    (imported lazily: :mod:`repro.analysis` depends on this module).
-    """
-    from repro.analysis.safety import positively_bound_vars
-
-    return positively_bound_vars(rule)
-
-
 def _check_rule_safety(rule: Rule, dialect: Dialect) -> None:
     """Raise :class:`SafetyError` on the first range-restriction violation.
 
@@ -293,8 +279,3 @@ def infer_dialect(program: Program) -> Dialect:
     if is_stratifiable(program):
         return Dialect.STRATIFIED
     return Dialect.DATALOG_NEG
-
-
-def program_constants_and_adom(program: Program, db) -> set[Hashable]:
-    """adom(P, I) = adom(P) ∪ adom(I), as used by every engine."""
-    return program.constants() | db.active_domain()

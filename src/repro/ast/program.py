@@ -173,16 +173,6 @@ class Program:
     def uses_choice(self) -> bool:
         return any(rule.choice_body() for rule in self.rules)
 
-    def uses_edb_updates(self) -> bool:
-        """Does some head relation also occur as pure input elsewhere?
-
-        Always False by construction (head relations are idb); kept for
-        symmetry: Datalog¬¬ allows *input* relations in heads, which in
-        our representation simply makes them idb relations that the
-        caller also populates in the input instance.
-        """
-        return False
-
     # -- dunder ----------------------------------------------------------------
 
     def __iter__(self):

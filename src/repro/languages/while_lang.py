@@ -106,10 +106,6 @@ class WhileResult:
         return self.database.tuples(relation)
 
 
-def _statements(obj) -> tuple[Statement, ...]:
-    return obj.body if isinstance(obj, (WhileChange, WhileFormula)) else ()
-
-
 def is_fixpoint_program(program: WhileProgram) -> bool:
     """True iff every assignment is cumulative (the fixpoint language)."""
 

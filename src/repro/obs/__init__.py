@@ -13,14 +13,9 @@ drivers:
   the zero-overhead :class:`NullTracer` default;
 * :mod:`repro.obs.probe` — :class:`JoinProbe`, the per-literal
   candidate/match counter that rides inside the reference matcher;
-* :mod:`repro.obs.sinks` — in-memory collector, JSONL writer, and the
-  human hot-rule table;
+* :mod:`repro.obs.sinks` — in-memory collector and JSONL writer;
 * :mod:`repro.obs.profile` — :class:`ProfileReport`, the per-rule
   aggregation behind ``repro profile``;
-* :mod:`repro.obs.bench` — the deterministic ``BENCH_engines.json``,
-  ``BENCH_differential.json``, ``BENCH_magic.json``, and
-  ``BENCH_feedback.json`` benchmark artifacts and their pinned-schema
-  validators;
 * :mod:`repro.obs.metrics` — :class:`RunMetrics`, the always-on
   counters-only harvest of one finished run (per-rule actual rows,
   join orders, stage timings) keyed by program content hash;
@@ -40,26 +35,6 @@ Quickstart::
     print(report.render(top=5))
 """
 
-from repro.obs.bench import (
-    BENCH_SCHEMA_VERSION,
-    DIFFERENTIAL_SCHEMA_VERSION,
-    FEEDBACK_SCHEMA_VERSION,
-    BenchRecord,
-    DifferentialRecord,
-    FeedbackRecord,
-    bench_artifact_dict,
-    differential_artifact_dict,
-    feedback_artifact_dict,
-    load_bench_artifact,
-    load_differential_artifact,
-    load_feedback_artifact,
-    validate_bench_artifact,
-    validate_differential_artifact,
-    validate_feedback_artifact,
-    write_bench_artifact,
-    write_differential_artifact,
-    write_feedback_artifact,
-)
 from repro.obs.events import (
     TRACE_SCHEMA_VERSION,
     LiteralProfile,
@@ -81,7 +56,7 @@ from repro.obs.profile import (
     ProfileReport,
     RuleProfileRow,
 )
-from repro.obs.sinks import CollectorSink, HotRuleTableSink, JsonlSink
+from repro.obs.sinks import CollectorSink, JsonlSink
 from repro.obs.store import (
     STATS_STORE_SCHEMA_VERSION,
     StatsStore,
@@ -92,32 +67,14 @@ from repro.obs.store import (
 from repro.obs.tracer import NULL_TRACER, NullTracer, RuleSpan, Tracer
 
 __all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "DIFFERENTIAL_SCHEMA_VERSION",
-    "FEEDBACK_SCHEMA_VERSION",
     "METRICS_SCHEMA_VERSION",
     "STATS_STORE_SCHEMA_VERSION",
-    "BenchRecord",
-    "DifferentialRecord",
-    "FeedbackRecord",
     "RunMetrics",
     "StatsStore",
     "StatsStoreWarning",
-    "bench_artifact_dict",
     "default_stats_path",
-    "differential_artifact_dict",
-    "feedback_artifact_dict",
-    "load_bench_artifact",
-    "load_differential_artifact",
-    "load_feedback_artifact",
     "program_content_hash",
-    "validate_bench_artifact",
-    "validate_differential_artifact",
-    "validate_feedback_artifact",
     "warm_from_store",
-    "write_bench_artifact",
-    "write_differential_artifact",
-    "write_feedback_artifact",
     "TRACE_SCHEMA_VERSION",
     "LiteralProfile",
     "RuleEvent",
@@ -131,7 +88,6 @@ __all__ = [
     "ProfileReport",
     "RuleProfileRow",
     "CollectorSink",
-    "HotRuleTableSink",
     "JsonlSink",
     "NULL_TRACER",
     "NullTracer",

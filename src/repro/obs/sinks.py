@@ -1,14 +1,12 @@
 """Pluggable sinks for the trace event stream.
 
-Three sinks cover the intended uses:
+Two sinks cover the intended uses:
 
 * :class:`CollectorSink` — in-memory list of events, for programmatic
   analysis and for building :class:`~repro.obs.profile.ProfileReport`s;
 * :class:`JsonlSink` — schema-versioned JSON Lines (one event per
   line, each line carrying ``"version"`` and ``"kind"``), the durable
-  machine-readable artifact (``repro run --trace-out``);
-* :class:`HotRuleTableSink` — renders the human hot-rule table to a
-  stream when closed (what ``repro profile --format human`` prints).
+  machine-readable artifact (``repro run --trace-out``).
 
 A sink is anything with ``emit(event)`` and optionally ``close()``.
 """
@@ -66,31 +64,3 @@ class JsonlSink:
     def close(self) -> None:
         if self._owns_handle:
             self._handle.close()
-
-
-class HotRuleTableSink:
-    """Aggregates rule spans and prints the hot-rule table on close."""
-
-    def __init__(
-        self,
-        out: IO[str],
-        top: int | None = 10,
-        sort: str = "time",
-        source_text: str | None = None,
-    ):
-        self.out = out
-        self.top = top
-        self.sort = sort
-        self.source_text = source_text
-        self._collector = CollectorSink()
-
-    def emit(self, event: TraceEvent) -> None:
-        self._collector.emit(event)
-
-    def close(self) -> None:
-        from repro.obs.profile import ProfileReport
-
-        report = ProfileReport.from_events(
-            self._collector.events, source_text=self.source_text
-        )
-        print(report.render(top=self.top, sort=self.sort), file=self.out)

@@ -22,10 +22,10 @@ relation really is still empty — the scan exits immediately; the real
 work arrives with the delta, which both runs plan identically).
 
 This is the deliberate worst case for purely static priors and the
-headline workload of ``benchmarks/test_feedback_ablation.py`` /
-``BENCH_feedback.json``: the cold-start penalty is paid exactly once,
-in one stage, and no amount of mid-run replanning can refund it —
-only remembering last run's cardinalities can.
+headline workload of ``benchmarks/test_feedback_ablation.py``: the
+cold-start penalty is paid exactly once, in one stage, and no amount
+of mid-run replanning can refund it — only remembering last run's
+cardinalities can.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from repro.semantics.differential import (
     UpdateReport,
 )
 
-__all__ = ["MaterializedView", "UpdateReport", "dict_of"]
+__all__ = ["MaterializedView", "UpdateReport"]
 
 
 class MaterializedView:
@@ -79,11 +79,3 @@ class MaterializedView:
     def consistent_with_scratch(self) -> bool:
         """Does the view equal from-scratch evaluation?  (For tests.)"""
         return self._engine.consistent_with_scratch()
-
-
-def dict_of(facts: Iterable[Fact]) -> dict[str, set[tuple]]:
-    """Group facts per relation (kept for callers of the old module)."""
-    out: dict[str, set[tuple]] = {}
-    for relation, t in facts:
-        out.setdefault(relation, set()).add(t)
-    return out

@@ -129,7 +129,7 @@ class TestQueryMagic:
         assert result.answers == frozenset({("n0", "n1")})
 
     def test_demand_cone_is_linear_on_a_chain(self):
-        # The acceptance story of BENCH_magic.json in miniature: a
+        # The magic-set ablation's fact gate in miniature: a
         # source-bound query over left-linear TC on a chain derives the
         # reachable facts plus seeds, not the quadratic closure.
         n = 24

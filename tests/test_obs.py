@@ -1,4 +1,4 @@
-"""The observability layer: events, tracer, probe, sinks, profiles, bench.
+"""The observability layer: events, tracer, probe, sinks, profiles.
 
 Every engine driver emits the same schema-versioned event stream
 (run_begin, stage spans, rule spans, run_end); the tests here pin the
@@ -13,13 +13,8 @@ import json
 import pytest
 
 from repro.obs import (
-    BENCH_SCHEMA_VERSION,
-    DIFFERENTIAL_SCHEMA_VERSION,
     TRACE_SCHEMA_VERSION,
-    BenchRecord,
     CollectorSink,
-    DifferentialRecord,
-    HotRuleTableSink,
     JsonlSink,
     LiteralProfile,
     NULL_TRACER,
@@ -30,14 +25,6 @@ from repro.obs import (
     RunEndEvent,
     StageEvent,
     Tracer,
-    bench_artifact_dict,
-    differential_artifact_dict,
-    load_bench_artifact,
-    load_differential_artifact,
-    validate_bench_artifact,
-    validate_differential_artifact,
-    write_bench_artifact,
-    write_differential_artifact,
 )
 from repro.parser import parse_program
 from repro.relational.instance import Database
@@ -263,19 +250,6 @@ class TestJsonlSink:
             json.loads(line)  # ν-values must not break serialization
 
 
-class TestHotRuleTableSink:
-    def test_renders_table_on_close(self):
-        buffer = io.StringIO()
-        sink = HotRuleTableSink(buffer, top=5)
-        evaluate_datalog_seminaive(parse_program(TC), Database(GRAPH),
-                                   tracer=Tracer([sink]))
-        assert buffer.getvalue() == ""  # nothing until closed
-        sink.close()
-        rendered = buffer.getvalue()
-        assert "engine: seminaive" in rendered
-        assert "T(x, y) :- G(x, y)." in rendered
-
-
 class TestProfileReport:
     def make_report(self):
         program = parse_program(TC)
@@ -328,106 +302,7 @@ class TestProfileReport:
 
     def test_render_contains_join_selectivity(self):
         rendered = self.make_report().render(top=10)
+        assert "engine: seminaive" in rendered
+        assert "T(x, y) :- G(x, y)." in rendered
         assert "join" in rendered
         assert "%" in rendered
-
-
-class TestBenchArtifact:
-    RECORDS = [
-        BenchRecord("tc", "seminaive", 32, 0.25, 100, 5),
-        BenchRecord("tc", "naive", 32, 1.0, 400, 5),
-    ]
-
-    def test_dict_sorted_and_versioned(self):
-        d = bench_artifact_dict(list(self.RECORDS))
-        assert d["version"] == BENCH_SCHEMA_VERSION
-        engines = [r["engine"] for r in d["benchmarks"]]
-        assert engines == ["naive", "seminaive"]
-
-    def test_write_load_roundtrip(self, tmp_path):
-        path = str(tmp_path / "BENCH_engines.json")
-        write_bench_artifact(list(self.RECORDS), path)
-        loaded = load_bench_artifact(path)
-        assert set(loaded) == set(self.RECORDS)
-
-    def test_validator_rejects_drift(self):
-        good = bench_artifact_dict(list(self.RECORDS))
-        with pytest.raises(ValueError):
-            validate_bench_artifact({**good, "version": 99})
-        with pytest.raises(ValueError):
-            validate_bench_artifact({**good, "extra": 1})
-        bad_record = dict(good["benchmarks"][0])
-        bad_record["surprise"] = True
-        with pytest.raises(ValueError):
-            validate_bench_artifact(
-                {"version": BENCH_SCHEMA_VERSION, "benchmarks": [bad_record]}
-            )
-        wrong_type = dict(good["benchmarks"][0])
-        wrong_type["size"] = "32"
-        with pytest.raises(ValueError):
-            validate_bench_artifact(
-                {"version": BENCH_SCHEMA_VERSION, "benchmarks": [wrong_type]}
-            )
-
-    def test_from_stats(self):
-        collector = CollectorSink()
-        result = evaluate_datalog_seminaive(
-            parse_program(TC), Database(GRAPH), tracer=Tracer([collector])
-        )
-        record = BenchRecord.from_stats("tc", "seminaive", 4, result.stats)
-        assert record.rule_firings == result.stats.rule_firings
-        assert record.stages == result.stats.stage_count
-        validate_bench_artifact(bench_artifact_dict([record]))
-
-
-class TestDifferentialArtifact:
-    RECORDS = [
-        DifferentialRecord("tc_nonlinear_chain", "scratch", 60, 0.02, 1890),
-        DifferentialRecord(
-            "tc_nonlinear_chain", "differential", 60, 0.001, 61
-        ),
-    ]
-
-    def test_dict_sorted_and_versioned(self):
-        d = differential_artifact_dict(list(self.RECORDS))
-        assert d["version"] == DIFFERENTIAL_SCHEMA_VERSION
-        modes = [r["mode"] for r in d["benchmarks"]]
-        assert modes == ["differential", "scratch"]
-
-    def test_write_load_roundtrip(self, tmp_path):
-        path = str(tmp_path / "BENCH_differential.json")
-        write_differential_artifact(list(self.RECORDS), path)
-        loaded = load_differential_artifact(path)
-        assert set(loaded) == set(self.RECORDS)
-
-    def test_validator_rejects_drift(self):
-        good = differential_artifact_dict(list(self.RECORDS))
-        with pytest.raises(ValueError):
-            validate_differential_artifact({**good, "version": 99})
-        with pytest.raises(ValueError):
-            validate_differential_artifact({**good, "extra": 1})
-        bad_record = dict(good["benchmarks"][0])
-        bad_record["surprise"] = True
-        with pytest.raises(ValueError):
-            validate_differential_artifact(
-                {"version": DIFFERENTIAL_SCHEMA_VERSION,
-                 "benchmarks": [bad_record]}
-            )
-        wrong_mode = dict(good["benchmarks"][0])
-        wrong_mode["mode"] = "cached"
-        with pytest.raises(ValueError):
-            validate_differential_artifact(
-                {"version": DIFFERENTIAL_SCHEMA_VERSION,
-                 "benchmarks": [wrong_mode]}
-            )
-
-    def test_committed_artifact_is_valid(self):
-        import pathlib
-
-        path = (
-            pathlib.Path(__file__).resolve().parent.parent
-            / "BENCH_differential.json"
-        )
-        records = load_differential_artifact(str(path))
-        modes = {record.mode for record in records}
-        assert modes == {"differential", "scratch"}

@@ -1,16 +1,31 @@
 """The public API surface: everything advertised imports and works."""
 
 import importlib
+import pkgutil
 
 import pytest
 
 import repro
+
+#: Every ``repro`` submodule that declares ``__all__``; the top-level
+#: package has its own tests below.
+SUBMODULES_WITH_ALL = [
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if hasattr(importlib.import_module(info.name), "__all__")
+]
 
 
 class TestTopLevelExports:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), f"repro.__all__ lists missing {name}"
+
+    @pytest.mark.parametrize("module", SUBMODULES_WITH_ALL)
+    def test_submodule_all_names_resolve(self, module):
+        mod = importlib.import_module(module)
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert not missing, f"{module}.__all__ lists missing {missing}"
 
     def test_version(self):
         assert repro.__version__
@@ -51,6 +66,11 @@ class TestTopLevelExports:
 
     def test_package_exports_are_unique(self):
         assert len(repro.__all__) == len(set(repro.__all__))
+
+    @pytest.mark.parametrize("module", SUBMODULES_WITH_ALL)
+    def test_submodule_exports_are_unique(self, module):
+        exports = importlib.import_module(module).__all__
+        assert len(exports) == len(set(exports))
 
 
 class TestQuickstartFromDocstring:

@@ -695,15 +695,7 @@ def iter_universal_matches(
     from matching the universal-free part of the body; each candidate is
     then verified against all adom-extensions of the universal part.
     """
-    universal = set(rule.universal)
-    free_literals = [
-        lit for lit in rule.body if not (lit.variables() & universal)
-    ]
-    bound_literals = [lit for lit in rule.body if lit.variables() & universal]
-    probe = Rule(rule.head, tuple(free_literals))
-    check = Rule(rule.head, tuple(bound_literals))
-    ordered_universal = sorted(universal, key=lambda v: v.name)
-
+    probe, check, ordered_universal = _universal_split(rule)
     for valuation in iter_matches(probe, db, adom):
         holds = True
         for values in itertools.product(adom, repeat=len(ordered_universal)):
@@ -714,6 +706,30 @@ def iter_universal_matches(
                 break
         if holds:
             yield valuation
+
+
+def _universal_split(rule: Rule) -> tuple[Rule, Rule, tuple[Var, ...]]:
+    """(probe, check, universal variables by name) of a ∀ rule.
+
+    ``probe`` holds the body literals free of universal variables,
+    ``check`` the rest.  The split rides on the rule, as its plans do
+    (:func:`~repro.semantics.plan.plan_for`), so every step of a run
+    reuses one probe rule and with it the probe's plans and kernels.
+    """
+    split = getattr(rule, "_universal_split", None)
+    if split is None:
+        universal = set(rule.universal)
+        free = tuple(
+            lit for lit in rule.body if not (lit.variables() & universal)
+        )
+        bound = tuple(lit for lit in rule.body if lit.variables() & universal)
+        split = (
+            Rule(rule.head, free),
+            Rule(rule.head, bound),
+            tuple(sorted(universal, key=lambda v: v.name)),
+        )
+        object.__setattr__(rule, "_universal_split", split)  # Rule is frozen
+    return split
 
 
 def _holds_under(rule: Rule, db: Database, valuation: dict[Var, Hashable]) -> bool:

@@ -1,41 +1,65 @@
-"""Source-emitting backend: each :class:`~repro.semantics.plan.RulePlan`
-compiled to specialized Python.
+"""Source-emitting backend: the kernels of each
+:class:`~repro.semantics.plan.RulePlan`, compiled to specialized Python.
 
 A generic interpreter over a plan would pay, for every candidate tuple,
 a loop over ``Step`` records, ``binds``/``withins`` tuples, and a
 backtracking stack that encode the *rule*, not the data.  None of that
-varies at runtime, so this module compiles it away entirely: for each
-plan it emits a small Python module — one specialized function per
-semi-naive variant — and ``exec``\\ s it once, keeping the source string
-for debugging (``repro run --dump-codegen DIR`` writes it out).
-
-Per plan the generated module contains:
+varies at runtime, so this module compiles it away: each semi-naive
+variant of a plan becomes one specialized Python function, a *kernel*.
+The variants of a plan with steps ``0 … n-1``:
 
 * ``walk_full`` / ``walk_r{i}`` — the generator walks behind
   ``RulePlan.iter_slot_matches``/``iter_seeded``: the full-pass walk
   and one variant per step ``i`` with that step's candidates drawn from
   the delta.  The join becomes literal nested ``for`` loops; a
-  full-depth chain probe is one ``.get`` per trie level over baked
+  full-depth chain probe is one ``.get`` per trie level over bound
   constants and slot reads (:func:`_trie_get`); repeat checks and
   residual (in)equalities are inline ``if``\\ s with constant indices.
 * ``emit_full`` / ``emit_r{i}`` — the fused single-positive-head
   variants behind :meth:`RulePlan.run_emit`.  These drop the slot list
-  for flat locals (``v0, v1, …``) and bake the head template into the
+  for flat locals (``v0, v1, …``) and build the head fact in the
   ``add`` call.  Because the fused path never yields, nothing can
   mutate the database mid-walk, so these variants also skip the
   defensive bucket snapshots (``list(bucket)`` / ``list(rel)``) and
   iterate the live buckets.
 * ``group_r{i}`` — the delta grouping of the restricted variants with
   the key positions baked in.
-* ``emit_batch_full``/``emit_batch_r0`` and
-  ``walk_batch_full``/``walk_batch_r0`` — the batch kernels
-  (:func:`_emit_batch`): one list comprehension per variant that
-  consumes a whole delta block, with each chain root's ``.get`` hoisted
-  and full-depth probes inlined as the same trie walks.  Dispatched by
-  ``run_emit_batch``/``run_walk_batch``; shapes that don't batch (delta
-  at a non-leading occurrence, bound plans, no loopable step) and
-  blocks under :attr:`CodegenPlan.BATCH_MIN_ROWS` run the scalar
-  variants.
+* ``emit_batch_full``/``emit_batch_r0`` and ``walk_batch_full`` — the
+  batch kernels (:func:`_emit_batch`): one comprehension per variant
+  that runs a whole pass (``emit_batch_r0`` over a whole delta block),
+  with each chain root's ``.get`` hoisted and full-depth probes inlined
+  as the same trie walks.
+  Dispatched by ``run_emit_batch``/``run_walk_batch``; shapes that don't
+  batch (delta at a non-leading occurrence, bound plans, no loopable
+  step), blocks under :attr:`CodegenPlan.BATCH_MIN_ROWS` and restricted
+  walks run the scalar variants.
+
+**Each variant is built on its first call.**  A plan's
+:class:`CodegenPlan` is a table of its variants in which every entry
+starts as a stub.  A stub's first call builds its variant through
+:func:`compile_plan` and puts the built function in its own place, so
+later calls dispatch straight to the kernel.  Most plans only ever run
+two or three of their variants.
+
+**Each text is compiled once.**  The emitted text names no relation
+and no constant: every value is a default argument (``R0=R0``,
+``K1_0=K1_0``, …) that :func:`compile_plan` binds when it makes the
+function, so inside the kernel each value is a fast local and the text
+depends only on the plan's shape.  ``compile()`` runs once per distinct
+text.  The code object goes into ``_SHAPES``, a table keyed by the text
+and shared by every plan whose variant emits it; isomorphic rules (the
+30 gated components of ``bench``'s ``gated_components``) bind their
+own relation names to one code object.  Because the text holds no
+constant, the table grows with the number of distinct rule shapes a
+process has run, not with its programs or their data: a fresh parse of
+a program (the feedback ablation's rounds, repeated magic queries)
+finds its code compiled even after the earlier program is gone.
+:meth:`~repro.semantics.plan.PlanCache.clear` empties the table, so
+that the next kernel compiles as in a fresh process.  Each compiled
+text is registered in :mod:`linecache` under a file name of its own,
+so a traceback through a kernel shows the emitted line.  The entry
+leaves :mod:`linecache` when its code object dies: once the table is
+cleared and no kernel runs the code.
 
 Enumeration-order identity (the contract seeded choice/nondeterministic
 engines replay against) is preserved construct by construct: buckets
@@ -52,55 +76,66 @@ live root dict is stable within a walk).  A prefix probe (a cover
 chain probed above its last level) is a :meth:`Relation.probe_chain`
 call, whose fresh list needs no snapshot.
 
-Compiled functions are cached on the plan object itself
-(``RulePlan.codegen_fns``): they die with the plan on
-:meth:`PlanCache.clear`, planner replans build fresh plans (hence fresh
-functions), and :func:`~repro.semantics.plan.plan_with_cover` resets
-the slot on its twin so a cover-probing plan never runs the base plan's
-identity-chain code.
+A plan's table lives on the plan (``RulePlan.codegen_fns``) and dies
+with it; planner replans build fresh plans (hence fresh tables), and
+:func:`~repro.semantics.plan.plan_with_cover` resets the slot on its
+twin so a cover-probing plan never runs the base plan's identity-chain
+code.
 """
 
 from __future__ import annotations
 
+import builtins
 import itertools
 import linecache
 import re
+from types import CodeType, FunctionType
 from typing import Hashable, Iterator
+from weakref import finalize
 
-__all__ = ["CodegenPlan", "compile_plan", "dump_codegen"]
-
-#: Values emitted as literals in the generated source.  Exact types
-#: only: a subclass (IntEnum, str subclasses) may not repr-round-trip,
-#: and floats are excluded because ``nan``/``inf`` have no literal —
-#: everything else is hoisted into the module namespace by name.
-_LITERAL_TYPES = (int, str, bool, type(None))
+__all__ = ["CodegenPlan", "Kernel", "compile_plan", "dump_codegen"]
 
 _SEQ = itertools.count()
 
+#: Compiled kernel code by emitted text, shared by every plan whose
+#: variant emits that text; one entry per shape, until
+#: :func:`clear_shapes`.
+_SHAPES: dict[str, CodeType] = {}
+
+#: The globals of every kernel.  ``_E`` is the empty dict of the
+#: inlined trie walks (``(g(k0) or _E).get(k1)``), read-only by
+#: construction.
+_GLOBALS = {"__builtins__": builtins, "_E": {}}
+
 
 class _Source:
-    """Accumulates generated lines and the hoisted-constant pool."""
+    """One kernel being emitted: its lines and the values it binds.
 
-    def __init__(self) -> None:
+    Every relation name and constant enters the kernel through
+    :meth:`bind` as a default argument, so the text depends only on the
+    plan's shape.  Names are structural (``R{d}`` is step ``d``'s
+    relation, ``K{d}_{i}`` element ``i`` of its key, …), so one name
+    means one value across all the variants of a plan.
+    """
+
+    def __init__(self, name: str, params: str) -> None:
+        self.name = name
+        self.params = params
         self.lines: list[str] = []
-        self.consts: list[tuple[str, Hashable]] = []
+        self.bindings: dict[str, Hashable] = {}
 
     def add(self, indent: int, text: str) -> None:
         self.lines.append("    " * indent + text)
 
-    def lit(self, value: Hashable) -> str:
-        """A source expression evaluating to ``value``."""
-        if type(value) in _LITERAL_TYPES:
-            return repr(value)
-        for name, existing in self.consts:
-            if type(existing) is type(value) and existing == value:
-                return name
-        name = f"_K{len(self.consts)}"
-        self.consts.append((name, value))
+    def bind(self, name: str, value: Hashable) -> str:
+        """``name``, bound to ``value`` when the kernel is made."""
+        self.bindings[name] = value
         return name
 
     def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
+        params = [self.params, *(f"{name}={name}" for name in self.bindings)]
+        return (f"def {self.name}({', '.join(params)}):\n"
+                + "\n".join(self.lines) + "\n")
 
 
 def _tuple_expr(elements: list[str]) -> str:
@@ -111,12 +146,44 @@ def _tuple_expr(elements: list[str]) -> str:
     return "(" + ", ".join(elements) + ")"
 
 
-def _key_exprs(src: _Source, step, slot_ref) -> list[str]:
-    """Per-element expressions of the step's index key, position order."""
-    exprs = [src.lit(value) for value in step.key_template]
-    for template_index, s in step.key_fills:
-        exprs[template_index] = slot_ref(s)
-    return exprs
+def _key_exprs(src: _Source, d: int, step, slot_ref) -> list[str]:
+    """Per-element expressions of step ``d``'s index key, position order."""
+    fills = dict(step.key_fills)
+    return [
+        slot_ref(fills[i]) if i in fills else src.bind(f"K{d}_{i}", value)
+        for i, value in enumerate(step.key_template)
+    ]
+
+
+def _key_tuple(src: _Source, d: int, step, slot_ref, perm=None) -> str:
+    """Step ``d``'s key as one tuple, in ``perm`` order (default:
+    position order).  An all-constant key is a single bound tuple, so
+    probing it builds nothing.  A step probes in one order only: an
+    exact step by position, a prefix probe by its chain's columns."""
+    if perm is None:
+        perm = range(len(step.key_template))
+    if not step.key_fills:
+        return src.bind(f"K{d}", tuple(step.key_template[i] for i in perm))
+    key = _key_exprs(src, d, step, slot_ref)
+    return _tuple_expr([key[i] for i in perm])
+
+
+def _template_exprs(src: _Source, name: str, template, fills,
+                    slot_ref) -> list[str]:
+    """Per-position expressions of a head or negation template."""
+    filled = dict(fills)
+    return [
+        slot_ref(filled[p]) if p in filled else src.bind(f"{name}_{p}", value)
+        for p, value in enumerate(template)
+    ]
+
+
+def _template_expr(src: _Source, name: str, template, fills,
+                   slot_ref) -> str:
+    """A head or negation template as one tuple; all-constant, bound."""
+    if not fills:
+        return src.bind(name, tuple(template))
+    return _tuple_expr(_template_exprs(src, name, template, fills, slot_ref))
 
 
 def _trie_get(get: str, keys: list[str]) -> str:
@@ -139,35 +206,23 @@ def _full_depth(step) -> bool:
             and step.chain_depth == len(step.chain_order))
 
 
-def _template_expr(src: _Source, template, fills, slot_ref) -> str:
-    """Tuple display for a (template, fills) pair (head or negation)."""
-    exprs = [src.lit(value) for value in template]
-    for position, s in fills:
-        exprs[position] = slot_ref(s)
-    return _tuple_expr(exprs)
-
-
-def _emit_variant(src: _Source, plan, restricted_index: int,
-                  fused: bool) -> str:
-    """One specialized walk; returns the emitted function's name."""
+def _emit_variant(plan, restricted_index: int, fused: bool) -> _Source:
+    """One specialized scalar walk, generator or fused flavor."""
     steps = plan.steps
     suffix = "full" if restricted_index < 0 else f"r{restricted_index}"
-    name = ("emit_" if fused else "walk_") + suffix
     params = "db, adom, add" if fused else "db, adom, slots"
     if restricted_index >= 0:
         params += ", restricted"
+    src = _Source(("emit_" if fused else "walk_") + suffix, params)
     if fused:
         def slot_ref(s: int) -> str:
             return f"v{s}"
         bail = "return fired"
+        src.add(1, "fired = 0")
     else:
         def slot_ref(s: int) -> str:
             return f"slots[{s}]"
         bail = "return"
-
-    src.add(0, f"def {name}({params}):")
-    if fused:
-        src.add(1, "fired = 0")
 
     # Prologue: resolve every non-restricted step's relation once.  A
     # missing relation means the walk can never reach full depth, so no
@@ -175,7 +230,8 @@ def _emit_variant(src: _Source, plan, restricted_index: int,
     for d, step in enumerate(steps):
         if d == restricted_index:
             continue
-        src.add(1, f"rel{d} = db.relation({src.lit(step.relation)})")
+        rel_name = src.bind(f"R{d}", step.relation)
+        src.add(1, f"rel{d} = db.relation({rel_name})")
         src.add(1, f"if rel{d} is None:")
         src.add(2, bail)
         if _full_depth(step):
@@ -184,18 +240,18 @@ def _emit_variant(src: _Source, plan, restricted_index: int,
         # The fused walk never yields, so the database is frozen for
         # the whole call: negation relations can be resolved up front.
         for k, (relation, _template, _fills) in enumerate(plan.neg_checks):
-            src.add(1, f"nrel{k} = db.relation({src.lit(relation)})")
+            rel_name = src.bind(f"NR{k}", relation)
+            src.add(1, f"nrel{k} = db.relation({rel_name})")
 
     indent = 1
     in_loop = False
     for d, step in enumerate(steps):
-        key = _key_exprs(src, step, slot_ref)
         if d == restricted_index:
             # ``restricted`` is pre-grouped by group_r{d} when the step
             # has key positions, else the raw delta frozenset.
             if step.key_positions:
-                src.add(indent,
-                        f"for c{d} in restricted.get({_tuple_expr(key)}, ()):")
+                key = _tuple_expr(_key_exprs(src, d, step, slot_ref))
+                src.add(indent, f"for c{d} in restricted.get({key}, ()):")
             else:
                 src.add(indent, f"for c{d} in restricted:")
             in_loop = True
@@ -203,10 +259,12 @@ def _emit_variant(src: _Source, plan, restricted_index: int,
             # Fully bound: a membership probe, not a loop.  ``continue``
             # statements below still behave exactly like the reference
             # matcher's single-candidate lookup exhausting.
-            src.add(indent, f"if {_tuple_expr(key)} in rel{d}:")
+            key = _key_tuple(src, d, step, slot_ref)
+            src.add(indent, f"if {key} in rel{d}:")
         elif _full_depth(step):
             # The root is fetched at the walk's first probe, so a walk
             # that never reaches this step never builds the chain.
+            key = _key_exprs(src, d, step, slot_ref)
             ks = [key[i] for i in step.chain_perm]
             src.add(indent, f"if t{d} is None:")
             src.add(indent + 1,
@@ -219,7 +277,7 @@ def _emit_variant(src: _Source, plan, restricted_index: int,
             in_loop = True
         elif step.chain_order is not None:
             # A prefix probe: probe_chain collects a fresh list.
-            chain_key = _tuple_expr([key[i] for i in step.chain_perm])
+            chain_key = _key_tuple(src, d, step, slot_ref, step.chain_perm)
             src.add(indent,
                     f"for c{d} in rel{d}.probe_chain({step.chain_order!r}, "
                     f"{step.chain_depth}, {chain_key}):")
@@ -237,20 +295,23 @@ def _emit_variant(src: _Source, plan, restricted_index: int,
 
     # -- the finish block (assigns, checks, adom, residuals, output) --
     fail = "continue" if in_loop else bail
-    for dst, source_slot, value in plan.assigns:
+    for j, (dst, source_slot, value) in enumerate(plan.assigns):
         rhs = slot_ref(source_slot) if source_slot is not None \
-            else src.lit(value)
+            else src.bind(f"A{j}", value)
         src.add(indent, f"{slot_ref(dst)} = {rhs}")
 
-    def emit_checks(checks) -> None:
-        for ls, lc, rs, rc, positive in checks:
-            left = slot_ref(ls) if ls is not None else src.lit(lc)
-            right = slot_ref(rs) if rs is not None else src.lit(rc)
+    def emit_checks(checks, prefix: str) -> None:
+        # At most one side of a check is a constant: the plan folds
+        # constant-constant checks away when it is built.
+        for j, (ls, lc, rs, rc, positive) in enumerate(checks):
+            name = f"{prefix}{j}"
+            left = slot_ref(ls) if ls is not None else src.bind(name, lc)
+            right = slot_ref(rs) if rs is not None else src.bind(name, rc)
             op = "!=" if positive else "=="
             src.add(indent, f"if {left} {op} {right}:")
             src.add(indent + 1, fail)
 
-    emit_checks(plan.pre_checks)
+    emit_checks(plan.pre_checks, "P")
     for j, s in enumerate(plan.unbound_slots):
         if fused:
             src.add(indent, f"for v{s} in adom:")
@@ -262,29 +323,39 @@ def _emit_variant(src: _Source, plan, restricted_index: int,
     if plan.unbound_slots:
         fail = "continue"
     for k, (relation, template, fills) in enumerate(plan.neg_checks):
-        probe = _template_expr(src, template, fills, slot_ref)
+        probe = _template_expr(src, f"N{k}", template, fills, slot_ref)
         if fused:
             src.add(indent, f"if nrel{k} is not None and {probe} in nrel{k}:")
         else:
-            src.add(indent,
-                    f"if db.has_fact({src.lit(relation)}, {probe}):")
+            src.add(indent, f"if db.has_fact({src.bind(f'NR{k}', relation)}, "
+                            f"{probe}):")
         src.add(indent + 1, fail)
-    emit_checks(plan.post_checks)
+    emit_checks(plan.post_checks, "Q")
     if fused:
         relation, template, fills, _positive = plan.emitters[0]
+        head = _template_expr(src, "H", template, fills, slot_ref)
         src.add(indent, "fired += 1")
-        src.add(indent, f"add(({src.lit(relation)}, "
-                        f"{_template_expr(src, template, fills, slot_ref)}))")
+        src.add(indent, f"add(({src.bind('HR', relation)}, {head}))")
         src.add(1, "return fired")
     else:
         src.add(indent, "yield slots")
-    src.add(0, "")
-    return name
+    return src
 
 
-def _emit_batch(src: _Source, plan, restricted_index: int,
-                fused: bool) -> str | None:
-    """One batch (whole-delta) kernel; ``None`` if the shape won't batch.
+def _batches(plan, restricted_index: int) -> bool:
+    """Whether the variant has a batch kernel (see :func:`_emit_batch`)."""
+    steps = plan.steps
+    if not steps or plan.bound or restricted_index > 0:
+        return False
+    if restricted_index == 0:
+        first = plan.rule.positive_body()[plan.order[0]]
+        return not steps[0].key_fills and bool(first.terms)
+    # A comprehension needs at least one for clause.
+    return bool(plan.unbound_slots) or not all(step.exact for step in steps)
+
+
+def _emit_batch(plan, restricted_index: int, fused: bool) -> _Source:
+    """One batch (whole-delta) kernel of a shape :func:`_batches` admits.
 
     The batch variants consume an entire delta block in one
     call — rows unpacked straight into named locals, each chain root's
@@ -298,22 +369,18 @@ def _emit_batch(src: _Source, plan, restricted_index: int,
     pays for wrapping the deduped survivors once at the end.
 
     Batched shapes: ≥ 1 step, unbound plans only (seeded slots have no
-    local to live in), and the restricted variant only for the leading
+    local to live in), the fused restricted variant only for the leading
     occurrence (the planner compiles delta-first orders, so that is the
-    hot case; other variants fall back to the scalar walk at dispatch).
+    hot case; other variants fall back to the scalar walk at dispatch),
+    and the walk flavor only for the full pass.
     Unlike the scalar flavors nothing here snapshots buckets: a batch
     call materializes its whole result before the caller sees any row,
     so no consumer can mutate the relation mid-walk.
     """
     steps = plan.steps
-    if not steps or plan.bound or restricted_index > 0:
-        return None
     positive = plan.rule.positive_body()
     arities = [len(positive[i].terms) for i in plan.order]
-    if restricted_index == 0 and (steps[0].key_fills or arities[0] == 0):
-        return None
     suffix = "full" if restricted_index < 0 else f"r{restricted_index}"
-    name = ("emit_batch_" if fused else "walk_batch_") + suffix
     params = "db, adom, out" if fused else "db, adom"
     if restricted_index >= 0:
         params += ", rows"
@@ -325,12 +392,14 @@ def _emit_batch(src: _Source, plan, restricted_index: int,
         # differential engine's affected-fact and over-deletion
         # passes).
         params += ", known"
+    src = _Source(("emit_batch_" if fused else "walk_batch_") + suffix, params)
     bail = "return 0" if fused else "return []"
 
     prologue: list[str] = []
     guards: list[str] = []
     clauses: list[str] = []
     slot_expr: dict[int, str] = {}
+    ref = slot_expr.__getitem__
     has_for = False
     # For the fused variant's keyed projection cache: the bucket
     # expression and cache key of each keyed probe step, plus which
@@ -356,11 +425,7 @@ def _emit_batch(src: _Source, plan, restricted_index: int,
         names = ", ".join(cand_name(d, p) for p in range(arities[d]))
         return names + ("," if arities[d] == 1 else "")
 
-    def key_expr_of(key: list[str]) -> str:
-        return key[0] if len(key) == 1 else _tuple_expr(key)
-
     for d, step in enumerate(steps):
-        key = _key_exprs(src, step, lambda s: slot_expr[s])
         if d == restricted_index:
             clauses.append(f"for {targets(d)} in rows")
             last_for = (len(clauses) - 1, d)
@@ -368,11 +433,13 @@ def _emit_batch(src: _Source, plan, restricted_index: int,
             # The scalar variant groups the delta by the (constant) key
             # and probes once; filtering the unpacked rows yields the
             # same subsequence in the same order.
+            key = _key_exprs(src, d, step, ref)
             for j, p in enumerate(step.key_positions):
                 clauses.append(f"if {cand_name(d, p)} == {key[j]}")
         elif step.exact:
-            cond(f"{_tuple_expr(key)} in rel{d}")
+            cond(f"{_key_tuple(src, d, step, ref)} in rel{d}")
         elif step.chain_order is not None:
+            key = _key_exprs(src, d, step, ref)
             ks = [key[i] for i in step.chain_perm]
             if _full_depth(step):
                 prologue.append(
@@ -380,12 +447,15 @@ def _emit_batch(src: _Source, plan, restricted_index: int,
                 )
                 expr = _trie_get(f"g{d}", ks) + " or ()"
             else:
+                chain_key = _key_tuple(src, d, step, ref, step.chain_perm)
                 prologue.append(f"p{d} = rel{d}.probe_chain")
                 expr = (f"p{d}({step.chain_order!r}, {step.chain_depth}, "
-                        f"{_tuple_expr(ks)})")
+                        f"{chain_key})")
             clauses.append(f"for {targets(d)} in {expr}")
             if arities[d]:
-                probe_info[d] = (expr, key_expr_of(ks))
+                probe_info[d] = (
+                    expr, ks[0] if len(ks) == 1 else _tuple_expr(ks)
+                )
             last_for = (len(clauses) - 1, d)
             has_for = True
         else:
@@ -398,201 +468,187 @@ def _emit_batch(src: _Source, plan, restricted_index: int,
             slot_expr[s] = cand_name(d, position)
 
     # -- finish: assigns substitute, checks become filter clauses ------
-    for dst, source_slot, value in plan.assigns:
+    for j, (dst, source_slot, value) in enumerate(plan.assigns):
         slot_expr[dst] = (
             slot_expr[source_slot] if source_slot is not None
-            else src.lit(value)
+            else src.bind(f"A{j}", value)
         )
 
-    def batch_checks(checks) -> None:
-        for ls, lc, rs, rc, positive_check in checks:
-            left = slot_expr[ls] if ls is not None else src.lit(lc)
-            right = slot_expr[rs] if rs is not None else src.lit(rc)
+    def batch_checks(checks, prefix: str) -> None:
+        for j, (ls, lc, rs, rc, positive_check) in enumerate(checks):
+            name = f"{prefix}{j}"
+            left = slot_expr[ls] if ls is not None else src.bind(name, lc)
+            right = slot_expr[rs] if rs is not None else src.bind(name, rc)
             op = "==" if positive_check else "!="
             cond(f"{left} {op} {right}")
 
-    batch_checks(plan.pre_checks)
+    batch_checks(plan.pre_checks, "P")
     for s in plan.unbound_slots:
         clauses.append(f"for v{s} in adom")
         slot_expr[s] = f"v{s}"
         has_for = True
-    for k, (relation, template, fills) in enumerate(plan.neg_checks):
-        probe = _template_expr(src, template, fills,
-                               lambda s: slot_expr[s])
+    for k, (_relation, template, fills) in enumerate(plan.neg_checks):
+        probe = _template_expr(src, f"N{k}", template, fills, ref)
         cond(f"nrel{k} is None or {probe} not in nrel{k}")
-    batch_checks(plan.post_checks)
-    if not has_for:
-        return None  # a comprehension needs at least one for clause
+    batch_checks(plan.post_checks, "Q")
 
-    if fused:
-        relation, template, fills, _positive = plan.emitters[0]
-        element = _template_expr(
-            src, template, fills, lambda s: slot_expr[s]
-        )
-        relation_lit = src.lit(relation)
-    else:
-        element = _tuple_expr(
-            [slot_expr[s] for s in range(plan.n_slots)]
-        )
-
-    src.add(0, f"def {name}({params}):")
     for d, step in enumerate(steps):
         if d == restricted_index:
             continue
-        src.add(1, f"rel{d} = db.relation({src.lit(step.relation)})")
+        rel_name = src.bind(f"R{d}", step.relation)
+        src.add(1, f"rel{d} = db.relation({rel_name})")
         src.add(1, f"if rel{d} is None:")
         src.add(2, bail)
     for k, (relation, _template, _fills) in enumerate(plan.neg_checks):
-        src.add(1, f"nrel{k} = db.relation({src.lit(relation)})")
+        rel_name = src.bind(f"NR{k}", relation)
+        src.add(1, f"nrel{k} = db.relation({rel_name})")
     for line in prologue:
         src.add(1, line)
     for guard in guards:
         src.add(1, f"if not ({guard}):")
         src.add(2, bail)
-    if fused:
-        # The fused variant dedups the bare head tuples into a local
-        # set first — the inner loop never allocates or hashes the
-        # ``(relation, tuple)`` wrapper, which on duplicate-heavy
-        # self-joins is most of the firings — then subtracts the head
-        # relation's current content (semi-naive's difference, pushed
-        # into the kernel: one bulk ``difference_update`` instead of a
-        # per-fact membership probe downstream) and wraps only the
-        # genuinely new survivors for ``out``.
-        #
-        # When the innermost clause is an unfiltered keyed probe, the
-        # whole inner loop vectorizes: the bucket's projection onto
-        # the head's last-step attributes is computed once per
-        # distinct key and cached for the block, the firing count
-        # hoists to ``len(proj)``, and emission becomes one C-level
-        # ``set.update`` per outer row into a dedup set grouped by
-        # the head's outer attributes — no per-firing bytecode runs.
-        d_last = last_for[1] if last_for is not None else -1
-        cacheable = (
-            last_for is not None
-            and last_for[0] == len(clauses) - 1
-            and d_last in probe_info
-            and d_last != restricted_index
-        )
-        if cacheable:
-            head_exprs = [src.lit(v) for v in template]
-            for position, hs in fills:
-                head_exprs[position] = slot_expr[hs]
-            is_inner = [
-                any(
-                    re.search(rf"\b{cand_name(d_last, p)}\b", e)
-                    for p in range(arities[d_last])
-                )
-                for e in head_exprs
-            ]
-            inner_exprs = [
-                e for e, inn in zip(head_exprs, is_inner) if inn
-            ]
-            outer_exprs = [
-                e for e, inn in zip(head_exprs, is_inner) if not inn
-            ]
-            cacheable = bool(inner_exprs)
-        src.add(1, "fired = 0")
-        if cacheable:
-            probe_expr, cache_key = probe_info[d_last]
-            proj_elem = (
-                inner_exprs[0] if len(inner_exprs) == 1
-                else _tuple_expr(inner_exprs)
-            )
-            # Rebuild the head tuple from the group key (k*) and the
-            # deduped inner projection (w*) during the final flatten.
-            head_parts, ko, wo = [], 0, 0
-            for inn in is_inner:
-                if inn:
-                    head_parts.append(f"w{wo}")
-                    wo += 1
-                else:
-                    head_parts.append(f"k{ko}")
-                    ko += 1
-            head_rebuilt = _tuple_expr(head_parts)
-            w_names = [f"w{j}" for j in range(wo)]
-            w_target = (
-                w_names[0] if len(w_names) == 1
-                else "(" + ", ".join(w_names) + ")"
-            )
-            if outer_exprs:
-                key_expr = (
-                    outer_exprs[0] if len(outer_exprs) == 1
-                    else _tuple_expr(outer_exprs)
-                )
-                k_names = [f"k{i}" for i in range(ko)]
-                k_target = (
-                    k_names[0] if len(k_names) == 1
-                    else "(" + ", ".join(k_names) + ")"
-                )
-                src.add(1, "seen = {}")
-                src.add(1, "sget = seen.get")
-            else:
-                src.add(1, "seen = set()")
-            src.add(1, "cache = {}")
-            src.add(1, "cget = cache.get")
-            depth = 1
-            for clause in clauses[:-1]:
-                src.add(depth, clause + ":")
-                depth += 1
-            src.add(depth, f"proj = cget({cache_key})")
-            src.add(depth, "if proj is None:")
-            src.add(depth + 1, f"proj = cache[{cache_key}] = [")
-            src.add(depth + 2, proj_elem)
-            src.add(depth + 2, f"for {targets(d_last)} in {probe_expr}")
-            src.add(depth + 1, "]")
-            src.add(depth, "if proj:")
-            depth += 1
-            src.add(depth, "fired += len(proj)")
-            if outer_exprs:
-                src.add(depth, f"s = sget({key_expr})")
-                src.add(depth, "if s is None:")
-                src.add(depth + 1, f"s = seen[{key_expr}] = set()")
-                src.add(depth, "s.update(proj)")
-            else:
-                src.add(depth, "seen.update(proj)")
-            src.add(1, "if seen:")
-            if outer_exprs:
-                src.add(2, f"flat = {{{head_rebuilt} for {k_target}, s in "
-                            f"seen.items() for {w_target} in s}}")
-            else:
-                src.add(2, f"flat = {{{head_rebuilt} for {w_target} "
-                            "in seen}")
-            src.add(2, "if known:")
-            src.add(3, "flat.difference_update(known)")
-            src.add(2, f"out.update([({relation_lit}, t) for t in flat])")
-        else:
-            src.add(1, "seen = set()")
-            src.add(1, "add = seen.add")
-            depth = 1
-            for clause in clauses:
-                src.add(depth, clause + ":")
-                depth += 1
-            src.add(depth, "fired += 1")
-            src.add(depth, f"add({element})")
-            src.add(1, "if seen:")
-            src.add(2, "if known:")
-            src.add(3, "seen.difference_update(known)")
-            src.add(2, f"out.update([({relation_lit}, t) for t in seen])")
-        src.add(1, "return fired")
-    else:
+    if not fused:
         # The walk variant's whole product is the row list, so the
         # comprehension's C-level appends are the fastest way to
         # build it (the scalar walk is a per-row generator resume).
         src.add(1, "res = [")
-        src.add(2, element)
+        src.add(2, _tuple_expr([slot_expr[s] for s in range(plan.n_slots)]))
         for clause in clauses:
             src.add(2, clause)
         src.add(1, "]")
         src.add(1, "return res")
-    src.add(0, "")
-    return name
+        return src
+
+    # The fused variant dedups the bare head tuples into a local set
+    # first — the inner loop never allocates or hashes the
+    # ``(relation, tuple)`` wrapper, which on duplicate-heavy self-joins
+    # is most of the firings — then subtracts the head relation's
+    # current content (semi-naive's difference, pushed into the kernel:
+    # one bulk ``difference_update`` instead of a per-fact membership
+    # probe downstream) and wraps only the genuinely new survivors for
+    # ``out``.
+    #
+    # When the innermost clause is an unfiltered keyed probe, the whole
+    # inner loop vectorizes: the bucket's projection onto the head's
+    # last-step attributes is computed once per distinct key and cached
+    # for the block, the firing count hoists to ``len(proj)``, and
+    # emission becomes one C-level ``set.update`` per outer row into a
+    # dedup set grouped by the head's outer attributes — no per-firing
+    # bytecode runs.
+    relation, template, fills, _positive = plan.emitters[0]
+    relation_name = src.bind("HR", relation)
+    d_last = last_for[1] if last_for is not None else -1
+    # An all-constant head has no expression over the last step, so it
+    # cannot use the cache (and must not bind its positions one by one).
+    cacheable = (
+        bool(fills)
+        and last_for is not None
+        and last_for[0] == len(clauses) - 1
+        and d_last in probe_info
+        and d_last != restricted_index
+    )
+    if cacheable:
+        head_exprs = _template_exprs(src, "H", template, fills, ref)
+        is_inner = [
+            any(
+                re.search(rf"\b{cand_name(d_last, p)}\b", e)
+                for p in range(arities[d_last])
+            )
+            for e in head_exprs
+        ]
+        inner_exprs = [e for e, inn in zip(head_exprs, is_inner) if inn]
+        outer_exprs = [e for e, inn in zip(head_exprs, is_inner) if not inn]
+        cacheable = bool(inner_exprs)
+    src.add(1, "fired = 0")
+    if cacheable:
+        probe_expr, cache_key = probe_info[d_last]
+        proj_elem = (
+            inner_exprs[0] if len(inner_exprs) == 1
+            else _tuple_expr(inner_exprs)
+        )
+        # Rebuild the head tuple from the group key (k*) and the
+        # deduped inner projection (w*) during the final flatten.
+        head_parts, ko, wo = [], 0, 0
+        for inn in is_inner:
+            if inn:
+                head_parts.append(f"w{wo}")
+                wo += 1
+            else:
+                head_parts.append(f"k{ko}")
+                ko += 1
+        head_rebuilt = _tuple_expr(head_parts)
+        w_names = [f"w{j}" for j in range(wo)]
+        w_target = (
+            w_names[0] if len(w_names) == 1
+            else "(" + ", ".join(w_names) + ")"
+        )
+        if outer_exprs:
+            key_expr = (
+                outer_exprs[0] if len(outer_exprs) == 1
+                else _tuple_expr(outer_exprs)
+            )
+            k_names = [f"k{i}" for i in range(ko)]
+            k_target = (
+                k_names[0] if len(k_names) == 1
+                else "(" + ", ".join(k_names) + ")"
+            )
+            src.add(1, "seen = {}")
+            src.add(1, "sget = seen.get")
+        else:
+            src.add(1, "seen = set()")
+        src.add(1, "cache = {}")
+        src.add(1, "cget = cache.get")
+        depth = 1
+        for clause in clauses[:-1]:
+            src.add(depth, clause + ":")
+            depth += 1
+        src.add(depth, f"proj = cget({cache_key})")
+        src.add(depth, "if proj is None:")
+        src.add(depth + 1, f"proj = cache[{cache_key}] = [")
+        src.add(depth + 2, proj_elem)
+        src.add(depth + 2, f"for {targets(d_last)} in {probe_expr}")
+        src.add(depth + 1, "]")
+        src.add(depth, "if proj:")
+        depth += 1
+        src.add(depth, "fired += len(proj)")
+        if outer_exprs:
+            src.add(depth, f"s = sget({key_expr})")
+            src.add(depth, "if s is None:")
+            src.add(depth + 1, f"s = seen[{key_expr}] = set()")
+            src.add(depth, "s.update(proj)")
+        else:
+            src.add(depth, "seen.update(proj)")
+        src.add(1, "if seen:")
+        if outer_exprs:
+            src.add(2, f"flat = {{{head_rebuilt} for {k_target}, s in "
+                        f"seen.items() for {w_target} in s}}")
+        else:
+            src.add(2, f"flat = {{{head_rebuilt} for {w_target} in seen}}")
+        src.add(2, "if known:")
+        src.add(3, "flat.difference_update(known)")
+        src.add(2, f"out.update([({relation_name}, t) for t in flat])")
+    else:
+        element = _template_expr(src, "H", template, fills, ref)
+        src.add(1, "seen = set()")
+        src.add(1, "add = seen.add")
+        depth = 1
+        for clause in clauses:
+            src.add(depth, clause + ":")
+            depth += 1
+        src.add(depth, "fired += 1")
+        src.add(depth, f"add({element})")
+        src.add(1, "if seen:")
+        src.add(2, "if known:")
+        src.add(3, "seen.difference_update(known)")
+        src.add(2, f"out.update([({relation_name}, t) for t in seen])")
+    src.add(1, "return fired")
+    return src
 
 
-def _emit_group(src: _Source, index: int, positions) -> str:
-    """The delta grouping of ``_run`` with key positions baked in."""
-    name = f"group_r{index}"
-    key = _tuple_expr([f"t[{p}]" for p in positions])
-    src.add(0, f"def {name}(restricted):")
+def _emit_group(plan, index: int) -> _Source:
+    """The delta grouping of a restricted walk, key positions baked in."""
+    key = _tuple_expr([f"t[{p}]" for p in plan.steps[index].key_positions])
+    src = _Source(f"group_r{index}", "restricted")
     src.add(1, "grouped = {}")
     src.add(1, "for t in restricted:")
     src.add(2, f"k = {key}")
@@ -602,31 +658,120 @@ def _emit_group(src: _Source, index: int, positions) -> str:
     src.add(2, "else:")
     src.add(3, "g.append(t)")
     src.add(1, "return grouped")
-    src.add(0, "")
-    return name
+    return src
+
+
+def _emit(plan, name: str) -> _Source:
+    """The source of variant ``name`` (``walk_r1``, ``emit_batch_full``…)."""
+    kind, _, variant = name.rpartition("_")
+    restricted_index = -1 if variant == "full" else int(variant[1:])
+    if kind == "group":
+        return _emit_group(plan, restricted_index)
+    if kind.endswith("_batch"):
+        return _emit_batch(plan, restricted_index, kind == "emit_batch")
+    return _emit_variant(plan, restricted_index, kind == "emit")
+
+
+class Kernel:
+    """One built variant of a plan.
+
+    ``source`` is the exact text compiled (shared by every plan of the
+    same shape), ``bindings`` the values this plan gives its default
+    arguments, and ``function`` what the plan's table calls.
+    """
+
+    __slots__ = ("source", "bindings", "function")
+
+    def __init__(self, source: str, bindings: dict[str, Hashable],
+                 function) -> None:
+        self.source = source
+        self.bindings = bindings
+        self.function = function
 
 
 class CodegenPlan:
-    """One plan's compiled functions plus the source they came from.
+    """One plan's kernel table, each variant built on its first call.
 
-    ``run``/``run_emit_batch`` take the arguments ``RulePlan``
-    dispatches with (minus the head spec, which is baked — callers
-    verify it against ``head_relation``/``head_fills`` before
-    dispatching).
+    ``run``/``run_emit``/``run_emit_batch``/``run_walk_batch`` take the
+    arguments ``RulePlan`` dispatches with (minus the head spec, which
+    is bound — callers verify it against ``head_relation``/
+    ``head_fills`` before dispatching).  A variant the plan has no use
+    for (no batch shape, no single positive head, no key to group by)
+    is ``None`` in its table.  ``kernels`` holds the variants built so
+    far, in the order they first ran.
     """
 
     __slots__ = (
-        "source",
-        "filename",
+        "plan",
         "n_slots",
         "head_relation",
         "head_fills",
+        "kernels",
+        "_entries",
         "_walks",
         "_emits",
         "_groups",
         "_batch_emits",
         "_batch_walks",
     )
+
+    def __init__(self, plan) -> None:
+        self.plan = plan
+        self.n_slots = plan.n_slots
+        self.kernels: dict[str, Kernel] = {}
+        #: name → (table, index) of each variant the plan has.
+        self._entries: dict[str, tuple[list, int]] = {}
+        steps = plan.steps
+        variants = ["full", *(f"r{i}" for i in range(len(steps)))]
+        self._walks = self._table("walk", variants)
+        self._groups = self._table("group", [
+            f"r{i}" if step.key_positions else None
+            for i, step in enumerate(steps)
+        ])
+        self._batch_walks = self._table(
+            "walk_batch", ["full" if _batches(plan, -1) else None]
+        )
+        emitters = plan.emitters
+        if (emitters is not None and len(emitters) == 1 and emitters[0][3]
+                and not plan.bound):
+            self._emits = self._table("emit", variants)
+            self._batch_emits = self._table("emit_batch", [
+                variant if _batches(plan, r) else None
+                for variant, r in (("full", -1), ("r0", 0))
+            ])
+            self.head_relation = emitters[0][0]
+            self.head_fills = emitters[0][2]
+        else:
+            self._emits = self._batch_emits = None
+            self.head_relation = self.head_fills = None
+
+    def _table(self, kind: str, variants: list) -> list:
+        table: list = []
+        for index, variant in enumerate(variants):
+            if variant is None:
+                table.append(None)
+                continue
+            name = f"{kind}_{variant}"
+            self._entries[name] = (table, index)
+            table.append(self._stub(name))
+        return table
+
+    def _stub(self, name: str):
+        def first_call(*args):
+            return self.kernel(name).function(*args)
+        return first_call
+
+    def kernel(self, name: str) -> Kernel:
+        """Variant ``name``, built now if it has not run yet.
+
+        Raises ``KeyError`` for a variant this plan does not have.
+        """
+        kernel = self.kernels.get(name)
+        if kernel is None:
+            table, index = self._entries[name]
+            kernel = self.kernels[name] = compile_plan(self.plan, name)
+            table[index] = kernel.function
+        return kernel
 
     def run(self, db, adom, restricted_index: int, restricted,
             seed=None) -> Iterator:
@@ -714,100 +859,61 @@ class CodegenPlan:
             return fn(db, adom, out, known)
         return fn(db, adom, out, self._rows(restricted), known)
 
-    def run_walk_batch(self, db, adom, restricted_index: int,
-                       restricted) -> "list[tuple] | None":
-        """Batch walk: every match as a materialized slot row, or
-        ``None`` when this variant has no batch kernel (the caller then
-        falls back to the generator walk)."""
-        if restricted_index < 0:
-            fn = self._batch_walks[0]
-            return fn(db, adom) if fn is not None else None
-        if restricted_index == 0:
-            fn = self._batch_walks[1]
-            if fn is not None:
-                if not restricted:
-                    return []
-                return fn(db, adom, self._rows(restricted))
-        return None
+    def run_walk_batch(self, db, adom,
+                       restricted_index: int) -> "list[tuple] | None":
+        """Every match of the full pass as a materialized slot row, or
+        ``None`` when the variant has no batch kernel (a restricted
+        pass, or no loopable step); the caller then falls back to the
+        generator walk."""
+        fn = self._batch_walks[0]
+        if restricted_index >= 0 or fn is None:
+            return None
+        return fn(db, adom)
 
 
-def compile_plan(plan) -> CodegenPlan:
-    """Emit, compile, and bind the specialized functions for ``plan``."""
-    src = _Source()
-    rule_text = " ".join(str(plan.rule).split())
-    src.add(0, f"# codegen for rule: {rule_text}")
-    src.add(0, f"# join order: {plan.order!r}   slots: "
-               + " ".join(f"{v.name}={s}" for v, s in plan.out_vars))
-    src.add(0, "")
-    # Shared empty dict for the inlined trie walks
-    # (``(g(k0) or _E).get(k1)``); read-only by construction.
-    src.add(0, "_E = {}")
-    src.add(0, "")
-    variants = [-1, *range(len(plan.steps))]
-    walk_names = [_emit_variant(src, plan, r, fused=False)
-                  for r in variants]
-    emittable = (
-        plan.emitters is not None
-        and len(plan.emitters) == 1
-        and plan.emitters[0][3]
-        and not plan.bound
-    )
-    emit_names = (
-        [_emit_variant(src, plan, r, fused=True) for r in variants]
-        if emittable
-        else None
-    )
-    batch_walk_names = [_emit_batch(src, plan, r, fused=False)
-                        for r in (-1, 0)]
-    batch_emit_names = (
-        [_emit_batch(src, plan, r, fused=True) for r in (-1, 0)]
-        if emittable
-        else [None, None]
-    )
-    group_names: list[str | None] = [
-        _emit_group(src, i, step.key_positions) if step.key_positions
-        else None
-        for i, step in enumerate(plan.steps)
-    ]
+def compile_plan(plan, name: str) -> Kernel:
+    """Build variant ``name`` of ``plan``'s kernel table.
 
+    ``name`` is one of the plan's variants (``"walk_full"``,
+    ``"emit_batch_r0"``, …; see the module docstring).  The variant is
+    emitted, its text compiled unless some plan already compiled the
+    same text since the last :func:`clear_shapes`, and the code bound
+    to this plan's values.
+    Every emission and every ``compile()`` of an evaluation happens in
+    here, and the returned :class:`Kernel` keeps the emitted text as
+    ``.source``, so a caller timing this function times codegen.
+    """
+    src = _emit(plan, name)
     source = src.text()
-    filename = f"<codegen-{next(_SEQ)}: {rule_text}>"
-    namespace: dict = dict(src.consts)
-    exec(compile(source, filename, "exec"), namespace)
-    # Register with linecache so tracebacks through generated code show
-    # the emitted lines.
+    code = _SHAPES.get(source)
+    if code is None:
+        code = _SHAPES[source] = _compile(source, name)
+    values = tuple(src.bindings.values())
+    function = FunctionType(code, _GLOBALS, name, values or None)
+    return Kernel(source, src.bindings, function)
+
+
+def _compile(source: str, name: str) -> CodeType:
+    """Compile one kernel text, registered in linecache while it lives."""
+    filename = f"<codegen-{next(_SEQ)}: {name}>"
+    (code,) = [
+        const for const in compile(source, filename, "exec").co_consts
+        if isinstance(const, CodeType)
+    ]
     linecache.cache[filename] = (
         len(source), None, source.splitlines(True), filename
     )
+    finalize(code, linecache.cache.pop, filename, None)
+    return code
 
-    cg = CodegenPlan.__new__(CodegenPlan)
-    cg.source = source
-    cg.filename = filename
-    cg.n_slots = plan.n_slots
-    cg._walks = [namespace[name] for name in walk_names]
-    cg._emits = (
-        [namespace[name] for name in emit_names] if emit_names else None
-    )
-    cg._groups = [
-        namespace[name] if name is not None else None
-        for name in group_names
-    ]
-    cg._batch_walks = [
-        namespace[name] if name is not None else None
-        for name in batch_walk_names
-    ]
-    cg._batch_emits = [
-        namespace[name] if name is not None else None
-        for name in batch_emit_names
-    ]
-    if emittable:
-        relation, _template, fills, _positive = plan.emitters[0]
-        cg.head_relation = relation
-        cg.head_fills = fills
-    else:
-        cg.head_relation = None
-        cg.head_fills = None
-    return cg
+
+def clear_shapes() -> None:
+    """Empty the shape table, so the next kernel compiles its text anew.
+
+    Kernels already built keep their code, and its :mod:`linecache`
+    entry, for as long as they live.
+    """
+    _SHAPES.clear()
 
 
 def _dump_name(rule_index: int, plan) -> str:
@@ -819,41 +925,67 @@ def _dump_name(rule_index: int, plan) -> str:
     return name
 
 
-def dump_codegen(program, directory: str) -> list[str]:
-    """Write the generated source of every plan the program ran.
+def _dump_text(plan) -> str:
+    """One dump file: a header naming the rule and join order and binding
+    every value as a Python assignment, then the exact text of each
+    variant the plan built, in the order they first ran."""
+    kernels = list(plan.codegen_fns.kernels.values())
+    bindings: dict[str, Hashable] = {}
+    for kernel in kernels:
+        bindings.update(kernel.bindings)
+    rule_text = " ".join(str(plan.rule).split())
+    header = [
+        f"# codegen for rule: {rule_text}",
+        f"# join order: {plan.order!r}   slots: "
+        + " ".join(f"{v.name}={s}" for v, s in plan.out_vars),
+        "",
+        "_E = {}",
+        *(f"{name} = {value!r}" for name, value in bindings.items()),
+        "",
+        "",
+    ]
+    return "\n".join(header) + "\n".join(k.source for k in kernels)
 
-    One file per plan whose functions were compiled: base plans, the
-    planner's chain-cover twins (``RulePlan.cover_twins`` — usually the
-    code that actually ran), and the differential engine's bound
-    plans, named by rule index, join order, bound variables and cover
-    twin number.  Nothing new is compiled unless no plan of the
-    program ever ran (a traced run, or no run at all); then each
-    rule's cached plans — or its source-order plan — are compiled so
-    the dump still shows the code a run generates.  Returns the
-    written paths.  Debug tooling for ``repro run --dump-codegen``.
+
+def dump_codegen(program, directory: str) -> list[str]:
+    """Write the kernels of every plan the program ran, one file per plan.
+
+    Plans are base plans, the planner's chain-cover twins
+    (``RulePlan.cover_twins`` — usually the code that actually ran) and
+    the differential engine's bound plans, named by rule index, join
+    order, bound variables and cover twin number.  A file holds each
+    variant the plan built (so ran), behind a header that binds every
+    value the variants read: executing the file defines the functions
+    that ran, with the same bytecode.  Nothing new is built unless no
+    plan of the program ever ran (a traced run, or no run at all); then
+    each rule's cached plans — or its source-order plan — build their
+    ``walk_full`` so the dump still shows the code a run generates.
+    Returns the written paths.  Debug tooling for ``repro run
+    --dump-codegen``.
     """
     import os
 
-    from repro.semantics.plan import PlanCache, plan_for
+    from repro.semantics.plan import cached_plans, plan_for
 
-    plans: list[tuple[str, object]] = []
+    ran: list[tuple[str, object]] = []
     for i, rule in enumerate(program.rules):
-        for plan in (PlanCache._plans.get(rule) or {}).values():
+        for plan in cached_plans(rule):
             stem = _dump_name(i, plan)
-            plans.append((stem, plan))
-            for k, twin in enumerate((plan.cover_twins or {}).values()):
-                plans.append((f"{stem}_cover{k}", twin))
-    ran = [(stem, plan) for stem, plan in plans if plan.codegen_fns is not None]
+            twins = (plan.cover_twins or {}).values()
+            for name, candidate in [
+                (stem, plan),
+                *((f"{stem}_cover{k}", twin) for k, twin in enumerate(twins)),
+            ]:
+                if candidate.codegen_fns is not None \
+                        and candidate.codegen_fns.kernels:
+                    ran.append((name, candidate))
     if not ran:
         for i, rule in enumerate(program.rules):
-            cached = list((PlanCache._plans.get(rule) or {}).values())
-            if not cached:
-                cached = [
-                    plan_for(rule, tuple(range(len(rule.positive_body()))))
-                ]
-            for plan in cached:
-                if plan.codegen_fns is None:
-                    plan.codegen_fns = compile_plan(plan)
+            plans = cached_plans(rule) or [
+                plan_for(rule, tuple(range(len(rule.positive_body()))))
+            ]
+            for plan in plans:
+                plan.compiled().kernel("walk_full")
                 ran.append((_dump_name(i, plan), plan))
 
     os.makedirs(directory, exist_ok=True)
@@ -861,6 +993,6 @@ def dump_codegen(program, directory: str) -> list[str]:
     for stem, plan in ran:
         path = os.path.join(directory, f"{stem}.py")
         with open(path, "w") as handle:
-            handle.write(plan.codegen_fns.source)
+            handle.write(_dump_text(plan))
         paths.append(path)
     return paths

@@ -19,19 +19,25 @@ per (rule, join order):
 * head literals become emitter templates, so the planner can produce
   head facts without ever materializing a valuation dict.
 
-:mod:`repro.semantics.codegen` then turns each plan into specialized
-Python — the join as literal nested loops — and every execution method
-here dispatches to those generated functions (``codegen_fns``, compiled
-on first use and cached on the plan itself, so they are invalidated
-exactly when the plan is: :meth:`PlanCache.clear` drops plans and
-functions together, a planner replan selects or builds a different
-plan object, and :func:`plan_with_cover` resets the slot on its
-cover-probing twin).  Semi-naive drivers freeze each stage's delta
-through :func:`make_delta`, which wraps it in a :class:`DeltaBlock`;
-``run_emit`` and ``run_rows`` hand whole blocks to the
-``emit_batch_*``/``walk_batch_*`` kernels and fall back to the scalar
+Plans ride on their rule (:func:`plan_for`), keyed on the join order,
+so the cheap size-driven join-order choice still runs per rule per stage
+and merely *selects* among cached plans.  A plan lives exactly as long
+as its rule: no registry outside the rule holds it.
+
+:mod:`repro.semantics.codegen` turns each plan into specialized Python —
+the join as literal nested loops — and every execution method here
+dispatches into the plan's kernel table (``codegen_fns``, made on first
+use).  Each variant in the table is built on its first call, and
+variants that emit the same text share one compiled code object, which
+is all that outlives a program: :meth:`PlanCache.clear` empties that
+shared table.  Tables are invalidated exactly when their plans are: a
+planner replan selects or builds a different plan object, and
+:func:`plan_with_cover` resets the slot on its cover-probing twin.
+Semi-naive drivers freeze each stage's delta through :func:`make_delta`,
+which wraps it in a :class:`DeltaBlock`; ``run_emit`` hands whole
+blocks to the ``emit_batch_*`` kernels and falls back to the scalar
 variants for small blocks (``CodegenPlan.BATCH_MIN_ROWS``) and shapes
-without a batch kernel.
+without a batch kernel, and ``run_rows`` batches the full pass only.
 The generator flavor (``iter_matches`` and the seeded engines) keeps
 the scalar walk: a batch kernel materializes its whole result, which is
 exactly what consumers that mutate between yields must not see.
@@ -41,10 +47,6 @@ is executed once per touched literal index with that step's candidates
 drawn from the delta set instead of an index, exactly mirroring the
 reference matcher — so one compiled plan covers every restricted
 variant of a join order.
-
-Plans are cached per rule (weakly) keyed on the join order, so the
-cheap size-driven join-order choice still runs per rule per stage and
-merely *selects* among cached plans.
 
 Match enumeration order is byte-for-byte the reference matcher's
 order under the same join order: index buckets preserve insertion
@@ -58,30 +60,30 @@ from __future__ import annotations
 
 import itertools
 from typing import Hashable, Iterator
-from weakref import WeakKeyDictionary
 
 from repro.ast.rules import EqLit, Rule
 from repro.relational.instance import Database
-from repro.semantics.codegen import CodegenPlan, compile_plan
+from repro.semantics.codegen import CodegenPlan, clear_shapes
 from repro.terms import Const, Var
+
+#: The attribute a rule's plans ride on: {join order key → RulePlan}.
+_PLANS_ATTR = "_compiled_plans"
 
 
 class PlanCache:
-    """The compiled-plan registry."""
+    """The reset of what compiled plans share across programs."""
 
-    #: rule → {join order (indices into positive_body) → RulePlan}.
-    #: Weak on the rule so plans die with the program; structurally
-    #: equal rules (spans excluded from Rule equality) share plans.
-    _plans: "WeakKeyDictionary[Rule, dict[tuple[int, ...], RulePlan]]" = (
-        WeakKeyDictionary()
-    )
+    @staticmethod
+    def clear() -> None:
+        """Empty codegen's shared table of compiled kernel code.
 
-    @classmethod
-    def clear(cls) -> None:
-        """Drop every cached plan — and, with each plan, its codegen'd
-        functions (``codegen_fns`` lives on the plan object, so the two
-        caches cannot go out of sync)."""
-        cls._plans = WeakKeyDictionary()
+        Plans live on their rules and die with them, so there is no
+        plan registry to drop; the shared code table is the one cache
+        an evaluation can find warm from an earlier program.  After
+        this, every variant compiles its text as in a fresh process.
+        Kernels already built keep running their own code.
+        """
+        clear_shapes()
 
 
 def active_matcher() -> str:
@@ -231,13 +233,13 @@ class RulePlan:
         #: every later occurrence compiles to an index key fill — the
         #: probes are restricted by the seed, not post-filtered.
         self.bound = bound
-        #: Lazily-built :class:`~repro.semantics.codegen.CodegenPlan`;
-        #: lives and dies with this plan object (see PlanCache.clear).
+        #: This plan's :class:`~repro.semantics.codegen.CodegenPlan`,
+        #: made on first use; lives and dies with this plan object.
         self.codegen_fns = None
         #: Memoized :func:`plan_with_cover` twins, keyed by the applied
-        #: per-step chain specs.  Planner contexts are per-program, so
-        #: without this each program would rebuild (and recompile)
-        #: every cover twin.  Same lifecycle as the plan itself.
+        #: per-step chain specs.  The planner re-derives each decision's
+        #: twin whenever its cover changes; without this an unchanged
+        #: twin would rebuild its kernels.  Same lifecycle as the plan.
         self.cover_twins = None
         positive = rule.positive_body()
         slot_of: dict[Var, int] = {}
@@ -408,11 +410,11 @@ class RulePlan:
 
     # -- execution ----------------------------------------------------------
 
-    def _compiled(self) -> CodegenPlan:
-        """This plan's generated functions, compiled on first use."""
+    def compiled(self) -> CodegenPlan:
+        """This plan's kernel table; each variant builds on first call."""
         fns = self.codegen_fns
         if fns is None:
-            fns = self.codegen_fns = compile_plan(self)
+            fns = self.codegen_fns = CodegenPlan(self)
         return fns
 
     def iter_slot_matches(
@@ -429,7 +431,7 @@ class RulePlan:
         """
         if self.never:
             return
-        fns = self._compiled()
+        fns = self.compiled()
         if delta is None:
             yield from fns.run(db, adom, -1, None)
         else:
@@ -454,7 +456,7 @@ class RulePlan:
         """
         if self.never:
             return iter(())
-        return self._compiled().run(db, adom, -1, None, seed)
+        return self.compiled().run(db, adom, -1, None, seed)
 
     def run_rows(
         self,
@@ -466,13 +468,14 @@ class RulePlan:
         """Slot rows of one plan run, batch-kernelled when possible.
 
         The planner's multi-head/negative-head emit path: its consumer
-        never mutates the database while draining, so the whole run
-        comes back as one materialized list from a ``walk_batch_*``
-        kernel.  Variants without a batch shape fall back to the
-        generated scalar walk.
+        never mutates the database while draining, so a full pass comes
+        back as one materialized list from the ``walk_batch_full``
+        kernel.  Delta passes (which no dialect with such heads runs)
+        and shapes without a batch kernel fall back to the generated
+        scalar walk.
         """
-        fns = self._compiled()
-        rows = fns.run_walk_batch(db, adom, restricted_index, restricted)
+        fns = self.compiled()
+        rows = fns.run_walk_batch(db, adom, restricted_index)
         if rows is not None:
             return rows
         return fns.run(db, adom, restricted_index, restricted)
@@ -508,7 +511,7 @@ class RulePlan:
         kernel).  Callers that read the result as "everything
         derivable" pass False.
         """
-        fns = self._compiled()
+        fns = self.compiled()
         if (fns._emits is None or relation != fns.head_relation
                 or fills != fns.head_fills):
             raise ValueError(
@@ -531,15 +534,28 @@ def plan_for(
     rule and is then selected in O(1) by later stages.  ``bound`` names
     caller-seeded variables (see :meth:`RulePlan.iter_seeded`); bound
     plans are cached alongside the unbound ones under a composite key.
+
+    The cache rides on the rule object itself, as the planner's context
+    rides on the program: the lookup is one attribute read (a mapping
+    keyed by the rule would hash it structurally on every call), and
+    the plans die with the rule.  Structurally equal rules therefore
+    build their own plans; what they share is compiled code.
     """
-    per_rule = PlanCache._plans.get(rule)
-    if per_rule is None:
-        per_rule = PlanCache._plans.setdefault(rule, {})
+    plans = getattr(rule, _PLANS_ATTR, None)
+    if plans is None:
+        plans = {}
+        object.__setattr__(rule, _PLANS_ATTR, plans)  # Rule is frozen
     key = order if not bound else (order, bound)
-    plan = per_rule.get(key)
+    plan = plans.get(key)
     if plan is None:
-        plan = per_rule[key] = RulePlan(rule, order, bound)
+        plan = plans[key] = RulePlan(rule, order, bound)
     return plan
+
+
+def cached_plans(rule: Rule) -> list[RulePlan]:
+    """The plans :func:`plan_for` has built for ``rule`` so far (cover
+    twins hang off each as ``cover_twins``)."""
+    return list(getattr(rule, _PLANS_ATTR, {}).values())
 
 
 def plan_with_cover(
@@ -557,10 +573,9 @@ def plan_with_cover(
     identity chains.
 
     Twins are memoized on the base plan keyed by the applied per-step
-    chain specs: planner contexts are per-program, and rebuilding a
-    twin for each program would recompile its codegen functions too.
-    The memo shares the plan cache's lifecycle (cleared together,
-    replaced together on replans that change the order).
+    chain specs: the planner re-derives every decision's twin whenever
+    its cover changes, and rebuilding an unchanged twin would rebuild
+    its kernels too.  The memo lives and dies with the base plan.
     """
     specs = tuple(
         assign.get((step.relation, frozenset(step.key_positions)))
@@ -602,9 +617,9 @@ def plan_with_cover(
     for name in RulePlan.__slots__:
         setattr(twin, name, getattr(plan, name))
     twin.steps = tuple(steps)
-    # The slot copy above carried the base plan's codegen'd functions,
-    # which probe identity chains — stale for a cover-probing twin.
-    # Reset so the twin compiles its own (the cache-coherence contract).
+    # The slot copy above carried the base plan's kernel table, whose
+    # kernels probe identity chains — stale for a cover-probing twin.
+    # Reset so the twin builds its own (the cache-coherence contract).
     twin.codegen_fns = None
     twin.cover_twins = None
     twins[specs] = twin

@@ -97,16 +97,19 @@ def _transform(program: Program) -> Program:
     idb = program.idb
     new_rules: list[Rule] = []
     for rule in program.rules:
-        body = []
-        for lit in rule.body:
-            if isinstance(lit, Lit) and not lit.positive and lit.relation in idb:
-                body.append(
-                    Lit(Atom(_assumed_name(lit.relation), lit.atom.terms), False)
-                )
-            else:
-                body.append(lit)
-        new_rules.append(Rule(rule.head, tuple(body), rule.universal,
-                              span=rule.span))
+        body = tuple(
+            Lit(Atom(_assumed_name(lit.relation), lit.atom.terms), False)
+            if isinstance(lit, Lit) and not lit.positive and lit.relation in idb
+            else lit
+            for lit in rule.body
+        )
+        # A rule without negated idb literals stays the same object:
+        # compiled plans ride on the rule, so the program's own rule
+        # keeps the plans that ran (``--dump-codegen`` shows them).
+        new_rules.append(
+            rule if body == rule.body
+            else Rule(rule.head, body, rule.universal, span=rule.span)
+        )
     return Program(new_rules, name=f"{program.name}-wf")
 
 

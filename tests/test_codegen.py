@@ -8,34 +8,53 @@ The evidence here is layered: shape checks on the emitted source, a
 50-program production-vs-reference differential across four
 semantics, seeded byte-identical replays of the choice and
 nondeterministic engines, the cache coherence rules
-(``PlanCache.clear`` and cover twins never run stale functions), and
+(``PlanCache.clear`` and cover twins never run stale functions), the
+lifetime rules (plans die with their rules; compiled code is kept once
+per shape, never per program, until ``PlanCache.clear``), and
 ``--dump-codegen`` writing exactly the code that ran.
 """
 
+import gc
 import io
+import linecache
 import os
 import random
+import re
+import traceback
+import weakref
+from collections.abc import Mapping, MutableSet
+from pathlib import Path
+from types import FunctionType
 
 import pytest
 
 from repro.cli import main
 from repro.parser import parse_program
+from repro.programs.component_chain import (
+    component_chain_database,
+    component_chain_source,
+    reference_component_chain,
+)
 from repro.relational.instance import Database
+from repro.semantics import codegen, planner
 from repro.semantics.choice import evaluate_with_choice
-from repro.semantics.codegen import compile_plan, dump_codegen
+from repro.semantics.codegen import CodegenPlan, dump_codegen
 from repro.semantics.naive import evaluate_datalog_naive
 from repro.semantics.nondeterministic import run_nondeterministic
 from repro.obs import CollectorSink, Tracer
-from repro.semantics.base import reference_matches
+from repro.semantics.base import iter_universal_matches, reference_matches
 from repro.semantics.plan import (
     PlanCache,
+    RulePlan,
     active_matcher,
+    cached_plans,
     plan_for,
     plan_with_cover,
 )
 from repro.semantics.seminaive import evaluate_datalog_seminaive
 from repro.semantics.stratified import evaluate_stratified
 from repro.semantics.wellfounded import evaluate_wellfounded
+from repro.terms import Var
 from repro.workloads.graphs import chain, graph_database
 from tests.test_differential_engines import random_program_and_database
 
@@ -59,7 +78,7 @@ def _tc_db(n: int = 8) -> Database:
 
 
 class TestEmittedSource:
-    """The generated module has the promised shape."""
+    """The generated kernels have the promised shape."""
 
     def _plan(self):
         program = parse_program(TC_NONLINEAR)
@@ -67,35 +86,63 @@ class TestEmittedSource:
         return plan_for(rule, (0, 1))
 
     def test_variants_present(self):
-        cg = compile_plan(self._plan())
-        for name in ("def walk_full(", "def walk_r0(", "def walk_r1(",
-                     "def emit_full(", "def emit_r0(", "def emit_r1(",
-                     "def group_r1("):
-            assert name in cg.source, name
+        cg = self._plan().compiled()
+        assert cg.kernels == {}  # nothing is built before it runs
+        for name in ("walk_full", "walk_r0", "walk_r1",
+                     "emit_full", "emit_r0", "emit_r1", "group_r1"):
+            assert f"def {name}(" in cg.kernel(name).source, name
+        # A built variant replaced its stub: dispatch calls it directly.
+        assert cg._walks[0] is cg.kernels["walk_full"].function
 
     def test_constants_and_head_baked(self):
-        cg = compile_plan(self._plan())
-        # The relation name and the head template are literals in the
-        # source, not runtime lookups.
-        assert "db.relation('T')" in cg.source
-        assert "add(('T', " in cg.source
+        cg = self._plan().compiled()
+        kernel = cg.kernel("emit_full")
+        # The relation names and the head are bound into the kernel as
+        # default arguments (fast locals), not looked up at runtime;
+        # the text itself names no relation.
+        assert "db.relation(R0)" in kernel.source
+        assert "add((HR, " in kernel.source
+        assert "'T'" not in kernel.source
+        assert kernel.bindings == {"R0": "T", "R1": "T", "HR": "T"}
+        assert kernel.function.__defaults__ == ("T", "T", "T")
         assert cg.head_relation == "T"
 
     def test_fused_flavor_skips_snapshots(self):
-        cg = compile_plan(self._plan())
+        cg = self._plan().compiled()
         # The generator flavor snapshots each bucket (consumers may
         # mutate the database between yields); the fused flavor never
         # yields, so it iterates buckets live.
-        walk = cg.source[cg.source.index("def walk_full"):
-                         cg.source.index("def walk_r0")]
-        emit = cg.source[cg.source.index("def emit_full"):
-                         cg.source.index("def emit_r0")]
-        assert "list(" in walk
-        assert "list(" not in emit
+        assert "list(" in cg.kernel("walk_full").source
+        assert "list(" not in cg.kernel("emit_full").source
+
+    def test_every_bound_value_is_read(self):
+        # A kernel binds only the values its text reads: an all-constant
+        # head is one bound tuple, not also one value per position.
+        program = parse_program(
+            TC_NONLINEAR + "F('a', 'b') :- T(x, y), T(y, z).\n"
+        )
+        evaluate_datalog_seminaive(program, _tc_db(12))
+        kernels = [
+            kernel
+            for rule in program.rules
+            for plan in cached_plans(rule)
+            for candidate in (plan, *(plan.cover_twins or {}).values())
+            if candidate.codegen_fns is not None
+            for kernel in candidate.codegen_fns.kernels.values()
+        ]
+        assert any(
+            kernel.function.__name__.startswith("emit_batch_")
+            and kernel.bindings.get("H") == ("a", "b")
+            for kernel in kernels
+        )
+        for kernel in kernels:
+            body = kernel.source.split("\n", 1)[1]
+            for name in kernel.bindings:
+                assert re.search(rf"\b{name}\b", body), (name, kernel.source)
 
     def test_source_compiles_to_working_walk(self):
         plan = self._plan()
-        cg = compile_plan(plan)
+        cg = CodegenPlan(plan)
         db = _tc_db(4)
         db.ensure_relation("T", 2).update(db.tuples("G"))
         rows = {tuple(slots) for slots in cg.run(db, (), -1, None)}
@@ -111,9 +158,10 @@ class TestEmittedSource:
         paths = dump_codegen(program, str(tmp_path))
         assert paths, "no generated sources written"
         for path in paths:
-            text = open(path).read()
+            text = Path(path).read_text()
             assert "# codegen for rule:" in text
-            assert "def walk_full(" in text
+            assert "HR = 'T'" in text  # the header binds the values
+            assert "def emit_" in text  # semi-naive runs fused kernels
 
 
 class TestTierDispatch:
@@ -158,17 +206,22 @@ class TestCacheCoherence:
     """Stale codegen'd functions must never run."""
 
     def test_plan_cache_clear_drops_codegen_functions(self):
-        program = parse_program(TC_NONLINEAR)
-        rule = program.rules[1]
-        plan = plan_for(rule, (0, 1))
         db = _tc_db(4)
         db.ensure_relation("T", 2).update(db.tuples("G"))
-        list(plan.iter_slot_matches(db, ()))
-        assert plan.codegen_fns is not None
+
+        def ran():
+            plan = plan_for(parse_program(TC_NONLINEAR).rules[1], (0, 1))
+            list(plan.iter_slot_matches(db, ()))
+            return plan, plan.codegen_fns.kernels["walk_full"].function
+
+        plan, walk = ran()
+        # An equal rule from a fresh parse shares the compiled code ...
+        assert ran()[1].__code__ is walk.__code__
         PlanCache.clear()
-        fresh = plan_for(rule, (0, 1))
-        assert fresh is not plan
-        assert fresh.codegen_fns is None
+        # ... until the cache is cleared: then the text compiles anew,
+        # while the live plan keeps running its own function.
+        assert ran()[1].__code__ is not walk.__code__
+        assert plan.codegen_fns.kernels["walk_full"].function is walk
 
     def test_cover_twin_never_runs_flat_index_code(self):
         program = parse_program(TC_NONLINEAR)
@@ -185,14 +238,15 @@ class TestCacheCoherence:
         }
         twin = plan_with_cover(plan, assign)
         assert twin is not plan
-        # The slot copy must not carry the base plan's functions: they
+        # The slot copy must not carry the base plan's kernels: they
         # probe the identity chain (0,), the twin the cover's (0, 1).
         assert twin.codegen_fns is None
-        twin_cg = compile_plan(twin)
-        assert "probe_chain((0, 1), 1, " in twin_cg.source
-        assert "chain_index((0,))" not in twin_cg.source
-        assert "chain_index((0,))" in plan.codegen_fns.source
-        assert "probe_chain(" not in plan.codegen_fns.source
+        twin_source = twin.compiled().kernel("walk_full").source
+        assert "probe_chain((0, 1), 1, " in twin_source
+        assert "chain_index((0,))" not in twin_source
+        base_source = plan.codegen_fns.kernels["walk_full"].source
+        assert "chain_index((0,))" in base_source
+        assert "probe_chain(" not in base_source
 
 
 class TestThreeWayDifferential:
@@ -346,36 +400,71 @@ class TestCliMatcherFlag:
 class TestDumpCodegen:
     """``dump_codegen`` writes the plans that ran, cover twins included."""
 
-    def _ran_sources(self, program):
-        sources = set()
+    def _ran(self, program):
+        """Per plan that ran: its kernels as (name, bytecode, values)."""
+        ran = []
         for rule in program.rules:
-            for plan in PlanCache._plans.get(rule, {}).values():
+            for plan in cached_plans(rule):
                 for candidate in (plan, *(plan.cover_twins or {}).values()):
                     if candidate.codegen_fns is not None:
-                        sources.add(candidate.codegen_fns.source)
-        return sources
+                        ran.append(sorted(
+                            (name, kernel.function.__code__.co_code,
+                             kernel.function.__defaults__)
+                            for name, kernel
+                            in candidate.codegen_fns.kernels.items()
+                        ))
+        return sorted(ran)
 
     def test_dumps_exactly_the_code_that_ran(self, tmp_path):
         PlanCache.clear()
         program = parse_program(TC_NONLINEAR)
         evaluate_datalog_seminaive(program, graph_database(chain(20)))
-        ran = self._ran_sources(program)
+        ran = self._ran(program)
         paths = dump_codegen(program, str(tmp_path))
-        dumped = [open(path).read() for path in paths]
-        # Nothing compiled on demand: every file is code that ran, and
+        # Nothing built on demand: every file is code that ran, and
         # every plan that ran is in a file of its own.
-        assert self._ran_sources(program) == ran
-        assert set(dumped) == ran
-        assert len(dumped) == len(set(paths)) == len(ran)
+        assert self._ran(program) == ran
+        assert len(paths) == len(set(paths)) == len(ran)
+        dumped = []
+        for path in paths:
+            text = Path(path).read_text()
+            # Self-contained: executing the file defines each function
+            # the plan ran, with its bytecode and its bound values.
+            namespace: dict = {}
+            exec(compile(text, path, "exec"), namespace)
+            defined = sorted(
+                (name, value.__code__.co_code, value.__defaults__)
+                for name, value in namespace.items()
+                if isinstance(value, FunctionType)
+            )
+            dumped.append(defined)
+            for name, _code, _values in defined:
+                assert f"def {name}(" in text
+        assert sorted(dumped) == ran
         # Every keyed probe walks a chain trie, base plans included;
         # the recursive rule ran on chain-cover twins.
-        assert all(".index(" not in text for text in dumped)
+        texts = [Path(path).read_text() for path in paths]
+        assert all(".index(" not in text for text in texts)
         recursive = [
-            text for path, text in zip(paths, dumped)
+            text for path, text in zip(paths, texts)
             if os.path.basename(path).startswith("rule1_")
         ]
         assert recursive
         assert all("chain" in text for text in recursive)
+
+    def test_wellfounded_dump_shows_the_rules_that_ran(self, tmp_path):
+        # The alternating fixpoint runs a rewritten program; the rules
+        # it leaves unchanged stay the program's own rule objects, so
+        # their plans are what the dump shows, not on-demand builds.
+        program = parse_program(
+            TC_NONLINEAR + "W(x) :- G(x, y), not W(y).\n"
+        )
+        evaluate_wellfounded(program, _tc_db(4))
+        paths = dump_codegen(program, str(tmp_path))
+        assert sorted({os.path.basename(p)[:5] for p in paths}) == [
+            "rule0", "rule1",
+        ]
+        assert all("def walk_full(" not in Path(p).read_text() for p in paths)
 
     def test_never_ran_program_compiles_on_demand(self, tmp_path):
         PlanCache.clear()
@@ -383,4 +472,193 @@ class TestDumpCodegen:
         paths = dump_codegen(program, str(tmp_path))
         assert len(paths) == len(program.rules)
         for path in paths:
-            assert "def walk_full(" in open(path).read()
+            assert "def walk_full(" in Path(path).read_text()
+
+
+class TestKernelLifetime:
+    """Plans die with their rules; compiled code is kept per shape.
+
+    What two evaluations in one process may share is compiled kernel
+    code only — a pure function of the emitted text, which names no
+    relation and no constant, so it does not grow with programs or
+    data — and ``PlanCache.clear()`` drops even that, so the bench
+    worker's cold start pays codegen as a fresh process would.
+    """
+
+    def test_universal_rule_keeps_its_plans_across_steps(self, monkeypatch):
+        rule = parse_program("R(x) :- forall y: S(x), not Q(x, y).").rules[0]
+        db = Database({"S": [("a",), ("b",)], "Q": [("a", "a")]})
+        built = []
+        original = codegen.compile_plan
+
+        def counted(plan, name):
+            built.append(name)
+            return original(plan, name)
+
+        monkeypatch.setattr(codegen, "compile_plan", counted)
+
+        def step():
+            return [dict(v) for v in iter_universal_matches(rule, db, adom)]
+
+        adom = ("a", "b")
+        first = step()
+        assert first == [{Var("x"): "b"}]
+        assert built  # the first step plans and builds its kernels
+        built.clear()
+        assert step() == first
+        assert built == []  # the next step reuses them
+
+    def test_traceback_shows_the_emitted_line(self):
+        class Exploding:
+            def __iter__(self):
+                raise RuntimeError("boom")
+
+        class Broken:
+            """A database whose every relation fails to iterate."""
+
+            def relation(self, name):
+                return Exploding()
+
+        PlanCache.clear()  # a shape of this test's own
+        plan = plan_for(parse_program("H(x) :- G(x).").rules[0], (0,))
+        with pytest.raises(RuntimeError) as raised:
+            list(plan.iter_slot_matches(Broken(), ()))
+        frames = [
+            frame
+            for frame in traceback.extract_tb(raised.value.__traceback__)
+            if frame.filename.startswith("<codegen")
+        ]
+        assert [frame.line for frame in frames] == ["for c0 in list(rel0):"]
+        filename = frames[0].filename
+        assert filename in linecache.cache
+        # The text is registered once per shape: it stays while the
+        # shape table keeps the code, and leaves when the code dies.
+        del raised, frames, plan
+        gc.collect()
+        assert filename in linecache.cache
+        PlanCache.clear()
+        gc.collect()
+        assert filename not in linecache.cache
+
+    def test_cold_reset_compiles_like_a_fresh_process(self, monkeypatch):
+        # ``bench/worker.py``'s cold(): if any cache survived these
+        # three resets, the next evaluation would compile less.
+        compiled = []
+        original = codegen._compile
+
+        def counted(source, name):
+            compiled.append(name)
+            return original(source, name)
+
+        monkeypatch.setattr(codegen, "_compile", counted)
+        text = component_chain_source(4, 6)
+
+        def cold_evaluation():
+            PlanCache.clear()
+            planner.clear_contexts()
+            linecache.clearcache()
+            before = len(compiled)
+            program = parse_program(text)
+            evaluate_datalog_seminaive(
+                program, component_chain_database(4, 6)
+            )
+            return program, len(compiled) - before
+
+        first_program, first = cold_evaluation()
+        _second_program, second = cold_evaluation()
+        assert first > 0
+        assert second == first
+
+    def test_fresh_parse_reuses_compiled_code(self, monkeypatch):
+        # A program parsed again after the first parse is gone (the
+        # feedback ablation's rounds) plans and emits anew, but finds
+        # every text compiled.
+        compiled = []
+        original = codegen._compile
+
+        def counted(source, name):
+            compiled.append(name)
+            return original(source, name)
+
+        monkeypatch.setattr(codegen, "_compile", counted)
+        text = component_chain_source(4, 6)
+        PlanCache.clear()
+        program = parse_program(text)
+        evaluate_datalog_seminaive(program, component_chain_database(4, 6))
+        assert compiled
+        rule = weakref.ref(program.rules[0])
+        del program
+        gc.collect()
+        assert rule() is None
+        compiled.clear()
+        evaluate_datalog_seminaive(
+            parse_program(text), component_chain_database(4, 6)
+        )
+        assert compiled == []
+
+    def test_dropped_programs_leave_no_plans_and_code_per_shape(self):
+        PlanCache.clear()
+        gc.collect()
+        plans_before = _live_plans()
+        sources_before = _codegen_sources()
+        rules = []
+        shapes = []
+        for seed in range(10):
+            # Same shape, different gate constants per program.
+            def relabel(value, seed=seed):
+                return f"s{seed}_{value}"
+
+            text = re.sub(
+                r"'([^']*)'",
+                lambda m: f"'{relabel(m.group(1))}'",
+                component_chain_source(3, 5),
+            )
+            base = component_chain_database(3, 5)
+            db = Database({
+                name: [tuple(map(relabel, t)) for t in base.tuples(name)]
+                for name in base.relation_names()
+            })
+            program = parse_program(text)
+            result = evaluate_datalog_seminaive(program, db)
+            for name, expected in reference_component_chain(3, 5).items():
+                assert result.answer(name) == {
+                    tuple(map(relabel, t)) for t in expected
+                }
+            rules.extend(weakref.ref(rule) for rule in program.rules)
+            shapes.append((len(codegen._SHAPES),
+                           len(_codegen_sources() - sources_before)))
+        assert _live_plans() > plans_before
+        # The first program compiled every shape; the other nine, with
+        # their own constants, compiled nothing and registered nothing.
+        assert shapes[0][0] > 0 and shapes == [shapes[0]] * 10
+        del program, result, db
+        gc.collect()
+        # A live plan keeps its rule alive: with every rule gone, so is
+        # every plan.  The code stays, once per shape, until cleared.
+        assert all(rule() is None for rule in rules)
+        assert _live_plans() == plans_before
+        assert len(codegen._SHAPES) == shapes[0][0]
+        PlanCache.clear()
+        gc.collect()
+        assert not codegen._SHAPES
+        assert _codegen_sources() <= sources_before
+
+    def test_plan_module_keeps_no_plan_registry(self):
+        from repro.semantics import plan as plan_module
+
+        containers = (Mapping, MutableSet, list)
+        registries = [
+            name
+            for name, value in [*vars(plan_module).items(),
+                                *vars(PlanCache).items()]
+            if not name.startswith("__") and isinstance(value, containers)
+        ]
+        assert registries == []
+
+
+def _live_plans() -> int:
+    return sum(isinstance(obj, RulePlan) for obj in gc.get_objects())
+
+
+def _codegen_sources() -> set:
+    return {name for name in linecache.cache if name.startswith("<codegen")}

@@ -23,7 +23,7 @@ from repro.semantics.differential import (
     RelationDiff,
 )
 from repro.semantics.maintenance import MaterializedView
-from repro.semantics.plan import PlanCache
+from repro.semantics.plan import cached_plans
 from repro.semantics.seminaive import evaluate_datalog_seminaive
 from repro.programs.tc import tc_program, tc_nonlinear_program
 from repro.workloads.graphs import chain, graph_database
@@ -432,7 +432,7 @@ def compiled_plans(program):
     """Every cached plan (cover twins included) for the program's rules."""
     plans = []
     for rule in program.rules:
-        for plan in PlanCache._plans.get(rule, {}).values():
+        for plan in cached_plans(rule):
             plans.append(plan)
             plans.extend((plan.cover_twins or {}).values())
     return plans

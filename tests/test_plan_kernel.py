@@ -177,10 +177,17 @@ class TestPlanRepresentation:
         assert plan_for(rule, (0, 1)) is not plan_for(rule, (1, 0))
 
     def test_structurally_equal_rules_share_plans(self):
+        # Plans ride on their rule object, so structurally equal rules
+        # build plans of their own; what they share is compiled code.
         a = parse_rule("H(x) :- G(x).")
         b = parse_rule("H(x) :- G(x).")
         assert a is not b and a == b
-        assert plan_for(a, (0,)) is plan_for(b, (0,))
+        plan_a, plan_b = plan_for(a, (0,)), plan_for(b, (0,))
+        assert plan_a is not plan_b
+        walk_a = plan_a.compiled().kernel("walk_full").function
+        walk_b = plan_b.compiled().kernel("walk_full").function
+        assert walk_a is not walk_b
+        assert walk_a.__code__ is walk_b.__code__
 
     def test_traced_run_reports_the_reference_matcher(self):
         from repro.obs import CollectorSink, Tracer

@@ -57,7 +57,7 @@ def _best_latency(operation, restore):
     ``restore()`` undoes the operation between rounds (untimed), so
     every round measures the same state transition.  GC is paused
     around the timed region; minimum-of-rounds discards scheduler
-    noise, matching the feedback ablation's timing discipline.
+    noise.
     """
     operation()  # warmup
     restore()

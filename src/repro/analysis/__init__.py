@@ -73,7 +73,6 @@ from repro.analysis.dataflow import (
     argument_domains,
     cardinality_bounds,
     domain_findings,
-    planner_priors,
     solve,
 )
 from repro.analysis.analyze import (
@@ -125,7 +124,6 @@ __all__ = [
     "argument_domains",
     "cardinality_bounds",
     "domain_findings",
-    "planner_priors",
     "solve",
     "ANALYZE_PROGRAM_KEYS",
     "ANALYZE_SCHEMA_VERSION",

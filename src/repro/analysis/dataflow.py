@@ -1,4 +1,4 @@
-"""Whole-program dataflow analysis: the static half of profile→plan.
+"""Whole-program dataflow analysis: binding times, domains, cardinalities.
 
 Everything the engine knows about a program *before* the first tuple is
 read lives here.  A small monotone framework (:class:`MonotoneAnalysis`
@@ -26,9 +26,9 @@ dependency graph; on top of it sit three concrete lattices:
   DL014.  The condensation DAG is walked topologically, so the interval
   lattice needs no widening beyond the adom^arity ceiling.
 
-:func:`planner_priors` distills the bounds into the static row-count
-priors :mod:`repro.semantics.planner` consults for empty (cold)
-relations, and ``repro analyze`` renders all three analyses.
+``repro analyze`` renders all three analyses, lint reports their
+findings, and the magic-set transform rewrites the binding-time
+demand cone.
 """
 
 from __future__ import annotations
@@ -664,14 +664,13 @@ def cardinality_bounds(
 
     With ``db`` the EDB sizes and the active domain are exact; without
     it every EDB relation is assumed to hold ``assumed_edb_rows`` rows
-    over an adom of the same size (the symbolic regime the planner's
-    cold-start priors use — only the *relative* order of the bounds
-    matters there).  The condensation of the dependency graph (deletion
-    counted as an edge) is processed topologically: nonrecursive
-    relations sum per-rule products of their body bounds, recursive
-    SCCs take the adom^arity ceiling, and recursion through invention
-    has no bound at all (§4.3) — ``hi`` is ``None``, growth
-    ``"unbounded"``.
+    over an adom of the same size (a symbolic regime, in which only the
+    *relative* order of the bounds is meaningful).  The condensation of
+    the dependency graph (deletion counted as an edge) is processed
+    topologically: nonrecursive relations sum per-rule products of
+    their body bounds, recursive SCCs take the adom^arity ceiling, and
+    recursion through invention has no bound at all (§4.3) — ``hi`` is
+    ``None``, growth ``"unbounded"``.
     """
     if db is not None:
         adom = max(1, len(set(db.active_domain()) | program.constants()))
@@ -794,30 +793,3 @@ def cardinality_bounds(
             )
             bounds[relation] = CardinalityBound(lo, hi, growth)
     return bounds
-
-
-#: Clamp for planner priors: a prior only orders joins, so a finite
-#: stand-in for "unbounded" is fine.
-PRIOR_CAP = 10 ** 6
-
-
-def planner_priors(
-    program: Program, assumed_edb_rows: int = ASSUMED_EDB_ROWS
-) -> dict[str, int]:
-    """Static row-count priors for cold (empty) relations.
-
-    Distills :func:`cardinality_bounds` in the symbolic regime into one
-    positive integer per relation — what the planner substitutes for a
-    live size of 0, so first-stage join orders put assumed-small
-    relations (EDB, ground facts) before assumed-large ones (recursive
-    closures).  Unbounded relations clamp to :data:`PRIOR_CAP`.
-    """
-    bounds = cardinality_bounds(
-        program, db=None, assumed_edb_rows=assumed_edb_rows
-    )
-    return {
-        relation: max(
-            1, min(bound.hi if bound.hi is not None else PRIOR_CAP, PRIOR_CAP)
-        )
-        for relation, bound in bounds.items()
-    }

@@ -20,10 +20,12 @@ Usage::
   writes the evaluation's event stream as JSON Lines and
   ``--dump-codegen DIR`` writes the generated matcher source of every
   plan the run executed.
-* ``stats`` reports engine counters (``--format json`` is pinned by
-  ``STATS_SCHEMA_VERSION``); ``trace`` prints the stage-by-stage
-  evaluation; ``profile`` aggregates per-rule time/firings/join
-  selectivity into a hot-rule table or JSON report.
+* ``stats`` reports engine counters and the run's planner report
+  (``--format json`` is pinned by ``STATS_SCHEMA_VERSION``); ``trace``
+  prints the stage-by-stage evaluation; ``profile`` aggregates per-rule
+  time/firings/join selectivity into a hot-rule table or JSON report
+  (``--planned`` profiles the production kernels and attaches the
+  live planner report).
 * ``effects`` enumerates eff(P) for nondeterministic programs.
 * ``terminate`` checks termination of a Datalog¬¬ program on every
   instance over a bounded domain (§4.2).
@@ -285,72 +287,6 @@ def _engine_for(semantics: str, seed: int = 0):
     return engine
 
 
-def _stats_path(args) -> str:
-    """Resolve the stats-store path for a command's program."""
-    from repro.obs import default_stats_path
-
-    explicit = getattr(args, "stats_file", None)
-    return explicit or default_stats_path(args.program)
-
-
-def _maybe_warm_from_stats(args, program) -> None:
-    """Auto-load a persisted stats store and warm the planner.
-
-    Quiet no-op when ``--no-stats`` was given or no store file exists;
-    an unusable store degrades to a cold start (the loader warns).  The
-    notice goes to stderr so machine-readable stdout stays clean.
-    """
-    if getattr(args, "no_stats", False):
-        return
-    import os
-
-    path = _stats_path(args)
-    if not os.path.exists(path):
-        return
-    from repro.obs import StatsStore, warm_from_store
-
-    store = StatsStore.load(path)
-    if warm_from_store(program, store):
-        print(
-            f"stats: warmed planner from {path}",
-            file=sys.stderr,
-        )
-    else:
-        print(
-            f"stats: {path} has no measurements for this program "
-            "(content hash mismatch); starting cold",
-            file=sys.stderr,
-        )
-
-
-def _maybe_save_stats(args, program, result) -> None:
-    """Persist one run's measured statistics when ``--save-stats`` asks.
-
-    Merges into the existing store (other programs' entries survive) at
-    the explicit ``--save-stats PATH``, else ``--stats-file``, else the
-    default ``<program>.stats.json``.
-    """
-    save = getattr(args, "save_stats", None)
-    if save is None:
-        return
-    stats = getattr(result, "stats", None)
-    if stats is None:
-        print(
-            "stats: this semantics reports no EngineStats; nothing saved",
-            file=sys.stderr,
-        )
-        return
-    from repro.obs import RunMetrics, StatsStore
-
-    path = save or _stats_path(args)
-    store = StatsStore.load(path)
-    store.record(
-        RunMetrics.from_run(program, stats, getattr(result, "database", None))
-    )
-    store.save(path)
-    print(f"stats: saved measured cardinalities to {path}", file=sys.stderr)
-
-
 def _maybe_dump_codegen(args, program) -> None:
     """Write the generated source of the plans that ran (``--dump-codegen``)."""
     directory = getattr(args, "dump_codegen", None)
@@ -375,8 +311,6 @@ def cmd_run(args, out) -> int:
         if semantics is None:
             return 2
 
-    _maybe_warm_from_stats(args, program)
-
     tracer = None
     if getattr(args, "trace_out", None):
         from repro.obs import JsonlSink, Tracer
@@ -399,7 +333,6 @@ def cmd_run(args, out) -> int:
                 for row in unknown_rows:
                     print(f"  unknown ({', '.join(map(str, row))})", file=out)
             _maybe_dump_codegen(args, program)
-            _maybe_save_stats(args, program, model)
             return 0
 
         engine = _engine_for(semantics, seed=args.seed)
@@ -417,7 +350,6 @@ def cmd_run(args, out) -> int:
     stages = getattr(result, "stages", None)
     if stages is not None:
         print(f"stages: {len(stages)}", file=out)
-    _maybe_save_stats(args, program, result)
     return 0
 
 
@@ -439,9 +371,7 @@ def cmd_stats(args, out) -> int:
         print(f"unknown semantics {semantics!r}", file=sys.stderr)
         return 2
 
-    _maybe_warm_from_stats(args, program)
     result = engine(program, db)
-    _maybe_save_stats(args, program, result)
     if getattr(args, "format", "human") == "json":
         import json
 
@@ -542,7 +472,6 @@ def cmd_profile(args, out) -> int:
     if engine is None:
         print(f"unknown semantics {semantics!r}", file=sys.stderr)
         return 2
-    _maybe_warm_from_stats(args, program)
     planned = getattr(args, "planned", False)
     collector = CollectorSink()
     result = engine(
@@ -556,10 +485,11 @@ def cmd_profile(args, out) -> int:
     # returns a model set with no stats — default there.)
     stats = getattr(result, "stats", None)
     report.matcher = getattr(stats, "matcher", "") or "interpreted"
-    # Planned runs carry the *live* planner report (actual rows, prior
-    # sources, adaptive replans); the default traced run matched through
-    # the reference matcher (by design — probe counts stay exact), so
-    # attach the *static* report for the same program and input instead.
+    # Planned runs carry the *live* planner report (the variants that
+    # ran, with their actual rows); the default traced run matched
+    # through the reference matcher (by design — probe counts stay
+    # exact), so attach the *static* report for the same program and
+    # input instead.
     live_planner = getattr(stats, "planner", None)
     if planned and live_planner is not None:
         report.planner = live_planner
@@ -567,7 +497,6 @@ def cmd_profile(args, out) -> int:
         from repro.semantics import planner as planner_module
 
         report.planner = planner_module.explain(program, db)
-    _maybe_save_stats(args, program, result)
     top = args.top if args.top > 0 else None
     if args.format == "json":
         print(report.to_json(sort=args.sort, top=top), file=out)
@@ -753,30 +682,6 @@ def cmd_effects(args, out) -> int:
     return 0
 
 
-def _add_stats_store_flags(sub) -> None:
-    """The shared feedback-store flags of ``run``/``stats``/``profile``."""
-    sub.add_argument(
-        "--save-stats",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="FILE",
-        help="persist this run's measured cardinalities to FILE "
-        "(default: <program>.stats.json) for feedback-directed planning",
-    )
-    sub.add_argument(
-        "--stats-file",
-        metavar="FILE",
-        help="stats store to load from / save to "
-        "(default: <program>.stats.json)",
-    )
-    sub.add_argument(
-        "--no-stats",
-        action="store_true",
-        help="do not load a persisted stats store; plan cold",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -908,7 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the generated matcher source of every plan the run "
              "executed under DIR",
     )
-    _add_stats_store_flags(run)
 
     stats = sub.add_parser(
         "stats", help="evaluate and report engine performance counters"
@@ -928,7 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("human", "json"),
         help="output format (default: human)",
     )
-    _add_stats_store_flags(stats)
 
     profile = sub.add_parser(
         "profile", help="per-rule hot-spot profile (time, firings, joins)"
@@ -971,7 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
         "counters-only rule spans (no per-literal join probes), planner "
         "join orders on each span, and the live planner report attached",
     )
-    _add_stats_store_flags(profile)
 
     effects = sub.add_parser("effects", help="enumerate eff(P) (nondeterministic)")
     effects.add_argument("program")

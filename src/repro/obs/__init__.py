@@ -15,14 +15,7 @@ drivers:
   candidate/match counter that rides inside the reference matcher;
 * :mod:`repro.obs.sinks` — in-memory collector and JSONL writer;
 * :mod:`repro.obs.profile` — :class:`ProfileReport`, the per-rule
-  aggregation behind ``repro profile``;
-* :mod:`repro.obs.metrics` — :class:`RunMetrics`, the always-on
-  counters-only harvest of one finished run (per-rule actual rows,
-  join orders, stage timings) keyed by program content hash;
-* :mod:`repro.obs.store` — :class:`StatsStore`, the persistent
-  feedback store behind ``repro run/profile --save-stats``, and
-  :func:`warm_from_store`, which feeds measured cardinalities back
-  into the query planner as priors.
+  aggregation behind ``repro profile``.
 
 Quickstart::
 
@@ -44,11 +37,6 @@ from repro.obs.events import (
     StageEvent,
     TraceEvent,
 )
-from repro.obs.metrics import (
-    METRICS_SCHEMA_VERSION,
-    RunMetrics,
-    program_content_hash,
-)
 from repro.obs.probe import JoinProbe
 from repro.obs.profile import (
     PROFILE_SCHEMA_VERSION,
@@ -57,24 +45,9 @@ from repro.obs.profile import (
     RuleProfileRow,
 )
 from repro.obs.sinks import CollectorSink, JsonlSink
-from repro.obs.store import (
-    STATS_STORE_SCHEMA_VERSION,
-    StatsStore,
-    StatsStoreWarning,
-    default_stats_path,
-    warm_from_store,
-)
 from repro.obs.tracer import NULL_TRACER, NullTracer, RuleSpan, Tracer
 
 __all__ = [
-    "METRICS_SCHEMA_VERSION",
-    "STATS_STORE_SCHEMA_VERSION",
-    "RunMetrics",
-    "StatsStore",
-    "StatsStoreWarning",
-    "default_stats_path",
-    "program_content_hash",
-    "warm_from_store",
     "TRACE_SCHEMA_VERSION",
     "LiteralProfile",
     "RuleEvent",

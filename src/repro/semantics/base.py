@@ -46,7 +46,7 @@ from repro.terms import Const, Var, apply_valuation
 
 #: Version of the ``repro stats --format json`` schema.  Bump on any
 #: field rename/removal; additions are allowed.
-STATS_SCHEMA_VERSION = 2
+STATS_SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -191,9 +191,14 @@ class EngineStats:
     def to_dict(self) -> dict:
         """The pinned JSON shape of ``repro stats --format json``.
 
-        Version 2 of ``STATS_SCHEMA_VERSION``: the ``storage`` key of
-        version 1 is gone, because relations no longer keep the
-        interned column store it priced — a removal, hence the bump.
+        Version 3 of ``STATS_SCHEMA_VERSION``: the planner report lost
+        its adaptive-replan counter and its static-prior and
+        measured-stats maps, and each variant under ``planner.rules``
+        lost its per-literal ``sources`` map.  The planner no longer
+        sizes an empty relation by a prior or replans on an
+        estimate-vs-actual gap: it skips every pass with an empty
+        input.  These are removals, hence the bump.  Version 2 had dropped version 1's ``storage`` key, when
+        relations stopped keeping the interned column store it priced.
         ``matcher``, ``index_drops``, ``planner`` and ``differential``
         were added to version 1 under the additive-changes rule.
         """

@@ -52,8 +52,9 @@ and shared by every plan whose variant emits it; isomorphic rules (the
 own relation names to one code object.  Because the text holds no
 constant, the table grows with the number of distinct rule shapes a
 process has run, not with its programs or their data: a fresh parse of
-a program (the feedback ablation's rounds, repeated magic queries)
-finds its code compiled even after the earlier program is gone.
+a program (a repeated magic query, or a benchmark round that parses
+its program afresh) finds its code compiled even after the earlier
+program is gone.
 :meth:`~repro.semantics.plan.PlanCache.clear` empties the table, so
 that the next kernel compiles as in a fresh process.  Each compiled
 text is registered in :mod:`linecache` under a file name of its own,

@@ -14,13 +14,20 @@ membership probe), |R| / distinct-keys when a live index reports the
 distinct-key count (:meth:`Relation.distinct_estimate` — free, never
 builds anything), and the textbook |R|^(1 - b/arity) otherwise.  Ties
 break on (estimate, −shared-variables, |R|, body position), so runs are
-reproducible and seeded-run-stable.  Decisions are cached per (rule,
-restricted occurrence) with a snapshot of the literal cardinalities;
-a stage re-plans only when some cardinality drifts past
-``_REPLAN_RATIO`` (plan-cache hits are the common case, and
-a replan that re-derives the *same* order costs no plan rebuild).
-Semi-naive variants force the delta-restricted occurrence first — the
-delta is the small side by construction — then order the rest by cost.
+reproducible and seeded-run-stable.  Every |R| is a live size: the
+delta occurrence is sized by the delta, every other literal by its
+relation in the database.  A variant in which some other positive
+literal reads an absent or empty relation derives nothing whatever its
+join order (a rule adds a head only through instantiations of its
+whole positive body), so :func:`consequences` skips it before any
+decision is looked up — no order is ever decided for a cold relation.
+Decisions are cached per (rule, restricted occurrence) with a snapshot
+of the literal cardinalities; a stage re-plans only when some
+cardinality drifts past ``_REPLAN_RATIO`` (plan-cache hits are the
+common case, and a replan that re-derives the *same* order costs no
+plan rebuild).  Semi-naive variants force the delta-restricted
+occurrence first — the delta is the small side by construction — then
+order the rest by cost.
 
 **Minimal shared index selection (MISP).**  Every index-key template
 (relation, set of bound positions) across the current decisions' plans
@@ -95,9 +102,6 @@ class _Decision:
         "restricted_pos",
         "plan",
         "plan_epoch",
-        "stale",
-        "observed",
-        "sources",
     )
 
     def __init__(
@@ -115,15 +119,6 @@ class _Decision:
         self.restricted_pos = restricted_pos
         self.plan: RulePlan | None = None
         self.plan_epoch = -1
-        #: Set by :func:`_adapt` when estimated vs actual rows diverged
-        #: beyond the replan band — the next lookup re-plans even if the
-        #: cardinality snapshot alone would not have drifted.
-        self.stale = False
-        #: Actual row count observed at the last divergence; a stale
-        #: mark is only re-armed when the actuals move again, so an
-        #: estimate the statistics simply cannot capture does not
-        #: re-plan on every stage.
-        self.observed: int | None = None
 
 
 class _RuleState:
@@ -176,8 +171,6 @@ class PlanContext:
         "cover_summary",
         "cover_epoch",
         "assign_epoch",
-        "priors",
-        "measured",
         "report",
         "report_owner",
     )
@@ -226,15 +219,6 @@ class PlanContext:
         #: plans and the cover are lazily rebuilt against it.
         self.cover_epoch = 0
         self.assign_epoch = -1
-        #: Static cardinality priors (repro.analysis.dataflow), computed
-        #: lazily the first time a relation is cold (size 0) at decision
-        #: time — warm-only runs never pay for the analysis.
-        self.priors: dict[str, int] | None = None
-        #: Measured cardinalities from a persisted stats store (see
-        #: :func:`warm_plan_context`): relation → rows observed on a
-        #: previous run.  Consulted for cold relations before the static
-        #: priors; live sizes always win.
-        self.measured: dict[str, int] | None = None
         #: The current run's report and a weak reference to the
         #: ``EngineStats`` it belongs to (see :func:`_run_report`).
         self.report: dict = {}
@@ -243,16 +227,12 @@ class PlanContext:
 
 def _new_report(ctx: PlanContext) -> dict:
     """An empty planner report for one run (shape: :func:`explain`)."""
-    measured = ctx.measured or {}
     return {
         "plan_lookups": 0,
         "plan_hits": 0,
         "replans": 0,
-        "adaptive_replans": 0,
         "rules": {},
         "index_cover": ctx.cover_summary,
-        "static_priors": {},
-        "measured_stats": {r: measured[r] for r in sorted(measured)},
         "scheduled_components": ctx.scheduled_components,
     }
 
@@ -305,41 +285,6 @@ def clear_contexts() -> None:
         if getattr(program, _CTX_ATTR, None) is not None:
             delattr(program, _CTX_ATTR)
     _context_owners.clear()
-
-
-def warm_plan_context(
-    program: Program, measured: dict[str, int]
-) -> PlanContext:
-    """Seed a program's planner context with measured cardinalities.
-
-    ``measured`` maps relation names to row counts observed on a
-    previous run (harvested by :mod:`repro.obs.store` from the
-    persistent stats store — this module never imports ``repro.obs``,
-    the caller hands plain numbers down).  Measured sizes slot into the
-    priors precedence chain between live sizes and the static dataflow
-    priors: live size > measured stats > static ``planner_priors`` >
-    uniform default.  Cached decisions are marked stale so measured
-    stats take effect mid-run too.
-
-    Returns the (possibly freshly built) context.  Non-positive and
-    non-numeric entries are dropped, so a damaged store degrades to a
-    cold start rather than poisoning the cost model.
-    """
-    ctx = plan_context(program)
-    cleaned: dict[str, int] = {}
-    for relation, rows in measured.items():
-        try:
-            n = int(rows)
-        except (TypeError, ValueError):
-            continue
-        if n > 0 and isinstance(relation, str):
-            cleaned[relation] = n
-    ctx.measured = cleaned or None
-    if cleaned:
-        for state in ctx.states:
-            for decision in state.decisions.values():
-                decision.stale = True
-    return ctx
 
 
 # -- scheduling -------------------------------------------------------------
@@ -507,53 +452,32 @@ def _drifted(old: tuple[int, ...], new: tuple[int, ...]) -> bool:
     return False
 
 
-def _adapt(report: dict, decision: _Decision, fired: int) -> None:
-    """Mid-run adaptive replanning check after one plan execution.
-
-    When the rows a decision actually produced leave the replan band
-    around its estimate, the decision is marked stale so the next
-    lookup re-plans against current (live/measured) cardinalities —
-    the same estimated-vs-actual gap ``EngineStats.planner`` surfaces,
-    closed instead of merely reported.  The last divergent actual is
-    remembered: a decision whose estimate stays wrong but whose actuals
-    are steady re-plans once, not once per stage.
-    """
-    if not _outside_band(decision.est_rows, float(fired)):
-        decision.observed = None
-        return
-    observed = decision.observed
-    if observed is None or _outside_band(float(observed), float(fired)):
-        decision.stale = True
-        report["adaptive_replans"] += 1
-    decision.observed = fired
-
-
-def _static_prior(ctx: PlanContext, report: dict, relation: str) -> int:
-    """The static row-count prior for a cold relation.
-
-    Computed once per context from the dataflow cardinality bounds
-    (symbolic regime — only the relative order matters) and surfaced in
-    the planner report under ``static_priors`` so ``repro explain``
-    shows which decisions ran on priors rather than live sizes.
-    """
-    priors = ctx.priors
-    if priors is None:
-        from repro.analysis.dataflow import planner_priors
-        from repro.ast.program import Program
-
-        priors = ctx.priors = planner_priors(Program(ctx.rules))
-    value = priors.get(relation, 1)
-    report["static_priors"].setdefault(relation, value)
-    return value
-
-
 def _variant_report(decision: _Decision) -> dict:
     """A decision's entry under ``report["rules"][rule][variant]``."""
     return {
         "order": list(decision.order),
         "estimated_rows": round(decision.est_rows, 2),
-        "sources": dict(decision.sources),
     }
+
+
+def _input_sizes(
+    lits: list[Lit], db: Database, occ: int | None, delta_size: int
+) -> list[int]:
+    """Live row counts of one variant's positive literals.
+
+    The delta-restricted occurrence ``occ`` reads the delta and counts
+    ``delta_size``; every other literal counts its relation in ``db``,
+    0 when absent.  A 0 among the other literals means the variant
+    derives nothing (see :func:`consequences`).
+    """
+    sizes: list[int] = []
+    for j, lit in enumerate(lits):
+        if j == occ:
+            sizes.append(delta_size)
+        else:
+            rel = db.relation(lit.relation)
+            sizes.append(len(rel) if rel is not None else 0)
+    return sizes
 
 
 def _decision(
@@ -561,44 +485,16 @@ def _decision(
     report: dict,
     rule_id: int,
     occ: int | None,
+    sizes: list[int],
     db: Database,
-    delta_size: int,
 ) -> _Decision:
-    """The (cached, drift-checked) decision for one rule variant."""
+    """The (cached, drift-checked) decision for one rule variant.
+
+    ``sizes`` are the variant's literal sizes from :func:`_input_sizes`.
+    """
     state = ctx.states[rule_id]
     state.lookups += 1
     report["plan_lookups"] += 1
-    lits = ctx.positive[rule_id]
-    measured = ctx.measured
-    sizes: list[int] = []
-    sources: list[str] = []
-    for j, lit in enumerate(lits):
-        if j == occ:
-            sizes.append(delta_size)
-            sources.append("delta")
-            continue
-        rel = db.relation(lit.relation)
-        size = len(rel) if rel is not None else 0
-        if size > 0:
-            sources.append("live")
-        else:
-            # Cold relation: prefer a cardinality measured on a
-            # previous run (stats store), then the static dataflow
-            # prior, so the first-stage join order is not blind.
-            # Live sizes always win — feedback is only consulted at
-            # zero, so warm-data decisions are untouched.
-            rows = measured.get(lit.relation, 0) if measured else 0
-            if rows > 0:
-                size = rows
-                sources.append("measured")
-            else:
-                size = _static_prior(ctx, report, lit.relation)
-                sources.append(
-                    "static"
-                    if ctx.priors and lit.relation in ctx.priors
-                    else "default"
-                )
-        sizes.append(size)
     if occ is None:
         snapshot = tuple(sizes)
     else:
@@ -606,11 +502,7 @@ def _decision(
     decision = state.decisions.get(occ)
     entry = report["rules"].setdefault(str(rule_id), {})
     variant_key = "full" if occ is None else f"delta@{occ}"
-    if (
-        decision is not None
-        and not decision.stale
-        and not _drifted(decision.snapshot, snapshot)
-    ):
+    if decision is not None and not _drifted(decision.snapshot, snapshot):
         report["plan_hits"] += 1
         if variant_key not in entry:  # first use in this run
             entry[variant_key] = _variant_report(decision)
@@ -618,26 +510,18 @@ def _decision(
         if decision is not None:
             report["replans"] += 1
         order, est_rows = _cost_order(
-            lits, ctx.var_sets[rule_id], sizes, db, restricted_occ=occ
+            ctx.positive[rule_id], ctx.var_sets[rule_id], sizes, db,
+            restricted_occ=occ,
         )
         if decision is None or order != decision.order:
             ctx.cover_epoch += 1
-            replaced = decision
             decision = _Decision(
                 order, snapshot, est_rows, -1 if occ is None else 0
             )
-            if replaced is not None:
-                # Keep the divergence baseline across replacement so an
-                # uncapturable estimate still re-plans only on movement.
-                decision.observed = replaced.observed
             state.decisions[occ] = decision
         else:
             decision.snapshot = snapshot
             decision.est_rows = est_rows
-            decision.stale = False
-        decision.sources = {
-            lit.relation: src for lit, src in zip(lits, sources)
-        }
         fresh = _variant_report(decision)
         previous = entry.get(variant_key)
         if previous is not None and "actual_rows" in previous:
@@ -847,6 +731,16 @@ def _fire(
     )
 
 
+def _count_actual(
+    rule_report: dict, rule_id: int, variant_key: str, fired: int
+) -> None:
+    """Add one variant run's firings to its and its rule's actual rows."""
+    entry = rule_report[str(rule_id)]
+    variant = entry[variant_key]
+    variant["actual_rows"] = variant.get("actual_rows", 0) + fired
+    entry["actual_rows"] = entry.get("actual_rows", 0) + fired
+
+
 def _traced_pass(
     ctx: PlanContext,
     ids,
@@ -909,7 +803,11 @@ def consequences(
     relation→rules dispatch map selects for the delta (each with its
     own delta-first cost-based order), full passes run each rule under
     its cost-based order, and index probes go through the minimal
-    shared chain cover.
+    shared chain cover.  A variant in which a positive literal other
+    than the delta occurrence reads an absent or empty relation of
+    ``db`` is skipped before its decision lookup: its kernel reads the
+    same ``db`` and would derive nothing, so the skip is exact.  A
+    rule gets a report entry only once one of its variants runs.
 
     ``rule_ids`` restricts evaluation to one scheduled component;
     ``count_call`` makes this call bump ``stats.consequence_calls``
@@ -946,19 +844,19 @@ def consequences(
     if delta is None:
         for i in ids:
             span = None if tracer is None else tracer.rule_span(i, rules[i])
-            decision = _decision(ctx, report, i, None, db, 0)
-            fired = _fire(
-                decision.plan, db, adom, -1, None,
-                rules[i], positive, negative, add_only,
-            )
-            _adapt(report, decision, fired)
-            entry = rule_report[str(i)]
-            variant = entry["full"]
-            variant["actual_rows"] = variant.get("actual_rows", 0) + fired
-            entry["actual_rows"] = entry.get("actual_rows", 0) + fired
+            sizes = _input_sizes(ctx.positive[i], db, None, 0)
+            fired = 0
+            if 0 not in sizes:
+                decision = _decision(ctx, report, i, None, sizes, db)
+                fired = _fire(
+                    decision.plan, db, adom, -1, None,
+                    rules[i], positive, negative, add_only,
+                )
+                _count_actual(rule_report, i, "full", fired)
+                if span is not None:
+                    span.order = decision.order
             firings += fired
             if span is not None:
-                span.order = decision.order
                 span.firings = fired
                 span.emitted = fired
                 span.close()
@@ -971,28 +869,26 @@ def consequences(
             selected &= set(rule_ids)
         for i in sorted(selected):
             rule = rules[i]
+            lits = ctx.positive[i]
             span = None if tracer is None else tracer.rule_span(i, rule)
-            entry = rule_report.setdefault(str(i), {})
             fired = 0
-            for occ, lit in enumerate(ctx.positive[i]):
+            for occ, lit in enumerate(lits):
                 restricted = delta.get(lit.relation)
                 if not restricted:
                     continue
-                decision = _decision(ctx, report, i, occ, db, len(restricted))
+                sizes = _input_sizes(lits, db, occ, len(restricted))
+                if 0 in sizes:
+                    continue
+                decision = _decision(ctx, report, i, occ, sizes, db)
                 fired_occ = _fire(
                     decision.plan, db, adom,
                     decision.restricted_pos, restricted,
                     rule, positive, negative, add_only,
                 )
-                _adapt(report, decision, fired_occ)
-                variant = entry[f"delta@{occ}"]
-                variant["actual_rows"] = (
-                    variant.get("actual_rows", 0) + fired_occ
-                )
+                _count_actual(rule_report, i, f"delta@{occ}", fired_occ)
                 if span is not None:
                     span.order = decision.order
                 fired += fired_occ
-            entry["actual_rows"] = entry.get("actual_rows", 0) + fired
             firings += fired
             if span is not None:
                 span.firings = fired
@@ -1118,36 +1014,33 @@ def scheduled_fixpoint(
 def explain(program: Program, db: Database) -> dict:
     """A static planner report against the current database state.
 
-    Decides every rule's full-pass join order (through the normal
-    cached/drift-checked path), computes the index cover, and returns a
-    planner report of its own — the shape ``EngineStats.planner``
-    carries::
+    Decides every rule's full-pass join order through the normal
+    cached/drift-checked path, sizing each literal by its live size (0
+    for an empty relation: unlike :func:`consequences`, explain skips
+    no rule, so every rule gets an entry), computes the index cover,
+    and returns a planner report of its own — the shape
+    ``EngineStats.planner`` carries::
 
         {"plan_lookups": int, "plan_hits": int, "replans": int,
-         "adaptive_replans": int,  # estimate-vs-actual divergences acted on
          "rules": {"<rule index>": {
              "full" | "delta@<occ>":
                  {"order": [...], "estimated_rows": float,
-                  # per-literal cardinality provenance at plan time:
-                  "sources": {"<relation>":
-                      "live" | "measured" | "static" | "default" | "delta"},
                   "actual_rows": int},  # rows this variant fired (live runs)
              "actual_rows": int,   # firings observed (live runs only)
          }},
          "index_cover": {"<relation>": {"templates": n, "chains": m}},
-         "static_priors": {"<relation>": int},  # cold-start fallbacks used
-         "measured_stats": {"<relation>": int}, # stats-store cardinalities
          "scheduled_components": int | None}
 
-    Pure with respect to ``db`` (estimates never build indexes), and
-    never touches a run's report.  ``repro profile`` attaches this to
-    its JSON report.
+    A live run's report lists only the variants that ran.  Pure with
+    respect to ``db`` (estimates never build indexes), and never
+    touches a run's report.  ``repro profile`` attaches this to its
+    JSON report.
     """
     import copy
 
     ctx = plan_context(program)
     report = _new_report(ctx)
-    for i in range(len(ctx.rules)):
-        _decision(ctx, report, i, None, db, 0)
+    for i, lits in enumerate(ctx.positive):
+        _decision(ctx, report, i, None, _input_sizes(lits, db, None, 0), db)
     report["index_cover"] = ctx.cover_summary
     return copy.deepcopy(report)

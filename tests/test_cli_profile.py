@@ -236,11 +236,35 @@ class TestStatsJson:
         )
         assert code == 0
         stats = json.loads(output)
-        assert stats["version"] == 2
+        assert stats["version"] == 3
         assert stats["stage_count"] == 4
         assert stats["rule_firings"] == 6
         assert stats["adom_size"] == 4
         assert [s["added"] for s in stats["stages"]] == [3, 2, 1, 0]
+
+    def test_planner_report_has_no_prior_fields(self, tc_files):
+        """Schema 3: the planner report dropped its prior and adaptive
+        fields, and no variant carries a per-literal ``sources`` map."""
+        program, data = tc_files
+        code, output = run_cli(
+            ["stats", program, "--data", data, "--format", "json"]
+        )
+        assert code == 0
+        stats = json.loads(output)
+        assert stats["version"] == 3
+        planner = stats["planner"]
+        assert set(planner) == {
+            "plan_lookups", "plan_hits", "replans", "rules",
+            "index_cover", "scheduled_components",
+        }
+        variants = [
+            variant
+            for entry in planner["rules"].values()
+            for key, variant in entry.items()
+            if key != "actual_rows"
+        ]
+        assert variants
+        assert all("sources" not in variant for variant in variants)
 
     def test_human_format_unchanged(self, tc_files):
         program, data = tc_files

@@ -570,9 +570,9 @@ class TestKernelLifetime:
         assert second == first
 
     def test_fresh_parse_reuses_compiled_code(self, monkeypatch):
-        # A program parsed again after the first parse is gone (the
-        # feedback ablation's rounds) plans and emits anew, but finds
-        # every text compiled.
+        # A program parsed again after the first parse is gone (a
+        # benchmark round that parses afresh) plans and emits anew, but
+        # finds every text compiled.
         compiled = []
         original = codegen._compile
 

@@ -2,7 +2,7 @@
 
 The three lattices of :mod:`repro.analysis.dataflow` — binding times,
 argument domains, cardinality bounds — plus the monotone framework they
-share and the planner priors distilled from the bounds.
+share.
 """
 
 import pytest
@@ -14,13 +14,11 @@ from repro.analysis.dataflow import (
     DOMAIN_BOTTOM,
     DOMAIN_TOP,
     MonotoneAnalysis,
-    PRIOR_CAP,
     adorn,
     adornment_for,
     argument_domains,
     cardinality_bounds,
     domain_findings,
-    planner_priors,
     solve,
 )
 from repro.errors import EvaluationError
@@ -312,17 +310,3 @@ class TestCardinalityBounds:
         )
         bounds = cardinality_bounds(program, assumed_edb_rows=10 ** 6)
         assert bounds["Wide"].hi == CARDINALITY_CAP
-
-
-class TestPlannerPriors:
-    def test_priors_clamped_and_positive(self):
-        priors = planner_priors(tc_program())
-        assert priors["G"] == ASSUMED_EDB_ROWS
-        assert priors["T"] == ASSUMED_EDB_ROWS ** 2
-        assert all(1 <= value <= PRIOR_CAP for value in priors.values())
-
-    def test_unbounded_relations_hit_the_cap(self):
-        program = parse_program(
-            "P(c, x) :- R(x).\nP(d, x) :- P(c, x).\n"
-        )
-        assert planner_priors(program)["P"] == PRIOR_CAP

@@ -1,333 +1,28 @@
-"""The profile→plan feedback loop: metrics, the stats store, priors.
+"""Observability surfaces around the planner's live report.
 
-Covers the whole chain end to end:
-
-* :mod:`repro.obs.metrics` — the content hash and the counters-only
-  harvest of one finished run;
-* :mod:`repro.obs.store` — persistence, merging, and every degraded
-  load path (missing, corrupted, version-mismatched);
-* the planner's priors precedence chain — live size > measured stats >
-  static dataflow prior > uniform default — with provenance asserted
-  through the ``sources`` maps of the planner report;
-* adaptive replanning — the estimated-vs-actual divergence counter;
-* a 50-program differential pinning feedback-directed runs as
-  semantics-neutral;
-* the CLI surface: ``--save-stats`` / auto-load / ``--no-stats``,
-  ``profile --planned``, ``watch --stats-out``, and the
-  feature-witness nondeterminism rejection.
+* ``repro profile --planned``: production kernels stay on, the live
+  planner report rides the JSON profile, and join orders ride the rule
+  spans; the default profile stays on the reference matcher, and a
+  nondeterministic dialect is refused with its witness feature;
+* ``repro watch --stats-out``: one counters line per update;
+* trace events serialize the planner's join order only when present.
 """
 
 import io
 import json
-import random
 
 import pytest
 
 from repro.cli import main
-from repro.obs import (
-    METRICS_SCHEMA_VERSION,
-    STATS_STORE_SCHEMA_VERSION,
-    RuleEvent,
-    RunMetrics,
-    StatsStore,
-    StatsStoreWarning,
-    default_stats_path,
-    program_content_hash,
-    warm_from_store,
-)
-from repro.parser import parse_program
-from repro.programs.feedback_ring import (
-    feedback_ring_database,
-    feedback_ring_program,
-    reference_feedback_ring,
-)
-from repro.relational.instance import Database
-from repro.semantics.planner import plan_context
-from repro.semantics.seminaive import evaluate_datalog_seminaive
-from tests.test_differential_engines import random_program_and_database
+from repro.obs import RuleEvent
 
 TC_SOURCE = "T(x, y) :- E(x, y).\nT(x, z) :- E(x, y), T(y, z).\n"
-
-
-def tc_program():
-    return parse_program(TC_SOURCE, name="feedback-tc")
-
-
-def tc_database():
-    return Database({"E": [("a", "b"), ("b", "c"), ("c", "d")]})
 
 
 def run_cli(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
-
-
-def full_sources(result, rule_id: str) -> dict:
-    """The full-pass prior provenance of one rule, from the report."""
-    return result.stats.planner["rules"][rule_id]["full"]["sources"]
-
-
-# -- content hash ------------------------------------------------------------
-
-
-class TestContentHash:
-    def test_stable_across_parses(self):
-        assert program_content_hash(tc_program()) == program_content_hash(
-            tc_program()
-        )
-
-    def test_name_does_not_matter(self):
-        other = parse_program(TC_SOURCE, name="renamed")
-        assert program_content_hash(tc_program()) == program_content_hash(
-            other
-        )
-
-    def test_sensitive_to_rules(self):
-        edited = parse_program(
-            "T(x, y) :- E(x, y).\n", name="feedback-tc"
-        )
-        assert program_content_hash(tc_program()) != program_content_hash(
-            edited
-        )
-
-    def test_is_hex_digest(self):
-        digest = program_content_hash(tc_program())
-        assert len(digest) == 64
-        int(digest, 16)  # raises if not hex
-
-
-# -- the run harvest ---------------------------------------------------------
-
-
-class TestRunMetrics:
-    def test_harvest_of_one_run(self):
-        program = tc_program()
-        result = evaluate_datalog_seminaive(program, tc_database())
-        metrics = RunMetrics.from_run(program, result.stats, result.database)
-        assert metrics.program_hash == program_content_hash(program)
-        assert metrics.engine == "seminaive"
-        assert metrics.relations["E"] == 3
-        assert metrics.relations["T"] == 6
-        # Rule 1's full pass carries the planner decision's provenance.
-        adorned = metrics.rules["1"]["adornments"]["full"]
-        assert set(adorned) >= {"order", "estimated_rows", "sources"}
-        assert metrics.rules["1"]["actual_rows"] >= 1
-
-    def test_round_trips_through_dict(self):
-        program = tc_program()
-        result = evaluate_datalog_seminaive(program, tc_database())
-        metrics = RunMetrics.from_run(program, result.stats, result.database)
-        doc = metrics.to_dict()
-        assert doc["version"] == METRICS_SCHEMA_VERSION
-        clone = RunMetrics.from_dict(doc)
-        assert clone.to_dict() == doc
-
-    def test_harvest_without_database(self):
-        program = tc_program()
-        result = evaluate_datalog_seminaive(program, tc_database())
-        metrics = RunMetrics.from_run(program, result.stats)
-        assert metrics.relations == {}
-        assert metrics.rules  # planner report still harvested
-
-
-# -- the persistent store ----------------------------------------------------
-
-
-def recorded_store() -> tuple[StatsStore, str]:
-    program = tc_program()
-    result = evaluate_datalog_seminaive(program, tc_database())
-    store = StatsStore()
-    store.record(RunMetrics.from_run(program, result.stats, result.database))
-    return store, program_content_hash(program)
-
-
-class TestStatsStore:
-    def test_round_trip(self, tmp_path):
-        store, digest = recorded_store()
-        path = tmp_path / "tc.stats.json"
-        store.save(path)
-        loaded = StatsStore.load(path)
-        assert digest in loaded
-        assert loaded.measured_sizes(digest) == {"E": 3, "T": 6}
-        assert "1" in loaded.rule_stats(digest)
-
-    def test_rerecord_overwrites_and_bumps_runs(self):
-        store, digest = recorded_store()
-        program = tc_program()
-        bigger = Database(
-            {"E": [(f"n{i}", f"n{i + 1}") for i in range(5)]}
-        )
-        result = evaluate_datalog_seminaive(program, bigger)
-        store.record(
-            RunMetrics.from_run(program, result.stats, result.database)
-        )
-        assert store.programs[digest]["runs"] == 2
-        assert store.measured_sizes(digest)["E"] == 5  # latest run wins
-
-    def test_other_programs_survive_a_record(self):
-        store, digest = recorded_store()
-        other = parse_program("A(x) :- B(x).\n", name="other")
-        result = evaluate_datalog_seminaive(
-            other, Database({"B": [("v",)]})
-        )
-        store.record(
-            RunMetrics.from_run(other, result.stats, result.database)
-        )
-        assert len(store) == 2
-        assert digest in store
-
-    def test_missing_file_is_silently_empty(self, tmp_path, recwarn):
-        store = StatsStore.load(tmp_path / "absent.stats.json")
-        assert len(store) == 0
-        assert not recwarn.list
-
-    def test_corrupted_file_warns_and_is_empty(self, tmp_path):
-        path = tmp_path / "bad.stats.json"
-        path.write_text("{not json")
-        with pytest.warns(StatsStoreWarning):
-            store = StatsStore.load(path)
-        assert len(store) == 0
-
-    def test_wrong_shape_warns(self, tmp_path):
-        path = tmp_path / "list.stats.json"
-        path.write_text("[1, 2, 3]")
-        with pytest.warns(StatsStoreWarning):
-            assert len(StatsStore.load(path)) == 0
-
-    def test_version_mismatch_warns_and_is_empty(self, tmp_path):
-        store, _ = recorded_store()
-        path = tmp_path / "old.stats.json"
-        store.save(path)
-        doc = json.loads(path.read_text())
-        doc["version"] = STATS_STORE_SCHEMA_VERSION + 1
-        path.write_text(json.dumps(doc))
-        with pytest.warns(StatsStoreWarning):
-            assert len(StatsStore.load(path)) == 0
-
-    def test_default_path_sits_next_to_the_program(self):
-        assert default_stats_path("dir/prog.dl").endswith(
-            "prog.stats.json"
-        )
-
-    def test_warm_from_store_misses_on_unknown_program(self):
-        assert not warm_from_store(tc_program(), StatsStore())
-
-    def test_warm_from_store_hits_on_recorded_program(self):
-        store, _ = recorded_store()
-        assert warm_from_store(tc_program(), store)
-
-
-# -- the priors precedence chain ---------------------------------------------
-
-
-class TestPriorsPrecedence:
-    def test_live_sizes_win_even_over_measured(self):
-        store, digest = recorded_store()
-        # Poison the measured size of E: live must still win.
-        store.programs[digest]["relations"]["E"] = 10_000
-        program = tc_program()
-        assert warm_from_store(program, store)
-        result = evaluate_datalog_seminaive(program, tc_database())
-        assert full_sources(result, "1")["E"] == "live"
-
-    def test_measured_beats_static_for_cold_relations(self):
-        store, _ = recorded_store()
-        program = tc_program()
-        assert warm_from_store(program, store)
-        result = evaluate_datalog_seminaive(program, tc_database())
-        # T is empty when the full pass plans — measured fills in.
-        assert full_sources(result, "1")["T"] == "measured"
-
-    def test_static_prior_on_a_cold_start(self):
-        result = evaluate_datalog_seminaive(tc_program(), tc_database())
-        assert full_sources(result, "1")["T"] == "static"
-
-    def test_uniform_default_when_no_static_prior_exists(self):
-        program = tc_program()
-        plan_context(program).priors = {}  # no dataflow prior available
-        result = evaluate_datalog_seminaive(program, tc_database())
-        assert full_sources(result, "1")["T"] == "default"
-
-    def test_feedback_never_changes_answers_on_the_ring(self):
-        n = 8
-        reference = reference_feedback_ring(n)
-        cold_program = feedback_ring_program()
-        cold = evaluate_datalog_seminaive(
-            cold_program, feedback_ring_database(n)
-        )
-        store = StatsStore()
-        store.record(
-            RunMetrics.from_run(cold_program, cold.stats, cold.database)
-        )
-        warmed_program = feedback_ring_program()
-        assert warm_from_store(warmed_program, store)
-        warm = evaluate_datalog_seminaive(
-            warmed_program, feedback_ring_database(n)
-        )
-        for relation, expected in reference.items():
-            assert cold.answer(relation) == expected, relation
-            assert warm.answer(relation) == expected, relation
-        assert full_sources(cold, "0")["Filter"] == "static"
-        assert full_sources(warm, "0")["Filter"] == "measured"
-
-
-# -- adaptive replanning -----------------------------------------------------
-
-
-class TestAdaptiveReplanning:
-    def test_divergence_trips_the_counter(self):
-        # The ring's recursive Filter estimate diverges from its actual
-        # emptiness on the first full pass — the counter must move.
-        result = evaluate_datalog_seminaive(
-            feedback_ring_program(), feedback_ring_database(8)
-        )
-        assert result.stats.planner["adaptive_replans"] >= 1
-
-    def test_stable_estimates_do_not_trip_it(self):
-        # A non-recursive join over live-sized relations: estimates sit
-        # inside the drift band, so no adaptive replan fires.
-        program = parse_program(
-            "Out(x, z) :- A(x, y), B(y, z).\n", name="feedback-join"
-        )
-        db = Database(
-            {"A": [("a", "m"), ("b", "m")], "B": [("m", "x"), ("m", "y")]}
-        )
-        result = evaluate_datalog_seminaive(program, db)
-        assert result.stats.planner["adaptive_replans"] == 0
-
-    def test_counter_rides_the_stats_schema(self):
-        result = evaluate_datalog_seminaive(
-            feedback_ring_program(), feedback_ring_database(8)
-        )
-        doc = result.stats.to_dict()
-        assert doc["planner"]["adaptive_replans"] >= 1
-
-
-# -- differential: feedback on vs off, 50 random programs --------------------
-
-
-@pytest.mark.parametrize("seed", range(50))
-def test_feedback_differential_on_random_programs(seed):
-    """Warming the planner from a prior run's own measurements never
-    changes the computed model or the number of rule firings."""
-    rng = random.Random(seed)
-    source, db = random_program_and_database(rng)
-    cold_program = parse_program(source, name=f"feedback-random-{seed}")
-    cold = evaluate_datalog_seminaive(cold_program, db)
-
-    store = StatsStore()
-    store.record(
-        RunMetrics.from_run(cold_program, cold.stats, cold.database)
-    )
-    warmed_program = parse_program(source, name=f"feedback-random-{seed}w")
-    # A run whose instance measured entirely empty has nothing to feed
-    # back; warming is then a no-op and the runs must *still* agree.
-    warm_from_store(warmed_program, store)
-    warm = evaluate_datalog_seminaive(warmed_program, db)
-
-    assert cold.database.canonical() == warm.database.canonical(), source
-    assert cold.rule_firings == warm.rule_firings, source
 
 
 # -- the CLI surface ---------------------------------------------------------
@@ -340,56 +35,6 @@ def tc_files(tmp_path):
     data = tmp_path / "graph.dl"
     data.write_text("E('a', 'b').\nE('b', 'c').\nE('c', 'd').\n")
     return str(program), str(data)
-
-
-class TestSaveStatsCLI:
-    def test_save_then_autoload(self, tc_files, capsys):
-        program, data = tc_files
-        code, _ = run_cli(["run", program, "--data", data, "--save-stats"])
-        assert code == 0
-        path = default_stats_path(program)
-        doc = json.loads(open(path).read())
-        assert doc["version"] == STATS_STORE_SCHEMA_VERSION
-        capsys.readouterr()
-
-        code, _ = run_cli(["run", program, "--data", data])
-        assert code == 0
-        assert "warmed planner from" in capsys.readouterr().err
-
-    def test_no_stats_plans_cold(self, tc_files, capsys):
-        program, data = tc_files
-        run_cli(["run", program, "--data", data, "--save-stats"])
-        capsys.readouterr()
-        code, _ = run_cli(["run", program, "--data", data, "--no-stats"])
-        assert code == 0
-        assert "warmed" not in capsys.readouterr().err
-
-    def test_explicit_stats_file(self, tc_files, tmp_path, capsys):
-        program, data = tc_files
-        where = str(tmp_path / "elsewhere.json")
-        code, _ = run_cli(
-            ["run", program, "--data", data, "--save-stats", where]
-        )
-        assert code == 0
-        assert json.loads(open(where).read())["programs"]
-        capsys.readouterr()
-        code, _ = run_cli(
-            ["run", program, "--data", data, "--stats-file", where]
-        )
-        assert code == 0
-        assert "warmed planner from" in capsys.readouterr().err
-
-    def test_stats_json_surfaces_feedback_counters(self, tc_files):
-        program, data = tc_files
-        run_cli(["stats", program, "--data", data, "--save-stats"])
-        code, output = run_cli(
-            ["stats", program, "--data", data, "--format", "json"]
-        )
-        assert code == 0
-        planner = json.loads(output)["planner"]
-        assert planner["adaptive_replans"] >= 0
-        assert planner["measured_stats"]["E"] == 3
-        assert planner["rules"]["1"]["full"]["sources"]["T"] == "measured"
 
 
 class TestProfilePlannedCLI:
@@ -405,8 +50,10 @@ class TestProfilePlannedCLI:
         # the columnar tier enabled by default, that is what it reports.
         assert doc["matcher"] == "columnar"
         # The live planner report, not the static estimate: actuals on.
-        assert "adaptive_replans" in doc["planner"]
-        assert "actual_rows" in doc["planner"]["rules"]["1"]["full"]
+        # Rule 1's full pass reads an empty T and never runs; its delta
+        # variant on T does.
+        assert doc["planner"]["plan_lookups"] > 0
+        assert "actual_rows" in doc["planner"]["rules"]["1"]["delta@1"]
         orders = {
             row["rule_index"]: row["orders"]
             for row in doc["rules"]

@@ -8,16 +8,18 @@ dispatch map (delta-disjoint rules incur zero plan lookups), index GC
 (a wide relation ends the run with only covered indexes live), the
 production-vs-reference differential across all deterministic engines
 (the reference is a traced run, which keeps the production schedule),
-per-run planner reports, and byte-identical seeded nondeterministic
-replay.
+per-run planner reports, the empty-input exit (a variant whose other
+positive inputs include an empty relation is never planned), and
+byte-identical seeded nondeterministic replay.
 """
 
 import copy
 import random
+from pathlib import Path
 
 import pytest
 
-from repro.obs import CollectorSink, RunMetrics, Tracer
+from repro.obs import CollectorSink, Tracer
 from repro.parser import parse_program
 from repro.programs.component_chain import (
     component_chain_database,
@@ -26,6 +28,8 @@ from repro.programs.component_chain import (
     reference_component_chain,
 )
 from repro.relational.instance import Database, Relation
+from repro.relational.io import facts_from_text
+from repro.semantics.differential import DiffBatch, DifferentialEngine
 from repro.semantics.naive import evaluate_datalog_naive
 from repro.semantics.nondeterministic import run_nondeterministic
 from repro.semantics.planner import (
@@ -391,9 +395,8 @@ class TestReport:
         db = Database({"G": [(1, 2), (2, 3)]})
         report = explain(program, db)
         assert set(report) == {
-            "plan_lookups", "plan_hits", "replans", "adaptive_replans",
-            "rules", "index_cover", "static_priors", "measured_stats",
-            "scheduled_components",
+            "plan_lookups", "plan_hits", "replans", "rules",
+            "index_cover", "scheduled_components",
         }
         full = report["rules"]["1"]["full"]
         assert sorted(full["order"]) == [0, 1]
@@ -440,14 +443,12 @@ class TestReport:
         )
         assert first.stats.planner is not second.stats.planner
         assert first.stats.planner == before
-        assert before["plan_lookups"] == 11
+        assert before["plan_lookups"] == 10
         report = second.stats.planner
         assert report["plan_lookups"] == fresh.stats.planner["plan_lookups"]
-        assert report["plan_lookups"] == 31
+        assert report["plan_lookups"] == 30
         assert report["rules"]["1"]["actual_rows"] == 406
         assert report["rules"] == fresh.stats.planner["rules"]
-        metrics = RunMetrics.from_run(program, second.stats, second.database)
-        assert metrics.rules["1"]["actual_rows"] == 406
 
     def test_plan_cache_hits_dominate_on_stable_cardinalities(self):
         program = component_chain_program(3)
@@ -529,46 +530,94 @@ class TestSeededReplay:
         assert before.database.canonical() == after.database.canonical()
 
 
-# -- static priors: cardinality bounds for cold relations -------------------
+# -- the empty-input exit ---------------------------------------------------
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "datalog"
+
+
+def bundled_ring():
+    """The bundled feedback ring: ``Filter`` is empty on the first pass
+    of the component that derives it."""
+    program = parse_program(
+        (EXAMPLES / "feedback_ring.dl").read_text(), name="ring"
+    )
+    db = facts_from_text((EXAMPLES / "feedback_ring_facts.dl").read_text())
+    return program, db
+
+
+class TestEmptyInputExit:
+    """A pass whose other positive inputs include an empty relation
+    derives nothing, so it is never planned, cached or reported."""
+
+    def test_cold_ring_pass_is_never_planned(self):
+        program, db = bundled_ring()
+        result = evaluate_datalog_seminaive(program, db)
+        # Rule 0 (Out :- Big, Mid, Filter) meets an empty Filter on its
+        # component's full pass: no decision and no report entry; only
+        # its delta variant on Filter runs.
+        rule0 = result.stats.planner["rules"]["0"]
+        assert "full" not in rule0
+        assert set(rule0) == {"delta@2", "actual_rows"}
+        assert result.answer("Filter") == {("c0", "ok"), ("c1", "ok")}
+        assert result.answer("Out") == {
+            (f"a{i}", c) for i in range(8) for c in ("c0", "c1")
+        }
+
+    def test_ring_firings_and_stages_match_a_full_tracer(self):
+        program, db = bundled_ring()
+        plain = evaluate_datalog_seminaive(program, db)
+        reference = traced(evaluate_datalog_seminaive, program, db)
+        assert reference.stats.matcher == "interpreted"
+        assert plain.rule_firings == reference.rule_firings
+        assert plain.stats.stage_count == reference.stats.stage_count
+        assert plain.database.canonical() == reference.database.canonical()
+
+    def test_delta_pass_over_an_empty_input_makes_no_lookup(self):
+        program = parse_program(
+            "T(x, y) :- G(x, y).\n"
+            "T(x, y) :- T(x, z), G(z, y), E(y).\n",
+            name="empty-input",
+        )
+        db = Database({"G": [(0, 1), (1, 2)], ("E", 1): set()})
+        result = evaluate_datalog_seminaive(program, db)
+        assert result.answer("T") == {(0, 1), (1, 2)}
+        # Rule 0's full pass is the only lookup: rule 1's full pass and
+        # its delta pass on T both read the declared-but-empty E.
+        assert result.stats.planner["plan_lookups"] == 1
+        assert plan_context(program).states[1].lookups == 0
+        assert "1" not in result.stats.planner["rules"]
+
+    def test_batch_emptying_a_non_delta_input_matches_scratch(self):
+        program = parse_program(
+            "T(x, y) :- G(x, y).\n"
+            "T(x, y) :- T(x, z), G(z, y).\n"
+            "R(x, y) :- T(x, y), F(y).\n"
+            "R(x, y) :- R(x, z), G(z, y).\n",
+            name="emptied-input",
+        )
+        engine = DifferentialEngine(
+            program, Database({"G": [(0, 1), (1, 2)], "F": [(1,), (2,)]})
+        )
+        assert engine.answer("R") == {(0, 1), (1, 2), (0, 2)}
+        # One batch deletes every F fact and extends T: R's insertion
+        # pass then has a T delta beside an empty F, and a G delta
+        # beside an emptied R.
+        engine.apply(DiffBatch(
+            inserts=(("G", (2, 3)),),
+            deletes=(("F", (1,)), ("F", (2,))),
+        ))
+        assert engine.answer("R") == frozenset()
+        assert len(engine.answer("T")) == 6
+        assert engine.consistent_with_scratch()
+
+
+# -- cold starts ------------------------------------------------------------
 
 
 class TestStaticPriors:
-    def test_cold_relations_consult_priors(self):
-        from repro.analysis.dataflow import planner_priors
-
-        program = parse_program(
-            "T(x, y) :- G(x, y).\nT(x, y) :- G(x, z), T(z, y).\n",
-            name="cold",
-        )
-        db = Database({("G", 2): set()})  # declared but empty: cold
-        report = explain(program, db)
-        priors = planner_priors(program)
-        # Every relation planned at size zero ran on its static prior,
-        # and the report names them with the distilled bound.
-        assert report["static_priors"]
-        for relation, value in report["static_priors"].items():
-            assert value == priors[relation]
-
-    def test_warm_relations_never_touch_priors(self):
-        program = parse_program(
-            "P(x, y) :- A(x, y), B(y, x).\n", name="warm"
-        )
-        db = Database({"A": [(1, 2), (2, 3)], "B": [(2, 1), (3, 2)]})
-        report = explain(program, db)
-        assert report["static_priors"] == {}
-
-    def test_priors_order_joins_like_live_sizes_would(self):
-        # The symbolic regime must still rank a recursive idb above its
-        # edb input: on a cold database the planner scans G (prior 64)
-        # and probes T (prior 64²), same shape as warm evaluation.
-        program = parse_program(
-            "T(x, y) :- G(x, y).\nT(x, y) :- G(x, z), T(z, y).\n",
-            name="cold-order",
-        )
-        db = Database({("G", 2): set(), ("T", 2): set()})
-        report = explain(program, db)
-        full = report["rules"]["1"]["full"]
-        assert full["order"][0] == 0  # G first, T probed
+    """A cold start (the recursive relation empty on the first pass)
+    still reaches the full closure."""
 
     def test_evaluation_results_unchanged_by_priors(self):
         program = parse_program(

@@ -444,6 +444,21 @@ class Database:
             )
         return rel
 
+    def attach(self, name: str, relation: Relation) -> Relation:
+        """Register an existing relation object under ``name``.
+
+        The object is shared, not copied: a write to it shows under
+        every name and in every database that holds it.  :meth:`copy`
+        gives each name its own copy, and :meth:`index_totals` counts
+        the object once per name.  Raises :class:`SchemaError` if
+        ``name`` is taken.
+        """
+        if name in self._relations:
+            raise SchemaError(f"relation {name!r} already exists")
+        self._relations[name] = relation
+        self._deferred.discard(name)
+        return relation
+
     def relation(self, name: str) -> Relation | None:
         """The relation of that name, or None if absent."""
         return self._relations.get(name)

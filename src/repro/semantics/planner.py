@@ -909,7 +909,6 @@ def scheduled_fixpoint(
     recorder=None,
     result=None,
     stage_start: int = 0,
-    collect: "set[tuple[str, tuple]] | None" = None,
     tracer=None,
 ):
     """Evaluate to fixpoint one SCC at a time, mutating ``db`` in place.
@@ -918,10 +917,9 @@ def scheduled_fixpoint(
     a positive edge) a delta loop over that component's rules only; a
     program with no sound schedule is one recursive component.
     ``recorder``/``result``, when given, receive one stage record and
-    one :class:`~repro.semantics.base.StageTrace` per pass;
-    ``collect`` (the well-founded driver's mode) accumulates every
-    newly derived fact.  ``tracer`` is handed to every pass (see
-    :func:`consequences`), so traced runs keep this stage structure.
+    one :class:`~repro.semantics.base.StageTrace` per pass.  ``tracer``
+    is handed to every pass (see :func:`consequences`), so traced runs
+    keep this stage structure.
     Ends with the index cover's garbage collection on ``db``.
 
     Returns ``(total firings, last stage number)``.
@@ -956,8 +954,6 @@ def scheduled_fixpoint(
             if fresh:
                 delta[relation] = set(fresh)
                 trace.new_facts.extend((relation, t) for t in fresh)
-                if collect is not None:
-                    collect.update((relation, t) for t in fresh)
         if recorder is not None:
             recorder.stage(
                 stage, firings, added=len(trace.new_facts), trace=trace

@@ -36,10 +36,16 @@ def ground_program(
     facts.  Positive body literals over edb relations that fail in the
     input are dropped eagerly (their rules can never fire); edb facts in
     positive bodies that hold are removed, keeping ground rules small.
+    A fact the input gives for an idb relation is a bodiless ground
+    rule: it holds outright, as in the well-founded model.
     """
     adom = evaluation_adom(program, db)
     edb = program.edb
-    grounded: list[tuple[Fact, list[Fact], list[Fact]]] = []
+    grounded: list[tuple[Fact, list[Fact], list[Fact]]] = [
+        ((relation, t), [], [])
+        for relation in program.idb
+        for t in db.tuples(relation)
+    ]
     for rule in program.rules:
         variables = sorted(rule.variables(), key=lambda v: v.name)
         for values in itertools.product(adom, repeat=len(variables)):

@@ -9,10 +9,23 @@ queries):
   literal ¬A is evaluated against the assumption set ``J`` (¬A holds
   iff A ∉ J); negative edb literals are evaluated against the input.
   ``S`` is antimonotone.
-* The sequence I₀ = ∅, I₁ = S(I₀), I₂ = S(I₁), … has its even
-  subsequence increasing to lfp(S²) — the *true* facts — and its odd
-  subsequence decreasing to gfp(S²) = S(lfp(S²)) — the *possible*
+* The sequence I₀, I₁ = S(I₀), I₂ = S(I₁), … starts from the input's
+  idb facts (I₀ = ∅ when it has none; every S(J) contains them).  Its
+  even subsequence increases to lfp(S²) — the *true* facts — and its
+  odd subsequence decreases to gfp(S²) = S(lfp(S²)) — the *possible*
   facts.  Unknown = possible − true; everything else is false.
+
+One run keeps two work databases, an even side and an odd side, each
+copied from the input once.  :func:`_transform` rewrites ¬R to
+¬R__wf_assumed, and each side's ``R__wf_assumed`` *is* the other side's
+``R`` relation object (:meth:`Database.attach`), so a step reads the
+previous iterate where the other side left it.  A step resets its own
+idb relations to the input's idb facts (clearing keeps their chain
+indexes live, so each side builds them once) and runs the SCC-scheduled
+least fixpoint; nothing is copied or reloaded.  The run stops when
+neither side's idb size changed over a round.  The size test is exact:
+the evens only grow and the odds only shrink, so a successor of the
+same size is the same set.
 
 On the paper's game instance (Example 3.2) this yields
 win(d), win(f) true; win(e), win(g) false; win(a), win(b), win(c)
@@ -21,8 +34,9 @@ unknown.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator, Literal as TypingLiteral
+from typing import Iterator, Literal as TypingLiteral
 
 from repro.ast.program import Dialect, Program
 from repro.ast.analysis import validate_program
@@ -41,11 +55,12 @@ TruthValue = TypingLiteral["true", "false", "unknown"]
 class WellFoundedModel:
     """The 3-valued well-founded model of a program on an input.
 
-    ``true_facts`` and ``possible_facts`` cover idb facts only;
-    ``possible_facts ⊇ true_facts`` and the unknowns are their
-    difference.  The 2-valued interpretation the paper discusses (take
-    the true facts as the answer) is :meth:`answer` /
-    :meth:`true_database`.
+    ``true_facts`` and ``possible_facts`` cover idb facts only; a fact
+    the input gives for an idb relation is true (read positively and
+    under negation alike).  ``possible_facts ⊇ true_facts`` and the
+    unknowns are their difference.  The 2-valued interpretation the
+    paper discusses (take the true facts as the answer) is
+    :meth:`answer` / :meth:`true_database`.
     """
 
     program: Program
@@ -113,51 +128,117 @@ def _transform(program: Program) -> Program:
     return Program(new_rules, name=f"{program.name}-wf")
 
 
-def _least_model(
-    transformed: Program,
-    base: Database,
-    assumed: frozenset[tuple[str, tuple]],
-    adom: tuple[Hashable, ...],
-    stats: EngineStats | None = None,
-    tracer=None,
-) -> tuple[frozenset[tuple[str, tuple]], int, tuple[int, int, int]]:
-    """lfp of the transformed program with assumptions ``assumed`` (= S(J)).
+class _Side:
+    """One work database of the alternation and the iterate it holds.
 
-    Returns (derived facts, firings, the scratch database's final
-    (index builds, index updates, index drops) counters).
+    ``idb`` are this side's own idb relations (the iterate), in sorted
+    name order; ``own`` is every relation of the copy, taken before
+    :class:`_Alternation` attaches the other side's relations.
     """
-    work = base.copy()
-    for relation in transformed.idb:
-        work.ensure_relation(relation, transformed.arity(relation))
-    for relation, t in assumed:
-        work.add_fact(_assumed_name(relation), t)
 
-    # SCC-scheduled least model: the transformed program negates only
-    # assumption/edb relations, so every component schedules.
-    derived: set[tuple[str, tuple]] = set()
-    firings, _ = planner.scheduled_fixpoint(
-        transformed, work, adom, stats=stats, collect=derived,
-        tracer=tracer,
-    )
-    return frozenset(derived), firings, work.index_totals()
+    __slots__ = ("db", "idb", "own", "booked")
+
+    def __init__(self, db: Database, program: Program, names: list[str]):
+        self.db = db.copy()
+        self.idb = [
+            self.db.ensure_relation(name, program.arity(name)) for name in names
+        ]
+        self.own = [
+            rel for rel in map(self.db.relation, self.db.relation_names())
+            if rel is not None
+        ]
+        self.booked = (0, 0, 0)  # a copy's counters start at zero
+
+    def size(self) -> int:
+        return sum(len(rel) for rel in self.idb)
+
+    def facts(self) -> frozenset[tuple[str, tuple]]:
+        return frozenset((rel.name, t) for rel in self.idb for t in rel)
+
+    def book(self) -> tuple[int, int, int]:
+        """(builds, updates, drops) on this side's own relations since
+        the last call.  An attached relation is the other side's to
+        book: counting it here too would count its chain work twice.
+        """
+        totals = (
+            sum(rel.index_builds for rel in self.own),
+            sum(rel.index_updates for rel in self.own),
+            sum(rel.index_drops for rel in self.own),
+        )
+        booked, self.booked = self.booked, totals
+        return (
+            totals[0] - booked[0], totals[1] - booked[1], totals[2] - booked[2]
+        )
+
+
+class _Alternation:
+    """The alternating fixpoint on two long-lived work databases.
+
+    Each side is copied from the input once.  Each side's
+    ``R__wf_assumed`` is the other side's ``R`` relation object, so a
+    step reads the previous iterate where it lies and reloads nothing.
+    ``recorder`` receives one stage record per step.
+    """
+
+    def __init__(self, program: Program, db: Database, tracer=None):
+        self.transformed = _transform(program)
+        self.adom = evaluation_adom(program, db)
+        self.recorder = StatsRecorder("wellfounded", tracer=tracer)
+        self.tracer = tracer
+        names = sorted(program.idb)
+        self.given = [db.tuples(name) for name in names]
+        self.given_size = sum(len(ts) for ts in self.given)
+        self.even = _Side(db, program, names)
+        self.odd = _Side(db, program, names)
+        for name, even, odd in zip(names, self.even.idb, self.odd.idb):
+            self.even.db.attach(_assumed_name(name), odd)
+            self.odd.db.attach(_assumed_name(name), even)
+        self.steps = 0
+
+    def step(self, side: _Side) -> bool:
+        """Replace ``side``'s iterate by S(the other side's iterate).
+
+        Returns True iff the iterate's size changed.
+        """
+        before = side.size()
+        # Reset to the input's idb facts; clearing keeps the chains
+        # live, so each side builds its indexes once and then updates.
+        for rel, given in zip(side.idb, self.given):
+            rel.clear()
+            if given:
+                rel.add_batch(given)
+        # The transformed program negates only assumption and edb
+        # relations, so every component schedules.
+        firings, _ = planner.scheduled_fixpoint(
+            self.transformed, side.db, self.adom,
+            stats=self.recorder.stats, tracer=self.tracer,
+        )
+        self.steps += 1
+        after = side.size()
+        self.recorder.stage(
+            self.steps, firings, added=after - self.given_size,
+            counters=side.book(),
+        )
+        return after != before
 
 
 def alternating_sequence(
     program: Program,
     db: Database,
 ) -> Iterator[frozenset[tuple[str, tuple]]]:
-    """The alternating fixpoint sequence I₀=∅, I₁=S(I₀), I₂=S(I₁), …
+    """The alternating fixpoint sequence I₀, I₁=S(I₀), I₂=S(I₁), …
 
-    Yields each Iₖ; callers stop when the even and odd subsequences
-    stabilize.  Exposed for tests and teaching; most callers want
-    :func:`evaluate_wellfounded`.
+    I₀ is the input's idb facts (∅ when there are none).  Yields each
+    Iₖ as a snapshot of one pair of work databases, even iterates from
+    one and odd from the other; callers stop when the even and odd
+    subsequences stabilize.  Exposed for tests and teaching; most
+    callers want :func:`evaluate_wellfounded`.
     """
-    transformed = _transform(program)
-    adom = evaluation_adom(program, db)
-    current: frozenset[tuple[str, tuple]] = frozenset()
-    while True:
-        yield current
-        current, _, _ = _least_model(transformed, db, current, adom)
+    run = _Alternation(program, db)
+    yield run.even.facts()
+    for side in itertools.cycle((run.odd, run.even)):
+        run.step(side)
+        yield side.facts()
 
 
 def evaluate_wellfounded(
@@ -175,41 +256,23 @@ def evaluate_wellfounded(
         validate_program(program, Dialect.DATALOG_NEG)
     if tracer is not None and not tracer.enabled:
         tracer = None
-    transformed = _transform(program)
-    adom = evaluation_adom(program, db)
-    recorder = StatsRecorder("wellfounded", tracer=tracer)
-
-    def step(assumed, label):
-        derived, firings, counters = _least_model(
-            transformed, db, assumed, adom, stats=recorder.stats,
-            tracer=tracer
-        )
-        recorder.stage(label, firings, added=len(derived), counters=counters)
-        return derived, firings
-
+    run = _Alternation(program, db, tracer=tracer)
+    run.step(run.odd)  # I₁
     rounds = 0
-    firings_total = 0
-    call = 1
-    even: frozenset[tuple[str, tuple]] = frozenset()  # I₀
-    odd, firings = step(even, call)  # I₁
-    firings_total += firings
     while True:
         rounds += 1
-        call += 1
-        next_even, firings = step(odd, call)  # I₂ₖ
-        firings_total += firings
-        call += 1
-        next_odd, firings = step(next_even, call)  # I₂ₖ₊₁
-        firings_total += firings
-        if next_even == even and next_odd == odd:
+        even_moved = run.step(run.even)  # I₂ₖ
+        odd_moved = run.step(run.odd)  # I₂ₖ₊₁
+        # Evens only grow and odds only shrink: same size, same set.
+        if not (even_moved or odd_moved):
             break
-        even, odd = next_even, next_odd
+    stats = run.recorder.finish(adom_size=len(run.adom))
     return WellFoundedModel(
         program=program,
         input_db=db,
-        true_facts=even,
-        possible_facts=odd,
+        true_facts=run.even.facts(),
+        possible_facts=run.odd.facts(),
         alternation_rounds=rounds,
-        rule_firings=firings_total,
-        stats=recorder.finish(adom_size=len(adom)),
+        rule_firings=stats.rule_firings,
+        stats=stats,
     )

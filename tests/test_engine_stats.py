@@ -27,6 +27,7 @@ from repro.semantics import (
 )
 from repro.semantics.base import EvaluationResult
 from repro.statelog import parse_statelog, run_statelog
+from tests.test_wellfounded import KEYED_EDGES, KEYED_SOURCE
 
 TC = "T(x, y) :- G(x, y).\nT(x, y) :- G(x, z), T(z, y).\n"
 GRAPH = {"G": [("a", "b"), ("b", "c"), ("c", "d")]}
@@ -87,6 +88,18 @@ class TestDeterministicEngines:
         db = Database({"moves": [("a", "b"), ("b", "a"), ("b", "c")]})
         model = evaluate_wellfounded(program, db)
         assert_consistent(model.stats, "wellfounded")
+
+    def test_wellfounded_counts_each_relation_once(self):
+        # Each work database builds its chain on R once, then maintains
+        # it in place.  R is also the other database's assumption
+        # relation; counting it there too would read 4 builds and 79
+        # updates.
+        program = parse_program(KEYED_SOURCE)
+        model = evaluate_wellfounded(program, Database({"G": KEYED_EDGES}))
+        assert_consistent(model.stats, "wellfounded")
+        assert [s.index_builds for s in model.stats.stages] == [1, 1, 0, 0, 0]
+        assert model.stats.index_builds == 2
+        assert model.stats.index_updates == 49
 
     def test_invention(self):
         program = parse_program(

@@ -139,6 +139,16 @@ class TestDatabase:
         clone.add_fact("R", ("b",))
         assert db.tuples("R") == frozenset({("a",)})
 
+    def test_attach_shares_the_relation(self):
+        source = Database({"R": [("a",)]})
+        db = Database({"S": [("b",)]})
+        shared = db.attach("R_alias", source.relation("R"))
+        assert db.relation("R_alias") is shared is source.relation("R")
+        source.add_fact("R", ("c",))
+        assert db.tuples("R_alias") == frozenset({("a",), ("c",)})
+        with pytest.raises(SchemaError):
+            db.attach("S", shared)
+
     def test_canonical_equality(self):
         a = Database({"R": [("a",), ("b",)]})
         b = Database({"R": [("b",), ("a",)]})

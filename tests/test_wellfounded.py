@@ -4,8 +4,15 @@ import pytest
 
 from repro.parser import parse_program
 from repro.relational.instance import Database
+from repro.semantics import planner
+from repro.semantics.base import evaluation_adom
 from repro.semantics.stratified import evaluate_stratified
-from repro.semantics.wellfounded import alternating_sequence, evaluate_wellfounded
+from repro.semantics.wellfounded import (
+    _assumed_name,
+    _transform,
+    alternating_sequence,
+    evaluate_wellfounded,
+)
 from repro.semantics.stable import (
     is_stable_model,
     stable_models,
@@ -13,6 +20,44 @@ from repro.semantics.stable import (
 )
 from repro.programs.win import paper_win_instance, win_program
 from repro.workloads.games import game_database, random_game, solve_game_reference
+from repro.workloads.graphs import chain
+
+#: ``S`` probes ``R`` by key while ``R``, ``S`` and ``W`` are also read
+#: negatively, so a work database's ``R`` is the other one's
+#: assumption relation.
+KEYED_SOURCE = (
+    "R(x,y) :- G(x,y), not R(y,x).\n"
+    "S(x,z) :- G(x,y), R(y,z).\n"
+    "W(x) :- G(x,y), not S(y,x), not W(y).\n"
+)
+KEYED_EDGES = (
+    [(f"n{i}", f"n{(7 * i + 3) % 10}") for i in range(10)]
+    + [(f"n{i}", f"n{(i + 1) % 10}") for i in range(10)]
+    + [("n1", "n0"), ("n2", "n1")]
+)
+
+#: Stratifiable programs, on which well-founded = stratified.
+STRATIFIABLE = [
+    (
+        "T(x,y) :- G(x,y). T(x,y) :- G(x,z), T(z,y). CT(x,y) :- not T(x,y).",
+        Database({"G": [("a", "b"), ("b", "c")]}),
+    ),
+    (
+        "R(x) :- S(x), not E(x).",
+        Database({"S": [("a",), ("b",)], "E": [("b",)]}),
+    ),
+    # The input already holds the idb fact T(b,c): it is true, so
+    # ¬T(b,c) is false and CT leaves (b,c) out.
+    (
+        "T(x,y) :- G(x,y). T(x,y) :- G(x,z), T(z,y). "
+        "CT(x,y) :- V(x), V(y), not T(x,y).",
+        Database({
+            "G": [("a", "b")],
+            "V": [("a",), ("b",), ("c",)],
+            "T": [("b", "c")],
+        }),
+    ),
+]
 
 
 class TestPaperExample32:
@@ -105,19 +150,7 @@ class TestAlternatingFixpoint:
 class TestAgreementWithStratified:
     """On stratifiable programs, well-founded = stratified and is total."""
 
-    @pytest.mark.parametrize(
-        "source,input_db",
-        [
-            (
-                "T(x,y) :- G(x,y). T(x,y) :- G(x,z), T(z,y). CT(x,y) :- not T(x,y).",
-                Database({"G": [("a", "b"), ("b", "c")]}),
-            ),
-            (
-                "R(x) :- S(x), not E(x).",
-                Database({"S": [("a",), ("b",)], "E": [("b",)]}),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("source,input_db", STRATIFIABLE)
     def test_coincide_and_total(self, source, input_db):
         program = parse_program(source)
         wf = evaluate_wellfounded(program, input_db)
@@ -125,6 +158,109 @@ class TestAgreementWithStratified:
         assert wf.is_total()
         for relation in program.idb:
             assert wf.answer(relation) == strat.answer(relation)
+
+
+def _reference_sequence(program, db):
+    """Yield (Iₖ, firings of the step that made it), each step computed
+    afresh: a new copy of the input, the assumption set loaded fact by
+    fact, then the scheduled least fixpoint."""
+    transformed = _transform(program)
+    adom = evaluation_adom(program, db)
+    current = frozenset((r, t) for r in program.idb for t in db.tuples(r))
+    firings = 0
+    while True:
+        yield current, firings
+        work = db.copy()
+        for relation in transformed.idb:
+            work.ensure_relation(relation, transformed.arity(relation))
+        for relation, t in current:
+            work.add_fact(_assumed_name(relation), t)
+        firings, _ = planner.scheduled_fixpoint(transformed, work, adom)
+        current = frozenset(
+            (r, t) for r in transformed.idb for t in work.tuples(r)
+        )
+
+
+def _reference_model(program, db):
+    """(true, possible, rounds, per-step (firings, added)), stopping when
+    both subsequences repeat, compared as sets."""
+    sequence = _reference_sequence(program, db)
+    given, _ = next(sequence)
+    steps = []
+
+    def step():
+        iterate, firings = next(sequence)
+        steps.append((firings, len(iterate) - len(given)))
+        return iterate
+
+    even, odd = given, step()
+    rounds = 0
+    while True:
+        rounds += 1
+        next_even, next_odd = step(), step()
+        if next_even == even and next_odd == odd:
+            return even, odd, rounds, steps
+        even, odd = next_even, next_odd
+
+
+REFERENCE_CASES = [
+    pytest.param(win_program(), paper_win_instance(), id="paper"),
+    *(
+        pytest.param(
+            win_program(),
+            game_database(random_game(12, 0.2, seed=seed)),
+            id=f"random-{seed}",
+        )
+        for seed in range(20)
+    ),
+    pytest.param(
+        win_program(),
+        game_database(chain(30) + random_game(12, 0.2, seed=5)),
+        id="chain-plus-random",
+    ),
+    pytest.param(
+        parse_program(KEYED_SOURCE), Database({"G": KEYED_EDGES}), id="keyed"
+    ),
+    *(
+        pytest.param(parse_program(source), db, id=f"stratifiable-{i}")
+        for i, (source, db) in enumerate(STRATIFIABLE)
+    ),
+]
+
+
+class TestAgainstPerStepReference:
+    """The two-database alternation against S(J) computed afresh."""
+
+    @pytest.mark.parametrize("program,db", REFERENCE_CASES)
+    def test_same_model_rounds_and_stages(self, program, db):
+        model = evaluate_wellfounded(program, db)
+        true, possible, rounds, steps = _reference_model(program, db)
+        assert model.true_facts == true
+        assert model.possible_facts == possible
+        assert model.alternation_rounds == rounds
+        assert model.rule_firings == sum(firings for firings, _ in steps)
+        assert [(s.firings, s.added) for s in model.stats.stages] == steps
+
+    @pytest.mark.parametrize("program,db", REFERENCE_CASES)
+    def test_same_iterates(self, program, db):
+        ours = alternating_sequence(program, db)
+        reference = _reference_sequence(program, db)
+        for _ in range(8):
+            assert next(ours) == next(reference)[0]
+
+    def test_two_copies_and_no_reloads(self, monkeypatch):
+        calls = {"copy": 0, "add_fact": 0}
+        for name in calls:
+            original = getattr(Database, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(Database, name, counted)
+        model = evaluate_wellfounded(win_program(), game_database(chain(30)))
+        assert model.alternation_rounds == 16
+        assert calls == {"copy": 2, "add_fact": 0}
 
 
 class TestStableModels:
@@ -164,6 +300,15 @@ class TestStableModels:
     def test_wf_true_bracketing(self):
         db = game_database([("a", "b"), ("b", "a"), ("b", "c")])
         assert wellfounded_true_in_all_stable(win_program(), db)
+
+    def test_input_idb_fact_holds_in_every_stable_model(self):
+        # R(z) is given and underivable: well-founded makes it true, so
+        # the bracketing keeps it and the stable model must derive it.
+        program = parse_program("R(x) :- S(x), not E(x).")
+        db = Database({"S": [("a",), ("b",)], "E": [("b",)], "R": [("z",)]})
+        models = stable_models(program, db)
+        assert models == [frozenset({("R", ("a",)), ("R", ("z",))})]
+        assert wellfounded_true_in_all_stable(program, db)
 
     def test_no_move_game(self):
         # moves(a, b), b has no moves: win(a) true, win(b) false; total.

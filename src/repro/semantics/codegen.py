@@ -78,10 +78,10 @@ chain probed above its last level) is a :meth:`Relation.probe_chain`
 call, whose fresh list needs no snapshot.
 
 A plan's table lives on the plan (``RulePlan.codegen_fns``) and dies
-with it; planner replans build fresh plans (hence fresh tables), and
-:func:`~repro.semantics.plan.plan_with_cover` resets the slot on its
-twin so a cover-probing plan never runs the base plan's identity-chain
-code.
+with it.  A plan's steps, the chains they probe included, are fixed
+when it is built: a planner replan or cover change selects a different
+plan object (hence a different table), so no kernel ever probes a chain
+its plan does not name.
 """
 
 from __future__ import annotations
@@ -951,35 +951,32 @@ def _dump_text(plan) -> str:
 def dump_codegen(program, directory: str) -> list[str]:
     """Write the kernels of every plan the program ran, one file per plan.
 
-    Plans are base plans, the planner's chain-cover twins
-    (``RulePlan.cover_twins`` — usually the code that actually ran) and
-    the differential engine's bound plans, named by rule index, join
-    order, bound variables and cover twin number.  A file holds each
-    variant the plan built (so ran), behind a header that binds every
-    value the variants read: executing the file defines the functions
-    that ran, with the same bytecode.  Nothing new is built unless no
-    plan of the program ever ran (a traced run, or no run at all); then
-    each rule's cached plans — or its source-order plan — build their
-    ``walk_full`` so the dump still shows the code a run generates.
-    Returns the written paths.  Debug tooling for ``repro run
-    --dump-codegen``.
+    Plans are each rule's cached plans (:func:`~repro.semantics.plan.
+    cached_plans`): the planner's, the differential engine's bound
+    plans, and the plans whose steps probe shared chains of the
+    planner's cover.  A file is named by rule index, join order and
+    bound variables; a plan that probes shared chains adds ``_cover{k}``,
+    numbered densely per name in the order the plans were built.  A file
+    holds each variant the plan built (so ran), behind a header that
+    binds every value the variants read: executing the file defines the
+    functions that ran, with the same bytecode.  Nothing new is built
+    unless no plan of the program ever ran (a traced run, or no run at
+    all); then each rule's cached plans — or its source-order plan —
+    build their ``walk_full`` so the dump still shows the code a run
+    generates.  Returns the written paths.  Debug tooling for ``repro
+    run --dump-codegen``.
     """
     import os
+    from collections import defaultdict
 
     from repro.semantics.plan import cached_plans, plan_for
 
-    ran: list[tuple[str, object]] = []
-    for i, rule in enumerate(program.rules):
-        for plan in cached_plans(rule):
-            stem = _dump_name(i, plan)
-            twins = (plan.cover_twins or {}).values()
-            for name, candidate in [
-                (stem, plan),
-                *((f"{stem}_cover{k}", twin) for k, twin in enumerate(twins)),
-            ]:
-                if candidate.codegen_fns is not None \
-                        and candidate.codegen_fns.kernels:
-                    ran.append((name, candidate))
+    ran = [
+        (i, plan)
+        for i, rule in enumerate(program.rules)
+        for plan in cached_plans(rule)
+        if plan.codegen_fns is not None and plan.codegen_fns.kernels
+    ]
     if not ran:
         for i, rule in enumerate(program.rules):
             plans = cached_plans(rule) or [
@@ -987,11 +984,15 @@ def dump_codegen(program, directory: str) -> list[str]:
             ]
             for plan in plans:
                 plan.compiled().kernel("walk_full")
-                ran.append((_dump_name(i, plan), plan))
+                ran.append((i, plan))
 
     os.makedirs(directory, exist_ok=True)
+    covers: defaultdict[str, Iterator[int]] = defaultdict(itertools.count)
     paths: list[str] = []
-    for stem, plan in ran:
+    for i, plan in ran:
+        stem = _dump_name(i, plan)
+        if plan.chains:
+            stem += f"_cover{next(covers[stem])}"
         path = os.path.join(directory, f"{stem}.py")
         with open(path, "w") as handle:
             handle.write(_dump_text(plan))

@@ -9,8 +9,8 @@ per (rule, join order):
 * each positive literal becomes a :class:`Step` — a static record of
   its index-key template (constants prefilled, bound-variable slots
   patched in), the chain index it probes (its identity chain unless
-  the planner's cover says otherwise), the (position → slot) pairs it
-  binds, and the within-literal repeated-variable checks;
+  the plan was built with a chain spec for it), the (position → slot)
+  pairs it binds, and the within-literal repeated-variable checks;
 * equality propagation becomes a fixed sequence of slot assignments
   plus precomputed consistency checks (contradictory constants fold
   into ``RulePlan.never`` at compile time);
@@ -19,10 +19,11 @@ per (rule, join order):
 * head literals become emitter templates, so the planner can produce
   head facts without ever materializing a valuation dict.
 
-Plans ride on their rule (:func:`plan_for`), keyed on the join order,
-so the cheap size-driven join-order choice still runs per rule per stage
-and merely *selects* among cached plans.  A plan lives exactly as long
-as its rule: no registry outside the rule holds it.
+Plans ride on their rule (:func:`plan_for`), keyed on the join order
+(and the steps' shared chains, if any), so the cheap size-driven
+join-order choice still runs per rule per stage and merely *selects*
+among cached plans.  A plan lives exactly as long as its rule: no
+registry outside the rule holds it.
 
 :mod:`repro.semantics.codegen` turns each plan into specialized Python —
 the join as literal nested loops — and every execution method here
@@ -31,8 +32,8 @@ use).  Each variant in the table is built on its first call, and
 variants that emit the same text share one compiled code object, which
 is all that outlives a program: :meth:`PlanCache.clear` empties that
 shared table.  Tables are invalidated exactly when their plans are: a
-planner replan selects or builds a different plan object, and
-:func:`plan_with_cover` resets the slot on its cover-probing twin.
+planner replan or a cover change selects or builds a different plan
+object, and a plan's steps never change after it is built.
 Semi-naive drivers freeze each stage's delta through :func:`make_delta`,
 which wraps it in a :class:`DeltaBlock`; ``run_emit`` hands whole
 blocks to the ``emit_batch_*`` kernels and falls back to the scalar
@@ -68,6 +69,9 @@ from repro.terms import Const, Var
 
 #: The attribute a rule's plans ride on: {join order key → RulePlan}.
 _PLANS_ATTR = "_compiled_plans"
+
+#: A step's chain spec: (chain column order, probe depth).
+ChainSpec = tuple[tuple[int, ...], int]
 
 
 class PlanCache:
@@ -159,8 +163,9 @@ class Step:
     position order) into column order.  By default the chain is the
     *identity chain* — ``key_positions`` itself, probed at full depth,
     the same chain the reference matcher probes, so both matchers share
-    one index.  The query planner may instead point the step at a
-    shared chain from its minimal cover (:func:`plan_with_cover`).
+    one index.  A ``chain`` spec ``(order, depth)`` instead points the
+    step at a shared chain of the query planner's minimal cover, probed
+    by prefix when ``depth`` is shorter than the chain.
     """
 
     __slots__ = (
@@ -184,6 +189,7 @@ class Step:
         key_fills: tuple[tuple[int, int], ...],
         binds: tuple[tuple[int, int], ...],
         withins: tuple[tuple[int, int], ...],
+        chain: ChainSpec | None = None,
     ):
         self.relation = relation
         self.key_positions = key_positions
@@ -193,9 +199,15 @@ class Step:
         self.withins = withins
         self.exact = bool(key_positions) and not binds and not withins
         keyed = bool(key_positions) and not self.exact
-        self.chain_order = key_positions if keyed else None
-        self.chain_depth = len(key_positions) if keyed else 0
-        self.chain_perm = tuple(range(len(key_positions))) if keyed else ()
+        order, depth = chain or (key_positions, len(key_positions))
+        self.chain_order = order if keyed else None
+        self.chain_depth = depth if keyed else 0
+        # The built key lists values in position order; the chain wants
+        # them in column order.
+        self.chain_perm = (
+            tuple(key_positions.index(order[d]) for d in range(depth))
+            if keyed else ()
+        )
 
 
 class RulePlan:
@@ -216,7 +228,7 @@ class RulePlan:
         "out_vars",
         "emitters",
         "codegen_fns",
-        "cover_twins",
+        "chains",
     )
 
     def __init__(
@@ -224,6 +236,7 @@ class RulePlan:
         rule: Rule,
         order: tuple[int, ...],
         bound: tuple[Var, ...] = (),
+        chains: tuple[ChainSpec | None, ...] | None = None,
     ):
         self.rule = rule
         self.order = order
@@ -236,11 +249,9 @@ class RulePlan:
         #: This plan's :class:`~repro.semantics.codegen.CodegenPlan`,
         #: made on first use; lives and dies with this plan object.
         self.codegen_fns = None
-        #: Memoized :func:`plan_with_cover` twins, keyed by the applied
-        #: per-step chain specs.  The planner re-derives each decision's
-        #: twin whenever its cover changes; without this an unchanged
-        #: twin would rebuild its kernels.  Same lifecycle as the plan.
-        self.cover_twins = None
+        #: Per-step chain specs (see :class:`Step`), or ``None`` when
+        #: every keyed step probes its identity chain.
+        self.chains = chains
         positive = rule.positive_body()
         slot_of: dict[Var, int] = {}
 
@@ -284,6 +295,7 @@ class RulePlan:
                     tuple(key_fills),
                     tuple(binds),
                     tuple(withins),
+                    chains[len(steps)] if chains else None,
                 )
             )
         self.steps = tuple(steps)
@@ -526,14 +538,17 @@ def plan_for(
     rule: Rule,
     order: tuple[int, ...],
     bound: tuple[Var, ...] = (),
+    chains: tuple[ChainSpec | None, ...] | None = None,
 ) -> RulePlan:
     """The compiled plan for ``rule`` under one join order (cached).
 
     ``order`` is the chosen permutation as indices into
     ``rule.positive_body()``; each distinct order compiles once per
     rule and is then selected in O(1) by later stages.  ``bound`` names
-    caller-seeded variables (see :meth:`RulePlan.iter_seeded`); bound
-    plans are cached alongside the unbound ones under a composite key.
+    caller-seeded variables (see :meth:`RulePlan.iter_seeded`), and
+    ``chains`` has one :class:`Step` chain spec per step, ``None`` for
+    a step on its identity chain.  Plans with either are cached
+    alongside the plain ones under a composite key.
 
     The cache rides on the rule object itself, as the planner's context
     rides on the program: the lookup is one attribute read (a mapping
@@ -545,82 +560,17 @@ def plan_for(
     if plans is None:
         plans = {}
         object.__setattr__(rule, _PLANS_ATTR, plans)  # Rule is frozen
+    chains = chains if chains and any(chains) else None
     key = order if not bound else (order, bound)
+    if chains:
+        key = (key, chains)
     plan = plans.get(key)
     if plan is None:
-        plan = plans[key] = RulePlan(rule, order, bound)
+        plan = plans[key] = RulePlan(rule, order, bound, chains)
     return plan
 
 
 def cached_plans(rule: Rule) -> list[RulePlan]:
-    """The plans :func:`plan_for` has built for ``rule`` so far (cover
-    twins hang off each as ``cover_twins``)."""
+    """The plans :func:`plan_for` has built for ``rule`` so far, in the
+    order they were built (chain-probing plans included)."""
     return list(getattr(rule, _PLANS_ATTR, {}).values())
-
-
-def plan_with_cover(
-    plan: RulePlan,
-    assign: dict[tuple[str, frozenset[int]], tuple[tuple[int, ...], int]],
-) -> RulePlan:
-    """A twin of ``plan`` whose index probes go through shared chains.
-
-    ``assign`` is the planner's minimal-cover assignment: (relation,
-    key-position set) → (chain column order, probe depth).  Steps with
-    no assignment — full scans and fully-bound membership probes — are
-    shared with the original plan unchanged; the cached original itself
-    is never mutated, because ``iter_matches`` (the seeded engines) and
-    the differential engine's support probes keep executing it against
-    identity chains.
-
-    Twins are memoized on the base plan keyed by the applied per-step
-    chain specs: the planner re-derives every decision's twin whenever
-    its cover changes, and rebuilding an unchanged twin would rebuild
-    its kernels too.  The memo lives and dies with the base plan.
-    """
-    specs = tuple(
-        assign.get((step.relation, frozenset(step.key_positions)))
-        if step.key_positions and not step.exact
-        else None
-        for step in plan.steps
-    )
-    if not any(spec is not None for spec in specs):
-        return plan
-    twins = plan.cover_twins
-    if twins is None:
-        twins = plan.cover_twins = {}
-    cached = twins.get(specs)
-    if cached is not None:
-        return cached
-    steps: list[Step] = []
-    for step, spec in zip(plan.steps, specs):
-        if spec is None:
-            steps.append(step)
-            continue
-        order, depth = spec
-        clone = Step.__new__(Step)
-        clone.relation = step.relation
-        clone.key_positions = step.key_positions
-        clone.key_template = list(step.key_template)
-        clone.key_fills = step.key_fills
-        clone.binds = step.binds
-        clone.withins = step.withins
-        clone.exact = step.exact
-        clone.chain_order = order
-        clone.chain_depth = depth
-        # The built key lists values in position order; the chain wants
-        # them in column order.
-        clone.chain_perm = tuple(
-            step.key_positions.index(order[d]) for d in range(depth)
-        )
-        steps.append(clone)
-    twin = RulePlan.__new__(RulePlan)
-    for name in RulePlan.__slots__:
-        setattr(twin, name, getattr(plan, name))
-    twin.steps = tuple(steps)
-    # The slot copy above carried the base plan's kernel table, whose
-    # kernels probe identity chains — stale for a cover-probing twin.
-    # Reset so the twin builds its own (the cache-coherence contract).
-    twin.codegen_fns = None
-    twin.cover_twins = None
-    twins[specs] = twin
-    return twin

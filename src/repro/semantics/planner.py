@@ -29,20 +29,22 @@ plan rebuild).  Semi-naive variants force the delta-restricted
 occurrence first — the delta is the small side by construction — then
 order the rest by cost.
 
-**Minimal shared index selection (MISP).**  Every index-key template
-(relation, set of bound positions) across the current decisions' plans
-is collected, and per relation a minimum *chain cover* is computed:
-templates ordered by ⊆ form chains, a minimum chain decomposition is a
-minimum path cover of the subset DAG (Dilworth), found in polynomial
-time via bipartite matching (:func:`minimum_chain_cover` — the VLDB'18
-automatic-index-selection construction).  Each chain becomes one
-physical trie index (:meth:`Relation.chain_index`) whose column order
-lists each template's new positions in turn, so every covered template
-is a *prefix* of the chain; plan steps are rewritten to probe the
-shared chain (:func:`repro.semantics.plan.plan_with_cover`) instead of
-their identity chains, and :func:`apply_cover` garbage-collects live
-chains whose key set the cover serves through a different chain
-(counted in ``EngineStats.index_drops``).
+**Minimal shared index selection (MISP).**  Per relation, the context
+counts the current decisions that probe each index-key template (the
+set of bound positions) and keeps a minimum *chain cover* of those
+templates: templates ordered by ⊆ form chains, a minimum chain
+decomposition is a minimum path cover of the subset DAG (Dilworth),
+found in polynomial time via bipartite matching
+(:func:`minimum_chain_cover` — the VLDB'18 automatic-index-selection
+construction), and recomputed only for a relation whose template *set*
+a new decision changed.  Each chain becomes one physical trie index
+(:meth:`Relation.chain_index`) whose column order lists each template's
+new positions in turn, so every covered template is a *prefix* of the
+chain.  A decision whose templates the cover serves through longer
+chains runs the plan :func:`~repro.semantics.plan.plan_for` builds with
+those chain specs, and :func:`apply_cover` garbage-collects live chains
+whose key set the cover serves through a different chain (counted in
+``EngineStats.index_drops``).
 
 **SCC-scheduled semi-naive.**  :func:`scheduled_fixpoint` evaluates the
 predicate dependency graph one strongly connected component at a time
@@ -76,12 +78,7 @@ from repro.ast.analysis import _sccs, precedence_graph
 from repro.ast.program import Program
 from repro.ast.rules import Lit
 from repro.relational.instance import Database
-from repro.semantics.plan import (
-    RulePlan,
-    make_delta,
-    plan_for,
-    plan_with_cover,
-)
+from repro.semantics.plan import ChainSpec, RulePlan, make_delta, plan_for
 from repro.terms import Var
 
 #: A cached join-order decision is kept while every literal cardinality
@@ -90,6 +87,9 @@ from repro.terms import Var
 #: re-plans.
 _REPLAN_RATIO = 2.0
 _REPLAN_SLACK = 4
+
+#: An index-key template: (relation, set of bound positions).
+Template = tuple[str, frozenset[int]]
 
 
 class _Decision:
@@ -100,6 +100,7 @@ class _Decision:
         "snapshot",
         "est_rows",
         "restricted_pos",
+        "templates",
         "plan",
         "plan_epoch",
     )
@@ -110,6 +111,7 @@ class _Decision:
         snapshot: tuple[int, ...],
         est_rows: float,
         restricted_pos: int,
+        base: RulePlan,
     ):
         self.order = order
         self.snapshot = snapshot
@@ -117,6 +119,13 @@ class _Decision:
         #: Index of the delta-restricted literal within ``order``
         #: (always 0 — the delta runs first); -1 for the full pass.
         self.restricted_pos = restricted_pos
+        #: The index-key templates this decision's plan probes (the
+        #: delta-restricted step reads the delta, not an index).
+        self.templates: frozenset[Template] = frozenset(
+            (step.relation, frozenset(step.key_positions))
+            for idx, step in enumerate(base.steps)
+            if step.chain_order is not None and idx != restricted_pos
+        )
         self.plan: RulePlan | None = None
         self.plan_epoch = -1
 
@@ -166,11 +175,11 @@ class PlanContext:
         "states",
         "schedule",
         "scheduled_components",
+        "template_counts",
         "assign",
         "chains",
         "cover_summary",
         "cover_epoch",
-        "assign_epoch",
         "report",
         "report_owner",
     )
@@ -206,19 +215,19 @@ class PlanContext:
                 )
             ]
         self.schedule: list[_Component] = schedule
+        #: relation → {template: number of current decisions probing it}.
+        self.template_counts: dict[str, dict[frozenset[int], int]] = {}
         #: MISP output: (relation, template) → (chain order, probe depth).
-        self.assign: dict[
-            tuple[str, frozenset[int]], tuple[tuple[int, ...], int]
-        ] = {}
+        self.assign: dict[Template, ChainSpec] = {}
         #: relation → chain column orders the current cover keeps.
         self.chains: dict[str, list[tuple[int, ...]]] = {}
         #: relation → {"templates": n, "chains": m} for the current
-        #: cover; replaced, never mutated, so reports may share it.
+        #: cover, sorted by relation; replaced, never mutated, so reports
+        #: may share it.
         self.cover_summary: dict[str, dict[str, int]] = {}
-        #: Bumped whenever a decision's join order changes; compiled
-        #: plans and the cover are lazily rebuilt against it.
+        #: Bumped whenever some relation's cover changes; each decision
+        #: re-derives its plan against it.
         self.cover_epoch = 0
-        self.assign_epoch = -1
         #: The current run's report and a weak reference to the
         #: ``EngineStats`` it belongs to (see :func:`_run_report`).
         self.report: dict = {}
@@ -495,6 +504,7 @@ def _decision(
     state = ctx.states[rule_id]
     state.lookups += 1
     report["plan_lookups"] += 1
+    base = None
     if occ is None:
         snapshot = tuple(sizes)
     else:
@@ -514,11 +524,12 @@ def _decision(
             restricted_occ=occ,
         )
         if decision is None or order != decision.order:
-            ctx.cover_epoch += 1
-            decision = _Decision(
-                order, snapshot, est_rows, -1 if occ is None else 0
+            released = frozenset() if decision is None else decision.templates
+            base = plan_for(ctx.rules[rule_id], order)
+            decision = state.decisions[occ] = _Decision(
+                order, snapshot, est_rows, -1 if occ is None else 0, base
             )
-            state.decisions[occ] = decision
+            _update_cover(ctx, released, decision.templates)
         else:
             decision.snapshot = snapshot
             decision.est_rows = est_rows
@@ -528,8 +539,9 @@ def _decision(
             fresh["actual_rows"] = previous["actual_rows"]
         entry[variant_key] = fresh
     if decision.plan is None or decision.plan_epoch != ctx.cover_epoch:
-        base = plan_for(ctx.rules[rule_id], decision.order)
-        decision.plan = plan_with_cover(base, _ensure_cover(ctx))
+        decision.plan = _covered_plan(
+            ctx, base or plan_for(ctx.rules[rule_id], decision.order)
+        )
         decision.plan_epoch = ctx.cover_epoch
     return decision
 
@@ -593,41 +605,73 @@ def minimum_chain_cover(
     return chains
 
 
-def _ensure_cover(
+def _update_cover(
     ctx: PlanContext,
-) -> dict[tuple[str, frozenset[int]], tuple[tuple[int, ...], int]]:
-    """(Re)compute the index-cover assignment for the current decisions."""
-    if ctx.assign_epoch == ctx.cover_epoch:
-        return ctx.assign
-    templates: dict[str, set[frozenset[int]]] = {}
-    for rule_id, state in enumerate(ctx.states):
-        for occ, decision in state.decisions.items():
-            base = plan_for(ctx.rules[rule_id], decision.order)
-            for idx, step in enumerate(base.steps):
-                if occ is not None and idx == decision.restricted_pos:
-                    continue  # delta-restricted: probes the delta, not an index
-                if step.key_positions and not step.exact:
-                    templates.setdefault(step.relation, set()).add(
-                        frozenset(step.key_positions)
-                    )
-    assign: dict[tuple[str, frozenset[int]], tuple[tuple[int, ...], int]] = {}
-    chains: dict[str, list[tuple[int, ...]]] = {}
-    for relation in sorted(templates):
-        for order, members in minimum_chain_cover(templates[relation]):
-            chains.setdefault(relation, []).append(order)
+    released: frozenset[Template],
+    claimed: frozenset[Template],
+) -> None:
+    """Move one decision's templates from ``released`` to ``claimed``.
+
+    Only a relation whose template *set* changes — a template no other
+    decision probes leaves it, or one none probed yet joins — gets its
+    chain cover recomputed, and only then does ``cover_epoch`` move.
+    """
+    counts = ctx.template_counts
+    dirty: set[str] = set()
+    for relation, template in released - claimed:
+        held = counts[relation]
+        held[template] -= 1
+        if not held[template]:
+            del held[template]
+            dirty.add(relation)
+    for relation, template in claimed - released:
+        held = counts.setdefault(relation, {})
+        if template not in held:
+            dirty.add(relation)
+        held[template] = held.get(template, 0) + 1
+    if not dirty:
+        return
+    assign = {
+        key: spec for key, spec in ctx.assign.items() if key[0] not in dirty
+    }
+    for relation in sorted(dirty):
+        if not counts[relation]:
+            del counts[relation]
+            del ctx.chains[relation]
+            continue
+        chains = ctx.chains[relation] = []
+        for order, members in minimum_chain_cover(counts[relation]):
+            chains.append(order)
             for template in members:
                 assign[(relation, template)] = (order, len(template))
     ctx.assign = assign
-    ctx.chains = chains
-    ctx.assign_epoch = ctx.cover_epoch
     ctx.cover_summary = {
-        relation: {
-            "templates": len(templates[relation]),
-            "chains": len(chains.get(relation, [])),
-        }
-        for relation in sorted(templates)
+        relation: {"templates": len(held), "chains": len(ctx.chains[relation])}
+        for relation, held in sorted(counts.items())
     }
-    return assign
+    ctx.cover_epoch += 1
+
+
+def _covered_plan(ctx: PlanContext, base: RulePlan) -> RulePlan:
+    """``base``, or its sibling whose steps probe the cover's chains.
+
+    Each keyed step probes the chain the cover serves its template
+    through; when that is the step's identity chain for every step,
+    the plan is ``base`` itself.
+    """
+    specs = []
+    for step in base.steps:
+        spec = None
+        if step.chain_order is not None:
+            spec = ctx.assign.get(
+                (step.relation, frozenset(step.key_positions))
+            )
+            if spec == (step.chain_order, step.chain_depth):
+                spec = None  # the identity chain
+        specs.append(spec)
+    if not any(specs):
+        return base
+    return plan_for(base.rule, base.order, chains=tuple(specs))
 
 
 def apply_cover(ctx: PlanContext, db: Database) -> None:
@@ -640,15 +684,11 @@ def apply_cover(ctx: PlanContext, db: Database) -> None:
     chain — one whose key set the cover knows nothing about — is not
     the planner's to free and is left alone.
     """
-    assign = _ensure_cover(ctx)
-    if not assign and not ctx.chains:
-        return
-    covered_relations = {relation for relation, _ in assign}
-    for relation in sorted(covered_relations):
+    assign = ctx.assign
+    for relation, keep in sorted(ctx.chains.items()):
         rel = db.relation(relation)
         if rel is None:
             continue
-        keep = set(ctx.chains.get(relation, ()))
         for order in rel.live_indexes():
             if order not in keep and (relation, frozenset(order)) in assign:
                 rel.drop_chain_index(order)
@@ -1010,12 +1050,12 @@ def scheduled_fixpoint(
 def explain(program: Program, db: Database) -> dict:
     """A static planner report against the current database state.
 
-    Decides every rule's full-pass join order through the normal
-    cached/drift-checked path, sizing each literal by its live size (0
-    for an empty relation: unlike :func:`consequences`, explain skips
-    no rule, so every rule gets an entry), computes the index cover,
-    and returns a planner report of its own — the shape
-    ``EngineStats.planner`` carries::
+    Decides every rule's full-pass join order on a throwaway context,
+    sizing each literal by its live size (0 for an empty relation:
+    unlike :func:`consequences`, explain skips no rule, so every rule
+    gets an entry), computes those decisions' index cover, and returns
+    a planner report of its own — the shape ``EngineStats.planner``
+    carries::
 
         {"plan_lookups": int, "plan_hits": int, "replans": int,
          "rules": {"<rule index>": {
@@ -1027,16 +1067,16 @@ def explain(program: Program, db: Database) -> dict:
          "index_cover": {"<relation>": {"templates": n, "chains": m}},
          "scheduled_components": int | None}
 
-    A live run's report lists only the variants that ran.  Pure with
-    respect to ``db`` (estimates never build indexes), and never
-    touches a run's report.  ``repro profile`` attaches this to its
-    JSON report.
+    A live run's report lists only the variants that ran; explain's
+    decisions are all first lookups, so its ``plan_hits`` and
+    ``replans`` read 0.  Pure with respect to ``db`` (estimates never
+    build indexes) and to the program's cached context: a later run
+    plans, covers and reports exactly as it would have without this
+    call.  ``repro profile`` attaches this to its JSON report.
     """
-    import copy
-
-    ctx = plan_context(program)
+    ctx = PlanContext(program)
     report = _new_report(ctx)
     for i, lits in enumerate(ctx.positive):
         _decision(ctx, report, i, None, _input_sizes(lits, db, None, 0), db)
     report["index_cover"] = ctx.cover_summary
-    return copy.deepcopy(report)
+    return report

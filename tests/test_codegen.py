@@ -8,7 +8,7 @@ The evidence here is layered: shape checks on the emitted source, a
 50-program production-vs-reference differential across four
 semantics, seeded byte-identical replays of the choice and
 nondeterministic engines, the cache coherence rules
-(``PlanCache.clear`` and cover twins never run stale functions), the
+(``PlanCache.clear`` and shared-chain plans never run stale functions), the
 lifetime rules (plans die with their rules; compiled code is kept once
 per shape, never per program, until ``PlanCache.clear``), and
 ``--dump-codegen`` writing exactly the code that ran.
@@ -35,6 +35,7 @@ from repro.programs.component_chain import (
     component_chain_source,
     reference_component_chain,
 )
+from repro.programs.tc import tc_program
 from repro.relational.instance import Database
 from repro.semantics import codegen, planner
 from repro.semantics.choice import evaluate_with_choice
@@ -49,7 +50,6 @@ from repro.semantics.plan import (
     active_matcher,
     cached_plans,
     plan_for,
-    plan_with_cover,
 )
 from repro.semantics.seminaive import evaluate_datalog_seminaive
 from repro.semantics.stratified import evaluate_stratified
@@ -57,6 +57,7 @@ from repro.semantics.wellfounded import evaluate_wellfounded
 from repro.terms import Var
 from repro.workloads.graphs import chain, graph_database
 from tests.test_differential_engines import random_program_and_database
+from tests.test_planner import SHARED_CHAIN, shared_chain_database
 
 #: The two matchers: production (generated kernels, reported as
 #: "columnar") and the reference matcher a full tracer runs.
@@ -126,9 +127,8 @@ class TestEmittedSource:
             kernel
             for rule in program.rules
             for plan in cached_plans(rule)
-            for candidate in (plan, *(plan.cover_twins or {}).values())
-            if candidate.codegen_fns is not None
-            for kernel in candidate.codegen_fns.kernels.values()
+            if plan.codegen_fns is not None
+            for kernel in plan.codegen_fns.kernels.values()
         ]
         assert any(
             kernel.function.__name__.startswith("emit_batch_")
@@ -223,7 +223,7 @@ class TestCacheCoherence:
         assert ran()[1].__code__ is not walk.__code__
         assert plan.codegen_fns.kernels["walk_full"].function is walk
 
-    def test_cover_twin_never_runs_flat_index_code(self):
+    def test_shared_chain_plan_never_runs_identity_chain_code(self):
         program = parse_program(TC_NONLINEAR)
         rule = program.rules[1]
         plan = plan_for(rule, (0, 1))
@@ -233,17 +233,17 @@ class TestCacheCoherence:
         assert plan.codegen_fns is not None
         step = plan.steps[1]
         assert step.key_positions and not step.exact
-        assign = {
-            (step.relation, frozenset(step.key_positions)): ((0, 1), 1)
-        }
-        twin = plan_with_cover(plan, assign)
-        assert twin is not plan
-        # The slot copy must not carry the base plan's kernels: they
-        # probe the identity chain (0,), the twin the cover's (0, 1).
-        assert twin.codegen_fns is None
-        twin_source = twin.compiled().kernel("walk_full").source
-        assert "probe_chain((0, 1), 1, " in twin_source
-        assert "chain_index((0,))" not in twin_source
+        shared = plan_for(rule, (0, 1), chains=(None, ((0, 1), 1)))
+        assert shared is not plan
+        assert shared is plan_for(rule, (0, 1), chains=(None, ((0, 1), 1)))
+        assert shared in cached_plans(rule)
+        # A plan built with chain specs has a kernel table of its own:
+        # the base plan's kernels probe the identity chain (0,), the
+        # shared-chain plan's the cover's (0, 1).
+        assert shared.codegen_fns is None
+        shared_source = shared.compiled().kernel("walk_full").source
+        assert "probe_chain((0, 1), 1, " in shared_source
+        assert "chain_index((0,))" not in shared_source
         base_source = plan.codegen_fns.kernels["walk_full"].source
         assert "chain_index((0,))" in base_source
         assert "probe_chain(" not in base_source
@@ -398,29 +398,26 @@ class TestCliMatcherFlag:
 
 
 class TestDumpCodegen:
-    """``dump_codegen`` writes the plans that ran, cover twins included."""
+    """``dump_codegen`` writes the plans that ran, shared-chain plans
+    included."""
 
     def _ran(self, program):
         """Per plan that ran: its kernels as (name, bytecode, values)."""
         ran = []
         for rule in program.rules:
             for plan in cached_plans(rule):
-                for candidate in (plan, *(plan.cover_twins or {}).values()):
-                    if candidate.codegen_fns is not None:
-                        ran.append(sorted(
-                            (name, kernel.function.__code__.co_code,
-                             kernel.function.__defaults__)
-                            for name, kernel
-                            in candidate.codegen_fns.kernels.items()
-                        ))
+                if plan.codegen_fns is not None:
+                    ran.append(sorted(
+                        (name, kernel.function.__code__.co_code,
+                         kernel.function.__defaults__)
+                        for name, kernel in plan.codegen_fns.kernels.items()
+                    ))
         return sorted(ran)
 
-    def test_dumps_exactly_the_code_that_ran(self, tmp_path):
-        PlanCache.clear()
-        program = parse_program(TC_NONLINEAR)
-        evaluate_datalog_seminaive(program, graph_database(chain(20)))
+    def _dump(self, program, directory) -> list[str]:
+        """Dump ``program`` and check the files are exactly what ran."""
         ran = self._ran(program)
-        paths = dump_codegen(program, str(tmp_path))
+        paths = dump_codegen(program, str(directory))
         # Nothing built on demand: every file is code that ran, and
         # every plan that ran is in a file of its own.
         assert self._ran(program) == ran
@@ -441,8 +438,14 @@ class TestDumpCodegen:
             for name, _code, _values in defined:
                 assert f"def {name}(" in text
         assert sorted(dumped) == ran
-        # Every keyed probe walks a chain trie, base plans included;
-        # the recursive rule ran on chain-cover twins.
+        return paths
+
+    def test_dumps_exactly_the_code_that_ran(self, tmp_path):
+        PlanCache.clear()
+        program = parse_program(TC_NONLINEAR)
+        evaluate_datalog_seminaive(program, graph_database(chain(20)))
+        paths = self._dump(program, tmp_path)
+        # Every keyed probe walks a chain trie.
         texts = [Path(path).read_text() for path in paths]
         assert all(".index(" not in text for text in texts)
         recursive = [
@@ -451,6 +454,31 @@ class TestDumpCodegen:
         ]
         assert recursive
         assert all("chain" in text for text in recursive)
+
+    def test_identity_cover_plans_keep_their_names(self, tmp_path):
+        program = tc_program()
+        evaluate_datalog_seminaive(program, graph_database(chain(20)))
+        names = sorted(
+            os.path.basename(path) for path in self._dump(program, tmp_path)
+        )
+        assert names == ["rule0_order_0.py", "rule1_order_1_0.py"]
+
+    def test_shared_chain_plans_are_numbered_per_name(self, tmp_path):
+        # The first run probes W's identity chain for rule 0; rule 1's
+        # template then shares the chain (0, 1), which rule 0's second
+        # run probes by prefix through a plan of its own.
+        program = parse_program(SHARED_CHAIN)
+        for _ in range(2):
+            evaluate_datalog_seminaive(program, shared_chain_database())
+        paths = self._dump(program, tmp_path)
+        names = sorted(os.path.basename(path) for path in paths)
+        assert names == [
+            "rule0_order_0_1.py",
+            "rule0_order_0_1_cover0.py",
+            "rule1_order_0_1.py",
+        ]
+        shared = (tmp_path / "rule0_order_0_1_cover0.py").read_text()
+        assert "p1((0, 1), 1, " in shared
 
     def test_wellfounded_dump_shows_the_rules_that_ran(self, tmp_path):
         # The alternating fixpoint runs a rewritten program; the rules

@@ -429,13 +429,8 @@ class TestUpdateCostGuards:
 
 
 def compiled_plans(program):
-    """Every cached plan (cover twins included) for the program's rules."""
-    plans = []
-    for rule in program.rules:
-        for plan in cached_plans(rule):
-            plans.append(plan)
-            plans.extend((plan.cover_twins or {}).values())
-    return plans
+    """Every cached plan for the program's rules."""
+    return [plan for rule in program.rules for plan in cached_plans(rule)]
 
 
 def stream_step(rng, engine_or_view, edb_schema, constants):

@@ -3,14 +3,15 @@
 Covers the three planner pieces of :mod:`repro.semantics.planner` and
 their contracts: chain (trie) indexes and their statistics on
 :class:`~repro.relational.instance.Relation`, the minimum chain cover
-(MISP), the deterministic cost-based join order, the relation→rules
-dispatch map (delta-disjoint rules incur zero plan lookups), index GC
-(a wide relation ends the run with only covered indexes live), the
-production-vs-reference differential across all deterministic engines
-(the reference is a traced run, which keeps the production schedule),
-per-run planner reports, the empty-input exit (a variant whose other
-positive inputs include an empty relation is never planned), and
-byte-identical seeded nondeterministic replay.
+(MISP), kept per relation and equal to a whole-program recomputation
+after every evaluation, the deterministic cost-based join order, the
+relation→rules dispatch map (delta-disjoint rules incur zero plan
+lookups), index GC (a wide relation ends the run with only covered
+indexes live), the production-vs-reference differential across all
+deterministic engines (the reference is a traced run, which keeps the
+production schedule), per-run planner reports, the empty-input exit (a
+variant whose other positive inputs include an empty relation is never
+planned), and byte-identical seeded nondeterministic replay.
 """
 
 import copy
@@ -21,17 +22,22 @@ import pytest
 
 from repro.obs import CollectorSink, Tracer
 from repro.parser import parse_program
+from repro.programs.closer import closer_program
 from repro.programs.component_chain import (
     component_chain_database,
     component_chain_program,
     component_chain_source,
     reference_component_chain,
 )
+from repro.programs.tc import tc_nonlinear_program, tc_program
 from repro.relational.instance import Database, Relation
 from repro.relational.io import facts_from_text
+from repro.semantics import planner
 from repro.semantics.differential import DiffBatch, DifferentialEngine
+from repro.semantics.inflationary import evaluate_inflationary
 from repro.semantics.naive import evaluate_datalog_naive
 from repro.semantics.nondeterministic import run_nondeterministic
+from repro.semantics.plan import cached_plans, plan_for
 from repro.semantics.planner import (
     _cost_order,
     clear_contexts,
@@ -43,8 +49,12 @@ from repro.semantics.planner import (
 from repro.semantics.seminaive import evaluate_datalog_seminaive
 from repro.semantics.stratified import evaluate_stratified
 from repro.semantics.wellfounded import evaluate_wellfounded
+from repro.translate.fixpoint_general import compile_fixpoint_loop_general
+from repro.workloads.graphs import chain, graph_database
 
+from tests import test_differential_view as view_tests
 from tests.test_differential_engines import random_program_and_database
+from tests.test_fixpoint_general import GRAPHS, TC, x, y
 
 
 @pytest.fixture(autouse=True)
@@ -58,6 +68,60 @@ def fresh_planner():
 def traced(engine, program, db):
     """``engine`` under a full tracer: the reference matcher."""
     return engine(program, db, tracer=Tracer([CollectorSink()]))
+
+
+def untimed(value):
+    """``value`` (a stats dict) without its wall-clock fields."""
+    if isinstance(value, dict):
+        return {k: untimed(v) for k, v in value.items() if k != "seconds"}
+    if isinstance(value, list):
+        return [untimed(v) for v in value]
+    return value
+
+
+def whole_program_cover(ctx):
+    """The reference cover: ``(assign, chains, cover_summary)`` computed
+    from scratch over the context's current decisions.
+
+    Every decision's plain plan is walked through ``plan_for`` and every
+    relation through ``minimum_chain_cover``, as the planner did after
+    each new join order before it kept per-relation template counts.
+    """
+    templates: dict[str, set[frozenset[int]]] = {}
+    for rule_id, state in enumerate(ctx.states):
+        for occ, decision in state.decisions.items():
+            base = plan_for(ctx.rules[rule_id], decision.order)
+            for idx, step in enumerate(base.steps):
+                if occ is not None and idx == decision.restricted_pos:
+                    continue  # delta-restricted: probes the delta
+                if step.key_positions and not step.exact:
+                    templates.setdefault(step.relation, set()).add(
+                        frozenset(step.key_positions)
+                    )
+    assign = {}
+    chains: dict[str, list[tuple[int, ...]]] = {}
+    for relation in sorted(templates):
+        for order, members in minimum_chain_cover(templates[relation]):
+            chains.setdefault(relation, []).append(order)
+            for template in members:
+                assign[(relation, template)] = (order, len(template))
+    summary = {
+        relation: {
+            "templates": len(templates[relation]),
+            "chains": len(chains[relation]),
+        }
+        for relation in sorted(templates)
+    }
+    return assign, chains, summary
+
+
+def assert_whole_program_cover(program):
+    """The program's per-relation cover is the from-scratch one."""
+    ctx = plan_context(program)
+    assign, chains, summary = whole_program_cover(ctx)
+    assert ctx.assign == assign
+    assert ctx.chains == chains
+    assert list(ctx.cover_summary.items()) == list(summary.items())
 
 
 # -- chain (trie) indexes ---------------------------------------------------
@@ -287,6 +351,7 @@ class TestIndexGC:
         result = evaluate_datalog_seminaive(program, db)
         cover = result.stats.planner["index_cover"]["W"]
         assert cover == {"templates": 1, "chains": 1}
+        assert_whole_program_cover(program)
         return result, result.database.relation("W")
 
     def test_wide_relation_ends_with_covered_indexes_only(self):
@@ -318,6 +383,159 @@ class TestIndexGC:
         assert sorted(final.live_indexes()) == [(0,), (2,)]
         assert result.stats.index_builds == 1
         assert result.stats.index_drops == 0
+
+
+# -- the cover is kept per relation -----------------------------------------
+
+
+@pytest.fixture
+def releases(monkeypatch):
+    """Templates a replan released and no other decision still probes."""
+    seen = []
+    original = planner._update_cover
+
+    def spy(ctx, released, claimed):
+        original(ctx, released, claimed)
+        seen.extend(
+            (relation, template)
+            for relation, template in released - claimed
+            if template not in ctx.template_counts.get(relation, {})
+        )
+
+    monkeypatch.setattr(planner, "_update_cover", spy)
+    return seen
+
+
+SHARED_CHAIN = "P(z) :- A(x), W(x, y, z).\nQ(z) :- C(x, y), W(x, y, z).\n"
+
+
+def shared_chain_database() -> Database:
+    """W's probes on {0} (P) and {0, 1} (Q) share the chain (0, 1)."""
+    return Database({
+        "A": [("a",), ("b",)],
+        "C": [("a", "y1"), ("b", "y2")],
+        "W": [(c, f"y{i}", i) for i in range(15) for c in ("a", "b")],
+    })
+
+
+class TestPerRelationCover:
+    """A new or replaced decision recomputes the cover of exactly the
+    relations whose template set it changed, and the result equals a
+    whole-program recomputation after every evaluation — also when a
+    replan changes a join order and releases a template."""
+
+    @pytest.mark.parametrize("graph", list(GRAPHS))
+    def test_fixpoint_general_tc(self, graph, releases):
+        # Arity-3 stamp relations: a chain serves two templates.
+        program = compile_fixpoint_loop_general("R", (x, y), TC, {"G": 2})
+        evaluate_inflationary(program, graph_database(GRAPHS[graph]))
+        assert_whole_program_cover(program)
+        summary = plan_context(program).cover_summary
+        assert any(c["templates"] > c["chains"] for c in summary.values())
+        if graph in ("cycle", "lollipop"):
+            assert releases
+
+    def test_fixpoint_general_seeded_target(self, releases):
+        program = compile_fixpoint_loop_general("R", (x, y), TC, {"G": 2})
+        db = Database({"G": chain(4), "R": [("n3", "n0")]})
+        evaluate_inflationary(program, db)
+        assert_whole_program_cover(program)
+        assert releases
+
+    @pytest.mark.parametrize("graph", list(GRAPHS))
+    def test_closer(self, graph):
+        program = closer_program()
+        for use_delta in (True, False):
+            evaluate_inflationary(
+                program, graph_database(GRAPHS[graph]), use_delta=use_delta
+            )
+            assert_whole_program_cover(program)
+
+    def test_two_hop_streams(self, releases):
+        # One program object across a ladder and eight random streams,
+        # each update checked by a from-scratch evaluation: the ladder
+        # leaves G two templates, and a stream's replan releases one.
+        program = parse_program(
+            "hop2(x, z) :- G(x, y), G(y, z).\n"
+            "triangle(x) :- G(x, y), G(y, z), G(z, x).\n"
+        )
+        nodes = view_tests.EDGE_NODES
+        engine = DifferentialEngine(
+            program, graph_database(view_tests.TestUpdateCostGuards.LADDER)
+        )
+        engine.insert([("G", ("c9", "a")), ("G", ("b", "m1"))])
+        engine.delete([("G", ("a", "m1")), ("G", ("c3", "c4"))])
+        assert engine.consistent_with_scratch()
+        assert_whole_program_cover(program)
+        assert plan_context(program).cover_summary["G"]["templates"] == 2
+        for seed in range(8):
+            rng = random.Random(seed)
+            start = [
+                (rng.choice(nodes), rng.choice(nodes)) for _ in range(5)
+            ]
+            engine = DifferentialEngine(program, Database({"G": start}))
+            for _ in range(12):
+                view_tests.stream_step(rng, engine, {"G": 2}, nodes)
+                view_tests.scratch_answers(engine)
+                assert_whole_program_cover(program)
+        assert releases
+
+    def test_cover_recomputed_only_when_templates_change(self, monkeypatch):
+        calls = []
+        original = planner.minimum_chain_cover
+
+        def counted(templates):
+            calls.append(templates)
+            return original(templates)
+
+        monkeypatch.setattr(planner, "minimum_chain_cover", counted)
+        program = parse_program(component_chain_source(30, 16))
+        evaluate_datalog_seminaive(program, component_chain_database(30, 16))
+        assert len(calls) == 30  # once per component's relation
+        assert_whole_program_cover(program)
+        calls.clear()
+        evaluate_datalog_seminaive(program, component_chain_database(30, 16))
+        assert calls == []
+
+    @pytest.mark.parametrize("make", [tc_program, tc_nonlinear_program],
+                             ids=["linear", "nonlinear"])
+    def test_identity_cover_runs_the_plain_plan(self, make):
+        program = make()
+        evaluate_datalog_seminaive(program, graph_database(chain(20)))
+        ctx = plan_context(program)
+        decisions = [
+            (rule, decision)
+            for rule, state in zip(ctx.rules, ctx.states)
+            for decision in state.decisions.values()
+        ]
+        assert len(decisions) >= 2
+        for rule, decision in decisions:
+            assert decision.plan is plan_for(rule, decision.order)
+
+    def test_shared_chain_plan_is_a_cached_plan(self):
+        program = parse_program(SHARED_CHAIN, name="shared-chain")
+        first = evaluate_datalog_seminaive(program, shared_chain_database())
+        cover = first.stats.planner["index_cover"]["W"]
+        assert cover == {"templates": 2, "chains": 1}
+        assert plan_context(program).chains["W"] == [(0, 1)]
+        # The second run re-derives P's plan against the shared chain.
+        evaluate_datalog_seminaive(program, shared_chain_database())
+        assert_whole_program_cover(program)
+        rule = program.rules[0]
+        decision = plan_context(program).states[0].decisions[None]
+        plan = decision.plan
+        assert any(plan is cached for cached in cached_plans(rule))
+        assert plan is not plan_for(rule, decision.order)
+        (step,) = [step for step in plan.steps if step.relation == "W"]
+        assert (step.chain_order, step.chain_depth) == ((0, 1), 1)
+        (kernel,) = plan.codegen_fns.kernels.values()
+        assert "p1 = rel1.probe_chain" in kernel.source
+        assert "p1((0, 1), 1, " in kernel.source
+        assert not any(
+            hasattr(cached, "cover_twins")
+            for each in program.rules
+            for cached in cached_plans(each)
+        )
 
 
 # -- scheduling parity ------------------------------------------------------
@@ -450,6 +668,38 @@ class TestReport:
         assert report["rules"]["1"]["actual_rows"] == 406
         assert report["rules"] == fresh.stats.planner["rules"]
 
+    def test_explain_leaves_the_next_run_alone(self):
+        # Explain decides Q's full pass, which a run skips (B is empty);
+        # on the program's own context that decision would add W's
+        # {0, 1} template to the run's cover.
+        source = "P(x) :- A(x), W(x, y, z).\nQ(x) :- B(x, y), W(x, y, z).\n"
+
+        def database():
+            return Database({
+                "A": [("a",), ("b",)],
+                ("B", 2): [],
+                "W": [(c, f"y{i}", i) for i in range(5) for c in ("a", "b")],
+            })
+
+        def run(explain_first):
+            program = parse_program(source, name="explain-then-run")
+            if explain_first:
+                report = explain(program, database())
+                assert report["index_cover"]["W"] == {
+                    "templates": 2, "chains": 1,
+                }
+                assert report["plan_hits"] == report["replans"] == 0
+            result = evaluate_datalog_seminaive(program, database())
+            live = result.database.relation("W").live_indexes()
+            return untimed(result.stats.to_dict()), live
+
+        alone = run(explain_first=False)
+        assert alone[0]["planner"]["index_cover"]["W"] == {
+            "templates": 1, "chains": 1,
+        }
+        assert alone[1] == [(0,)]
+        assert run(explain_first=True) == alone
+
     def test_plan_cache_hits_dominate_on_stable_cardinalities(self):
         program = component_chain_program(3)
         db = component_chain_database(3)
@@ -483,6 +733,7 @@ def test_planner_differential_on_random_programs(seed):
 
     for name, engine in ENGINES.items():
         on = engine(program, db)
+        assert_whole_program_cover(program)
         off = traced(engine, program, db)
         context = f"{name}: {source}"
         assert on.database.canonical() == off.database.canonical(), context

@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Hashable, Iterator
+from typing import Hashable, Iterable, Iterator
 
 from repro.ast.program import Program
 from repro.ast.rules import EqLit, Lit, Rule
@@ -412,13 +412,17 @@ def _literal_binding(
     return tuple(bound_positions), tuple(bound_values), free
 
 
-def _order_positive_indices(literals: list[Lit], db: Database) -> list[int]:
+def _order_positive_indices(
+    literals: list[Lit], db: Database, bound: Iterable[Var] = ()
+) -> list[int]:
     """Greedy join order, as indices: start small, follow shared variables.
 
-    Ties (same shared-variable count, same relation size) go to the
-    literal occurring first in the rule body.  The per-literal variable
-    sets are built once up front — the selection loop runs O(n²) times
-    per rule per stage and must not rebuild them.
+    ``bound`` are variables the caller binds before the join runs (a
+    support probe's head-seeded variables); they count as shared from
+    the first pick on.  Ties (same shared-variable count, same relation
+    size) go to the literal occurring first in the rule body.  The
+    per-literal variable sets are built once up front — the selection
+    loop runs O(n²) times per rule per stage and must not rebuild them.
     """
     if not literals:
         return []
@@ -431,7 +435,7 @@ def _order_positive_indices(literals: list[Lit], db: Database) -> list[int]:
 
     remaining = list(range(len(literals)))
     ordered: list[int] = []
-    bound: set[Var] = set()
+    bound = set(bound)
     while remaining:
         best_slot = 0
         best_key = (-1, 1)

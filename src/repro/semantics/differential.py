@@ -39,11 +39,20 @@ support checks go through *support probes* (:class:`_SupportProbe`),
 built once per maintenance pass for each rule of the component: the
 head positions that seed the rule's bound variables, the head's
 constant and repeated-variable checks, and a *bound* rule plan under a
-join order fixed for the pass.
+join order fixed for the pass, which counts the seeded variables as
+bound.
 A check then only indexes the candidate fact and walks the seeded plan
 (:func:`_iter_bound_matches`), so its cost is that one fact's
 derivations rather than the whole rule's match set (this is what
 replaces the old ``MaterializedView._rederive`` full re-enumeration).
+
+DRed's two phases live in one function, :func:`dred`, and semi-naive
+insertion in another, :func:`propagate`, which DRed's rederivation
+runs too.  The well-founded engine's steps call both
+(:mod:`repro.semantics.wellfounded`).  What differs between the
+callers is passed in as data: the first pass, the active domain
+(``_NO_ADOM`` here), facts that may never be deleted, and the support
+probes.
 
 Cost model: an update costs the facts it touches.  Nothing in
 :meth:`DifferentialEngine.apply` scans the view: the engine never
@@ -66,7 +75,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterable
+from typing import Callable, Container, Iterable
 
 from repro.errors import SchemaError
 from repro.ast.analysis import validate_program
@@ -192,19 +201,20 @@ class _Component:
 
 
 class _SupportProbe:
-    """One rule's head-bound support check, built once per pass.
+    """One rule's head-bound support check, built once and reused.
 
     Everything a check needs that does not depend on the candidate
     fact: which head positions seed the plan's ``bound`` variables
     (each variable's first head occurrence), the head's constant and
     repeated-variable checks, and the bound
     :class:`~repro.semantics.plan.RulePlan` under the join order the
-    view's relation sizes give when the probe is built.
+    database's relation sizes give when the probe is built, with the
+    seeded variables counted as bound from the first literal on.
 
-    The order only sets speed, never a count, and it cannot go stale
-    within a pass: no pass resizes a body relation while its probes
-    are in use.  DRed checks support before re-adding any survivor,
-    and a counting component's bodies never read its own relation.
+    The order only sets speed, never a count, so a probe may outlive
+    the sizes it was ordered by: the differential engine builds its
+    probes once per maintenance pass, the well-founded engine once per
+    run.
     """
 
     __slots__ = ("seed_positions", "constants", "repeats", "plan")
@@ -225,11 +235,15 @@ class _SupportProbe:
         self.seed_positions = tuple(first[v] for v in bound)
         self.constants = tuple(constants)
         self.repeats = tuple(repeats)
-        order = tuple(_order_positive_indices(list(rule.positive_body()), db))
+        order = tuple(
+            _order_positive_indices(list(rule.positive_body()), db, first.keys())
+        )
         self.plan: RulePlan = plan_for(rule, order, bound=bound)
 
 
-def _iter_bound_matches(probe: _SupportProbe, db: Database, values: tuple):
+def _iter_bound_matches(
+    probe: _SupportProbe, db: Database, adom: tuple, values: tuple
+):
     """Body matches of ``probe.plan.rule`` deriving the head fact ``values``.
 
     The top-down primitive behind exact recounts and rederivation
@@ -238,16 +252,17 @@ def _iter_bound_matches(probe: _SupportProbe, db: Database, values: tuple):
     the fact's values at ``probe.seed_positions`` seed the bound
     variables, and each positive literal extends them through the
     relation's incremental indexes, so the cost is the candidate
-    fact's own join fan-out, not the rule's full match set.
-    Plain-Datalog scope: every body variable occurs in a positive
-    literal, so the valuation is total when the last literal matches.
-    Callers only count yields, so the items themselves carry no
-    contract — one yield per total body valuation.
+    fact's own join fan-out, not the rule's full match set.  A body
+    variable that no positive literal and no seed binds ranges over
+    ``adom`` (the well-founded engine's rules may bind one only under
+    negation; the differential engine passes ``_NO_ADOM``, since its
+    positive rules have none).  Callers only count yields, so the items
+    themselves carry no contract — one yield per total body valuation.
 
     This runs the probe's bound plan: the seed values occupy slots
     ``0..k-1`` and later occurrences of seeded variables are indexed
     key fills.  Nothing is ordered, compiled or looked up per call;
-    that happened once, when the pass built its probes.
+    that happened once, when the probe was built.
 
     Never mutates the database; callers buffer any re-additions and
     apply them only after enumeration finishes (or is abandoned).
@@ -259,7 +274,35 @@ def _iter_bound_matches(probe: _SupportProbe, db: Database, values: tuple):
         if values[position] != values[first]:
             return iter(())
     seed = tuple([values[position] for position in probe.seed_positions])
-    return probe.plan.iter_seeded(db, _NO_ADOM, seed)
+    return probe.plan.iter_seeded(db, adom, seed)
+
+
+def support_probes(
+    rules: Iterable[Rule], db: Database
+) -> dict[str, list[_SupportProbe]]:
+    """Support probes for ``rules``: head relation → one per rule.
+
+    Ordered by ``db`` as it stands now, so each rule is ordered and
+    looked up in its plan cache once per set of probes.
+    """
+    probes: dict[str, list[_SupportProbe]] = {}
+    for rule in rules:
+        (relation,) = rule.head_relations()
+        probes.setdefault(relation, []).append(_SupportProbe(rule, db))
+    return probes
+
+
+def _derivations(
+    fact: Fact,
+    probes: dict[str, list[_SupportProbe]],
+    db: Database,
+    adom: tuple,
+):
+    """Every body valuation, over all of its rules, deriving ``fact``
+    from ``db`` as it stands (see :func:`_iter_bound_matches`)."""
+    relation, values = fact
+    for probe in probes.get(relation, ()):
+        yield from _iter_bound_matches(probe, db, adom, values)
 
 
 def _dict_of(facts: Iterable[Fact]) -> dict[str, set[tuple]]:
@@ -273,6 +316,127 @@ def _frozen(delta: dict[str, set[tuple]]) -> dict:
     """Freeze a delta for propagation as delta *blocks*, so bulk passes
     take the batch kernels."""
     return {rel: make_delta(ts) for rel, ts in delta.items() if ts}
+
+
+def propagate(
+    program: Program,
+    db: Database,
+    adom: tuple,
+    seed: tuple[Program, dict[str, set[tuple]]],
+    stats: EngineStats | None = None,
+    tracer=None,
+    within: Container[Fact] | None = None,
+) -> tuple[set[Fact], int]:
+    """Semi-naive insertion on ``db``, in place: ``(added, firings)``.
+
+    The first pass runs ``seed``'s program on ``seed``'s delta, and
+    every later pass runs ``program`` on the facts the previous pass
+    added, until no head is new.  A head joins ``db`` through its
+    relation object, which must exist; with ``within`` given, only a
+    head in ``within`` does.  Every pass is add-only: a head already in
+    ``db`` is a no-op here, so the kernels may subtract it at the
+    source.  ``stats`` and ``tracer`` go to every pass.
+    """
+    pass_program, delta = seed
+    added: set[Fact] = set()
+    firings = 0
+    while delta:
+        heads, _neg, fired = immediate_consequences(
+            pass_program, db, adom, delta=_frozen(delta), stats=stats,
+            tracer=tracer, add_only=True,
+        )
+        firings += fired
+        pass_program = program
+        delta = {}
+        for fact in heads:
+            if within is not None and fact not in within:
+                continue
+            relation, t = fact
+            if db.relation(relation).add(t):
+                added.add(fact)
+                delta.setdefault(relation, set()).add(t)
+    return added, firings
+
+
+def dred(
+    program: Program,
+    db: Database,
+    adom: tuple,
+    seed: tuple[Program, dict[str, set[tuple]]],
+    probes: Callable[[], dict[str, list[_SupportProbe]]],
+    stats: EngineStats | None = None,
+    keep: Container[Fact] = frozenset(),
+    ghosts: Iterable[Fact] = (),
+    tracer=None,
+) -> tuple[set[Fact], set[Fact], int]:
+    """DRed on ``db``, in place: ``(over-deleted, rederived, firings)``.
+
+    The net deletion is the over-deleted facts minus the rederived ones;
+    ``firings`` counts every pass either phase ran.
+
+    Phase 1 (over-delete): the first pass runs ``seed``'s program on
+    ``seed``'s delta, and every later pass runs ``program`` on the facts
+    the previous pass over-deleted, to a fixpoint.  A head joins the
+    over-deletion when it is in ``db``, not in ``keep`` and not
+    over-deleted yet.  These passes read consequences as "everything
+    derivable", most of it still in ``db``, so none is add-only.  Every
+    pass reads ``db`` before anything leaves it; then ``ghosts`` (facts
+    present only so that bodies match through them) and the over-deleted
+    facts leave together.
+
+    Phase 2 (delta-restricted rederive): each over-deleted candidate gets
+    a head-bound support check against what survived, through the
+    probes ``probes()`` returns (called once, after the removal, and
+    only when something was over-deleted), with ``adom`` for variables
+    no positive literal binds.  The survivors are re-added *after* the
+    scan and then propagated semi-naively (:func:`propagate`), but only
+    into the candidate set: ``db`` may already hold facts of the same
+    update that are not the candidates' to rederive.  Work is
+    proportional to the over-deletion, not to ``db``.  Facts go back
+    through their relation objects.  ``stats`` and ``tracer`` go to
+    every pass.
+    """
+    pass_program, frontier = seed
+    overdeleted: set[Fact] = set()
+    firings = 0
+    while frontier:
+        heads, _neg, fired = immediate_consequences(
+            pass_program, db, adom, delta=_frozen(frontier), stats=stats,
+            tracer=tracer,
+        )
+        firings += fired
+        pass_program = program
+        frontier = {}
+        for fact in heads:
+            if fact in overdeleted or fact in keep:
+                continue
+            relation, t = fact
+            if db.has_fact(relation, t):
+                overdeleted.add(fact)
+                frontier.setdefault(relation, set()).add(t)
+    for relation, t in ghosts:
+        db.remove_fact(relation, t)
+    for relation, t in overdeleted:
+        db.remove_fact(relation, t)
+    if not overdeleted:
+        return overdeleted, set(), firings
+
+    checks = probes()
+    supported = [
+        fact
+        for fact in sorted(overdeleted, key=repr)
+        if any(True for _ in _derivations(fact, checks, db, adom))
+    ]
+    delta: dict[str, set[tuple]] = {}
+    for relation, t in supported:
+        db.relation(relation).add(t)
+        delta.setdefault(relation, set()).add(t)
+    rederived, fired = propagate(
+        program, db, adom, (program, delta), stats=stats, tracer=tracer,
+        within=overdeleted,
+    )
+    rederived.update(supported)
+    return overdeleted, rederived, firings + fired
 
 
 class DifferentialEngine:
@@ -591,7 +755,9 @@ class DifferentialEngine:
 
         added: set[Fact] = set()
         removed: set[Fact] = set()
-        probes = self._support_probes(comp) if affected else {}
+        probes = (
+            support_probes(comp.rules, self.database) if affected else {}
+        )
         for fact in sorted(affected, key=repr):
             old = self.counts.get(fact, 0)
             new = self._derivation_count(fact, probes)
@@ -608,47 +774,22 @@ class DifferentialEngine:
                 self.counts.pop(fact, None)
         return added, removed, len(affected)
 
-    def _support_probes(
-        self, comp: _Component
-    ) -> dict[str, list[_SupportProbe]]:
-        """One pass's support probes: head relation → one per rule.
-
-        Built when a pass has its first fact to check, against the
-        view as it stands then, so each rule is ordered and looked up
-        in the plan cache once per pass.
-        """
-        probes: dict[str, list[_SupportProbe]] = {}
-        for rule in comp.rules:
-            (relation,) = rule.head_relations()
-            probes.setdefault(relation, []).append(
-                _SupportProbe(rule, self.database)
-            )
-        return probes
-
     def _derivation_count(
         self,
         fact: Fact,
         probes: dict[str, list[_SupportProbe]],
-        limit: int | None = None,
     ) -> int:
         """Exact derivation count of one fact against the current view.
 
         Head-bound matching through the pass's ``probes`` (see
-        :meth:`_support_probes`): per rule, the fact's values seed the
+        :func:`support_probes`): per rule, the fact's values seed the
         probe's bound plan, so the cost is this fact's derivations, not
         the rule's full match set, and no per-fact setup is left.
-        ``limit`` turns the count into an existence check
-        (rederivation support).
         """
         self.stats.differential["support_checks"] += 1
-        relation, values = fact
-        total = 0
-        for probe in probes.get(relation, ()):
-            for _ in _iter_bound_matches(probe, self.database, values):
-                total += 1
-                if limit is not None and total >= limit:
-                    return total
-        return total
+        return sum(
+            1 for _ in _derivations(fact, probes, self.database, _NO_ADOM)
+        )
 
     # -- DRed components ----------------------------------------------------
 
@@ -657,83 +798,29 @@ class DifferentialEngine:
         comp: _Component,
         del_in: dict[str, set[tuple]],
     ) -> tuple[set[Fact], int, int]:
-        """DRed for one recursive component.
+        """DRed for one recursive component (see :func:`dred`).
 
-        Phase 1 (over-delete): the deleted input facts come back as
-        ghosts so rule bodies can match through them; every component
-        fact with a derivation touching the frontier joins the
-        over-deletion, to a fixpoint, then ghosts and over-deleted
-        facts leave the database together.
-
-        Phase 2 (delta-restricted rederive): each over-deleted
-        candidate gets a head-bound support check against the
-        surviving view, all through one set of support probes built
-        for the pass; the survivors are buffered, re-added *after*
-        the scan, and then propagated semi-naively — but only into the
-        candidate set.  Work is proportional to the over-deletion, not
-        the view.
+        The deleted input facts come back as ghosts, so rule bodies can
+        match through them while the over-deletion closes; they leave
+        with the over-deleted facts.  Support probes are built for the
+        pass after the removal.  Returns the net deletion and the sizes
+        of the over-deletion and of the rederivation.
         """
         if not del_in:
             return set(), 0, 0
-        db = self.database
         ghosts = [
             (rel, t) for rel, ts in sorted(del_in.items()) for t in ts
         ]
         for relation, t in ghosts:
-            db.add_fact(relation, t)
-        overdeleted: set[Fact] = set()
-        frontier: dict[str, set[tuple]] = {
-            rel: set(ts) for rel, ts in del_in.items()
-        }
-        while frontier:
-            # The frontier wants heads that ARE in the database (the
-            # candidates to over-delete) — full consequence sets, so
-            # not an add-only pass either.
-            heads, _neg, _firings = immediate_consequences(
-                comp.program, db, _NO_ADOM,
-                delta=_frozen(frontier), stats=self.stats,
-            )
-            frontier = {}
-            for fact in heads:
-                if fact in overdeleted:
-                    continue
-                relation, t = fact
-                if db.has_fact(relation, t):
-                    overdeleted.add(fact)
-                    frontier.setdefault(relation, set()).add(t)
-        for relation, t in ghosts:
-            db.remove_fact(relation, t)
-        for relation, t in overdeleted:
-            db.remove_fact(relation, t)
-
-        rederived: set[Fact] = set()
-        probes = self._support_probes(comp) if overdeleted else {}
-        supported = [
-            fact
-            for fact in sorted(overdeleted, key=repr)
-            if self._derivation_count(fact, probes, limit=1)
-        ]
-        delta: dict[str, set[tuple]] = {}
-        for fact in supported:
-            relation, t = fact
-            db.add_fact(relation, t)
-            rederived.add(fact)
-            delta.setdefault(relation, set()).add(t)
-        # Every head this loop can act on is an over-deleted fact not
-        # yet re-added — never currently in the database — so the
-        # in-kernel difference of an add-only pass cannot hide one.
-        while delta:
-            heads, _neg, _firings = immediate_consequences(
-                comp.program, db, _NO_ADOM,
-                delta=_frozen(delta), stats=self.stats, add_only=True,
-            )
-            delta = {}
-            for fact in heads:
-                if fact in overdeleted and fact not in rederived:
-                    relation, t = fact
-                    db.add_fact(relation, t)
-                    rederived.add(fact)
-                    delta.setdefault(relation, set()).add(t)
+            self.database.add_fact(relation, t)
+        overdeleted, rederived, _firings = dred(
+            comp.program, self.database, _NO_ADOM,
+            seed=(comp.program, del_in),
+            probes=lambda: support_probes(comp.rules, self.database),
+            stats=self.stats,
+            ghosts=ghosts,
+        )
+        self.stats.differential["support_checks"] += len(overdeleted)
         return overdeleted - rederived, len(overdeleted), len(rederived)
 
     def _dred_insert(
@@ -741,27 +828,12 @@ class DifferentialEngine:
         comp: _Component,
         ins_in: dict[str, set[tuple]],
     ) -> set[Fact]:
-        """Semi-naive insertion propagation within one component."""
-        if not ins_in:
-            return set()
-        db = self.database
-        added: set[Fact] = set()
-        delta: dict[str, set[tuple]] = {
-            rel: set(ts) for rel, ts in ins_in.items()
-        }
-        # Add-only: already-present heads are no-ops here, so the
-        # kernels may subtract them at the source.
-        while delta:
-            heads, _neg, _firings = immediate_consequences(
-                comp.program, db, _NO_ADOM,
-                delta=_frozen(delta), stats=self.stats, add_only=True,
-            )
-            delta = {}
-            for fact in heads:
-                relation, t = fact
-                if db.add_fact(relation, t):
-                    added.add(fact)
-                    delta.setdefault(relation, set()).add(t)
+        """Semi-naive insertion propagation within one component (see
+        :func:`propagate`)."""
+        added, _firings = propagate(
+            comp.program, self.database, _NO_ADOM, (comp.program, ins_in),
+            stats=self.stats,
+        )
         return added
 
     # -- misc ---------------------------------------------------------------

@@ -21,6 +21,8 @@ from repro.semantics.differential import (
     DiffBatch,
     DifferentialEngine,
     RelationDiff,
+    _iter_bound_matches,
+    _SupportProbe,
 )
 from repro.semantics.maintenance import MaterializedView
 from repro.semantics.plan import cached_plans
@@ -226,6 +228,29 @@ class TestDiffBatchAPI:
         assert ("n0", "n1") in engine.answer("G")
         assert engine.consistent_with_scratch()
 
+    def test_rederivation_leaves_the_batch_inserts_to_insertion(self):
+        """A batch's inserts are in the view while its deletions run:
+        rederiving T(b,c) reaches T(a,c) through the inserted G(a,b),
+        which is new, so the report must list it as inserted."""
+        engine = DifferentialEngine(
+            tc_program(), Database({"G": [("b", "c"), ("b", "d"), ("d", "c")]})
+        )
+        before = engine.answer("T")
+        result = engine.apply(
+            DiffBatch(
+                inserts=(("G", ("a", "b")),),
+                deletes=(("G", ("b", "c")),),
+            )
+        )
+        after = engine.answer("T")
+        assert result.report.overdeleted == 1  # T(b,c), then rederived
+        assert ("a", "c") in after - before
+        inserted = {t for rel, t in result.report.inserted if rel == "T"}
+        deleted = {t for rel, t in result.report.deleted if rel == "T"}
+        assert inserted == after - before
+        assert deleted == before - after == set()
+        assert engine.consistent_with_scratch()
+
     def test_signed_triple_form(self):
         engine = DifferentialEngine(tc_program(), graph_database(chain(3)))
         result = engine.apply(
@@ -415,6 +440,20 @@ class TestUpdateCostGuards:
         rules, passes = len(engine.program.rules), 1  # one DRed pass
         assert len(calls) <= rules * passes, calls
         assert engine.consistent_with_scratch()
+
+    def test_support_probe_orders_with_head_variables_bound(self):
+        # x is seeded from the head, so moves(x, y) is one keyed probe
+        # and lost(y) a membership test.  Ordered as if nothing were
+        # bound, the smaller lost(y) would run first, and one check
+        # would probe moves once per lost fact to find one derivation.
+        rule = parse_program("win(x) :- moves(x, y), lost(y).").rules[0]
+        db = Database({
+            "moves": chain(400),
+            "lost": [(f"n{i}",) for i in range(0, 400, 2)],
+        })
+        probe = _SupportProbe(rule, db)
+        assert probe.plan.order == (0, 1)
+        assert len(list(_iter_bound_matches(probe, db, (), ("n1",)))) == 1
 
     @pytest.mark.parametrize("program", [MIXED, TWO_HOP],
                              ids=["mixed", "two-hop"])

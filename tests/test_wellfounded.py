@@ -1,7 +1,14 @@
 """Tests for the well-founded semantics (§3.3) and stable models."""
 
+import os
+import pathlib
+import random
+import subprocess
+import sys
+
 import pytest
 
+from repro.ast.analysis import is_stratifiable
 from repro.parser import parse_program
 from repro.relational.instance import Database
 from repro.semantics import planner
@@ -238,8 +245,15 @@ class TestAgainstPerStepReference:
         assert model.true_facts == true
         assert model.possible_facts == possible
         assert model.alternation_rounds == rounds
-        assert model.rule_firings == sum(firings for firings, _ in steps)
-        assert [(s.firings, s.added) for s in model.stats.stages] == steps
+        stages = model.stats.stages
+        assert [s.added for s in stages] == [added for _, added in steps]
+        # Each side's first step computes its least model afresh, as the
+        # reference does every step; a later step costs the change, so
+        # it never fires more than recomputing would.
+        firings = [s.firings for s in stages]
+        assert firings[:2] == [f for f, _ in steps[:2]]
+        assert all(ours <= f for ours, (f, _) in zip(firings[2:], steps[2:]))
+        assert model.rule_firings == sum(firings)
 
     @pytest.mark.parametrize("program,db", REFERENCE_CASES)
     def test_same_iterates(self, program, db):
@@ -261,6 +275,198 @@ class TestAgainstPerStepReference:
         model = evaluate_wellfounded(win_program(), game_database(chain(30)))
         assert model.alternation_rounds == 16
         assert calls == {"copy": 2, "add_fact": 0}
+
+
+def _assert_matches_reference(program, db):
+    """The model, its rounds, per-step sizes and first 8 iterates all
+    equal the per-step reference's; returns the model."""
+    model = evaluate_wellfounded(program, db)
+    true, possible, rounds, steps = _reference_model(program, db)
+    assert model.true_facts == true
+    assert model.possible_facts == possible
+    assert model.alternation_rounds == rounds
+    assert [s.added for s in model.stats.stages] == [a for _, a in steps]
+    ours = alternating_sequence(program, db)
+    reference = _reference_sequence(program, db)
+    for _ in range(8):
+        assert next(ours) == next(reference)[0]
+    return model
+
+
+class TestIncrementalSteps:
+    """One program per case an incremental step can easily get wrong."""
+
+    def test_two_negated_tuples_enter_in_one_step(self):
+        # B(a) and B(b) enter the assumption set together.  A(a) must be
+        # over-deleted although its other negated literal now fails too.
+        program = parse_program(
+            "A(x) :- E(x, y), not B(x), not B(y). B(x) :- V(x)."
+        )
+        db = Database({"E": [("a", "b")], "V": [("a",), ("b",)]})
+        model = _assert_matches_reference(program, db)
+        assert model.truth_value("A", ("a",)) == "false"
+        assert model.is_total()
+
+    def test_variable_bound_only_under_negation(self):
+        # Rederiving R(a, b) needs an x with R(a, x) assumed false:
+        # support checks must range x over the active domain.
+        program = parse_program("R(y, z) :- E(y, z), not R(y, x).")
+        db = Database({"E": [("a", "b")]})
+        model = _assert_matches_reference(program, db)
+        assert model.truth_value("R", ("a", "b")) == "true"
+
+    def test_given_fact_whose_only_derivation_dies(self):
+        # P(a) loses its derivation when Q(a) enters the assumption set,
+        # but the input gives it, so it stays.
+        program = parse_program(
+            "P(x) :- V(x), not Q(x). Q(x) :- V(x), not R(x). R(x) :- W(x)."
+        )
+        db = Database({"V": [("a",)], ("W", 1): [], "P": [("a",)]})
+        model = _assert_matches_reference(program, db)
+        assert model.truth_value("P", ("a",)) == "true"
+        assert model.truth_value("Q", ("a",)) == "true"
+
+    @pytest.mark.parametrize("n,firings", [(30, 58), (100, 198)])
+    def test_chain_game_fires_linearly(self, monkeypatch, n, firings):
+        # 2n - 2 firings; recomputing every step fires quadratically
+        # (495 at n = 30, 5,150 at n = 100).
+        calls = []
+        original = planner.scheduled_fixpoint
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "scheduled_fixpoint", counted)
+        model = evaluate_wellfounded(win_program(), game_database(chain(n)))
+        assert model.rule_firings == firings
+        assert len(calls) == 2  # each side's first step
+
+    def test_planner_report_is_the_programs(self):
+        # The seed passes run rewritten programs of their own; the run's
+        # report stays the transformed program's, numbered like the
+        # program, where win's only rule runs full passes alone.
+        model = evaluate_wellfounded(win_program(), game_database(chain(30)))
+        rules = model.stats.planner["rules"]
+        assert list(rules) == ["0"]
+        assert [key for key in rules["0"] if key != "actual_rows"] == ["full"]
+
+    def test_replays_under_any_hash_seed(self):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        path = os.pathsep.join(
+            [str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")]
+        )
+        script = "from tests.test_wellfounded import _replay; print(_replay())"
+        outputs = set()
+        for seed in ("0", "1"):
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                cwd=root,
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert completed.returncode == 0, completed.stderr
+            outputs.add(completed.stdout)
+        assert len(outputs) == 1
+
+
+def _replay() -> str:
+    """Models and stage records of every reference case, as text."""
+    lines = []
+    for case in REFERENCE_CASES:
+        model = evaluate_wellfounded(*case.values)
+        lines.append(repr((
+            case.id,
+            sorted(map(repr, model.true_facts)),
+            sorted(map(repr, model.possible_facts)),
+            model.alternation_rounds,
+            [
+                (s.firings, s.added, s.index_builds, s.index_updates,
+                 s.index_drops)
+                for s in model.stats.stages
+            ],
+        )))
+    return "\n".join(lines)
+
+
+#: The corpus's relations and their arities: idb P, Q, R; edb E, V.
+CORPUS_ARITY = {"P": 1, "Q": 2, "R": 2, "E": 2, "V": 1}
+
+
+def _corpus_rule(rng: random.Random) -> str:
+    """One rule: 1-3 positive literals and 0-2 negated ones, half of
+    which negate the head relation (``win``'s shape, which alternates
+    deeply on a chain).  A negated literal may use ``w``, which no
+    positive literal binds, and so may the head then."""
+
+    def atom(relation, pool):
+        terms = [rng.choice(pool) for _ in range(CORPUS_ARITY[relation])]
+        return f"{relation}({', '.join(terms)})"
+
+    head_relation = rng.choice("PQR")
+    positives = [
+        atom(rng.choice("EEVPQR"), "xyz") for _ in range(rng.randint(1, 3))
+    ]
+    bound = sorted({v for lit in positives for v in "xyz" if v in lit})
+    negatives = []
+    for _ in range(rng.randint(0, 2)):
+        relation = head_relation if rng.random() < 0.5 else rng.choice("PQRE")
+        pool = bound + ["w"] if rng.random() < 0.3 else bound
+        negatives.append("not " + atom(relation, pool))
+    head_pool = bound
+    if any("w" in lit for lit in negatives) and rng.random() < 0.3:
+        head_pool = bound + ["w"]
+    head = atom(head_relation, head_pool)
+    return f"{head} :- {', '.join(positives + negatives)}."
+
+
+def _corpus_case(seed: int):
+    """A seeded non-stratifiable program and an input for it.
+
+    Some programs start with a variant of ``win`` over E, and some
+    inputs add a chain to E: together they drive the alternation
+    through many rounds.  Some inputs give idb facts.
+    """
+    rng = random.Random(seed)
+    while True:
+        rules = [_corpus_rule(rng) for _ in range(rng.randint(2, 5))]
+        if rng.random() < 0.4:
+            rules[0] = "P(x) :- E(x, y), not P(y)" + rng.choice(
+                [".", ", V(y).", ", not Q(x, y).", ", not R(y, w)."]
+            )
+        program = parse_program(" ".join(rules))
+        if not is_stratifiable(program):
+            break
+    constants = [f"c{i}" for i in range(rng.randint(3, 6))]
+    edges = {
+        (rng.choice(constants), rng.choice(constants))
+        for _ in range(rng.randint(2, 8))
+    }
+    if rng.random() < 0.5:
+        path = [f"n{i}" for i in range(rng.randint(6, 20))] + constants[:1]
+        edges.update(zip(path, path[1:]))
+    nodes = sorted({v for edge in edges for v in edge})
+    facts = {
+        ("E", 2): sorted(edges),
+        ("V", 1): [(v,) for v in nodes if rng.random() < 0.6],
+    }
+    if rng.random() < 0.3:
+        for relation in "PQR":
+            facts[(relation, CORPUS_ARITY[relation])] = [
+                tuple(rng.choice(nodes) for _ in range(CORPUS_ARITY[relation]))
+                for _ in range(rng.randint(0, 2))
+            ]
+    return program, Database(facts)
+
+
+class TestWellFoundedCorpus:
+    """Seeded non-stratifiable programs against the per-step reference."""
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_matches_reference(self, seed):
+        _assert_matches_reference(*_corpus_case(seed))
 
 
 class TestStableModels:

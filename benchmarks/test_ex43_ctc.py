@@ -29,12 +29,8 @@ def test_stratified_baseline(benchmark, name):
     assert result.answer("CT")
 
 
-@pytest.mark.parametrize("name", ["chain12", "gnp16"])
+@pytest.mark.parametrize("name", list(GRAPHS))
 def test_paper_delay_program(benchmark, name):
-    # gnp24 is omitted: the verbatim program re-checks its six-variable
-    # except-final join at every stage, which dominates the suite's
-    # runtime on dense graphs; the generic compiler below covers the
-    # same query on the full workload set.
     db = graph_database(GRAPHS[name])
     result = benchmark(evaluate_inflationary, ctc_inflationary_program(), db)
     baseline = evaluate_stratified(ctc_stratified_program(), db)

@@ -26,168 +26,57 @@ Quickstart::
     print(evaluate_inflationary(program, db).answer("T"))
 """
 
-from repro.errors import (
-    ReproError,
-    SchemaError,
-    ParseError,
-    ProgramError,
-    SafetyError,
-    StratificationError,
-    DialectError,
-    EvaluationError,
-    NonTerminationError,
-    StepBudgetExceeded,
-    ContradictionError,
-    UnsafeAnswerError,
-)
-from repro.terms import Var, Const
-from repro.relational import Database, Relation, RelationSchema, DatabaseSchema
-from repro.ast import Program, Dialect, Rule, Lit, EqLit, BottomLit
-from repro.ast.analysis import (
-    stratify,
-    is_stratifiable,
-    is_semipositive,
-    validate_program,
-    infer_dialect,
-)
-from repro.parser import parse_program, parse_rule
-from repro.span import Span
-from repro.analysis import (
-    Diagnostic,
-    DialectReport,
-    LintReport,
-    Severity,
-    classify,
-    lint,
-    lint_source,
-)
-from repro.semantics import (
-    EvaluationResult,
-    evaluate_datalog_naive,
-    evaluate_datalog_seminaive,
-    evaluate_stratified,
-    evaluate_wellfounded,
-    WellFoundedModel,
-    stable_models,
-    is_stable_model,
-    evaluate_inflationary,
-    evaluate_noninflationary,
-    ConflictPolicy,
-    evaluate_with_invention,
-    run_nondeterministic,
-    enumerate_effects,
-    possibility,
-    certainty,
-    deterministic_effect,
-)
-from repro.semantics.choice import evaluate_with_choice
-from repro.statelog import (
-    StatelogProgram,
-    parse_statelog,
-    run_statelog,
-    run_async_statelog,
-)
-from repro.active import Transaction, run_triggers
-from repro.pipeline import (
-    Pipeline,
-    ProgramStage,
-    AggregateStage,
-    AlgebraStage,
-    run_pipeline,
-)
-from repro.ontology import chase, certain_answers, ontology_answer
-from repro.treedata import tree_database, is_monadic
-from repro.ordered import attach_order, is_ordered
-from repro.languages import (
-    WhileProgram,
-    evaluate_while,
-    is_fixpoint_program,
-    FixpointQuery,
-    evaluate_fixpoint_query,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ReproError",
-    "SchemaError",
-    "ParseError",
-    "ProgramError",
-    "SafetyError",
-    "StratificationError",
-    "DialectError",
-    "EvaluationError",
-    "NonTerminationError",
-    "StepBudgetExceeded",
-    "ContradictionError",
-    "UnsafeAnswerError",
-    "Var",
-    "Const",
-    "Database",
-    "Relation",
-    "RelationSchema",
-    "DatabaseSchema",
-    "Program",
-    "Dialect",
-    "Rule",
-    "Lit",
-    "EqLit",
-    "BottomLit",
-    "stratify",
-    "is_stratifiable",
-    "is_semipositive",
-    "validate_program",
-    "infer_dialect",
-    "parse_program",
-    "parse_rule",
-    "Span",
-    "Diagnostic",
-    "DialectReport",
-    "LintReport",
-    "Severity",
-    "classify",
-    "lint",
-    "lint_source",
-    "EvaluationResult",
-    "evaluate_datalog_naive",
-    "evaluate_datalog_seminaive",
-    "evaluate_stratified",
-    "evaluate_wellfounded",
-    "WellFoundedModel",
-    "stable_models",
-    "is_stable_model",
-    "evaluate_inflationary",
-    "evaluate_noninflationary",
-    "ConflictPolicy",
-    "evaluate_with_invention",
-    "run_nondeterministic",
-    "enumerate_effects",
-    "possibility",
-    "certainty",
-    "deterministic_effect",
-    "evaluate_with_choice",
-    "StatelogProgram",
-    "parse_statelog",
-    "run_statelog",
-    "run_async_statelog",
-    "Transaction",
-    "run_triggers",
-    "Pipeline",
-    "ProgramStage",
-    "AggregateStage",
-    "AlgebraStage",
-    "run_pipeline",
-    "chase",
-    "certain_answers",
-    "ontology_answer",
-    "tree_database",
-    "is_monadic",
-    "attach_order",
-    "is_ordered",
-    "WhileProgram",
-    "evaluate_while",
-    "is_fixpoint_program",
-    "FixpointQuery",
-    "evaluate_fixpoint_query",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".errors": (
+        "ReproError", "SchemaError", "ParseError", "ProgramError",
+        "SafetyError", "StratificationError", "DialectError",
+        "EvaluationError", "NonTerminationError", "StepBudgetExceeded",
+        "ContradictionError", "UnsafeAnswerError",
+    ),
+    ".terms": ("Var", "Const"),
+    ".relational": (
+        "Database", "Relation", "RelationSchema", "DatabaseSchema",
+    ),
+    ".ast": ("Program", "Dialect", "Rule", "Lit", "EqLit", "BottomLit"),
+    ".ast.analysis": (
+        "stratify", "is_stratifiable", "is_semipositive", "validate_program",
+        "infer_dialect",
+    ),
+    ".parser": ("parse_program", "parse_rule"),
+    ".span": ("Span",),
+    ".analysis": (
+        "Diagnostic", "DialectReport", "LintReport", "Severity", "classify",
+        "lint", "lint_source",
+    ),
+    ".semantics": (
+        "EvaluationResult", "evaluate_datalog_naive",
+        "evaluate_datalog_seminaive", "evaluate_stratified",
+        "evaluate_wellfounded", "WellFoundedModel", "stable_models",
+        "is_stable_model", "evaluate_inflationary", "evaluate_noninflationary",
+        "ConflictPolicy", "evaluate_with_invention", "run_nondeterministic",
+        "enumerate_effects", "possibility", "certainty",
+        "deterministic_effect",
+    ),
+    ".semantics.choice": ("evaluate_with_choice",),
+    ".statelog": (
+        "StatelogProgram", "parse_statelog", "run_statelog",
+        "run_async_statelog",
+    ),
+    ".active": ("Transaction", "run_triggers"),
+    ".pipeline": (
+        "Pipeline", "ProgramStage", "AggregateStage", "AlgebraStage",
+        "run_pipeline",
+    ),
+    ".ontology": ("chase", "certain_answers", "ontology_answer"),
+    ".treedata": ("tree_database", "is_monadic"),
+    ".ordered": ("attach_order", "is_ordered"),
+    ".languages": (
+        "WhileProgram", "evaluate_while", "is_fixpoint_program",
+        "FixpointQuery", "evaluate_fixpoint_query",
+    ),
+})
+__all__.append("__version__")

@@ -32,108 +32,38 @@ Quickstart::
         print(diagnostic.render("bug.dl"))
 """
 
-from repro.analysis.diagnostics import (
-    CODES,
-    CODES_BY_NAME,
-    Diagnostic,
-    DiagnosticCode,
-    Severity,
-    make_diagnostic,
-)
-from repro.analysis.classifier import (
-    DialectReport,
-    Evidence,
-    RUNG_DESCRIPTIONS,
-    RUNG_ORDER,
-    classify,
-)
-from repro.analysis.graph import (
-    DependencyEdge,
-    cycle_edges,
-    dependency_edges,
-    negative_cycle,
-    stratum_levels,
-)
-from repro.analysis.driver import (
-    JSON_SCHEMA_VERSION,
-    LintReport,
-    lint,
-    lint_source,
-    reports_to_json,
-    suppressions_in,
-)
-from repro.analysis.dataflow import (
-    AdornedRule,
-    BindingTimes,
-    CardinalityBound,
-    Domain,
-    MonotoneAnalysis,
-    adorn,
-    adornment_for,
-    argument_domains,
-    cardinality_bounds,
-    domain_findings,
-    solve,
-)
-from repro.analysis.analyze import (
-    ANALYZE_PROGRAM_KEYS,
-    ANALYZE_SCHEMA_VERSION,
-    AnalyzeReport,
-    analyze_reports_to_json,
-    analyze_source,
-    parse_query,
-    validate_analyze_document,
-)
-from repro.analysis.safety import (
-    negation_safety_diagnostics,
-    positively_bound_vars,
-    rule_safety_diagnostics,
-)
-from repro.span import Span
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CODES",
-    "CODES_BY_NAME",
-    "Diagnostic",
-    "DiagnosticCode",
-    "Severity",
-    "make_diagnostic",
-    "DialectReport",
-    "Evidence",
-    "RUNG_DESCRIPTIONS",
-    "RUNG_ORDER",
-    "classify",
-    "DependencyEdge",
-    "cycle_edges",
-    "dependency_edges",
-    "negative_cycle",
-    "stratum_levels",
-    "JSON_SCHEMA_VERSION",
-    "LintReport",
-    "lint",
-    "lint_source",
-    "reports_to_json",
-    "suppressions_in",
-    "AdornedRule",
-    "BindingTimes",
-    "CardinalityBound",
-    "Domain",
-    "MonotoneAnalysis",
-    "adorn",
-    "adornment_for",
-    "argument_domains",
-    "cardinality_bounds",
-    "domain_findings",
-    "solve",
-    "ANALYZE_PROGRAM_KEYS",
-    "ANALYZE_SCHEMA_VERSION",
-    "AnalyzeReport",
-    "analyze_reports_to_json",
-    "analyze_source",
-    "parse_query",
-    "validate_analyze_document",
-    "negation_safety_diagnostics",
-    "positively_bound_vars",
-    "rule_safety_diagnostics",
-    "Span",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".diagnostics": (
+        "CODES", "CODES_BY_NAME", "Diagnostic", "DiagnosticCode", "Severity",
+        "make_diagnostic",
+    ),
+    ".classifier": (
+        "DialectReport", "Evidence", "RUNG_DESCRIPTIONS", "RUNG_ORDER",
+        "classify",
+    ),
+    ".graph": (
+        "DependencyEdge", "cycle_edges", "dependency_edges", "negative_cycle",
+        "stratum_levels",
+    ),
+    ".driver": (
+        "JSON_SCHEMA_VERSION", "LintReport", "lint", "lint_source",
+        "reports_to_json", "suppressions_in",
+    ),
+    ".dataflow": (
+        "AdornedRule", "BindingTimes", "CardinalityBound", "Domain",
+        "MonotoneAnalysis", "adorn", "adornment_for", "argument_domains",
+        "cardinality_bounds", "domain_findings", "solve",
+    ),
+    ".analyze": (
+        "ANALYZE_PROGRAM_KEYS", "ANALYZE_SCHEMA_VERSION", "AnalyzeReport",
+        "analyze_reports_to_json", "analyze_source", "parse_query",
+        "validate_analyze_document",
+    ),
+    ".safety": (
+        "negation_safety_diagnostics", "positively_bound_vars",
+        "rule_safety_diagnostics",
+    ),
+    "repro.span": ("Span",),
+})

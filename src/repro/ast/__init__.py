@@ -1,29 +1,14 @@
 """Datalog abstract syntax: literals, rules, programs, dialects, analysis."""
 
-from repro.ast.rules import Lit, EqLit, BottomLit, Rule, HeadLiteral, BodyLiteral
-from repro.ast.program import Program, Dialect
-from repro.ast.analysis import (
-    precedence_graph,
-    stratify,
-    is_stratifiable,
-    is_semipositive,
-    validate_program,
-    infer_dialect,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Lit",
-    "EqLit",
-    "BottomLit",
-    "Rule",
-    "HeadLiteral",
-    "BodyLiteral",
-    "Program",
-    "Dialect",
-    "precedence_graph",
-    "stratify",
-    "is_stratifiable",
-    "is_semipositive",
-    "validate_program",
-    "infer_dialect",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".rules": (
+        "Lit", "EqLit", "BottomLit", "Rule", "HeadLiteral", "BodyLiteral",
+    ),
+    ".program": ("Program", "Dialect"),
+    ".analysis": (
+        "precedence_graph", "stratify", "is_stratifiable", "is_semipositive",
+        "validate_program", "infer_dialect",
+    ),
+})

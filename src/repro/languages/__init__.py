@@ -1,29 +1,13 @@
 """Classical query languages used as baselines: while, fixpoint, FO+IFP/PFP."""
 
-from repro.languages.while_lang import (
-    Assign,
-    Comprehension,
-    WhileChange,
-    WhileFormula,
-    WhileProgram,
-    evaluate_while,
-    is_fixpoint_program,
-)
-from repro.languages.fixpoint_logic import (
-    Definition,
-    FixpointQuery,
-    evaluate_fixpoint_query,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Assign",
-    "Comprehension",
-    "WhileChange",
-    "WhileFormula",
-    "WhileProgram",
-    "evaluate_while",
-    "is_fixpoint_program",
-    "Definition",
-    "FixpointQuery",
-    "evaluate_fixpoint_query",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".while_lang": (
+        "Assign", "Comprehension", "WhileChange", "WhileFormula",
+        "WhileProgram", "evaluate_while", "is_fixpoint_program",
+    ),
+    ".fixpoint_logic": (
+        "Definition", "FixpointQuery", "evaluate_fixpoint_query",
+    ),
+})

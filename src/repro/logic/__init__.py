@@ -1,55 +1,17 @@
 """First-order logic over relational instances (relational calculus)."""
 
-from repro.logic.formula import (
-    Formula,
-    Atom,
-    Equals,
-    Not,
-    And,
-    Or,
-    Implies,
-    Exists,
-    Forall,
-    TRUE,
-    FALSE,
-    conjunction,
-    disjunction,
-)
-from repro.logic.evaluate import (
-    evaluate_formula,
-    evaluate_sentence,
-    free_variables,
-    formula_relations,
-    formula_constants,
-)
-from repro.logic.transform import (
-    to_nnf,
-    is_nnf,
-    rename_formula_variables,
-    substitute_constants,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Formula",
-    "Atom",
-    "Equals",
-    "Not",
-    "And",
-    "Or",
-    "Implies",
-    "Exists",
-    "Forall",
-    "TRUE",
-    "FALSE",
-    "conjunction",
-    "disjunction",
-    "evaluate_formula",
-    "evaluate_sentence",
-    "free_variables",
-    "formula_relations",
-    "formula_constants",
-    "to_nnf",
-    "is_nnf",
-    "rename_formula_variables",
-    "substitute_constants",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".formula": (
+        "Formula", "Atom", "Equals", "Not", "And", "Or", "Implies", "Exists",
+        "Forall", "TRUE", "FALSE", "conjunction", "disjunction",
+    ),
+    ".evaluate": (
+        "evaluate_formula", "evaluate_sentence", "free_variables",
+        "formula_relations", "formula_constants",
+    ),
+    ".transform": (
+        "to_nnf", "is_nnf", "rename_formula_variables", "substitute_constants",
+    ),
+})

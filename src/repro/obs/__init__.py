@@ -28,42 +28,18 @@ Quickstart::
     print(report.render(top=5))
 """
 
-from repro.obs.events import (
-    TRACE_SCHEMA_VERSION,
-    LiteralProfile,
-    RuleEvent,
-    RunBeginEvent,
-    RunEndEvent,
-    StageEvent,
-    TraceEvent,
-)
-from repro.obs.probe import JoinProbe
-from repro.obs.profile import (
-    PROFILE_SCHEMA_VERSION,
-    SORT_KEYS,
-    ProfileReport,
-    RuleProfileRow,
-)
-from repro.obs.sinks import CollectorSink, JsonlSink
-from repro.obs.tracer import NULL_TRACER, NullTracer, RuleSpan, Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TRACE_SCHEMA_VERSION",
-    "LiteralProfile",
-    "RuleEvent",
-    "RunBeginEvent",
-    "RunEndEvent",
-    "StageEvent",
-    "TraceEvent",
-    "JoinProbe",
-    "PROFILE_SCHEMA_VERSION",
-    "SORT_KEYS",
-    "ProfileReport",
-    "RuleProfileRow",
-    "CollectorSink",
-    "JsonlSink",
-    "NULL_TRACER",
-    "NullTracer",
-    "RuleSpan",
-    "Tracer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".events": (
+        "TRACE_SCHEMA_VERSION", "LiteralProfile", "RuleEvent", "RunBeginEvent",
+        "RunEndEvent", "StageEvent", "TraceEvent",
+    ),
+    ".probe": ("JoinProbe",),
+    ".profile": (
+        "PROFILE_SCHEMA_VERSION", "SORT_KEYS", "ProfileReport",
+        "RuleProfileRow",
+    ),
+    ".sinks": ("CollectorSink", "JsonlSink"),
+    ".tracer": ("NULL_TRACER", "NullTracer", "RuleSpan", "Tracer"),
+})

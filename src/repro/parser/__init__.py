@@ -1,6 +1,8 @@
 """Surface-syntax parser for the whole Datalog language family."""
 
-from repro.parser.lexer import Token, TokenKind, tokenize
-from repro.parser.parser import parse_program, parse_rule
+from repro._lazy import lazy_exports
 
-__all__ = ["Token", "TokenKind", "tokenize", "parse_program", "parse_rule"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".lexer": ("Token", "TokenKind", "tokenize"),
+    ".parser": ("parse_program", "parse_rule"),
+})

@@ -1,109 +1,40 @@
 """The paper's programs, one module each, parsed from their surface syntax."""
 
-from repro.programs.tc import (
-    tc_program,
-    transitive_closure,
-    ctc_stratified_program,
-    complement_tc,
-    reference_transitive_closure,
-    reference_complement_tc,
-)
-from repro.programs.win import (
-    win_program,
-    win_states,
-    paper_win_instance,
-)
-from repro.programs.closer import closer_program, closer, reference_closer
-from repro.programs.ctc_inflationary import (
-    ctc_inflationary_program,
-    complement_tc_inflationary,
-)
-from repro.programs.good_nodes import (
-    good_nodes_program,
-    good_nodes,
-    reference_good_nodes,
-)
-from repro.programs.flip_flop import flip_flop_program, flip_flop_input
-from repro.programs.orientation import (
-    orientation_program,
-    remove_two_cycles,
-    orientations,
-)
-from repro.programs.proj_diff import (
-    proj_diff_negneg_program,
-    proj_diff_bottom_program,
-    proj_diff_forall_program,
-)
-from repro.programs.evenness import (
-    evenness_stratified_program,
-    evenness_inflationary_program,
-    evenness_semipositive_program,
-    evenness,
-)
-from repro.programs.parity_chain import (
-    parity_chain_program,
-    parity_chain,
-)
-from repro.programs.same_generation import (
-    same_generation_program,
-    same_generation,
-    tree_instance,
-)
-from repro.programs.hamiltonian import (
-    has_hamiltonian_circuit,
-    hamiltonian_vertices,
-)
-from repro.programs.evenness_generic import (
-    evenness_generic_program,
-    evenness_generic,
-)
-from repro.programs.component_chain import (
-    component_chain_program,
-    component_chain_database,
-    component_chain_source,
-    reference_component_chain,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "tc_program",
-    "transitive_closure",
-    "ctc_stratified_program",
-    "complement_tc",
-    "reference_transitive_closure",
-    "win_program",
-    "win_states",
-    "paper_win_instance",
-    "closer_program",
-    "closer",
-    "reference_closer",
-    "ctc_inflationary_program",
-    "complement_tc_inflationary",
-    "good_nodes_program",
-    "good_nodes",
-    "reference_good_nodes",
-    "flip_flop_program",
-    "flip_flop_input",
-    "orientation_program",
-    "remove_two_cycles",
-    "orientations",
-    "proj_diff_negneg_program",
-    "proj_diff_bottom_program",
-    "proj_diff_forall_program",
-    "evenness_stratified_program",
-    "evenness_inflationary_program",
-    "evenness_semipositive_program",
-    "evenness",
-    "parity_chain_program",
-    "parity_chain",
-    "same_generation_program",
-    "same_generation",
-    "tree_instance",
-    "has_hamiltonian_circuit",
-    "hamiltonian_vertices",
-    "evenness_generic_program",
-    "evenness_generic",
-    "component_chain_program",
-    "component_chain_database",
-    "component_chain_source",
-    "reference_component_chain",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".tc": (
+        "tc_program", "transitive_closure", "ctc_stratified_program",
+        "complement_tc", "reference_transitive_closure",
+    ),
+    ".win": ("win_program", "win_states", "paper_win_instance"),
+    ".closer": ("closer_program", "closer", "reference_closer"),
+    ".ctc_inflationary": (
+        "ctc_inflationary_program", "complement_tc_inflationary",
+    ),
+    ".good_nodes": (
+        "good_nodes_program", "good_nodes", "reference_good_nodes",
+    ),
+    ".flip_flop": ("flip_flop_program", "flip_flop_input"),
+    ".orientation": (
+        "orientation_program", "remove_two_cycles", "orientations",
+    ),
+    ".proj_diff": (
+        "proj_diff_negneg_program", "proj_diff_bottom_program",
+        "proj_diff_forall_program",
+    ),
+    ".evenness": (
+        "evenness_stratified_program", "evenness_inflationary_program",
+        "evenness_semipositive_program", "evenness",
+    ),
+    ".parity_chain": ("parity_chain_program", "parity_chain"),
+    ".same_generation": (
+        "same_generation_program", "same_generation", "tree_instance",
+    ),
+    ".hamiltonian": ("has_hamiltonian_circuit", "hamiltonian_vertices"),
+    ".evenness_generic": ("evenness_generic_program", "evenness_generic"),
+    ".component_chain": (
+        "component_chain_program", "component_chain_database",
+        "component_chain_source", "reference_component_chain",
+    ),
+})

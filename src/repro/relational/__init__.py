@@ -1,21 +1,12 @@
 """Relational substrate: schemas, instances, algebra, and isomorphisms."""
 
-from repro.relational.schema import RelationSchema, DatabaseSchema
-from repro.relational.instance import Relation, Database
-from repro.relational import algebra
-from repro.relational.isomorphism import (
-    apply_mapping,
-    random_bijection,
-    is_isomorphic_image,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RelationSchema",
-    "DatabaseSchema",
-    "Relation",
-    "Database",
-    "algebra",
-    "apply_mapping",
-    "random_bijection",
-    "is_isomorphic_image",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".schema": ("RelationSchema", "DatabaseSchema"),
+    ".instance": ("Relation", "Database"),
+    ".isomorphism": (
+        "apply_mapping", "random_bijection", "is_isomorphic_image",
+    ),
+})
+__all__.append("algebra")

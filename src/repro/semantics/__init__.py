@@ -28,96 +28,37 @@ reference matcher, ``reference_matches``, the test oracle that fully
 traced runs call explicitly.
 """
 
-from repro.semantics.base import (
-    EngineStats,
-    EvaluationResult,
-    StageStats,
-    StageTrace,
-    StatsRecorder,
-    iter_matches,
-    instantiate_head,
-    immediate_consequences,
-    reference_matches,
-)
-from repro.semantics.plan import PlanCache, RulePlan, plan_for
-from repro.semantics.naive import evaluate_datalog_naive
-from repro.semantics.seminaive import evaluate_datalog_seminaive
-from repro.semantics.stratified import evaluate_stratified
-from repro.semantics.wellfounded import evaluate_wellfounded, WellFoundedModel
-from repro.semantics.stable import stable_models, is_stable_model
-from repro.semantics.inflationary import evaluate_inflationary
-from repro.semantics.noninflationary import evaluate_noninflationary, ConflictPolicy
-from repro.semantics.invention import evaluate_with_invention
-from repro.semantics.nondeterministic import (
-    NondeterministicRun,
-    run_nondeterministic,
-    enumerate_effects,
-)
-from repro.semantics.posscert import possibility, certainty, deterministic_effect
-from repro.semantics.choice import evaluate_with_choice, ChoiceResult
-from repro.semantics.topdown import query_topdown, TopDownResult
-from repro.semantics.maintenance import MaterializedView, UpdateReport
-from repro.semantics.counting import CountingView
-from repro.semantics.differential import (
-    ApplyResult,
-    DiffBatch,
-    DifferentialEngine,
-    RelationDiff,
-    Subscription,
-)
-from repro.semantics.provenance import (
-    evaluate_with_provenance,
-    explain,
-    render_tree,
-    ProvenanceResult,
-    DerivationTree,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EngineStats",
-    "EvaluationResult",
-    "StageStats",
-    "StageTrace",
-    "StatsRecorder",
-    "iter_matches",
-    "instantiate_head",
-    "immediate_consequences",
-    "reference_matches",
-    "PlanCache",
-    "RulePlan",
-    "plan_for",
-    "evaluate_datalog_naive",
-    "evaluate_datalog_seminaive",
-    "evaluate_stratified",
-    "evaluate_wellfounded",
-    "WellFoundedModel",
-    "stable_models",
-    "is_stable_model",
-    "evaluate_inflationary",
-    "evaluate_noninflationary",
-    "ConflictPolicy",
-    "evaluate_with_invention",
-    "NondeterministicRun",
-    "run_nondeterministic",
-    "enumerate_effects",
-    "possibility",
-    "certainty",
-    "deterministic_effect",
-    "evaluate_with_choice",
-    "ChoiceResult",
-    "query_topdown",
-    "TopDownResult",
-    "MaterializedView",
-    "UpdateReport",
-    "CountingView",
-    "DifferentialEngine",
-    "DiffBatch",
-    "ApplyResult",
-    "RelationDiff",
-    "Subscription",
-    "evaluate_with_provenance",
-    "explain",
-    "render_tree",
-    "ProvenanceResult",
-    "DerivationTree",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": (
+        "EngineStats", "EvaluationResult", "StageStats", "StageTrace",
+        "StatsRecorder", "iter_matches", "instantiate_head",
+        "immediate_consequences", "reference_matches",
+    ),
+    ".plan": ("PlanCache", "RulePlan", "plan_for"),
+    ".naive": ("evaluate_datalog_naive",),
+    ".seminaive": ("evaluate_datalog_seminaive",),
+    ".stratified": ("evaluate_stratified",),
+    ".wellfounded": ("evaluate_wellfounded", "WellFoundedModel"),
+    ".stable": ("stable_models", "is_stable_model"),
+    ".inflationary": ("evaluate_inflationary",),
+    ".noninflationary": ("evaluate_noninflationary", "ConflictPolicy"),
+    ".invention": ("evaluate_with_invention",),
+    ".nondeterministic": (
+        "NondeterministicRun", "run_nondeterministic", "enumerate_effects",
+    ),
+    ".posscert": ("possibility", "certainty", "deterministic_effect"),
+    ".choice": ("evaluate_with_choice", "ChoiceResult"),
+    ".topdown": ("query_topdown", "TopDownResult"),
+    ".maintenance": ("MaterializedView", "UpdateReport"),
+    ".counting": ("CountingView",),
+    ".differential": (
+        "DifferentialEngine", "DiffBatch", "ApplyResult", "RelationDiff",
+        "Subscription",
+    ),
+    ".provenance": (
+        "evaluate_with_provenance", "explain", "render_tree",
+        "ProvenanceResult", "DerivationTree",
+    ),
+})

@@ -22,6 +22,20 @@ The variants of a plan with steps ``0 … n-1``:
   mutate the database mid-walk, so these variants also skip the
   defensive bucket snapshots (``list(bucket)`` / ``list(rel)``) and
   iterate the live buckets.
+* ``emit_factored_full`` / ``emit_factored_r{i}`` — the fused variants
+  of a plan whose body falls apart into connected components, at least
+  one of which reaches no head slot and loops (``RulePlan.counted``,
+  e.g. Example 4.3's ``T(x, y), T(xp, zp), T(zp, yp), ¬T(xp, yp)``).
+  Such a part multiplies the rule's matches without changing its heads,
+  so the kernel counts each one once (under the delta restriction when
+  step ``i`` lies in it), returns on a zero count, and then walks the
+  rest of the body once, adding the product of the counts to
+  ``fired`` per match.  Heads and firings equal the joined walk's; the
+  work drops from the product of the parts' sizes to their sum.  A
+  plan that factors runs these at every delta size and has no
+  ``emit``/``emit_batch`` variants; a body of one component keeps
+  them.  Its ``run_rows`` and generator walks still join, since their
+  consumers need every valuation.
 * ``group_r{i}`` — the delta grouping of the restricted variants with
   the key positions baked in.
 * ``emit_batch_full``/``emit_batch_r0`` and ``walk_batch_full`` — the
@@ -33,6 +47,11 @@ The variants of a plan with steps ``0 … n-1``:
   batch (delta at a non-leading occurrence, bound plans, no loopable
   step), blocks under :attr:`CodegenPlan.BATCH_MIN_ROWS` and restricted
   walks run the scalar variants.
+
+The kernels that never yield (fused, factored and batch) read each
+negated relation's live tuple set once per call and probe it with a
+plain ``in``; the generator walks, whose consumers may write between
+yields, call ``db.has_fact`` per probe.
 
 **Each variant is built on its first call.**  A plan's
 :class:`CodegenPlan` is a table of its variants in which every entry
@@ -207,14 +226,15 @@ def _full_depth(step) -> bool:
             and step.chain_depth == len(step.chain_order))
 
 
-def _emit_variant(plan, restricted_index: int, fused: bool) -> _Source:
-    """One specialized scalar walk, generator or fused flavor."""
-    steps = plan.steps
+def _emit_variant(plan, restricted_index: int, kind: str) -> _Source:
+    """One specialized scalar walk: generator (``walk``), fused
+    (``emit``) or factored fused (``emit_factored``) flavor."""
+    fused = kind != "walk"
     suffix = "full" if restricted_index < 0 else f"r{restricted_index}"
     params = "db, adom, add" if fused else "db, adom, slots"
     if restricted_index >= 0:
         params += ", restricted"
-    src = _Source(("emit_" if fused else "walk_") + suffix, params)
+    src = _Source(f"{kind}_{suffix}", params)
     if fused:
         def slot_ref(s: int) -> str:
             return f"v{s}"
@@ -228,7 +248,7 @@ def _emit_variant(plan, restricted_index: int, fused: bool) -> _Source:
     # Prologue: resolve every non-restricted step's relation once.  A
     # missing relation means the walk can never reach full depth, so no
     # consumer runs mid-walk and nothing can create it — bail out.
-    for d, step in enumerate(steps):
+    for d, step in enumerate(plan.steps):
         if d == restricted_index:
             continue
         rel_name = src.bind(f"R{d}", step.relation)
@@ -239,14 +259,59 @@ def _emit_variant(plan, restricted_index: int, fused: bool) -> _Source:
             src.add(1, f"t{d} = None")
     if fused:
         # The fused walk never yields, so the database is frozen for
-        # the whole call: negation relations can be resolved up front.
-        for k, (relation, _template, _fills) in enumerate(plan.neg_checks):
-            rel_name = src.bind(f"NR{k}", relation)
-            src.add(1, f"nrel{k} = db.relation({rel_name})")
+        # the whole call: each negated relation's live tuple set is
+        # read once, and probed with a plain ``in``.
+        _negated_sets(src, plan)
 
+    # The factored flavor counts each head-free part once (any zero
+    # count ends the call), then walks the rest of the body once,
+    # booking the product of the counts per match.
+    counted = plan.counted if kind == "emit_factored" else ()
+    for k, part in enumerate(counted):
+        src.add(1, f"count{k} = 0")
+        indent = _emit_part(src, plan, restricted_index, fused, slot_ref,
+                            bail, part.__contains__)
+        src.add(indent, f"count{k} += 1")
+        src.add(1, f"if not count{k}:")
+        src.add(2, bail)
+    skip = frozenset().union(*counted)
+    indent = _emit_part(src, plan, restricted_index, fused, slot_ref, bail,
+                        lambda item: item not in skip)
+    if fused:
+        relation, template, fills, _positive = plan.emitters[0]
+        head = _template_expr(src, "H", template, fills, slot_ref)
+        per_match = " * ".join(f"count{k}" for k in range(len(counted)))
+        src.add(indent, f"fired += {per_match or 1}")
+        src.add(indent, f"add(({src.bind('HR', relation)}, {head}))")
+        src.add(1, "return fired")
+    else:
+        src.add(indent, "yield slots")
+    return src
+
+
+def _negated_sets(src: _Source, plan) -> None:
+    """Bind ``nset{k}`` to each negated relation's live tuple set (``()``
+    when the relation is absent), for kernels that never yield."""
+    for k, (relation, _template, _fills) in enumerate(plan.neg_checks):
+        rel_name = src.bind(f"NR{k}", relation)
+        src.add(1, f"nrel{k} = db.relation({rel_name})")
+        src.add(1, f"nset{k} = () if nrel{k} is None else nrel{k}.live_set()")
+
+
+def _emit_part(src: _Source, plan, restricted_index: int, fused: bool,
+               slot_ref, bail: str, keep) -> int:
+    """The nested loops and filters of the body items ``keep`` admits.
+
+    Items are named as in :meth:`RulePlan._counted_parts`.  Steps come
+    in join order, then the finish block: assigns, pre-checks, adom
+    loops, negation probes, post-checks.  Returns the indent of the
+    innermost block, where a match of the part is complete.
+    """
     indent = 1
     in_loop = False
-    for d, step in enumerate(steps):
+    for d, step in enumerate(plan.steps):
+        if not keep(("step", d)):
+            continue
         if d == restricted_index:
             # ``restricted`` is pre-grouped by group_r{d} when the step
             # has key positions, else the raw delta frozenset.
@@ -294,17 +359,21 @@ def _emit_variant(plan, restricted_index: int, fused: bool) -> _Source:
         for position, s in step.binds:
             src.add(indent, f"{slot_ref(s)} = c{d}[{position}]")
 
-    # -- the finish block (assigns, checks, adom, residuals, output) --
+    # -- the finish block (assigns, checks, adom, residuals) ----------
     fail = "continue" if in_loop else bail
     for j, (dst, source_slot, value) in enumerate(plan.assigns):
+        if not keep(("assign", j)):
+            continue
         rhs = slot_ref(source_slot) if source_slot is not None \
             else src.bind(f"A{j}", value)
         src.add(indent, f"{slot_ref(dst)} = {rhs}")
 
-    def emit_checks(checks, prefix: str) -> None:
+    def emit_checks(checks, prefix: str, kind: str) -> None:
         # At most one side of a check is a constant: the plan folds
         # constant-constant checks away when it is built.
         for j, (ls, lc, rs, rc, positive) in enumerate(checks):
+            if not keep((kind, j)):
+                continue
             name = f"{prefix}{j}"
             left = slot_ref(ls) if ls is not None else src.bind(name, lc)
             right = slot_ref(rs) if rs is not None else src.bind(name, rc)
@@ -312,8 +381,10 @@ def _emit_variant(plan, restricted_index: int, fused: bool) -> _Source:
             src.add(indent, f"if {left} {op} {right}:")
             src.add(indent + 1, fail)
 
-    emit_checks(plan.pre_checks, "P")
+    emit_checks(plan.pre_checks, "P", "pre")
     for j, s in enumerate(plan.unbound_slots):
+        if not keep(("adom", j)):
+            continue
         if fused:
             src.add(indent, f"for v{s} in adom:")
         else:
@@ -321,26 +392,19 @@ def _emit_variant(plan, restricted_index: int, fused: bool) -> _Source:
         indent += 1
         if not fused:
             src.add(indent, f"slots[{s}] = e{j}")
-    if plan.unbound_slots:
         fail = "continue"
     for k, (relation, template, fills) in enumerate(plan.neg_checks):
+        if not keep(("neg", k)):
+            continue
         probe = _template_expr(src, f"N{k}", template, fills, slot_ref)
         if fused:
-            src.add(indent, f"if nrel{k} is not None and {probe} in nrel{k}:")
+            src.add(indent, f"if {probe} in nset{k}:")
         else:
             src.add(indent, f"if db.has_fact({src.bind(f'NR{k}', relation)}, "
                             f"{probe}):")
         src.add(indent + 1, fail)
-    emit_checks(plan.post_checks, "Q")
-    if fused:
-        relation, template, fills, _positive = plan.emitters[0]
-        head = _template_expr(src, "H", template, fills, slot_ref)
-        src.add(indent, "fired += 1")
-        src.add(indent, f"add(({src.bind('HR', relation)}, {head}))")
-        src.add(1, "return fired")
-    else:
-        src.add(indent, "yield slots")
-    return src
+    emit_checks(plan.post_checks, "Q", "post")
+    return indent
 
 
 def _batches(plan, restricted_index: int) -> bool:
@@ -490,7 +554,7 @@ def _emit_batch(plan, restricted_index: int, fused: bool) -> _Source:
         has_for = True
     for k, (_relation, template, fills) in enumerate(plan.neg_checks):
         probe = _template_expr(src, f"N{k}", template, fills, ref)
-        cond(f"nrel{k} is None or {probe} not in nrel{k}")
+        cond(f"{probe} not in nset{k}")
     batch_checks(plan.post_checks, "Q")
 
     for d, step in enumerate(steps):
@@ -500,9 +564,7 @@ def _emit_batch(plan, restricted_index: int, fused: bool) -> _Source:
         src.add(1, f"rel{d} = db.relation({rel_name})")
         src.add(1, f"if rel{d} is None:")
         src.add(2, bail)
-    for k, (relation, _template, _fills) in enumerate(plan.neg_checks):
-        rel_name = src.bind(f"NR{k}", relation)
-        src.add(1, f"nrel{k} = db.relation({rel_name})")
+    _negated_sets(src, plan)
     for line in prologue:
         src.add(1, line)
     for guard in guards:
@@ -670,7 +732,7 @@ def _emit(plan, name: str) -> _Source:
         return _emit_group(plan, restricted_index)
     if kind.endswith("_batch"):
         return _emit_batch(plan, restricted_index, kind == "emit_batch")
-    return _emit_variant(plan, restricted_index, kind == "emit")
+    return _emit_variant(plan, restricted_index, kind)
 
 
 class Kernel:
@@ -698,8 +760,10 @@ class CodegenPlan:
     is bound — callers verify it against ``head_relation``/
     ``head_fills`` before dispatching).  A variant the plan has no use
     for (no batch shape, no single positive head, no key to group by)
-    is ``None`` in its table.  ``kernels`` holds the variants built so
-    far, in the order they first ran.
+    is ``None`` in its table; a plan with head-free parts fills its
+    fused table with ``emit_factored_*`` variants and has no batch
+    emits.  ``kernels`` holds the variants built so far, in the order
+    they first ran.
     """
 
     __slots__ = (
@@ -735,9 +799,14 @@ class CodegenPlan:
         emitters = plan.emitters
         if (emitters is not None and len(emitters) == 1 and emitters[0][3]
                 and not plan.bound):
-            self._emits = self._table("emit", variants)
+            # A body with head-free parts runs its factored variants at
+            # every delta size: they beat any join of those parts.
+            factored = bool(plan.counted)
+            self._emits = self._table(
+                "emit_factored" if factored else "emit", variants
+            )
             self._batch_emits = self._table("emit_batch", [
-                variant if _batches(plan, r) else None
+                variant if not factored and _batches(plan, r) else None
                 for variant, r in (("full", -1), ("r0", 0))
             ])
             self.head_relation = emitters[0][0]
@@ -797,7 +866,8 @@ class CodegenPlan:
 
     def run_emit(self, db, adom, restricted_index: int, restricted,
                  out: set) -> int:
-        """The scalar fused walk; returns firings."""
+        """The scalar fused walk (the factored one, for a plan with
+        head-free parts); returns firings."""
         if restricted_index < 0:
             return self._emits[0](db, adom, out.add)
         group = self._groups[restricted_index]
@@ -829,7 +899,8 @@ class CodegenPlan:
         Variants without a batch shape (delta at a non-leading
         occurrence, no loopable step, …) and deltas smaller than
         :data:`BATCH_MIN_ROWS` drop to :meth:`run_emit` — same
-        firings, same facts.
+        firings, same facts.  A plan with head-free parts has no batch
+        variants, so every pass of it runs its factored variant there.
 
         ``add_only`` (an add-only fixpoint caller, see
         ``RulePlan.run_emit``) hands the batch kernel the head

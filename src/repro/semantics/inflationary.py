@@ -32,6 +32,7 @@ from repro.semantics.base import (
     evaluation_adom,
     immediate_consequences,
 )
+from repro.semantics.planner import absorb
 
 
 def evaluate_inflationary(
@@ -58,43 +59,26 @@ def evaluate_inflationary(
     result = EvaluationResult(current)
     recorder = StatsRecorder("inflationary", current, tracer=tracer)
 
-    # Stage 1: all instantiations.
-    positive, _negative, firings = immediate_consequences(
-        program, current, adom, stats=recorder.stats, tracer=tracer
-    )
-    result.rule_firings += firings
-    trace = StageTrace(1)
-    delta: dict[str, set[tuple]] = {}
-    for relation, t in positive:
-        if current.add_fact(relation, t):
-            trace.new_facts.append((relation, t))
-            delta.setdefault(relation, set()).add(t)
-    recorder.stage(1, firings, added=len(trace.new_facts), trace=trace)
-    if not trace.new_facts:
-        result.stats = recorder.finish(adom_size=len(adom))
-        return result
-    result.stages.append(trace)
-
-    stage = 1
-    while delta:
+    # Stage 1 considers all instantiations; every later stage only
+    # those using a fact of the previous stage's delta, unless
+    # ``use_delta`` is off.  Facts only accumulate, so every pass is
+    # add-only and each stage is absorbed relation by relation.
+    delta: dict[str, list[tuple]] | None = None
+    stage = 0
+    while delta is None or delta:
         stage += 1
-        if use_delta:
+        frozen = None
+        if delta is not None and use_delta:
             frozen = {rel: frozenset(ts) for rel, ts in delta.items()}
-            positive, _negative, firings = immediate_consequences(
-                program, current, adom, delta=frozen, stats=recorder.stats,
-                tracer=tracer
-            )
-        else:
-            positive, _negative, firings = immediate_consequences(
-                program, current, adom, stats=recorder.stats, tracer=tracer
-            )
+        positive, _negative, firings = immediate_consequences(
+            program, current, adom, delta=frozen, stats=recorder.stats,
+            tracer=tracer, add_only=True,
+        )
         result.rule_firings += firings
         trace = StageTrace(stage)
-        delta = {}
-        for relation, t in positive:
-            if current.add_fact(relation, t):
-                trace.new_facts.append((relation, t))
-                delta.setdefault(relation, set()).add(t)
+        delta = absorb(current, positive)
+        for relation, fresh in delta.items():
+            trace.new_facts.extend((relation, t) for t in fresh)
         recorder.stage(stage, firings, added=len(trace.new_facts), trace=trace)
         if trace.new_facts:
             result.stages.append(trace)

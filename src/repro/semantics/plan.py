@@ -39,6 +39,9 @@ which wraps it in a :class:`DeltaBlock`; ``run_emit`` hands whole
 blocks to the ``emit_batch_*`` kernels and falls back to the scalar
 variants for small blocks (``CodegenPlan.BATCH_MIN_ROWS``) and shapes
 without a batch kernel, and ``run_rows`` batches the full pass only.
+A plan whose body has head-free parts (:attr:`RulePlan.counted`)
+instead runs its ``emit_factored_*`` kernels at every delta size: they
+count each such part once and join only the rest.
 The generator flavor (``iter_matches`` and the seeded engines) keeps
 the scalar walk: a batch kernel materializes its whole result, which is
 exactly what consumers that mutate between yields must not see.
@@ -227,6 +230,7 @@ class RulePlan:
         "post_checks",
         "out_vars",
         "emitters",
+        "counted",
         "codegen_fns",
         "chains",
     )
@@ -419,6 +423,79 @@ class RulePlan:
         #: None when a head variable has no slot (Datalog¬new invention);
         #: consumers fall back to dict valuations + instantiate_head.
         self.emitters = tuple(emitters) if compilable else None
+        #: The body's head-free parts (see :meth:`_counted_parts`); the
+        #: fused kernels count each once per call instead of joining it.
+        self.counted = (
+            self._counted_parts() if compilable and not bound else ()
+        )
+
+    def _counted_parts(self) -> tuple[frozenset[tuple[str, int]], ...]:
+        """The connected components of the body that the fused kernels
+        count instead of join.
+
+        The body's items — steps, assigns, pre-checks, adom-enumerated
+        slots, negation probes and post-checks, each named ``(kind,
+        index)`` — connect through the slots they share.  A component
+        that holds no head slot and loops at least once (a step that is
+        not a membership probe, or an adom loop) multiplies the matches
+        of the rest of the body by its own match count, so it is
+        counted once per pass.  Slot-free items (ground literals and
+        0-ary relations) filter the whole body and stay in the head
+        part.  A body of one component keeps its joined kernels, so
+        the result is empty unless there are at least two.
+        """
+        # The common case, decided without the split: at most one step
+        # binds slots without probing one an earlier step bound, and no
+        # slot is bound apart from the steps (by adom or a constant
+        # assign), so the body is one component.
+        if (not self.unbound_slots
+                and sum(1 for step in self.steps
+                        if step.binds and not step.key_fills) < 2
+                and all(source is not None for _, source, _ in self.assigns)):
+            return ()
+        items: list[tuple[tuple[str, int], list[int], bool]] = []
+        for d, step in enumerate(self.steps):
+            slots = [s for _, s in step.key_fills] + [s for _, s in step.binds]
+            items.append((("step", d), slots, not step.exact))
+        for j, (dst, source, _value) in enumerate(self.assigns):
+            items.append((("assign", j), [dst, source] if source is not None
+                          else [dst], False))
+        for kind, checks in (("pre", self.pre_checks),
+                             ("post", self.post_checks)):
+            for j, (ls, _lc, rs, _rc, _positive) in enumerate(checks):
+                slots = [s for s in (ls, rs) if s is not None]
+                items.append(((kind, j), slots, False))
+        for j, s in enumerate(self.unbound_slots):
+            items.append((("adom", j), [s], True))
+        for k, (_relation, _template, fills) in enumerate(self.neg_checks):
+            items.append((("neg", k), [s for _, s in fills], False))
+
+        root = list(range(self.n_slots))
+
+        def find(s: int) -> int:
+            while root[s] != s:
+                root[s] = s = root[root[s]]
+            return s
+
+        for _item, slots, _loops in items:
+            for s in slots[1:]:
+                root[find(s)] = find(slots[0])
+        parts: dict[int, list] = {}
+        for item, slots, loops in items:
+            if slots:
+                part = parts.setdefault(find(slots[0]), [set(), False])
+                part[0].add(item)
+                part[1] = part[1] or loops
+        if len(parts) < 2:
+            return ()
+        head = {
+            find(s) for _r, _t, fills, _p in self.emitters for _, s in fills
+        }
+        return tuple(
+            frozenset(part_items)
+            for r, (part_items, loops) in parts.items()
+            if loops and r not in head
+        )
 
     # -- execution ----------------------------------------------------------
 
@@ -513,7 +590,8 @@ class RulePlan:
         plan's own emitter, and the guard refuses any other.  Dispatch
         prefers the ``emit_batch_*`` kernels (whole-delta list
         comprehensions) and falls back to the scalar fused walk for
-        small deltas and shapes without a batch kernel.  Returns the
+        small deltas and shapes without a batch kernel; a body with
+        head-free parts always runs its factored walk.  Returns the
         number of matches (firings).
 
         ``add_only`` tells the batch kernels the caller is an add-only

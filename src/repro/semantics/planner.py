@@ -941,6 +941,33 @@ def consequences(
 # -- SCC-scheduled fixpoint -------------------------------------------------
 
 
+def absorb(
+    db: Database, positive: set[tuple[str, tuple]]
+) -> dict[str, list[tuple]]:
+    """Add a consequence set to ``db``; returns the new facts by relation.
+
+    Grouping by relation makes each group pay one relation lookup and
+    one bulk insert (:meth:`~repro.relational.instance.Relation
+    .add_batch`) instead of a per-fact ``add_fact`` call chain: this is
+    the hot path between kernel passes of the add-only fixpoints, and
+    at chain sizes the per-fact overhead otherwise rivals the matching.
+    Relations that gained nothing are left out.
+    """
+    by_relation: dict[str, list[tuple]] = {}
+    for relation, t in positive:
+        group = by_relation.get(relation)
+        if group is None:
+            by_relation[relation] = [t]
+        else:
+            group.append(t)
+    fresh_by_relation: dict[str, list[tuple]] = {}
+    for relation, ts in by_relation.items():
+        fresh = db.ensure_relation(relation, len(ts[0])).add_batch(ts)
+        if fresh:
+            fresh_by_relation[relation] = fresh
+    return fresh_by_relation
+
+
 def scheduled_fixpoint(
     program: Program,
     db: Database,
@@ -972,28 +999,14 @@ def scheduled_fixpoint(
     firings_total = 0
     stage = stage_start
 
-    def absorb(positive, firings):
+    def absorb_stage(positive, firings):
         nonlocal stage
         stage += 1
         trace = StageTrace(stage)
         delta: dict[str, set[tuple]] = {}
-        # Group the consequence set by relation so each group pays one
-        # relation lookup and one bulk insert instead of a per-fact
-        # ``add_fact`` call chain — this is the hot path between batch
-        # kernel passes, and at chain sizes the per-fact overhead
-        # otherwise rivals the matching itself.
-        by_relation: dict[str, list[tuple]] = {}
-        for relation, t in positive:
-            group = by_relation.get(relation)
-            if group is None:
-                by_relation[relation] = [t]
-            else:
-                group.append(t)
-        for relation, ts in by_relation.items():
-            fresh = db.ensure_relation(relation, len(ts[0])).add_batch(ts)
-            if fresh:
-                delta[relation] = set(fresh)
-                trace.new_facts.extend((relation, t) for t in fresh)
+        for relation, fresh in absorb(db, positive).items():
+            delta[relation] = set(fresh)
+            trace.new_facts.extend((relation, t) for t in fresh)
         if recorder is not None:
             recorder.stage(
                 stage, firings, added=len(trace.new_facts), trace=trace
@@ -1002,8 +1015,8 @@ def scheduled_fixpoint(
             result.stages.append(trace)
         return delta
 
-    # The whole schedule is an add-only fixpoint (``absorb`` only ever
-    # inserts), so every pass lets the batch kernels subtract
+    # The whole schedule is an add-only fixpoint (``absorb_stage`` only
+    # ever inserts), so every pass lets the batch kernels subtract
     # already-known heads at the source.
     for component in ctx.schedule:
         positive, _negative, firings = consequences(
@@ -1017,7 +1030,7 @@ def scheduled_fixpoint(
             add_only=True,
         )
         firings_total += firings
-        delta = absorb(positive, firings)
+        delta = absorb_stage(positive, firings)
         if not component.recursive:
             continue
         while delta:
@@ -1037,7 +1050,7 @@ def scheduled_fixpoint(
                 add_only=True,
             )
             firings_total += firings
-            delta = absorb(positive, firings)
+            delta = absorb_stage(positive, firings)
     apply_cover(ctx, db)
     if recorder is not None:
         recorder.settle()

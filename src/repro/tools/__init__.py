@@ -1,8 +1,7 @@
 """Analysis tools built on the engines (bounded termination checking)."""
 
-from repro.tools.termination import (
-    TerminationReport,
-    check_termination_bounded,
-)
+from repro._lazy import lazy_exports
 
-__all__ = ["TerminationReport", "check_termination_bounded"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".termination": ("TerminationReport", "check_termination_bounded"),
+})

@@ -16,22 +16,14 @@
   deletion-driven phase clock (the Datalog¬¬ ≡ while simulation).
 """
 
-from repro.translate.fo_to_datalog import CompiledFormula, compile_formula, adom_rules
-from repro.translate.fo_to_algebra import compile_formula_to_algebra
-from repro.translate.delay import compile_inner_with_post
-from repro.translate.timestamp import compile_gain_loop
-from repro.translate.fixpoint_to_datalog import compile_fixpoint_loop
-from repro.translate.fixpoint_general import compile_fixpoint_loop_general
-from repro.translate.while_to_datalog import compile_while_loop
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CompiledFormula",
-    "compile_formula",
-    "adom_rules",
-    "compile_formula_to_algebra",
-    "compile_inner_with_post",
-    "compile_gain_loop",
-    "compile_fixpoint_loop",
-    "compile_fixpoint_loop_general",
-    "compile_while_loop",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".fo_to_datalog": ("CompiledFormula", "compile_formula", "adom_rules"),
+    ".fo_to_algebra": ("compile_formula_to_algebra",),
+    ".delay": ("compile_inner_with_post",),
+    ".timestamp": ("compile_gain_loop",),
+    ".fixpoint_to_datalog": ("compile_fixpoint_loop",),
+    ".fixpoint_general": ("compile_fixpoint_loop_general",),
+    ".while_to_datalog": ("compile_while_loop",),
+})

@@ -1,34 +1,13 @@
 """Deterministic synthetic workload generators (graphs, games, relations)."""
 
-from repro.workloads.graphs import (
-    preferential_attachment,
-    chain,
-    cycle,
-    complete_graph,
-    random_gnp,
-    grid,
-    binary_tree,
-    layered_dag,
-    lollipop,
-    graph_database,
-)
-from repro.workloads.games import paper_game, random_game, game_database
-from repro.workloads.relations import random_unary, random_binary
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "chain",
-    "cycle",
-    "complete_graph",
-    "random_gnp",
-    "grid",
-    "binary_tree",
-    "layered_dag",
-    "preferential_attachment",
-    "lollipop",
-    "graph_database",
-    "paper_game",
-    "random_game",
-    "game_database",
-    "random_unary",
-    "random_binary",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".graphs": (
+        "chain", "cycle", "complete_graph", "random_gnp", "grid",
+        "binary_tree", "layered_dag", "preferential_attachment", "lollipop",
+        "graph_database",
+    ),
+    ".games": ("paper_game", "random_game", "game_database"),
+    ".relations": ("random_unary", "random_binary"),
+})

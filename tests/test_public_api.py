@@ -2,6 +2,8 @@
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -71,6 +73,36 @@ class TestTopLevelExports:
     def test_submodule_exports_are_unique(self, module):
         exports = importlib.import_module(module).__all__
         assert len(exports) == len(set(exports))
+
+
+class TestImportFootprint:
+    """Package namespaces resolve their names on first use, so importing
+    one engine loads the modules it runs and no others."""
+
+    def test_engine_import_leaves_other_packages_unloaded(self):
+        code = (
+            "import sys\n"
+            "import repro.parser, repro.semantics.inflationary\n"
+            "print(' '.join(sorted(sys.modules)))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+        )
+        loaded = set(completed.stdout.split())
+        assert "repro.semantics.inflationary" in loaded
+        for package in ("repro.analysis", "repro.cli", "repro.translate",
+                        "repro.languages", "repro.programs"):
+            assert package not in loaded
+
+    def test_submodule_resolves_as_attribute(self):
+        import repro.relational
+
+        assert repro.relational.algebra is importlib.import_module(
+            "repro.relational.algebra"
+        )
+        with pytest.raises(AttributeError):
+            repro.relational.no_such_name
 
 
 class TestQuickstartFromDocstring:

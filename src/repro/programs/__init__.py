@@ -37,4 +37,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "component_chain_program", "component_chain_database",
         "component_chain_source", "reference_component_chain",
     ),
-})
+}, unlisted={".tc": ("reference_complement_tc",)})

@@ -27,15 +27,17 @@ The variants of a plan with steps ``0 … n-1``:
   one of which reaches no head slot and loops (``RulePlan.counted``,
   e.g. Example 4.3's ``T(x, y), T(xp, zp), T(zp, yp), ¬T(xp, yp)``).
   Such a part multiplies the rule's matches without changing its heads,
-  so the kernel counts each one once (under the delta restriction when
-  step ``i`` lies in it), returns on a zero count, and then walks the
-  rest of the body once, adding the product of the counts to
-  ``fired`` per match.  Heads and firings equal the joined walk's; the
-  work drops from the product of the parts' sizes to their sum.  A
-  plan that factors runs these at every delta size and has no
-  ``emit``/``emit_batch`` variants; a body of one component keeps
-  them.  Its ``run_rows`` and generator walks still join, since their
-  consumers need every valuation.
+  so the kernel walks the rest of the body once and, at its first
+  complete match, counts each head-free part once (under the delta
+  restriction when step ``i`` lies in it); a zero count ends the call,
+  and otherwise every match adds the product of the counts to
+  ``fired``.  Heads and firings equal the joined walk's; the work drops
+  from the product of the parts' sizes to their sum, and a pass whose
+  head part never matches counts nothing.  A plan that factors runs
+  these at every delta size and has no ``emit``/``emit_batch``
+  variants; a body of one component keeps them.  Its ``run_rows`` and
+  generator walks still join, since their consumers need every
+  valuation.
 * ``group_r{i}`` — the delta grouping of the restricted variants with
   the key positions baked in.
 * ``emit_batch_full``/``emit_batch_r0`` and ``walk_batch_full`` — the
@@ -263,25 +265,33 @@ def _emit_variant(plan, restricted_index: int, kind: str) -> _Source:
         # read once, and probed with a plain ``in``.
         _negated_sets(src, plan)
 
-    # The factored flavor counts each head-free part once (any zero
-    # count ends the call), then walks the rest of the body once,
-    # booking the product of the counts per match.
+    # The factored flavor walks the body without its head-free parts.
+    # At the first complete match it counts each such part once (a
+    # zero count ends the call, before anything fired) and then books
+    # the product of the counts per match, so a pass whose other items
+    # never match never counts.
     counted = plan.counted if kind == "emit_factored" else ()
-    for k, part in enumerate(counted):
-        src.add(1, f"count{k} = 0")
-        indent = _emit_part(src, plan, restricted_index, fused, slot_ref,
-                            bail, part.__contains__)
-        src.add(indent, f"count{k} += 1")
-        src.add(1, f"if not count{k}:")
-        src.add(2, bail)
+    if counted:
+        src.add(1, "product = 0")
     skip = frozenset().union(*counted)
     indent = _emit_part(src, plan, restricted_index, fused, slot_ref, bail,
-                        lambda item: item not in skip)
+                        lambda item: item not in skip, 1)
+    if counted:
+        src.add(indent, "if not product:")
+        for k, part in enumerate(counted):
+            src.add(indent + 1, f"count{k} = 0")
+            inner = _emit_part(src, plan, restricted_index, fused, slot_ref,
+                               bail, part.__contains__, indent + 1)
+            src.add(inner, f"count{k} += 1")
+        src.add(indent + 1, "product = " + " * ".join(
+            f"count{k}" for k in range(len(counted))
+        ))
+        src.add(indent + 1, "if not product:")
+        src.add(indent + 2, bail)
     if fused:
         relation, template, fills, _positive = plan.emitters[0]
         head = _template_expr(src, "H", template, fills, slot_ref)
-        per_match = " * ".join(f"count{k}" for k in range(len(counted)))
-        src.add(indent, f"fired += {per_match or 1}")
+        src.add(indent, f"fired += {'product' if counted else 1}")
         src.add(indent, f"add(({src.bind('HR', relation)}, {head}))")
         src.add(1, "return fired")
     else:
@@ -299,15 +309,16 @@ def _negated_sets(src: _Source, plan) -> None:
 
 
 def _emit_part(src: _Source, plan, restricted_index: int, fused: bool,
-               slot_ref, bail: str, keep) -> int:
-    """The nested loops and filters of the body items ``keep`` admits.
+               slot_ref, bail: str, keep, indent: int) -> int:
+    """The nested loops and filters of the body items ``keep`` admits,
+    starting at ``indent``.
 
     Items are named as in :meth:`RulePlan._counted_parts`.  Steps come
     in join order, then the finish block: assigns, pre-checks, adom
-    loops, negation probes, post-checks.  Returns the indent of the
-    innermost block, where a match of the part is complete.
+    loops, negation probes, post-checks.  A filter outside every loop
+    of the part runs ``bail``.  Returns the indent of the innermost
+    block, where a match of the part is complete.
     """
-    indent = 1
     in_loop = False
     for d, step in enumerate(plan.steps):
         if not keep(("step", d)):
@@ -800,7 +811,11 @@ class CodegenPlan:
         if (emitters is not None and len(emitters) == 1 and emitters[0][3]
                 and not plan.bound):
             # A body with head-free parts runs its factored variants at
-            # every delta size: they beat any join of those parts.
+            # every delta size, with no batch emits.  Where those parts
+            # are large (Example 4.3's witness) that is the whole gain;
+            # where they are one row, or the head part never matches,
+            # the scalar head walk can cost up to 15% more than the
+            # joined plan's batch kernel on deltas of 256-2048 rows.
             factored = bool(plan.counted)
             self._emits = self._table(
                 "emit_factored" if factored else "emit", variants

@@ -444,15 +444,6 @@ class RulePlan:
         part.  A body of one component keeps its joined kernels, so
         the result is empty unless there are at least two.
         """
-        # The common case, decided without the split: at most one step
-        # binds slots without probing one an earlier step bound, and no
-        # slot is bound apart from the steps (by adom or a constant
-        # assign), so the body is one component.
-        if (not self.unbound_slots
-                and sum(1 for step in self.steps
-                        if step.binds and not step.key_fills) < 2
-                and all(source is not None for _, source, _ in self.assigns)):
-            return ()
         items: list[tuple[tuple[str, int], list[int], bool]] = []
         for d, step in enumerate(self.steps):
             slots = [s for _, s in step.key_fills] + [s for _, s in step.binds]

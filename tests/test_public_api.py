@@ -95,6 +95,36 @@ class TestImportFootprint:
                         "repro.languages", "repro.programs"):
             assert package not in loaded
 
+    def test_submodule_import_keeps_same_named_exports(self):
+        # ``repro.programs.closer`` is both a module and the function it
+        # exports; importing the module first must not shadow the export.
+        code = (
+            "import importlib, pkgutil, types, repro\n"
+            "names = ['repro'] + [m.name for m in pkgutil.walk_packages(\n"
+            "    repro.__path__, 'repro.')]\n"
+            "for name in names:\n"
+            "    importlib.import_module(name)\n"
+            "for name in names:\n"
+            "    module = importlib.import_module(name)\n"
+            "    for attr in getattr(module, '__all__', ()):\n"
+            "        if isinstance(getattr(module, attr), types.ModuleType):\n"
+            "            print(f'{name}.{attr}')\n"
+            "from repro.programs import *\n"
+            "print(callable(closer) and callable(good_nodes))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+        )
+        assert completed.stdout.split() == ["repro.relational.algebra", "True"]
+
+    def test_unlisted_name_resolves(self):
+        from repro.programs import reference_complement_tc
+        from repro.programs.tc import reference_complement_tc as defined
+
+        assert reference_complement_tc is defined
+        assert "reference_complement_tc" not in repro.programs.__all__
+
     def test_submodule_resolves_as_attribute(self):
         import repro.relational
 

@@ -33,7 +33,9 @@ The variants of a plan with steps ``0 … n-1``:
   and otherwise every match adds the product of the counts to
   ``fired``.  Heads and firings equal the joined walk's; the work drops
   from the product of the parts' sizes to their sum, and a pass whose
-  head part never matches counts nothing.  A plan that factors runs
+  head part never matches counts nothing.  Under an add-only caller a
+  head already in its relation is not emitted, as the batch kernels
+  subtract it (``known``).  A plan that factors runs
   these at every delta size and has no ``emit``/``emit_batch``
   variants; a body of one component keeps them.  Its ``run_rows`` and
   generator walks still join, since their consumers need every
@@ -48,7 +50,13 @@ The variants of a plan with steps ``0 … n-1``:
   Dispatched by ``run_emit_batch``/``run_walk_batch``; shapes that don't
   batch (delta at a non-leading occurrence, bound plans, no loopable
   step), blocks under :attr:`CodegenPlan.BATCH_MIN_ROWS` and restricted
-  walks run the scalar variants.
+  walks run the scalar variants.  A fused batch kernel whose innermost
+  clause is a keyed probe reaching the head holds two loops and picks
+  one per call: the grouped loop (:func:`_emit_grouped`), which caches
+  each distinct key's projection, when the probed chain's live mean
+  bucket (``len(rel)`` over its distinct keys at the probe depth) holds
+  at least :data:`GROUP_MIN_BUCKET` rows or the chain is not built yet,
+  and the plain per-firing loop of every other shape below that.
 
 The kernels that never yield (fused, factored and batch) read each
 negated relation's live tuple set once per call and probe it with a
@@ -128,6 +136,12 @@ _SHAPES: dict[str, CodeType] = {}
 #: inlined trie walks (``(g(k0) or _E).get(k1)``), read-only by
 #: construction.
 _GLOBALS = {"__builtins__": builtins, "_E": {}}
+
+#: The mean bucket size (rows per distinct key of the probed chain, at
+#: the probe depth) from which a fused batch kernel runs its grouped
+#: loop (:func:`_emit_grouped`) instead of the plain per-firing loop.
+#: Like :attr:`CodegenPlan.BATCH_MIN_ROWS`, it moves only the clock.
+GROUP_MIN_BUCKET = 8
 
 
 class _Source:
@@ -236,6 +250,12 @@ def _emit_variant(plan, restricted_index: int, kind: str) -> _Source:
     params = "db, adom, add" if fused else "db, adom, slots"
     if restricted_index >= 0:
         params += ", restricted"
+    if kind == "emit_factored":
+        # ``known`` is the head relation's live tuple set for add-only
+        # callers and ``()`` otherwise, as for the batch kernels: each
+        # match of the head part re-derives its head once per pass, so
+        # a known head is skipped at the source.
+        params += ", known"
     src = _Source(f"{kind}_{suffix}", params)
     if fused:
         def slot_ref(s: int) -> str:
@@ -291,8 +311,15 @@ def _emit_variant(plan, restricted_index: int, kind: str) -> _Source:
     if fused:
         relation, template, fills, _positive = plan.emitters[0]
         head = _template_expr(src, "H", template, fills, slot_ref)
-        src.add(indent, f"fired += {'product' if counted else 1}")
-        src.add(indent, f"add(({src.bind('HR', relation)}, {head}))")
+        head_relation = src.bind("HR", relation)
+        if kind == "emit_factored":
+            src.add(indent, "fired += product")
+            src.add(indent, f"h = {head}")
+            src.add(indent, "if h not in known:")
+            src.add(indent + 1, f"add(({head_relation}, h))")
+        else:
+            src.add(indent, "fired += 1")
+            src.add(indent, f"add(({head_relation}, {head}))")
         src.add(1, "return fired")
     else:
         src.add(indent, "yield slots")
@@ -443,6 +470,15 @@ def _emit_batch(plan, restricted_index: int, fused: bool) -> _Source:
     local set — self-joins fire the same head many times over, and
     skipping the ``(relation, tuple)`` wrapper allocation per firing
     pays for wrapping the deduped survivors once at the end.
+
+    When the innermost clause is a keyed probe whose rows reach the
+    head, the fused flavor also emits the grouped loop
+    (:func:`_emit_grouped`) and each call picks one of the two from
+    the probed chain's live mean bucket size: the grouped loop at or
+    above :data:`GROUP_MIN_BUCKET` rows per distinct key, or while the
+    chain is not built yet (its counts do not exist); the plain loop
+    below it, where a cache entry and a grouped dedup set per key cost
+    more than the per-row work they save (a fan-out of 2, say).
 
     Batched shapes: ≥ 1 step, unbound plans only (seeded slots have no
     local to live in), the fused restricted variant only for the leading
@@ -601,14 +637,6 @@ def _emit_batch(plan, restricted_index: int, fused: bool) -> _Source:
     # one bulk ``difference_update`` instead of a per-fact membership
     # probe downstream) and wraps only the genuinely new survivors for
     # ``out``.
-    #
-    # When the innermost clause is an unfiltered keyed probe, the whole
-    # inner loop vectorizes: the bucket's projection onto the head's
-    # last-step attributes is computed once per distinct key and cached
-    # for the block, the firing count hoists to ``len(proj)``, and
-    # emission becomes one C-level ``set.update`` per outer row into a
-    # dedup set grouped by the head's outer attributes — no per-firing
-    # bytecode runs.
     relation, template, fills, _positive = plan.emitters[0]
     relation_name = src.bind("HR", relation)
     d_last = last_for[1] if last_for is not None else -1
@@ -630,93 +658,120 @@ def _emit_batch(plan, restricted_index: int, fused: bool) -> _Source:
             )
             for e in head_exprs
         ]
-        inner_exprs = [e for e, inn in zip(head_exprs, is_inner) if inn]
-        outer_exprs = [e for e, inn in zip(head_exprs, is_inner) if not inn]
-        cacheable = bool(inner_exprs)
+        cacheable = any(is_inner)
     src.add(1, "fired = 0")
     if cacheable:
-        probe_expr, cache_key = probe_info[d_last]
-        proj_elem = (
-            inner_exprs[0] if len(inner_exprs) == 1
-            else _tuple_expr(inner_exprs)
+        # The call's choice of loop (see the docstring): no counts yet,
+        # or a mean bucket of GROUP_MIN_BUCKET rows or more, groups.
+        step = steps[d_last]
+        positions = src.bind(
+            f"KS{d_last}", frozenset(step.chain_order[:step.chain_depth])
         )
-        # Rebuild the head tuple from the group key (k*) and the
-        # deduped inner projection (w*) during the final flatten.
-        head_parts, ko, wo = [], 0, 0
-        for inn in is_inner:
-            if inn:
-                head_parts.append(f"w{wo}")
-                wo += 1
-            else:
-                head_parts.append(f"k{ko}")
-                ko += 1
-        head_rebuilt = _tuple_expr(head_parts)
-        w_names = [f"w{j}" for j in range(wo)]
-        w_target = (
-            w_names[0] if len(w_names) == 1
-            else "(" + ", ".join(w_names) + ")"
-        )
-        if outer_exprs:
-            key_expr = (
-                outer_exprs[0] if len(outer_exprs) == 1
-                else _tuple_expr(outer_exprs)
-            )
-            k_names = [f"k{i}" for i in range(ko)]
-            k_target = (
-                k_names[0] if len(k_names) == 1
-                else "(" + ", ".join(k_names) + ")"
-            )
-            src.add(1, "seen = {}")
-            src.add(1, "sget = seen.get")
-        else:
-            src.add(1, "seen = set()")
-        src.add(1, "cache = {}")
-        src.add(1, "cget = cache.get")
-        depth = 1
-        for clause in clauses[:-1]:
-            src.add(depth, clause + ":")
-            depth += 1
-        src.add(depth, f"proj = cget({cache_key})")
-        src.add(depth, "if proj is None:")
-        src.add(depth + 1, f"proj = cache[{cache_key}] = [")
-        src.add(depth + 2, proj_elem)
-        src.add(depth + 2, f"for {targets(d_last)} in {probe_expr}")
-        src.add(depth + 1, "]")
-        src.add(depth, "if proj:")
+        src.add(1, f"n = rel{d_last}.distinct_estimate({positions})")
+        src.add(1, f"if n is None or len(rel{d_last}) >= "
+                   f"{GROUP_MIN_BUCKET} * n:")
+        _emit_grouped(src, clauses, probe_info[d_last], targets(d_last),
+                      head_exprs, is_inner, relation_name, 2)
+        src.add(2, "return fired")
+    element = _template_expr(src, "H", template, fills, ref)
+    src.add(1, "seen = set()")
+    src.add(1, "add = seen.add")
+    depth = 1
+    for clause in clauses:
+        src.add(depth, clause + ":")
         depth += 1
-        src.add(depth, "fired += len(proj)")
-        if outer_exprs:
-            src.add(depth, f"s = sget({key_expr})")
-            src.add(depth, "if s is None:")
-            src.add(depth + 1, f"s = seen[{key_expr}] = set()")
-            src.add(depth, "s.update(proj)")
-        else:
-            src.add(depth, "seen.update(proj)")
-        src.add(1, "if seen:")
-        if outer_exprs:
-            src.add(2, f"flat = {{{head_rebuilt} for {k_target}, s in "
-                        f"seen.items() for {w_target} in s}}")
-        else:
-            src.add(2, f"flat = {{{head_rebuilt} for {w_target} in seen}}")
-        src.add(2, "if known:")
-        src.add(3, "flat.difference_update(known)")
-        src.add(2, f"out.update([({relation_name}, t) for t in flat])")
-    else:
-        element = _template_expr(src, "H", template, fills, ref)
-        src.add(1, "seen = set()")
-        src.add(1, "add = seen.add")
-        depth = 1
-        for clause in clauses:
-            src.add(depth, clause + ":")
-            depth += 1
-        src.add(depth, "fired += 1")
-        src.add(depth, f"add({element})")
-        src.add(1, "if seen:")
-        src.add(2, "if known:")
-        src.add(3, "seen.difference_update(known)")
-        src.add(2, f"out.update([({relation_name}, t) for t in seen])")
+    src.add(depth, "fired += 1")
+    src.add(depth, f"add({element})")
+    src.add(1, "if seen:")
+    src.add(2, "if known:")
+    src.add(3, "seen.difference_update(known)")
+    src.add(2, f"out.update([({relation_name}, t) for t in seen])")
     src.add(1, "return fired")
     return src
+
+
+def _emit_grouped(src: _Source, clauses: list[str], probe: tuple[str, str],
+                  target: str, head_exprs: list[str], is_inner: list[bool],
+                  relation_name: str, base: int) -> None:
+    """The grouped loop of a fused batch kernel, at indent ``base``.
+
+    The innermost clause is an unfiltered keyed probe (``probe`` is its
+    bucket expression and key, ``target`` its row unpacking), so the
+    whole inner loop vectorizes: the bucket's projection onto the
+    head's inner positions (``is_inner``) is computed once per distinct
+    key and cached for the call, the firing count hoists to
+    ``len(proj)``, and emission is one C-level ``set.update`` per outer
+    row into a dedup set grouped by the head's outer positions — no
+    per-firing bytecode runs.  The final flatten rebuilds the heads.
+    """
+    probe_expr, cache_key = probe
+    inner_exprs = [e for e, inn in zip(head_exprs, is_inner) if inn]
+    outer_exprs = [e for e, inn in zip(head_exprs, is_inner) if not inn]
+    proj_elem = (
+        inner_exprs[0] if len(inner_exprs) == 1
+        else _tuple_expr(inner_exprs)
+    )
+    # Rebuild the head tuple from the group key (k*) and the deduped
+    # inner projection (w*) during the final flatten.
+    head_parts, ko, wo = [], 0, 0
+    for inn in is_inner:
+        if inn:
+            head_parts.append(f"w{wo}")
+            wo += 1
+        else:
+            head_parts.append(f"k{ko}")
+            ko += 1
+    head_rebuilt = _tuple_expr(head_parts)
+    w_names = [f"w{j}" for j in range(wo)]
+    w_target = (
+        w_names[0] if len(w_names) == 1
+        else "(" + ", ".join(w_names) + ")"
+    )
+    if outer_exprs:
+        key_expr = (
+            outer_exprs[0] if len(outer_exprs) == 1
+            else _tuple_expr(outer_exprs)
+        )
+        k_names = [f"k{i}" for i in range(ko)]
+        k_target = (
+            k_names[0] if len(k_names) == 1
+            else "(" + ", ".join(k_names) + ")"
+        )
+        src.add(base, "seen = {}")
+        src.add(base, "sget = seen.get")
+    else:
+        src.add(base, "seen = set()")
+    src.add(base, "cache = {}")
+    src.add(base, "cget = cache.get")
+    depth = base
+    for clause in clauses[:-1]:
+        src.add(depth, clause + ":")
+        depth += 1
+    src.add(depth, f"proj = cget({cache_key})")
+    src.add(depth, "if proj is None:")
+    src.add(depth + 1, f"proj = cache[{cache_key}] = [")
+    src.add(depth + 2, proj_elem)
+    src.add(depth + 2, f"for {target} in {probe_expr}")
+    src.add(depth + 1, "]")
+    src.add(depth, "if proj:")
+    depth += 1
+    src.add(depth, "fired += len(proj)")
+    if outer_exprs:
+        src.add(depth, f"s = sget({key_expr})")
+        src.add(depth, "if s is None:")
+        src.add(depth + 1, f"s = seen[{key_expr}] = set()")
+        src.add(depth, "s.update(proj)")
+    else:
+        src.add(depth, "seen.update(proj)")
+    src.add(base, "if seen:")
+    if outer_exprs:
+        src.add(base + 1, f"flat = {{{head_rebuilt} for {k_target}, s in "
+                          f"seen.items() for {w_target} in s}}")
+    else:
+        src.add(base + 1, f"flat = {{{head_rebuilt} for {w_target} in seen}}")
+    src.add(base + 1, "if known:")
+    src.add(base + 2, "flat.difference_update(known)")
+    src.add(base + 1, f"out.update([({relation_name}, t) for t in flat])")
 
 
 def _emit_group(plan, index: int) -> _Source:
@@ -789,6 +844,7 @@ class CodegenPlan:
         "_groups",
         "_batch_emits",
         "_batch_walks",
+        "_factored",
     )
 
     def __init__(self, plan) -> None:
@@ -816,7 +872,7 @@ class CodegenPlan:
             # where they are one row, or the head part never matches,
             # the scalar head walk can cost up to 15% more than the
             # joined plan's batch kernel on deltas of 256-2048 rows.
-            factored = bool(plan.counted)
+            factored = self._factored = bool(plan.counted)
             self._emits = self._table(
                 "emit_factored" if factored else "emit", variants
             )
@@ -829,6 +885,7 @@ class CodegenPlan:
         else:
             self._emits = self._batch_emits = None
             self.head_relation = self.head_fills = None
+            self._factored = False
 
     def _table(self, kind: str, variants: list) -> list:
         table: list = []
@@ -880,17 +937,21 @@ class CodegenPlan:
         )
 
     def run_emit(self, db, adom, restricted_index: int, restricted,
-                 out: set) -> int:
-        """The scalar fused walk (the factored one, for a plan with
-        head-free parts); returns firings."""
+                 out: set, known=()) -> int:
+        """The scalar fused walk; returns firings.  A plan with
+        head-free parts runs its factored walk, which also skips every
+        head in ``known``."""
+        emit = self._emits[restricted_index + 1]
         if restricted_index < 0:
-            return self._emits[0](db, adom, out.add)
+            if self._factored:
+                return emit(db, adom, out.add, known)
+            return emit(db, adom, out.add)
         group = self._groups[restricted_index]
         if group is not None:
             restricted = group(restricted)
-        return self._emits[restricted_index + 1](
-            db, adom, out.add, restricted
-        )
+        if self._factored:
+            return emit(db, adom, out.add, restricted, known)
+        return emit(db, adom, out.add, restricted)
 
     @staticmethod
     def _rows(restricted) -> tuple:
@@ -899,12 +960,14 @@ class CodegenPlan:
         return rows if rows is not None else tuple(restricted)
 
     # Delta blocks below this row count run the scalar fused walk: the
-    # batch kernels' per-call machinery (projection cache, grouped
+    # batch kernels' per-call machinery (head lookups, negated sets,
     # dedup set, flatten) only amortizes over enough rows, and
     # fixpoints with many tiny stages would otherwise pay it hundreds
-    # of times for single-row deltas.  Either path derives the same
-    # facts and counts the same firings, so the floor is invisible to
-    # everything but the clock.
+    # of times for single-row deltas.  Inside a batch kernel with a
+    # keyed projection cache, :data:`GROUP_MIN_BUCKET` then picks the
+    # grouped or the plain loop per call, from the probed chain's mean
+    # bucket size.  Either choice derives the same facts and counts the
+    # same firings, so both are invisible to everything but the clock.
     BATCH_MIN_ROWS = 8
 
     def run_emit_batch(self, db, adom, restricted_index: int, restricted,
@@ -921,7 +984,8 @@ class CodegenPlan:
         ``RulePlan.run_emit``) hands the batch kernel the head
         relation's live tuple set to subtract before flattening —
         semi-naive's difference, one bulk op instead of a per-fact
-        membership probe downstream.  Otherwise the consequence set
+        membership probe downstream — and the factored walk the same
+        set, whose heads it skips.  Otherwise the consequence set
         means "everything derivable", which non-monotone consumers
         (trigger programs' ``negative - positive``, the differential
         engine's affected/over-deletion passes) rely on.
@@ -935,13 +999,14 @@ class CodegenPlan:
                 return 0
             if fn is not None and len(restricted) < self.BATCH_MIN_ROWS:
                 fn = None
-        if fn is None:
-            return self.run_emit(db, adom, restricted_index, restricted, out)
         known: set | tuple = ()
-        if add_only:
+        if add_only and (fn is not None or self._factored):
             hrel = db.relation(self.head_relation)
             if hrel is not None:
                 known = hrel.live_set()
+        if fn is None:
+            return self.run_emit(db, adom, restricted_index, restricted, out,
+                                 known)
         if restricted_index < 0:
             return fn(db, adom, out, known)
         return fn(db, adom, out, self._rows(restricted), known)

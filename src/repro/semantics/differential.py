@@ -26,15 +26,25 @@ each component joins the incoming delta of the components above it,
 so one base change flows through the whole stratification exactly
 once.
 
+The view is first materialized the same way, component by component.
+A DRed component runs the planner's scheduled fixpoint
+(:func:`repro.semantics.planner.scheduled_fixpoint`) on its
+subprogram, which absorbs each pass with one ``add_batch`` per relation
+and ends with the index cover's chain garbage collection.  A counting
+component walks each rule's full pass once (``RulePlan.run_rows``),
+counts every head's derivations with a :class:`~collections.Counter`
+(the ℕ-provenance of a nonrecursive rule) and absorbs the distinct
+heads once (:func:`repro.semantics.planner.absorb`).
+
 All bulk propagation (insertion deltas, over-deletion frontiers,
 affected-fact discovery) goes through
 :func:`repro.semantics.base.immediate_consequences` on a per-component
 subprogram, which dispatches to the cost-based planner and the
 generated kernels, and deltas freeze to delta blocks so those passes
-take the batch kernels.  The add-only passes (initial fixpoint,
-rederivation, insertion) say so with ``add_only=True``; the passes
-that read consequences as "everything derivable" (affected-fact
-discovery, over-deletion) do not.  Exact recounts and rederivation
+take the batch kernels.  The add-only passes (rederivation,
+insertion) say so with ``add_only=True``; the passes that read
+consequences as "everything derivable" (affected-fact discovery,
+over-deletion) do not.  Exact recounts and rederivation
 support checks go through *support probes* (:class:`_SupportProbe`),
 built once per maintenance pass for each rule of the component: the
 head positions that seed the rule's bound variables, the head's
@@ -82,12 +92,11 @@ from repro.ast.analysis import validate_program
 from repro.ast.program import Dialect, Program
 from repro.ast.rules import Rule
 from repro.relational.instance import Database
+from repro.semantics import planner
 from repro.semantics.base import (
     EngineStats,
     _order_positive_indices,
     immediate_consequences,
-    instantiate_head,
-    iter_matches,
 )
 from repro.semantics.plan import (
     RulePlan,
@@ -305,6 +314,28 @@ def _derivations(
         yield from _iter_bound_matches(probe, db, adom, values)
 
 
+def _derivation_counts(rule: Rule, db: Database) -> Counter[Fact]:
+    """Each head fact of ``rule`` over ``db`` with its number of body
+    valuations, the ℕ-provenance of a nonrecursive rule.
+
+    One full-pass walk under the join order of
+    :func:`repro.semantics.base.iter_matches`:
+    ``RulePlan.run_rows`` returns the batch walk's rows, or the
+    generator walk, whose reused slot list is read as it is yielded.
+    """
+    order = tuple(_order_positive_indices(list(rule.positive_body()), db))
+    plan = plan_for(rule, order)
+    ((relation, template, fills, _positive),) = plan.emitters
+    template = list(template)
+
+    def fact(row) -> Fact:
+        for position, s in fills:
+            template[position] = row[s]
+        return relation, tuple(template)
+
+    return Counter(map(fact, plan.run_rows(db, _NO_ADOM, -1, None)))
+
+
 def _dict_of(facts: Iterable[Fact]) -> dict[str, set[tuple]]:
     out: dict[str, set[tuple]] = {}
     for relation, t in facts:
@@ -497,9 +528,7 @@ class DifferentialEngine:
 
     def _build_components(self) -> list[_Component]:
         """The planner's SCC schedule, lifted to component subprograms."""
-        from repro.semantics import planner as _planner
-
-        schedule = _planner.plan_context(self.program).schedule
+        schedule = planner.plan_context(self.program).schedule
         name = self.program.name or "program"
         return [
             _Component(
@@ -512,43 +541,26 @@ class DifferentialEngine:
         ]
 
     def _materialize(self) -> None:
-        """Initial evaluation, component by component in topo order."""
+        """Initial evaluation, component by component in topo order.
+
+        A DRed component runs the scheduled fixpoint on its subprogram
+        (:func:`repro.semantics.planner.scheduled_fixpoint`).  A
+        counting component counts its rules' derivations from one
+        full-pass walk each (:func:`_derivation_counts`) and absorbs the
+        distinct heads once: no rule of it reads a head relation of its
+        own, so the walks may all run before anything is added.
+        """
         for comp in self._components:
-            if comp.strategy == COUNTING:
-                additions: list[Fact] = []
-                for rule in comp.rules:
-                    for valuation in iter_matches(
-                        rule, self.database, _NO_ADOM
-                    ):
-                        for relation, t, _ in instantiate_head(rule, valuation):
-                            self.counts[(relation, t)] += 1
-                            additions.append((relation, t))
-                # Buffered: the head relation is never read by a
-                # nonrecursive component's bodies, but we still never
-                # mutate while a match generator is live.
-                for relation, t in additions:
-                    self.database.add_fact(relation, t)
-            else:
-                # Add-only fixpoint: the batch kernels may subtract
-                # already-present heads before emitting.
-                delta: dict[str, set[tuple]] = {}
-                heads, _neg, _firings = immediate_consequences(
-                    comp.program, self.database, _NO_ADOM,
-                    stats=self.stats, add_only=True,
+            if comp.strategy == DRED:
+                planner.scheduled_fixpoint(
+                    comp.program, self.database, _NO_ADOM, stats=self.stats
                 )
-                for relation, t in heads:
-                    if self.database.add_fact(relation, t):
-                        delta.setdefault(relation, set()).add(t)
-                while delta:
-                    heads, _neg, _firings = immediate_consequences(
-                        comp.program, self.database, _NO_ADOM,
-                        delta=_frozen(delta), stats=self.stats,
-                        add_only=True,
-                    )
-                    delta = {}
-                    for relation, t in heads:
-                        if self.database.add_fact(relation, t):
-                            delta.setdefault(relation, set()).add(t)
+                continue
+            counts: Counter[Fact] = Counter()
+            for rule in comp.rules:
+                counts.update(_derivation_counts(rule, self.database))
+            self.counts.update(counts)
+            planner.absorb(self.database, counts)
 
     # -- public API ---------------------------------------------------------
 

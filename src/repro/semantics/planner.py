@@ -984,7 +984,8 @@ def scheduled_fixpoint(
     a positive edge) a delta loop over that component's rules only; a
     program with no sound schedule is one recursive component.
     ``recorder``/``result``, when given, receive one stage record and
-    one :class:`~repro.semantics.base.StageTrace` per pass.  ``tracer``
+    one :class:`~repro.semantics.base.StageTrace` per pass; without
+    either, no stage's facts are listed.  ``tracer``
     is handed to every pass (see :func:`consequences`), so traced runs
     keep this stage structure.
     Ends with the index cover's garbage collection on ``db``.
@@ -1002,18 +1003,19 @@ def scheduled_fixpoint(
     def absorb_stage(positive, firings):
         nonlocal stage
         stage += 1
-        trace = StageTrace(stage)
-        delta: dict[str, set[tuple]] = {}
-        for relation, fresh in absorb(db, positive).items():
-            delta[relation] = set(fresh)
-            trace.new_facts.extend((relation, t) for t in fresh)
-        if recorder is not None:
-            recorder.stage(
-                stage, firings, added=len(trace.new_facts), trace=trace
-            )
-        if result is not None and trace.new_facts:
-            result.stages.append(trace)
-        return delta
+        fresh_by_relation = absorb(db, positive)
+        if recorder is not None or result is not None:
+            # Only a stage record or a result reads the stage's facts.
+            trace = StageTrace(stage)
+            for relation, fresh in fresh_by_relation.items():
+                trace.new_facts.extend((relation, t) for t in fresh)
+            if recorder is not None:
+                recorder.stage(
+                    stage, firings, added=len(trace.new_facts), trace=trace
+                )
+            if result is not None and trace.new_facts:
+                result.stages.append(trace)
+        return fresh_by_relation
 
     # The whole schedule is an add-only fixpoint (``absorb_stage`` only
     # ever inserts), so every pass lets the batch kernels subtract

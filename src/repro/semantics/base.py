@@ -794,8 +794,8 @@ def immediate_consequences(
     :class:`repro.obs.Tracer`, duck-typed): one rule span per rule,
     with per-literal join counts from the reference matcher unless the
     tracer is planned-mode.  ``add_only`` declares the caller an
-    add-only fixpoint loop, letting the batch kernels drop heads
-    already in ``db`` (see :meth:`repro.semantics.plan.RulePlan
+    add-only fixpoint loop, letting the kernels drop heads already in
+    ``db`` (see :meth:`repro.semantics.plan.RulePlan
     .run_emit`); ``positive`` then holds at least every new fact.
     """
     # Lazy import: the planner builds on this module's matcher

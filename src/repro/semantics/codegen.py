@@ -21,7 +21,9 @@ The variants of a plan with steps ``0 … n-1``:
   ``add`` call.  Because the fused path never yields, nothing can
   mutate the database mid-walk, so these variants also skip the
   defensive bucket snapshots (``list(bucket)`` / ``list(rel)``) and
-  iterate the live buckets.
+  iterate the live buckets.  Under an add-only caller a head already
+  in its relation is not emitted, as the batch kernels subtract it
+  (``known``).
 * ``emit_factored_full`` / ``emit_factored_r{i}`` — the fused variants
   of a plan whose body falls apart into connected components, at least
   one of which reaches no head slot and loops (``RulePlan.counted``,
@@ -33,9 +35,7 @@ The variants of a plan with steps ``0 … n-1``:
   and otherwise every match adds the product of the counts to
   ``fired``.  Heads and firings equal the joined walk's; the work drops
   from the product of the parts' sizes to their sum, and a pass whose
-  head part never matches counts nothing.  Under an add-only caller a
-  head already in its relation is not emitted, as the batch kernels
-  subtract it (``known``).  A plan that factors runs
+  head part never matches counts nothing.  A plan that factors runs
   these at every delta size and has no ``emit``/``emit_batch``
   variants; a body of one component keeps them.  Its ``run_rows`` and
   generator walks still join, since their consumers need every
@@ -250,11 +250,10 @@ def _emit_variant(plan, restricted_index: int, kind: str) -> _Source:
     params = "db, adom, add" if fused else "db, adom, slots"
     if restricted_index >= 0:
         params += ", restricted"
-    if kind == "emit_factored":
+    if fused:
         # ``known`` is the head relation's live tuple set for add-only
-        # callers and ``()`` otherwise, as for the batch kernels: each
-        # match of the head part re-derives its head once per pass, so
-        # a known head is skipped at the source.
+        # callers and ``()`` otherwise, as for the batch kernels: a
+        # head already there is skipped at the source.
         params += ", known"
     src = _Source(f"{kind}_{suffix}", params)
     if fused:
@@ -312,14 +311,10 @@ def _emit_variant(plan, restricted_index: int, kind: str) -> _Source:
         relation, template, fills, _positive = plan.emitters[0]
         head = _template_expr(src, "H", template, fills, slot_ref)
         head_relation = src.bind("HR", relation)
-        if kind == "emit_factored":
-            src.add(indent, "fired += product")
-            src.add(indent, f"h = {head}")
-            src.add(indent, "if h not in known:")
-            src.add(indent + 1, f"add(({head_relation}, h))")
-        else:
-            src.add(indent, "fired += 1")
-            src.add(indent, f"add(({head_relation}, {head}))")
+        src.add(indent, "fired += product" if counted else "fired += 1")
+        src.add(indent, f"h = {head}")
+        src.add(indent, "if h not in known:")
+        src.add(indent + 1, f"add(({head_relation}, h))")
         src.add(1, "return fired")
     else:
         src.add(indent, "yield slots")
@@ -844,7 +839,6 @@ class CodegenPlan:
         "_groups",
         "_batch_emits",
         "_batch_walks",
-        "_factored",
     )
 
     def __init__(self, plan) -> None:
@@ -872,7 +866,7 @@ class CodegenPlan:
             # where they are one row, or the head part never matches,
             # the scalar head walk can cost up to 15% more than the
             # joined plan's batch kernel on deltas of 256-2048 rows.
-            factored = self._factored = bool(plan.counted)
+            factored = bool(plan.counted)
             self._emits = self._table(
                 "emit_factored" if factored else "emit", variants
             )
@@ -885,7 +879,6 @@ class CodegenPlan:
         else:
             self._emits = self._batch_emits = None
             self.head_relation = self.head_fills = None
-            self._factored = False
 
     def _table(self, kind: str, variants: list) -> list:
         table: list = []
@@ -938,20 +931,15 @@ class CodegenPlan:
 
     def run_emit(self, db, adom, restricted_index: int, restricted,
                  out: set, known=()) -> int:
-        """The scalar fused walk; returns firings.  A plan with
-        head-free parts runs its factored walk, which also skips every
-        head in ``known``."""
+        """The scalar fused walk (factored for a plan with head-free
+        parts); returns firings.  A head in ``known`` is skipped."""
         emit = self._emits[restricted_index + 1]
         if restricted_index < 0:
-            if self._factored:
-                return emit(db, adom, out.add, known)
-            return emit(db, adom, out.add)
+            return emit(db, adom, out.add, known)
         group = self._groups[restricted_index]
         if group is not None:
             restricted = group(restricted)
-        if self._factored:
-            return emit(db, adom, out.add, restricted, known)
-        return emit(db, adom, out.add, restricted)
+        return emit(db, adom, out.add, restricted, known)
 
     @staticmethod
     def _rows(restricted) -> tuple:
@@ -984,8 +972,8 @@ class CodegenPlan:
         ``RulePlan.run_emit``) hands the batch kernel the head
         relation's live tuple set to subtract before flattening —
         semi-naive's difference, one bulk op instead of a per-fact
-        membership probe downstream — and the factored walk the same
-        set, whose heads it skips.  Otherwise the consequence set
+        membership probe downstream — and the scalar fused walk the
+        same set, whose heads it skips.  Otherwise the consequence set
         means "everything derivable", which non-monotone consumers
         (trigger programs' ``negative - positive``, the differential
         engine's affected/over-deletion passes) rely on.
@@ -1000,7 +988,7 @@ class CodegenPlan:
             if fn is not None and len(restricted) < self.BATCH_MIN_ROWS:
                 fn = None
         known: set | tuple = ()
-        if add_only and (fn is not None or self._factored):
+        if add_only:
             hrel = db.relation(self.head_relation)
             if hrel is not None:
                 known = hrel.live_set()

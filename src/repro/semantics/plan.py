@@ -585,12 +585,12 @@ class RulePlan:
         head-free parts always runs its factored walk.  Returns the
         number of matches (firings).
 
-        ``add_only`` tells the batch kernels the caller is an add-only
+        ``add_only`` tells the kernels the caller is an add-only
         fixpoint loop, for which a head already in the database is a
-        no-op: they may then subtract the head relation's content
-        before emitting (semi-naive's difference pushed into the
-        kernel).  Callers that read the result as "everything
-        derivable" pass False.
+        no-op: they then leave out every head in the head relation's
+        content (semi-naive's difference pushed into the kernel).
+        Callers that read the result as "everything derivable" pass
+        False.
         """
         fns = self.compiled()
         if (fns._emits is None or relation != fns.head_relation

@@ -748,10 +748,10 @@ def _fire(
 
     Single-positive-head rules take the fused ``RulePlan.run_emit``
     path (no per-row generator resume — this is the hottest loop in the
-    repository; it dispatches on to the batch kernels, which may drop
-    known heads when ``add_only``); everything else drains
-    ``plan.run_rows`` — a materialized batch when one exists, the
-    generator walk otherwise — through :func:`_emit`.
+    repository; its kernels drop known heads when ``add_only``);
+    everything else drains ``plan.run_rows`` — a materialized batch
+    when one exists, the generator walk otherwise — through
+    :func:`_emit`.
     """
     if plan.never:
         return 0
@@ -853,7 +853,7 @@ def consequences(
     ``count_call`` makes this call bump ``stats.consequence_calls``
     (the scheduled drivers call here directly, bypassing
     ``immediate_consequences``'s own bump).  ``add_only`` lets the
-    batch kernels drop heads already in ``db`` (see
+    kernels drop heads already in ``db`` (see
     :meth:`repro.semantics.plan.RulePlan.run_emit`).
 
     ``tracer`` (a :class:`repro.obs.Tracer`, duck-typed), when given,
@@ -1018,8 +1018,8 @@ def scheduled_fixpoint(
         return fresh_by_relation
 
     # The whole schedule is an add-only fixpoint (``absorb_stage`` only
-    # ever inserts), so every pass lets the batch kernels subtract
-    # already-known heads at the source.
+    # ever inserts), so every pass lets the kernels drop already-known
+    # heads at the source.
     for component in ctx.schedule:
         positive, _negative, firings = consequences(
             program,

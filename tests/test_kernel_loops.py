@@ -1,5 +1,5 @@
 """The two loops of a fused batch kernel, and known heads in the
-factored kernels.
+scalar fused and factored kernels.
 
 A fused batch kernel whose innermost clause is a keyed probe reaching
 the head holds two loops: the grouped loop, which caches each distinct
@@ -134,6 +134,38 @@ def test_kernel_text_holds_both_loops():
     source = plan.compiled().kernel("emit_batch_r0").source
     assert "cache = {}" in source and "fired += 1" in source
     assert f">= {codegen.GROUP_MIN_BUCKET} * n" in source
+
+
+@pytest.mark.parametrize("add_only", [False, True])
+@pytest.mark.parametrize("restricted_index", [0, 1])
+def test_scalar_kernels_skip_known_heads_under_add_only(add_only,
+                                                        restricted_index):
+    """A delta under ``BATCH_MIN_ROWS`` rows, and a delta at step 1 (no
+    batch shape), run the scalar ``emit_r{i}`` walks."""
+    rng = random.Random(5)
+    (rule,) = parse_program(RULE).rules
+    plan = plan_for(rule, (0, 1))
+    d_rows = [(f"x{i}", f"k{i % 3}") for i in range(6)]
+    db = Database({"E": e_facts(30, 3, rng), "D": d_rows})
+    db.ensure_relation("H", 2)
+    expected_all, _ = reference(rule, db, None)
+    for _relation, t in sorted(expected_all)[::2]:
+        db.relation("H").add(t)
+    known = {("H", t) for t in db.relation("H")}
+    if restricted_index == 0:
+        rows = d_rows[:CodegenPlan.BATCH_MIN_ROWS - 2]
+        delta = {"D": frozenset(rows)}
+    else:
+        rows = sorted(db.relation("E"))[:5]
+        delta = {"E": frozenset(rows)}
+    heads, firings = reference(rule, db, delta)
+    assert heads & known and heads - known
+    out, fired = run(plan, db, restricted_index, rows, add_only)
+    assert fired == firings
+    assert out == (heads - known if add_only else heads)
+    assert set(plan.codegen_fns.kernels) <= {
+        f"emit_r{restricted_index}", f"group_r{restricted_index}"
+    }
 
 
 FACTORED = "P(x) :- A(x), B(y, z)."

@@ -104,7 +104,8 @@ class Program:
                 elif seen != lit.atom.arity:
                     raise SchemaError(
                         f"relation {lit.relation!r} used with arities "
-                        f"{seen} and {lit.atom.arity}"
+                        f"{seen} and {lit.atom.arity}",
+                        span=lit.span or rule.span,
                     )
         return arities
 

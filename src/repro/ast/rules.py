@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Union
 
 from repro.errors import ProgramError
-from repro.logic.formula import Atom
+from repro.logic.atom import Atom
 from repro.span import Span
 from repro.terms import Const, Term, Var, term_consts, term_vars
 
@@ -150,7 +150,8 @@ class Rule:
         for v in self.universal:
             if v not in body_vars:
                 raise ProgramError(
-                    f"universal variable {v.name} does not occur in the body"
+                    f"universal variable {v.name} does not occur in the body",
+                    span=self.span,
                 )
         head_universal = self.head_variables() & set(self.universal)
         if head_universal:

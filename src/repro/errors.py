@@ -11,7 +11,26 @@ from __future__ import annotations
 
 
 class ReproError(Exception):
-    """Base class for all errors raised by the repro library."""
+    """Base class for all errors raised by the repro library.
+
+    An error about source text carries the 1-based ``line`` and
+    ``column`` of the offending construct (``None`` when there is none,
+    e.g. a program built in code) and ends its message with them.
+    ``span`` (a :class:`~repro.span.Span`) gives both at once.
+    """
+
+    def __init__(self, message: str = "", line: int | None = None,
+                 column: int | None = None, *, span=None):
+        if span is not None and line is None:
+            line, column = span.line, span.column
+        location = ""
+        if line is not None:
+            location = f" at line {line}"
+            if column is not None:
+                location += f", column {column}"
+        super().__init__(f"{message}{location}")
+        self.line = line
+        self.column = column
 
 
 class SchemaError(ReproError):
@@ -28,16 +47,6 @@ class ParseError(ReproError):
 
     Carries the line and column of the offending token when available.
     """
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        location = ""
-        if line is not None:
-            location = f" at line {line}"
-            if column is not None:
-                location += f", column {column}"
-        super().__init__(f"{message}{location}")
-        self.line = line
-        self.column = column
 
 
 class ProgramError(ReproError):

@@ -11,27 +11,22 @@ the paper).  Formulas are immutable dataclasses built from:
 * the constants :data:`TRUE` and :data:`FALSE`.
 
 Evaluation (active-domain semantics) lives in
-:mod:`repro.logic.evaluate`.
+:mod:`repro.logic.evaluate`.  :class:`Formula` and :class:`Atom` are
+defined in :mod:`repro.logic.atom`, which the rule syntax imports
+without the rest of this module, and re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.logic.atom import Atom, Formula
 from repro.terms import Term, Var
 
-
-class Formula:
-    """Base class for FO formulas."""
-
-    def __and__(self, other: "Formula") -> "Formula":
-        return And(self, other)
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return Or(self, other)
-
-    def __invert__(self) -> "Formula":
-        return Not(self)
+__all__ = [
+    "Formula", "Atom", "Equals", "Not", "And", "Or", "Implies", "Exists",
+    "Forall", "TRUE", "FALSE", "conjunction", "disjunction",
+]
 
 
 @dataclass(frozen=True)
@@ -44,22 +39,6 @@ class _Truth(Formula):
 
 TRUE = _Truth(True)
 FALSE = _Truth(False)
-
-
-@dataclass(frozen=True)
-class Atom(Formula):
-    """A relational atom R(t1, …, tk)."""
-
-    relation: str
-    terms: tuple[Term, ...]
-
-    def __repr__(self) -> str:
-        inner = ", ".join(repr(t) for t in self.terms)
-        return f"{self.relation}({inner})"
-
-    @property
-    def arity(self) -> int:
-        return len(self.terms)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from repro.ast.rules import (
     Lit,
     Rule,
 )
-from repro.logic.formula import Atom
+from repro.logic.atom import Atom
 from repro.parser.lexer import KEYWORDS, Token, TokenKind, tokenize
 from repro.span import Span
 from repro.terms import Const, Term, Var

@@ -90,21 +90,41 @@ class Relation:
 
     # -- incremental index maintenance --------------------------------------
 
-    def _chain_insert(self, t: tuple) -> None:
-        """Thread ``t`` into every live chain index (one update each)."""
-        for order, root in self._chains.items():
-            counts = self._chain_counts[order]
+    @staticmethod
+    def _thread(root: dict, counts: list[int], order: tuple[int, ...],
+                ts: Iterable[tuple]) -> None:
+        """Insert ``ts``, in their order, into one chain (``root`` over
+        ``order``), adding the nodes each depth gains to ``counts``."""
+        if len(order) == 1:
+            (p,) = order
+            get = root.get
+            for t in ts:
+                v = t[p]
+                bucket = get(v)
+                if bucket is None:
+                    root[v] = {t: None}
+                else:
+                    bucket[t] = None
+            # Emptied nodes are pruned, so depth 0 counts the root's keys.
+            counts[0] = len(root)
+            return
+        for t in ts:
             node = root
             for depth, p in enumerate(order):
                 v = t[p]
                 child = node.get(v)
                 if child is None:
-                    child = {}
-                    node[v] = child
+                    child = node[v] = {}
                     counts[depth] += 1
                 node = child
             node[t] = None
-            self._index_updates += 1
+
+    def _chain_insert(self, ts) -> None:
+        """Thread the new tuples ``ts`` into every live chain index, one
+        loop per chain (one index update per tuple and chain)."""
+        for order, root in self._chains.items():
+            self._thread(root, self._chain_counts[order], order, ts)
+        self._index_updates += len(ts) * len(self._chains)
 
     def _chain_remove(self, t: tuple) -> None:
         """Remove ``t`` from every live chain index, pruning empty nodes."""
@@ -138,7 +158,7 @@ class Relation:
             return False
         self._tuples.add(t)
         if self._chains:
-            self._chain_insert(t)
+            self._chain_insert((t,))
         return True
 
     def add_batch(self, ts) -> list[tuple]:
@@ -148,8 +168,9 @@ class Relation:
         one ``set.update`` replace the per-fact ``add`` call chain.
         Callers pass engine-built tuples (head instantiations), so the
         per-tuple coercion of :meth:`_check` is skipped — only the
-        arity is verified.  Chain maintenance still runs per new tuple;
-        returned order follows ``ts``.
+        arity is verified.  Each live chain takes the new tuples in one
+        loop, leaving it as one :meth:`add` per tuple would; returned
+        order follows ``ts``.
         """
         tuples = self._tuples
         fresh = [t for t in ts if t not in tuples]
@@ -164,8 +185,7 @@ class Relation:
                 )
         tuples.update(fresh)
         if self._chains:
-            for t in fresh:
-                self._chain_insert(t)
+            self._chain_insert(fresh)
         return fresh
 
     def discard(self, t: tuple) -> bool:
@@ -209,8 +229,7 @@ class Relation:
                 # Small diff: patch the live chains in place.
                 for t in removed:
                     self._chain_remove(t)
-                for t in added:
-                    self._chain_insert(t)
+                self._chain_insert(added)
             else:
                 # Wholesale change: cheaper to rebuild lazily.
                 self._chains.clear()
@@ -282,17 +301,7 @@ class Relation:
             return cached
         root: dict = {}
         counts = [0] * len(order)
-        for t in self._tuples:
-            node = root
-            for depth, p in enumerate(order):
-                v = t[p]
-                child = node.get(v)
-                if child is None:
-                    child = {}
-                    node[v] = child
-                    counts[depth] += 1
-                node = child
-            node[t] = None
+        self._thread(root, counts, order, self._tuples)
         self._chains[order] = root
         self._chain_counts[order] = counts
         self._index_builds += 1

@@ -50,13 +50,10 @@ The variants of a plan with steps ``0 … n-1``:
   Dispatched by ``run_emit_batch``/``run_walk_batch``; shapes that don't
   batch (delta at a non-leading occurrence, bound plans, no loopable
   step), blocks under :attr:`CodegenPlan.BATCH_MIN_ROWS` and restricted
-  walks run the scalar variants.  A fused batch kernel whose innermost
-  clause is a keyed probe reaching the head holds two loops and picks
-  one per call: the grouped loop (:func:`_emit_grouped`), which caches
-  each distinct key's projection, when the probed chain's live mean
-  bucket (``len(rel)`` over its distinct keys at the probe depth) holds
-  at least :data:`GROUP_MIN_BUCKET` rows or the chain is not built yet,
-  and the plain per-firing loop of every other shape below that.
+  walks run the scalar variants.
+* ``emit_grouped_*``/``emit_union_*`` — the grouped loops
+  (:func:`_emit_grouped`), bitset and set unions, each built on the
+  first call a batch kernel hands on (see :func:`_emit_batch`).
 
 The kernels that never yield (fused, factored and batch) read each
 negated relation's live tuple set once per call and probe it with a
@@ -119,6 +116,7 @@ import builtins
 import itertools
 import linecache
 import re
+import sys
 from types import CodeType, FunctionType
 from typing import Hashable, Iterator
 from weakref import finalize
@@ -132,16 +130,28 @@ _SEQ = itertools.count()
 #: :func:`clear_shapes`.
 _SHAPES: dict[str, CodeType] = {}
 
-#: The globals of every kernel.  ``_E`` is the empty dict of the
-#: inlined trie walks (``(g(k0) or _E).get(k1)``), read-only by
-#: construction.
-_GLOBALS = {"__builtins__": builtins, "_E": {}}
+#: The globals of every kernel, also the dump header's: ``_E`` is the
+#: inlined trie walks' empty dict (``(g(k0) or _E).get(k1)``),
+#: read-only; ``compress`` and ``_B01`` decode the bitset masks.
+_GLOBAL_LINES = (
+    "from itertools import compress",
+    "_E = {}",
+    "_B01 = bytes.maketrans(b'01', b'\\0\\1')",
+)
+_GLOBALS: dict = {"__builtins__": builtins}
+exec("\n".join(_GLOBAL_LINES), _GLOBALS)
 
 #: The mean bucket size (rows per distinct key of the probed chain, at
-#: the probe depth) from which a fused batch kernel runs its grouped
-#: loop (:func:`_emit_grouped`) instead of the plain per-firing loop.
-#: Like :attr:`CodegenPlan.BATCH_MIN_ROWS`, it moves only the clock.
+#: the probe depth) from which a fused batch kernel hands its call to
+#: the grouped variant (:func:`_emit_grouped`).  Like
+#: :attr:`CodegenPlan.BATCH_MIN_ROWS`, it moves only the clock.
 GROUP_MIN_BUCKET = 8
+
+#: The values one digit operation of a mask union covers: the bitset
+#: variant's budget per row of mean bucket (:func:`_emit_grouped`).
+_DIGIT_BITS = sys.int_info.bits_per_digit
+
+_BATCH_KINDS = ("walk_batch", "emit_batch", "emit_grouped", "emit_union")
 
 
 class _Source:
@@ -161,7 +171,12 @@ class _Source:
         self.bindings: dict[str, Hashable] = {}
 
     def add(self, indent: int, text: str) -> None:
-        self.lines.append("    " * indent + text)
+        """Append ``text``, each of its lines ``indent`` levels deeper."""
+        if "\n" in text:
+            for line in text.split("\n"):
+                self.add(indent, line)
+        else:
+            self.lines.append("    " * indent + text)
 
     def bind(self, name: str, value: Hashable) -> str:
         """``name``, bound to ``value`` when the kernel is made."""
@@ -452,7 +467,7 @@ def _batches(plan, restricted_index: int) -> bool:
     return bool(plan.unbound_slots) or not all(step.exact for step in steps)
 
 
-def _emit_batch(plan, restricted_index: int, fused: bool) -> _Source:
+def _emit_batch(plan, restricted_index: int, kind: str) -> _Source:
     """One batch (whole-delta) kernel of a shape :func:`_batches` admits.
 
     The batch variants consume an entire delta block in one
@@ -467,13 +482,12 @@ def _emit_batch(plan, restricted_index: int, fused: bool) -> _Source:
     pays for wrapping the deduped survivors once at the end.
 
     When the innermost clause is a keyed probe whose rows reach the
-    head, the fused flavor also emits the grouped loop
-    (:func:`_emit_grouped`) and each call picks one of the two from
-    the probed chain's live mean bucket size: the grouped loop at or
-    above :data:`GROUP_MIN_BUCKET` rows per distinct key, or while the
-    chain is not built yet (its counts do not exist); the plain loop
-    below it, where a cache entry and a grouped dedup set per key cost
-    more than the per-row work they save (a fan-out of 2, say).
+    head, ``emit_batch_*`` returns ``None`` for a call whose probed
+    chain has no counts yet or a mean bucket (``len(rel)`` over its
+    distinct keys at the probe depth) of :data:`GROUP_MIN_BUCKET` rows
+    or more, and the dispatch reruns it in the grouped variants
+    (:func:`_emit_grouped`); under that, grouping costs more than it
+    saves (a fan-out of 2, say).
 
     Batched shapes: ≥ 1 step, unbound plans only (seeded slots have no
     local to live in), the fused restricted variant only for the leading
@@ -488,18 +502,14 @@ def _emit_batch(plan, restricted_index: int, fused: bool) -> _Source:
     positive = plan.rule.positive_body()
     arities = [len(positive[i].terms) for i in plan.order]
     suffix = "full" if restricted_index < 0 else f"r{restricted_index}"
+    fused = kind != "walk_batch"
     params = "db, adom, out" if fused else "db, adom"
     if restricted_index >= 0:
         params += ", rows"
     if fused:
-        # ``known`` is the head relation's live tuple set (or ``()``):
-        # the dispatch passes it for add-only callers, to push
-        # semi-naive's difference into the kernel, and passes ``()``
-        # for consumers that need the full consequence set (the
-        # differential engine's affected-fact and over-deletion
-        # passes).
+        # The head relation's live set, or ``()`` (see run_emit_batch).
         params += ", known"
-    src = _Source(("emit_batch_" if fused else "walk_batch_") + suffix, params)
+    src = _Source(f"{kind}_{suffix}", params)
     bail = "return 0" if fused else "return []"
 
     prologue: list[str] = []
@@ -624,14 +634,6 @@ def _emit_batch(plan, restricted_index: int, fused: bool) -> _Source:
         src.add(1, "return res")
         return src
 
-    # The fused variant dedups the bare head tuples into a local set
-    # first — the inner loop never allocates or hashes the
-    # ``(relation, tuple)`` wrapper, which on duplicate-heavy self-joins
-    # is most of the firings — then subtracts the head relation's
-    # current content (semi-naive's difference, pushed into the kernel:
-    # one bulk ``difference_update`` instead of a per-fact membership
-    # probe downstream) and wraps only the genuinely new survivors for
-    # ``out``.
     relation, template, fills, _positive = plan.emitters[0]
     relation_name = src.bind("HR", relation)
     d_last = last_for[1] if last_for is not None else -1
@@ -655,19 +657,17 @@ def _emit_batch(plan, restricted_index: int, fused: bool) -> _Source:
         ]
         cacheable = any(is_inner)
     src.add(1, "fired = 0")
+    if kind != "emit_batch":
+        _emit_grouped(src, steps[d_last], d_last, clauses, probe_info[d_last],
+                      targets(d_last), head_exprs, is_inner, relation_name,
+                      kind == "emit_grouped")
+        return src
     if cacheable:
-        # The call's choice of loop (see the docstring): no counts yet,
-        # or a mean bucket of GROUP_MIN_BUCKET rows or more, groups.
-        step = steps[d_last]
-        positions = src.bind(
-            f"KS{d_last}", frozenset(step.chain_order[:step.chain_depth])
-        )
-        src.add(1, f"n = rel{d_last}.distinct_estimate({positions})")
+        # Long buckets, or no counts yet: the call is the grouped
+        # variant's (``None`` hands it on).
+        _estimate(src, steps[d_last], d_last)
         src.add(1, f"if n is None or len(rel{d_last}) >= "
-                   f"{GROUP_MIN_BUCKET} * n:")
-        _emit_grouped(src, clauses, probe_info[d_last], targets(d_last),
-                      head_exprs, is_inner, relation_name, 2)
-        src.add(2, "return fired")
+                   f"{GROUP_MIN_BUCKET} * n:\n    return None")
     element = _template_expr(src, "H", template, fills, ref)
     src.add(1, "seen = set()")
     src.add(1, "add = seen.add")
@@ -685,88 +685,125 @@ def _emit_batch(plan, restricted_index: int, fused: bool) -> _Source:
     return src
 
 
-def _emit_grouped(src: _Source, clauses: list[str], probe: tuple[str, str],
-                  target: str, head_exprs: list[str], is_inner: list[bool],
-                  relation_name: str, base: int) -> None:
-    """The grouped loop of a fused batch kernel, at indent ``base``.
+def _estimate(src: _Source, step, d: int) -> None:
+    """Bind ``n`` to the probed chain's live distinct-key count at the
+    probe depth (``None`` while the chain is not built)."""
+    positions = src.bind(
+        f"KS{d}", frozenset(step.chain_order[:step.chain_depth])
+    )
+    src.add(1, f"n = rel{d}.distinct_estimate({positions})")
+
+
+def _emit_grouped(src: _Source, step, d: int, clauses: list[str],
+                  probe: tuple[str, str], target: str, head_exprs: list[str],
+                  is_inner: list[bool], relation_name: str,
+                  bitset: bool) -> None:
+    """The grouped loop of a fused batch kernel: ``emit_grouped_*``
+    (``bitset``) or ``emit_union_*``.
 
     The innermost clause is an unfiltered keyed probe (``probe`` is its
-    bucket expression and key, ``target`` its row unpacking), so the
-    whole inner loop vectorizes: the bucket's projection onto the
-    head's inner positions (``is_inner``) is computed once per distinct
-    key and cached for the call, the firing count hoists to
-    ``len(proj)``, and emission is one C-level ``set.update`` per outer
-    row into a dedup set grouped by the head's outer positions — no
-    per-firing bytecode runs.  The final flatten rebuilds the heads.
+    bucket expression and key, ``target`` its row unpacking): each
+    distinct key's projection onto the head's inner positions
+    (``is_inner``) is built once per call, and each outer row unions it
+    into the group of the head's outer positions, as an int mask over
+    the call's value ids (bit ``i`` is ``vals[i]``) or as a set.  A
+    mask union costs a digit operation per ``bits_per_digit`` values, a
+    set union an insert per row, so past ``bits_per_digit`` times the
+    mean bucket in values (or with no counts) the bitset variant
+    returns ``None`` before emitting, and the call reruns as a union.
     """
     probe_expr, cache_key = probe
-    inner_exprs = [e for e, inn in zip(head_exprs, is_inner) if inn]
-    outer_exprs = [e for e, inn in zip(head_exprs, is_inner) if not inn]
-    proj_elem = (
-        inner_exprs[0] if len(inner_exprs) == 1
-        else _tuple_expr(inner_exprs)
-    )
-    # Rebuild the head tuple from the group key (k*) and the deduped
-    # inner projection (w*) during the final flatten.
-    head_parts, ko, wo = [], 0, 0
+    inner = [e for e, inn in zip(head_exprs, is_inner) if inn]
+    outer = [e for e, inn in zip(head_exprs, is_inner) if not inn]
+    # The head, rebuilt from the group key (k*) and an inner value (w*).
+    head, ko, wo = [], 0, 0
     for inn in is_inner:
-        if inn:
-            head_parts.append(f"w{wo}")
-            wo += 1
-        else:
-            head_parts.append(f"k{ko}")
-            ko += 1
-    head_rebuilt = _tuple_expr(head_parts)
-    w_names = [f"w{j}" for j in range(wo)]
-    w_target = (
-        w_names[0] if len(w_names) == 1
-        else "(" + ", ".join(w_names) + ")"
-    )
-    if outer_exprs:
-        key_expr = (
-            outer_exprs[0] if len(outer_exprs) == 1
-            else _tuple_expr(outer_exprs)
-        )
-        k_names = [f"k{i}" for i in range(ko)]
-        k_target = (
-            k_names[0] if len(k_names) == 1
-            else "(" + ", ".join(k_names) + ")"
-        )
-        src.add(base, "seen = {}")
-        src.add(base, "sget = seen.get")
-    else:
-        src.add(base, "seen = set()")
-    src.add(base, "cache = {}")
-    src.add(base, "cget = cache.get")
-    depth = base
+        head.append(f"w{wo}" if inn else f"k{ko}")
+        wo, ko = wo + inn, ko + (not inn)
+
+    def one(exprs: list[str]) -> str:
+        return exprs[0] if len(exprs) == 1 else _tuple_expr(exprs)
+
+    def unpack(names: list[str]) -> str:
+        return names[0] if len(names) == 1 else f"({', '.join(names)})"
+
+    keys = unpack([f"k{i}" for i in range(ko)])
+    values = unpack([f"w{j}" for j in range(wo)])
+    if bitset:
+        _estimate(src, step, d)
+        src.add(1, f"if not n:\n    return None\n"
+                   f"budget = {_DIGIT_BITS} * len(rel{d}) // n\n"
+                   "bits = {}\nbget = bits.get\nvals = []")
+    src.add(1, ("seen = {}\nsget = seen.get" if outer
+                else f"seen = {'0' if bitset else 'set()'}")
+            + "\ncache = {}\ncget = cache.get")
+    depth = 1
     for clause in clauses[:-1]:
         src.add(depth, clause + ":")
         depth += 1
-    src.add(depth, f"proj = cget({cache_key})")
-    src.add(depth, "if proj is None:")
-    src.add(depth + 1, f"proj = cache[{cache_key}] = [")
-    src.add(depth + 2, proj_elem)
-    src.add(depth + 2, f"for {target} in {probe_expr}")
-    src.add(depth + 1, "]")
-    src.add(depth, "if proj:")
-    depth += 1
-    src.add(depth, "fired += len(proj)")
-    if outer_exprs:
-        src.add(depth, f"s = sget({key_expr})")
-        src.add(depth, "if s is None:")
-        src.add(depth + 1, f"s = seen[{key_expr}] = set()")
-        src.add(depth, "s.update(proj)")
+    if not bitset:
+        src.add(depth, f"""\
+proj = cget({cache_key})
+if proj is None:
+    proj = cache[{cache_key}] = [
+        {one(inner)}
+        for {target} in {probe_expr}
+    ]
+if proj:
+    fired += len(proj)""")
+        src.add(depth + 1, f"""\
+s = sget({one(outer)})
+if s is None:
+    s = seen[{one(outer)}] = set()
+s.update(proj)""" if outer else "seen.update(proj)")
+        loops = (f"for {keys}, s in seen.items() for {values} in s" if outer
+                 else f"for {values} in seen")
+        src.add(1, f"""\
+if seen:
+    flat = {{{_tuple_expr(head)} {loops}}}
+    if known:
+        flat.difference_update(known)
+    out.update([({relation_name}, t) for t in flat])
+return fired""")
+        return
+    union = (f"seen[{one(outer)}] = sget({one(outer)}, 0) | m" if outer
+             else "seen |= m")
+    src.add(depth, f"""\
+e = cget({cache_key})
+if e is None:
+    m = c = 0
+    for {target} in {probe_expr}:
+        w = {one(inner)}
+        b = bget(w)
+        if b is None:
+            b = bits[w] = 1 << len(vals)
+            vals.append(w)
+        m |= b
+        c += 1
+    if len(vals) > budget:
+        return None
+    e = cache[{cache_key}] = m, c
+m, c = e
+if c:
+    fired += c
+    {union}""")
+    # Each distinct mask is decoded once (groups often share one), and
+    # distinct (group, value) pairs are distinct heads: a list.
+    decode = "compress(vals, bin({})[:1:-1].encode().translate(_B01))"
+    if outer:
+        decoded = (f"    ws = {{m: list({decode.format('m')}) "
+                   f"for m in set(seen.values())}}\n")
+        loops = f"for {keys}, m in seen.items() for {values} in ws[m]"
     else:
-        src.add(depth, "seen.update(proj)")
-    src.add(base, "if seen:")
-    if outer_exprs:
-        src.add(base + 1, f"flat = {{{head_rebuilt} for {k_target}, s in "
-                          f"seen.items() for {w_target} in s}}")
-    else:
-        src.add(base + 1, f"flat = {{{head_rebuilt} for {w_target} in seen}}")
-    src.add(base + 1, "if known:")
-    src.add(base + 2, "flat.difference_update(known)")
-    src.add(base + 1, f"out.update([({relation_name}, t) for t in flat])")
+        decoded, loops = "", f"for {values} in {decode.format('seen')}"
+    # Heads first, wrapped after: wrapping each head as it is built
+    # leaves GC tracking the pairs, and a large call then pays for
+    # full collections.
+    src.add(1, f"""\
+if seen:
+{decoded}    flat = [{_tuple_expr(head)} {loops}]
+    out.update([({relation_name}, t) for t in flat if t not in known])
+return fired""")
 
 
 def _emit_group(plan, index: int) -> _Source:
@@ -791,8 +828,8 @@ def _emit(plan, name: str) -> _Source:
     restricted_index = -1 if variant == "full" else int(variant[1:])
     if kind == "group":
         return _emit_group(plan, restricted_index)
-    if kind.endswith("_batch"):
-        return _emit_batch(plan, restricted_index, kind == "emit_batch")
+    if kind in _BATCH_KINDS:
+        return _emit_batch(plan, restricted_index, kind)
     return _emit_variant(plan, restricted_index, kind)
 
 
@@ -839,6 +876,8 @@ class CodegenPlan:
         "_groups",
         "_batch_emits",
         "_batch_walks",
+        "_grouped",
+        "_unions",
     )
 
     def __init__(self, plan) -> None:
@@ -870,14 +909,19 @@ class CodegenPlan:
             self._emits = self._table(
                 "emit_factored" if factored else "emit", variants
             )
-            self._batch_emits = self._table("emit_batch", [
+            batched = [
                 variant if not factored and _batches(plan, r) else None
                 for variant, r in (("full", -1), ("r0", 0))
-            ])
+            ]
+            self._batch_emits = self._table("emit_batch", batched)
+            # Built only when a batch kernel hands them a call.
+            self._grouped = self._table("emit_grouped", batched)
+            self._unions = self._table("emit_union", batched)
             self.head_relation = emitters[0][0]
             self.head_fills = emitters[0][2]
         else:
             self._emits = self._batch_emits = None
+            self._grouped = self._unions = None
             self.head_relation = self.head_fills = None
 
     def _table(self, kind: str, variants: list) -> list:
@@ -951,11 +995,10 @@ class CodegenPlan:
     # batch kernels' per-call machinery (head lookups, negated sets,
     # dedup set, flatten) only amortizes over enough rows, and
     # fixpoints with many tiny stages would otherwise pay it hundreds
-    # of times for single-row deltas.  Inside a batch kernel with a
-    # keyed projection cache, :data:`GROUP_MIN_BUCKET` then picks the
-    # grouped or the plain loop per call, from the probed chain's mean
-    # bucket size.  Either choice derives the same facts and counts the
-    # same firings, so both are invisible to everything but the clock.
+    # of times for single-row deltas.  A batch kernel that can group
+    # then picks its loop per call (:data:`GROUP_MIN_BUCKET`).  Every
+    # choice derives the same facts and counts the same firings, so
+    # each is invisible to everything but the clock.
     BATCH_MIN_ROWS = 8
 
     def run_emit_batch(self, db, adom, restricted_index: int, restricted,
@@ -996,8 +1039,17 @@ class CodegenPlan:
             return self.run_emit(db, adom, restricted_index, restricted, out,
                                  known)
         if restricted_index < 0:
-            return fn(db, adom, out, known)
-        return fn(db, adom, out, self._rows(restricted), known)
+            args = (db, adom, out, known)
+        else:
+            args = (db, adom, out, self._rows(restricted), known)
+        fired = fn(*args)
+        if fired is None:
+            # Long buckets: the bitset variant, or past its budget the
+            # set union (see ``_emit_grouped``).
+            fired = self._grouped[restricted_index + 1](*args)
+            if fired is None:
+                fired = self._unions[restricted_index + 1](*args)
+        return fired
 
     def run_walk_batch(self, db, adom,
                        restricted_index: int) -> "list[tuple] | None":
@@ -1079,7 +1131,7 @@ def _dump_text(plan) -> str:
         f"# join order: {plan.order!r}   slots: "
         + " ".join(f"{v.name}={s}" for v, s in plan.out_vars),
         "",
-        "_E = {}",
+        *_GLOBAL_LINES,
         *(f"{name} = {value!r}" for name, value in bindings.items()),
         "",
         "",

@@ -63,7 +63,7 @@ from typing import Iterator, Literal as TypingLiteral
 from repro.ast.program import Dialect, Program
 from repro.ast.analysis import validate_program
 from repro.ast.rules import EqLit, Lit, Rule
-from repro.logic.formula import Atom
+from repro.logic.atom import Atom
 from repro.relational.instance import Database
 from repro.semantics import planner
 from repro.semantics.base import EngineStats, StatsRecorder, evaluation_adom

@@ -93,6 +93,53 @@ class TestChainConsistency:
         assert_chain_consistent(checked, order)
 
 
+def ordered(node: dict, depth: int) -> list:
+    """A chain trie as nested item lists: key and bucket order count."""
+    if depth == 0:
+        return list(node)
+    return [(key, ordered(child, depth - 1)) for key, child in node.items()]
+
+
+class TestAddBatchThreading:
+    """``add_batch`` threads its new rows into each live chain with one
+    loop per chain; the chains must come out as one ``add`` per row
+    leaves them."""
+
+    #: A depth-1 chain, a two-column one, and one probed by prefix.
+    CHAINS = [(0,), (1, 2), (2, 0, 1)]
+
+    def test_add_batch_equals_row_by_row_add(self):
+        seed = [(f"a{i % 3}", f"b{i % 4}", i % 5) for i in range(12)]
+        # New rows over new and known keys, and rows already present.
+        rows = [(f"a{i % 4}", f"b{i % 6}", i % 7) for i in range(40)]
+        rows = list(dict.fromkeys(rows)) + seed[:4]
+        batched, stepped = Relation("R", 3, seed), Relation("R", 3, seed)
+        for rel in (batched, stepped):
+            for order in self.CHAINS:
+                rel.chain_index(order)
+        fresh = batched.add_batch(rows)
+        assert fresh == [t for t in rows if stepped.add(t)]
+        assert len(fresh) > len(rows) // 2
+        assert batched.index_updates == stepped.index_updates == (
+            len(fresh) * len(self.CHAINS)
+        )
+        for order in self.CHAINS:
+            assert ordered(batched.chain_index(order), len(order)) == (
+                ordered(stepped.chain_index(order), len(order))
+            )
+            for depth in range(1, len(order) + 1):
+                positions = frozenset(order[:depth])
+                assert batched.distinct_estimate(positions) == (
+                    stepped.distinct_estimate(positions)
+                )
+            assert_chain_consistent(batched, order)
+        for key in {(t[2],) for t in rows}:
+            assert batched.probe_chain((2, 0, 1), 1, key) == (
+                stepped.probe_chain((2, 0, 1), 1, key)
+            )
+        assert batched.index_builds == stepped.index_builds == 3
+
+
 class TestIncrementalIndexes:
     def test_add_updates_index_in_place(self):
         rel = Relation("R", 2, [("a", "b"), ("a", "c")])

@@ -1,13 +1,16 @@
-"""The two loops of a fused batch kernel, and known heads in the
-scalar fused and factored kernels.
+"""The loops of a fused batch kernel, and known heads in the scalar
+fused and factored kernels.
 
 A fused batch kernel whose innermost clause is a keyed probe reaching
-the head holds two loops: the grouped loop, which caches each distinct
-key's projection and adds it per outer row with one ``set.update``, and
-the plain per-firing loop.  Each call picks one from the probed chain's
-live mean bucket size (``len(rel)`` over its distinct keys at the probe
-depth): the grouped loop at or above ``codegen.GROUP_MIN_BUCKET`` and
-while the chain is not built yet, the plain loop below it.  Either loop
+the head runs the plain per-firing loop while the probed chain's live
+mean bucket (``len(rel)`` over its distinct keys at the probe depth) is
+under ``codegen.GROUP_MIN_BUCKET``.  At or above it, and while the
+chain is not built yet, it hands the call to the grouped variant
+``emit_grouped_*``, built on that first call: each distinct key's
+projection becomes an int mask over the call's value ids, unioned per
+outer group with ``|``.  A call whose distinct projected values pass
+``bits_per_digit`` times the mean bucket, or that finds no chain counts,
+goes on to ``emit_union_*``, which unions per-group sets.  Every path
 must give the reference matcher's heads and firings.
 """
 
@@ -25,18 +28,31 @@ from repro.semantics.plan import make_delta, plan_for
 
 RULE = "H(x, z) :- D(x, y), E(y, z)."
 
-#: (relation size, distinct keys at position 0): a mean bucket of 1.5
-#: rows and one of 80 rows.
+#: (relation size, distinct keys at position 0, values shared by every
+#: key): a mean bucket of 1.5 rows; 80 rows of distinct values (320,
+#: within the bitset budget of 30 * 80); 16 rows of the same 16 values;
+#: 10 rows of distinct values (1,000, past the budget of 30 * 10).
 SHORT = (300, 200)
 LONG = (320, 4)
+DENSE = (128, 8, True)
+DISJOINT = (1000, 100)
+SHAPES = {"short": SHORT, "long": LONG, "dense": DENSE, "disjoint": DISJOINT}
+
+#: The variant that returns a call's firings, per shape.
+PATHS = {"short": "emit_batch", "long": "emit_grouped",
+         "dense": "emit_grouped", "disjoint": "emit_union"}
 
 #: Step 1 (``E``) probes its identity chain at full depth, or the chain
 #: (0, 1) at depth 1: a prefix probe, whose chain no call has built.
 PROBES = {"full_depth": None, "prefix": (None, ((0, 1), 1))}
 
 
-def e_facts(size: int, keys: int, rng: random.Random) -> list[tuple]:
-    rows = [(f"k{i % keys}", f"v{i}") for i in range(size)]
+def e_facts(size: int, keys: int, rng: random.Random,
+            shared: bool = False) -> list[tuple]:
+    """``size`` rows over ``keys`` keys; each key holds values of its
+    own, or (``shared``) the same ``size // keys`` values."""
+    rows = [(f"k{i % keys}", f"v{i // keys if shared else i}")
+            for i in range(size)]
     rng.shuffle(rows)
     return rows
 
@@ -67,46 +83,112 @@ def run(plan, db, restricted_index, delta_rows, add_only):
     return out, fired
 
 
-@pytest.mark.parametrize("shape", [SHORT, LONG], ids=["short", "long"])
-@pytest.mark.parametrize("probe", sorted(PROBES))
-@pytest.mark.parametrize("add_only", [False, True])
-def test_batch_loops_match_the_reference(shape, probe, add_only):
-    rng = random.Random(7)
-    size, keys = shape
-    (rule,) = parse_program(RULE).rules
-    plan = plan_for(rule, (0, 1), chains=PROBES[probe])
-    d_rows = [(f"x{i}", f"k{rng.randrange(keys + 2)}") for i in range(40)]
-    db = Database({"E": e_facts(size, keys, rng), "D": d_rows[:20]})
-    db.ensure_relation("H", 2)
+@pytest.fixture
+def paths(monkeypatch):
+    """The batch variant that returned the firings of each call, in
+    order (a variant that hands its call on returns ``None``)."""
+    taken = []
+    build = codegen.compile_plan
+
+    def compile_plan(plan, name):
+        kernel = build(plan, name)
+        function = kernel.function
+
+        def spy(*args):
+            fired = function(*args)
+            if fired is not None and name.startswith(
+                    ("emit_batch_", "emit_grouped_", "emit_union_")):
+                taken.append(name.rsplit("_", 1)[0])
+            return fired
+
+        kernel.function = spy
+        return kernel
+
+    monkeypatch.setattr(codegen, "compile_plan", compile_plan)
+    return taken
+
+
+def check_passes(rule, plan, db, head, d_rows, add_only):
+    """Three delta passes over ``D`` blocks and one full pass against
+    the reference, with a third of the heads known beforehand."""
     expected_all, _ = reference(rule, db, None)
-    # Known heads, so that add-only callers have something to drop.
     for _relation, t in sorted(expected_all)[::3]:
-        db.relation("H").add(t)
-    known = {("H", t) for t in db.relation("H")}
-    assert db.relation("E").live_indexes() == []
-    for rows in (d_rows[:20], d_rows[20:], d_rows):
+        db.relation(head).add(t)
+    known = {(head, t) for t in db.relation(head)}
+    half = len(d_rows) // 2
+    for rows in (d_rows[:half], d_rows[half:], d_rows):
         assert len(rows) >= CodegenPlan.BATCH_MIN_ROWS
-        delta = {"D": frozenset(rows)}
-        heads, firings = reference(rule, db, delta)
+        heads, firings = reference(rule, db, {"D": frozenset(rows)})
         out, fired = run(plan, db, 0, rows, add_only)
         assert fired == firings
         assert out == (heads - known if add_only else heads)
     heads, firings = reference(rule, db, None)
     out, fired = run(plan, db, -1, None, add_only)
     assert (out, fired) == (heads - known if add_only else heads, firings)
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+@pytest.mark.parametrize("probe", sorted(PROBES))
+@pytest.mark.parametrize("add_only", [False, True])
+def test_batch_loops_match_the_reference(shape, probe, add_only, paths):
+    rng = random.Random(7)
+    size, keys, *shared = SHAPES[shape]
+    (rule,) = parse_program(RULE).rules
+    plan = plan_for(rule, (0, 1), chains=PROBES[probe])
+    d_rows = [(f"x{i}", f"k{rng.randrange(keys + 2)}") for i in range(120)]
+    db = Database({"E": e_facts(size, keys, rng, *shared),
+                   "D": d_rows[:60]})
+    db.ensure_relation("H", 2)
+    assert db.relation("E").live_indexes() == []
+    check_passes(rule, plan, db, "H", d_rows, add_only)
     assert {"emit_batch_r0", "emit_batch_full"} <= set(
         plan.codegen_fns.kernels
     )
-    # The two relations fall on opposite sides of the choice.
-    if shape is SHORT:
+    # The first prefix probe finds no chain counts; every later call
+    # takes its shape's path.
+    first = "emit_union" if probe == "prefix" else PATHS[shape]
+    assert paths == [first] + [PATHS[shape]] * 3
+    if shape == "short":
         assert 1 <= mean_bucket(db) <= 2 < codegen.GROUP_MIN_BUCKET
+        if probe == "full_depth":
+            assert set(plan.codegen_fns.kernels) == {"emit_batch_r0",
+                                                     "emit_batch_full"}
     else:
-        assert mean_bucket(db) >= 64 >= codegen.GROUP_MIN_BUCKET
+        assert mean_bucket(db) >= codegen.GROUP_MIN_BUCKET
 
 
-def test_unbuilt_prefix_chain_takes_the_grouped_loop(monkeypatch):
-    """The first call of a prefix probe finds no chain counts; the call
-    after it finds them, and a short bucket then takes the plain loop."""
+#: Heads whose inner part is the whole head (no outer position), and
+#: a two-column inner projection placed around an outer column.
+HEADS = {
+    "no_outer": ("H(z) :- D(x, y), E(y, z).", 1),
+    "two_inner": ("H(w, x, z) :- D(x, y), E(y, z, w).", 3),
+}
+
+
+@pytest.mark.parametrize("shape", ["dense", "disjoint"])
+@pytest.mark.parametrize("head", sorted(HEADS))
+@pytest.mark.parametrize("add_only", [False, True])
+def test_grouped_heads_match_the_reference(shape, head, add_only, paths):
+    rng = random.Random(11)
+    size, keys, *shared = SHAPES[shape]
+    source, arity = HEADS[head]
+    (rule,) = parse_program(source).rules
+    plan = plan_for(rule, (0, 1))
+    e_rows = e_facts(size, keys, rng, *shared)
+    if arity == 3:
+        e_rows = [(k, v, f"u{i % 3}") for i, (k, v) in enumerate(e_rows)]
+    d_rows = [(f"x{i % 40}", f"k{rng.randrange(keys)}") for i in range(120)]
+    db = Database({"E": e_rows, "D": d_rows[:60]})
+    db.ensure_relation("H", arity)
+    check_passes(rule, plan, db, "H", d_rows, add_only)
+    assert paths == [PATHS[shape]] * 4
+
+
+def test_unbuilt_prefix_chain_takes_the_grouped_loop(monkeypatch, paths):
+    """The first call of a prefix probe finds no chain counts, in the
+    plain kernel and again in the bitset variant, which can size no
+    budget: the set union runs it.  The call after it finds them, and
+    a short bucket then takes the plain loop."""
     rng = random.Random(3)
     (rule,) = parse_program(RULE).rules
     plan = plan_for(rule, (0, 1), chains=PROBES["prefix"])
@@ -124,16 +206,30 @@ def test_unbuilt_prefix_chain_takes_the_grouped_loop(monkeypatch):
     first, _ = run(plan, db, 0, rows, add_only=False)
     second, _ = run(plan, db, 0, rows, add_only=False)
     assert first == second == reference(rule, db, {"D": frozenset(rows)})[0]
-    assert estimates == [None, SHORT[1]]
+    assert estimates == [None, None, SHORT[1]]
+    assert paths == ["emit_union", "emit_batch"]
     assert db.relation("E").live_indexes() == [(0, 1)]
 
 
-def test_kernel_text_holds_both_loops():
+def test_only_a_grouping_call_builds_the_grouped_variant():
+    rng = random.Random(5)
     (rule,) = parse_program(RULE).rules
     plan = plan_for(rule, (0, 1))
-    source = plan.compiled().kernel("emit_batch_r0").source
-    assert "cache = {}" in source and "fired += 1" in source
-    assert f">= {codegen.GROUP_MIN_BUCKET} * n" in source
+    rows = [(f"x{i}", f"k{i % 4}") for i in range(CodegenPlan.BATCH_MIN_ROWS)]
+    db = Database({"E": e_facts(*SHORT, rng), "D": rows})
+    run(plan, db, 0, rows, add_only=False)
+    kernels = plan.codegen_fns.kernels
+    assert set(kernels) == {"emit_batch_r0"}
+    plain = kernels["emit_batch_r0"].source
+    # The plain loop alone, and the hand-off to the grouped variant.
+    assert "fired += 1" in plain and "cache" not in plain
+    assert f">= {codegen.GROUP_MIN_BUCKET} * n:\n        return None" in plain
+    db = Database({"E": e_facts(*LONG, rng), "D": rows})
+    run(plan, db, 0, rows, add_only=False)
+    assert set(kernels) == {"emit_batch_r0", "emit_grouped_r0"}
+    grouped = kernels["emit_grouped_r0"].source
+    assert "cache = {}" in grouped and "fired += 1" not in grouped
+    assert f"budget = {codegen._DIGIT_BITS} * len(rel1) // n" in grouped
 
 
 @pytest.mark.parametrize("add_only", [False, True])

@@ -92,7 +92,8 @@ class TestImportFootprint:
         loaded = set(completed.stdout.split())
         assert "repro.semantics.inflationary" in loaded
         for package in ("repro.analysis", "repro.cli", "repro.translate",
-                        "repro.languages", "repro.programs"):
+                        "repro.languages", "repro.programs",
+                        "repro.logic.formula"):
             assert package not in loaded
 
     def test_submodule_import_keeps_same_named_exports(self):

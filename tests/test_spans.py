@@ -164,3 +164,19 @@ class TestProgramSource:
         with pytest.raises(ParseError) as err:
             parse_program("A(x) :- B(x)\nC(x) :- D(x).")
         assert err.value.line is not None
+
+    @pytest.mark.parametrize("source, error, position", [
+        # The clashing literal, where ``repro lint`` reports DL006.
+        ("p(x) :- q(x).\nr(x) :- q(x, y).", "SchemaError", (2, 9)),
+        # The rule whose universal variable is not in its body.
+        ("A(x) :- B(x).\n  P(x) :- forall yy: Q(x).", "ProgramError", (2, 3)),
+    ], ids=["arity_clash", "universal_not_in_body"])
+    def test_program_errors_carry_position(self, source, error, position):
+        import repro.errors
+
+        with pytest.raises(getattr(repro.errors, error)) as err:
+            parse_program(source)
+        assert (err.value.line, err.value.column) == position
+        assert str(err.value).endswith(
+            f" at line {position[0]}, column {position[1]}"
+        )

@@ -9,7 +9,7 @@ set bits once at the end; past a budget of ``bits_per_digit`` times the
 chain's mean bucket in distinct values it runs per-group set unions
 instead.  The ablation forces grouping off by raising
 ``GROUP_MIN_BUCKET`` past every bucket, so that every call runs the
-plain per-firing loop, on the three shapes the variant was swept on:
+plain per-firing loop, on the four shapes the variant was swept on:
 
 * dense — nonlinear TC on ``random_gnp(n, 3 / n)``: few distinct values
   over long buckets, the bitset path (``tc_closure``'s shape at
@@ -18,12 +18,18 @@ plain per-firing loop, on the three shapes the variant was swept on:
   holds 10 values of its own, four ``D`` rows per key: past the budget,
   the set union;
 * dedup — the same rule, with a few ``x`` over many keys whose 20
-  values come from one shared pool: strong dedup inside each group.
+  values come from one shared pool: strong dedup inside each group;
+* few_keys — the same rule over 10 keys of ``E``, each holding
+  ``20 n`` values of its own, two ``D`` rows per key: within the
+  budget, so the bitset path builds masks as wide as the call's whole
+  value set.
 
 Shape asserted: answers and firings are identical with and without
-grouping at every size, and from ``SPEEDUP_FLOOR`` up the dense shape
-runs at least ``SPEEDUP``× faster as shipped.  Below that floor (CI
-smoke sizes) wall-clock is not asserted.
+grouping at every size, and from ``GATE_FLOOR`` up the dense shape runs
+at least ``SPEEDUP``× faster as shipped, and the few-keys shape peaks
+at no more than ``MEMORY``× the plain loop's traced memory.  Below that
+floor (CI smoke sizes) neither is asserted: the first run also traces
+the kernels' compilation.
 
 Set ``REPRO_BENCH_SIZES`` (comma-separated) to override the size
 sweep, e.g. ``REPRO_BENCH_SIZES=8,12`` for a CI smoke run."""
@@ -32,6 +38,7 @@ import gc
 import os
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -48,13 +55,18 @@ SIZES = [
     if s.strip()
 ]
 
-#: The speed-up gate applies from this size up; below it a pass is a
-#: few milliseconds and the ratio is scheduler noise.
-SPEEDUP_FLOOR = 100
+#: The gates apply from this size up; below it a pass is a few
+#: milliseconds and the ratios are noise.
+GATE_FLOOR = 100
 
 #: The dense shape as shipped against the plain loop: at n = 150 the
 #: plain loop is about 11× slower, so 2× leaves room for a noisy host.
 SPEEDUP = 2
+
+#: The few-keys shape's traced peak, as shipped over the plain loop's:
+#: both hold the same heads, and at n = 150 the two peaks are equal
+#: (one-hot masks per value read 4.2×).
+MEMORY = 1.5
 
 ROUNDS = 3
 
@@ -88,37 +100,53 @@ def dedup(n: int):
     return JOIN, {"D": d, "E": e}
 
 
-SHAPES = {"dense": dense, "disjoint": disjoint, "dedup": dedup}
+def few_keys(n: int):
+    per = 20 * n
+    d = [(f"x{i}", f"k{i % 10}") for i in range(20)]
+    e = [(f"k{k}", f"v{k}_{j}") for k in range(10) for j in range(per)]
+    return JOIN, {"D": d, "E": e}
 
 
-def _evaluate(source, facts, rounds):
-    """The result and the best wall-clock of ``rounds`` cold
-    evaluations of a fresh parse (GC paused while timed)."""
+SHAPES = {"dense": dense, "disjoint": disjoint, "dedup": dedup,
+          "few_keys": few_keys}
+
+
+def _evaluate(source, facts, rounds, traced=False):
+    """The result, the best wall-clock of ``rounds`` cold evaluations of
+    a fresh parse (GC paused while timed) and, when ``traced``, the
+    last one's peak traced memory."""
     program = parse_program(source)
-    best, result = float("inf"), None
+    best, result, peak = float("inf"), None, None
     for _ in range(rounds):
         db = Database(facts)
         gc.collect()
         gc.disable()
+        if traced:
+            tracemalloc.start()
         try:
             start = time.perf_counter()
             result = evaluate_datalog_seminaive(program, db)
             best = min(best, time.perf_counter() - start)
         finally:
+            if traced:
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
             gc.enable()
-    return result, best
+    return result, best, peak
 
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_grouped_variant_against_the_plain_loop(shape, n, monkeypatch):
     source, facts = SHAPES[shape](n)
-    timed = shape == "dense" and n >= SPEEDUP_FLOOR
+    timed = shape == "dense" and n >= GATE_FLOOR
+    traced = shape == "few_keys" and n >= GATE_FLOOR
     rounds = ROUNDS if timed else 1
-    shipped, shipped_s = _evaluate(source, facts, rounds)
+    shipped, shipped_s, shipped_peak = _evaluate(source, facts, rounds,
+                                                 traced)
     # No mean bucket reaches this, so every call keeps the plain loop.
     monkeypatch.setattr(codegen, "GROUP_MIN_BUCKET", 10**9)
-    plain, plain_s = _evaluate(source, facts, rounds)
+    plain, plain_s, plain_peak = _evaluate(source, facts, rounds, traced)
 
     # Parity: grouping moves only the clock.
     assert shipped.database == plain.database
@@ -127,4 +155,9 @@ def test_grouped_variant_against_the_plain_loop(shape, n, monkeypatch):
         assert plain_s >= SPEEDUP * shipped_s, (
             f"{shape}({n}): as shipped {shipped_s:.3f}s, plain loop "
             f"{plain_s:.3f}s — under the {SPEEDUP}× bar"
+        )
+    if traced:
+        assert shipped_peak <= MEMORY * plain_peak, (
+            f"{shape}({n}): as shipped {shipped_peak / 1e6:.1f} MB, plain "
+            f"loop {plain_peak / 1e6:.1f} MB — over the {MEMORY}× bar"
         )

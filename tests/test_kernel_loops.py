@@ -144,9 +144,13 @@ def test_batch_loops_match_the_reference(shape, probe, add_only, paths):
     assert {"emit_batch_r0", "emit_batch_full"} <= set(
         plan.codegen_fns.kernels
     )
-    # The first prefix probe finds no chain counts; every later call
-    # takes its shape's path.
-    first = "emit_union" if probe == "prefix" else PATHS[shape]
+    # The first prefix probe finds no chain counts, so the plain kernel
+    # hands it on, and the bitset variant builds the chain to size its
+    # budget: short buckets pass it (the call meets more values than
+    # 30 × 1.5).  Every later call takes its shape's path.
+    first = PATHS[shape]
+    if probe == "prefix" and shape == "short":
+        first = "emit_union"
     assert paths == [first] + [PATHS[shape]] * 3
     if shape == "short":
         assert 1 <= mean_bucket(db) <= 2 < codegen.GROUP_MIN_BUCKET
@@ -185,10 +189,11 @@ def test_grouped_heads_match_the_reference(shape, head, add_only, paths):
 
 
 def test_unbuilt_prefix_chain_takes_the_grouped_loop(monkeypatch, paths):
-    """The first call of a prefix probe finds no chain counts, in the
-    plain kernel and again in the bitset variant, which can size no
-    budget: the set union runs it.  The call after it finds them, and
-    a short bucket then takes the plain loop."""
+    """The first call of a prefix probe finds no chain counts in the
+    plain kernel, which hands it to the bitset variant; that one builds
+    the chain, sizes its budget from the counts and runs the call.  The
+    call after it finds them, and a short bucket then takes the plain
+    loop."""
     rng = random.Random(3)
     (rule,) = parse_program(RULE).rules
     plan = plan_for(rule, (0, 1), chains=PROBES["prefix"])
@@ -206,8 +211,8 @@ def test_unbuilt_prefix_chain_takes_the_grouped_loop(monkeypatch, paths):
     first, _ = run(plan, db, 0, rows, add_only=False)
     second, _ = run(plan, db, 0, rows, add_only=False)
     assert first == second == reference(rule, db, {"D": frozenset(rows)})[0]
-    assert estimates == [None, None, SHORT[1]]
-    assert paths == ["emit_union", "emit_batch"]
+    assert estimates == [None, SHORT[1], SHORT[1]]
+    assert paths == ["emit_grouped", "emit_batch"]
     assert db.relation("E").live_indexes() == [(0, 1)]
 
 
@@ -229,7 +234,23 @@ def test_only_a_grouping_call_builds_the_grouped_variant():
     assert set(kernels) == {"emit_batch_r0", "emit_grouped_r0"}
     grouped = kernels["emit_grouped_r0"].source
     assert "cache = {}" in grouped and "fired += 1" not in grouped
-    assert f"budget = {codegen._DIGIT_BITS} * len(rel1) // n" in grouped
+    assert f"budget = {codegen._DIGIT_BITS} * len(rel1) // (n or 1)" in grouped
+
+
+@pytest.mark.parametrize("source", [
+    "H(x) :- D(x, y), E(y, z).",
+    "H('c') :- D(x, y), E(y, z).",
+], ids=["no_inner", "constant"])
+def test_a_batch_kernel_that_cannot_group_has_no_grouped_variants(source):
+    """A head that reads nothing of the innermost probe gives the batch
+    kernel no hand-off, so its plan has no grouped variants to build."""
+    (rule,) = parse_program(source).rules
+    table = CodegenPlan(plan_for(rule, (0, 1)))
+    assert "return None" not in table.kernel("emit_batch_r0").source
+    for name in ("emit_grouped_r0", "emit_union_full"):
+        with pytest.raises(KeyError):
+            table.kernel(name)
+    assert set(table.kernels) == {"emit_batch_r0"}
 
 
 @pytest.mark.parametrize("add_only", [False, True])

@@ -529,11 +529,12 @@ class TestPerRelationCover:
         (step,) = [step for step in plan.steps if step.relation == "W"]
         assert (step.chain_order, step.chain_depth) == ((0, 1), 1)
         # The full pass finds the shared chain unbuilt, so no counts:
-        # the batch kernel and the bitset variant hand the call on, and
-        # the set-union variant runs it.
+        # the batch kernel hands the call on, and the bitset variant
+        # builds the chain and runs it.
         kernels = plan.codegen_fns.kernels
-        assert set(kernels) == {"emit_batch_full", "emit_grouped_full",
-                                "emit_union_full"}
+        assert set(kernels) == {"emit_batch_full", "emit_grouped_full"}
+        assert ("rel1.chain_index((0, 1))"
+                in kernels["emit_grouped_full"].source)
         for kernel in kernels.values():
             assert "p1 = rel1.probe_chain" in kernel.source
             assert "p1((0, 1), 1, " in kernel.source

@@ -35,7 +35,11 @@ index work over a fixpoint computation.  The planner garbage-collects
 chains its cover no longer needs (:meth:`Relation.drop_chain_index`).
 The counters :attr:`Relation.index_builds`,
 :attr:`Relation.index_updates` and :attr:`Relation.index_drops` feed
-the engines' :class:`~repro.semantics.base.EngineStats`.
+the engines' :class:`~repro.semantics.base.EngineStats`.  A relation
+pushes each counter move to the running totals of every database that
+holds it, once per name it is held under, so
+:meth:`Database.index_totals` reads three numbers instead of walking
+the relations.
 """
 
 from __future__ import annotations
@@ -57,9 +61,8 @@ class Relation:
         "_tuples",
         "_chains",
         "_chain_counts",
-        "_index_builds",
-        "_index_updates",
-        "_index_drops",
+        "_counters",
+        "_sinks",
     )
 
     def __init__(self, name: str, arity: int, tuples: Iterable[tuple] = ()):
@@ -72,9 +75,11 @@ class Relation:
         #: Per-chain live statistics: ``counts[d]`` is the number of
         #: distinct key prefixes of length d+1 (planner fan-out input).
         self._chain_counts: dict[tuple[int, ...], list[int]] = {}
-        self._index_builds = 0
-        self._index_updates = 0
-        self._index_drops = 0
+        #: [builds, updates, drops] of this relation's own chains.
+        self._counters = [0, 0, 0]
+        #: Where a counter move goes: this relation's own counters, then
+        #: the running totals of each database name it is held under.
+        self._sinks: tuple[list[int], ...] = (self._counters,)
         for t in tuples:
             self.add(t)
 
@@ -89,6 +94,12 @@ class Relation:
         return t
 
     # -- incremental index maintenance --------------------------------------
+
+    def _count(self, kind: int, n: int) -> None:
+        """Add ``n`` to counter ``kind`` (0 builds, 1 updates, 2 drops),
+        here and in every database total this relation feeds."""
+        for sink in self._sinks:
+            sink[kind] += n
 
     @staticmethod
     def _thread(root: dict, counts: list[int], order: tuple[int, ...],
@@ -125,7 +136,7 @@ class Relation:
         loop per chain (one index update per tuple and chain)."""
         for order, root in self._chains.items():
             self._thread(root, self._chain_counts[order], order, ts)
-        self._index_updates += len(ts) * len(self._chains)
+        self._count(1, len(ts) * len(self._chains))
 
     def _chain_remove(self, t: tuple) -> None:
         """Remove ``t`` from every live chain index, pruning empty nodes."""
@@ -150,7 +161,7 @@ class Relation:
                     counts[depth] -= 1
                     node = parent
                     depth -= 1
-            self._index_updates += 1
+        self._count(1, len(self._chains))
 
     def add(self, t: tuple) -> bool:
         """Insert a tuple; return True if it was new."""
@@ -169,9 +180,12 @@ class Relation:
         one ``set.update`` replace the per-fact ``add`` call chain.
         Callers pass engine-built tuples (head instantiations), so the
         per-tuple coercion of :meth:`_check` is skipped — only the
-        arity is verified.  Each live chain takes the new tuples in one
-        loop, leaving it as one :meth:`add` per tuple would; returned
-        order follows ``ts``.
+        arity is verified.  Each new tuple comes back once, in the order
+        ``ts`` first gives it, and each live chain takes the new tuples
+        in one loop, leaving it (and the index counters) as one
+        :meth:`add` per row of ``ts`` would.  A tuple given twice shows
+        as a set that grew less than the filtered list, so distinct
+        input pays no extra pass.
         """
         tuples = self._tuples
         fresh = [t for t in ts if t not in tuples]
@@ -184,7 +198,10 @@ class Relation:
                     f"tuple {t!r} has arity {len(t)}, but relation "
                     f"{self.name!r} has arity {arity}"
                 )
+        before = len(tuples)
         tuples.update(fresh)
+        if len(tuples) - before != len(fresh):
+            fresh = list(dict.fromkeys(fresh))
         if self._chains:
             self._chain_insert(fresh)
         return fresh
@@ -257,17 +274,17 @@ class Relation:
     @property
     def index_builds(self) -> int:
         """How many times a full index was built from scratch."""
-        return self._index_builds
+        return self._counters[0]
 
     @property
     def index_updates(self) -> int:
         """How many single-tuple in-place index maintenance operations ran."""
-        return self._index_updates
+        return self._counters[1]
 
     @property
     def index_drops(self) -> int:
         """How many live indexes the planner's GC freed."""
-        return self._index_drops
+        return self._counters[2]
 
     def tuples(self) -> frozenset[tuple]:
         """An immutable snapshot of the current content."""
@@ -305,7 +322,7 @@ class Relation:
         self._thread(root, counts, order, self._tuples)
         self._chains[order] = root
         self._chain_counts[order] = counts
-        self._index_builds += 1
+        self._count(0, 1)
         return root
 
     def probe_chain(
@@ -364,10 +381,11 @@ class Relation:
         if self._chains.pop(order, None) is None:
             return False
         del self._chain_counts[order]
-        self._index_drops += 1
+        self._count(2, 1)
         return True
 
     def copy(self) -> "Relation":
+        """An independent copy: same tuples and chains, counters at zero."""
         clone = Relation(self.name, self.arity)
         clone._tuples = set(self._tuples)
         # Carrying the live chains over is cheaper than letting the
@@ -419,7 +437,7 @@ class Database:
     arity is fixed by a first fact or an :meth:`ensure_relation` call.
     """
 
-    __slots__ = ("_relations", "_deferred")
+    __slots__ = ("_relations", "_deferred", "_totals")
 
     def __init__(
         self,
@@ -427,6 +445,9 @@ class Database:
     ):
         self._relations: dict[str, Relation] = {}
         self._deferred: set[str] = set()
+        #: [builds, updates, drops] over every name, pushed by the
+        #: relations (see :meth:`_hold`).
+        self._totals = [0, 0, 0]
         if contents:
             for key, tuples in contents.items():
                 tuples = [t if isinstance(t, tuple) else tuple(t) for t in tuples]
@@ -445,9 +466,7 @@ class Database:
         """Get the relation, creating it empty if absent; check arity."""
         rel = self._relations.get(name)
         if rel is None:
-            rel = Relation(name, arity)
-            self._relations[name] = rel
-            self._deferred.discard(name)
+            rel = self._hold(name, Relation(name, arity))
         elif rel.arity != arity:
             raise SchemaError(
                 f"relation {name!r} has arity {rel.arity}, requested {arity}"
@@ -465,8 +484,17 @@ class Database:
         """
         if name in self._relations:
             raise SchemaError(f"relation {name!r} already exists")
+        return self._hold(name, relation)
+
+    def _hold(self, name: str, relation: Relation) -> Relation:
+        """Register ``relation`` under ``name`` and feed its counters,
+        from their current values on, into this database's totals."""
         self._relations[name] = relation
         self._deferred.discard(name)
+        totals = self._totals
+        for kind, n in enumerate(relation._counters):
+            totals[kind] += n
+        relation._sinks += (totals,)
         return relation
 
     def relation(self, name: str) -> Relation | None:
@@ -509,18 +537,14 @@ class Database:
         return out
 
     def index_totals(self) -> tuple[int, int, int]:
-        """(builds, updates, drops), summed over relations in one walk.
+        """(builds, updates, drops) over the relations, once per name.
 
         The stage-accounting hot path: :class:`StatsRecorder` diffs
-        these totals after every consequence pass.  Reads the slots
-        directly, since the property-descriptor indirection is
-        measurable there.
+        these totals after every consequence pass.  The relations push
+        their counter moves here as they happen, so this walks nothing;
+        a dropped name takes its relation's counters with it.
         """
-        builds = updates = drops = 0
-        for rel in self._relations.values():
-            builds += rel._index_builds
-            updates += rel._index_updates
-            drops += rel._index_drops
+        builds, updates, drops = self._totals
         return builds, updates, drops
 
     def active_domain(self) -> set[Hashable]:
@@ -547,8 +571,10 @@ class Database:
         )
 
     def copy(self) -> "Database":
+        """An independent copy; its index counters start at zero."""
         clone = Database()
-        clone._relations = {name: rel.copy() for name, rel in self._relations.items()}
+        for name, rel in self._relations.items():
+            clone._hold(name, rel.copy())
         clone._deferred = set(self._deferred)
         return clone
 
@@ -558,14 +584,22 @@ class Database:
         for name in names:
             rel = self._relations.get(name)
             if rel is not None:
-                clone._relations[name] = rel.copy()
+                clone._hold(name, rel.copy())
             elif name in self._deferred:
                 clone._deferred.add(name)
         return clone
 
     def drop(self, name: str) -> None:
-        self._relations.pop(name, None)
+        rel = self._relations.pop(name, None)
         self._deferred.discard(name)
+        if rel is not None:
+            totals = self._totals
+            for kind, n in enumerate(rel._counters):
+                totals[kind] -= n
+            # By identity: another total may hold equal numbers.
+            sinks = rel._sinks
+            at = next(i for i, sink in enumerate(sinks) if sink is totals)
+            rel._sinks = sinks[:at] + sinks[at + 1:]
 
     def canonical(self) -> frozenset[Fact]:
         """A hashable snapshot of the full instance (for cycle detection)."""

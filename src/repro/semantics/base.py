@@ -41,6 +41,7 @@ from typing import Hashable, Iterable, Iterator
 from repro.ast.program import Program
 from repro.ast.rules import EqLit, Lit, Rule
 from repro.relational.instance import Database
+from repro.semantics import planner
 from repro.semantics.plan import active_matcher, plan_for
 from repro.terms import Const, Var, apply_valuation
 
@@ -798,10 +799,6 @@ def immediate_consequences(
     ``db`` (see :meth:`repro.semantics.plan.RulePlan
     .run_emit`); ``positive`` then holds at least every new fact.
     """
-    # Lazy import: the planner builds on this module's matcher
-    # primitives.
-    from repro.semantics import planner
-
     if stats is not None:
         stats.consequence_calls += 1
     return planner.consequences(

@@ -51,9 +51,10 @@ The variants of a plan with steps ``0 … n-1``:
   batch (delta at a non-leading occurrence, bound plans, no loopable
   step), blocks under :attr:`CodegenPlan.BATCH_MIN_ROWS` and restricted
   walks run the scalar variants.
-* ``emit_grouped_*``/``emit_union_*`` — the grouped loops
-  (:func:`_emit_grouped`), bitset and set unions, each built on the
-  first call a batch kernel hands on (see :func:`_emit_batch`).
+* ``emit_grouped_*``/``emit_union_*`` — the grouped loops, bitset and
+  set unions, emitted by :mod:`repro.semantics.codegen_grouped` and
+  built on the first call a batch kernel hands on (see
+  :func:`_emit_batch`).
 
 The kernels that never yield (fused, factored and batch) read each
 negated relation's live tuple set once per call and probe it with a
@@ -143,12 +144,13 @@ exec("\n".join(_GLOBAL_LINES), _GLOBALS)
 
 #: The mean bucket size (rows per distinct key of the probed chain, at
 #: the probe depth) from which a fused batch kernel hands its call to
-#: the grouped variant (:func:`_emit_grouped`).  Like
+#: the grouped variant (:mod:`~repro.semantics.codegen_grouped`).  Like
 #: :attr:`CodegenPlan.BATCH_MIN_ROWS`, it moves only the clock.
 GROUP_MIN_BUCKET = 8
 
 #: The values one digit operation of a mask union covers: the bitset
-#: variant's budget per row of mean bucket (:func:`_emit_grouped`).
+#: variant's budget per row of mean bucket (see
+#: :func:`repro.semantics.codegen_grouped.emit_grouped`).
 _DIGIT_BITS = sys.int_info.bits_per_digit
 
 _BATCH_KINDS = ("walk_batch", "emit_batch", "emit_grouped", "emit_union")
@@ -486,8 +488,9 @@ def _emit_batch(plan, restricted_index: int, kind: str) -> _Source:
     chain has no counts yet or a mean bucket (``len(rel)`` over its
     distinct keys at the probe depth) of :data:`GROUP_MIN_BUCKET` rows
     or more, and the dispatch reruns it in the grouped variants
-    (:func:`_emit_grouped`); under that, grouping costs more than it
-    saves (a fan-out of 2, say).
+    (:mod:`~repro.semantics.codegen_grouped`); under that, grouping
+    costs more than it saves (a fan-out of 2, say).  The innermost
+    probe is then the last step's.
 
     Batched shapes: ≥ 1 step, unbound plans only (seeded slots have no
     local to live in), the fused restricted variant only for the leading
@@ -661,9 +664,12 @@ def _emit_batch(plan, restricted_index: int, kind: str) -> _Source:
         raise KeyError(f"{kind}_{suffix}")
     src.add(1, "fired = 0")
     if kind != "emit_batch":
-        _emit_grouped(src, steps[d_last], d_last, clauses, probe_info[d_last],
-                      targets(d_last), head_exprs, is_inner, relation_name,
-                      kind == "emit_grouped")
+        # Imported on the first grouped build: most programs never group.
+        from repro.semantics.codegen_grouped import emit_grouped
+
+        emit_grouped(src, steps[d_last], d_last, clauses, probe_info[d_last],
+                     targets(d_last), head_exprs, is_inner, relation_name,
+                     kind == "emit_grouped")
         return src
     if cacheable:
         # Long buckets, or no counts yet: the call is the grouped
@@ -695,118 +701,6 @@ def _estimate(src: _Source, step, d: int) -> None:
         f"KS{d}", frozenset(step.chain_order[:step.chain_depth])
     )
     src.add(1, f"n = rel{d}.distinct_estimate({positions})")
-
-
-def _emit_grouped(src: _Source, step, d: int, clauses: list[str],
-                  probe: tuple[str, str], target: str, head_exprs: list[str],
-                  is_inner: list[bool], relation_name: str,
-                  bitset: bool) -> None:
-    """The grouped loop of a fused batch kernel: ``emit_grouped_*``
-    (``bitset``) or ``emit_union_*``.
-
-    The innermost clause is an unfiltered keyed probe (``probe`` is its
-    bucket expression and key, ``target`` its row unpacking): each
-    distinct key's projection onto the head's inner positions
-    (``is_inner``) is built once per call, and each outer row unions it
-    into the group of the head's outer positions, as an int mask over
-    the call's value ids (bit ``i`` is the ``i``-th key of ``ids``) or
-    as a set.  A mask union costs a digit operation per
-    ``bits_per_digit`` values and a key's mask a char per value met so
-    far, a set union an insert per row, so past ``bits_per_digit``
-    times the mean bucket in values the bitset variant returns ``None``
-    before emitting, and the call reruns as a union.
-    """
-    probe_expr, cache_key = probe
-    inner = [e for e, inn in zip(head_exprs, is_inner) if inn]
-    outer = [e for e, inn in zip(head_exprs, is_inner) if not inn]
-    # The head, rebuilt from the group key (k*) and an inner value (w*).
-    head, ko, wo = [], 0, 0
-    for inn in is_inner:
-        head.append(f"w{wo}" if inn else f"k{ko}")
-        wo, ko = wo + inn, ko + (not inn)
-
-    def one(exprs: list[str]) -> str:
-        return exprs[0] if len(exprs) == 1 else _tuple_expr(exprs)
-
-    def unpack(names: list[str]) -> str:
-        return names[0] if len(names) == 1 else f"({', '.join(names)})"
-
-    keys = unpack([f"k{i}" for i in range(ko)])
-    values = unpack([f"w{j}" for j in range(wo)])
-    if bitset:
-        if not _full_depth(step):
-            # Else built on first probe: the budget needs its counts.
-            src.add(1, f"rel{d}.chain_index({step.chain_order!r})")
-        _estimate(src, step, d)
-        src.add(1, f"budget = {_DIGIT_BITS} * len(rel{d}) // (n or 1)\n"
-                   "ids = {}\nid_of = ids.setdefault")
-    src.add(1, ("seen = {}\nsget = seen.get" if outer
-                else f"seen = {'0' if bitset else 'set()'}")
-            + "\ncache = {}\ncget = cache.get")
-    depth = 1
-    for clause in clauses[:-1]:
-        src.add(depth, clause + ":")
-        depth += 1
-    if not bitset:
-        src.add(depth, f"""\
-proj = cget({cache_key})
-if proj is None:
-    proj = cache[{cache_key}] = [
-        {one(inner)}
-        for {target} in {probe_expr}
-    ]
-if proj:
-    fired += len(proj)""")
-        src.add(depth + 1, f"""\
-s = sget({one(outer)})
-if s is None:
-    s = seen[{one(outer)}] = set()
-s.update(proj)""" if outer else "seen.update(proj)")
-        loops = (f"for {keys}, s in seen.items() for {values} in s" if outer
-                 else f"for {values} in seen")
-        src.add(1, f"""\
-if seen:
-    flat = {{{_tuple_expr(head)} {loops}}}
-    if known:
-        flat.difference_update(known)
-    out.update([({relation_name}, t) for t in flat])
-return fired""")
-        return
-    union = (f"seen[{one(outer)}] = sget({one(outer)}, 0) | m" if outer
-             else "seen |= m")
-    # A key's mask as base-2 text, a char per id (bit i at ~i), parsed
-    # once: linear in its width; or-ing one-hot ints is quadratic.
-    src.add(depth, f"""\
-e = cget({cache_key})
-if e is None:
-    rs = {probe_expr}
-    ba = bytearray(b'0') * (len(ids) + len(rs) + 1)
-    for {target} in rs:
-        ba[~id_of({one(inner)}, len(ids))] = 49
-    if len(ids) > budget:
-        return None
-    e = cache[{cache_key}] = int(ba, 2), len(rs)
-m, c = e
-if c:
-    fired += c
-    {union}""")
-    # Each distinct mask is decoded once (groups often share one), and
-    # distinct (group, value) pairs are distinct heads: a list.
-    decode = "compress(ids, bin({})[:1:-1].encode().translate(_B01))"
-    if outer:
-        decoded = (f"    ws = {{m: list({decode.format('m')}) "
-                   f"for m in set(seen.values())}}\n")
-        loops = f"for {keys}, m in seen.items() for {values} in ws[m]"
-    else:
-        decoded, loops = "", f"for {values} in {decode.format('seen')}"
-    # Heads first, wrapped after: wrapping each head as it is built
-    # leaves GC tracking the pairs, and a large call then pays for
-    # full collections.
-    src.add(1, f"""\
-if seen:
-{decoded}    flat = [{_tuple_expr(head)} {loops}]
-    out.update([({relation_name}, t) for t in flat if t not in known])
-return fired""")
 
 
 def _emit_group(plan, index: int) -> _Source:
@@ -1047,8 +941,13 @@ class CodegenPlan:
             args = (db, adom, out, self._rows(restricted), known)
         fired = fn(*args)
         if fired is None:
-            # Long buckets: the bitset variant, or past its budget the
-            # set union (see ``_emit_grouped``).
+            # Long buckets or no counts, unless the probed relation (the
+            # last step's) is empty: then nothing fires, and no grouped
+            # variant is built for it.  Otherwise the bitset variant, or
+            # past its budget the set union (see
+            # ``codegen_grouped.emit_grouped``).
+            if not db.relation(self.plan.steps[-1].relation):
+                return 0
             fired = self._grouped[restricted_index + 1](*args)
             if fired is None:
                 fired = self._unions[restricted_index + 1](*args)

@@ -314,6 +314,21 @@ def _derivations(
         yield from _iter_bound_matches(probe, db, adom, values)
 
 
+def _supported(
+    fact: Fact,
+    probes: dict[str, list[_SupportProbe]],
+    db: Database,
+    adom: tuple,
+) -> bool:
+    """Does ``fact`` have a derivation from ``db`` as it stands?  Stops
+    at the first one (see :func:`_derivations`)."""
+    relation, values = fact
+    for probe in probes.get(relation, ()):
+        for _ in _iter_bound_matches(probe, db, adom, values):
+            return True
+    return False
+
+
 def _derivation_counts(rule: Rule, db: Database) -> Counter[Fact]:
     """Each head fact of ``rule`` over ``db`` with its number of body
     valuations, the ℕ-provenance of a nonrecursive rule.
@@ -366,18 +381,22 @@ def propagate(
     relation object, which must exist; with ``within`` given, only a
     head in ``within`` does.  Every pass is add-only: a head already in
     ``db`` is a no-op here, so the kernels may subtract it at the
-    source.  ``stats`` and ``tracer`` go to every pass.
+    source.  ``stats`` and ``tracer`` go to every pass.  A delta that
+    no rule of the pass program reads positively would derive nothing,
+    so it ends the loop without a pass.
     """
     pass_program, delta = seed
+    reads = planner.plan_context(pass_program).dispatch
+    later = planner.plan_context(program).dispatch
     added: set[Fact] = set()
     firings = 0
-    while delta:
+    while delta and not reads.keys().isdisjoint(delta):
         heads, _neg, fired = immediate_consequences(
             pass_program, db, adom, delta=_frozen(delta), stats=stats,
             tracer=tracer, add_only=True,
         )
         firings += fired
-        pass_program = program
+        pass_program, reads = program, later
         delta = {}
         for fact in heads:
             if within is not None and fact not in within:
@@ -410,10 +429,11 @@ def dred(
     the previous pass over-deleted, to a fixpoint.  A head joins the
     over-deletion when it is in ``db``, not in ``keep`` and not
     over-deleted yet.  These passes read consequences as "everything
-    derivable", most of it still in ``db``, so none is add-only.  Every
-    pass reads ``db`` before anything leaves it; then ``ghosts`` (facts
-    present only so that bodies match through them) and the over-deleted
-    facts leave together.
+    derivable", most of it still in ``db``, so none is add-only; a
+    frontier that no rule of the pass program reads positively ends the
+    phase without a pass.  Every pass reads ``db`` before anything
+    leaves it; then ``ghosts`` (facts present only so that bodies match
+    through them) and the over-deleted facts leave together.
 
     Phase 2 (delta-restricted rederive): each over-deleted candidate gets
     a head-bound support check against what survived, through the
@@ -428,15 +448,17 @@ def dred(
     every pass.
     """
     pass_program, frontier = seed
+    reads = planner.plan_context(pass_program).dispatch
+    later = planner.plan_context(program).dispatch
     overdeleted: set[Fact] = set()
     firings = 0
-    while frontier:
+    while frontier and not reads.keys().isdisjoint(frontier):
         heads, _neg, fired = immediate_consequences(
             pass_program, db, adom, delta=_frozen(frontier), stats=stats,
             tracer=tracer,
         )
         firings += fired
-        pass_program = program
+        pass_program, reads = program, later
         frontier = {}
         for fact in heads:
             if fact in overdeleted or fact in keep:
@@ -456,7 +478,7 @@ def dred(
     supported = [
         fact
         for fact in sorted(overdeleted, key=repr)
-        if any(True for _ in _derivations(fact, checks, db, adom))
+        if _supported(fact, checks, db, adom)
     ]
     delta: dict[str, set[tuple]] = {}
     for relation, t in supported:

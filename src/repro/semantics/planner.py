@@ -103,6 +103,10 @@ class _Decision:
         "templates",
         "plan",
         "plan_epoch",
+        "emitter",
+        "report",
+        "entry",
+        "variant",
     )
 
     def __init__(
@@ -128,6 +132,14 @@ class _Decision:
         )
         self.plan: RulePlan | None = None
         self.plan_epoch = -1
+        #: ``plan``'s single positive head as ``RulePlan.run_emit``
+        #: takes it, or ``None`` (the pass then drains ``run_rows``).
+        self.emitter: tuple[str, list, tuple] | None = None
+        #: The run report this decision last counted into, and its rule
+        #: and variant entries there (see :func:`consequences`).
+        self.report: dict | None = None
+        self.entry: dict = {}
+        self.variant: dict = {}
 
 
 class _RuleState:
@@ -182,6 +194,7 @@ class PlanContext:
         "cover_epoch",
         "report",
         "report_owner",
+        "passes",
     )
 
     def __init__(self, program: Program):
@@ -232,6 +245,9 @@ class PlanContext:
         #: ``EngineStats`` it belongs to (see :func:`_run_report`).
         self.report: dict = {}
         self.report_owner = None
+        #: (rule_ids, live delta relations or ``None``) → the rule
+        #: occurrences that pass visits (see :func:`_pass_visits`).
+        self.passes: dict[tuple, tuple] = {}
 
 
 def _new_report(ctx: PlanContext) -> dict:
@@ -469,24 +485,15 @@ def _variant_report(decision: _Decision) -> dict:
     }
 
 
-def _input_sizes(
-    lits: list[Lit], db: Database, occ: int | None, delta_size: int
-) -> list[int]:
-    """Live row counts of one variant's positive literals.
-
-    The delta-restricted occurrence ``occ`` reads the delta and counts
-    ``delta_size``; every other literal counts its relation in ``db``,
-    0 when absent.  A 0 among the other literals means the variant
-    derives nothing (see :func:`consequences`).
-    """
-    sizes: list[int] = []
-    for j, lit in enumerate(lits):
-        if j == occ:
-            sizes.append(delta_size)
-        else:
-            rel = db.relation(lit.relation)
-            sizes.append(len(rel) if rel is not None else 0)
-    return sizes
+def _single_head(plan: RulePlan) -> tuple[str, list, tuple] | None:
+    """A plan's one positive head emitter, as ``RulePlan.run_emit``
+    takes it; ``None`` for other heads and for a plan that never
+    matches."""
+    emitters = plan.emitters
+    if plan.never or emitters is None or len(emitters) != 1:
+        return None
+    relation, template, fills, positive = emitters[0]
+    return (relation, template, fills) if positive else None
 
 
 def _decision(
@@ -494,21 +501,21 @@ def _decision(
     report: dict,
     rule_id: int,
     occ: int | None,
-    sizes: list[int],
+    snapshot: tuple[int, ...],
+    delta_size: int,
     db: Database,
 ) -> _Decision:
     """The (cached, drift-checked) decision for one rule variant.
 
-    ``sizes`` are the variant's literal sizes from :func:`_input_sizes`.
+    ``snapshot`` are the live sizes of the variant's positive literals
+    other than the delta occurrence ``occ`` (all of them for a full
+    pass); ``delta_size`` sizes that occurrence.  Leaves the decision
+    counting into ``report``, with its plan's head emitter at hand.
     """
     state = ctx.states[rule_id]
     state.lookups += 1
     report["plan_lookups"] += 1
     base = None
-    if occ is None:
-        snapshot = tuple(sizes)
-    else:
-        snapshot = tuple(s for j, s in enumerate(sizes) if j != occ)
     decision = state.decisions.get(occ)
     entry = report["rules"].setdefault(str(rule_id), {})
     variant_key = "full" if occ is None else f"delta@{occ}"
@@ -519,6 +526,9 @@ def _decision(
     else:
         if decision is not None:
             report["replans"] += 1
+        sizes = list(snapshot)
+        if occ is not None:
+            sizes.insert(occ, delta_size)
         order, est_rows = _cost_order(
             ctx.positive[rule_id], ctx.var_sets[rule_id], sizes, db,
             restricted_occ=occ,
@@ -543,6 +553,10 @@ def _decision(
             ctx, base or plan_for(ctx.rules[rule_id], decision.order)
         )
         decision.plan_epoch = ctx.cover_epoch
+        decision.emitter = _single_head(decision.plan)
+    decision.report = report
+    decision.entry = entry
+    decision.variant = entry[variant_key]
     return decision
 
 
@@ -733,52 +747,42 @@ def _emit(
     return firings
 
 
-def _fire(
-    plan: RulePlan,
-    db: Database,
-    adom: tuple[Hashable, ...],
-    restricted_pos: int,
-    restricted: frozenset[tuple] | None,
-    rule,
-    positive: set[tuple[str, tuple]],
-    negative: set[tuple[str, tuple]],
-    add_only: bool,
-) -> int:
-    """Run one compiled plan variant and emit its inferences.
+def _pass_visits(
+    ctx: PlanContext,
+    rule_ids: tuple[int, ...] | None,
+    live: tuple[str, ...] | None,
+) -> tuple:
+    """The rule occurrences one pass visits, in visiting order.
 
-    Single-positive-head rules take the fused ``RulePlan.run_emit``
-    path (no per-row generator resume — this is the hottest loop in the
-    repository; its kernels drop known heads when ``add_only``);
-    everything else drains ``plan.run_rows`` — a materialized batch
-    when one exists, the generator walk otherwise — through
-    :func:`_emit`.
+    One ``(rule id, rule, state, occurrences)`` per rule, each
+    occurrence ``(occ, delta relation, other relations)``: a full pass
+    (``live`` is ``None``) visits every rule of ``rule_ids`` once, with
+    ``occ`` and the delta relation ``None``; a delta pass visits the
+    rules the dispatch map selects for the ``live`` relations, once per
+    positive literal over one of them.
     """
-    if plan.never:
-        return 0
-    emitters = plan.emitters
-    if emitters is not None and len(emitters) == 1 and emitters[0][3]:
-        relation, template, fills, _ = emitters[0]
-        return plan.run_emit(
-            db, adom, restricted_pos, restricted,
-            relation, template, fills, positive, add_only,
+    ids = range(len(ctx.rules)) if rule_ids is None else rule_ids
+    if live is None:
+        return tuple(
+            (i, ctx.rules[i], ctx.states[i],
+             ((None, None, tuple(lit.relation for lit in ctx.positive[i])),))
+            for i in ids
         )
-    return _emit(
-        plan,
-        plan.run_rows(db, adom, restricted_pos, restricted),
-        rule,
-        positive,
-        negative,
-    )
-
-
-def _count_actual(
-    rule_report: dict, rule_id: int, variant_key: str, fired: int
-) -> None:
-    """Add one variant run's firings to its and its rule's actual rows."""
-    entry = rule_report[str(rule_id)]
-    variant = entry[variant_key]
-    variant["actual_rows"] = variant.get("actual_rows", 0) + fired
-    entry["actual_rows"] = entry.get("actual_rows", 0) + fired
+    selected: set[int] = set()
+    for relation in live:
+        selected.update(ctx.dispatch.get(relation, ()))
+    selected.intersection_update(ids)
+    visits = []
+    for i in sorted(selected):
+        lits = ctx.positive[i]
+        occs = tuple(
+            (occ, lit.relation,
+             tuple(other.relation for j, other in enumerate(lits) if j != occ))
+            for occ, lit in enumerate(lits)
+            if lit.relation in live
+        )
+        visits.append((i, ctx.rules[i], ctx.states[i], occs))
+    return tuple(visits)
 
 
 def _traced_pass(
@@ -849,6 +853,15 @@ def consequences(
     same ``db`` and would derive nothing, so the skip is exact.  A
     rule gets a report entry only once one of its variants runs.
 
+    The pass itself is mostly lookups.  The occurrences it visits are
+    kept per (``rule_ids``, live delta relations) on the context
+    (:func:`_pass_visits`).  A decision that has not drifted, was
+    planned under the current cover and already counted into this
+    run's report keeps its head emitter and its report entries, so it
+    costs the input sizes, a drift check and a few counter bumps before
+    its kernel; any other goes through :func:`_decision`, which plans,
+    reports and re-arms it.
+
     ``rule_ids`` restricts evaluation to one scheduled component;
     ``count_call`` makes this call bump ``stats.consequence_calls``
     (the scheduled drivers call here directly, bypassing
@@ -871,69 +884,79 @@ def consequences(
         tracer = None
     positive: set[tuple[str, tuple]] = set()
     negative: set[tuple[str, tuple]] = set()
-    rules = ctx.rules
-    ids = range(len(rules)) if rule_ids is None else rule_ids
     if tracer is not None and not getattr(tracer, "planned", False):
+        ids = range(len(ctx.rules)) if rule_ids is None else rule_ids
         firings = _traced_pass(
             ctx, ids, db, adom, delta, tracer, positive, negative
         )
         return positive, negative, firings
     report = _run_report(ctx, stats)
-    rule_report = report["rules"]
-    firings = 0
-    if delta is None:
-        for i in ids:
-            span = None if tracer is None else tracer.rule_span(i, rules[i])
-            sizes = _input_sizes(ctx.positive[i], db, None, 0)
-            fired = 0
-            if 0 not in sizes:
-                decision = _decision(ctx, report, i, None, sizes, db)
-                fired = _fire(
-                    decision.plan, db, adom, -1, None,
-                    rules[i], positive, negative, add_only,
+    live = None if delta is None else tuple([
+        relation for relation, facts in delta.items() if facts
+    ])
+    visits = ctx.passes.get((rule_ids, live))
+    if visits is None:
+        visits = ctx.passes[(rule_ids, live)] = _pass_visits(
+            ctx, rule_ids, live
+        )
+    relation_of = db.relation
+    firings = hits = 0
+    for i, rule, state, occs in visits:
+        span = None if tracer is None else tracer.rule_span(i, rule)
+        fired = 0
+        for occ, name, others in occs:
+            sizes = tuple([
+                len(rel) if (rel := relation_of(other)) is not None else 0
+                for other in others
+            ])
+            if 0 in sizes:
+                continue
+            restricted = None if name is None else delta[name]
+            decision = state.decisions.get(occ)
+            if (decision is not None and decision.report is report
+                    and decision.plan_epoch == ctx.cover_epoch
+                    and (decision.snapshot == sizes
+                         or not _drifted(decision.snapshot, sizes))):
+                state.lookups += 1
+                hits += 1
+            else:
+                decision = _decision(
+                    ctx, report, i, occ, sizes,
+                    0 if restricted is None else len(restricted), db,
                 )
-                _count_actual(rule_report, i, "full", fired)
-                if span is not None:
-                    span.order = decision.order
-            firings += fired
-            if span is not None:
-                span.firings = fired
-                span.emitted = fired
-                span.close()
-    else:
-        live = {relation for relation, facts in delta.items() if facts}
-        selected: set[int] = set()
-        for relation in live:
-            selected.update(ctx.dispatch.get(relation, ()))
-        if rule_ids is not None:
-            selected &= set(rule_ids)
-        for i in sorted(selected):
-            rule = rules[i]
-            lits = ctx.positive[i]
-            span = None if tracer is None else tracer.rule_span(i, rule)
-            fired = 0
-            for occ, lit in enumerate(lits):
-                restricted = delta.get(lit.relation)
-                if not restricted:
-                    continue
-                sizes = _input_sizes(lits, db, occ, len(restricted))
-                if 0 in sizes:
-                    continue
-                decision = _decision(ctx, report, i, occ, sizes, db)
-                fired_occ = _fire(
-                    decision.plan, db, adom,
-                    decision.restricted_pos, restricted,
-                    rule, positive, negative, add_only,
+            plan = decision.plan
+            emitter = decision.emitter
+            if emitter is not None:
+                relation, template, fills = emitter
+                fired_occ = plan.run_emit(
+                    db, adom, decision.restricted_pos, restricted,
+                    relation, template, fills, positive, add_only,
                 )
-                _count_actual(rule_report, i, f"delta@{occ}", fired_occ)
-                if span is not None:
-                    span.order = decision.order
-                fired += fired_occ
-            firings += fired
+            elif plan.never:
+                fired_occ = 0
+            else:
+                fired_occ = _emit(
+                    plan,
+                    plan.run_rows(
+                        db, adom, decision.restricted_pos, restricted
+                    ),
+                    rule, positive, negative,
+                )
+            variant = decision.variant
+            variant["actual_rows"] = variant.get("actual_rows", 0) + fired_occ
+            entry = decision.entry
+            entry["actual_rows"] = entry.get("actual_rows", 0) + fired_occ
             if span is not None:
-                span.firings = fired
-                span.emitted = fired
-                span.close()
+                span.order = decision.order
+            fired += fired_occ
+        firings += fired
+        if span is not None:
+            span.firings = fired
+            span.emitted = fired
+            span.close()
+    if hits:
+        report["plan_lookups"] += hits
+        report["plan_hits"] += hits
     report["index_cover"] = ctx.cover_summary
     return positive, negative, firings
 
@@ -1092,6 +1115,10 @@ def explain(program: Program, db: Database) -> dict:
     ctx = PlanContext(program)
     report = _new_report(ctx)
     for i, lits in enumerate(ctx.positive):
-        _decision(ctx, report, i, None, _input_sizes(lits, db, None, 0), db)
+        sizes = tuple([
+            len(rel) if (rel := db.relation(lit.relation)) is not None else 0
+            for lit in lits
+        ])
+        _decision(ctx, report, i, None, sizes, 0, db)
     report["index_cover"] = ctx.cover_summary
     return report

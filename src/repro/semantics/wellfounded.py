@@ -226,47 +226,38 @@ class _Side:
     """One work database of the alternation and the iterate it holds.
 
     ``idb`` are this side's own idb relations (the iterate), in sorted
-    name order; ``own`` is every relation of the copy, taken before
-    :class:`_Alternation` attaches the other side's relations.
-    ``pending`` is the net change the other side made in its last step,
-    which this side's next step consumes: ``None`` until this side's
-    first step, which starts from the input instead.
+    name order.  ``pending`` is the net change the other side made in
+    its last step, which this side's next step consumes: ``None`` until
+    this side's first step, which starts from the input instead.
     """
 
-    __slots__ = ("db", "idb", "own", "booked", "pending")
+    __slots__ = ("db", "idb", "pending")
 
     def __init__(self, db: Database, program: Program, names: list[str]):
         self.db = db.copy()
         self.idb = [
             self.db.ensure_relation(name, program.arity(name)) for name in names
         ]
-        self.own = [
-            rel for rel in map(self.db.relation, self.db.relation_names())
-            if rel is not None
-        ]
-        self.booked = (0, 0, 0)  # a copy's counters start at zero
         self.pending: dict[str, set[tuple]] | None = None
 
     def size(self) -> int:
-        return sum(len(rel) for rel in self.idb)
+        return sum(map(len, self.idb))
 
     def facts(self) -> frozenset[tuple[str, tuple]]:
         return frozenset((rel.name, t) for rel in self.idb for t in rel)
 
-    def book(self) -> tuple[int, int, int]:
-        """(builds, updates, drops) on this side's own relations since
-        the last call.  An attached relation is the other side's to
-        book: counting it here too would count its chain work twice.
-        """
-        totals = (
-            sum(rel.index_builds for rel in self.own),
-            sum(rel.index_updates for rel in self.own),
-            sum(rel.index_drops for rel in self.own),
-        )
-        booked, self.booked = self.booked, totals
-        return (
-            totals[0] - booked[0], totals[1] - booked[1], totals[2] - booked[2]
-        )
+
+def _reads_adom(programs) -> bool:
+    """Does some rule of ``programs`` range a variable over the active
+    domain: one that no positive literal binds, or a universal one?"""
+    for program in programs:
+        for rule in program.rules:
+            bound: set[Var] = set()
+            for lit in rule.positive_body():
+                bound |= lit.variables()
+            if rule.universal or not rule.variables() <= bound:
+                return True
+    return False
 
 
 class _Alternation:
@@ -279,13 +270,25 @@ class _Alternation:
     step consumes the net change the other side made in its previous
     step: the even side grows its model semi-naively, the odd side
     shrinks its model by DRed.  ``recorder`` receives one stage record
-    per step.
+    per step, with the index work on the stepping side's database
+    during the step: the other side's relations attached there do not
+    move while this side steps, so nothing is counted twice.
+
+    The active domain is enumerated (and sorted) only when some rule of
+    the transformed or seed programs ranges a variable over it;
+    ``adom_size`` is its size either way.
     """
 
     def __init__(self, program: Program, db: Database, tracer=None):
         self.transformed = _transform(program)
         self.grow, self.shrink = _seed_variants(program, self.transformed)
-        self.adom = evaluation_adom(program, db)
+        programs = (self.transformed, self.grow, self.shrink)
+        if _reads_adom(p for p in programs if p is not None):
+            self.adom = evaluation_adom(program, db)
+            self.adom_size = len(self.adom)
+        else:
+            self.adom = ()
+            self.adom_size = len(program.constants() | db.active_domain())
         self.recorder = StatsRecorder("wellfounded", tracer=tracer)
         self.tracer = tracer
         names = sorted(program.idb)
@@ -312,6 +315,7 @@ class _Alternation:
 
         Returns True iff the iterate changed.
         """
+        self.recorder.watch(side.db)
         if side.pending is None:
             firings, change = self._first_step(side)
         elif self.grow is None:  # no rule reads an assumption: S is constant
@@ -329,8 +333,7 @@ class _Alternation:
         self.recorder.stats.planner = self.report
         self.steps += 1
         self.recorder.stage(
-            self.steps, firings, added=side.size() - self.given_size,
-            counters=side.book(),
+            self.steps, firings, added=side.size() - self.given_size
         )
         return bool(change)
 
@@ -443,7 +446,7 @@ def evaluate_wellfounded(
         # Neither side changed: both subsequences have settled.
         if not (even_moved or odd_moved):
             break
-    stats = run.recorder.finish(adom_size=len(run.adom))
+    stats = run.recorder.finish(adom_size=run.adom_size)
     return WellFoundedModel(
         program=program,
         input_db=db,

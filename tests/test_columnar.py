@@ -50,9 +50,11 @@ class TestAddBatch:
     def test_returns_fresh_in_input_order(self):
         rel = Relation("R", 2, [(1, 2)])
         fresh = rel.add_batch([(3, 4), (1, 2), (5, 6), (3, 4)])
-        # Duplicates against the relation are filtered; input order is
-        # preserved (the absorb path feeds trace.new_facts from this).
-        assert fresh == [(3, 4), (5, 6), (3, 4)]
+        # Duplicates against the relation and within the batch are
+        # filtered; each new tuple comes back once, in the order the
+        # batch first gives it (the absorb path feeds trace.new_facts
+        # from this).
+        assert fresh == [(3, 4), (5, 6)]
         assert set(rel) == {(1, 2), (3, 4), (5, 6)}
 
     def test_arity_mismatch_raises(self):

@@ -9,6 +9,8 @@ the tuple set, and explicitly-empty relations are either registered
 ambiguous use.
 """
 
+import random
+
 import pytest
 
 from repro.errors import SchemaError
@@ -111,9 +113,11 @@ class TestAddBatchThreading:
 
     def test_add_batch_equals_row_by_row_add(self):
         seed = [(f"a{i % 3}", f"b{i % 4}", i % 5) for i in range(12)]
-        # New rows over new and known keys, and rows already present.
+        # New rows over new and known keys, rows already present, and a
+        # new row given twice.
         rows = [(f"a{i % 4}", f"b{i % 6}", i % 7) for i in range(40)]
         rows = list(dict.fromkeys(rows)) + seed[:4]
+        rows.insert(len(rows) // 2, rows[3])
         batched, stepped = Relation("R", 3, seed), Relation("R", 3, seed)
         for rel in (batched, stepped):
             for order in self.CHAINS:
@@ -228,6 +232,97 @@ class TestIncrementalIndexes:
         db.add_fact("R", ("d",))
         db.relation("S").drop_chain_index((1,))
         assert db.index_totals() == (2, 1, 1)
+
+
+def walked_totals(db: Database) -> tuple[int, int, int]:
+    """(builds, updates, drops) by a walk over the names, each name
+    counting its relation once (an attached relation once per name)."""
+    totals = [0, 0, 0]
+    for name in db.relation_names():
+        rel = db.relation(name)
+        if rel is not None:
+            totals[0] += rel.index_builds
+            totals[1] += rel.index_updates
+            totals[2] += rel.index_drops
+    return tuple(totals)
+
+
+class TestPushedTotals:
+    """Relations push their counter moves to every database name that
+    holds them; ``index_totals`` must read what a walk would count."""
+
+    ORDERS = [(0,), (1,), (0, 1), (1, 0)]
+
+    def row(self, rng):
+        return (rng.randrange(5), rng.randrange(5))
+
+    def step(self, rng, dbs: list[Database], fresh_names) -> None:
+        db = rng.choice(dbs)
+        names = [n for n in db.relation_names() if db.relation(n)]
+        op = rng.choice([
+            "add", "discard", "add_batch", "build", "drop_chain", "clear",
+            "replace", "copy", "restrict", "attach", "drop", "new",
+        ])
+        if op == "new" or not names:
+            db.ensure_relation(next(fresh_names), 2).update(
+                self.row(rng) for _ in range(rng.randrange(4))
+            )
+            return
+        rel = db.relation(rng.choice(names))
+        if op == "add":
+            rel.add(self.row(rng))
+        elif op == "discard":
+            rel.discard(rng.choice(sorted(rel)) if rel and rng.random() < 0.8
+                        else self.row(rng))
+        elif op == "add_batch":
+            rows = [self.row(rng) for _ in range(rng.randrange(1, 6))]
+            rel.add_batch(rows + rows[:rng.randrange(3)])
+        elif op == "build":
+            rel.chain_index(rng.choice(self.ORDERS))
+        elif op == "drop_chain":
+            rel.drop_chain_index(rng.choice(self.ORDERS))
+        elif op == "clear":
+            rel.clear()
+        elif op == "replace":
+            rel.replace({self.row(rng) for _ in range(rng.randrange(8))})
+        elif op == "copy":
+            clone = db.copy()
+            assert clone.index_totals() == (0, 0, 0)
+            dbs.append(clone)
+        elif op == "restrict":
+            clone = db.restrict(rng.sample(names, rng.randrange(len(names))))
+            assert clone.index_totals() == (0, 0, 0)
+            dbs.append(clone)
+        elif op == "attach":
+            rng.choice(dbs).attach(next(fresh_names), rel)
+        else:
+            db.drop(rng.choice(names))
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_totals_equal_a_walk(self, seed):
+        rng = random.Random(seed)
+        fresh_names = (f"R{i}" for i in range(10**6))
+        dbs = [Database({"G": [(0, 1), (1, 2)]})]
+        for _ in range(150):
+            self.step(rng, dbs, fresh_names)
+            for db in dbs:
+                assert db.index_totals() == walked_totals(db)
+        assert sum(sum(walked_totals(db)) for db in dbs) > 0
+
+    def test_attached_relation_counts_once_per_name(self):
+        db = Database({"R": [(1, 2)]})
+        rel = db.relation("R")
+        db.attach("S", rel)
+        other = Database()
+        other.attach("T", rel)
+        rel.chain_index((0,))
+        rel.add((3, 4))
+        assert db.index_totals() == (2, 2, 0)
+        assert other.index_totals() == (1, 1, 0)
+        db.drop("S")
+        assert db.index_totals() == (1, 1, 0)
+        rel.drop_chain_index((0,))
+        assert db.index_totals() == other.index_totals() == (1, 1, 1)
 
 
 class TestEmptyRelations:

@@ -237,6 +237,26 @@ def test_only_a_grouping_call_builds_the_grouped_variant():
     assert f"budget = {codegen._DIGIT_BITS} * len(rel1) // (n or 1)" in grouped
 
 
+@pytest.mark.parametrize("add_only", [False, True])
+def test_an_empty_probed_relation_fires_nothing_in_the_plain_loop(add_only,
+                                                                  paths):
+    """An empty ``E`` has no distinct keys (``n`` = 0), so the plain
+    kernel's hand-off test holds; the dispatch then returns 0 firings
+    instead of handing the call on, and no grouped variant is built."""
+    (rule,) = parse_program(RULE).rules
+    plan = plan_for(rule, (0, 1))
+    rows = [(f"x{i}", f"k{i}") for i in range(CodegenPlan.BATCH_MIN_ROWS)]
+    db = Database({("E", 2): [], "D": rows})
+    db.ensure_relation("H", 2)
+    for restricted_index, delta_rows in ((0, rows), (-1, None)):
+        out, fired = run(plan, db, restricted_index, delta_rows, add_only)
+        assert (out, fired) == (set(), 0)
+    assert db.relation("E").distinct_estimate(frozenset({0})) == 0
+    assert set(plan.codegen_fns.kernels) == {"emit_batch_r0",
+                                             "emit_batch_full"}
+    assert paths == []
+
+
 @pytest.mark.parametrize("source", [
     "H(x) :- D(x, y), E(y, z).",
     "H('c') :- D(x, y), E(y, z).",

@@ -314,21 +314,6 @@ def _derivations(
         yield from _iter_bound_matches(probe, db, adom, values)
 
 
-def _supported(
-    fact: Fact,
-    probes: dict[str, list[_SupportProbe]],
-    db: Database,
-    adom: tuple,
-) -> bool:
-    """Does ``fact`` have a derivation from ``db`` as it stands?  Stops
-    at the first one (see :func:`_derivations`)."""
-    relation, values = fact
-    for probe in probes.get(relation, ()):
-        for _ in _iter_bound_matches(probe, db, adom, values):
-            return True
-    return False
-
-
 def _derivation_counts(rule: Rule, db: Database) -> Counter[Fact]:
     """Each head fact of ``rule`` over ``db`` with its number of body
     valuations, the ℕ-provenance of a nonrecursive rule.
@@ -478,7 +463,7 @@ def dred(
     supported = [
         fact
         for fact in sorted(overdeleted, key=repr)
-        if _supported(fact, checks, db, adom)
+        if next(_derivations(fact, checks, db, adom), None) is not None
     ]
     delta: dict[str, set[tuple]] = {}
     for relation, t in supported:

@@ -23,9 +23,7 @@ Usage::
 * ``stats`` reports engine counters and the run's planner report
   (``--format json`` is pinned by ``STATS_SCHEMA_VERSION``); ``trace``
   prints the stage-by-stage evaluation; ``profile`` aggregates per-rule
-  time/firings/join selectivity into a hot-rule table or JSON report
-  (``--planned`` profiles the production kernels and attaches the
-  live planner report).
+  time/firings/join selectivity into a hot-rule table or JSON report.
 * ``effects`` enumerates eff(P) for nondeterministic programs.
 * ``terminate`` checks termination of a Datalog¬¬ program on every
   instance over a bounded domain (§4.2).
@@ -472,31 +470,18 @@ def cmd_profile(args, out) -> int:
     if engine is None:
         print(f"unknown semantics {semantics!r}", file=sys.stderr)
         return 2
-    planned = getattr(args, "planned", False)
-    collector = CollectorSink()
-    result = engine(
-        program, db, tracer=Tracer([collector], planned=planned)
-    )
-    report = ProfileReport.from_events(collector.events, program=program)
-    # Default traced runs match through the reference matcher; surface
-    # that so profile numbers are not read as production-kernel
-    # timings.  ``--planned`` keeps the production kernels (counters-only
-    # spans), so there the matcher reads "columnar".  (The stable engine
-    # returns a model set with no stats — default there.)
-    stats = getattr(result, "stats", None)
-    report.matcher = getattr(stats, "matcher", "") or "interpreted"
-    # Planned runs carry the *live* planner report (the variants that
-    # ran, with their actual rows); the default traced run matched
-    # through the reference matcher (by design — probe counts stay
-    # exact), so attach the *static* report for the same program and
-    # input instead.
-    live_planner = getattr(stats, "planner", None)
-    if planned and live_planner is not None:
-        report.planner = live_planner
-    else:
-        from repro.semantics import planner as planner_module
+    from repro.semantics.plan import active_matcher
+    from repro.semantics.planner import explain
 
-        report.planner = planner_module.explain(program, db)
+    collector = CollectorSink()
+    result = engine(program, db, tracer=Tracer([collector]))
+    report = ProfileReport.from_events(collector.events, program=program)
+    # The stable engine returns a model set with no stats.
+    stats = getattr(result, "stats", None)
+    report.matcher = getattr(stats, "matcher", "") or active_matcher()
+    # The static planner report for the same program and input: what
+    # the planner would decide, beside what the run did.
+    report.planner = explain(program, db)
     top = args.top if args.top > 0 else None
     if args.format == "json":
         print(report.to_json(sort=args.sort, top=top), file=out)
@@ -865,14 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--seed", type=int, default=0,
         help="seed (choice/nondeterministic semantics)",
-    )
-    profile.add_argument(
-        "--planned",
-        action="store_true",
-        help="profile the production kernels instead of the reference "
-        "matcher: "
-        "counters-only rule spans (no per-literal join probes), planner "
-        "join orders on each span, and the live planner report attached",
     )
 
     effects = sub.add_parser("effects", help="enumerate eff(P) (nondeterministic)")

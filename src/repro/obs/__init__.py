@@ -9,10 +9,10 @@ drivers:
 * :mod:`repro.obs.events` — the event model: run brackets, stage spans,
   rule spans with firings / tuples emitted / tuples deduplicated, and
   per-literal join statistics (``TRACE_SCHEMA_VERSION``-pinned);
-* :mod:`repro.obs.tracer` — :class:`Tracer` (fans events to sinks) and
-  the zero-overhead :class:`NullTracer` default;
-* :mod:`repro.obs.probe` — :class:`JoinProbe`, the per-literal
-  candidate/match counter that rides inside the reference matcher;
+* :mod:`repro.obs.tracer` — :class:`Tracer` (fans events to sinks),
+  :class:`RuleSpan` (into which the traced kernels count each
+  literal's candidates and matches) and the zero-overhead
+  :class:`NullTracer` default;
 * :mod:`repro.obs.sinks` — in-memory collector and JSONL writer;
 * :mod:`repro.obs.profile` — :class:`ProfileReport`, the per-rule
   aggregation behind ``repro profile``.
@@ -35,7 +35,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "TRACE_SCHEMA_VERSION", "LiteralProfile", "RuleEvent", "RunBeginEvent",
         "RunEndEvent", "StageEvent", "TraceEvent",
     ),
-    ".probe": ("JoinProbe",),
     ".profile": (
         "PROFILE_SCHEMA_VERSION", "SORT_KEYS", "ProfileReport",
         "RuleProfileRow",

@@ -10,19 +10,32 @@ uniform event stream.  Four event kinds cover every engine:
   seconds, firings, facts added/removed, index work, and (optionally)
   the facts themselves;
 * ``rule`` — one rule evaluated within a stage (a *rule span*): wall
-  seconds, firings, tuples emitted, tuples deduplicated, and the
-  per-literal join statistics (:class:`LiteralProfile`) that expose
-  join selectivity.
+  seconds, firings, tuples emitted, tuples deduplicated, the join
+  order it ran under, and the per-literal join statistics
+  (:class:`LiteralProfile`) that expose join selectivity.
 
 Every event serializes with :meth:`to_dict` under the pinned
 ``TRACE_SCHEMA_VERSION``; the JSONL sink writes one event per line, the
 same schema-versioning discipline as ``repro lint --format json``.
 
-``deduplicated`` on a rule span counts head instantiations that were
-already inferred earlier in the *same consequence pass* (by this or
-another rule); facts already present in the database are deduplicated
-later by the engine's ``add_fact`` and show up in the stage span as the
-gap between ``firings``-driven emission and ``added``.
+Rule spans have one definition, whichever engine runs:
+
+* a span exists for each rule the pass visits — on a planned pass, each
+  rule at least one of whose variants runs (a variant that reads an
+  empty relation is skipped, and a delta pass visits only the rules
+  that read the delta); engines that match every rule every stage
+  (choice, invention, nondeterministic) open one per rule per stage;
+* ``firings`` counts the body instantiations, ``emitted`` the head
+  instantiations they make;
+* ``deduplicated`` counts the emitted heads that added nothing to the
+  pass's output: already derived in the pass (by this or another
+  rule) or, when the caller is an add-only fixpoint or the engine adds
+  each head to the database at once, already in the database;
+* ``literals`` holds one entry per positive body literal, in body
+  order, with the candidates and matches the traced kernels counted
+  for it, summed over the variants the span ran (none for a span no
+  counting kernel ran, such as a ∀ rule's); ``order`` is the join
+  order of the span's last variant.
 """
 
 from __future__ import annotations
@@ -143,10 +156,9 @@ class RuleEvent:
     emitted: int
     deduplicated: int
     literals: tuple[LiteralProfile, ...] = ()
-    #: The planner's chosen join order (body-literal indices) when the
-    #: span came from a planned evaluation; ``None`` on the
-    #: reference-matcher traced path.  Serialized only when present — an additive field
-    #: under the pinned schema.
+    #: The join order (positive body indices) the span's last variant
+    #: ran under; ``None`` when no planned matcher ran.  Serialized
+    #: only when present — an additive field under the pinned schema.
     order: tuple[int, ...] | None = None
 
     def to_dict(self) -> dict[str, Any]:

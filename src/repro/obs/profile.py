@@ -51,9 +51,8 @@ class RuleProfileRow:
     emitted: int = 0
     deduplicated: int = 0
     literals: list[LiteralProfile] = field(default_factory=list)
-    #: Distinct planner join orders this rule's spans ran under, in
-    #: first-seen order (planned-mode profiles only; empty on the
-    #: reference-matcher traced path, which uses its own greedy order).
+    #: Distinct join orders this rule's spans ran under, in first-seen
+    #: order (empty when no span carried one).
     orders: list[list[int]] = field(default_factory=list)
 
     def merge_event(self, event: RuleEvent) -> None:
@@ -95,8 +94,8 @@ class RuleProfileRow:
             "literals": [lp.to_dict() for lp in self.literals],
         }
         if self.orders:
-            # Additive under the pinned schema: present only for
-            # planned-mode profiles.
+            # Additive under the pinned schema: present once a span
+            # carried an order.
             out["orders"] = [list(order) for order in self.orders]
         return out
 
@@ -106,13 +105,9 @@ class ProfileReport:
     """Per-rule hot-spot report for one engine run."""
 
     engine: str = ""
-    #: Matcher of the profiled run.  Default profiles are collected
-    #: through the reference matcher (the generated kernels have no
-    #: probe hooks), so this is ``"interpreted"`` — recorded explicitly
-    #: so readers comparing against ``repro stats`` (``"columnar"``)
-    #: are not misled.  ``repro profile --planned`` keeps the
-    #: production kernels (counters-only spans) and reports
-    #: ``"columnar"``.
+    #: Matcher of the profiled run: ``"columnar"``, as for ``repro
+    #: stats`` — a traced run runs the production kernels' counting
+    #: twins.
     matcher: str = ""
     seconds: float = 0.0
     stages: int = 0
@@ -264,4 +259,8 @@ class ProfileReport:
                     for lp in row.literals
                 )
                 lines.append(" " * (sum(widths) + 2 * len(widths)) + f"join {joins}")
+            if row.orders:
+                orders = " ".join(str(order) for order in row.orders)
+                lines.append(" " * (sum(widths) + 2 * len(widths))
+                             + f"order {orders}")
         return "\n".join(lines)

@@ -17,8 +17,9 @@ from __future__ import annotations
 from time import perf_counter
 from typing import TYPE_CHECKING
 
-from repro.obs.events import RuleEvent, RunBeginEvent, RunEndEvent, StageEvent
-from repro.obs.probe import JoinProbe
+from repro.obs.events import (
+    LiteralProfile, RuleEvent, RunBeginEvent, RunEndEvent, StageEvent,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ast.rules import Rule
@@ -29,15 +30,17 @@ class RuleSpan:
     """An open rule span: one rule being evaluated in one pass.
 
     Engines bump ``firings`` / ``emitted`` / ``deduplicated`` while the
-    rule runs, pass ``probe`` into :func:`reference_matches`, and call
-    :meth:`close` when the rule's work in this pass is done.  Engines
-    whose bookkeeping continues after matching (the choice engine
-    commits firings in a separate shuffled pass) call :meth:`stop`
-    first to freeze the clock at end-of-matching.
+    rule runs, hand the span to the matcher (the planner's traced
+    kernels, or ``iter_matches``), which sets ``order`` and adds its
+    per-literal counts into :meth:`tally`, and call :meth:`close` when
+    the rule's work in this pass is done.  Engines whose bookkeeping
+    continues after matching (the choice engine commits firings in a
+    separate shuffled pass) call :meth:`stop` first to freeze the clock
+    at end-of-matching.
     """
 
     __slots__ = (
-        "tracer", "rule_index", "rule", "probe",
+        "tracer", "rule_index", "rule", "counts",
         "firings", "emitted", "deduplicated", "order", "_t0", "_seconds",
     )
 
@@ -45,15 +48,24 @@ class RuleSpan:
         self.tracer = tracer
         self.rule_index = rule_index
         self.rule = rule
-        self.probe = JoinProbe()
+        #: See :meth:`tally`; ``None`` while no counting kernel ran.
+        self.counts: list[int] | None = None
         self.firings = 0
         self.emitted = 0
         self.deduplicated = 0
-        #: Join order the planner ran this span under (planned mode
-        #: only; the reference-matcher traced path leaves it ``None``).
+        #: The join order (positive body indices) the rule last ran
+        #: under in this span; ``None`` while no planned matcher ran.
         self.order: tuple[int, ...] | None = None
         self._t0 = perf_counter()
         self._seconds: float | None = None
+
+    def tally(self) -> list[int]:
+        """The counts the traced kernels add into, made on first use:
+        positive body literal ``i``'s candidates at ``2i``, its matches
+        at ``2i + 1``."""
+        if self.counts is None:
+            self.counts = [0] * (2 * len(self.rule.positive_body()))
+        return self.counts
 
     def stop(self) -> None:
         """Freeze the span's clock without emitting it yet."""
@@ -63,6 +75,11 @@ class RuleSpan:
     def close(self) -> None:
         """Emit the finished rule span to the tracer."""
         self.stop()
+        counts = self.counts
+        literals = () if counts is None else tuple(
+            LiteralProfile(repr(lit), counts[2 * i], counts[2 * i + 1])
+            for i, lit in enumerate(self.rule.positive_body())
+        )
         self.tracer.emit(
             RuleEvent(
                 stage=self.tracer.current_stage,
@@ -73,7 +90,7 @@ class RuleSpan:
                 firings=self.firings,
                 emitted=self.emitted,
                 deduplicated=self.deduplicated,
-                literals=self.probe.profiles(),
+                literals=literals,
                 order=self.order,
             )
         )
@@ -86,23 +103,16 @@ class Tracer:
     added/removed (used by ``repro trace``); the default keeps stage
     spans to counters only.
 
-    ``planned=True`` asks the engines to keep the production kernels
-    while tracing: rule spans then come from the planner's own
-    evaluation loop as counters only (firings, emitted, wall time,
-    chosen join ``order`` — no per-literal ``JoinProbe`` statistics), so
-    the profile describes the join orders production actually runs
-    instead of the reference matcher's greedy order.  Either way the
-    engines keep the stage structure of an untraced run.
+    A traced run is the untraced run observed: the engines keep their
+    stage structure and the planner its decisions, and only the kernels
+    a pass calls change, to the counting twins of the scalar ones.
     """
 
     enabled = True
 
-    def __init__(
-        self, sinks=(), include_facts: bool = False, planned: bool = False
-    ):
+    def __init__(self, sinks=(), include_facts: bool = False):
         self.sinks = list(sinks)
         self.include_facts = include_facts
-        self.planned = planned
         #: Stage number rule spans opened now will be attributed to;
         #: tracks the engine's own stage labels via the stage events.
         self.current_stage = 1

@@ -23,9 +23,9 @@ Nondeterministic engines:
 
 All engines share the rule matcher in :mod:`repro.semantics.base`:
 one production path (the planner plus the compiled plans of
-:mod:`repro.semantics.plan` and their generated kernels) and one
-reference matcher, ``reference_matches``, the test oracle that fully
-traced runs call explicitly.
+:mod:`repro.semantics.plan` and their generated kernels, whose
+counting twins serve traced runs) and one reference matcher,
+``reference_matches``, the test oracle.
 """
 
 from repro._lazy import lazy_exports

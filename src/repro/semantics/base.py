@@ -22,9 +22,7 @@ Two matchers compute it:
   literals.  Variables occurring *only* in negative literals range over
   the full active domain, exactly as the paper's semantics prescribes
   (this is what makes ``CT(x,y) ← ¬T(x,y)`` meaningful).  It is the test
-  oracle, and fully traced runs call it explicitly: the obs
-  :class:`~repro.obs.JoinProbe` hooks between its candidate lookup and
-  valuation extension.
+  oracle; no evaluation calls it.
 
 Under the same join order both enumerate the same matches in the same
 order; ``tests/test_plan_kernel.py`` and the differential suites pin
@@ -109,10 +107,9 @@ class EngineStats:
     """
 
     engine: str = ""
-    #: Which matcher produced the instantiations: ``"columnar"`` (the
-    #: production path: planner plus generated batch and scalar
-    #: kernels) or ``"interpreted"`` (the reference matcher, which a
-    #: full tracer observes the run through).
+    #: Which matcher produced the instantiations: always ``"columnar"``
+    #: (the production path: planner plus generated batch and scalar
+    #: kernels, traced runs included).
     matcher: str = ""
     seconds: float = 0.0
     rule_firings: int = 0
@@ -127,8 +124,8 @@ class EngineStats:
     index_drops: int = 0
     #: This run's query-planner report (plan cache traffic, per-rule
     #: join orders with estimated vs. actual cardinality, index-cover
-    #: size), or ``None`` when the planner never engaged (a fully traced
-    #: run, or an engine outside the planned paths).  A plain dict so the
+    #: size), or ``None`` when the planner never engaged (an engine
+    #: outside the planned paths).  A plain dict so the
     #: pinned stats JSON stays ``json.dumps``-able; see
     #: :func:`repro.semantics.planner.explain` for the shape.
     planner: dict | None = None
@@ -241,18 +238,7 @@ class StatsRecorder:
         self.tracer = (
             tracer if tracer is not None and tracer.enabled else None
         )
-        # Fully traced runs match through the reference matcher so the
-        # join probe's per-literal counts stay exact — except
-        # planned-mode tracers, which keep the production kernels and
-        # settle for counters-only rule spans.
-        planned = self.tracer is not None and getattr(
-            self.tracer, "planned", False
-        )
-        self.stats.matcher = (
-            active_matcher()
-            if self.tracer is None or planned
-            else "interpreted"
-        )
+        self.stats.matcher = active_matcher()
         self._db: Database | None = None
         self._counters = (0, 0, 0)
         self._t0 = perf_counter()
@@ -467,8 +453,9 @@ def _literal_candidates(
 
     Returns ``(candidates, free)`` where ``free`` are the literal's
     still-unbound (position, variable) pairs.  Split out from
-    :func:`_extend_valuation` so the observability layer's join probe
-    can count candidates without duplicating the lookup logic.
+    :func:`_extend_valuation` so a reference join count (the tests'
+    check of the traced kernels' per-literal counts) can count
+    candidates without duplicating the lookup logic.
     """
     bound_positions, bound_values, free = _literal_binding(lit, valuation)
     rel = db.relation(lit.relation)
@@ -588,6 +575,7 @@ def iter_matches(
     db: Database,
     adom: tuple[Hashable, ...],
     delta: dict[str, frozenset[tuple]] | None = None,
+    span=None,
 ) -> Iterator[dict[Var, Hashable]]:
     """All instantiations of ``rule`` w.r.t. ``db`` (see module docstring).
 
@@ -608,12 +596,26 @@ def iter_matches(
     ``universal`` marker and treats all variables existentially.
     Enumeration order equals :func:`reference_matches`'s, so seeded
     engines replay identically whichever of the two they run.
+
+    ``span`` (a :class:`repro.obs.RuleSpan`, duck-typed), when given,
+    gets the join order and the per-literal counts of the traced walk
+    (:mod:`repro.semantics.codegen_traced`), which enumerates the same
+    matches in the same order.
     """
     order = tuple(_order_positive_indices(list(rule.positive_body()), db))
     plan = plan_for(rule, order)
     out: dict[Var, Hashable] = {}
     out_vars = plan.out_vars
-    for slots in plan.iter_slot_matches(db, adom, delta):
+    if span is None:
+        matches = plan.iter_slot_matches(db, adom, delta)
+    else:
+        from repro.semantics import codegen_traced
+
+        span.order = order
+        matches = codegen_traced.iter_slot_matches(
+            plan, db, adom, delta, span.tally()
+        )
+    for slots in matches:
         for var, s in out_vars:
             out[var] = slots[s]
         yield out
@@ -624,17 +626,12 @@ def reference_matches(
     db: Database,
     adom: tuple[Hashable, ...],
     delta: dict[str, frozenset[tuple]] | None = None,
-    probe=None,
 ) -> Iterator[dict[Var, Hashable]]:
     """The reference matcher: :func:`iter_matches` computed directly.
 
     Same contract and same enumeration order as :func:`iter_matches`,
     by a recursive backtracking join over valuation dicts instead of a
-    compiled plan.  The test oracle, and the matcher fully traced runs
-    call explicitly: ``probe`` (a :class:`repro.obs.JoinProbe`,
-    duck-typed) observes the per-literal join — candidates considered
-    and matches produced, keyed by the literal's position in the join
-    order.
+    compiled plan.  The test oracle.
     """
     ordered = _order_positive(list(rule.positive_body()), db)
 
@@ -649,14 +646,10 @@ def reference_matches(
             restricted = None
             if idx == restricted_index:
                 restricted = delta.get(lit.relation, frozenset())
-            if probe is None:
-                candidates, free = _literal_candidates(
-                    lit, db, valuation, restricted
-                )
-                matches = _extend_valuation(candidates, free, valuation)
-            else:
-                matches = probe.iter_matches(idx, lit, db, valuation, restricted)
-            for _ in matches:
+            candidates, free = _literal_candidates(
+                lit, db, valuation, restricted
+            )
+            for _ in _extend_valuation(candidates, free, valuation):
                 yield from descend(idx + 1)
 
         def finish() -> Iterator[dict[Var, Hashable]]:
@@ -792,9 +785,9 @@ def immediate_consequences(
 
     Evaluation is the planner's (:func:`repro.semantics.planner
     .consequences`), which also handles ``tracer`` (a
-    :class:`repro.obs.Tracer`, duck-typed): one rule span per rule,
-    with per-literal join counts from the reference matcher unless the
-    tracer is planned-mode.  ``add_only`` declares the caller an
+    :class:`repro.obs.Tracer`, duck-typed): one rule span per rule
+    the pass visits, with per-literal join counts from the traced
+    kernels.  ``add_only`` declares the caller an
     add-only fixpoint loop, letting the kernels drop heads already in
     ``db`` (see :meth:`repro.semantics.plan.RulePlan
     .run_emit`); ``positive`` then holds at least every new fact.

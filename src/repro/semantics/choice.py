@@ -36,7 +36,6 @@ from repro.semantics.base import (
     evaluation_adom,
     instantiate_head,
     iter_matches,
-    reference_matches,
 )
 from repro.terms import Var
 
@@ -96,23 +95,18 @@ def evaluate_with_choice(
         candidates: list[tuple[int, dict[Var, Hashable]]] = []
         spans = {}
         for rule_index, rule in enumerate(program.rules):
-            if tracer is None:
-                matches = iter_matches(rule, current, adom)
-            else:
-                span = tracer.rule_span(rule_index, rule)
-                spans[rule_index] = span
-                matches = reference_matches(
-                    rule, current, adom, probe=span.probe
-                )
-            for valuation in matches:
+            span = None
+            if tracer is not None:
+                span = spans[rule_index] = tracer.rule_span(rule_index, rule)
+            for valuation in iter_matches(rule, current, adom, span=span):
                 result.rule_firings += 1
                 candidates.append((rule_index, dict(valuation)))
-                if tracer is not None:
-                    spans[rule_index].firings += 1
-            if tracer is not None:
+                if span is not None:
+                    span.firings += 1
+            if span is not None:
                 # Freeze the clock at end-of-matching: the shuffled
                 # commit pass below is choice bookkeeping, not joining.
-                spans[rule_index].stop()
+                span.stop()
         stage_firings = len(candidates)
         # ...but commit choices sequentially, in random order (dynamic
         # choice): earlier commitments prune later candidates.

@@ -55,6 +55,9 @@ The variants of a plan with steps ``0 … n-1``:
   set unions, emitted by :mod:`repro.semantics.codegen_grouped` and
   built on the first call a batch kernel hands on (see
   :func:`_emit_batch`).
+* ``*_tally_*`` — each scalar variant's traced twin, which also counts
+  per-literal candidates and matches (:func:`_emit_part`); run only by
+  :mod:`repro.semantics.codegen_traced`.
 
 The kernels that never yield (fused, factored and batch) read each
 negated relation's live tuple set once per call and probe it with a
@@ -261,8 +264,10 @@ def _full_depth(step) -> bool:
 
 def _emit_variant(plan, restricted_index: int, kind: str) -> _Source:
     """One specialized scalar walk: generator (``walk``), fused
-    (``emit``) or factored fused (``emit_factored``) flavor."""
-    fused = kind != "walk"
+    (``emit``) or factored fused (``emit_factored``) flavor, or its
+    traced twin (``*_tally``, which also takes ``tally``)."""
+    fused = not kind.startswith("walk")
+    tally = kind.endswith("_tally")
     suffix = "full" if restricted_index < 0 else f"r{restricted_index}"
     params = "db, adom, add" if fused else "db, adom, slots"
     if restricted_index >= 0:
@@ -272,6 +277,8 @@ def _emit_variant(plan, restricted_index: int, kind: str) -> _Source:
         # callers and ``()`` otherwise, as for the batch kernels: a
         # head already there is skipped at the source.
         params += ", known"
+    if tally:
+        params += ", tally"
     src = _Source(f"{kind}_{suffix}", params)
     if fused:
         def slot_ref(s: int) -> str:
@@ -306,18 +313,18 @@ def _emit_variant(plan, restricted_index: int, kind: str) -> _Source:
     # zero count ends the call, before anything fired) and then books
     # the product of the counts per match, so a pass whose other items
     # never match never counts.
-    counted = plan.counted if kind == "emit_factored" else ()
+    counted = plan.counted if kind.startswith("emit_factored") else ()
     if counted:
         src.add(1, "product = 0")
     skip = frozenset().union(*counted)
     indent = _emit_part(src, plan, restricted_index, fused, slot_ref, bail,
-                        lambda item: item not in skip, 1)
+                        lambda item: item not in skip, 1, tally)
     if counted:
         src.add(indent, "if not product:")
         for k, part in enumerate(counted):
             src.add(indent + 1, f"count{k} = 0")
             inner = _emit_part(src, plan, restricted_index, fused, slot_ref,
-                               bail, part.__contains__, indent + 1)
+                               bail, part.__contains__, indent + 1, tally)
             src.add(inner, f"count{k} += 1")
         src.add(indent + 1, "product = " + " * ".join(
             f"count{k}" for k in range(len(counted))
@@ -348,7 +355,7 @@ def _negated_sets(src: _Source, plan) -> None:
 
 
 def _emit_part(src: _Source, plan, restricted_index: int, fused: bool,
-               slot_ref, bail: str, keep, indent: int) -> int:
+               slot_ref, bail: str, keep, indent: int, tally: bool) -> int:
     """The nested loops and filters of the body items ``keep`` admits,
     starting at ``indent``.
 
@@ -356,21 +363,23 @@ def _emit_part(src: _Source, plan, restricted_index: int, fused: bool,
     in join order, then the finish block: assigns, pre-checks, adom
     loops, negation probes, post-checks.  A filter outside every loop
     of the part runs ``bail``.  Returns the indent of the innermost
-    block, where a match of the part is complete.
+    block, where a match of the part is complete.  With ``tally``, a
+    step over positive body literal ``i`` adds its candidates (rows
+    it loops over, 1 per membership hit) to ``tally[2i]`` and the
+    ones past its within-literal checks to ``tally[2i + 1]``.
     """
     in_loop = False
     for d, step in enumerate(plan.steps):
         if not keep(("step", d)):
             continue
+        rows = None
         if d == restricted_index:
             # ``restricted`` is pre-grouped by group_r{d} when the step
             # has key positions, else the raw delta frozenset.
+            rows = "restricted"
             if step.key_positions:
                 key = _tuple_expr(_key_exprs(src, d, step, slot_ref))
-                src.add(indent, f"for c{d} in restricted.get({key}, ()):")
-            else:
-                src.add(indent, f"for c{d} in restricted:")
-            in_loop = True
+                rows = f"restricted.get({key}, ())"
         elif step.exact:
             # Fully bound: a membership probe, not a loop.  ``continue``
             # statements below still behave exactly like the reference
@@ -388,24 +397,31 @@ def _emit_part(src: _Source, plan, restricted_index: int, fused: bool,
             src.add(indent, f"b{d} = {_trie_get(f't{d}', ks)}")
             src.add(indent, f"if b{d}:")
             indent += 1
-            bucket = f"b{d}" if fused else f"list(b{d})"
-            src.add(indent, f"for c{d} in {bucket}:")
-            in_loop = True
+            rows = f"b{d}" if fused else f"list(b{d})"
         elif step.chain_order is not None:
             # A prefix probe: probe_chain collects a fresh list.
             chain_key = _key_tuple(src, d, step, slot_ref, step.chain_perm)
-            src.add(indent,
-                    f"for c{d} in rel{d}.probe_chain({step.chain_order!r}, "
-                    f"{step.chain_depth}, {chain_key}):")
-            in_loop = True
+            rows = (f"rel{d}.probe_chain({step.chain_order!r}, "
+                    f"{step.chain_depth}, {chain_key})")
         else:
-            scan = f"rel{d}" if fused else f"list(rel{d})"
-            src.add(indent, f"for c{d} in {scan}:")
+            rows = f"rel{d}" if fused else f"list(rel{d})"
+        at = 2 * plan.order[d]
+        if rows is not None:
+            if tally:
+                src.add(indent, f"s{d} = {rows}\ntally[{at}] += len(s{d})")
+                if not step.withins:
+                    src.add(indent, f"tally[{at + 1}] += len(s{d})")
+                rows = f"s{d}"
+            src.add(indent, f"for c{d} in {rows}:")
             in_loop = True
         indent += 1
+        if tally and rows is None:
+            src.add(indent, f"tally[{at}] += 1\ntally[{at + 1}] += 1")
         for p2, p1 in step.withins:
             src.add(indent, f"if c{d}[{p2}] != c{d}[{p1}]:")
             src.add(indent + 1, "continue")
+        if tally and step.withins:
+            src.add(indent, f"tally[{at + 1}] += 1")
         for position, s in step.binds:
             src.add(indent, f"{slot_ref(s)} = c{d}[{position}]")
 
@@ -775,6 +791,7 @@ class CodegenPlan:
         "_batch_walks",
         "_grouped",
         "_unions",
+        "tallies",
     )
 
     def __init__(self, plan) -> None:
@@ -820,6 +837,8 @@ class CodegenPlan:
             self._emits = self._batch_emits = None
             self._grouped = self._unions = None
             self.head_relation = self.head_fills = None
+        #: The traced twins' tables (:mod:`~repro.semantics.codegen_traced`).
+        self.tallies = None
 
     def _table(self, kind: str, variants: list) -> list:
         table: list = []
@@ -1053,11 +1072,10 @@ def dump_codegen(program, directory: str) -> list[str]:
     holds each variant the plan built (so ran), behind a header that
     binds every value the variants read: executing the file defines the
     functions that ran, with the same bytecode.  Nothing new is built
-    unless no plan of the program ever ran (a traced run, or no run at
-    all); then each rule's cached plans — or its source-order plan —
-    build their ``walk_full`` so the dump still shows the code a run
-    generates.  Returns the written paths.  Debug tooling for ``repro
-    run --dump-codegen``.
+    unless no plan of the program ever ran; then each rule's cached
+    plans — or its source-order plan — build their ``walk_full`` so the
+    dump still shows the code a run generates.  Returns the written
+    paths.  Debug tooling for ``repro run --dump-codegen``.
     """
     import os
     from collections import defaultdict

@@ -39,7 +39,6 @@ from repro.semantics.base import (
     StatsRecorder,
     instantiate_head,
     iter_matches,
-    reference_matches,
 )
 from repro.terms import Var
 
@@ -117,15 +116,10 @@ def evaluate_with_invention(
             body_vars = sorted(rule.body_variables(), key=lambda v: v.name)
             span = None
             if tracer is not None:
-                span = tracer.rule_span(rule_index, rule)
-                spans[rule_index] = span
-            if span is None:
-                matches = iter_matches(rule, current, frozen_adom)
-            else:  # traced: the reference matcher, which the probe observes
-                matches = reference_matches(
-                    rule, current, frozen_adom, probe=span.probe
-                )
-            for valuation in matches:
+                span = spans[rule_index] = tracer.rule_span(rule_index, rule)
+            for valuation in iter_matches(
+                rule, current, frozen_adom, span=span
+            ):
                 result.rule_firings += 1
                 stage_firings += 1
                 if span is not None:

@@ -43,7 +43,6 @@ from repro.semantics.base import (
     instantiate_head,
     iter_matches,
     iter_universal_matches,
-    reference_matches,
 )
 
 #: Reserved relation name for the ⊥ fact of N-Datalog¬⊥.
@@ -91,15 +90,11 @@ def _dialect_for(program: Program) -> Dialect:
     return Dialect.N_DATALOG_NEG
 
 
-def _rule_matches(rule, db, adom, probe=None) -> Iterator[dict]:
+def _rule_matches(rule, db, adom, span=None) -> Iterator[dict]:
     if rule.universal:
-        # ∀-rules bypass the backtracking join, so no probe counts.
-        yield from iter_universal_matches(rule, db, adom)
-    elif probe is None:
-        yield from iter_matches(rule, db, adom)
-    else:
-        # Traced: the reference matcher, which the probe observes.
-        yield from reference_matches(rule, db, adom, probe=probe)
+        # ∀-rules verify each candidate outside the join: no counts.
+        return iter_universal_matches(rule, db, adom)
+    return iter_matches(rule, db, adom, span=span)
 
 
 def _candidate_steps(
@@ -132,9 +127,7 @@ def _candidate_steps(
         span = None
         if tracer is not None:
             span = tracer.rule_span(rule_index, rule)
-        for valuation in _rule_matches(
-            rule, db, adom, probe=span.probe if span is not None else None
-        ):
+        for valuation in _rule_matches(rule, db, adom, span=span):
             firings += 1
             if span is not None:
                 span.firings += 1

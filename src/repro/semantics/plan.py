@@ -57,7 +57,9 @@ order under the same join order: index buckets preserve insertion
 order, full scans iterate the relation's tuple set, restricted runs
 iterate the delta, and adom-enumerated variables are ordered by name.
 Engines seeded on match order (choice, nondeterministic) therefore
-produce identical runs whether traced (reference) or not.
+produce identical runs on either matcher, and traced or not: a traced
+walk (:mod:`repro.semantics.codegen_traced`) enumerates as its
+untraced twin.
 """
 
 from __future__ import annotations
@@ -94,11 +96,10 @@ class PlanCache:
 
 
 def active_matcher() -> str:
-    """The matcher an untraced run uses: the batch-kernel stack.
+    """The matcher every run uses: the batch-kernel stack.
 
-    There is one production path, so this is always ``"columnar"``;
-    fully traced runs report ``"interpreted"`` (the reference matcher)
-    through :class:`~repro.semantics.base.StatsRecorder` instead.
+    There is one production path, traced runs included, so this is
+    always ``"columnar"``.
     """
     return "columnar"
 

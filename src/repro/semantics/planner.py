@@ -59,9 +59,9 @@ read.  A program with no sound schedule (a negative edge inside a
 component, or a rule whose heads span components) runs as one
 recursive component holding every rule.
 
-Every evaluation that computes Γ_P goes through :func:`consequences`.
-A full (non-planned) tracer keeps the schedule but matches each rule
-through the reference matcher, so its ``JoinProbe`` counts stay exact;
+Every evaluation that computes Γ_P goes through :func:`consequences`,
+traced runs included: a tracer changes no decision, only the kernels a
+pass calls (their counting twins, :mod:`repro.semantics.codegen_traced`).
 ``iter_matches`` never consults the planner, so seeded
 nondeterministic engines keep their byte-identical enumeration order.
 Each run's planner work is surfaced additively as a report of its own,
@@ -785,47 +785,34 @@ def _pass_visits(
     return tuple(visits)
 
 
-def _traced_pass(
-    ctx: PlanContext,
-    ids,
-    db: Database,
-    adom: tuple[Hashable, ...],
-    delta,
-    tracer,
-    positive: set[tuple[str, tuple]],
-    negative: set[tuple[str, tuple]],
-) -> int:
-    """One pass through the reference matcher, one probed span per rule.
+def _traced_run(span, decision: _Decision, db: Database, adom, restricted,
+                positive: set, negative: set, add_only: bool) -> int:
+    """One variant through its plan's counting kernels, booked into
+    ``span`` (see :mod:`repro.obs.events` for the accounting).
 
-    A full tracer's view of :func:`consequences`: identical inferences,
-    and each rule of ``ids`` (on delta passes, each with a non-empty
-    positive body) gets a rule span carrying wall time, firings,
-    emitted and deduplicated tuples — head instantiations already
-    inferred earlier in this pass — and per-literal join counts.
+    Same heads, same firings, same ``add_only`` as the untraced
+    dispatch in :func:`consequences`.
     """
-    from repro.semantics.base import instantiate_head, reference_matches
+    from repro.semantics import codegen_traced
 
-    firings = 0
-    for i in ids:
-        if delta is not None and not ctx.positive[i]:
-            continue
-        rule = ctx.rules[i]
-        span = tracer.rule_span(i, rule)
-        for valuation in reference_matches(
-            rule, db, adom, delta, probe=span.probe
-        ):
-            span.firings += 1
-            for relation, t, is_positive in instantiate_head(rule, valuation):
-                fact = (relation, t)
-                target = positive if is_positive else negative
-                span.emitted += 1
-                if fact in target:
-                    span.deduplicated += 1
-                else:
-                    target.add(fact)
-        firings += span.firings
-        span.close()
-    return firings
+    plan = decision.plan
+    before = len(positive) + len(negative)
+    args = (plan, db, adom, decision.restricted_pos, restricted)
+    if plan.never:
+        fired = emitted = 0
+    elif decision.emitter is not None:
+        fired = emitted = codegen_traced.emit(
+            *args, positive, add_only, span.tally()
+        )
+    else:
+        fired = _emit(plan, codegen_traced.walk(*args, span.tally()),
+                      plan.rule, positive, negative)
+        emitted = fired * len(plan.rule.head_literals())
+    span.firings += fired
+    span.emitted += emitted
+    span.deduplicated += emitted - (len(positive) + len(negative) - before)
+    span.order = decision.order
+    return fired
 
 
 def consequences(
@@ -870,12 +857,9 @@ def consequences(
     :meth:`repro.semantics.plan.RulePlan.run_emit`).
 
     ``tracer`` (a :class:`repro.obs.Tracer`, duck-typed), when given,
-    receives one rule span per rule visited.  A planned-mode tracer
-    gets counters-only spans — firings, emitted rows, wall time, and
-    the decision's join order — from the production kernels; a full
-    tracer's pass runs through the reference matcher instead
-    (:func:`_traced_pass`), with exact per-literal join counts and no
-    planner report.
+    receives one rule span per rule whose variant the pass runs: the
+    pass takes the same decisions and reports the same, and each run
+    goes through :func:`_traced_run`.
     """
     ctx = plan_context(program)
     if stats is not None and count_call:
@@ -884,12 +868,6 @@ def consequences(
         tracer = None
     positive: set[tuple[str, tuple]] = set()
     negative: set[tuple[str, tuple]] = set()
-    if tracer is not None and not getattr(tracer, "planned", False):
-        ids = range(len(ctx.rules)) if rule_ids is None else rule_ids
-        firings = _traced_pass(
-            ctx, ids, db, adom, delta, tracer, positive, negative
-        )
-        return positive, negative, firings
     report = _run_report(ctx, stats)
     live = None if delta is None else tuple([
         relation for relation, facts in delta.items() if facts
@@ -902,7 +880,7 @@ def consequences(
     relation_of = db.relation
     firings = hits = 0
     for i, rule, state, occs in visits:
-        span = None if tracer is None else tracer.rule_span(i, rule)
+        span = None
         fired = 0
         for occ, name, others in occs:
             sizes = tuple([
@@ -911,6 +889,8 @@ def consequences(
             ])
             if 0 in sizes:
                 continue
+            if tracer is not None and span is None:
+                span = tracer.rule_span(i, rule)
             restricted = None if name is None else delta[name]
             decision = state.decisions.get(occ)
             if (decision is not None and decision.report is report
@@ -926,7 +906,10 @@ def consequences(
                 )
             plan = decision.plan
             emitter = decision.emitter
-            if emitter is not None:
+            if span is not None:
+                fired_occ = _traced_run(span, decision, db, adom, restricted,
+                                        positive, negative, add_only)
+            elif emitter is not None:
                 relation, template, fills = emitter
                 fired_occ = plan.run_emit(
                     db, adom, decision.restricted_pos, restricted,
@@ -946,13 +929,9 @@ def consequences(
             variant["actual_rows"] = variant.get("actual_rows", 0) + fired_occ
             entry = decision.entry
             entry["actual_rows"] = entry.get("actual_rows", 0) + fired_occ
-            if span is not None:
-                span.order = decision.order
             fired += fired_occ
         firings += fired
         if span is not None:
-            span.firings = fired
-            span.emitted = fired
             span.close()
     if hits:
         report["plan_lookups"] += hits

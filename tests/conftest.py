@@ -2,10 +2,56 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.relational.instance import Database
+from repro.semantics import base, choice, invention, nondeterministic, planner
+from repro.semantics.base import instantiate_head, reference_matches
 from repro.workloads.graphs import chain, cycle, lollipop, random_gnp
+
+
+def _reference_consequences(program, db, adom, delta=None, stats=None,
+                            rule_ids=None, count_call=False, tracer=None,
+                            add_only=False):
+    """Γ_P rule by rule through ``reference_matches``: the planner's
+    contract (delta-aware, scoped to ``rule_ids``), none of its code.
+    It returns every head, as an ``add_only=False`` pass does."""
+    if stats is not None and count_call:
+        stats.consequence_calls += 1
+    positive, negative, firings = set(), set(), 0
+    for i in range(len(program.rules)) if rule_ids is None else rule_ids:
+        rule = program.rules[i]
+        for valuation in reference_matches(rule, db, adom, delta):
+            firings += 1
+            for relation, t, is_positive in instantiate_head(rule, valuation):
+                (positive if is_positive else negative).add((relation, t))
+    return positive, negative, firings
+
+
+@pytest.fixture
+def reference():
+    """The reference oracle: inside ``with reference():`` every engine
+    computes its matches through ``reference_matches`` — the planner's
+    passes and the seeded engines' ``iter_matches`` alike — and its
+    stats say ``matcher: interpreted``.  Engine loops, schedules and
+    stages stay the engines' own."""
+
+    @contextmanager
+    def oracle():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(planner, "consequences", _reference_consequences)
+            for module in (choice, invention, nondeterministic):
+                patch.setattr(
+                    module, "iter_matches",
+                    lambda rule, db, adom, delta=None, span=None:
+                    reference_matches(rule, db, adom, delta),
+                )
+            patch.setattr(base, "active_matcher", lambda: "interpreted")
+            yield
+
+    return oracle
 
 
 @pytest.fixture

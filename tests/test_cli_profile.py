@@ -82,9 +82,9 @@ class TestProfile:
             assert row["emitted"] >= 0
 
     def test_planner_report_attached(self, tc_files):
-        # The traced run itself bypasses the planner, but the profile
-        # carries the static planner report (orders, estimates, cover)
-        # for the same program and input.
+        # Beside the run's spans, the profile carries the static planner
+        # report (orders, estimates, cover) for the same program and
+        # input.
         program, data = tc_files
         code, output = run_cli(
             ["profile", program, "--data", data, "--format", "json"]
@@ -97,18 +97,18 @@ class TestProfile:
         full = planner["rules"]["1"]["full"]  # the recursive TC rule
         assert full["order"] and full["estimated_rows"] >= 0
 
-    def test_reports_interpreted_matcher(self, tc_files):
-        # Profiles are collected through a tracer, and traced runs take
-        # the interpreted twin — the report says so, in both formats.
+    def test_reports_columnar_matcher(self, tc_files):
+        # Profiles are collected through a tracer, and traced runs keep
+        # the production matcher — the report says so, in both formats.
         program, data = tc_files
         code, output = run_cli(
             ["profile", program, "--data", data, "--format", "json"]
         )
         assert code == 0
-        assert json.loads(output)["matcher"] == "interpreted"
+        assert json.loads(output)["matcher"] == "columnar"
         code, output = run_cli(["profile", program, "--data", data])
         assert code == 0
-        assert "matcher: interpreted" in output
+        assert "matcher: columnar" in output
 
     def test_human_table(self, tc_files):
         program, data = tc_files

@@ -3,7 +3,8 @@
 The contract under test: :mod:`repro.semantics.codegen` is the
 production matcher — byte-identical match enumeration, identical
 answers, firings, and stages versus the reference matcher
-(``reference_matches``, which a full tracer runs), under every engine.
+(``reference_matches``, through the ``reference`` fixture), under every
+engine.
 The evidence here is layered: shape checks on the emitted source, a
 50-program production-vs-reference differential across four
 semantics, seeded byte-identical replays of the choice and
@@ -60,14 +61,16 @@ from tests.test_differential_engines import random_program_and_database
 from tests.test_planner import SHARED_CHAIN, shared_chain_database
 
 #: The two matchers: production (generated kernels, reported as
-#: "columnar") and the reference matcher a full tracer runs.
+#: "columnar") and the reference matcher (the ``reference`` fixture's
+#: oracle, reported as "interpreted").
 TIERS = ("columnar", "interpreted")
 
 
-def _run(engine, tier: str, *args, **kwargs):
-    """``engine(*args)`` on one matcher: traced for the reference."""
+def _run(reference, engine, tier: str, *args, **kwargs):
+    """``engine(*args)`` on one matcher."""
     if tier == "interpreted":
-        kwargs["tracer"] = Tracer([CollectorSink()])
+        with reference():
+            return engine(*args, **kwargs)
     return engine(*args, **kwargs)
 
 
@@ -175,16 +178,18 @@ class TestTierDispatch:
         assert result.stats.matcher == "columnar"
 
     @pytest.mark.parametrize("tier", TIERS)
-    def test_stats_report_the_tier(self, tier):
+    def test_stats_report_the_tier(self, tier, reference):
         program = parse_program(TC_NONLINEAR)
-        result = _run(evaluate_datalog_seminaive, tier, program, _tc_db())
+        result = _run(reference, evaluate_datalog_seminaive, tier, program,
+                      _tc_db())
         assert result.stats.matcher == tier
 
-    def test_tiers_agree_on_answers(self):
+    def test_tiers_agree_on_answers(self, reference):
         program = parse_program(TC_NONLINEAR)
         outcomes = set()
         for tier in TIERS:
-            result = _run(evaluate_datalog_seminaive, tier, program, _tc_db())
+            result = _run(reference, evaluate_datalog_seminaive, tier,
+                          program, _tc_db())
             outcomes.add((
                 result.answer("T"),
                 result.stats.rule_firings,
@@ -192,14 +197,22 @@ class TestTierDispatch:
             ))
         assert len(outcomes) == 1
 
-    def test_traced_run_drops_to_interpreted(self):
-        # Join-probe counts must stay exact, so a traced run matches
-        # through the reference matcher, not the generated kernels.
+    def test_traced_run_stays_columnar(self):
+        # A traced run runs the production plans through their counting
+        # twins, never the reference matcher.
         program = parse_program(TC_NONLINEAR)
         result = evaluate_datalog_seminaive(
             program, _tc_db(), tracer=Tracer([CollectorSink()])
         )
-        assert result.stats.matcher == "interpreted"
+        assert result.stats.matcher == "columnar"
+        built = {
+            name
+            for rule in program.rules
+            for plan in cached_plans(rule)
+            if plan.codegen_fns is not None
+            for name in plan.codegen_fns.kernels
+        }
+        assert built and all("_tally_" in name for name in built), built
 
 
 class TestCacheCoherence:
@@ -222,6 +235,18 @@ class TestCacheCoherence:
         # while the live plan keeps running its own function.
         assert ran()[1].__code__ is not walk.__code__
         assert plan.codegen_fns.kernels["walk_full"].function is walk
+
+    def test_plan_cache_clear_drops_traced_kernels(self):
+        # The counting twins share the shape table with every other
+        # variant, so the same reset drops them.
+        PlanCache.clear()
+        evaluate_datalog_seminaive(
+            parse_program(TC_NONLINEAR), _tc_db(),
+            tracer=Tracer([CollectorSink()]),
+        )
+        assert any("tally" in text for text in codegen._SHAPES)
+        PlanCache.clear()
+        assert not codegen._SHAPES
 
     def test_shared_chain_plan_never_runs_identity_chain_code(self):
         program = parse_program(TC_NONLINEAR)
@@ -254,7 +279,7 @@ class TestThreeWayDifferential:
     semantics."""
 
     @pytest.mark.parametrize("seed", range(50))
-    def test_tiers_agree(self, seed):
+    def test_tiers_agree(self, seed, reference):
         rng = random.Random(seed)
         text, db = random_program_and_database(rng)
         program = parse_program(text)
@@ -266,7 +291,7 @@ class TestThreeWayDifferential:
         for name, engine in engines.items():
             outcomes = {}
             for tier in TIERS:
-                result = _run(engine, tier, program, db.copy())
+                result = _run(reference, engine, tier, program, db.copy())
                 outcomes[tier] = (
                     {r: result.answer(r) for r in program.idb},
                     result.stats.rule_firings,
@@ -279,7 +304,8 @@ class TestThreeWayDifferential:
         # the alternating fixpoint still exercises the residual probes.
         wf = {}
         for tier in TIERS:
-            model = _run(evaluate_wellfounded, tier, program, db.copy())
+            model = _run(reference, evaluate_wellfounded, tier, program,
+                         db.copy())
             wf[tier] = (model.true_facts, model.unknown_facts(),
                         model.stats.rule_firings)
         for tier in TIERS[1:]:
@@ -301,8 +327,8 @@ class TestSeededReplay:
     seeded RNG, so any divergence in *enumeration order* — not just in
     the match set — changes their output.  Identical committed choices
     and identical step sequences between production and the reference
-    matcher (a traced run) are therefore the strongest order-identity
-    evidence available.
+    matcher are therefore the strongest order-identity evidence
+    available.
     """
 
     def _tree_db(self) -> Database:
@@ -317,13 +343,13 @@ class TestSeededReplay:
         return db
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
-    def test_choice_replays_identically(self, seed):
+    def test_choice_replays_identically(self, seed, reference):
         program = parse_program(SPANNING_TREE)
         outcomes = {}
         for tier in TIERS:
             result = _run(
-                evaluate_with_choice, tier, program, self._tree_db(),
-                seed=seed,
+                reference, evaluate_with_choice, tier, program,
+                self._tree_db(), seed=seed,
             )
             outcomes[tier] = (
                 result.answer("tree"),
@@ -334,15 +360,15 @@ class TestSeededReplay:
             assert outcomes["columnar"] == outcomes[tier], (tier, seed)
 
     @pytest.mark.parametrize("seed", [0, 3, 9])
-    def test_nondeterministic_replays_identically(self, seed):
+    def test_nondeterministic_replays_identically(self, seed, reference):
         program = parse_program(
             "pick(x) :- S(x), not done. done :- S(x)."
         )
         db = Database({"S": [("a",), ("b",), ("c",), ("d",)]})
         outcomes = {}
         for tier in TIERS:
-            run = _run(run_nondeterministic, tier, program, db.copy(),
-                       seed=seed)
+            run = _run(reference, run_nondeterministic, tier, program,
+                       db.copy(), seed=seed)
             outcomes[tier] = (
                 [(s.rule_index, s.inserted, s.deleted) for s in run.steps],
                 run.aborted,
@@ -370,7 +396,7 @@ class TestCliMatcherFlag:
         return code, out.getvalue()
 
     def test_run_and_traced_run_print_the_same_answers(self, tc_files, tmp_path):
-        # ``--trace-out`` runs the reference matcher under a tracer.
+        # ``--trace-out`` runs the counting kernels under a tracer.
         program, data = tc_files
         outputs = set()
         for extra in ([], ["--trace-out", str(tmp_path / "t.jsonl")]):

@@ -16,7 +16,6 @@ import pytest
 from repro.errors import SchemaError
 from repro.parser import parse_program
 from repro.relational.instance import Database, Relation
-from repro.obs import CollectorSink, Tracer
 from repro.semantics.base import evaluation_adom, immediate_consequences
 from repro.semantics.codegen import CodegenPlan
 from repro.semantics.differential import DifferentialEngine
@@ -242,9 +241,9 @@ class TestKernelDifferenceParity:
 
 class TestDifferentialThroughTiers:
 
-    def test_single_update_parity_columnar_vs_interpreted(self):
+    def test_single_update_parity_columnar_vs_interpreted(self, reference):
         # The maintained view (production kernels) against a from-scratch
-        # evaluation through the reference matcher (a traced run).
+        # evaluation through the reference matcher.
         program = parse_program(TC_NONLINEAR)
         engine = DifferentialEngine(program, graph_database(chain(10)))
         engine.insert([("G", (10, 11))])
@@ -253,9 +252,8 @@ class TestDifferentialThroughTiers:
         base = graph_database(chain(10))
         base.add_fact("G", (10, 11))
         base.remove_fact("G", (4, 5))
-        reference = evaluate_datalog_seminaive(
-            program, base, tracer=Tracer([CollectorSink()])
-        )
-        assert reference.stats.matcher == "interpreted"
-        assert engine.answer("T") == reference.answer("T")
-        assert engine.answer("G") == reference.answer("G")
+        with reference():
+            scratch = evaluate_datalog_seminaive(program, base)
+        assert scratch.stats.matcher == "interpreted"
+        assert engine.answer("T") == scratch.answer("T")
+        assert engine.answer("G") == scratch.answer("G")

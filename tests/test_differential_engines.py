@@ -92,14 +92,12 @@ def test_engines_agree_on_minimum_model(seed):
 
 
 @pytest.mark.parametrize("seed", range(50))
-def test_compiled_and_interpreted_matchers_agree(seed):
+def test_compiled_and_interpreted_matchers_agree(seed, reference):
     """The compiled kernels are a pure optimization: on every random
     program, each engine must produce byte-identical results — database,
     per-stage additions, stage counts, rule firings — whether it runs
-    production (compiled) or, under a full tracer, the reference
-    (interpreted) matcher."""
-    from repro.obs import CollectorSink, Tracer
-
+    production (compiled) or, through the ``reference`` fixture, the
+    reference (interpreted) matcher."""
     rng = random.Random(seed)
     source, db = random_program_and_database(rng)
     program = parse_program(source, name=f"random-{seed}")
@@ -111,7 +109,8 @@ def test_compiled_and_interpreted_matchers_agree(seed):
 
     for name, engine in engines.items():
         compiled = engine(program, db)
-        interpreted = engine(program, db, tracer=Tracer([CollectorSink()]))
+        with reference():
+            interpreted = engine(program, db)
         assert interpreted.stats.matcher == "interpreted"
         context = f"{name}: {source}"
         assert (

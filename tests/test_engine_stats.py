@@ -287,29 +287,28 @@ class TestRecorderInvariants:
                     sorted(fresh.probe_chain(order, len(order), key))
                 )
 
-    def test_matcher_field_names_production_or_reference(self):
-        from repro.obs import CollectorSink, Tracer
-
+    def test_matcher_field_names_production_or_reference(self, reference):
         program = parse_program(TC)
         db = Database(GRAPH)
         production = evaluate_datalog_seminaive(program, db).stats
-        reference = evaluate_datalog_seminaive(
-            program, db, tracer=Tracer([CollectorSink()])
-        ).stats
+        with reference():
+            oracle = evaluate_datalog_seminaive(program, db).stats
         assert production.matcher == "columnar"
-        assert reference.matcher == "interpreted"
+        assert oracle.matcher == "interpreted"
         # The matcher never changes what gets computed.
-        assert production.rule_firings == reference.rule_firings
-        assert production.stage_count == reference.stage_count
+        assert production.rule_firings == oracle.rule_firings
+        assert production.stage_count == oracle.stage_count
 
-    def test_traced_runs_report_the_interpreted_matcher(self):
+    def test_traced_runs_report_the_columnar_matcher(self):
+        # A tracer observes the production path; it never swaps it.
         from repro.obs import CollectorSink, Tracer
 
         tracer = Tracer([CollectorSink()])
         stats = evaluate_datalog_seminaive(
             parse_program(TC), Database(GRAPH), tracer=tracer
         ).stats
-        assert stats.matcher == "interpreted"
+        assert stats.matcher == "columnar"
+        assert stats.planner is not None
 
     def test_null_tracer_adds_zero_events_and_identical_stats_shape(self):
         from repro.obs import NULL_TRACER, CollectorSink

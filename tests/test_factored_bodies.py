@@ -5,9 +5,9 @@ with the head (Example 4.3's ``T(xp, zp), T(zp, yp), not T(xp, yp)``)
 multiplies the rule's matches without changing its heads.  The fused
 kernels count such a part once per pass (``emit_factored_*``) instead of
 joining it.  Here every engine that runs them evaluates a seeded corpus
-of such rules plainly and under a full tracer (the reference matcher,
-same stage schedule), and the two runs must agree on the answers, the
-stage records and the firings.
+of such rules plainly and through the reference matcher (the
+``reference`` fixture, same stage schedule), and the two runs must
+agree on the answers, the stage records and the firings.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import re
 
 import pytest
 
-from repro.obs import CollectorSink, Tracer
 from repro.parser import parse_program
 from repro.relational.instance import Database
 from repro.semantics.codegen import CodegenPlan
@@ -96,14 +95,12 @@ def _corpus_case(engine: str, seed: int):
     return source, names, db
 
 
-def _evaluate(engine: str, source: str, db: Database, traced: bool):
+def _evaluate(engine: str, source: str, db: Database):
     """(answers, stage records, firings, per-stage stats) of one run on
     a fresh parse; the (in)equality shapes need ``validate=False``."""
     program = parse_program(source)
-    tracer = Tracer([CollectorSink()]) if traced else None
     if engine == "wellfounded":
-        model = evaluate_wellfounded(program, db, validate=False,
-                                     tracer=tracer)
+        model = evaluate_wellfounded(program, db, validate=False)
         answers = (model.true_facts, model.possible_facts)
         stages = None
     else:
@@ -112,7 +109,7 @@ def _evaluate(engine: str, source: str, db: Database, traced: bool):
             "stratified": evaluate_stratified,
             "noninflationary": evaluate_noninflationary,
         }[engine]
-        model = run(program, db, validate=False, tracer=tracer)
+        model = run(program, db, validate=False)
         answers = model.database.canonical()
         stages = [
             (sorted(s.new_facts), sorted(s.removed_facts))
@@ -159,11 +156,11 @@ class TestCorpus:
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("seed", range(25))
-    def test_matches_reference(self, engine, seed):
+    def test_matches_reference(self, engine, seed, reference):
         source, _names, db = _corpus_case(engine, seed)
-        assert _evaluate(engine, source, db, traced=False) == _evaluate(
-            engine, source, db, traced=True
-        )
+        production = _evaluate(engine, source, db)
+        with reference():
+            assert _evaluate(engine, source, db) == production
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_corpus_reaches_every_shape_and_delta(self, engine,
@@ -172,7 +169,7 @@ class TestCorpus:
         for seed in range(25):
             source, names, db = _corpus_case(engine, seed)
             factored_runs.clear()
-            _evaluate(engine, source, db, traced=False)
+            _evaluate(engine, source, db)
             for relations, in_part, size in factored_runs:
                 for relation in relations:
                     match = re.fullmatch(r"H(\d+)", relation)

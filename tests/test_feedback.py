@@ -1,9 +1,9 @@
 """Observability surfaces around the planner's live report.
 
-* ``repro profile --planned``: production kernels stay on, the live
-  planner report rides the JSON profile, and join orders ride the rule
-  spans; the default profile stays on the reference matcher, and a
-  nondeterministic dialect is refused with its witness feature;
+* ``repro profile``: production kernels stay on (through their
+  counting twins), join orders and per-literal counts ride the rule
+  spans, and a nondeterministic dialect is refused with its witness
+  feature;
 * ``repro watch --stats-out``: one counters line per update;
 * trace events serialize the planner's join order only when present.
 """
@@ -41,35 +41,22 @@ class TestProfilePlannedCLI:
     def test_planned_profile_keeps_the_kernel_on(self, tc_files):
         program, data = tc_files
         code, output = run_cli(
-            ["profile", program, "--data", data, "--planned",
-             "--format", "json"]
-        )
-        assert code == 0
-        doc = json.loads(output)
-        # Planned-mode tracing keeps the full matcher stack on — with
-        # the columnar tier enabled by default, that is what it reports.
-        assert doc["matcher"] == "columnar"
-        # The live planner report, not the static estimate: actuals on.
-        # Rule 1's full pass reads an empty T and never runs; its delta
-        # variant on T does.
-        assert doc["planner"]["plan_lookups"] > 0
-        assert "actual_rows" in doc["planner"]["rules"]["1"]["delta@1"]
-        orders = {
-            row["rule_index"]: row["orders"]
-            for row in doc["rules"]
-            if "orders" in row
-        }
-        assert orders  # planner join orders ride the rule spans
-
-    def test_default_profile_stays_interpreted(self, tc_files):
-        program, data = tc_files
-        code, output = run_cli(
             ["profile", program, "--data", data, "--format", "json"]
         )
         assert code == 0
         doc = json.loads(output)
-        assert doc["matcher"] == "interpreted"
-        assert all("orders" not in row for row in doc["rules"])
+        # Tracing keeps the full matcher stack on, and says so.
+        assert doc["matcher"] == "columnar"
+        # Every rule ran, so every row carries the join orders its
+        # spans ran under and one count per positive body literal.
+        # Rule 1's full pass reads an empty T and never runs; its delta
+        # variant on T runs T first.
+        rows = {row["rule_index"]: row for row in doc["rules"]}
+        assert rows[0]["orders"] == [[0]]
+        assert rows[1]["orders"] == [[1, 0]]
+        assert [lp["literal"] for lp in rows[1]["literals"]] == [
+            "E(x, y)", "T(y, z)",
+        ]
 
     def test_nondeterministic_rejection_names_the_feature(
         self, tmp_path, capsys

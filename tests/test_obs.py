@@ -1,4 +1,4 @@
-"""The observability layer: events, tracer, probe, sinks, profiles.
+"""The observability layer: events, tracer, spans, sinks, profiles.
 
 Every engine driver emits the same schema-versioned event stream
 (run_begin, stage spans, rule spans, run_end); the tests here pin the
@@ -112,6 +112,7 @@ class TestEventModel:
         assert set(d) == {
             "version", "kind", "stage", "rule_index", "rule", "span",
             "seconds", "firings", "emitted", "deduplicated", "literals",
+            "order",
         }
         assert d["kind"] == "rule"
         assert d["span"] is not None  # parsed rules carry source spans
@@ -194,6 +195,34 @@ class TestAllEngines:
             assert event.span.line == 1
 
 
+class TestRuleSpanAccounting:
+    """One definition of a rule span (``repro.obs.events``): one per rule
+    a pass visits, ``emitted`` head instantiations, ``deduplicated`` the
+    heads that added nothing to the pass's output."""
+
+    def test_spans_of_a_seminaive_run(self):
+        # Rule 2 re-derives two of rule 0's heads in the first pass; the
+        # exit rule reads no delta, so no later pass opens its span.
+        collector = collect(lambda tr: evaluate_datalog_seminaive(
+            parse_program(TC + "T(x, y) :- G(x, y), G(y, x).\n"),
+            Database({"G": [("a", "b"), ("b", "c"), ("c", "d"),
+                            ("b", "a")]}),
+            tracer=tr,
+        ))
+        spans = [
+            (e.stage, e.rule_index, e.firings, e.emitted, e.deduplicated)
+            for e in collector.rule_events()
+        ]
+        assert spans == [
+            (1, 0, 4, 4, 0), (1, 2, 2, 2, 2),
+            (2, 1, 4, 4, 0), (3, 1, 4, 4, 3), (4, 1, 1, 1, 1),
+        ]
+        body_sizes = {0: 1, 1: 2, 2: 2}
+        for event in collector.rule_events():
+            assert event.order is not None
+            assert len(event.literals) == body_sizes[event.rule_index]
+
+
 class TestNullTracer:
     def test_null_tracer_emits_nothing(self):
         sink = CollectorSink()
@@ -266,7 +295,10 @@ class TestProfileReport:
         for row in report.rows:
             assert row.span is not None
             assert row.source_line is not None
-            assert row.calls == report.stages
+        # One call per visiting pass: the exit rule runs on the full
+        # pass only, the recursive one on every delta pass (its full
+        # pass reads an empty T and is skipped).
+        assert [row.calls for row in report.rows] == [1, report.stages - 1]
 
     def test_sort_orders(self):
         report = self.make_report()
@@ -287,7 +319,7 @@ class TestProfileReport:
         row = d["rules"][0]
         assert set(row) == {
             "rule_index", "rule", "span", "source_line", "calls", "seconds",
-            "firings", "emitted", "deduplicated", "literals",
+            "firings", "emitted", "deduplicated", "literals", "orders",
         }
 
     def test_unfired_rules_appear_with_zeros(self):

@@ -8,10 +8,11 @@ after every evaluation, the deterministic cost-based join order, the
 relation→rules dispatch map (delta-disjoint rules incur zero plan
 lookups), index GC (a wide relation ends the run with only covered
 indexes live), the production-vs-reference differential across all
-deterministic engines (the reference is a traced run, which keeps the
-production schedule), per-run planner reports, the empty-input exit (a
-variant whose other positive inputs include an empty relation is never
-planned), and byte-identical seeded nondeterministic replay.
+deterministic engines (the reference is the ``reference`` fixture's
+Γ_P under the production schedule), per-run planner reports, the
+empty-input exit (a variant whose other positive inputs include an
+empty relation is never planned), and byte-identical seeded
+nondeterministic replay.
 """
 
 import copy
@@ -65,9 +66,10 @@ def fresh_planner():
     clear_contexts()
 
 
-def traced(engine, program, db):
-    """``engine`` under a full tracer: the reference matcher."""
-    return engine(program, db, tracer=Tracer([CollectorSink()]))
+def on_reference(reference, engine, program, db):
+    """``engine`` with Γ_P through the reference matcher."""
+    with reference():
+        return engine(program, db)
 
 
 def untimed(value):
@@ -549,8 +551,14 @@ class TestPerRelationCover:
 
 
 class TestScheduledParity:
+    @pytest.fixture(autouse=True)
+    def oracle(self, reference):
+        self.reference = reference
+
     def run_both(self, engine, program, db):
-        return engine(program, db), traced(engine, program, db)
+        return engine(program, db), on_reference(
+            self.reference, engine, program, db
+        )
 
     def test_component_chain_matches_legacy_and_reference(self):
         # Production against the reference matcher and against the
@@ -598,14 +606,18 @@ class TestScheduledParity:
         "engine", [evaluate_datalog_seminaive, evaluate_stratified]
     )
     def test_traced_runs_take_the_production_schedule(self, engine):
+        # A traced run and the reference oracle both keep the stage
+        # schedule of the untraced run.
         program = parse_program(component_chain_source(3, 4))
         db = component_chain_database(3, 4)
         plain, reference = self.run_both(engine, program, db)
+        traced = engine(program, db, tracer=Tracer([CollectorSink()]))
         assert reference.stats.matcher == "interpreted"
-        for result in (plain, reference):
+        assert traced.stats.matcher == "columnar"
+        for result in (plain, reference, traced):
             assert result.rule_firings == 18
             assert result.stats.stage_count == 12
-        assert plain.database.canonical() == reference.database.canonical()
+            assert result.database.canonical() == plain.database.canonical()
 
 
 # -- planner report ---------------------------------------------------------
@@ -731,7 +743,7 @@ ENGINES = {
 
 
 @pytest.mark.parametrize("seed", range(50))
-def test_planner_differential_on_random_programs(seed):
+def test_planner_differential_on_random_programs(seed, reference):
     """The planned production path and the reference matcher agree on
     50 random programs, across naive/seminaive/stratified/wellfounded."""
     rng = random.Random(seed)
@@ -741,7 +753,7 @@ def test_planner_differential_on_random_programs(seed):
     for name, engine in ENGINES.items():
         on = engine(program, db)
         assert_whole_program_cover(program)
-        off = traced(engine, program, db)
+        off = on_reference(reference, engine, program, db)
         context = f"{name}: {source}"
         assert on.database.canonical() == off.database.canonical(), context
         assert on.rule_firings == off.rule_firings, context
@@ -749,7 +761,7 @@ def test_planner_differential_on_random_programs(seed):
     # Well-founded semantics of a positive program is its minimum model;
     # the planner must not disturb the alternating fixpoint either.
     wf_on = evaluate_wellfounded(program, db)
-    wf_off = traced(evaluate_wellfounded, program, db)
+    wf_off = on_reference(reference, evaluate_wellfounded, program, db)
     assert wf_on.true_facts == wf_off.true_facts, source
     assert wf_on.possible_facts == wf_off.possible_facts, source
 
@@ -822,14 +834,18 @@ class TestEmptyInputExit:
             (f"a{i}", c) for i in range(8) for c in ("c0", "c1")
         }
 
-    def test_ring_firings_and_stages_match_a_full_tracer(self):
+    def test_ring_firings_and_stages_match_a_full_tracer(self, reference):
         program, db = bundled_ring()
         plain = evaluate_datalog_seminaive(program, db)
-        reference = traced(evaluate_datalog_seminaive, program, db)
-        assert reference.stats.matcher == "interpreted"
-        assert plain.rule_firings == reference.rule_firings
-        assert plain.stats.stage_count == reference.stats.stage_count
-        assert plain.database.canonical() == reference.database.canonical()
+        off = on_reference(reference, evaluate_datalog_seminaive, program, db)
+        traced = evaluate_datalog_seminaive(
+            program, db, tracer=Tracer([CollectorSink()])
+        )
+        assert off.stats.matcher == "interpreted"
+        for other in (off, traced):
+            assert plain.rule_firings == other.rule_firings
+            assert plain.stats.stage_count == other.stats.stage_count
+            assert plain.database.canonical() == other.database.canonical()
 
     def test_delta_pass_over_an_empty_input_makes_no_lookup(self):
         program = parse_program(

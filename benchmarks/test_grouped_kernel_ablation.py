@@ -31,6 +31,14 @@ at no more than ``MEMORY``× the plain loop's traced memory.  Below that
 floor (CI smoke sizes) neither is asserted: the first run also traces
 the kernels' compilation.
 
+The dense shape's grouped calls probe the head relation itself, keyed
+by the head's group position, so an add-only call clears each group's
+known heads from its mask before decoding.  A second test counts the
+head tuples the grouped calls build against the new ones among them
+(not yet in ``T`` when the call ran), as shipped and with that
+subtraction off (the emitter's shape test patched to refuse every
+shape): from ``GATE_FLOOR`` up, as shipped, the two are equal.
+
 Set ``REPRO_BENCH_SIZES`` (comma-separated) to override the size
 sweep, e.g. ``REPRO_BENCH_SIZES=8,12`` for a CI smoke run."""
 
@@ -45,7 +53,7 @@ import pytest
 from repro.parser import parse_program
 from repro.programs.tc import TC_NONLINEAR_SOURCE
 from repro.relational.instance import Database
-from repro.semantics import codegen
+from repro.semantics import codegen, codegen_grouped
 from repro.semantics.seminaive import evaluate_datalog_seminaive
 from repro.workloads.graphs import random_gnp
 
@@ -161,3 +169,80 @@ def test_grouped_variant_against_the_plain_loop(shape, n, monkeypatch):
             f"{shape}({n}): as shipped {shipped_peak / 1e6:.1f} MB, plain "
             f"loop {plain_peak / 1e6:.1f} MB — over the {MEMORY}× bar"
         )
+
+
+class _Known(set):
+    """A grouped call's ``known``, counting the heads tested against it."""
+
+    tested = 0
+
+    def __contains__(self, t):
+        _Known.tested += 1
+        return super().__contains__(t)
+
+
+class _Out(set):
+    """A grouped call's ``out``, counting the heads handed to it."""
+
+    handed = 0
+
+    def update(self, heads):
+        heads = list(heads)
+        _Out.handed += len(heads)
+        super().update(heads)
+
+
+def _head_counts(source, facts):
+    """One untimed evaluation: its model, and the head tuples its
+    grouped calls built and handed on (the new ones)."""
+    counts = {"built": 0, "new": 0}
+    build = codegen.compile_plan
+
+    def compile_plan(plan, name):
+        kernel = build(plan, name)
+        if name.startswith("emit_grouped_"):
+            function = kernel.function
+
+            def counted(db, adom, out, *rest):
+                *rows, known = rest
+                _Known.tested = _Out.handed = 0
+                sink = _Out()
+                fired = function(db, adom, sink, *rows,
+                                 _Known(known) if known else known)
+                if fired is not None:
+                    # A call that decodes every head tests each against
+                    # ``known`` (when it holds any); one that clears
+                    # the known heads first hands on all it builds.
+                    counts["built"] += _Known.tested or _Out.handed
+                    counts["new"] += _Out.handed
+                    out.update(sink)
+                return fired
+
+            kernel.function = counted
+        return kernel
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codegen, "compile_plan", compile_plan)
+        result = evaluate_datalog_seminaive(parse_program(source),
+                                            Database(facts))
+    return result.database, counts
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_the_dense_shape_builds_only_new_heads(n, monkeypatch, capsys):
+    source, facts = dense(n)
+    shipped, built = _head_counts(source, facts)
+    # The emitter's shape test refuses every shape: each group's mask
+    # is decoded whole, and the known heads are dropped afterwards.
+    monkeypatch.setattr(codegen_grouped, "own_groups", lambda *args: False)
+    off, off_built = _head_counts(source, facts)
+    with capsys.disabled():
+        print(f"\ndense({n}): {len(shipped.tuples('T'))} T facts; grouped "
+              f"calls build {built['built']} head tuples, {built['new']} "
+              f"new; subtraction off {off_built['built']}, "
+              f"{off_built['new']} new")
+    assert shipped == off
+    assert built["new"] == off_built["new"]
+    if n >= GATE_FLOOR:
+        assert built["built"] == built["new"] > 0
+        assert off_built["built"] > off_built["new"]

@@ -38,6 +38,7 @@ from repro.relational.instance import Database
 from repro.semantics.base import (
     StageTrace,
     evaluation_adom,
+    fact_set,
     immediate_consequences,
 )
 
@@ -153,7 +154,8 @@ def run_triggers(
         seen.add(snapshot)
 
         adom = evaluation_adom(program, current)
-        positive, negative, _ = immediate_consequences(program, current, adom)
+        heads, negated, _ = immediate_consequences(program, current, adom)
+        positive, negative = fact_set(heads), fact_set(negated)
         trace = StageTrace(step)
         inserted, deleted = set(), set()
         for relation, t in negative - positive:  # positive wins

@@ -34,8 +34,9 @@ Rule spans have one definition, whichever engine runs:
 * ``literals`` holds one entry per positive body literal, in body
   order, with the candidates and matches the traced kernels counted
   for it, summed over the variants the span ran (none for a span no
-  counting kernel ran, such as a ∀ rule's); ``order`` is the join
-  order of the span's last variant.
+  counting kernel ran, such as a ∀ rule's); ``orders`` lists each
+  distinct join order its variants ran under, in first-seen order (a
+  delta pass over two occurrences of one relation runs two).
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ from repro.span import Span
 
 #: Version of the on-the-wire trace event schema (JSONL lines, profile
 #: reports).  Bump on any field rename/removal; additions are allowed.
-TRACE_SCHEMA_VERSION = 1
+#: Version 2: a rule event lists every join order its span ran
+#: (``orders``) where version 1 gave the last one (``order``).
+TRACE_SCHEMA_VERSION = 2
 
 Fact = tuple[str, tuple]
 
@@ -156,10 +159,10 @@ class RuleEvent:
     emitted: int
     deduplicated: int
     literals: tuple[LiteralProfile, ...] = ()
-    #: The join order (positive body indices) the span's last variant
-    #: ran under; ``None`` when no planned matcher ran.  Serialized
-    #: only when present — an additive field under the pinned schema.
-    order: tuple[int, ...] | None = None
+    #: Each distinct join order (positive body indices) the span's
+    #: variants ran under, in first-seen order; empty when no planned
+    #: matcher ran, and then not serialized.
+    orders: tuple[tuple[int, ...], ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
         out = {
@@ -175,8 +178,8 @@ class RuleEvent:
             "deduplicated": self.deduplicated,
             "literals": [lp.to_dict() for lp in self.literals],
         }
-        if self.order is not None:
-            out["order"] = list(self.order)
+        if self.orders:
+            out["orders"] = [list(order) for order in self.orders]
         return out
 
 

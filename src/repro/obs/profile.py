@@ -61,8 +61,7 @@ class RuleProfileRow:
         self.firings += event.firings
         self.emitted += event.emitted
         self.deduplicated += event.deduplicated
-        if event.order is not None:
-            order = list(event.order)
+        for order in map(list, event.orders):
             if order not in self.orders:
                 self.orders.append(order)
         merged = {lp.literal: [lp.candidates, lp.matches] for lp in self.literals}

@@ -31,8 +31,9 @@ class RuleSpan:
 
     Engines bump ``firings`` / ``emitted`` / ``deduplicated`` while the
     rule runs, hand the span to the matcher (the planner's traced
-    kernels, or ``iter_matches``), which sets ``order`` and adds its
-    per-literal counts into :meth:`tally`, and call :meth:`close` when
+    kernels, or ``iter_matches``), which books each join order it runs
+    (:meth:`ran`) and adds its per-literal counts into :meth:`tally`,
+    and call :meth:`close` when
     the rule's work in this pass is done.  Engines whose bookkeeping
     continues after matching (the choice engine commits firings in a
     separate shuffled pass) call :meth:`stop` first to freeze the clock
@@ -41,7 +42,7 @@ class RuleSpan:
 
     __slots__ = (
         "tracer", "rule_index", "rule", "counts",
-        "firings", "emitted", "deduplicated", "order", "_t0", "_seconds",
+        "firings", "emitted", "deduplicated", "orders", "_t0", "_seconds",
     )
 
     def __init__(self, tracer: "Tracer", rule_index: int, rule: "Rule"):
@@ -53,9 +54,9 @@ class RuleSpan:
         self.firings = 0
         self.emitted = 0
         self.deduplicated = 0
-        #: The join order (positive body indices) the rule last ran
-        #: under in this span; ``None`` while no planned matcher ran.
-        self.order: tuple[int, ...] | None = None
+        #: Each distinct join order (positive body indices) the span's
+        #: variants ran under, in first-seen order.
+        self.orders: list[tuple[int, ...]] = []
         self._t0 = perf_counter()
         self._seconds: float | None = None
 
@@ -66,6 +67,11 @@ class RuleSpan:
         if self.counts is None:
             self.counts = [0] * (2 * len(self.rule.positive_body()))
         return self.counts
+
+    def ran(self, order: tuple[int, ...]) -> None:
+        """Book one variant's join order (each distinct order once)."""
+        if order not in self.orders:
+            self.orders.append(order)
 
     def stop(self) -> None:
         """Freeze the span's clock without emitting it yet."""
@@ -91,7 +97,7 @@ class RuleSpan:
                 emitted=self.emitted,
                 deduplicated=self.deduplicated,
                 literals=literals,
-                order=self.order,
+                orders=tuple(self.orders),
             )
         )
 

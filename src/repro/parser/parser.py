@@ -44,8 +44,9 @@ class _Parser:
 
     # -- token helpers ---------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
+    def _peek(self) -> Token:
+        # The token list ends with EOF, which ``_advance`` never passes.
+        return self._tokens[self._pos]
 
     def _advance(self) -> Token:
         tok = self._tokens[self._pos]
@@ -146,7 +147,7 @@ class _Parser:
             left = self._parse_term()
             return self._parse_equality_tail(left, start)
         if tok.kind is TokenKind.IDENT:
-            after = self._peek(1)
+            after = self._tokens[self._pos + 1]  # ``tok`` is not EOF
             if after.kind in (TokenKind.EQ, TokenKind.NEQ):
                 left = self._parse_term()
                 return self._parse_equality_tail(left, start)

@@ -43,15 +43,19 @@ def _render_value(value) -> str:
 def facts_from_text(text: str) -> Database:
     """Parse a facts file: ground, positive, bodyless rules only.
 
-    Blank (or comment-only) text is the empty instance.
+    Blank (or comment-only) text is the empty instance.  The text is
+    tokenized once: tokens that hold only the closing EOF are blank
+    text, and any others are parsed as ``parse_program`` parses them.
     """
-    from repro.parser import parse_program
-    from repro.parser.lexer import TokenKind, tokenize
+    from repro.ast.program import Program
+    from repro.parser.lexer import tokenize
+    from repro.parser.parser import _Parser
 
-    if all(tok.kind is TokenKind.EOF for tok in tokenize(text)):
-        return Database()
-    program = parse_program(text)
+    tokens = tokenize(text)
     db = Database()
+    if len(tokens) == 1:
+        return db
+    program = Program(_Parser(tokens).parse_program(), source_text=text)
     for rule in program.rules:
         if rule.body:
             raise ReproError(f"facts text: rule has a body: {rule!r}")

@@ -598,7 +598,7 @@ def iter_matches(
     engines replay identically whichever of the two they run.
 
     ``span`` (a :class:`repro.obs.RuleSpan`, duck-typed), when given,
-    gets the join order and the per-literal counts of the traced walk
+    books the join order and the per-literal counts of the traced walk
     (:mod:`repro.semantics.codegen_traced`), which enumerates the same
     matches in the same order.
     """
@@ -611,7 +611,7 @@ def iter_matches(
     else:
         from repro.semantics import codegen_traced
 
-        span.order = order
+        span.ran(order)
         matches = codegen_traced.iter_slot_matches(
             plan, db, adom, delta, span.tally()
         )
@@ -765,6 +765,44 @@ def evaluation_adom(program: Program, db: Database) -> tuple[Hashable, ...]:
     return tuple(sorted(values, key=lambda v: (type(v).__name__, repr(v))))
 
 
+def _reads_adom(programs: Iterable[Program]) -> bool:
+    """Does some rule of ``programs`` range a variable over the active
+    domain: one that no positive literal binds, or a universal one?"""
+    for program in programs:
+        for rule in program.rules:
+            bound: set[Var] = set()
+            for lit in rule.positive_body():
+                bound |= lit.variables()
+            if rule.universal or not rule.variables() <= bound:
+                return True
+    return False
+
+
+def evaluation_domain(
+    program: Program, db: Database, *variants: Program
+) -> tuple[tuple[Hashable, ...], int]:
+    """The active domain an evaluation's passes get, and |adom(P, I)|.
+
+    The domain is enumerated and sorted (:func:`evaluation_adom`) only
+    when some rule of ``program`` — or of ``variants``, the programs an
+    engine runs in its place — ranges a variable over it; otherwise no
+    kernel reads it, the passes get ``()``, and only its size is
+    counted, for ``EngineStats.adom_size``.  The seeded engines, whose
+    enumeration order is part of their replay contract, keep calling
+    :func:`evaluation_adom`.
+    """
+    if _reads_adom(variants or (program,)):
+        adom = evaluation_adom(program, db)
+        return adom, len(adom)
+    return (), len(program.constants() | db.active_domain())
+
+
+def fact_set(heads: dict[str, set[tuple]]) -> set[tuple[str, tuple]]:
+    """Inferences by relation as a set of ``(relation, tuple)`` facts,
+    for callers that do set algebra over facts of several relations."""
+    return {(relation, t) for relation, ts in heads.items() for t in ts}
+
+
 def immediate_consequences(
     program: Program,
     db: Database,
@@ -773,14 +811,17 @@ def immediate_consequences(
     stats: EngineStats | None = None,
     tracer=None,
     add_only: bool = False,
-) -> tuple[set[tuple[str, tuple]], set[tuple[str, tuple]], int]:
+) -> tuple[dict[str, set[tuple]], dict[str, set[tuple]], int]:
     """One parallel firing of all rules: Γ_P's new inferences.
 
     Returns ``(positive, negative, firings)`` where ``positive`` are the
-    inferred facts, ``negative`` the inferred negations (nonempty only
-    for Datalog¬¬ programs), and ``firings`` the number of rule
-    instantiations found.  The caller decides how to combine them with
-    the current instance (inflationary union, deletion policies, …).
+    inferred facts and ``negative`` the inferred negations (nonempty
+    only for Datalog¬¬ programs), each as ``{relation: set of tuples}``
+    holding only relations with at least one tuple, and ``firings`` the
+    number of rule instantiations found.  The caller decides how to
+    combine them with the current instance (inflationary union,
+    deletion policies, …); :func:`fact_set` gives the facts as
+    ``(relation, tuple)`` pairs.
     ``stats``, when given, has its ``consequence_calls`` bumped.
 
     Evaluation is the planner's (:func:`repro.semantics.planner

@@ -17,10 +17,10 @@ The variants of a plan with steps ``0 … n-1``:
   residual (in)equalities are inline ``if``\\ s with constant indices.
 * ``emit_full`` / ``emit_r{i}`` — the fused single-positive-head
   variants behind :meth:`RulePlan.run_emit`.  These drop the slot list
-  for flat locals (``v0, v1, …``) and build the head fact in the
-  ``add`` call.  Because the fused path never yields, nothing can
-  mutate the database mid-walk, so these variants also skip the
-  defensive bucket snapshots (``list(bucket)`` / ``list(rel)``) and
+  for flat locals (``v0, v1, …``) and add each head tuple to the head
+  relation's set (``add``).  Because the fused path never yields,
+  nothing can mutate the database mid-walk, so these variants also skip
+  the defensive bucket snapshots (``list(bucket)`` / ``list(rel)``) and
   iterate the live buckets.  Under an add-only caller a head already
   in its relation is not emitted, as the batch kernels subtract it
   (``known``).
@@ -332,13 +332,12 @@ def _emit_variant(plan, restricted_index: int, kind: str) -> _Source:
         src.add(indent + 1, "if not product:")
         src.add(indent + 2, bail)
     if fused:
-        relation, template, fills, _positive = plan.emitters[0]
+        _relation, template, fills, _positive = plan.emitters[0]
         head = _template_expr(src, "H", template, fills, slot_ref)
-        head_relation = src.bind("HR", relation)
         src.add(indent, "fired += product" if counted else "fired += 1")
         src.add(indent, f"h = {head}")
         src.add(indent, "if h not in known:")
-        src.add(indent + 1, f"add(({head_relation}, h))")
+        src.add(indent + 1, "add(h)")
         src.add(1, "return fired")
     else:
         src.add(indent, "yield slots")
@@ -494,10 +493,9 @@ def _emit_batch(plan, restricted_index: int, kind: str) -> _Source:
     as trie walks (:func:`_trie_get`).  The walk flavor builds its row
     list with a single list comprehension (``LIST_APPEND``-driven, no
     per-row generator resume); the fused flavor runs the same clause
-    chain as a nested block loop dedup-ing bare head tuples into a
-    local set — self-joins fire the same head many times over, and
-    skipping the ``(relation, tuple)`` wrapper allocation per firing
-    pays for wrapping the deduped survivors once at the end.
+    chain as a nested block loop dedup-ing head tuples into a local
+    set — self-joins fire the same head many times over — and hands
+    the survivors to ``out``, the head relation's set of the pass.
 
     When the innermost clause is a keyed probe whose rows reach the
     head, ``emit_batch_*`` returns ``None`` for a call whose probed
@@ -654,7 +652,6 @@ def _emit_batch(plan, restricted_index: int, kind: str) -> _Source:
         return src
 
     relation, template, fills, _positive = plan.emitters[0]
-    relation_name = src.bind("HR", relation)
     d_last = last_for[1] if last_for is not None else -1
     # An all-constant head has no expression over the last step, so it
     # cannot use the cache (and must not bind its positions one by one).
@@ -684,8 +681,8 @@ def _emit_batch(plan, restricted_index: int, kind: str) -> _Source:
         from repro.semantics.codegen_grouped import emit_grouped
 
         emit_grouped(src, steps[d_last], d_last, clauses, probe_info[d_last],
-                     targets(d_last), head_exprs, is_inner, relation_name,
-                     kind == "emit_grouped")
+                     [cand_name(d_last, p) for p in range(arities[d_last])],
+                     head_exprs, is_inner, relation, kind == "emit_grouped")
         return src
     if cacheable:
         # Long buckets, or no counts yet: the call is the grouped
@@ -705,7 +702,7 @@ def _emit_batch(plan, restricted_index: int, kind: str) -> _Source:
     src.add(1, "if seen:")
     src.add(2, "if known:")
     src.add(3, "seen.difference_update(known)")
-    src.add(2, f"out.update([({relation_name}, t) for t in seen])")
+    src.add(2, "out.update(seen)")
     src.add(1, "return fired")
     return src
 

@@ -107,6 +107,8 @@ from repro.semantics.plan import (
 from repro.terms import Const, Var
 
 Fact = tuple[str, tuple]
+#: Facts by relation: a pass's inferences, or a change to a database.
+Changes = dict[str, set[tuple]]
 
 COUNTING = "counting"
 DRED = "dred"
@@ -118,6 +120,8 @@ DRED = "dred"
 #: computing adom(P, I) would be a view-sized scan per update for
 #: nothing.
 _NO_ADOM: tuple = ()
+
+_NONE: frozenset = frozenset()
 
 
 @dataclass
@@ -314,9 +318,12 @@ def _derivations(
         yield from _iter_bound_matches(probe, db, adom, values)
 
 
-def _derivation_counts(rule: Rule, db: Database) -> Counter[Fact]:
-    """Each head fact of ``rule`` over ``db`` with its number of body
-    valuations, the ℕ-provenance of a nonrecursive rule.
+def _derivation_counts(
+    rule: Rule, db: Database
+) -> tuple[str, Counter[tuple]]:
+    """``rule``'s head relation, and each head tuple over ``db`` with
+    its number of body valuations, the ℕ-provenance of a nonrecursive
+    rule.
 
     One full-pass walk under the join order of
     :func:`repro.semantics.base.iter_matches`:
@@ -328,22 +335,31 @@ def _derivation_counts(rule: Rule, db: Database) -> Counter[Fact]:
     ((relation, template, fills, _positive),) = plan.emitters
     template = list(template)
 
-    def fact(row) -> Fact:
+    def head(row) -> tuple:
         for position, s in fills:
             template[position] = row[s]
-        return relation, tuple(template)
+        return tuple(template)
 
-    return Counter(map(fact, plan.run_rows(db, _NO_ADOM, -1, None)))
+    return relation, Counter(map(head, plan.run_rows(db, _NO_ADOM, -1, None)))
 
 
-def _dict_of(facts: Iterable[Fact]) -> dict[str, set[tuple]]:
-    out: dict[str, set[tuple]] = {}
-    for relation, t in facts:
-        out.setdefault(relation, set()).add(t)
+def _minus(changes: Changes, other: Changes) -> Changes:
+    """``changes`` without ``other``, relation by relation; a relation
+    left empty is left out."""
+    out: Changes = {}
+    for relation, ts in changes.items():
+        rest = ts - other[relation] if relation in other else ts
+        if rest:
+            out[relation] = rest
     return out
 
 
-def _frozen(delta: dict[str, set[tuple]]) -> dict:
+def _count(changes: Changes) -> int:
+    """How many facts ``changes`` holds."""
+    return sum(map(len, changes.values()))
+
+
+def _frozen(delta: Changes) -> dict:
     """Freeze a delta for propagation as delta *blocks*, so bulk passes
     take the batch kernels."""
     return {rel: make_delta(ts) for rel, ts in delta.items() if ts}
@@ -353,11 +369,11 @@ def propagate(
     program: Program,
     db: Database,
     adom: tuple,
-    seed: tuple[Program, dict[str, set[tuple]]],
+    seed: tuple[Program, Changes],
     stats: EngineStats | None = None,
     tracer=None,
-    within: Container[Fact] | None = None,
-) -> tuple[set[Fact], int]:
+    within: Changes | None = None,
+) -> tuple[Changes, int]:
     """Semi-naive insertion on ``db``, in place: ``(added, firings)``.
 
     The first pass runs ``seed``'s program on ``seed``'s delta, and
@@ -373,7 +389,7 @@ def propagate(
     pass_program, delta = seed
     reads = planner.plan_context(pass_program).dispatch
     later = planner.plan_context(program).dispatch
-    added: set[Fact] = set()
+    added: Changes = {}
     firings = 0
     while delta and not reads.keys().isdisjoint(delta):
         heads, _neg, fired = immediate_consequences(
@@ -383,13 +399,14 @@ def propagate(
         firings += fired
         pass_program, reads = program, later
         delta = {}
-        for fact in heads:
-            if within is not None and fact not in within:
-                continue
-            relation, t = fact
-            if db.relation(relation).add(t):
-                added.add(fact)
-                delta.setdefault(relation, set()).add(t)
+        for relation, ts in heads.items():
+            if within is not None:
+                ts = ts & within.get(relation, _NONE)
+            add = db.relation(relation).add
+            fresh = {t for t in ts if add(t)}
+            if fresh:
+                delta[relation] = fresh
+                added.setdefault(relation, set()).update(fresh)
     return added, firings
 
 
@@ -397,23 +414,24 @@ def dred(
     program: Program,
     db: Database,
     adom: tuple,
-    seed: tuple[Program, dict[str, set[tuple]]],
+    seed: tuple[Program, Changes],
     probes: Callable[[], dict[str, list[_SupportProbe]]],
     stats: EngineStats | None = None,
-    keep: Container[Fact] = frozenset(),
+    keep: dict[str, Container[tuple]] | None = None,
     ghosts: Iterable[Fact] = (),
     tracer=None,
-) -> tuple[set[Fact], set[Fact], int]:
+) -> tuple[Changes, Changes, int]:
     """DRed on ``db``, in place: ``(over-deleted, rederived, firings)``.
 
-    The net deletion is the over-deleted facts minus the rederived ones;
-    ``firings`` counts every pass either phase ran.
+    The net deletion is the over-deleted facts minus the rederived ones,
+    both by relation; ``firings`` counts every pass either phase ran.
 
     Phase 1 (over-delete): the first pass runs ``seed``'s program on
     ``seed``'s delta, and every later pass runs ``program`` on the facts
     the previous pass over-deleted, to a fixpoint.  A head joins the
-    over-deletion when it is in ``db``, not in ``keep`` and not
-    over-deleted yet.  These passes read consequences as "everything
+    over-deletion when it is in ``db``, not kept (``keep`` holds, by
+    relation, the facts that may never be deleted) and not over-deleted
+    yet.  These passes read consequences as "everything
     derivable", most of it still in ``db``, so none is add-only; a
     frontier that no rule of the pass program reads positively ends the
     phase without a pass.  Every pass reads ``db`` before anything
@@ -435,7 +453,7 @@ def dred(
     pass_program, frontier = seed
     reads = planner.plan_context(pass_program).dispatch
     later = planner.plan_context(program).dispatch
-    overdeleted: set[Fact] = set()
+    overdeleted: Changes = {}
     firings = 0
     while frontier and not reads.keys().isdisjoint(frontier):
         heads, _neg, fired = immediate_consequences(
@@ -445,35 +463,45 @@ def dred(
         firings += fired
         pass_program, reads = program, later
         frontier = {}
-        for fact in heads:
-            if fact in overdeleted or fact in keep:
+        for relation, ts in heads.items():
+            rel = db.relation(relation)
+            if rel is None:
                 continue
-            relation, t = fact
-            if db.has_fact(relation, t):
-                overdeleted.add(fact)
-                frontier.setdefault(relation, set()).add(t)
+            gone = ts & rel.live_set()
+            gone.difference_update(overdeleted.get(relation, _NONE))
+            if keep is not None:
+                gone.difference_update(keep.get(relation, _NONE))
+            if gone:
+                frontier[relation] = gone
+                overdeleted.setdefault(relation, set()).update(gone)
     for relation, t in ghosts:
         db.remove_fact(relation, t)
-    for relation, t in overdeleted:
-        db.remove_fact(relation, t)
+    for relation, ts in overdeleted.items():
+        for t in ts:
+            db.remove_fact(relation, t)
     if not overdeleted:
-        return overdeleted, set(), firings
+        return overdeleted, {}, firings
 
     checks = probes()
-    supported = [
-        fact
-        for fact in sorted(overdeleted, key=repr)
-        if next(_derivations(fact, checks, db, adom), None) is not None
-    ]
-    delta: dict[str, set[tuple]] = {}
-    for relation, t in supported:
-        db.relation(relation).add(t)
-        delta.setdefault(relation, set()).add(t)
+    supported: Changes = {}
+    for relation, ts in overdeleted.items():
+        held = {
+            t for t in ts
+            if next(_derivations((relation, t), checks, db, adom), None)
+            is not None
+        }
+        if held:
+            supported[relation] = held
+    for relation, ts in supported.items():
+        add = db.relation(relation).add
+        for t in ts:
+            add(t)
     rederived, fired = propagate(
-        program, db, adom, (program, delta), stats=stats, tracer=tracer,
+        program, db, adom, (program, supported), stats=stats, tracer=tracer,
         within=overdeleted,
     )
-    rederived.update(supported)
+    for relation, ts in supported.items():
+        rederived.setdefault(relation, set()).update(ts)
     return overdeleted, rederived, firings + fired
 
 
@@ -563,11 +591,14 @@ class DifferentialEngine:
                     comp.program, self.database, _NO_ADOM, stats=self.stats
                 )
                 continue
-            counts: Counter[Fact] = Counter()
+            heads: Changes = {}
             for rule in comp.rules:
-                counts.update(_derivation_counts(rule, self.database))
-            self.counts.update(counts)
-            planner.absorb(self.database, counts)
+                relation, counts = _derivation_counts(rule, self.database)
+                self.counts.update(
+                    {(relation, t): n for t, n in counts.items()}
+                )
+                heads.setdefault(relation, set()).update(counts)
+            planner.absorb(self.database, heads)
 
     # -- public API ---------------------------------------------------------
 
@@ -603,22 +634,20 @@ class DifferentialEngine:
         inserts, deletes = _normalize_batch(batch)
         self._validate_batch(inserts, deletes)
 
-        base_deleted: set[Fact] = set()
-        base_inserted: set[Fact] = set()
+        deleted: Changes = {}
+        inserted: Changes = {}
         for relation, t in deletes:
             if self.database.remove_fact(relation, t):
-                base_deleted.add((relation, t))
+                deleted.setdefault(relation, set()).add(t)
         for relation, t in inserts:
             if self.database.add_fact(relation, t):
-                if (relation, t) in base_deleted:
-                    base_deleted.discard((relation, t))  # net no-op
+                if t in deleted.get(relation, _NONE):
+                    deleted[relation].discard(t)  # net no-op
                 else:
-                    base_inserted.add((relation, t))
+                    inserted.setdefault(relation, set()).add(t)
 
-        inserted = _dict_of(base_inserted)
-        deleted = _dict_of(base_deleted)
         overdeleted_total = rederived_total = recounted_total = 0
-        if base_inserted or base_deleted:
+        if _count(inserted) or _count(deleted):
             for comp in self._components:
                 ins_in = {
                     rel: ts for rel, ts in inserted.items()
@@ -642,13 +671,13 @@ class DifferentialEngine:
                     comp_ins = self._dred_insert(comp, ins_in)
                     overdeleted_total += overdeleted
                     rederived_total += rederived
-                    cancelled = comp_del & comp_ins
-                    comp_del -= cancelled
-                    comp_ins -= cancelled
-                for relation, t in comp_ins:
-                    inserted.setdefault(relation, set()).add(t)
-                for relation, t in comp_del:
-                    deleted.setdefault(relation, set()).add(t)
+                    comp_del, comp_ins = (
+                        _minus(comp_del, comp_ins), _minus(comp_ins, comp_del)
+                    )
+                for relation, ts in comp_ins.items():
+                    inserted.setdefault(relation, set()).update(ts)
+                for relation, ts in comp_del.items():
+                    deleted.setdefault(relation, set()).update(ts)
 
         report = UpdateReport(
             inserted=frozenset(
@@ -741,9 +770,9 @@ class DifferentialEngine:
     def _counting_update(
         self,
         comp: _Component,
-        ins_in: dict[str, set[tuple]],
-        del_in: dict[str, set[tuple]],
-    ) -> tuple[set[Fact], set[Fact], int]:
+        ins_in: Changes,
+        del_in: Changes,
+    ) -> tuple[Changes, Changes, int]:
         """Discover affected facts via one delta pass, recount exactly.
 
         Discovery matches against the *union* instance (post-state plus
@@ -772,26 +801,30 @@ class DifferentialEngine:
         for relation, t in ghosts:
             self.database.remove_fact(relation, t)
 
-        added: set[Fact] = set()
-        removed: set[Fact] = set()
+        added: Changes = {}
+        removed: Changes = {}
         probes = (
             support_probes(comp.rules, self.database) if affected else {}
         )
-        for fact in sorted(affected, key=repr):
-            old = self.counts.get(fact, 0)
-            new = self._derivation_count(fact, probes)
-            if new != old:
-                if old == 0 and new > 0:
-                    self.database.add_fact(*fact)
-                    added.add(fact)
-                elif old > 0 and new == 0:
-                    self.database.remove_fact(*fact)
-                    removed.add(fact)
-            if new:
-                self.counts[fact] = new
-            else:
-                self.counts.pop(fact, None)
-        return added, removed, len(affected)
+        # No rule of the component reads its own heads, so no recount
+        # depends on another's outcome.
+        for relation, ts in affected.items():
+            for t in ts:
+                fact = (relation, t)
+                old = self.counts.get(fact, 0)
+                new = self._derivation_count(fact, probes)
+                if new != old:
+                    if old == 0 and new > 0:
+                        self.database.add_fact(relation, t)
+                        added.setdefault(relation, set()).add(t)
+                    elif old > 0 and new == 0:
+                        self.database.remove_fact(relation, t)
+                        removed.setdefault(relation, set()).add(t)
+                if new:
+                    self.counts[fact] = new
+                else:
+                    self.counts.pop(fact, None)
+        return added, removed, _count(affected)
 
     def _derivation_count(
         self,
@@ -815,8 +848,8 @@ class DifferentialEngine:
     def _dred_delete(
         self,
         comp: _Component,
-        del_in: dict[str, set[tuple]],
-    ) -> tuple[set[Fact], int, int]:
+        del_in: Changes,
+    ) -> tuple[Changes, int, int]:
         """DRed for one recursive component (see :func:`dred`).
 
         The deleted input facts come back as ghosts, so rule bodies can
@@ -826,7 +859,7 @@ class DifferentialEngine:
         of the over-deletion and of the rederivation.
         """
         if not del_in:
-            return set(), 0, 0
+            return {}, 0, 0
         ghosts = [
             (rel, t) for rel, ts in sorted(del_in.items()) for t in ts
         ]
@@ -839,14 +872,15 @@ class DifferentialEngine:
             stats=self.stats,
             ghosts=ghosts,
         )
-        self.stats.differential["support_checks"] += len(overdeleted)
-        return overdeleted - rederived, len(overdeleted), len(rederived)
+        self.stats.differential["support_checks"] += _count(overdeleted)
+        return (_minus(overdeleted, rederived), _count(overdeleted),
+                _count(rederived))
 
     def _dred_insert(
         self,
         comp: _Component,
-        ins_in: dict[str, set[tuple]],
-    ) -> set[Fact]:
+        ins_in: Changes,
+    ) -> Changes:
         """Semi-naive insertion propagation within one component (see
         :func:`propagate`)."""
         added, _firings = propagate(

@@ -22,6 +22,8 @@ numbers: in Example 4.1, T(x, y) is first derived at stage d(x, y).
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from repro.ast.program import Dialect, Program
 from repro.ast.analysis import validate_program
 from repro.relational.instance import Database
@@ -29,7 +31,7 @@ from repro.semantics.base import (
     EvaluationResult,
     StageTrace,
     StatsRecorder,
-    evaluation_adom,
+    evaluation_domain,
     immediate_consequences,
 )
 from repro.semantics.planner import absorb
@@ -55,7 +57,7 @@ def evaluate_inflationary(
     current = db.copy()
     for relation in program.idb:
         current.ensure_relation(relation, program.arity(relation))
-    adom = evaluation_adom(program, db)
+    adom, adom_size = evaluation_domain(program, db)
     result = EvaluationResult(current)
     recorder = StatsRecorder("inflationary", current, tracer=tracer)
 
@@ -78,9 +80,9 @@ def evaluate_inflationary(
         trace = StageTrace(stage)
         delta = absorb(current, positive)
         for relation, fresh in delta.items():
-            trace.new_facts.extend((relation, t) for t in fresh)
+            trace.new_facts.extend(zip(repeat(relation), fresh))
         recorder.stage(stage, firings, added=len(trace.new_facts), trace=trace)
         if trace.new_facts:
             result.stages.append(trace)
-    result.stats = recorder.finish(adom_size=len(adom))
+    result.stats = recorder.finish(adom_size=adom_size)
     return result

@@ -19,7 +19,7 @@ from repro.semantics.base import (
     EvaluationResult,
     StageTrace,
     StatsRecorder,
-    evaluation_adom,
+    evaluation_domain,
     immediate_consequences,
 )
 
@@ -44,7 +44,7 @@ def evaluate_datalog_naive(
     current = db.copy()
     for relation in program.idb:
         current.ensure_relation(relation, program.arity(relation))
-    adom = evaluation_adom(program, db)
+    adom, adom_size = evaluation_domain(program, db)
     result = EvaluationResult(current)
     recorder = StatsRecorder("naive", current, tracer=tracer)
     stage = 0
@@ -55,12 +55,13 @@ def evaluate_datalog_naive(
         )
         result.rule_firings += firings
         trace = StageTrace(stage)
-        for relation, t in positive:
-            if current.add_fact(relation, t):
-                trace.new_facts.append((relation, t))
+        for relation, ts in positive.items():
+            for t in ts:
+                if current.add_fact(relation, t):
+                    trace.new_facts.append((relation, t))
         recorder.stage(stage, firings, added=len(trace.new_facts), trace=trace)
         if not trace.new_facts:
             break
         result.stages.append(trace)
-    result.stats = recorder.finish(adom_size=len(adom))
+    result.stats = recorder.finish(adom_size=adom_size)
     return result

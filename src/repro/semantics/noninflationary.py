@@ -37,7 +37,8 @@ from repro.semantics.base import (
     EvaluationResult,
     StageTrace,
     StatsRecorder,
-    evaluation_adom,
+    evaluation_domain,
+    fact_set,
     immediate_consequences,
 )
 
@@ -81,7 +82,7 @@ def evaluate_noninflationary(
     current = db.copy()
     for relation in program.idb:
         current.ensure_relation(relation, program.arity(relation))
-    adom = evaluation_adom(program, db)
+    adom, adom_size = evaluation_domain(program, db)
     result = NoninflationaryResult(current)
     recorder = StatsRecorder("noninflationary", current, tracer=tracer)
     seen: set[frozenset] = set()
@@ -95,9 +96,10 @@ def evaluate_noninflationary(
             raise StepBudgetExceeded(
                 f"no fixpoint after {max_stages} stages", max_stages
             )
-        positive, negative, firings = immediate_consequences(
+        heads, negated, firings = immediate_consequences(
             program, current, adom, stats=recorder.stats, tracer=tracer
         )
+        positive, negative = fact_set(heads), fact_set(negated)
         result.rule_firings += firings
         conflicts = positive & negative
         if conflicts and policy is ConflictPolicy.CONTRADICTION:
@@ -145,7 +147,7 @@ def evaluate_noninflationary(
                     stage=stage,
                 )
             seen.add(snapshot)
-    result.stats = recorder.finish(adom_size=len(adom))
+    result.stats = recorder.finish(adom_size=adom_size)
     return result
 
 

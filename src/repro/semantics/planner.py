@@ -71,6 +71,7 @@ join-order decisions outlive the run, the report does not.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Hashable, Iterator
 from weakref import WeakSet, ref
 
@@ -711,12 +712,16 @@ def apply_cover(ctx: PlanContext, db: Database) -> None:
 # -- consequence evaluation -------------------------------------------------
 
 
+#: Γ_P's inferences: relation → the head tuples a pass derived for it.
+Heads = dict[str, set[tuple]]
+
+
 def _emit(
     plan: RulePlan,
     slot_iter: "Iterator[list]",
     rule,
-    positive: set[tuple[str, tuple]],
-    negative: set[tuple[str, tuple]],
+    positive: Heads,
+    negative: Heads,
 ) -> int:
     """Drain one plan run into the inference sets; returns firings."""
     from repro.semantics.base import instantiate_head
@@ -729,22 +734,24 @@ def _emit(
             firings += 1
             valuation = {var: slots[s] for var, s in out_vars}
             for relation, t, is_positive in instantiate_head(rule, valuation):
-                if is_positive:
-                    positive.add((relation, t))
-                else:
-                    negative.add((relation, t))
+                heads = positive if is_positive else negative
+                heads.setdefault(relation, set()).add(t)
     else:
         for slots in slot_iter:
             firings += 1
             for relation, template, fills, is_positive in emitters:
                 for position, s in fills:
                     template[position] = slots[s]
-                fact = (relation, tuple(template))
-                if is_positive:
-                    positive.add(fact)
-                else:
-                    negative.add(fact)
+                heads = positive if is_positive else negative
+                heads.setdefault(relation, set()).add(tuple(template))
     return firings
+
+
+def _head_set(positive: Heads, relation: str) -> set[tuple]:
+    """The pass's set for ``relation``: a kernel adds its heads to it,
+    and :func:`consequences` keeps it only if it is not empty."""
+    heads = positive.get(relation)
+    return set() if heads is None else heads
 
 
 def _pass_visits(
@@ -786,7 +793,7 @@ def _pass_visits(
 
 
 def _traced_run(span, decision: _Decision, db: Database, adom, restricted,
-                positive: set, negative: set, add_only: bool) -> int:
+                positive: Heads, negative: Heads, add_only: bool) -> int:
     """One variant through its plan's counting kernels, booked into
     ``span`` (see :mod:`repro.obs.events` for the accounting).
 
@@ -796,23 +803,34 @@ def _traced_run(span, decision: _Decision, db: Database, adom, restricted,
     from repro.semantics import codegen_traced
 
     plan = decision.plan
-    before = len(positive) + len(negative)
     args = (plan, db, adom, decision.restricted_pos, restricted)
     if plan.never:
-        fired = emitted = 0
+        fired = emitted = grew = 0
     elif decision.emitter is not None:
+        relation = decision.emitter[0]
+        heads = _head_set(positive, relation)
+        before = len(heads)
         fired = emitted = codegen_traced.emit(
-            *args, positive, add_only, span.tally()
+            *args, heads, add_only, span.tally()
         )
+        grew = len(heads) - before
+        if heads:
+            positive[relation] = heads
     else:
+        before = _size(positive) + _size(negative)
         fired = _emit(plan, codegen_traced.walk(*args, span.tally()),
                       plan.rule, positive, negative)
         emitted = fired * len(plan.rule.head_literals())
+        grew = _size(positive) + _size(negative) - before
     span.firings += fired
     span.emitted += emitted
-    span.deduplicated += emitted - (len(positive) + len(negative) - before)
-    span.order = decision.order
+    span.deduplicated += emitted - grew
+    span.ran(decision.order)
     return fired
+
+
+def _size(heads: Heads) -> int:
+    return sum(map(len, heads.values()))
 
 
 def consequences(
@@ -825,11 +843,13 @@ def consequences(
     count_call: bool = False,
     tracer=None,
     add_only: bool = False,
-):
+) -> tuple[Heads, Heads, int]:
     """Planner-routed immediate consequences.
 
     Same contract as :func:`repro.semantics.base.immediate_consequences`
-    — ``(positive, negative, firings)`` — with the planner's three
+    — ``(positive, negative, firings)``, the inferences by relation:
+    each kernel adds its head tuples to its head relation's set, and a
+    relation that got none is absent — with the planner's three
     optimizations applied: semi-naive calls visit only the rules the
     relation→rules dispatch map selects for the delta (each with its
     own delta-first cost-based order), full passes run each rule under
@@ -866,8 +886,8 @@ def consequences(
         stats.consequence_calls += 1
     if tracer is not None and not tracer.enabled:
         tracer = None
-    positive: set[tuple[str, tuple]] = set()
-    negative: set[tuple[str, tuple]] = set()
+    positive: Heads = {}
+    negative: Heads = {}
     report = _run_report(ctx, stats)
     live = None if delta is None else tuple([
         relation for relation, facts in delta.items() if facts
@@ -911,10 +931,13 @@ def consequences(
                                         positive, negative, add_only)
             elif emitter is not None:
                 relation, template, fills = emitter
+                heads = _head_set(positive, relation)
                 fired_occ = plan.run_emit(
                     db, adom, decision.restricted_pos, restricted,
-                    relation, template, fills, positive, add_only,
+                    relation, template, fills, heads, add_only,
                 )
+                if heads:
+                    positive[relation] = heads
             elif plan.never:
                 fired_occ = 0
             else:
@@ -943,28 +966,21 @@ def consequences(
 # -- SCC-scheduled fixpoint -------------------------------------------------
 
 
-def absorb(
-    db: Database, positive: set[tuple[str, tuple]]
-) -> dict[str, list[tuple]]:
-    """Add a consequence set to ``db``; returns the new facts by relation.
+def absorb(db: Database, positive: Heads) -> dict[str, list[tuple]]:
+    """Add a pass's heads to ``db``; returns the new facts by relation.
 
-    Grouping by relation makes each group pay one relation lookup and
-    one bulk insert (:meth:`~repro.relational.instance.Relation
-    .add_batch`) instead of a per-fact ``add_fact`` call chain: this is
-    the hot path between kernel passes of the add-only fixpoints, and
-    at chain sizes the per-fact overhead otherwise rivals the matching.
-    Relations that gained nothing are left out.
+    Each relation's heads go to its relation object in one bulk insert
+    (:meth:`~repro.relational.instance.Relation.add_batch`) instead of
+    a per-fact ``add_fact`` call chain: this is the hot path between
+    kernel passes of the add-only fixpoints, and at chain sizes the
+    per-fact overhead otherwise rivals the matching.  Relations that
+    gained nothing are left out.
     """
-    by_relation: dict[str, list[tuple]] = {}
-    for relation, t in positive:
-        group = by_relation.get(relation)
-        if group is None:
-            by_relation[relation] = [t]
-        else:
-            group.append(t)
     fresh_by_relation: dict[str, list[tuple]] = {}
-    for relation, ts in by_relation.items():
-        fresh = db.ensure_relation(relation, len(ts[0])).add_batch(ts)
+    for relation, ts in positive.items():
+        if not ts:
+            continue
+        fresh = db.ensure_relation(relation, len(next(iter(ts)))).add_batch(ts)
         if fresh:
             fresh_by_relation[relation] = fresh
     return fresh_by_relation
@@ -1010,7 +1026,7 @@ def scheduled_fixpoint(
             # Only a stage record or a result reads the stage's facts.
             trace = StageTrace(stage)
             for relation, fresh in fresh_by_relation.items():
-                trace.new_facts.extend((relation, t) for t in fresh)
+                trace.new_facts.extend(zip(repeat(relation), fresh))
             if recorder is not None:
                 recorder.stage(
                     stage, firings, added=len(trace.new_facts), trace=trace

@@ -20,7 +20,7 @@ from repro.semantics import planner
 from repro.semantics.base import (
     EvaluationResult,
     StatsRecorder,
-    evaluation_adom,
+    evaluation_domain,
 )
 
 
@@ -43,12 +43,12 @@ def evaluate_datalog_seminaive(
     current = db.copy()
     for relation in program.idb:
         current.ensure_relation(relation, program.arity(relation))
-    adom = evaluation_adom(program, db)
+    adom, adom_size = evaluation_domain(program, db)
     result = EvaluationResult(current)
     recorder = StatsRecorder("seminaive", current, tracer=tracer)
     result.rule_firings, _ = planner.scheduled_fixpoint(
         program, current, adom, recorder=recorder, result=result,
         tracer=tracer,
     )
-    result.stats = recorder.finish(adom_size=len(adom))
+    result.stats = recorder.finish(adom_size=adom_size)
     return result

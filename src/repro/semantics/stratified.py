@@ -21,7 +21,7 @@ from repro.semantics import planner
 from repro.semantics.base import (
     EvaluationResult,
     StatsRecorder,
-    evaluation_adom,
+    evaluation_domain,
 )
 
 
@@ -44,7 +44,7 @@ def evaluate_stratified(
     current = db.copy()
     for relation in program.idb:
         current.ensure_relation(relation, program.arity(relation))
-    adom = evaluation_adom(program, db)
+    adom, adom_size = evaluation_domain(program, db)
     result = EvaluationResult(current)
     recorder = StatsRecorder("stratified", current, tracer=tracer)
     stage = 0
@@ -63,5 +63,5 @@ def evaluate_stratified(
             tracer=tracer,
         )
         result.rule_firings += firings
-    result.stats = recorder.finish(adom_size=len(adom))
+    result.stats = recorder.finish(adom_size=adom_size)
     return result

@@ -66,9 +66,15 @@ from repro.ast.rules import EqLit, Lit, Rule
 from repro.logic.atom import Atom
 from repro.relational.instance import Database
 from repro.semantics import planner
-from repro.semantics.base import EngineStats, StatsRecorder, evaluation_adom
+from repro.semantics.base import (
+    EngineStats,
+    StatsRecorder,
+    evaluation_domain,
+)
 from repro.semantics.differential import (
-    _dict_of,
+    Changes,
+    _count,
+    _minus,
     dred,
     propagate,
     support_probes,
@@ -217,7 +223,7 @@ def _seed_variants(
     )
 
 
-def _flipped(change: dict[str, set[tuple]]) -> dict[str, set[tuple]]:
+def _flipped(change: Changes) -> Changes:
     """A net change as the delta of the flip relations."""
     return {_flip_name(relation): ts for relation, ts in change.items()}
 
@@ -226,38 +232,25 @@ class _Side:
     """One work database of the alternation and the iterate it holds.
 
     ``idb`` are this side's own idb relations (the iterate), in sorted
-    name order.  ``pending`` is the net change the other side made in
-    its last step, which this side's next step consumes: ``None`` until
-    this side's first step, which starts from the input instead.
+    name order, and ``size`` their number of facts, moved by each
+    step's net change.  ``pending`` is the net change the other side
+    made in its last step, which this side's next step consumes:
+    ``None`` until this side's first step, which starts from the input
+    instead.
     """
 
-    __slots__ = ("db", "idb", "pending")
+    __slots__ = ("db", "idb", "size", "pending")
 
     def __init__(self, db: Database, program: Program, names: list[str]):
         self.db = db.copy()
         self.idb = [
             self.db.ensure_relation(name, program.arity(name)) for name in names
         ]
-        self.pending: dict[str, set[tuple]] | None = None
-
-    def size(self) -> int:
-        return sum(map(len, self.idb))
+        self.size = sum(map(len, self.idb))
+        self.pending: Changes | None = None
 
     def facts(self) -> frozenset[tuple[str, tuple]]:
         return frozenset((rel.name, t) for rel in self.idb for t in rel)
-
-
-def _reads_adom(programs) -> bool:
-    """Does some rule of ``programs`` range a variable over the active
-    domain: one that no positive literal binds, or a universal one?"""
-    for program in programs:
-        for rule in program.rules:
-            bound: set[Var] = set()
-            for lit in rule.positive_body():
-                bound |= lit.variables()
-            if rule.universal or not rule.variables() <= bound:
-                return True
-    return False
 
 
 class _Alternation:
@@ -283,20 +276,16 @@ class _Alternation:
         self.transformed = _transform(program)
         self.grow, self.shrink = _seed_variants(program, self.transformed)
         programs = (self.transformed, self.grow, self.shrink)
-        if _reads_adom(p for p in programs if p is not None):
-            self.adom = evaluation_adom(program, db)
-            self.adom_size = len(self.adom)
-        else:
-            self.adom = ()
-            self.adom_size = len(program.constants() | db.active_domain())
+        self.adom, self.adom_size = evaluation_domain(
+            program, db, *(p for p in programs if p is not None)
+        )
         self.recorder = StatsRecorder("wellfounded", tracer=tracer)
         self.tracer = tracer
         names = sorted(program.idb)
         self.given = [db.tuples(name) for name in names]
         self.given_size = sum(len(ts) for ts in self.given)
-        self.given_facts = frozenset(
-            (name, t) for name, ts in zip(names, self.given) for t in ts
-        )
+        #: The input's idb facts by relation, which DRed never deletes.
+        self.kept = dict(zip(names, self.given))
         self.even = _Side(db, program, names)
         self.odd = _Side(db, program, names)
         for name, even, odd in zip(names, self.even.idb, self.odd.idb):
@@ -333,11 +322,11 @@ class _Alternation:
         self.recorder.stats.planner = self.report
         self.steps += 1
         self.recorder.stage(
-            self.steps, firings, added=side.size() - self.given_size
+            self.steps, firings, added=side.size - self.given_size
         )
         return bool(change)
 
-    def _first_step(self, side: _Side) -> tuple[int, dict[str, set[tuple]]]:
+    def _first_step(self, side: _Side) -> tuple[int, Changes]:
         """A side's first step: the least fixpoint over its copy, which
         holds the input's idb facts.  Returns the firings and what it
         added to them."""
@@ -353,11 +342,10 @@ class _Alternation:
             gained = rel.live_set() - given
             if gained:
                 change[rel.name] = gained
+        side.size += _count(change)
         return firings, change
 
-    def _grow(
-        self, removed: dict[str, set[tuple]]
-    ) -> tuple[int, dict[str, set[tuple]]]:
+    def _grow(self, removed: Changes) -> tuple[int, Changes]:
         """An even step: the assumption set lost ``removed``.
 
         Semi-naive insertion
@@ -371,11 +359,10 @@ class _Alternation:
             seed=(self.grow, _flipped(removed)),
             stats=self.recorder.stats, tracer=self.tracer,
         )
-        return firings, _dict_of(added)
+        self.even.size += _count(added)
+        return firings, added
 
-    def _shrink(
-        self, gained: dict[str, set[tuple]]
-    ) -> tuple[int, dict[str, set[tuple]]]:
+    def _shrink(self, gained: Changes) -> tuple[int, Changes]:
         """An odd step: the assumption set gained ``gained``.
 
         DRed (:func:`~repro.semantics.differential.dred`) seeded by the
@@ -388,10 +375,12 @@ class _Alternation:
             seed=(self.shrink, _flipped(gained)),
             probes=self._probes,
             stats=self.recorder.stats,
-            keep=self.given_facts,
+            keep=self.kept,
             tracer=self.tracer,
         )
-        return firings, _dict_of(overdeleted - rederived)
+        removed = _minus(overdeleted, rederived)
+        self.odd.size -= _count(removed)
+        return firings, removed
 
     def _probes(self):
         if self.probes is None:

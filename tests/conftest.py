@@ -16,17 +16,19 @@ def _reference_consequences(program, db, adom, delta=None, stats=None,
                             rule_ids=None, count_call=False, tracer=None,
                             add_only=False):
     """Γ_P rule by rule through ``reference_matches``: the planner's
-    contract (delta-aware, scoped to ``rule_ids``), none of its code.
-    It returns every head, as an ``add_only=False`` pass does."""
+    contract (delta-aware, scoped to ``rule_ids``, heads by relation),
+    none of its code.  It returns every head, as an ``add_only=False``
+    pass does."""
     if stats is not None and count_call:
         stats.consequence_calls += 1
-    positive, negative, firings = set(), set(), 0
+    positive, negative, firings = {}, {}, 0
     for i in range(len(program.rules)) if rule_ids is None else rule_ids:
         rule = program.rules[i]
         for valuation in reference_matches(rule, db, adom, delta):
             firings += 1
             for relation, t, is_positive in instantiate_head(rule, valuation):
-                (positive if is_positive else negative).add((relation, t))
+                heads = positive if is_positive else negative
+                heads.setdefault(relation, set()).add(t)
     return positive, negative, firings
 
 

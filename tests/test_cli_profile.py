@@ -110,6 +110,39 @@ class TestProfile:
         assert code == 0
         assert "matcher: columnar" in output
 
+    def test_a_row_lists_every_order_its_spans_ran(self, tmp_path):
+        """Nonlinear TC over a 30-edge chain: each delta pass runs both
+        occurrences of ``T`` delta-first, ``[0, 1]`` then ``[1, 0]``, and
+        the recursive rule's row (and each of its rule events) keeps
+        both, in first-seen order (docs/TOUR.md §13)."""
+        program = tmp_path / "tcn.dl"
+        program.write_text(
+            "T(x, y) :- G(x, y).\nT(x, y) :- T(x, z), T(z, y).\n"
+        )
+        data = tmp_path / "chain.dl"
+        data.write_text("".join(
+            f"G('n{i}', 'n{i + 1}').\n" for i in range(30)
+        ))
+        code, output = run_cli(
+            ["profile", str(program), "--data", str(data), "--format", "json"]
+        )
+        assert code == 0
+        rows = {row["rule_index"]: row for row in json.loads(output)["rules"]}
+        assert rows[1]["orders"] == [[0, 1], [1, 0]]
+        assert rows[0]["orders"] == [[0]]
+        code, output = run_cli(["profile", str(program), "--data", str(data)])
+        assert code == 0
+        assert "order [0, 1] [1, 0]" in output
+        trace = tmp_path / "run.jsonl"
+        code, _ = run_cli(["run", str(program), "--data", str(data),
+                           "--trace-out", str(trace)])
+        assert code == 0
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        recursive = [e for e in events
+                     if e["kind"] == "rule" and e["rule_index"] == 1]
+        assert len(recursive) == 6
+        assert all(e["orders"] == [[0, 1], [1, 0]] for e in recursive)
+
     def test_human_table(self, tc_files):
         program, data = tc_files
         code, output = run_cli(["profile", program, "--data", data])

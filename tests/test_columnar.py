@@ -201,11 +201,11 @@ class TestBatchKernelShape:
         full, _neg, fired = immediate_consequences(
             program, db, adom, delta=delta
         )
-        assert full == {("T", t) for t in edges}
+        assert full == {"T": set(edges)}
         new, _neg, fired_add_only = immediate_consequences(
             program, db, adom, delta=delta, add_only=True
         )
-        assert new == {("T", t) for t in edges[3:]}
+        assert new == {"T": set(edges[3:])}
         assert fired_add_only == fired == len(edges)
 
 
@@ -232,9 +232,10 @@ class TestKernelDifferenceParity:
                 stages += 1
                 firings += fired
                 delta = {}
-                for relation, t in positive:
-                    if db.add_fact(relation, t):
-                        delta.setdefault(relation, set()).add(t)
+                for relation, ts in positive.items():
+                    for t in ts:
+                        if db.add_fact(relation, t):
+                            delta.setdefault(relation, set()).add(t)
             outcomes.append((db.tuples("T"), stages, firings))
         assert outcomes[0] == outcomes[1]
 

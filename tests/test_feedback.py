@@ -104,10 +104,10 @@ class TestOrderOnEvents:
             rule_index=0, rule="A(x) :- B(x).", span=None, stage=1,
             seconds=0.0, firings=1, emitted=1, deduplicated=0,
         )
-        assert "order" not in bare.to_dict()
+        assert "orders" not in bare.to_dict()
         planned = RuleEvent(
             rule_index=0, rule="A(x) :- B(x).", span=None, stage=1,
             seconds=0.0, firings=1, emitted=1, deduplicated=0,
-            order=(1, 0),
+            orders=((1, 0), (0, 1)),
         )
-        assert planned.to_dict()["order"] == [1, 0]
+        assert planned.to_dict()["orders"] == [[1, 0], [0, 1]]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ReproError, SchemaError
+from repro.errors import ParseError, ReproError, SchemaError
 from repro.relational.instance import Database
 from repro.relational.io import (
     database_from_json,
@@ -49,6 +49,43 @@ class TestFactsText:
     def test_rejects_negative_heads(self):
         with pytest.raises(ReproError):
             facts_from_text("!T('a').")
+
+    @pytest.mark.parametrize("text", ["", "  \n\t\n", "% none\n# none\n"])
+    def test_blank_and_comment_only_text_is_the_empty_instance(self, text):
+        assert facts_from_text(text) == Database()
+
+    def test_tokenizes_once(self, monkeypatch):
+        from repro.parser import lexer, parser
+
+        calls = []
+        tokenize = lexer.tokenize
+
+        def spy(text):
+            calls.append(text)
+            return tokenize(text)
+
+        for module in (lexer, parser):
+            monkeypatch.setattr(module, "tokenize", spy)
+        text = "G('a', 'b').\nG('b', 'c').\n"
+        assert facts_from_text(text) == Database(
+            {"G": [("a", "b"), ("b", "c")]}
+        )
+        assert calls == [text]
+
+    @pytest.mark.parametrize("text,line,column", [
+        ("G('a', 'b').\nG('b' 'c').", 2, 7),
+        ("G('a', 'b').\nG('b',", 2, 7),
+        ("G('a')", 1, 7),
+    ])
+    def test_parse_errors_keep_their_location(self, text, line, column):
+        with pytest.raises(ParseError) as caught:
+            facts_from_text(text)
+        assert (caught.value.line, caught.value.column) == (line, column)
+
+    def test_an_arity_clash_names_its_location(self):
+        with pytest.raises(SchemaError) as caught:
+            facts_from_text("G('a', 'b').\nG('c').")
+        assert (caught.value.line, caught.value.column) == (2, 1)
 
 
 class TestJson:

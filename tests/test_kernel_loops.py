@@ -24,7 +24,7 @@ from repro.semantics import codegen
 from repro.semantics.base import instantiate_head, reference_matches
 from repro.semantics.codegen import CodegenPlan
 from repro.semantics.inflationary import evaluate_inflationary
-from repro.semantics.plan import make_delta, plan_for
+from repro.semantics.plan import cached_plans, make_delta, plan_for
 
 RULE = "H(x, z) :- D(x, y), E(y, z)."
 
@@ -64,17 +64,19 @@ def mean_bucket(db: Database) -> float:
 
 
 def reference(rule, db, delta):
-    """(heads, firings) of one pass by the reference matcher, run on a
-    copy so that the chains it builds stay out of ``db``."""
+    """(head tuples, firings) of one pass by the reference matcher, run
+    on a copy so that the chains it builds stay out of ``db``."""
     heads, firings = set(), 0
     for valuation in reference_matches(rule, db.copy(), (), delta):
         firings += 1
-        for relation, t, _positive in instantiate_head(rule, valuation):
-            heads.add((relation, t))
+        for _relation, t, _positive in instantiate_head(rule, valuation):
+            heads.add(t)
     return heads, firings
 
 
 def run(plan, db, restricted_index, delta_rows, add_only):
+    """(head tuples, firings) of one ``run_emit`` call: the kernel adds
+    bare head tuples to the set the pass keeps for the head relation."""
     out: set = set()
     relation, template, fills, _positive = plan.emitters[0]
     restricted = None if delta_rows is None else make_delta(delta_rows)
@@ -112,9 +114,9 @@ def check_passes(rule, plan, db, head, d_rows, add_only):
     """Three delta passes over ``D`` blocks and one full pass against
     the reference, with a third of the heads known beforehand."""
     expected_all, _ = reference(rule, db, None)
-    for _relation, t in sorted(expected_all)[::3]:
+    for t in sorted(expected_all)[::3]:
         db.relation(head).add(t)
-    known = {(head, t) for t in db.relation(head)}
+    known = set(db.relation(head))
     half = len(d_rows) // 2
     for rows in (d_rows[:half], d_rows[half:], d_rows):
         assert len(rows) >= CodegenPlan.BATCH_MIN_ROWS
@@ -286,9 +288,9 @@ def test_scalar_kernels_skip_known_heads_under_add_only(add_only,
     db = Database({"E": e_facts(30, 3, rng), "D": d_rows})
     db.ensure_relation("H", 2)
     expected_all, _ = reference(rule, db, None)
-    for _relation, t in sorted(expected_all)[::2]:
+    for t in sorted(expected_all)[::2]:
         db.relation("H").add(t)
-    known = {("H", t) for t in db.relation("H")}
+    known = set(db.relation("H"))
     if restricted_index == 0:
         rows = d_rows[:CodegenPlan.BATCH_MIN_ROWS - 2]
         delta = {"D": frozenset(rows)}
@@ -319,7 +321,7 @@ def test_factored_kernels_skip_known_heads_under_add_only(add_only, delta):
     db = Database({"A": a, "B": [("b", "c"), ("c", "d")], ("P", 1): []})
     for t in a[::2]:
         db.relation("P").add(t)
-    known = {("P", t) for t in db.relation("P")}
+    known = set(db.relation("P"))
     if delta is None:
         out, fired = run(plan, db, -1, None, add_only)
         heads, firings = reference(rule, db, None)
@@ -352,3 +354,115 @@ def test_inflationary_absorbs_only_new_heads_from_factored_rules(
     program = parse_program(CTC_INFLATIONARY_SOURCE)
     evaluate_inflationary(program, graph_database(chain(8)))
     assert rows and all(offered == fresh for offered, fresh in rows)
+
+
+#: Bitset calls that probe the head relation itself: (rule, join order,
+#: chain specs, whether a group's known heads are its probed bucket,
+#: delta-literal position holding the join key, the rule with its delta
+#: literal reading ``Dl``).  Nonlinear TC's two delta occurrences and
+#: the per-graph closure (a two-column group key) have that shape, also
+#: through a prefix probe of a chain no call has built; the misaligned
+#: closure and a head of another relation do not.
+TC = "T(x, z) :- T(x, y), T(y, z)."
+PER_GRAPH = "P(g, x, z) :- P(g, x, y), P(g, y, z)."
+OWN = {
+    "tc_delta0": (TC, (0, 1), None, True, 1,
+                  "T(x, z) :- Dl(x, y), T(y, z)."),
+    "tc_delta1": (TC, (1, 0), None, True, 0,
+                  "T(x, z) :- T(x, y), Dl(y, z)."),
+    "graph_delta0": (PER_GRAPH, (0, 1), None, True, 2,
+                     "P(g, x, z) :- Dl(g, x, y), P(g, y, z)."),
+    "graph_delta1": (PER_GRAPH, (1, 0), None, True, 1,
+                     "P(g, x, z) :- P(g, x, y), Dl(g, y, z)."),
+    "misaligned": ("T(z, x) :- T(x, y), T(y, z).", (0, 1), None, False, 1,
+                   "T(z, x) :- Dl(x, y), T(y, z)."),
+    "other_head": ("S(x, z) :- T(x, y), T(y, z).", (0, 1), None, False, 1,
+                   "S(x, z) :- Dl(x, y), T(y, z)."),
+    "prefix": (TC, (0, 1), (None, ((0, 1), 1)), True, 1,
+               "T(x, z) :- Dl(x, y), T(y, z)."),
+}
+
+
+def closure_facts(arity: int, rng: random.Random) -> list[tuple]:
+    """Ten successors for each of 60 nodes (arity 2), or for each of 30
+    nodes in each of two graphs (arity 3): a mean bucket of 10 rows."""
+    graphs = [()] if arity == 2 else [("g0",), ("g1",)]
+    nodes = 60 // len(graphs)
+    return [
+        (*g, f"n{a}", f"n{b}")
+        for g in graphs
+        for a in range(nodes)
+        for b in rng.sample(range(nodes), 10)
+    ]
+
+
+@pytest.mark.parametrize("add_only", [False, True])
+@pytest.mark.parametrize("shape", list(OWN))
+def test_an_add_only_bitset_call_builds_only_new_heads(shape, add_only,
+                                                       paths):
+    """Where a group's known heads are its probed bucket, an add-only
+    call clears them from the group's mask before decoding: no head
+    already in the relation comes out, and heads and firings are the
+    reference's.  The delta's join keys are three nodes, so most values
+    of a group's bucket are numbered by no probe of the call."""
+    source, order, chains, own, key, one_delta = OWN[shape]
+    (rule,) = parse_program(source).rules
+    plan = plan_for(rule, order, chains=chains)
+    probed = plan.steps[-1].relation
+    facts = closure_facts(len(rule.head_literals()[0].terms),
+                          random.Random(13))
+    db = Database({probed: facts})
+    head = rule.head_literals()[0].relation
+    db.ensure_relation(head, len(facts[0]))
+    rows = [t for t in facts if t[key] in ("n0", "n1", "n2")]
+    assert len(rows) >= CodegenPlan.BATCH_MIN_ROWS
+    known = set(db.relation(head))
+    # The pass runs one delta occurrence; the reference reads it from
+    # a relation of its own.
+    (one,) = parse_program(one_delta).rules
+    scratch = db.copy()
+    scratch.ensure_relation("Dl", len(facts[0])).update(rows)
+    heads, firings = reference(one, scratch, None)
+    out, fired = run(plan, db, 0, rows, add_only)
+    assert paths == ["emit_grouped"]
+    assert fired == firings
+    if add_only:
+        assert out.isdisjoint(known)
+        assert out == heads - known
+        assert heads & known or head != probed
+    else:
+        assert out == heads
+    source = plan.codegen_fns.kernels["emit_grouped_r0"].source
+    assert ("iget = ids.get" in source) == own
+
+
+def test_answers_hold_with_the_subtraction_off(monkeypatch):
+    """Nonlinear TC to fixpoint with the grouped variant's shape test
+    forced off decodes every head and filters the known ones: same
+    model, stages and firings as with the subtraction."""
+    from repro.programs.tc import TC_NONLINEAR_SOURCE
+    from repro.semantics import codegen_grouped
+    from repro.semantics.seminaive import evaluate_datalog_seminaive
+    from repro.workloads.graphs import random_gnp
+
+    def evaluate():
+        program = parse_program(TC_NONLINEAR_SOURCE)
+        result = evaluate_datalog_seminaive(
+            program, Database({"G": random_gnp(60, 0.05, 3)})
+        )
+        sources = [
+            kernel.source
+            for rule in program.rules
+            for plan in cached_plans(rule)
+            for name, kernel in plan.codegen_fns.kernels.items()
+            if name.startswith("emit_grouped_")
+        ]
+        return (result.database.canonical(), result.rule_firings,
+                [trace.added for trace in result.stages]), sources
+
+    with_subtraction, sources = evaluate()
+    assert sources and all("iget = ids.get" in s for s in sources)
+    monkeypatch.setattr(codegen_grouped, "own_groups", lambda *args: False)
+    without, sources = evaluate()
+    assert sources and not any("iget = ids.get" in s for s in sources)
+    assert without == with_subtraction

@@ -112,7 +112,7 @@ class TestEventModel:
         assert set(d) == {
             "version", "kind", "stage", "rule_index", "rule", "span",
             "seconds", "firings", "emitted", "deduplicated", "literals",
-            "order",
+            "orders",
         }
         assert d["kind"] == "rule"
         assert d["span"] is not None  # parsed rules carry source spans
@@ -219,7 +219,7 @@ class TestRuleSpanAccounting:
         ]
         body_sizes = {0: 1, 1: 2, 2: 2}
         for event in collector.rule_events():
-            assert event.order is not None
+            assert event.orders
             assert len(event.literals) == body_sizes[event.rule_index]
 
 

@@ -16,14 +16,18 @@ import pytest
 
 from repro.parser import parse_program
 from repro.programs.win import win_program
-from repro.semantics import planner, wellfounded
+from repro.programs.ctc_inflationary import CTC_INFLATIONARY_SOURCE
+from repro.programs.tc import TC_NONLINEAR_SOURCE
+from repro.semantics import base, planner
 from repro.semantics.base import evaluation_adom
+from repro.semantics.inflationary import evaluate_inflationary
 from repro.semantics.naive import evaluate_datalog_naive
+from repro.semantics.noninflationary import evaluate_noninflationary
 from repro.semantics.seminaive import evaluate_datalog_seminaive
 from repro.semantics.stratified import evaluate_stratified
 from repro.semantics.wellfounded import evaluate_wellfounded
 from repro.workloads.games import game_database, random_game
-from repro.workloads.graphs import chain
+from repro.workloads.graphs import chain, graph_database
 from tests.test_differential_engines import random_program_and_database
 from tests.test_wellfounded import _corpus_case, _reference_model
 
@@ -150,7 +154,55 @@ def test_the_active_domain_is_sorted_only_when_a_rule_reads_it(
         calls.append(program)
         return evaluation_adom(program, db)
 
-    monkeypatch.setattr(wellfounded, "evaluation_adom", spy)
+    monkeypatch.setattr(base, "evaluation_adom", spy)
     model = evaluate_wellfounded(program, db)
     assert model.stats.adom_size == expected
     assert len(calls) == reads
+
+
+SORTING_ENGINES = {
+    "naive": evaluate_datalog_naive,
+    "seminaive": evaluate_datalog_seminaive,
+    "stratified": evaluate_stratified,
+    "inflationary": evaluate_inflationary,
+    "noninflationary": evaluate_noninflationary,
+}
+
+
+#: Program → (source, whether a rule reads the active domain).
+DOMAIN_PROGRAMS = {
+    "tc": (TC_NONLINEAR_SOURCE, False),
+    "ctc": (CTC_INFLATIONARY_SOURCE, True),
+}
+
+
+@pytest.mark.parametrize("engine,name", [
+    *((engine, "tc") for engine in SORTING_ENGINES),
+    # Example 4.3 negates: the Datalog engines refuse it.
+    *((engine, "ctc")
+      for engine in ("stratified", "inflationary", "noninflationary")),
+])
+def test_an_engine_sorts_the_active_domain_only_when_a_rule_reads_it(
+        engine, name, monkeypatch):
+    """Example 4.3's ``CT(x, y) :- not T(x, y), …`` ranges ``x`` and
+    ``y`` over the active domain; nonlinear TC binds every variable
+    positively, so its passes never read the domain.  The engines that
+    take the program whole report ``adom_size`` either way, and give
+    the same model as with the domain sorted."""
+    source, reads = DOMAIN_PROGRAMS[name]
+    db = graph_database(chain(6))
+    program = parse_program(source)
+    expected = len(evaluation_adom(program, db))
+    evaluate = SORTING_ENGINES[engine]
+    sorted_run = evaluate(parse_program(source), db)
+    calls = []
+
+    def spy(program, db):
+        calls.append(program)
+        return evaluation_adom(program, db)
+
+    monkeypatch.setattr(base, "evaluation_adom", spy)
+    result = evaluate(program, db)
+    assert result.stats.adom_size == expected
+    assert len(calls) == reads
+    assert result.database == sorted_run.database

@@ -167,8 +167,8 @@ class TestPlanRepresentation:
         db = Database({"S": [("a",)], "A": [], "B": []})
         adom = evaluation_adom(program, db)
         positive, negative, firings = immediate_consequences(program, db, adom)
-        assert positive == {("A", ("a", "k"))}
-        assert negative == {("B", ("a",))}
+        assert positive == {"A": {("a", "k")}}
+        assert negative == {"B": {("a",)}}
         assert firings == 2
 
     def test_plans_cached_per_rule_and_order(self):

@@ -329,7 +329,7 @@ class TestDispatch:
         assert ctx.states[0].lookups == 0  # E-only body: not selected
         assert ctx.states[2].lookups == 0  # F-only body: not selected
         assert ctx.states[1].lookups == 1
-        assert positive == {("T", (0, 2))}
+        assert positive == {"T": {(0, 2)}}
 
 
 # -- index GC: one rule for the one index kind -----------------------------

@@ -145,5 +145,5 @@ def test_iter_matches_counts_equal_the_reference_join(seed):
                             rule, order, db, d, restrict[literals[i].relation]
                         )
                         expected = [a + b for a, b in zip(expected, occurrence)]
-            assert span.order == order
+            assert span.orders == [order]
             assert span.counts == expected, str(rule)

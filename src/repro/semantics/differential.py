@@ -121,7 +121,8 @@ DRED = "dred"
 #: nothing.
 _NO_ADOM: tuple = ()
 
-_NONE: frozenset = frozenset()
+#: The facts of a relation a change does not name.
+_NO_FACTS: frozenset = frozenset()
 
 
 @dataclass
@@ -401,7 +402,7 @@ def propagate(
         delta = {}
         for relation, ts in heads.items():
             if within is not None:
-                ts = ts & within.get(relation, _NONE)
+                ts = ts & within.get(relation, _NO_FACTS)
             add = db.relation(relation).add
             fresh = {t for t in ts if add(t)}
             if fresh:
@@ -468,9 +469,9 @@ def dred(
             if rel is None:
                 continue
             gone = ts & rel.live_set()
-            gone.difference_update(overdeleted.get(relation, _NONE))
+            gone.difference_update(overdeleted.get(relation, _NO_FACTS))
             if keep is not None:
-                gone.difference_update(keep.get(relation, _NONE))
+                gone.difference_update(keep.get(relation, _NO_FACTS))
             if gone:
                 frontier[relation] = gone
                 overdeleted.setdefault(relation, set()).update(gone)
@@ -641,7 +642,7 @@ class DifferentialEngine:
                 deleted.setdefault(relation, set()).add(t)
         for relation, t in inserts:
             if self.database.add_fact(relation, t):
-                if t in deleted.get(relation, _NONE):
+                if t in deleted.get(relation, _NO_FACTS):
                     deleted[relation].discard(t)  # net no-op
                 else:
                     inserted.setdefault(relation, set()).add(t)

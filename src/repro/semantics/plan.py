@@ -576,10 +576,11 @@ class RulePlan:
         """One plan run fused with single-positive-head emission.
 
         The planner's hottest call: rules with one positive head (the
-        overwhelmingly common shape) add ``(relation, fact)`` pairs to
-        ``out`` straight from the generated kernel, which bakes the head
-        spec in — ``relation``/``template``/``fills`` must be this
-        plan's own emitter, and the guard refuses any other.  Dispatch
+        overwhelmingly common shape) add head tuples to ``out``, the
+        set the pass keeps for the head's relation, straight from the
+        generated kernel, which bakes the head spec in —
+        ``relation``/``template``/``fills`` must be this plan's own
+        emitter, and the guard refuses any other.  Dispatch
         prefers the ``emit_batch_*`` kernels (whole-delta list
         comprehensions) and falls back to the scalar fused walk for
         small deltas and shapes without a batch kernel; a body with

@@ -754,6 +754,11 @@ def _head_set(positive: Heads, relation: str) -> set[tuple]:
     return set() if heads is None else heads
 
 
+def _size(heads: Heads) -> int:
+    """How many head tuples ``heads`` holds."""
+    return sum(map(len, heads.values()))
+
+
 def _pass_visits(
     ctx: PlanContext,
     rule_ids: tuple[int, ...] | None,
@@ -827,10 +832,6 @@ def _traced_run(span, decision: _Decision, db: Database, adom, restricted,
     span.deduplicated += emitted - grew
     span.ran(decision.order)
     return fired
-
-
-def _size(heads: Heads) -> int:
-    return sum(map(len, heads.values()))
 
 
 def consequences(

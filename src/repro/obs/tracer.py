@@ -33,11 +33,10 @@ class RuleSpan:
     rule runs, hand the span to the matcher (the planner's traced
     kernels, or ``iter_matches``), which books each join order it runs
     (:meth:`ran`) and adds its per-literal counts into :meth:`tally`,
-    and call :meth:`close` when
-    the rule's work in this pass is done.  Engines whose bookkeeping
-    continues after matching (the choice engine commits firings in a
-    separate shuffled pass) call :meth:`stop` first to freeze the clock
-    at end-of-matching.
+    and call :meth:`close` when the rule's work in this pass is done.
+    Engines whose bookkeeping continues after matching (the choice
+    engine commits firings in a separate shuffled pass) call
+    :meth:`stop` first to freeze the clock at end-of-matching.
     """
 
     __slots__ = (

@@ -80,8 +80,8 @@ class Relation:
         #: Where a counter move goes: this relation's own counters, then
         #: the running totals of each database name it is held under.
         self._sinks: tuple[list[int], ...] = (self._counters,)
-        for t in tuples:
-            self.add(t)
+        if tuples:
+            self.update(tuples)
 
     def _check(self, t: tuple) -> tuple:
         if not isinstance(t, tuple):
@@ -138,30 +138,44 @@ class Relation:
             self._thread(root, self._chain_counts[order], order, ts)
         self._count(1, len(ts) * len(self._chains))
 
-    def _chain_remove(self, t: tuple) -> None:
-        """Remove ``t`` from every live chain index, pruning empty nodes."""
+    def _chain_remove(self, ts) -> None:
+        """Remove the tuples ``ts`` from every live chain index, one loop
+        per chain, pruning emptied nodes (one index update per tuple and
+        chain)."""
         for order, root in self._chains.items():
             counts = self._chain_counts[order]
-            path: list[tuple[dict, Hashable]] = []
-            node = root
-            present = True
-            for p in order:
-                child = node.get(t[p])
-                if child is None:
-                    present = False
-                    break
-                path.append((node, t[p]))
-                node = child
-            if present:
-                node.pop(t, None)
-                depth = len(order) - 1
-                while depth >= 0 and not node:
-                    parent, v = path[depth]
-                    del parent[v]
-                    counts[depth] -= 1
-                    node = parent
-                    depth -= 1
-        self._count(1, len(self._chains))
+            if len(order) == 1:
+                (p,) = order
+                get = root.get
+                for t in ts:
+                    v = t[p]
+                    bucket = get(v)
+                    if bucket is not None:
+                        bucket.pop(t, None)
+                        if not bucket:
+                            del root[v]
+                counts[0] = len(root)
+                continue
+            last = len(order) - 1
+            for t in ts:
+                path: list[tuple[dict, Hashable]] = []
+                node = root
+                for p in order:
+                    child = node.get(t[p])
+                    if child is None:
+                        break
+                    path.append((node, t[p]))
+                    node = child
+                else:
+                    node.pop(t, None)
+                    depth = last
+                    while depth >= 0 and not node:
+                        parent, v = path[depth]
+                        del parent[v]
+                        counts[depth] -= 1
+                        node = parent
+                        depth -= 1
+        self._count(1, len(ts) * len(self._chains))
 
     def add(self, t: tuple) -> bool:
         """Insert a tuple; return True if it was new."""
@@ -176,11 +190,12 @@ class Relation:
     def add_batch(self, ts) -> list[tuple]:
         """Bulk insert; returns the tuples that were actually new.
 
-        The consequence-absorption hot path: one membership filter and
-        one ``set.update`` replace the per-fact ``add`` call chain.
-        Callers pass engine-built tuples (head instantiations), so the
-        per-tuple coercion of :meth:`_check` is skipped — only the
-        arity is verified.  Each new tuple comes back once, in the order
+        The consequence-absorption and loading hot path: one membership
+        filter and one ``set.update`` replace the per-fact ``add`` call
+        chain.  Callers pass tuples (head instantiations, or rows
+        :meth:`update` coerced), so the per-tuple coercion of
+        :meth:`_check` is skipped — only the arity is verified, of every
+        new tuple before any goes in.  Each new tuple comes back once, in the order
         ``ts`` first gives it, and each live chain takes the new tuples
         in one loop, leaving it (and the index counters) as one
         :meth:`add` per row of ``ts`` would.  A tuple given twice shows
@@ -192,12 +207,12 @@ class Relation:
         if not fresh:
             return fresh
         arity = self.arity
-        for t in fresh:
-            if len(t) != arity:
-                raise SchemaError(
-                    f"tuple {t!r} has arity {len(t)}, but relation "
-                    f"{self.name!r} has arity {arity}"
-                )
+        if any(map(arity.__ne__, map(len, fresh))):
+            t = next(t for t in fresh if len(t) != arity)
+            raise SchemaError(
+                f"tuple {t!r} has arity {len(t)}, but relation "
+                f"{self.name!r} has arity {arity}"
+            )
         before = len(tuples)
         tuples.update(fresh)
         if len(tuples) - before != len(fresh):
@@ -213,16 +228,43 @@ class Relation:
             return False
         self._tuples.remove(t)
         if self._chains:
-            self._chain_remove(t)
+            self._chain_remove((t,))
         return True
 
+    def discard_batch(self, ts) -> list[tuple]:
+        """Bulk removal; returns the tuples that were actually present.
+
+        The maintenance engines' removal path (DRed's over-deletion,
+        recounts that reach zero): one membership filter and one
+        ``set.difference_update`` replace the per-fact ``discard`` call
+        chain, and each live chain loses the present tuples in one
+        loop, leaving it (and the index counters) as one
+        :meth:`discard` per row of ``ts`` would.  Like
+        :meth:`add_batch`, it takes engine-built tuples: an absent one
+        is skipped, and one given twice comes back once.
+        """
+        tuples = self._tuples
+        gone = [t for t in ts if t in tuples]
+        if not gone:
+            return gone
+        before = len(tuples)
+        tuples.difference_update(gone)
+        if before - len(tuples) != len(gone):
+            gone = list(dict.fromkeys(gone))
+        if self._chains:
+            self._chain_remove(gone)
+        return gone
+
     def update(self, tuples: Iterable[tuple]) -> int:
-        """Insert many tuples; return how many were new."""
-        added = 0
-        for t in tuples:
-            if self.add(t):
-                added += 1
-        return added
+        """Insert many tuples; return how many were new.
+
+        Each tuple is coerced and its arity checked before any is
+        inserted, so a bad one leaves the relation as it was; the rest
+        is one :meth:`add_batch`.
+        """
+        return len(self.add_batch(
+            [t if isinstance(t, tuple) else tuple(t) for t in tuples]
+        ))
 
     def clear(self) -> None:
         if self._tuples:
@@ -245,8 +287,7 @@ class Relation:
             removed = self._tuples - new
             if len(added) + len(removed) <= len(new):
                 # Small diff: patch the live chains in place.
-                for t in removed:
-                    self._chain_remove(t)
+                self._chain_remove(removed)
                 self._chain_insert(added)
             else:
                 # Wholesale change: cheaper to rebuild lazily.
@@ -453,9 +494,9 @@ class Database:
                 tuples = [t if isinstance(t, tuple) else tuple(t) for t in tuples]
                 if isinstance(key, tuple):
                     name, arity = key
-                    self.ensure_relation(name, arity).update(tuples)
+                    self.ensure_relation(name, arity).add_batch(tuples)
                 elif tuples:
-                    self.ensure_relation(key, len(tuples[0])).update(tuples)
+                    self.ensure_relation(key, len(tuples[0])).add_batch(tuples)
                 else:
                     # Arity unknown for an empty relation given as a list
                     # under a plain-string key: register the name and

@@ -9,12 +9,12 @@ variant of a plan becomes one specialized Python function, a *kernel*.
 The variants of a plan with steps ``0 … n-1``:
 
 * ``walk_full`` / ``walk_r{i}`` — the generator walks behind
-  ``RulePlan.iter_slot_matches``/``iter_seeded``: the full-pass walk
-  and one variant per step ``i`` with that step's candidates drawn from
-  the delta.  The join becomes literal nested ``for`` loops; a
-  full-depth chain probe is one ``.get`` per trie level over bound
-  constants and slot reads (:func:`_trie_get`); repeat checks and
-  residual (in)equalities are inline ``if``\\ s with constant indices.
+  ``RulePlan.iter_slot_matches``: the full-pass walk and one variant
+  per step ``i`` with that step's candidates drawn from the delta.
+  The join becomes literal nested ``for`` loops; a full-depth chain
+  probe is one ``.get`` per trie level over bound constants and slot
+  reads (:func:`_trie_get`); repeat checks and residual
+  (in)equalities are inline ``if``\\ s with constant indices.
 * ``emit_full`` / ``emit_r{i}`` — the fused single-positive-head
   variants behind :meth:`RulePlan.run_emit`.  These drop the slot list
   for flat locals (``v0, v1, …``) and add each head tuple to the head
@@ -40,6 +40,11 @@ The variants of a plan with steps ``0 … n-1``:
   variants; a body of one component keeps them.  Its ``run_rows`` and
   generator walks still join, since their consumers need every
   valuation.
+* ``count_full`` — behind :meth:`RulePlan.count_heads`, on a plan
+  whose ``bound`` holds every head variable: the fused walk inside one
+  loop over a list of head tuples, seeding the bound slots from each
+  and appending its number of body valuations (0 for a head that
+  contradicts a head constant or repeated variable).
 * ``group_r{i}`` — the delta grouping of the restricted variants with
   the key positions baked in.
 * ``emit_batch_full``/``emit_batch_r0`` and ``walk_batch_full`` — the
@@ -59,7 +64,7 @@ The variants of a plan with steps ``0 … n-1``:
   per-literal candidates and matches (:func:`_emit_part`); run only by
   :mod:`repro.semantics.codegen_traced`.
 
-The kernels that never yield (fused, factored and batch) read each
+The kernels that never yield (fused, factored, count and batch) read each
 negated relation's live tuple set once per call and probe it with a
 plain ``in``; the generator walks, whose consumers may write between
 yields, call ``db.has_fact`` per probe.
@@ -264,15 +269,19 @@ def _full_depth(step) -> bool:
 
 def _emit_variant(plan, restricted_index: int, kind: str) -> _Source:
     """One specialized scalar walk: generator (``walk``), fused
-    (``emit``) or factored fused (``emit_factored``) flavor, or its
-    traced twin (``*_tally``, which also takes ``tally``)."""
+    (``emit``), factored fused (``emit_factored``) or head-seeded
+    counting (``count``) flavor, or a traced twin (``*_tally``, which
+    also takes ``tally``)."""
     fused = not kind.startswith("walk")
+    counting = kind == "count"
     tally = kind.endswith("_tally")
     suffix = "full" if restricted_index < 0 else f"r{restricted_index}"
-    params = "db, adom, add" if fused else "db, adom, slots"
+    params = "db, adom, " + (
+        "heads" if counting else "add" if fused else "slots"
+    )
     if restricted_index >= 0:
         params += ", restricted"
-    if fused:
+    if fused and not counting:
         # ``known`` is the head relation's live tuple set for add-only
         # callers and ``()`` otherwise, as for the batch kernels: a
         # head already there is skipped at the source.
@@ -283,8 +292,11 @@ def _emit_variant(plan, restricted_index: int, kind: str) -> _Source:
     if fused:
         def slot_ref(s: int) -> str:
             return f"v{s}"
-        bail = "return fired"
-        src.add(1, "fired = 0")
+        if counting:
+            bail = "return [0] * len(heads)"
+        else:
+            bail = "return fired"
+            src.add(1, "fired = 0")
     else:
         def slot_ref(s: int) -> str:
             return f"slots[{s}]"
@@ -302,6 +314,8 @@ def _emit_variant(plan, restricted_index: int, kind: str) -> _Source:
         src.add(2, bail)
         if _full_depth(step):
             src.add(1, f"t{d} = None")
+        elif counting and step.exact:
+            src.add(1, f"m{d} = rel{d}.live_set()")
     if fused:
         # The fused walk never yields, so the database is frozen for
         # the whole call: each negated relation's live tuple set is
@@ -317,8 +331,13 @@ def _emit_variant(plan, restricted_index: int, kind: str) -> _Source:
     if counted:
         src.add(1, "product = 0")
     skip = frozenset().union(*counted)
+    indent = 1
+    if counting:
+        # A filter outside every loop books the head's zero.
+        indent, bail = _seed_heads(src, plan), "append(0)\ncontinue"
     indent = _emit_part(src, plan, restricted_index, fused, slot_ref, bail,
-                        lambda item: item not in skip, 1, tally)
+                        lambda item: item not in skip, indent, tally,
+                        "m" if counting else "rel")
     if counted:
         src.add(indent, "if not product:")
         for k, part in enumerate(counted):
@@ -331,7 +350,11 @@ def _emit_variant(plan, restricted_index: int, kind: str) -> _Source:
         ))
         src.add(indent + 1, "if not product:")
         src.add(indent + 2, bail)
-    if fused:
+    if counting:
+        src.add(indent, "n += 1")
+        src.add(2, "append(n)")
+        src.add(1, "return counts")
+    elif fused:
         _relation, template, fills, _positive = plan.emitters[0]
         head = _template_expr(src, "H", template, fills, slot_ref)
         src.add(indent, "fired += product" if counted else "fired += 1")
@@ -344,6 +367,39 @@ def _emit_variant(plan, restricted_index: int, kind: str) -> _Source:
     return src
 
 
+def _seed_heads(src: _Source, plan) -> int:
+    """Open the count kernel's loop over its head tuples, which counts
+    0 for a head that contradicts a head constant or repeated variable
+    and seeds each head variable's (``bound``) slot from its first
+    head position; returns the loop body's indent."""
+    _relation, template, fills, _positive = plan.emitters[0]
+    filled = dict(fills)
+    first: dict[int, int] = {}
+    targets: list[str] = []
+    checks: list[str] = []
+    for p, value in enumerate(template):
+        s = filled.get(p)
+        if s is None:
+            checks.append(f"h[{p}] != {src.bind(f'H_{p}', value)}")
+            targets.append("_")
+        elif s in first:
+            checks.append(f"h[{p}] != h[{first[s]}]")
+            targets.append("_")
+        else:
+            first[s] = p
+            targets.append(f"v{s}")
+    src.add(1, "counts = []")
+    src.add(1, "append = counts.append")
+    src.add(1, "for h in heads:")
+    if checks:
+        src.add(2, f"if {' or '.join(checks)}:")
+        src.add(3, "append(0)\ncontinue")
+    if first:
+        src.add(2, f"{', '.join(targets)}{',' * (len(targets) == 1)} = h")
+    src.add(2, "n = 0")
+    return 2
+
+
 def _negated_sets(src: _Source, plan) -> None:
     """Bind ``nset{k}`` to each negated relation's live tuple set (``()``
     when the relation is absent), for kernels that never yield."""
@@ -354,14 +410,16 @@ def _negated_sets(src: _Source, plan) -> None:
 
 
 def _emit_part(src: _Source, plan, restricted_index: int, fused: bool,
-               slot_ref, bail: str, keep, indent: int, tally: bool) -> int:
+               slot_ref, bail: str, keep, indent: int, tally: bool,
+               members: str = "rel") -> int:
     """The nested loops and filters of the body items ``keep`` admits,
     starting at ``indent``.
 
     Items are named as in :meth:`RulePlan._counted_parts`.  Steps come
     in join order, then the finish block: assigns, pre-checks, adom
     loops, negation probes, post-checks.  A filter outside every loop
-    of the part runs ``bail``.  Returns the indent of the innermost
+    of the part runs ``bail``.  A fully bound step tests membership in
+    ``{members}{d}``.  Returns the indent of the innermost
     block, where a match of the part is complete.  With ``tally``, a
     step over positive body literal ``i`` adds its candidates (rows
     it loops over, 1 per membership hit) to ``tally[2i]`` and the
@@ -384,7 +442,7 @@ def _emit_part(src: _Source, plan, restricted_index: int, fused: bool,
             # statements below still behave exactly like the reference
             # matcher's single-candidate lookup exhausting.
             key = _key_tuple(src, d, step, slot_ref)
-            src.add(indent, f"if {key} in rel{d}:")
+            src.add(indent, f"if {key} in {members}{d}:")
         elif _full_depth(step):
             # The root is fetched at the walk's first probe, so a walk
             # that never reaches this step never builds the chain.
@@ -763,12 +821,13 @@ class Kernel:
 class CodegenPlan:
     """One plan's kernel table, each variant built on its first call.
 
-    ``run``/``run_emit``/``run_emit_batch``/``run_walk_batch`` take the
-    arguments ``RulePlan`` dispatches with (minus the head spec, which
-    is bound — callers verify it against ``head_relation``/
-    ``head_fills`` before dispatching).  A variant the plan has no use
-    for (no batch shape, no single positive head, no key to group by)
-    is ``None`` in its table; a plan with head-free parts fills its
+    ``run``/``run_emit``/``run_emit_batch``/``run_walk_batch``/
+    ``run_count`` take the arguments ``RulePlan`` dispatches with (minus
+    the head spec, which is bound — callers verify it against
+    ``head_relation``/``head_fills`` before dispatching).  A variant the
+    plan has no use for (no batch shape, no single positive head, no
+    key to group by, a head variable not ``bound``) is ``None`` in its
+    table; a plan with head-free parts fills its
     fused table with ``emit_factored_*`` variants and has no batch
     emits.  ``kernels`` holds the variants built so far, in the order
     they first ran.
@@ -788,6 +847,7 @@ class CodegenPlan:
         "_batch_walks",
         "_grouped",
         "_unions",
+        "_counts",
         "tallies",
     )
 
@@ -834,6 +894,12 @@ class CodegenPlan:
             self._emits = self._batch_emits = None
             self._grouped = self._unions = None
             self.head_relation = self.head_fills = None
+        # The support probes' plans: every head variable ``bound``.
+        seeded = (
+            emitters is not None and len(emitters) == 1 and emitters[0][3]
+            and all(s < len(plan.bound) for _p, s in emitters[0][2])
+        )
+        self._counts = self._table("count", ["full" if seeded else None])
         #: The traced twins' tables (:mod:`~repro.semantics.codegen_traced`).
         self.tallies = None
 
@@ -865,18 +931,9 @@ class CodegenPlan:
             table[index] = kernel.function
         return kernel
 
-    def run(self, db, adom, restricted_index: int, restricted,
-            seed=None) -> Iterator:
-        """The generator walk: every match as the (reused) slot list.
-
-        ``seed`` pre-fills the leading (bound) slots — the differential
-        engine's head-seeded rederivation probes; the generated walks
-        only ever read those slots, so prefilling the list is the whole
-        protocol.
-        """
+    def run(self, db, adom, restricted_index: int, restricted) -> Iterator:
+        """The generator walk: every match as the (reused) slot list."""
         slots = [None] * self.n_slots
-        if seed is not None:
-            slots[: len(seed)] = seed
         if restricted_index < 0:
             return self._walks[0](db, adom, slots)
         group = self._groups[restricted_index]
@@ -897,6 +954,13 @@ class CodegenPlan:
         if group is not None:
             restricted = group(restricted)
         return emit(db, adom, out.add, restricted, known)
+
+    def run_count(self, db, adom, heads: list) -> list[int]:
+        """Each head tuple's number of body valuations (``count_full``)."""
+        count = self._counts[0]
+        if count is None:
+            raise ValueError("count_heads needs every head variable bound")
+        return count(db, adom, heads)
 
     @staticmethod
     def _rows(restricted) -> tuple:

@@ -46,15 +46,16 @@ insertion) say so with ``add_only=True``; the passes that read
 consequences as "everything derivable" (affected-fact discovery,
 over-deletion) do not.  Exact recounts and rederivation
 support checks go through *support probes* (:class:`_SupportProbe`),
-built once per maintenance pass for each rule of the component: the
-head positions that seed the rule's bound variables, the head's
-constant and repeated-variable checks, and a *bound* rule plan under a
-join order fixed for the pass, which counts the seeded variables as
-bound.
-A check then only indexes the candidate fact and walks the seeded plan
-(:func:`_iter_bound_matches`), so its cost is that one fact's
-derivations rather than the whole rule's match set (this is what
-replaces the old ``MaterializedView._rederive`` full re-enumeration).
+built once per component, when its first check needs them, and kept:
+one per rule, a *bound* rule plan whose head variables are seeded from
+each candidate fact, under a join order that counts them as bound.
+Its ``count_full`` kernel takes a whole pass's candidates in one call
+and returns each one's number of derivations, so a check costs that
+fact's derivations rather than the whole rule's match set (this is
+what replaces the old ``MaterializedView._rederive`` full
+re-enumeration).  Facts leave and return in bulk: over-deleted facts
+through ``Relation.discard_batch``, rederived and propagated ones
+through ``Relation.add_batch``, one call per relation.
 
 DRed's two phases live in one function, :func:`dred`, and semi-naive
 insertion in another, :func:`propagate`, which DRed's rederivation
@@ -70,7 +71,7 @@ enumerates an active domain (positive range-restricted Datalog binds
 every body variable in a positive literal, so its minimum model does
 not depend on the domain and no compiled plan has ``unbound_slots``),
 bulk passes are delta-restricted, and probe setup is paid once per
-pass per rule, not once per checked fact.
+rule, not once per pass or per checked fact.
 
 Scope: plain (positive) Datalog, the dialect in which both component
 algorithms are exact.  Updates are **atomic**: the entire diff batch
@@ -82,6 +83,7 @@ a batch can never leave the view half-updated.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -104,7 +106,7 @@ from repro.semantics.plan import (
     make_delta,
     plan_for,
 )
-from repro.terms import Const, Var
+from repro.terms import Var
 
 Fact = tuple[str, tuple]
 #: Facts by relation: a pass's inferences, or a change to a database.
@@ -197,7 +199,8 @@ class ApplyResult:
 class _Component:
     """One SCC of the predicate dependency graph, with its strategy."""
 
-    __slots__ = ("relations", "rules", "program", "reads", "strategy")
+    __slots__ = ("relations", "rules", "program", "reads", "strategy",
+                 "probes")
 
     def __init__(self, relations: frozenset[str], rules: tuple[Rule, ...],
                  recursive: bool, name: str):
@@ -212,83 +215,52 @@ class _Component:
             relation for rule in rules for relation in rule.body_relations()
         )
         self.strategy = DRED if recursive else COUNTING
+        #: The rules' support probes, built when the first check needs
+        #: them and kept (see :meth:`DifferentialEngine._probes`).
+        self.probes: dict[str, list[_SupportProbe]] | None = None
 
 
 class _SupportProbe:
     """One rule's head-bound support check, built once and reused.
 
-    Everything a check needs that does not depend on the candidate
-    fact: which head positions seed the plan's ``bound`` variables
-    (each variable's first head occurrence), the head's constant and
-    repeated-variable checks, and the bound
-    :class:`~repro.semantics.plan.RulePlan` under the join order the
-    database's relation sizes give when the probe is built, with the
-    seeded variables counted as bound from the first literal on.
+    The rule's bound :class:`~repro.semantics.plan.RulePlan`: every head
+    variable is ``bound``, under the join order the database's relation
+    sizes give when the probe is built, with those variables counted as
+    bound from the first literal on.  :meth:`counts` runs the plan's
+    ``count_full`` kernel, which checks each candidate against the
+    head's constants and repeated variables, seeds the bound variables
+    from its values and counts its body valuations through the
+    relations' indexes, so a check costs the candidate's own join
+    fan-out, not the rule's full match set, and a whole pass of checks
+    is one call.
 
     The order only sets speed, never a count, so a probe may outlive
     the sizes it was ordered by: the differential engine builds its
-    probes once per maintenance pass, the well-founded engine once per
-    run.
+    probes once per component, the well-founded engine once per run.
     """
 
-    __slots__ = ("seed_positions", "constants", "repeats", "plan")
+    __slots__ = ("plan",)
 
     def __init__(self, rule: Rule, db: Database):
         (head,) = rule.head_literals()
-        first: dict[Var, int] = {}
-        constants: list[tuple[int, object]] = []
-        repeats: list[tuple[int, int]] = []
-        for position, term in enumerate(head.terms):
-            if isinstance(term, Const):
-                constants.append((position, term.value))
-            elif term in first:
-                repeats.append((position, first[term]))
-            else:
-                first[term] = position
-        bound = tuple(sorted(first, key=lambda v: v.name))
-        self.seed_positions = tuple(first[v] for v in bound)
-        self.constants = tuple(constants)
-        self.repeats = tuple(repeats)
-        order = tuple(
-            _order_positive_indices(list(rule.positive_body()), db, first.keys())
+        bound = sorted(
+            {term for term in head.terms if isinstance(term, Var)},
+            key=lambda v: v.name,
         )
-        self.plan: RulePlan = plan_for(rule, order, bound=bound)
+        order = tuple(
+            _order_positive_indices(list(rule.positive_body()), db, bound)
+        )
+        self.plan: RulePlan = plan_for(rule, order, bound=tuple(bound))
 
-
-def _iter_bound_matches(
-    probe: _SupportProbe, db: Database, adom: tuple, values: tuple
-):
-    """Body matches of ``probe.plan.rule`` deriving the head fact ``values``.
-
-    The top-down primitive behind exact recounts and rederivation
-    support checks.  The probe's head checks reject a fact that
-    contradicts a head constant or a repeated head variable; otherwise
-    the fact's values at ``probe.seed_positions`` seed the bound
-    variables, and each positive literal extends them through the
-    relation's incremental indexes, so the cost is the candidate
-    fact's own join fan-out, not the rule's full match set.  A body
-    variable that no positive literal and no seed binds ranges over
-    ``adom`` (the well-founded engine's rules may bind one only under
-    negation; the differential engine passes ``_NO_ADOM``, since its
-    positive rules have none).  Callers only count yields, so the items
-    themselves carry no contract — one yield per total body valuation.
-
-    This runs the probe's bound plan: the seed values occupy slots
-    ``0..k-1`` and later occurrences of seeded variables are indexed
-    key fills.  Nothing is ordered, compiled or looked up per call;
-    that happened once, when the probe was built.
-
-    Never mutates the database; callers buffer any re-additions and
-    apply them only after enumeration finishes (or is abandoned).
-    """
-    for position, value in probe.constants:
-        if values[position] != value:
-            return iter(())
-    for position, first in probe.repeats:
-        if values[position] != values[first]:
-            return iter(())
-    seed = tuple([values[position] for position in probe.seed_positions])
-    return probe.plan.iter_seeded(db, adom, seed)
+    def counts(self, db: Database, adom: tuple,
+               heads: list[tuple]) -> list[int]:
+        """Each of ``heads``' number of derivations by this rule from
+        ``db`` as it stands, a body variable that no positive literal
+        and no head binds ranging over ``adom`` (the well-founded
+        engine's rules may bind one only under negation; the
+        differential engine passes ``_NO_ADOM``).  Never mutates
+        ``db``."""
+        return self.plan.count_heads(db, adom, heads)
 
 
 def support_probes(
@@ -304,19 +276,6 @@ def support_probes(
         (relation,) = rule.head_relations()
         probes.setdefault(relation, []).append(_SupportProbe(rule, db))
     return probes
-
-
-def _derivations(
-    fact: Fact,
-    probes: dict[str, list[_SupportProbe]],
-    db: Database,
-    adom: tuple,
-):
-    """Every body valuation, over all of its rules, deriving ``fact``
-    from ``db`` as it stands (see :func:`_iter_bound_matches`)."""
-    relation, values = fact
-    for probe in probes.get(relation, ()):
-        yield from _iter_bound_matches(probe, db, adom, values)
 
 
 def _derivation_counts(
@@ -383,7 +342,8 @@ def propagate(
     relation object, which must exist; with ``within`` given, only a
     head in ``within`` does.  Every pass is add-only: a head already in
     ``db`` is a no-op here, so the kernels may subtract it at the
-    source.  ``stats`` and ``tracer`` go to every pass.  A delta that
+    source.  Each pass's heads go in with one ``add_batch`` per
+    relation.  ``stats`` and ``tracer`` go to every pass.  A delta that
     no rule of the pass program reads positively would derive nothing,
     so it ends the loop without a pass.
     """
@@ -403,8 +363,7 @@ def propagate(
         for relation, ts in heads.items():
             if within is not None:
                 ts = ts & within.get(relation, _NO_FACTS)
-            add = db.relation(relation).add
-            fresh = {t for t in ts if add(t)}
+            fresh = db.relation(relation).add_batch(ts)
             if fresh:
                 delta[relation] = fresh
                 added.setdefault(relation, set()).update(fresh)
@@ -419,7 +378,7 @@ def dred(
     probes: Callable[[], dict[str, list[_SupportProbe]]],
     stats: EngineStats | None = None,
     keep: dict[str, Container[tuple]] | None = None,
-    ghosts: Iterable[Fact] = (),
+    ghosts: Changes | None = None,
     tracer=None,
 ) -> tuple[Changes, Changes, int]:
     """DRed on ``db``, in place: ``(over-deleted, rederived, firings)``.
@@ -436,20 +395,22 @@ def dred(
     derivable", most of it still in ``db``, so none is add-only; a
     frontier that no rule of the pass program reads positively ends the
     phase without a pass.  Every pass reads ``db`` before anything
-    leaves it; then ``ghosts`` (facts present only so that bodies match
-    through them) and the over-deleted facts leave together.
+    leaves it; then ``ghosts`` (facts, by relation, present only so
+    that bodies match through them) and the over-deleted facts leave
+    together, one ``discard_batch`` per relation.
 
-    Phase 2 (delta-restricted rederive): each over-deleted candidate gets
-    a head-bound support check against what survived, through the
-    probes ``probes()`` returns (called once, after the removal, and
-    only when something was over-deleted), with ``adom`` for variables
-    no positive literal binds.  The survivors are re-added *after* the
-    scan and then propagated semi-naively (:func:`propagate`), but only
-    into the candidate set: ``db`` may already hold facts of the same
-    update that are not the candidates' to rederive.  Work is
-    proportional to the over-deletion, not to ``db``.  Facts go back
-    through their relation objects.  ``stats`` and ``tracer`` go to
-    every pass.
+    Phase 2 (delta-restricted rederive): the over-deleted candidates get
+    head-bound support checks against what survived, through the probes
+    ``probes()`` returns (called once, after the removal, and only when
+    something was over-deleted), with ``adom`` for variables no
+    positive literal binds: per relation, one ``count_full`` call per
+    probe over the candidates no earlier probe supported.  The
+    survivors go back with one ``add_batch`` per relation *after* the
+    checks and are then propagated semi-naively (:func:`propagate`),
+    but only into the candidate set: ``db`` may already hold facts of
+    the same update that are not the candidates' to rederive.  Work is
+    proportional to the over-deletion, not to ``db``.  ``stats`` and
+    ``tracer`` go to every pass.
     """
     pass_program, frontier = seed
     reads = planner.plan_context(pass_program).dispatch
@@ -475,28 +436,27 @@ def dred(
             if gone:
                 frontier[relation] = gone
                 overdeleted.setdefault(relation, set()).update(gone)
-    for relation, t in ghosts:
-        db.remove_fact(relation, t)
-    for relation, ts in overdeleted.items():
-        for t in ts:
-            db.remove_fact(relation, t)
+    for removed in (ghosts or {}, overdeleted):
+        for relation, ts in removed.items():
+            db.relation(relation).discard_batch(ts)
     if not overdeleted:
         return overdeleted, {}, firings
 
     checks = probes()
     supported: Changes = {}
     for relation, ts in overdeleted.items():
-        held = {
-            t for t in ts
-            if next(_derivations((relation, t), checks, db, adom), None)
-            is not None
-        }
+        pending = list(ts)
+        held: list[tuple] = []
+        for probe in checks[relation]:
+            counts = probe.counts(db, adom, pending)
+            held.extend(itertools.compress(pending, counts))
+            pending = [t for t, n in zip(pending, counts) if not n]
+            if not pending:
+                break
         if held:
             supported[relation] = held
     for relation, ts in supported.items():
-        add = db.relation(relation).add
-        for t in ts:
-            add(t)
+        db.relation(relation).add_batch(ts)
     rederived, fired = propagate(
         program, db, adom, (program, supported), stats=stats, tracer=tracer,
         within=overdeleted,
@@ -779,15 +739,17 @@ class DifferentialEngine:
         Discovery matches against the *union* instance (post-state plus
         deleted "ghosts"), which contains both the pre- and post-state,
         so every derivation gained or lost shows up.  The
-        over-approximation is harmless: the per-fact recount against
-        the final state is exact.  The recounts share one set of
-        support probes, built after the ghosts leave.
+        over-approximation is harmless: the recount against the final
+        state is exact.  No rule of the component reads its own heads,
+        so no recount depends on another's outcome: each affected
+        relation is recounted with one ``count_full`` call per probe
+        (summed over the rules that derive it, the ℕ-provenance of a
+        nonrecursive rule), and a fact whose count left or reached zero
+        is added or removed afterwards, in one batch per relation.
         """
-        ghosts = [
-            (rel, t) for rel, ts in sorted(del_in.items()) for t in ts
-        ]
-        for relation, t in ghosts:
-            self.database.add_fact(relation, t)
+        db = self.database
+        for relation, ts in del_in.items():
+            db.relation(relation).add_batch(ts)
         delta: dict[str, set[tuple]] = {}
         for source in (ins_in, del_in):
             for relation, ts in source.items():
@@ -796,53 +758,51 @@ class DifferentialEngine:
         # derivable" — most of it is already in the database — so it
         # is not an add-only pass.
         affected, _neg, _firings = immediate_consequences(
-            comp.program, self.database, _NO_ADOM,
+            comp.program, db, _NO_ADOM,
             delta=_frozen(delta), stats=self.stats,
         )
-        for relation, t in ghosts:
-            self.database.remove_fact(relation, t)
+        for relation, ts in del_in.items():
+            db.relation(relation).discard_batch(ts)
 
         added: Changes = {}
         removed: Changes = {}
-        probes = (
-            support_probes(comp.rules, self.database) if affected else {}
-        )
-        # No rule of the component reads its own heads, so no recount
-        # depends on another's outcome.
+        probes = self._probes(comp) if affected else {}
+        counts = self.counts
         for relation, ts in affected.items():
-            for t in ts:
+            heads = list(ts)
+            totals = [0] * len(heads)
+            for probe in probes[relation]:
+                found = probe.counts(db, _NO_ADOM, heads)
+                totals = list(map(operator.add, totals, found))
+            gained: list[tuple] = []
+            lost: list[tuple] = []
+            for t, new in zip(heads, totals):
                 fact = (relation, t)
-                old = self.counts.get(fact, 0)
-                new = self._derivation_count(fact, probes)
-                if new != old:
-                    if old == 0 and new > 0:
-                        self.database.add_fact(relation, t)
-                        added.setdefault(relation, set()).add(t)
-                    elif old > 0 and new == 0:
-                        self.database.remove_fact(relation, t)
-                        removed.setdefault(relation, set()).add(t)
+                old = counts.get(fact, 0)
                 if new:
-                    self.counts[fact] = new
-                else:
-                    self.counts.pop(fact, None)
-        return added, removed, _count(affected)
+                    counts[fact] = new
+                    if not old:
+                        gained.append(t)
+                elif old:
+                    del counts[fact]
+                    lost.append(t)
+            rel = db.relation(relation)
+            if gained:
+                added[relation] = set(rel.add_batch(gained))
+            if lost:
+                removed[relation] = set(rel.discard_batch(lost))
+        recounted = _count(affected)
+        self.stats.differential["support_checks"] += recounted
+        return added, removed, recounted
 
-    def _derivation_count(
-        self,
-        fact: Fact,
-        probes: dict[str, list[_SupportProbe]],
-    ) -> int:
-        """Exact derivation count of one fact against the current view.
-
-        Head-bound matching through the pass's ``probes`` (see
-        :func:`support_probes`): per rule, the fact's values seed the
-        probe's bound plan, so the cost is this fact's derivations, not
-        the rule's full match set, and no per-fact setup is left.
-        """
-        self.stats.differential["support_checks"] += 1
-        return sum(
-            1 for _ in _derivations(fact, probes, self.database, _NO_ADOM)
-        )
+    def _probes(self, comp: _Component) -> dict[str, list[_SupportProbe]]:
+        """``comp``'s support probes, built on the first check and kept
+        for the engine's life, as the well-founded run keeps its own:
+        their join order, taken from the view's sizes then, only sets
+        speed."""
+        if comp.probes is None:
+            comp.probes = support_probes(comp.rules, self.database)
+        return comp.probes
 
     # -- DRed components ----------------------------------------------------
 
@@ -855,23 +815,20 @@ class DifferentialEngine:
 
         The deleted input facts come back as ghosts, so rule bodies can
         match through them while the over-deletion closes; they leave
-        with the over-deleted facts.  Support probes are built for the
-        pass after the removal.  Returns the net deletion and the sizes
-        of the over-deletion and of the rederivation.
+        with the over-deleted facts.  The support checks use the
+        component's kept probes.  Returns the net deletion and the
+        sizes of the over-deletion and of the rederivation.
         """
         if not del_in:
             return {}, 0, 0
-        ghosts = [
-            (rel, t) for rel, ts in sorted(del_in.items()) for t in ts
-        ]
-        for relation, t in ghosts:
-            self.database.add_fact(relation, t)
+        for relation, ts in del_in.items():
+            self.database.relation(relation).add_batch(ts)
         overdeleted, rederived, _firings = dred(
             comp.program, self.database, _NO_ADOM,
             seed=(comp.program, del_in),
-            probes=lambda: support_probes(comp.rules, self.database),
+            probes=lambda: self._probes(comp),
             stats=self.stats,
-            ghosts=ghosts,
+            ghosts=del_in,
         )
         self.stats.differential["support_checks"] += _count(overdeleted)
         return (_minus(overdeleted, rederived), _count(overdeleted),

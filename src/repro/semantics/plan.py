@@ -246,10 +246,11 @@ class RulePlan:
         self.rule = rule
         self.order = order
         #: Variables pre-bound by the caller (the differential engine's
-        #: head-bound rederivation probes).  They claim slots 0..k-1 in
-        #: ``bound`` order, so a seed tuple fills them positionally;
-        #: every later occurrence compiles to an index key fill — the
-        #: probes are restricted by the seed, not post-filtered.
+        #: head-bound support probes).  They claim slots 0..k-1 in
+        #: ``bound`` order, which the ``count_full`` kernel fills from
+        #: each head tuple; every later occurrence compiles to an index
+        #: key fill — the probes are restricted by the head, not
+        #: post-filtered.
         self.bound = bound
         #: This plan's :class:`~repro.semantics.codegen.CodegenPlan`,
         #: made on first use; lives and dies with this plan object.
@@ -521,23 +522,26 @@ class RulePlan:
                 if restricted:
                     yield from fns.run(db, adom, index, restricted)
 
-    def iter_seeded(
+    def count_heads(
         self,
         db: Database,
         adom: tuple[Hashable, ...],
-        seed: tuple[Hashable, ...],
-    ) -> Iterator[list]:
-        """All matches with the ``bound`` slots pre-filled from ``seed``.
+        heads: list[tuple],
+    ) -> list[int]:
+        """Each head tuple's number of body valuations over ``db``.
 
-        The differential engine's rederivation probe: ``seed`` gives the
-        values of ``self.bound`` positionally (slots ``0..len(seed)-1``),
-        and the walk runs with those slots already bound — every
-        occurrence of a bound variable probes an index key instead of
-        scanning.  Only meaningful on plans built with ``bound``.
+        The differential engine's support checks and recounts, one call
+        per pass: on a plan whose ``bound`` holds every head variable,
+        the ``count_full`` kernel seeds the bound slots from each
+        head's values and walks the body with those slots already
+        bound, so every occurrence of a bound variable probes an index
+        key instead of scanning.  A head that contradicts a head
+        constant or a repeated head variable counts 0.  Raises
+        ``ValueError`` on a plan without such a head.
         """
         if self.never:
-            return iter(())
-        return self.compiled().run(db, adom, -1, None, seed)
+            return [0] * len(heads)
+        return self.compiled().run_count(db, adom, heads)
 
     def run_rows(
         self,
@@ -616,7 +620,7 @@ def plan_for(
     ``order`` is the chosen permutation as indices into
     ``rule.positive_body()``; each distinct order compiles once per
     rule and is then selected in O(1) by later stages.  ``bound`` names
-    caller-seeded variables (see :meth:`RulePlan.iter_seeded`), and
+    head-seeded variables (see :meth:`RulePlan.count_heads`), and
     ``chains`` has one :class:`Step` chain spec per step, ``None`` for
     a step on its identity chain.  Plans with either are cached
     alongside the plain ones under a composite key.

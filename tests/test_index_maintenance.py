@@ -50,6 +50,11 @@ def _discard(rel):
     return rel
 
 
+def _discard_batch(rel):
+    rel.discard_batch([*SEED[:3], ("z", "z", 0), SEED[0]])
+    return rel
+
+
 def _replace_patch(rel):
     rel.replace([*SEED[1:], ("e", "p", 7)])  # diff of 2 vs size 4
     return rel
@@ -73,6 +78,7 @@ OPERATIONS = {
     "add": _add,
     "add_batch": _add_batch,
     "discard": _discard,
+    "discard_batch": _discard_batch,
     "replace_patch": _replace_patch,
     "replace_rebuild": _replace_rebuild,
     "clear": _clear,
@@ -143,6 +149,78 @@ class TestAddBatchThreading:
                 stepped.probe_chain((2, 0, 1), 1, key)
             )
         assert batched.index_builds == stepped.index_builds == 3
+
+
+class TestDiscardBatchThreading:
+    """``discard_batch`` takes its present rows out of each live chain
+    with one loop per chain; the chains must come out as one
+    ``discard`` per row leaves them."""
+
+    CHAINS = TestAddBatchThreading.CHAINS
+
+    def test_discard_batch_equals_row_by_row_discard(self):
+        seed = [(f"a{i % 4}", f"b{i % 6}", i % 7) for i in range(40)]
+        # Rows that empty whole buckets and subtries, rows that leave
+        # their bucket behind, absent rows, and a row given twice.
+        rows = [t for t in seed if t[0] == "a1"] + seed[::3]
+        rows += [("a9", "b0", 0), ("a1", "b9", 1)]
+        rows.insert(len(rows) // 2, rows[2])
+        batched, stepped = Relation("R", 3, seed), Relation("R", 3, seed)
+        for rel in (batched, stepped):
+            for order in self.CHAINS:
+                rel.chain_index(order)
+        gone = batched.discard_batch(rows)
+        assert gone == [t for t in rows if stepped.discard(t)]
+        assert 0 < len(gone) < len(rows) - 2
+        assert batched.tuples() == stepped.tuples()
+        assert batched.index_updates == stepped.index_updates == (
+            len(gone) * len(self.CHAINS)
+        )
+        for order in self.CHAINS:
+            assert ordered(batched.chain_index(order), len(order)) == (
+                ordered(stepped.chain_index(order), len(order))
+            )
+            for depth in range(1, len(order) + 1):
+                positions = frozenset(order[:depth])
+                assert batched.distinct_estimate(positions) == (
+                    stepped.distinct_estimate(positions)
+                )
+            assert_chain_consistent(batched, order)
+        assert "a1" not in batched.chain_index((0,))
+        for key in {(t[2],) for t in seed}:
+            assert batched.probe_chain((2, 0, 1), 1, key) == (
+                stepped.probe_chain((2, 0, 1), 1, key)
+            )
+        assert batched.index_builds == stepped.index_builds == 3
+        assert batched.discard_batch(rows) == []
+        assert batched.index_updates == stepped.index_updates
+
+
+class TestUpdateIsAtomic:
+    def test_bad_arity_leaves_the_relation_unchanged(self):
+        db = Database({"G": [(1, 2), (3, 4)]})
+        rel = db.relation("G")
+        rel.chain_index((0,))
+        before, updates = rel.tuples(), rel.index_updates
+        with pytest.raises(SchemaError):
+            rel.update([(7, 8), (9,)])
+        assert rel.tuples() == before
+        assert rel.index_updates == updates
+        assert_chain_consistent(rel, (0,))
+
+    def test_update_threads_new_rows_as_add_batch_does(self):
+        seed = [(i % 3, i) for i in range(6)]
+        rows = [[i % 4, i] for i in range(3, 12)] + [[0, 3]]
+        updated, batched = Relation("R", 2, seed), Relation("R", 2, seed)
+        for rel in (updated, batched):
+            rel.chain_index((0,))
+        assert updated.update(rows) == len(
+            batched.add_batch([tuple(t) for t in rows])
+        ) == 9
+        assert ordered(updated.chain_index((0,)), 1) == (
+            ordered(batched.chain_index((0,)), 1)
+        )
+        assert updated.index_updates == batched.index_updates == 9
 
 
 class TestIncrementalIndexes:
@@ -260,8 +338,9 @@ class TestPushedTotals:
         db = rng.choice(dbs)
         names = [n for n in db.relation_names() if db.relation(n)]
         op = rng.choice([
-            "add", "discard", "add_batch", "build", "drop_chain", "clear",
-            "replace", "copy", "restrict", "attach", "drop", "new",
+            "add", "discard", "add_batch", "discard_batch", "build",
+            "drop_chain", "clear", "replace", "copy", "restrict", "attach",
+            "drop", "new",
         ])
         if op == "new" or not names:
             db.ensure_relation(next(fresh_names), 2).update(
@@ -277,6 +356,10 @@ class TestPushedTotals:
         elif op == "add_batch":
             rows = [self.row(rng) for _ in range(rng.randrange(1, 6))]
             rel.add_batch(rows + rows[:rng.randrange(3)])
+        elif op == "discard_batch":
+            rows = rng.sample(sorted(rel), rng.randrange(len(rel) + 1))
+            rows += [self.row(rng) for _ in range(rng.randrange(3))]
+            rel.discard_batch(rows + rows[:rng.randrange(3)])
         elif op == "build":
             rel.chain_index(rng.choice(self.ORDERS))
         elif op == "drop_chain":

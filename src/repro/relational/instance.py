@@ -195,10 +195,10 @@ class Relation:
         chain.  Callers pass tuples (head instantiations, or rows
         :meth:`update` coerced), so the per-tuple coercion of
         :meth:`_check` is skipped — only the arity is verified, of every
-        new tuple before any goes in.  Each new tuple comes back once, in the order
-        ``ts`` first gives it, and each live chain takes the new tuples
-        in one loop, leaving it (and the index counters) as one
-        :meth:`add` per row of ``ts`` would.  A tuple given twice shows
+        new tuple before any goes in.  Each new tuple comes back once,
+        in the order ``ts`` first gives it, and each live chain takes
+        the new tuples in one loop, leaving it (and the index counters)
+        as one :meth:`add` per row of ``ts`` would.  A tuple given twice shows
         as a set that grew less than the filtered list, so distinct
         input pays no extra pass.
         """
@@ -259,8 +259,8 @@ class Relation:
         """Insert many tuples; return how many were new.
 
         Each tuple is coerced and its arity checked before any is
-        inserted, so a bad one leaves the relation as it was; the rest
-        is one :meth:`add_batch`.
+        inserted, so a bad one leaves the relation as it was: they go
+        in as one :meth:`add_batch`.
         """
         return len(self.add_batch(
             [t if isinstance(t, tuple) else tuple(t) for t in tuples]

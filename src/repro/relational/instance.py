@@ -207,12 +207,12 @@ class Relation:
         if not fresh:
             return fresh
         arity = self.arity
-        if any(map(arity.__ne__, map(len, fresh))):
-            t = next(t for t in fresh if len(t) != arity)
-            raise SchemaError(
-                f"tuple {t!r} has arity {len(t)}, but relation "
-                f"{self.name!r} has arity {arity}"
-            )
+        for t in fresh:
+            if len(t) != arity:
+                raise SchemaError(
+                    f"tuple {t!r} has arity {len(t)}, but relation "
+                    f"{self.name!r} has arity {arity}"
+                )
         before = len(tuples)
         tuples.update(fresh)
         if len(tuples) - before != len(fresh):

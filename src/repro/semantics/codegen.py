@@ -899,7 +899,7 @@ class CodegenPlan:
             emitters is not None and len(emitters) == 1 and emitters[0][3]
             and all(s < len(plan.bound) for _p, s in emitters[0][2])
         )
-        self._counts = self._table("count", ["full" if seeded else None])
+        self._counts = self._table("count", ["full"]) if seeded else None
         #: The traced twins' tables (:mod:`~repro.semantics.codegen_traced`).
         self.tallies = None
 
@@ -957,10 +957,9 @@ class CodegenPlan:
 
     def run_count(self, db, adom, heads: list) -> list[int]:
         """Each head tuple's number of body valuations (``count_full``)."""
-        count = self._counts[0]
-        if count is None:
+        if self._counts is None:
             raise ValueError("count_heads needs every head variable bound")
-        return count(db, adom, heads)
+        return self._counts[0](db, adom, heads)
 
     @staticmethod
     def _rows(restricted) -> tuple:

@@ -64,9 +64,9 @@ The variants of a plan with steps ``0 … n-1``:
   per-literal candidates and matches (:func:`_emit_part`); run only by
   :mod:`repro.semantics.codegen_traced`.
 
-The kernels that never yield (fused, factored, count and batch) read each
-negated relation's live tuple set once per call and probe it with a
-plain ``in``; the generator walks, whose consumers may write between
+The kernels that never yield (fused, factored, count and batch) read
+each negated relation's live tuple set once per call and probe it with
+a plain ``in``; the generator walks, whose consumers may write between
 yields, call ``db.has_fact`` per probe.
 
 **Each variant is built on its first call.**  A plan's

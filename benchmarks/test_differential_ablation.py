@@ -2,8 +2,8 @@
 
 The latency of one single-edge base update, answered either by
 :class:`~repro.semantics.differential.DifferentialEngine` (per-SCC
-DRed/counting with delta-restricted rederivation, routed through the
-planner and compiled kernel) or by throwing the view away and
+DRed with delta-restricted rederivation, routed through the planner
+and compiled kernel) or by throwing the view away and
 re-running semi-naive evaluation on the updated base.
 
 * nonlinear transitive closure on a chain — the recursive (DRed)

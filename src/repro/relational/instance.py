@@ -234,8 +234,8 @@ class Relation:
     def discard_batch(self, ts) -> list[tuple]:
         """Bulk removal; returns the tuples that were actually present.
 
-        The maintenance engines' removal path (DRed's over-deletion,
-        recounts that reach zero): one membership filter and one
+        The maintenance engines' removal path (DRed's over-deletion):
+        one membership filter and one
         ``set.difference_update`` replace the per-fact ``discard`` call
         chain, and each live chain loses the present tuples in one
         loop, leaving it (and the index counters) as one

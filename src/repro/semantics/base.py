@@ -45,7 +45,7 @@ from repro.terms import Const, Var, apply_valuation
 
 #: Version of the ``repro stats --format json`` schema.  Bump on any
 #: field rename/removal; additions are allowed.
-STATS_SCHEMA_VERSION = 3
+STATS_SCHEMA_VERSION = 4
 
 
 @dataclass
@@ -130,7 +130,7 @@ class EngineStats:
     #: :func:`repro.semantics.planner.explain` for the shape.
     planner: dict | None = None
     #: Differential-engine counters (facts touched per update vs view
-    #: size, per-component strategies, over-delete/rederive/recount
+    #: size, per-component ``recursive`` flags, over-delete/rederive
     #: tallies), or ``None`` for from-scratch engines.  A plain dict,
     #: like ``planner``, so the pinned stats JSON stays
     #: ``json.dumps``-able; populated only by
@@ -189,14 +189,16 @@ class EngineStats:
     def to_dict(self) -> dict:
         """The pinned JSON shape of ``repro stats --format json``.
 
-        Version 3 of ``STATS_SCHEMA_VERSION``: the planner report lost
-        its adaptive-replan counter and its static-prior and
-        measured-stats maps, and each variant under ``planner.rules``
-        lost its per-literal ``sources`` map.  The planner no longer
-        sizes an empty relation by a prior or replans on an
-        estimate-vs-actual gap: it skips every pass with an empty
-        input.  These are removals, hence the bump.  Version 2 had dropped version 1's ``storage`` key, when
-        relations stopped keeping the interned column store it priced.
+        Version 4 of ``STATS_SCHEMA_VERSION``: each entry of
+        ``differential["components"]`` carries a ``recursive`` flag in
+        place of its ``strategy`` label, since the differential engine
+        keeps every component by DRed; ``differential["recounted"]``
+        stays and reads 0.  Version 3 had removed the planner report's
+        adaptive-replan counter, its static-prior and measured-stats
+        maps and each variant's per-literal ``sources`` map, when the
+        planner began to skip every pass with an empty input.  Version
+        2 had dropped version 1's ``storage`` key, when relations
+        stopped keeping the interned column store it priced.
         ``matcher``, ``index_drops``, ``planner`` and ``differential``
         were added to version 1 under the additive-changes rule.
         """

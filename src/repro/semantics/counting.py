@@ -1,20 +1,19 @@
-"""Counting-based incremental maintenance for nonrecursive programs.
+"""Derivation counts over a maintained nonrecursive view.
 
-The second classical view-maintenance algorithm, complementing DRed
-(:mod:`repro.semantics.maintenance`): store, for every derived fact,
-the **number of derivations** it has.  Updates change derivation
-counts; a fact leaves the view when its count reaches zero.  No
-over-delete/re-derive phases are needed — but the bookkeeping is only
-correct when a fact cannot support itself, so this engine accepts
-**nonrecursive** positive programs only (the classical restriction;
-DRed handles recursion).
+The classical counting algorithm of view maintenance stores, for every
+derived fact, the **number of derivations** it has, and drops a fact
+when its count reaches zero.  Those counts are the ℕ-provenance of
+nonrecursive rules, and they are finite only when no fact can support
+itself, so :class:`CountingView` accepts **nonrecursive** positive
+programs only.
 
-:class:`CountingView` keeps its historical API but is now a facade
-over :class:`repro.semantics.differential.DifferentialEngine`: every
-SCC of a nonrecursive program is nonrecursive, so the engine maintains
-the whole view by counting — discovery of affected facts via one
-delta-restricted pass per component (through the planner and compiled
-kernel), then an exact head-bound recount of just those facts.
+:class:`CountingView` keeps its historical API but is a facade over
+:class:`repro.semantics.differential.DifferentialEngine`, which keeps
+the view itself by DRed, as it keeps every component, and stores no
+count: :attr:`CountingView.counts` and :meth:`CountingView.count` ask
+the engine's support probes when read, one compiled ``count_full``
+call per rule of the relation, which counts exactly the derivations a
+stored count would hold.
 
 A base database containing facts in IDB-named relations is rejected
 with :class:`~repro.errors.SchemaError`, and update batches are
@@ -72,7 +71,8 @@ class CountingView:
 
     @property
     def counts(self) -> Counter[Fact]:
-        """Exact derivation counts of every derived fact in the view."""
+        """Exact derivation counts of every derived fact in the view,
+        computed when read."""
         return self._engine.counts
 
     @property
@@ -84,8 +84,10 @@ class CountingView:
         return self._engine.answer(relation)
 
     def count(self, relation: str, t: tuple) -> int:
-        """The number of derivations of a derived fact (0 if none)."""
-        return self._engine.counts.get((relation, tuple(t)), 0)
+        """The number of derivations of a derived fact (0 if none): one
+        ``count_full`` call per rule of ``relation``."""
+        (n,) = self._engine.derivations(relation, [t])
+        return n
 
     def insert(self, facts: Iterable[Fact]) -> frozenset[Fact]:
         """Insert base facts; returns the derived facts that appeared."""

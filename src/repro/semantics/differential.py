@@ -1,61 +1,55 @@
 """Differential evaluation: one incremental engine for positive views.
 
-This module unifies the two classical view-maintenance algorithms —
-DRed (:mod:`repro.semantics.maintenance`) and derivation counting
-(:mod:`repro.semantics.counting`) — behind a single
-:class:`DifferentialEngine`, in the spirit of differential dataflow:
-a materialized minimum model that absorbs *diff batches* of base
-(EDB) insertions and deletions in time proportional to the change,
-and streams the induced IDB diffs to subscribers.
+A :class:`DifferentialEngine` keeps the minimum model of a positive
+Datalog program (§3.1) materialized, in the spirit of differential
+dataflow: it absorbs *diff batches* of base (EDB) insertions and
+deletions in time proportional to the change, and streams the induced
+IDB diffs to subscribers.
 
-Strategy selection is per SCC of the predicate dependency graph,
-reusing the planner's topologically-ordered schedule
-(:func:`repro.semantics.planner.plan_context`):
-
-* **nonrecursive SCC** — derivation counting.  Counting is exact
-  whenever a fact cannot support itself, updates never need a
-  rederivation phase, and the stored counts double as multiplicity
-  provenance.
-* **recursive SCC** — DRed (over-delete to a fixpoint, then restore
-  survivors).  Counting is unsound under recursion (a cycle of facts
-  keeps itself alive), so the component falls back to the algorithm
-  that is exact there.
-
-Components are processed in topological order; the net IDB diff of
+The view is kept per SCC of the predicate dependency graph, in the
+planner's topologically-ordered schedule
+(:func:`repro.semantics.planner.plan_context`), and every component is
+kept by the same algorithm: semi-naive insertion (:func:`propagate`)
+and DRed deletion (:func:`dred`: over-delete to a fixpoint, then
+restore the survivors).  DRed is exact with or without recursion, and
+its support checks are the same compiled ``count_full`` probes that
+derivation counting would need for its recounts, so a second
+algorithm for nonrecursive components would only store counts the
+probes compute on demand.  The schedule stays: the net IDB diff of
 each component joins the incoming delta of the components above it,
-so one base change flows through the whole stratification exactly
-once.
+so one base change flows through the whole program exactly once and
+reaches only the components that read it.
 
-The view is first materialized the same way, component by component.
-A DRed component runs the planner's scheduled fixpoint
+The view is first materialized the same way, component by component:
+each runs the planner's scheduled fixpoint
 (:func:`repro.semantics.planner.scheduled_fixpoint`) on its
 subprogram, which absorbs each pass with one ``add_batch`` per relation
-and ends with the index cover's chain garbage collection.  A counting
-component walks each rule's full pass once (``RulePlan.run_rows``),
-counts every head's derivations with a :class:`~collections.Counter`
-(the ℕ-provenance of a nonrecursive rule) and absorbs the distinct
-heads once (:func:`repro.semantics.planner.absorb`).
+and ends with the index cover's chain garbage collection.
 
-All bulk propagation (insertion deltas, over-deletion frontiers,
-affected-fact discovery) goes through
-:func:`repro.semantics.base.immediate_consequences` on a per-component
-subprogram, which dispatches to the cost-based planner and the
-generated kernels, and deltas freeze to delta blocks so those passes
-take the batch kernels.  The add-only passes (rederivation,
-insertion) say so with ``add_only=True``; the passes that read
-consequences as "everything derivable" (affected-fact discovery,
-over-deletion) do not.  Exact recounts and rederivation
+All bulk propagation (insertion deltas, over-deletion frontiers) goes
+through :func:`repro.semantics.base.immediate_consequences` on a
+per-component subprogram, which dispatches to the cost-based planner
+and the generated kernels, and deltas freeze to delta blocks so those
+passes take the batch kernels.  The add-only passes (rederivation,
+insertion) say so with ``add_only=True``; over-deletion reads
+consequences as "everything derivable" and does not.  Rederivation
 support checks go through *support probes* (:class:`_SupportProbe`),
 built once per component, when its first check needs them, and kept:
 one per rule, a *bound* rule plan whose head variables are seeded from
 each candidate fact, under a join order that counts them as bound.
 Its ``count_full`` kernel takes a whole pass's candidates in one call
 and returns each one's number of derivations, so a check costs that
-fact's derivations rather than the whole rule's match set (this is
-what replaces the old ``MaterializedView._rederive`` full
-re-enumeration).  Facts leave and return in bulk: over-deleted facts
-through ``Relation.discard_batch``, rederived and propagated ones
-through ``Relation.add_batch``, one call per relation.
+fact's derivations rather than the whole rule's match set.  Facts
+leave and return in bulk: over-deleted facts through
+``Relation.discard_batch``, rederived and propagated ones through
+``Relation.add_batch``, one call per relation.
+
+The same probes answer :meth:`DifferentialEngine.derivations`, and
+:attr:`DifferentialEngine.counts` sums them over every fact of each
+nonrecursive component: a fact there has finitely many derivation
+trees, and the sum over its rules' body valuations counts them, the
+ℕ-provenance of nonrecursive rules.  Nothing stores a count, so no
+update pays for one.
 
 DRed's two phases live in one function, :func:`dred`, and semi-naive
 insertion in another, :func:`propagate`, which DRed's rederivation
@@ -73,11 +67,11 @@ not depend on the domain and no compiled plan has ``unbound_slots``),
 bulk passes are delta-restricted, and probe setup is paid once per
 rule, not once per pass or per checked fact.
 
-Scope: plain (positive) Datalog, the dialect in which both component
-algorithms are exact.  Updates are **atomic**: the entire diff batch
-is validated (hashable value sequences, no IDB-named relations,
-consistent arities) before the first fact is touched, so a bad fact in
-a batch can never leave the view half-updated.
+Scope: plain (positive) Datalog, the dialect in which DRed is exact.
+Updates are **atomic**: the entire diff batch is validated (hashable
+value sequences, no IDB-named relations, consistent arities) before
+the first fact is touched, so a bad fact in a batch can never leave
+the view half-updated.
 """
 
 from __future__ import annotations
@@ -111,9 +105,6 @@ from repro.terms import Var
 Fact = tuple[str, tuple]
 #: Facts by relation: a pass's inferences, or a change to a database.
 Changes = dict[str, set[tuple]]
-
-COUNTING = "counting"
-DRED = "dred"
 
 #: The active domain every matcher call receives.  The engine accepts
 #: positive range-restricted Datalog only, where every body variable
@@ -197,9 +188,9 @@ class ApplyResult:
 
 
 class _Component:
-    """One SCC of the predicate dependency graph, with its strategy."""
+    """One SCC of the predicate dependency graph."""
 
-    __slots__ = ("relations", "rules", "program", "reads", "strategy",
+    __slots__ = ("relations", "rules", "program", "reads", "recursive",
                  "probes")
 
     def __init__(self, relations: frozenset[str], rules: tuple[Rule, ...],
@@ -214,7 +205,7 @@ class _Component:
         self.reads: frozenset[str] = frozenset(
             relation for rule in rules for relation in rule.body_relations()
         )
-        self.strategy = DRED if recursive else COUNTING
+        self.recursive = recursive
         #: The rules' support probes, built when the first check needs
         #: them and kept (see :meth:`DifferentialEngine._probes`).
         self.probes: dict[str, list[_SupportProbe]] | None = None
@@ -276,31 +267,6 @@ def support_probes(
         (relation,) = rule.head_relations()
         probes.setdefault(relation, []).append(_SupportProbe(rule, db))
     return probes
-
-
-def _derivation_counts(
-    rule: Rule, db: Database
-) -> tuple[str, Counter[tuple]]:
-    """``rule``'s head relation, and each head tuple over ``db`` with
-    its number of body valuations, the ℕ-provenance of a nonrecursive
-    rule.
-
-    One full-pass walk under the join order of
-    :func:`repro.semantics.base.iter_matches`:
-    ``RulePlan.run_rows`` returns the batch walk's rows, or the
-    generator walk, whose reused slot list is read as it is yielded.
-    """
-    order = tuple(_order_positive_indices(list(rule.positive_body()), db))
-    plan = plan_for(rule, order)
-    ((relation, template, fills, _positive),) = plan.emitters
-    template = list(template)
-
-    def head(row) -> tuple:
-        for position, s in fills:
-            template[position] = row[s]
-        return tuple(template)
-
-    return relation, Counter(map(head, plan.run_rows(db, _NO_ADOM, -1, None)))
 
 
 def _minus(changes: Changes, other: Changes) -> Changes:
@@ -488,9 +454,6 @@ class DifferentialEngine:
         self.database = base.copy()
         for relation in program.idb:
             self.database.ensure_relation(relation, program.arity(relation))
-        #: Exact derivation counts for facts of counting components
-        #: (DRed components keep no counts).
-        self.counts: Counter[Fact] = Counter()
         self._components = self._build_components()
         self._subscriptions: list[Subscription] = []
         self.stats = EngineStats(
@@ -501,7 +464,7 @@ class DifferentialEngine:
             "components": [
                 {
                     "relations": sorted(comp.relations),
-                    "strategy": comp.strategy,
+                    "recursive": comp.recursive,
                     "rules": len(comp.rules),
                 }
                 for comp in self._components
@@ -512,6 +475,8 @@ class DifferentialEngine:
             "view_size": 0,
             "overdeleted": 0,
             "rederived": 0,
+            # Reads 0 now that every component runs DRed; kept while
+            # the benchmark's worker still reads it.
             "recounted": 0,
             "support_checks": 0,
         }
@@ -537,29 +502,13 @@ class DifferentialEngine:
         ]
 
     def _materialize(self) -> None:
-        """Initial evaluation, component by component in topo order.
-
-        A DRed component runs the scheduled fixpoint on its subprogram
-        (:func:`repro.semantics.planner.scheduled_fixpoint`).  A
-        counting component counts its rules' derivations from one
-        full-pass walk each (:func:`_derivation_counts`) and absorbs the
-        distinct heads once: no rule of it reads a head relation of its
-        own, so the walks may all run before anything is added.
-        """
+        """Initial evaluation, component by component in topo order:
+        each runs the scheduled fixpoint on its subprogram
+        (:func:`repro.semantics.planner.scheduled_fixpoint`)."""
         for comp in self._components:
-            if comp.strategy == DRED:
-                planner.scheduled_fixpoint(
-                    comp.program, self.database, _NO_ADOM, stats=self.stats
-                )
-                continue
-            heads: Changes = {}
-            for rule in comp.rules:
-                relation, counts = _derivation_counts(rule, self.database)
-                self.counts.update(
-                    {(relation, t): n for t, n in counts.items()}
-                )
-                heads.setdefault(relation, set()).update(counts)
-            planner.absorb(self.database, heads)
+            planner.scheduled_fixpoint(
+                comp.program, self.database, _NO_ADOM, stats=self.stats
+            )
 
     # -- public API ---------------------------------------------------------
 
@@ -607,7 +556,7 @@ class DifferentialEngine:
                 else:
                     inserted.setdefault(relation, set()).add(t)
 
-        overdeleted_total = rederived_total = recounted_total = 0
+        overdeleted_total = rederived_total = 0
         if _count(inserted) or _count(deleted):
             for comp in self._components:
                 ins_in = {
@@ -620,21 +569,15 @@ class DifferentialEngine:
                 }
                 if not ins_in and not del_in:
                     continue
-                if comp.strategy == COUNTING:
-                    comp_ins, comp_del, recounted = self._counting_update(
-                        comp, ins_in, del_in
-                    )
-                    recounted_total += recounted
-                else:
-                    comp_del, overdeleted, rederived = self._dred_delete(
-                        comp, del_in
-                    )
-                    comp_ins = self._dred_insert(comp, ins_in)
-                    overdeleted_total += overdeleted
-                    rederived_total += rederived
-                    comp_del, comp_ins = (
-                        _minus(comp_del, comp_ins), _minus(comp_ins, comp_del)
-                    )
+                comp_del, overdeleted, rederived = self._dred_delete(
+                    comp, del_in
+                )
+                comp_ins = self._dred_insert(comp, ins_in)
+                overdeleted_total += overdeleted
+                rederived_total += rederived
+                comp_del, comp_ins = (
+                    _minus(comp_del, comp_ins), _minus(comp_ins, comp_del)
+                )
                 for relation, ts in comp_ins.items():
                     inserted.setdefault(relation, set()).update(ts)
                 for relation, ts in comp_del.items():
@@ -661,7 +604,7 @@ class DifferentialEngine:
 
         touched = (
             len(report.inserted) + len(report.deleted)
-            + overdeleted_total + rederived_total + recounted_total
+            + overdeleted_total + rederived_total
         )
         counters = self.stats.differential
         counters["updates"] += 1
@@ -670,7 +613,6 @@ class DifferentialEngine:
         counters["view_size"] = self._view_size()
         counters["overdeleted"] += overdeleted_total
         counters["rederived"] += rederived_total
-        counters["recounted"] += recounted_total
         self.stats.seconds += perf_counter() - started
         return ApplyResult(report=report, diffs=diffs)
 
@@ -690,12 +632,47 @@ class DifferentialEngine:
             for relation in self.program.idb
         )
 
-    def strategy_of(self, relation: str) -> str | None:
-        """``"counting"``, ``"dred"``, or ``None`` for EDB relations."""
+    @property
+    def counts(self) -> Counter[Fact]:
+        """Each fact of a nonrecursive component with its number of
+        derivations (:meth:`derivations`), computed when read: the
+        ℕ-provenance of nonrecursive rules.  Recursive components have
+        no entry."""
+        counts: Counter[Fact] = Counter()
         for comp in self._components:
-            if relation in comp.relations:
-                return comp.strategy
-        return None
+            if comp.recursive:
+                continue
+            for relation in comp.relations:
+                facts = list(self.database.relation(relation))
+                for t, n in zip(facts, self.derivations(relation, facts)):
+                    counts[(relation, t)] = n
+        return counts
+
+    def derivations(self, relation: str, heads: Iterable[tuple]) -> list[int]:
+        """Each of ``heads``' number of derivations by ``relation``'s
+        rules from the view as it stands: one ``count_full`` call per
+        rule through the component's kept probes, summed.  A tuple no
+        rule derives counts 0, and so does every tuple of a base
+        relation.  For a relation of a recursive component this counts
+        the rule instances that derive a tuple in one step, not its
+        derivation trees.  Raises :class:`SchemaError` on a tuple whose
+        arity is not the derived relation's."""
+        heads = [tuple(t) for t in heads]
+        totals = [0] * len(heads)
+        for comp in self._components:
+            if relation not in comp.relations:
+                continue
+            arity = self.program.arity(relation)
+            for t in heads:
+                if len(t) != arity:
+                    raise SchemaError(
+                        f"{relation}{t!r} has arity {len(t)}; "
+                        f"{relation!r} has arity {arity}"
+                    )
+            for probe in self._probes(comp)[relation]:
+                found = probe.counts(self.database, _NO_ADOM, heads)
+                totals = list(map(operator.add, totals, found))
+        return totals
 
     # -- batch validation ---------------------------------------------------
 
@@ -726,74 +703,7 @@ class DifferentialEngine:
                     f"{relation!r} has arity {expected}"
                 )
 
-    # -- counting components ------------------------------------------------
-
-    def _counting_update(
-        self,
-        comp: _Component,
-        ins_in: Changes,
-        del_in: Changes,
-    ) -> tuple[Changes, Changes, int]:
-        """Discover affected facts via one delta pass, recount exactly.
-
-        Discovery matches against the *union* instance (post-state plus
-        deleted "ghosts"), which contains both the pre- and post-state,
-        so every derivation gained or lost shows up.  The
-        over-approximation is harmless: the recount against the final
-        state is exact.  No rule of the component reads its own heads,
-        so no recount depends on another's outcome: each affected
-        relation is recounted with one ``count_full`` call per probe
-        (summed over the rules that derive it, the ℕ-provenance of a
-        nonrecursive rule), and a fact whose count left or reached zero
-        is added or removed afterwards, in one batch per relation.
-        """
-        db = self.database
-        for relation, ts in del_in.items():
-            db.relation(relation).add_batch(ts)
-        delta: dict[str, set[tuple]] = {}
-        for source in (ins_in, del_in):
-            for relation, ts in source.items():
-                delta.setdefault(relation, set()).update(ts)
-        # Affected discovery reads consequences as "everything
-        # derivable" — most of it is already in the database — so it
-        # is not an add-only pass.
-        affected, _neg, _firings = immediate_consequences(
-            comp.program, db, _NO_ADOM,
-            delta=_frozen(delta), stats=self.stats,
-        )
-        for relation, ts in del_in.items():
-            db.relation(relation).discard_batch(ts)
-
-        added: Changes = {}
-        removed: Changes = {}
-        probes = self._probes(comp) if affected else {}
-        counts = self.counts
-        for relation, ts in affected.items():
-            heads = list(ts)
-            totals = [0] * len(heads)
-            for probe in probes[relation]:
-                found = probe.counts(db, _NO_ADOM, heads)
-                totals = list(map(operator.add, totals, found))
-            gained: list[tuple] = []
-            lost: list[tuple] = []
-            for t, new in zip(heads, totals):
-                fact = (relation, t)
-                old = counts.get(fact, 0)
-                if new:
-                    counts[fact] = new
-                    if not old:
-                        gained.append(t)
-                elif old:
-                    del counts[fact]
-                    lost.append(t)
-            rel = db.relation(relation)
-            if gained:
-                added[relation] = set(rel.add_batch(gained))
-            if lost:
-                removed[relation] = set(rel.discard_batch(lost))
-        recounted = _count(affected)
-        self.stats.differential["support_checks"] += recounted
-        return added, removed, recounted
+    # -- maintenance --------------------------------------------------------
 
     def _probes(self, comp: _Component) -> dict[str, list[_SupportProbe]]:
         """``comp``'s support probes, built on the first check and kept
@@ -804,14 +714,12 @@ class DifferentialEngine:
             comp.probes = support_probes(comp.rules, self.database)
         return comp.probes
 
-    # -- DRed components ----------------------------------------------------
-
     def _dred_delete(
         self,
         comp: _Component,
         del_in: Changes,
     ) -> tuple[Changes, int, int]:
-        """DRed for one recursive component (see :func:`dred`).
+        """DRed for one component (see :func:`dred`).
 
         The deleted input facts come back as ghosts, so rule bodies can
         match through them while the over-deletion closes; they leave

@@ -16,12 +16,12 @@ is the standard algorithm:
 
 Scope: positive (plain Datalog) programs — the setting in which DRed
 is exact.  :class:`MaterializedView` keeps its historical API but is
-now a facade over :class:`repro.semantics.differential
-.DifferentialEngine`, which runs DRed per *recursive* SCC (and
-derivation counting on nonrecursive ones), schedules components in
-the planner's topological order, and routes propagation through the
-planner and its generated kernels.  Every update returns the net changes, and the
-invariant ``view == evaluate_from_scratch(base)`` is property-tested.
+a facade over :class:`repro.semantics.differential
+.DifferentialEngine`, which runs DRed on every SCC, recursive or not,
+in the planner's topological order, and routes propagation through the
+planner and its generated kernels.  Every update returns the net
+changes, and the invariant ``view == evaluate_from_scratch(base)`` is
+property-tested.
 """
 
 from __future__ import annotations

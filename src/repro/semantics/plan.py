@@ -530,8 +530,9 @@ class RulePlan:
     ) -> list[int]:
         """Each head tuple's number of body valuations over ``db``.
 
-        The differential engine's support checks and recounts, one call
-        per pass: on a plan whose ``bound`` holds every head variable,
+        DRed's support checks, one call per pass, and the differential
+        engine's derivation counts: on a plan whose ``bound`` holds
+        every head variable,
         the ``count_full`` kernel seeds the bound slots from each
         head's values and walks the body with those slots already
         bound, so every occurrence of a bound variable probes an index

@@ -994,7 +994,6 @@ def scheduled_fixpoint(
     stats=None,
     recorder=None,
     result=None,
-    stage_start: int = 0,
     tracer=None,
 ):
     """Evaluate to fixpoint one SCC at a time, mutating ``db`` in place.
@@ -1017,7 +1016,7 @@ def scheduled_fixpoint(
     if stats is None and recorder is not None:
         stats = recorder.stats
     firings_total = 0
-    stage = stage_start
+    stage = 0
 
     def absorb_stage(positive, firings):
         nonlocal stage

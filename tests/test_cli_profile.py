@@ -269,7 +269,7 @@ class TestStatsJson:
         )
         assert code == 0
         stats = json.loads(output)
-        assert stats["version"] == 3
+        assert stats["version"] == 4
         assert stats["stage_count"] == 4
         assert stats["rule_firings"] == 6
         assert stats["adom_size"] == 4
@@ -284,7 +284,7 @@ class TestStatsJson:
         )
         assert code == 0
         stats = json.loads(output)
-        assert stats["version"] == 3
+        assert stats["version"] == 4
         planner = stats["planner"]
         assert set(planner) == {
             "plan_lookups", "plan_hits", "replans", "rules",

@@ -140,6 +140,23 @@ class TestStratified:
         program = parse_program("win(x) :- moves(x, y), not win(y).")
         with pytest.raises(StratificationError):
             evaluate_stratified(program, Database({"moves": [("a", "b")]}))
+        # Unvalidated too: the schedule would run it as one component.
+        with pytest.raises(StratificationError):
+            evaluate_stratified(
+                program, Database({"moves": [("a", "b")]}), validate=False
+            )
+
+    def test_unvalidated_multi_head_rule_rejected(self):
+        # A and B are components of their own, so the rule has no place
+        # in the schedule that runs the strata in order.
+        program = parse_program(
+            "A(x), B(x) :- V(x), not W(x).\nW(x) :- U(x)."
+        )
+        with pytest.raises(DialectError):
+            evaluate_stratified(
+                program, Database({"V": [("a",)], "U": [("a",)]}),
+                validate=False,
+            )
 
     def test_negation_on_edb(self):
         program = parse_program("R(x) :- S(x), not E(x).")

@@ -1,7 +1,8 @@
 """Tests for the unified differential engine.
 
-Covers the per-SCC strategy split (counting vs DRed), the diff-batch
-and subscription API, the maintenance-layer correctness fixes
+Covers the per-SCC components (every one kept by DRed, the
+nonrecursive ones' facts counted on demand), the diff-batch and
+subscription API, the maintenance-layer correctness fixes
 (IDB-named base facts rejected, atomic batches), and the two
 correctness spines: seeded randomized insert/delete *streams* checked
 against from-scratch evaluation after every operation, and the
@@ -178,23 +179,39 @@ class TestAtomicBatches:
         assert engine.consistent_with_scratch()
 
 
+def recursive_flags(engine) -> dict[str, bool]:
+    """Each derived relation's component's ``recursive`` flag, as the
+    engine's stats report it."""
+    return {
+        relation: component["recursive"]
+        for component in engine.stats.differential["components"]
+        for relation in component["relations"]
+    }
+
+
 class TestStrategySelection:
+    """Every component is kept by DRed; a nonrecursive one's facts are
+    also counted (``engine.counts``)."""
+
     def test_recursive_scc_uses_dred(self):
         engine = DifferentialEngine(tc_program(), graph_database(chain(3)))
-        assert engine.strategy_of("T") == "dred"
-        assert engine.strategy_of("G") is None
+        flags = recursive_flags(engine)
+        assert flags["T"] is True
+        assert "G" not in flags
 
     def test_nonrecursive_sccs_use_counting(self):
         engine = DifferentialEngine(TWO_HOP, Database({"G": [("a", "b")]}))
-        assert engine.strategy_of("hop2") == "counting"
-        assert engine.strategy_of("triangle") == "counting"
+        flags = recursive_flags(engine)
+        assert flags["hop2"] is False
+        assert flags["triangle"] is False
 
     def test_mixed_program_splits_per_scc(self):
         engine = DifferentialEngine(MIXED, graph_database(chain(3)))
-        assert engine.strategy_of("T") == "dred"
-        assert engine.strategy_of("mutual") == "counting"
+        flags = recursive_flags(engine)
+        assert flags["T"] is True
+        assert flags["mutual"] is False
         components = engine.stats.differential["components"]
-        assert [c["strategy"] for c in components] == ["dred", "counting"]
+        assert [c["recursive"] for c in components] == [True, False]
 
     def test_mixed_program_counts_downstream_of_dred(self):
         engine = DifferentialEngine(MIXED, graph_database(chain(3)))
@@ -338,6 +355,20 @@ class TestDifferentialCounters:
         counters = engine.stats.differential
         assert 0 < counters["last_facts_touched"] < counters["view_size"]
 
+    def test_nonrecursive_insert_checks_no_support(self):
+        # An insert only propagates: no fact of the component is
+        # support-checked or recounted, however many derivations the
+        # new edge adds.
+        engine = DifferentialEngine(
+            TWO_HOP, Database({"G": [("a", "b"), ("b", "c"), ("d", "c")]})
+        )
+        result = engine.insert([("G", ("a", "d")), ("G", ("c", "a"))])
+        assert ("triangle", ("a",)) in result.report.inserted
+        assert engine.counts[("hop2", ("a", "c"))] == 2
+        assert engine.stats.differential["support_checks"] == 0
+        assert engine.stats.differential["recounted"] == 0
+        assert engine.consistent_with_scratch()
+
     def test_overdelete_and_rederive_are_counted(self):
         edges = [("a", "m1"), ("m1", "b"), ("a", "m2"), ("m2", "b")]
         engine = DifferentialEngine(tc_program(), graph_database(edges))
@@ -351,9 +382,8 @@ class TestIndexShape:
     cover, ``iter_matches`` and the support probes share chains."""
 
     def test_no_relation_keeps_two_indexes(self):
-        # G is probed on position 0 by the planner's cover for T, by the
-        # counting component's materialization through iter_matches, and
-        # by the support probes; position 1 only by H's cover.
+        # G is probed on position 0 by the planner's covers for T and
+        # H and by the support probes; position 1 only by H's cover.
         program = parse_program(
             """
             T(x, y) :- G(x, y).
@@ -553,8 +583,8 @@ def test_random_program_stream_differential(seed):
     """The acceptance spine: 50 random programs, random insert/delete
     streams, engine answers equal from-scratch semi-naive evaluation
     after every update.  The generator recurses through the IDB, so
-    both DRed (recursive SCC) and counting (nonrecursive SCC) paths
-    are exercised across the seeds."""
+    both recursive and nonrecursive components are exercised across
+    the seeds."""
     rng = random.Random(seed)
     source, db = random_program_and_database(rng)
     program = parse_program(source, name=f"stream-{seed}")
@@ -575,18 +605,18 @@ def test_random_program_stream_differential(seed):
 
 def test_random_programs_cover_both_strategies():
     """Sanity: across the 50 stream seeds, the generator produces both
-    recursive (DRed) and nonrecursive (counting) components."""
-    strategies = set()
+    recursive and nonrecursive (counted) components."""
+    kinds = set()
     for seed in range(50):
         rng = random.Random(seed)
         source, db = random_program_and_database(rng)
         program = parse_program(source, name=f"strategies-{seed}")
         engine = DifferentialEngine(program, db)
         for component in engine.stats.differential["components"]:
-            strategies.add(component["strategy"])
-        if strategies == {"counting", "dred"}:
+            kinds.add(component["recursive"])
+        if kinds == {True, False}:
             return
-    raise AssertionError(f"only saw strategies {strategies}")
+    raise AssertionError(f"only saw recursive flags {kinds}")
 
 
 class TestEngineEquivalence:

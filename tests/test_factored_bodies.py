@@ -187,7 +187,7 @@ class TestCorpus:
 
 
 class TestMaintainedView:
-    """The differential engine's counting and DRed passes run the
+    """The differential engine's DRed and insertion passes run the
     factored kernels too; the view must track a fresh evaluation."""
 
     SOURCE = (

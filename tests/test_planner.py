@@ -687,6 +687,36 @@ class TestReport:
         assert report["rules"]["1"]["actual_rows"] == 406
         assert report["rules"] == fresh.stats.planner["rules"]
 
+    def test_stratified_report_and_spans_use_program_indices(self):
+        # One scheduled fixpoint over the whole program: every rule's
+        # report entry and rule span carry its index in the program,
+        # whichever stratum it belongs to.
+        program = parse_program(
+            "T(x, y) :- G(x, y).\n"
+            "T(x, y) :- G(x, z), T(z, y).\n"
+            "CT(x, y) :- N(x), N(y), not T(x, y).\n"
+            "N(x) :- G(x, y).\n"
+            "N(y) :- G(x, y).\n",
+            name="ctc-report",
+        )
+        db = Database({"G": [("a", "b"), ("b", "c"), ("c", "d")]})
+        collector = CollectorSink()
+        traced = evaluate_stratified(
+            program, db, tracer=Tracer([collector])
+        )
+        plain = evaluate_stratified(program, db)
+        index_of = {str(rule): i for i, rule in enumerate(program.rules)}
+        spans = collector.rule_events()
+        assert {event.rule_index for event in spans} == set(range(5))
+        for event in spans:
+            assert event.rule_index == index_of[event.rule]
+        for result in (traced, plain):
+            rules = result.stats.planner["rules"]
+            assert sorted(rules) == ["0", "1", "2", "3", "4"]
+            assert rules["2"]["actual_rows"] == len(result.answer("CT"))
+            assert rules["3"]["actual_rows"] == 3
+        assert traced.stats.planner["rules"] == plain.stats.planner["rules"]
+
     def test_explain_leaves_the_next_run_alone(self):
         # Explain decides Q's full pass, which a run skips (B is empty);
         # on the program's own context that decision would add W's

@@ -1,14 +1,14 @@
-"""The maintained view's initial materialization.
+"""The maintained view's initial materialization and its counts.
 
-A ``DifferentialEngine`` builds its view component by component: a
-recursive component runs the planner's scheduled fixpoint, and a
-nonrecursive one counts every rule's derivations from one full-pass
-walk (``RulePlan.run_rows``) and adds the distinct heads once.  The
-counts are the view's derivation-count provenance, so they must equal
-a count taken with the reference matcher, for every head shape the
-walk has to rebuild: a constant in the head, a repeated head variable,
-two rules sharing a head relation, and a body of ground literals only,
-whose plan has no batch walk and falls back to the generator walk.
+A ``DifferentialEngine`` builds its view component by component, each
+through the planner's scheduled fixpoint, and stores no count: the
+derivation counts of its nonrecursive components (``engine.counts``,
+``CountingView.count``) come from the support probes' ``count_full``
+kernels when read.  They are the view's derivation-count provenance,
+so they must equal a count taken with the reference matcher, for every
+head shape the kernel has to check: a constant in the head, a
+repeated head variable, two rules sharing a head relation, a body of
+ground literals only, and a rule with no body at all.
 """
 
 import random
@@ -21,7 +21,6 @@ from repro.relational.instance import Database
 from repro.semantics.base import instantiate_head, reference_matches
 from repro.semantics.counting import CountingView
 from repro.semantics.differential import DifferentialEngine
-from repro.semantics.plan import cached_plans
 from repro.semantics.seminaive import evaluate_datalog_seminaive
 
 #: Nonrecursive rule shapes; ``{i}`` makes each instance's head unique.
@@ -35,7 +34,7 @@ SHAPES = {
     "ground_body": ["W{i}('k') :- A('a', 'b'), B('b')."],
 }
 
-#: A layer reading the shapes' heads, so counting components stack.
+#: A layer reading the shapes' heads, so nonrecursive components stack.
 UPPER = "L{i}(x) :- C{i}(x, c), U{i}(x)."
 
 CONSTANTS = ["a", "b", "c", "d", "e", "f"]
@@ -108,21 +107,6 @@ class TestCountedMaterialization:
         facts["B"].append(("b",))
         program = parse_program(source)
         engine = DifferentialEngine(program, Database(facts))
-        ground = program.rules[
-            next(i for i, line in enumerate(source.splitlines())
-                 if line.startswith("W0("))
-        ]
-        (plan,) = cached_plans(ground)
-        # Two exact membership probes: no batch walk, so the count came
-        # from the generator walk.
-        assert set(plan.codegen_fns.kernels) == {"walk_full"}
-        batched = {
-            name
-            for rule in program.rules if rule is not ground
-            for plan in cached_plans(rule)
-            for name in plan.codegen_fns.kernels
-        }
-        assert "walk_batch_full" in batched
         assert engine.counts[("W0", ("k",))] == 1
         a, b = set(facts["A"]), set(facts["B"])
         assert engine.counts[("U0", ("a",))] == (
@@ -140,12 +124,35 @@ class TestCountedMaterialization:
         facts = {"A": [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]}
         program = parse_program(source)
         engine = DifferentialEngine(program, Database(facts))
-        assert engine.strategy_of("T") == "dred"
         expected = reference_counts(program, Database(facts))
         assert engine.counts == Counter({
             fact: n for fact, n in expected.items() if fact[0] in ("P", "Q")
         })
         assert engine.consistent_with_scratch()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_count_per_tuple_matches_the_reference(self, seed):
+        source, facts = corpus_case(seed)
+        source += "\nP('d').\nP(x) :- A(x, y).\n"
+        facts["A"] = [t for t in facts["A"] if t[0] != "d"] + [("d", "e")]
+        program = parse_program(source)
+        view = CountingView(program, Database(facts))
+        assert view.count("P", ("d",)) == 2  # the bodiless rule and A(d, e)
+        rng = random.Random(seed)
+        for _ in range(6):
+            fact = ("A", (rng.choice(CONSTANTS), rng.choice(CONSTANTS)))
+            if rng.random() < 0.5:
+                view.insert([fact])
+            else:
+                view.delete([fact])
+            expected = reference_counts(
+                program, view.database.restrict(["A", "B"])
+            )
+            assert view.count("P", ("d",)) == expected[("P", ("d",))]
+            for relation, t in expected:
+                assert view.count(relation, t) == expected[(relation, t)]
+            assert view.count("P", ("zz",)) == 0  # outside the view
+            assert view.count("A", ("d", "e")) == 0  # a base relation
 
 
 def watch_base(dags: int, nodes: int, seed: int) -> dict[str, list[tuple]]:
@@ -181,7 +188,5 @@ def test_watch_view_builds_without_add_fact(monkeypatch):
     engine = DifferentialEngine(parse_program(WATCH), Database(facts))
     assert calls == []
     monkeypatch.undo()
-    assert engine.strategy_of("T") == "dred"
-    assert engine.strategy_of("H") == "counting"
     assert len(engine.answer("T")) > len(facts["G"])
     assert engine.consistent_with_scratch()

@@ -16,6 +16,7 @@ from collections import Counter
 
 import pytest
 
+from repro.errors import SchemaError
 from repro.parser import parse_program
 from repro.relational.instance import Database
 from repro.semantics.base import instantiate_head, reference_matches
@@ -153,6 +154,8 @@ class TestCountedMaterialization:
                 assert view.count(relation, t) == expected[(relation, t)]
             assert view.count("P", ("zz",)) == 0  # outside the view
             assert view.count("A", ("d", "e")) == 0  # a base relation
+        with pytest.raises(SchemaError):
+            view.count("P", ("d", "e"))  # P has arity 1
 
 
 def watch_base(dags: int, nodes: int, seed: int) -> dict[str, list[tuple]]:

@@ -125,7 +125,9 @@ class EngineStats:
     #: This run's query-planner report (plan cache traffic, per-rule
     #: join orders with estimated vs. actual cardinality, index-cover
     #: size), or ``None`` when the planner never engaged (an engine
-    #: outside the planned paths).  A plain dict so the
+    #: outside the planned paths).  The differential engine's report
+    #: spans its build and every update, keyed by the program's rule
+    #: indices.  A plain dict so the
     #: pinned stats JSON stays ``json.dumps``-able; see
     #: :func:`repro.semantics.planner.explain` for the shape.
     planner: dict | None = None

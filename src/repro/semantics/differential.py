@@ -20,29 +20,35 @@ each component joins the incoming delta of the components above it,
 so one base change flows through the whole program exactly once and
 reaches only the components that read it.
 
-The view is first materialized the same way, component by component:
-each runs the planner's scheduled fixpoint
-(:func:`repro.semantics.planner.scheduled_fixpoint`) on its
-subprogram, which absorbs each pass with one ``add_batch`` per relation
-and ends with the index cover's chain garbage collection.
+The engine plans the whole view through one copy of the program that
+it owns: the same rules in the same order, under a plan context that no
+other evaluation shares, so neither a from-scratch run of the caller's
+program (:meth:`DifferentialEngine.consistent_with_scratch` makes one)
+replans its decisions nor restarts its planner report.  The view is
+first materialized by one scheduled fixpoint
+(:func:`repro.semantics.planner.scheduled_fixpoint`) on that copy,
+which absorbs each pass with one ``add_batch`` per relation and ends
+with the index cover's chain garbage collection.  An update hands each
+component's rule ids to :func:`propagate` and :func:`dred`, whose
+passes are :func:`repro.semantics.planner.consequences` calls over
+those rules only, so ``stats.planner`` is one report over the build and
+every update, keyed by the program's rule indices.
 
-All bulk propagation (insertion deltas, over-deletion frontiers) goes
-through :func:`repro.semantics.base.immediate_consequences` on a
-per-component subprogram, which dispatches to the cost-based planner
-and the generated kernels, and deltas freeze to delta blocks so those
-passes take the batch kernels.  The add-only passes (rederivation,
-insertion) say so with ``add_only=True``; over-deletion reads
-consequences as "everything derivable" and does not.  Rederivation
-support checks go through *support probes* (:class:`_SupportProbe`),
-built once per component, when its first check needs them, and kept:
-one per rule, a *bound* rule plan whose head variables are seeded from
-each candidate fact, under a join order that counts them as bound.
-Its ``count_full`` kernel takes a whole pass's candidates in one call
-and returns each one's number of derivations, so a check costs that
-fact's derivations rather than the whole rule's match set.  Facts
-leave and return in bulk: over-deleted facts through
-``Relation.discard_batch``, rederived and propagated ones through
-``Relation.add_batch``, one call per relation.
+Deltas freeze to delta blocks so the passes take the batch kernels.
+The add-only passes (rederivation, insertion) say so with
+``add_only=True``; over-deletion reads consequences as "everything
+derivable" and does not.  Rederivation support checks go through
+*support probes* (:func:`support_probes`): one per rule, the rule's
+*bound* plan, whose head variables are seeded from each candidate fact,
+under a join order that counts them as bound.  The engine builds one
+table of them for the program when its first check needs it, and keeps
+it.  A probe's ``count_full`` kernel
+(:meth:`~repro.semantics.plan.RulePlan.count_heads`) takes a whole
+pass's candidates in one call and returns each one's number of
+derivations, so a check costs that fact's derivations rather than the
+whole rule's match set.  Facts leave and return in bulk: over-deleted
+facts through ``Relation.discard_batch``, rederived and propagated ones
+through ``Relation.add_batch``, one call per relation.
 
 The same probes answer :meth:`DifferentialEngine.derivations`, and
 :attr:`DifferentialEngine.counts` sums them over every fact of each
@@ -55,9 +61,9 @@ DRed's two phases live in one function, :func:`dred`, and semi-naive
 insertion in another, :func:`propagate`, which DRed's rederivation
 runs too.  The well-founded engine's steps call both
 (:mod:`repro.semantics.wellfounded`).  What differs between the
-callers is passed in as data: the first pass, the active domain
-(``_NO_ADOM`` here), facts that may never be deleted, and the support
-probes.
+callers is passed in as data: the rules each pass runs, the first
+pass's program, the active domain (``_NO_ADOM`` here), facts that may
+never be deleted, and the support probes.
 
 Cost model: an update costs the facts it touches.  Nothing in
 :meth:`DifferentialEngine.apply` scans the view: the engine never
@@ -89,17 +95,8 @@ from repro.ast.program import Dialect, Program
 from repro.ast.rules import Rule
 from repro.relational.instance import Database
 from repro.semantics import planner
-from repro.semantics.base import (
-    EngineStats,
-    _order_positive_indices,
-    immediate_consequences,
-)
-from repro.semantics.plan import (
-    RulePlan,
-    active_matcher,
-    make_delta,
-    plan_for,
-)
+from repro.semantics.base import EngineStats, _order_positive_indices
+from repro.semantics.plan import RulePlan, active_matcher, make_delta, plan_for
 from repro.terms import Var
 
 Fact = tuple[str, tuple]
@@ -187,52 +184,30 @@ class ApplyResult:
         )
 
 
-class _Component:
-    """One SCC of the predicate dependency graph."""
+def support_probes(
+    rules: Iterable[Rule], db: Database
+) -> dict[str, list[RulePlan]]:
+    """Support probes for ``rules``: head relation → one per rule.
 
-    __slots__ = ("relations", "rules", "program", "reads", "recursive",
-                 "probes")
-
-    def __init__(self, relations: frozenset[str], rules: tuple[Rule, ...],
-                 recursive: bool, name: str):
-        self.relations = relations
-        self.rules = rules
-        #: The component's rules as a standalone program: bulk delta
-        #: propagation runs ``immediate_consequences`` on it, which
-        #: dispatches through the planner (its own cached context) and
-        #: the generated kernels.
-        self.program = Program(rules, name=name)
-        self.reads: frozenset[str] = frozenset(
-            relation for rule in rules for relation in rule.body_relations()
-        )
-        self.recursive = recursive
-        #: The rules' support probes, built when the first check needs
-        #: them and kept (see :meth:`DifferentialEngine._probes`).
-        self.probes: dict[str, list[_SupportProbe]] | None = None
-
-
-class _SupportProbe:
-    """One rule's head-bound support check, built once and reused.
-
-    The rule's bound :class:`~repro.semantics.plan.RulePlan`: every head
-    variable is ``bound``, under the join order the database's relation
-    sizes give when the probe is built, with those variables counted as
-    bound from the first literal on.  :meth:`counts` runs the plan's
+    A rule's probe is its bound plan: every head variable is ``bound``,
+    under the join order ``db``'s relation sizes give now, with those
+    variables counted as bound from the first literal on.  Its
+    :meth:`~repro.semantics.plan.RulePlan.count_heads` runs the
     ``count_full`` kernel, which checks each candidate against the
     head's constants and repeated variables, seeds the bound variables
     from its values and counts its body valuations through the
     relations' indexes, so a check costs the candidate's own join
     fan-out, not the rule's full match set, and a whole pass of checks
-    is one call.
-
-    The order only sets speed, never a count, so a probe may outlive
-    the sizes it was ordered by: the differential engine builds its
-    probes once per component, the well-founded engine once per run.
+    is one call.  A body variable that no positive literal and no head
+    binds ranges over the ``adom`` the call passes (a well-founded
+    rule may bind one only under negation; the differential engine
+    passes ``_NO_ADOM``).  The order only sets speed, never a count,
+    so a probe may outlive the sizes it was ordered by: the
+    differential engine and the well-founded run each build their
+    probes once.
     """
-
-    __slots__ = ("plan",)
-
-    def __init__(self, rule: Rule, db: Database):
+    probes: dict[str, list[RulePlan]] = {}
+    for rule in rules:
         (head,) = rule.head_literals()
         bound = sorted(
             {term for term in head.terms if isinstance(term, Var)},
@@ -241,31 +216,9 @@ class _SupportProbe:
         order = tuple(
             _order_positive_indices(list(rule.positive_body()), db, bound)
         )
-        self.plan: RulePlan = plan_for(rule, order, bound=tuple(bound))
-
-    def counts(self, db: Database, adom: tuple,
-               heads: list[tuple]) -> list[int]:
-        """Each of ``heads``' number of derivations by this rule from
-        ``db`` as it stands, a body variable that no positive literal
-        and no head binds ranging over ``adom`` (the well-founded
-        engine's rules may bind one only under negation; the
-        differential engine passes ``_NO_ADOM``).  Never mutates
-        ``db``."""
-        return self.plan.count_heads(db, adom, heads)
-
-
-def support_probes(
-    rules: Iterable[Rule], db: Database
-) -> dict[str, list[_SupportProbe]]:
-    """Support probes for ``rules``: head relation → one per rule.
-
-    Ordered by ``db`` as it stands now, so each rule is ordered and
-    looked up in its plan cache once per set of probes.
-    """
-    probes: dict[str, list[_SupportProbe]] = {}
-    for rule in rules:
-        (relation,) = rule.head_relations()
-        probes.setdefault(relation, []).append(_SupportProbe(rule, db))
+        probes.setdefault(head.relation, []).append(
+            plan_for(rule, order, bound=tuple(bound))
+        )
     return probes
 
 
@@ -295,36 +248,40 @@ def propagate(
     program: Program,
     db: Database,
     adom: tuple,
-    seed: tuple[Program, Changes],
+    delta: Changes,
+    rule_ids: tuple[int, ...] | None = None,
+    seed: Program | None = None,
     stats: EngineStats | None = None,
     tracer=None,
     within: Changes | None = None,
 ) -> tuple[Changes, int]:
     """Semi-naive insertion on ``db``, in place: ``(added, firings)``.
 
-    The first pass runs ``seed``'s program on ``seed``'s delta, and
-    every later pass runs ``program`` on the facts the previous pass
-    added, until no head is new.  A head joins ``db`` through its
-    relation object, which must exist; with ``within`` given, only a
-    head in ``within`` does.  Every pass is add-only: a head already in
-    ``db`` is a no-op here, so the kernels may subtract it at the
-    source.  Each pass's heads go in with one ``add_batch`` per
-    relation.  ``stats`` and ``tracer`` go to every pass.  A delta that
-    no rule of the pass program reads positively would derive nothing,
-    so it ends the loop without a pass.
+    Passes run until no head is new.  Each runs ``program``'s rules
+    ``rule_ids`` (every rule when ``None``) on the facts the previous
+    pass added, and the first on ``delta``; with ``seed`` given, the
+    first pass runs every rule of that program instead.  A head joins
+    ``db`` through its relation object, which must exist; with
+    ``within`` given, only a head in ``within`` does.  Every pass is
+    add-only: a head already in ``db`` is a no-op here, so the kernels
+    may subtract it at the source.  Each pass's heads go in with one
+    ``add_batch`` per relation.  ``stats`` and ``tracer`` go to every
+    pass.  A delta that no rule of the pass reads positively
+    (:func:`repro.semantics.planner.reads`) would derive nothing, so it
+    ends the loop without a pass.
     """
-    pass_program, delta = seed
-    reads = planner.plan_context(pass_program).dispatch
-    later = planner.plan_context(program).dispatch
+    pass_program, ids = (program, rule_ids) if seed is None else (seed, None)
+    reads = planner.reads(pass_program, ids)
+    later = planner.reads(program, rule_ids)
     added: Changes = {}
     firings = 0
-    while delta and not reads.keys().isdisjoint(delta):
-        heads, _neg, fired = immediate_consequences(
+    while delta and not reads.isdisjoint(delta):
+        heads, _neg, fired = planner.consequences(
             pass_program, db, adom, delta=_frozen(delta), stats=stats,
-            tracer=tracer, add_only=True,
+            rule_ids=ids, count_call=True, tracer=tracer, add_only=True,
         )
         firings += fired
-        pass_program, reads = program, later
+        pass_program, ids, reads = program, rule_ids, later
         delta = {}
         for relation, ts in heads.items():
             if within is not None:
@@ -340,8 +297,10 @@ def dred(
     program: Program,
     db: Database,
     adom: tuple,
-    seed: tuple[Program, Changes],
-    probes: Callable[[], dict[str, list[_SupportProbe]]],
+    frontier: Changes,
+    probes: Callable[[], dict[str, list[RulePlan]]],
+    rule_ids: tuple[int, ...] | None = None,
+    seed: Program | None = None,
     stats: EngineStats | None = None,
     keep: dict[str, Container[tuple]] | None = None,
     ghosts: Changes | None = None,
@@ -351,25 +310,28 @@ def dred(
 
     The net deletion is the over-deleted facts minus the rederived ones,
     both by relation; ``firings`` counts every pass either phase ran.
+    Both phases run ``program``'s rules ``rule_ids`` (every rule when
+    ``None``).
 
-    Phase 1 (over-delete): the first pass runs ``seed``'s program on
-    ``seed``'s delta, and every later pass runs ``program`` on the facts
-    the previous pass over-deleted, to a fixpoint.  A head joins the
-    over-deletion when it is in ``db``, not kept (``keep`` holds, by
-    relation, the facts that may never be deleted) and not over-deleted
-    yet.  These passes read consequences as "everything
-    derivable", most of it still in ``db``, so none is add-only; a
-    frontier that no rule of the pass program reads positively ends the
-    phase without a pass.  Every pass reads ``db`` before anything
-    leaves it; then ``ghosts`` (facts, by relation, present only so
-    that bodies match through them) and the over-deleted facts leave
-    together, one ``discard_batch`` per relation.
+    Phase 1 (over-delete): each pass runs those rules on the facts the
+    previous pass over-deleted, to a fixpoint, the first on
+    ``frontier``; with ``seed`` given, the first pass runs every rule
+    of that program instead.  A head joins the over-deletion when it is
+    in ``db``, not kept (``keep`` holds, by relation, the facts that
+    may never be deleted) and not over-deleted yet.  These passes read
+    consequences as "everything derivable", most of it still in
+    ``db``, so none is add-only; a frontier that no rule of the pass
+    reads positively ends the phase without a pass.  Every pass reads
+    ``db`` before anything leaves it; then ``ghosts`` (facts, by
+    relation, present only so that bodies match through them) and the
+    over-deleted facts leave together, one ``discard_batch`` per
+    relation.
 
     Phase 2 (delta-restricted rederive): the over-deleted candidates get
     head-bound support checks against what survived, through the probes
     ``probes()`` returns (called once, after the removal, and only when
     something was over-deleted), with ``adom`` for variables no
-    positive literal binds: per relation, one ``count_full`` call per
+    positive literal binds: per relation, one ``count_heads`` call per
     probe over the candidates no earlier probe supported.  The
     survivors go back with one ``add_batch`` per relation *after* the
     checks and are then propagated semi-naively (:func:`propagate`),
@@ -378,18 +340,18 @@ def dred(
     proportional to the over-deletion, not to ``db``.  ``stats`` and
     ``tracer`` go to every pass.
     """
-    pass_program, frontier = seed
-    reads = planner.plan_context(pass_program).dispatch
-    later = planner.plan_context(program).dispatch
+    pass_program, ids = (program, rule_ids) if seed is None else (seed, None)
+    reads = planner.reads(pass_program, ids)
+    later = planner.reads(program, rule_ids)
     overdeleted: Changes = {}
     firings = 0
-    while frontier and not reads.keys().isdisjoint(frontier):
-        heads, _neg, fired = immediate_consequences(
+    while frontier and not reads.isdisjoint(frontier):
+        heads, _neg, fired = planner.consequences(
             pass_program, db, adom, delta=_frozen(frontier), stats=stats,
-            tracer=tracer,
+            rule_ids=ids, count_call=True, tracer=tracer,
         )
         firings += fired
-        pass_program, reads = program, later
+        pass_program, ids, reads = program, rule_ids, later
         frontier = {}
         for relation, ts in heads.items():
             rel = db.relation(relation)
@@ -414,7 +376,7 @@ def dred(
         pending = list(ts)
         held: list[tuple] = []
         for probe in checks[relation]:
-            counts = probe.counts(db, adom, pending)
+            counts = probe.count_heads(db, adom, pending)
             held.extend(itertools.compress(pending, counts))
             pending = [t for t, n in zip(pending, counts) if not n]
             if not pending:
@@ -424,7 +386,7 @@ def dred(
     for relation, ts in supported.items():
         db.relation(relation).add_batch(ts)
     rederived, fired = propagate(
-        program, db, adom, (program, supported), stats=stats, tracer=tracer,
+        program, db, adom, supported, rule_ids, stats=stats, tracer=tracer,
         within=overdeleted,
     )
     for relation, ts in supported.items():
@@ -454,7 +416,12 @@ class DifferentialEngine:
         self.database = base.copy()
         for relation in program.idb:
             self.database.ensure_relation(relation, program.arity(relation))
-        self._components = self._build_components()
+        #: The program the engine plans through: the caller's rules in
+        #: the caller's order, under a plan context of its own.
+        self._planning = Program(program.rules, name=program.name)
+        #: The program's support probes, built on the first check (see
+        #: :meth:`_probes`).
+        self._probe_table: dict[str, list[RulePlan]] | None = None
         self._subscriptions: list[Subscription] = []
         self.stats = EngineStats(
             engine="differential",
@@ -465,9 +432,9 @@ class DifferentialEngine:
                 {
                     "relations": sorted(comp.relations),
                     "recursive": comp.recursive,
-                    "rules": len(comp.rules),
+                    "rules": len(comp.rule_ids),
                 }
-                for comp in self._components
+                for comp in planner.plan_context(self._planning).schedule
             ],
             "updates": 0,
             "facts_touched": 0,
@@ -481,34 +448,11 @@ class DifferentialEngine:
             "support_checks": 0,
         }
         started = perf_counter()
-        self._materialize()
+        self.stats.rule_firings, _ = planner.scheduled_fixpoint(
+            self._planning, self.database, _NO_ADOM, stats=self.stats
+        )
         self.stats.seconds += perf_counter() - started
-        self.stats.differential["view_size"] = self._view_size()
-
-    # -- construction -------------------------------------------------------
-
-    def _build_components(self) -> list[_Component]:
-        """The planner's SCC schedule, lifted to component subprograms."""
-        schedule = planner.plan_context(self.program).schedule
-        name = self.program.name or "program"
-        return [
-            _Component(
-                comp.relations,
-                tuple(self.program.rules[i] for i in comp.rule_ids),
-                comp.recursive,
-                name=f"{name}#scc{position}",
-            )
-            for position, comp in enumerate(schedule)
-        ]
-
-    def _materialize(self) -> None:
-        """Initial evaluation, component by component in topo order:
-        each runs the scheduled fixpoint on its subprogram
-        (:func:`repro.semantics.planner.scheduled_fixpoint`)."""
-        for comp in self._components:
-            planner.scheduled_fixpoint(
-                comp.program, self.database, _NO_ADOM, stats=self.stats
-            )
+        self._settle()
 
     # -- public API ---------------------------------------------------------
 
@@ -558,21 +502,26 @@ class DifferentialEngine:
 
         overdeleted_total = rederived_total = 0
         if _count(inserted) or _count(deleted):
-            for comp in self._components:
+            for comp in planner.plan_context(self._planning).schedule:
+                reads = planner.reads(self._planning, comp.rule_ids)
                 ins_in = {
                     rel: ts for rel, ts in inserted.items()
-                    if rel in comp.reads and ts
+                    if rel in reads and ts
                 }
                 del_in = {
                     rel: ts for rel, ts in deleted.items()
-                    if rel in comp.reads and ts
+                    if rel in reads and ts
                 }
                 if not ins_in and not del_in:
                     continue
                 comp_del, overdeleted, rederived = self._dred_delete(
-                    comp, del_in
+                    comp.rule_ids, del_in
                 )
-                comp_ins = self._dred_insert(comp, ins_in)
+                comp_ins, fired = propagate(
+                    self._planning, self.database, _NO_ADOM, ins_in,
+                    comp.rule_ids, stats=self.stats,
+                )
+                self.stats.rule_firings += fired
                 overdeleted_total += overdeleted
                 rederived_total += rederived
                 comp_del, comp_ins = (
@@ -610,9 +559,9 @@ class DifferentialEngine:
         counters["updates"] += 1
         counters["facts_touched"] += touched
         counters["last_facts_touched"] = touched
-        counters["view_size"] = self._view_size()
         counters["overdeleted"] += overdeleted_total
         counters["rederived"] += rederived_total
+        self._settle()
         self.stats.seconds += perf_counter() - started
         return ApplyResult(report=report, diffs=diffs)
 
@@ -639,7 +588,7 @@ class DifferentialEngine:
         ℕ-provenance of nonrecursive rules.  Recursive components have
         no entry."""
         counts: Counter[Fact] = Counter()
-        for comp in self._components:
+        for comp in planner.plan_context(self._planning).schedule:
             if comp.recursive:
                 continue
             for relation in comp.relations:
@@ -651,7 +600,7 @@ class DifferentialEngine:
     def derivations(self, relation: str, heads: Iterable[tuple]) -> list[int]:
         """Each of ``heads``' number of derivations by ``relation``'s
         rules from the view as it stands: one ``count_full`` call per
-        rule through the component's kept probes, summed.  A tuple no
+        rule through the engine's kept probes, summed.  A tuple no
         rule derives counts 0, and so does every tuple of a base
         relation.  For a relation of a recursive component this counts
         the rule instances that derive a tuple in one step, not its
@@ -659,19 +608,18 @@ class DifferentialEngine:
         arity is not the derived relation's."""
         heads = [tuple(t) for t in heads]
         totals = [0] * len(heads)
-        for comp in self._components:
-            if relation not in comp.relations:
-                continue
-            arity = self.program.arity(relation)
-            for t in heads:
-                if len(t) != arity:
-                    raise SchemaError(
-                        f"{relation}{t!r} has arity {len(t)}; "
-                        f"{relation!r} has arity {arity}"
-                    )
-            for probe in self._probes(comp)[relation]:
-                found = probe.counts(self.database, _NO_ADOM, heads)
-                totals = list(map(operator.add, totals, found))
+        if relation not in self.program.idb:
+            return totals
+        arity = self.program.arity(relation)
+        for t in heads:
+            if len(t) != arity:
+                raise SchemaError(
+                    f"{relation}{t!r} has arity {len(t)}; "
+                    f"{relation!r} has arity {arity}"
+                )
+        for probe in self._probes()[relation]:
+            found = probe.count_heads(self.database, _NO_ADOM, heads)
+            totals = list(map(operator.add, totals, found))
         return totals
 
     # -- batch validation ---------------------------------------------------
@@ -705,63 +653,53 @@ class DifferentialEngine:
 
     # -- maintenance --------------------------------------------------------
 
-    def _probes(self, comp: _Component) -> dict[str, list[_SupportProbe]]:
-        """``comp``'s support probes, built on the first check and kept
-        for the engine's life, as the well-founded run keeps its own:
-        their join order, taken from the view's sizes then, only sets
-        speed."""
-        if comp.probes is None:
-            comp.probes = support_probes(comp.rules, self.database)
-        return comp.probes
+    def _probes(self) -> dict[str, list[RulePlan]]:
+        """The program's support probes, built on the first check and
+        kept for the engine's life, as the well-founded run keeps its
+        own: their join order, taken from the view's sizes then, only
+        sets speed."""
+        if self._probe_table is None:
+            self._probe_table = support_probes(
+                self.program.rules, self.database
+            )
+        return self._probe_table
 
     def _dred_delete(
         self,
-        comp: _Component,
+        rule_ids: tuple[int, ...],
         del_in: Changes,
     ) -> tuple[Changes, int, int]:
-        """DRed for one component (see :func:`dred`).
+        """DRed for the component of ``rule_ids`` (see :func:`dred`).
 
         The deleted input facts come back as ghosts, so rule bodies can
         match through them while the over-deletion closes; they leave
         with the over-deleted facts.  The support checks use the
-        component's kept probes.  Returns the net deletion and the
-        sizes of the over-deletion and of the rederivation.
+        engine's kept probes.  Returns the net deletion and the sizes
+        of the over-deletion and of the rederivation.
         """
         if not del_in:
             return {}, 0, 0
         for relation, ts in del_in.items():
             self.database.relation(relation).add_batch(ts)
-        overdeleted, rederived, _firings = dred(
-            comp.program, self.database, _NO_ADOM,
-            seed=(comp.program, del_in),
-            probes=lambda: self._probes(comp),
-            stats=self.stats,
-            ghosts=del_in,
+        overdeleted, rederived, firings = dred(
+            self._planning, self.database, _NO_ADOM, del_in, self._probes,
+            rule_ids, stats=self.stats, ghosts=del_in,
         )
+        self.stats.rule_firings += firings
         self.stats.differential["support_checks"] += _count(overdeleted)
         return (_minus(overdeleted, rederived), _count(overdeleted),
                 _count(rederived))
 
-    def _dred_insert(
-        self,
-        comp: _Component,
-        ins_in: Changes,
-    ) -> Changes:
-        """Semi-naive insertion propagation within one component (see
-        :func:`propagate`)."""
-        added, _firings = propagate(
-            comp.program, self.database, _NO_ADOM, (comp.program, ins_in),
-            stats=self.stats,
+    def _settle(self) -> None:
+        """Bring the view size and the index counters up to date: the
+        latter are the view database's totals, which count the build
+        and every update."""
+        db = self.database
+        self.stats.differential["view_size"] = sum(
+            len(db.relation(rel) or ()) for rel in db.relation_names()
         )
-        return added
-
-    # -- misc ---------------------------------------------------------------
-
-    def _view_size(self) -> int:
-        return sum(
-            len(self.database.relation(rel) or ())
-            for rel in self.database.relation_names()
-        )
+        (self.stats.index_builds, self.stats.index_updates,
+         self.stats.index_drops) = db.index_totals()
 
 
 def _fact(relation, values) -> Fact:

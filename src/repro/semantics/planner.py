@@ -196,6 +196,7 @@ class PlanContext:
         "report",
         "report_owner",
         "passes",
+        "reads",
     )
 
     def __init__(self, program: Program):
@@ -249,6 +250,9 @@ class PlanContext:
         #: (rule_ids, live delta relations or ``None``) → the rule
         #: occurrences that pass visits (see :func:`_pass_visits`).
         self.passes: dict[tuple, tuple] = {}
+        #: rule_ids (``None`` for every rule) → the relations those
+        #: rules read positively (see :func:`reads`).
+        self.reads: dict[tuple[int, ...] | None, frozenset[str]] = {}
 
 
 def _new_report(ctx: PlanContext) -> dict:
@@ -797,6 +801,26 @@ def _pass_visits(
     return tuple(visits)
 
 
+def reads(
+    program: Program, rule_ids: tuple[int, ...] | None = None
+) -> frozenset[str]:
+    """The relations that a positive literal of one of ``program``'s
+    rules ``rule_ids`` (every rule when ``None``) reads.
+
+    A delta pass over none of them visits no rule, so an incremental
+    loop may stop before making it.  Kept per rule set on the program's
+    context.
+    """
+    ctx = plan_context(program)
+    found = ctx.reads.get(rule_ids)
+    if found is None:
+        ids = range(len(ctx.rules)) if rule_ids is None else rule_ids
+        found = ctx.reads[rule_ids] = frozenset(
+            lit.relation for i in ids for lit in ctx.positive[i]
+        )
+    return found
+
+
 def _traced_run(span, decision: _Decision, db: Database, adom, restricted,
                 positive: Heads, negative: Heads, add_only: bool) -> int:
     """One variant through its plan's counting kernels, booked into
@@ -872,8 +896,11 @@ def consequences(
 
     ``rule_ids`` restricts evaluation to one scheduled component;
     ``count_call`` makes this call bump ``stats.consequence_calls``
-    (the scheduled drivers call here directly, bypassing
-    ``immediate_consequences``'s own bump).  ``add_only`` lets the
+    for the drivers that call here directly, bypassing
+    ``immediate_consequences``'s own bump, and pass both:
+    :func:`scheduled_fixpoint` and the incremental passes of
+    :func:`repro.semantics.differential.propagate` and
+    :func:`repro.semantics.differential.dred`.  ``add_only`` lets the
     kernels drop heads already in ``db`` (see
     :meth:`repro.semantics.plan.RulePlan.run_emit`).
 

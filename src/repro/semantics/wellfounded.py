@@ -355,9 +355,8 @@ class _Alternation:
         firings and every fact added.
         """
         added, firings = propagate(
-            self.transformed, self.even.db, self.adom,
-            seed=(self.grow, _flipped(removed)),
-            stats=self.recorder.stats, tracer=self.tracer,
+            self.transformed, self.even.db, self.adom, _flipped(removed),
+            seed=self.grow, stats=self.recorder.stats, tracer=self.tracer,
         )
         self.even.size += _count(added)
         return firings, added
@@ -371,12 +370,9 @@ class _Alternation:
         Returns the firings and the net removals.
         """
         overdeleted, rederived, firings = dred(
-            self.transformed, self.odd.db, self.adom,
-            seed=(self.shrink, _flipped(gained)),
-            probes=self._probes,
-            stats=self.recorder.stats,
-            keep=self.kept,
-            tracer=self.tracer,
+            self.transformed, self.odd.db, self.adom, _flipped(gained),
+            self._probes, seed=self.shrink, stats=self.recorder.stats,
+            keep=self.kept, tracer=self.tracer,
         )
         removed = _minus(overdeleted, rederived)
         self.odd.size -= _count(removed)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -130,6 +131,24 @@ def test_stats_say_why_adom_size_is_zero(tc_files, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "adom size:         0" in err
     assert "never enumerates an active domain" in err
+
+
+def test_stats_count_firings_and_index_work(tc_files, monkeypatch, capsys):
+    program, data = tc_files
+    stream = json.dumps({"insert": {"G": [["c", "d"]]}})
+    code, _lines = run_watch(
+        ["watch", program, "--data", data, "--stats"], stream, monkeypatch
+    )
+    assert code == 0
+    counts = {
+        name: int(value)
+        for name, value in re.findall(
+            r"^(rule firings|index builds|index updates): +(\d+)$",
+            capsys.readouterr().err, re.MULTILINE,
+        )
+    }
+    assert len(counts) == 3
+    assert all(counts.values()), counts
 
 
 def test_empty_stream_prints_snapshot_only(tc_files, monkeypatch):

@@ -1,9 +1,9 @@
 """The ``count_full`` kernel counts what the reference matcher derives.
 
-A support probe's plan binds every head variable, and its ``count_full``
-kernel returns, for each tuple of a list of heads, the number of body
-valuations deriving it.  Here that count must equal one made on the
-test side: the valuations of the reference matcher
+A support probe is a rule's plan with every head variable bound, and
+its ``count_full`` kernel returns, for each tuple of a list of heads,
+the number of body valuations deriving it.  Here that count must equal
+one made on the test side: the valuations of the reference matcher
 (:func:`repro.semantics.base.reference_matches`) whose instantiated
 head equals the tuple.  Every fact of each model is checked, and so are
 tuples outside it: each fact with one value swapped, and tuples drawn
@@ -24,7 +24,7 @@ from repro.semantics.base import (
     instantiate_head,
     reference_matches,
 )
-from repro.semantics.differential import _SupportProbe
+from repro.semantics.differential import support_probes
 from repro.semantics.seminaive import evaluate_datalog_seminaive
 from repro.semantics.stratified import evaluate_stratified
 from repro.semantics.wellfounded import _transform, evaluate_wellfounded
@@ -58,13 +58,19 @@ def candidates(rule, db, rng) -> list[tuple]:
     return out
 
 
+def probe_of(rule, db):
+    """The rule's support probe, ordered by ``db``."""
+    ((probe,),) = support_probes([rule], db).values()
+    return probe
+
+
 def check(rule, db, adom, heads) -> None:
-    probe = _SupportProbe(rule, db)
+    probe = probe_of(rule, db)
     expected = reference_counts(rule, db, adom)
-    assert probe.counts(db, adom, heads) == [expected[t] for t in heads], (
-        str(rule)
-    )
-    assert "count_full" in probe.plan.compiled().kernels
+    assert probe.count_heads(db, adom, heads) == [
+        expected[t] for t in heads
+    ], str(rule)
+    assert "count_full" in probe.compiled().kernels
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -108,11 +114,11 @@ def test_adom_variables_make_the_kernel_loop():
     (rule,) = program.rules
     db = GRAPH.copy()
     adom = evaluation_adom(program, db)
-    probe = _SupportProbe(rule, db)
-    assert probe.plan.unbound_slots  # z ranges over the active domain
+    probe = probe_of(rule, db)
+    assert probe.unbound_slots  # z ranges over the active domain
     # a: E(a, b) only, so z ranges over a, c and d; d has no E at all.
-    assert probe.counts(db, adom, [("a",), ("d",), ("e",)]) == [3, 4, 0]
-    assert "for v" in probe.plan.compiled().kernel("count_full").source
+    assert probe.count_heads(db, adom, [("a",), ("d",), ("e",)]) == [3, 4, 0]
+    assert "for v" in probe.compiled().kernel("count_full").source
 
 
 def test_the_transformed_win_rule_reads_the_assumption_live():
@@ -129,12 +135,12 @@ def test_the_transformed_win_rule_reads_the_assumption_live():
     odd.attach("win__wf_assumed", even.relation("win"))
     adom = evaluation_adom(program, odd)
     positions = sorted({(v,) for t in odd.tuples("moves") for v in t})
-    probe = _SupportProbe(rule, odd)
-    kernel = probe.plan.compiled().kernel("count_full")
+    probe = probe_of(rule, odd)
+    kernel = probe.compiled().kernel("count_full")
     assert "live_set()" in kernel.source and "has_fact" not in kernel.source
     for step in range(3):
         expected = reference_counts(rule, odd, adom)
-        assert probe.counts(odd, adom, positions) == [
+        assert probe.count_heads(odd, adom, positions) == [
             expected[t] for t in positions
         ], step
         # The assumption set grows between calls, as an even step's

@@ -16,13 +16,14 @@ import pytest
 from repro.errors import SchemaError
 from repro.parser import parse_program
 from repro.relational.instance import Database
+from repro.semantics import planner
 from repro.semantics.counting import CountingView
 from repro.semantics.differential import (
     ApplyResult,
     DiffBatch,
     DifferentialEngine,
     RelationDiff,
-    _SupportProbe,
+    support_probes,
 )
 from repro.semantics.maintenance import MaterializedView
 from repro.semantics.plan import cached_plans
@@ -38,6 +39,13 @@ TWO_HOP = parse_program(
     triangle(x) :- G(x, y), G(y, z), G(z, x).
     """
 )
+
+#: Linear TC beside a two-hop view: two components, H's rule last.
+WATCH_SOURCE = """
+T(x, y) :- G(x, y).
+T(x, y) :- G(x, z), T(z, y).
+H(x, z) :- G(x, y), G(y, z).
+"""
 
 MIXED = parse_program(
     """
@@ -369,6 +377,30 @@ class TestDifferentialCounters:
         assert engine.stats.differential["recounted"] == 0
         assert engine.consistent_with_scratch()
 
+    def test_rule_firings_and_index_work_are_counted(self):
+        # The build fires as often as a from-scratch run, every update
+        # adds the firings of its passes, and the index counters are
+        # the view database's own totals.
+        program = parse_program(WATCH_SOURCE)
+        base = graph_database(chain(11))
+        engine = DifferentialEngine(program, base)
+        stats = engine.stats
+        fired = evaluate_datalog_seminaive(program, base).rule_firings
+        assert stats.rule_firings == fired > 0
+        totals = engine.database.index_totals()
+        assert (stats.index_builds, stats.index_updates,
+                stats.index_drops) == totals
+        assert stats.index_builds > 0
+        for batch in ([("+", "G", ("n10", "n11"))],
+                      [("-", "G", ("n3", "n4"))]):
+            before = stats.rule_firings
+            engine.apply(batch)
+            assert stats.rule_firings > before
+            assert (stats.index_builds, stats.index_updates,
+                    stats.index_drops) == engine.database.index_totals()
+        assert stats.index_updates > totals[1]
+        assert engine.consistent_with_scratch()
+
     def test_overdelete_and_rederive_are_counted(self):
         edges = [("a", "m1"), ("m1", "b"), ("a", "m2"), ("m2", "b")]
         engine = DifferentialEngine(tc_program(), graph_database(edges))
@@ -440,19 +472,57 @@ class TestUpdateCostGuards:
         assert engine.stats.adom_size == 0
         assert engine.consistent_with_scratch()
 
+    def test_every_update_pass_visits_a_rule(self, monkeypatch):
+        # A component's pass runs only over a delta that one of its own
+        # rules reads positively: H's new facts feed K's rule, not H's,
+        # so H's component stops after its first pass.
+        program = parse_program(
+            """
+            H(x, z) :- G(x, y), G(y, z).
+            K(x) :- H(x, y).
+            T(x, y) :- G(x, y).
+            T(x, y) :- G(x, z), T(z, y).
+            """
+        )
+        engine = DifferentialEngine(program, graph_database(self.LADDER))
+        visits = []
+        original = planner.consequences
+
+        def consequences(program, db, adom, delta=None, stats=None,
+                         rule_ids=None, *args, **kwargs):
+            rules = program.rules
+            ids = range(len(rules)) if rule_ids is None else rule_ids
+            reads = {
+                lit.relation for i in ids for lit in rules[i].positive_body()
+            }
+            visits.append(delta is None or any(
+                facts and relation in reads
+                for relation, facts in delta.items()
+            ))
+            return original(program, db, adom, delta, stats, rule_ids,
+                            *args, **kwargs)
+
+        monkeypatch.setattr(planner, "consequences", consequences)
+        before = engine.stats.consequence_calls
+        engine.insert([("G", ("c9", "a"))])
+        engine.delete([("G", ("a", "m1"))])
+        assert visits and all(visits)
+        assert engine.stats.consequence_calls - before == len(visits)
+        assert engine.consistent_with_scratch()
+
     def test_support_probes_compile_once_per_pass(self, monkeypatch):
         import sys
 
         from repro.semantics import plan as plan_module
 
         engine = DifferentialEngine(tc_program(), graph_database(self.LADDER))
-        # The first delete builds the component's probes and warms the
+        # The first delete builds the engine's probe table and warms the
         # planner's delta variants for this delete.
         engine.delete([("G", ("a", "m1"))])
         engine.insert([("G", ("a", "m1"))])
-        (comp,) = engine._components
-        probes = comp.probes
+        probes = engine._probe_table
         assert sorted(probes) == ["T"] and len(probes["T"]) == 2
+        kept = list(probes["T"])
 
         original = plan_module.plan_for
         calls = []
@@ -470,9 +540,10 @@ class TestUpdateCostGuards:
         checks = engine.stats.differential["support_checks"] - checks_before
         assert checks >= 20
         # A later delete reuses the kept probes: no bound plan is looked
-        # up, and the component keeps the same probe objects.
+        # up, and the engine keeps the same table and probe objects.
         assert [call for call in calls if call[1]] == []
-        assert comp.probes is probes
+        assert engine._probe_table is probes
+        assert all(a is b for a, b in zip(probes["T"], kept))
         assert engine.consistent_with_scratch()
 
     def test_support_probe_orders_with_head_variables_bound(self):
@@ -485,11 +556,11 @@ class TestUpdateCostGuards:
             "moves": chain(400),
             "lost": [(f"n{i}",) for i in range(0, 400, 2)],
         })
-        probe = _SupportProbe(rule, db)
-        assert probe.plan.order == (0, 1)
-        kernel = probe.plan.compiled().kernel("count_full")
+        [probe] = support_probes([rule], db)["win"]
+        assert probe.order == (0, 1)
+        kernel = probe.compiled().kernel("count_full")
         assert "chain_index((0,))" in kernel.source  # moves keyed by x
-        assert probe.counts(db, (), [("n1",), ("n2",), ("n399",)]) == [
+        assert probe.count_heads(db, (), [("n1",), ("n2",), ("n399",)]) == [
             1, 0, 0
         ]
 

@@ -717,6 +717,27 @@ class TestReport:
             assert rules["3"]["actual_rows"] == 3
         assert traced.stats.planner["rules"] == plain.stats.planner["rules"]
 
+    def test_differential_report_spans_build_and_updates(self):
+        # The engine plans through its own copy of the program: one
+        # report over the build and every update, keyed by the
+        # program's rule indices (H's rule is 2), which a from-scratch
+        # run of the caller's program neither restarts nor joins.
+        program = parse_program(view_tests.WATCH_SOURCE)
+        engine = DifferentialEngine(program, graph_database(chain(11)))
+        report = engine.stats.planner
+        assert sorted(report["rules"]) == ["0", "1", "2"]
+        engine.insert([("G", ("n10", "n11"))])
+        assert engine.stats.planner is report
+        assert sorted(report["rules"]) == ["0", "1", "2"]
+        lookups = report["plan_lookups"]
+        assert engine.consistent_with_scratch()
+        assert engine.stats.planner is report
+        assert report["plan_lookups"] == lookups
+        engine.delete([("G", ("n3", "n4"))])
+        assert engine.stats.planner is report
+        assert report["plan_lookups"] > lookups
+        assert sorted(report["rules"]) == ["0", "1", "2"]
+
     def test_explain_leaves_the_next_run_alone(self):
         # Explain decides Q's full pass, which a run skips (B is empty);
         # on the program's own context that decision would add W's

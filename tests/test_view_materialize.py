@@ -19,6 +19,7 @@ import pytest
 from repro.errors import SchemaError
 from repro.parser import parse_program
 from repro.relational.instance import Database
+from repro.semantics import planner
 from repro.semantics.base import instantiate_head, reference_matches
 from repro.semantics.counting import CountingView
 from repro.semantics.differential import DifferentialEngine
@@ -175,6 +176,26 @@ T(x, y) :- G(x, y).
 T(x, y) :- G(x, z), T(z, y).
 H(x, z) :- G(x, y), G(y, z).
 """
+
+
+def test_watch_view_builds_in_one_scheduled_fixpoint(monkeypatch):
+    """The whole view is one scheduled fixpoint over the engine's own
+    copy of the program: the caller's rules in the caller's order."""
+    programs = []
+    original = planner.scheduled_fixpoint
+
+    def counted(program, *args, **kwargs):
+        programs.append(program)
+        return original(program, *args, **kwargs)
+
+    program = parse_program(WATCH)
+    monkeypatch.setattr(planner, "scheduled_fixpoint", counted)
+    engine = DifferentialEngine(program, Database(watch_base(3, 20, seed=1)))
+    monkeypatch.undo()
+    (planned,) = programs
+    assert planned is not program and planned.rules == program.rules
+    assert len(planner.plan_context(planned).schedule) == 2  # H, then T
+    assert engine.consistent_with_scratch()
 
 
 def test_watch_view_builds_without_add_fact(monkeypatch):

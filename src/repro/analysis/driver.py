@@ -257,11 +257,10 @@ def lint_source(
 ) -> LintReport:
     """Lint surface syntax; parse and schema failures become diagnostics."""
     from repro.errors import SchemaError
-    from repro.parser.lexer import tokenize
-    from repro.parser.parser import _Parser
+    from repro.parser.parser import parse_program, parse_rules
 
     try:
-        rules = tuple(_Parser(tokenize(text)).parse_program())
+        program = parse_program(text, name=name)
     except ParseError as err:
         span = None
         if err.line is not None:
@@ -272,15 +271,11 @@ def lint_source(
             diagnostics=[make_diagnostic("DL000", str(err), span=span)],
             source_text=text,
         )
-
-    try:
-        program: Program | None = Program(rules, name=name, source_text=text)
     except SchemaError:
         # Arity clash: Program cannot exist.  Run the rule-local passes
-        # (arity_pass pinpoints every clash with a span).
-        program = None
-
-    if program is not None:
+        # over the rules (arity_pass pinpoints every clash with a span).
+        rules = tuple(parse_rules(text))
+    else:
         report = lint(
             program, dialect=dialect, outputs=outputs, edb=edb, name=name,
             database=database, query=query,

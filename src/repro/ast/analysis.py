@@ -180,7 +180,9 @@ def _check_rule_safety(rule: Rule, dialect: Dialect) -> None:
 
     diagnostics = rule_safety_diagnostics(rule, dialect)
     if diagnostics:
-        raise SafetyError(diagnostics[0].message)
+        raise SafetyError(
+            diagnostics[0].message, span=diagnostics[0].span or rule.span
+        )
 
 
 def validate_program(program: Program, dialect: Dialect) -> None:
@@ -189,36 +191,47 @@ def validate_program(program: Program, dialect: Dialect) -> None:
     Raises :class:`DialectError` for forbidden features,
     :class:`SafetyError` for range-restriction violations, and
     :class:`StratificationError` when a stratified dialect is requested
-    for a non-stratifiable program.
+    for a non-stratifiable program.  A rule's error carries the rule's
+    span (or a finer one), when it has one.
     """
     for rule in program.rules:
+        span = rule.span
         if len(rule.head) > 1 and dialect not in MULTI_HEAD_DIALECTS:
             raise DialectError(
-                f"{dialect.value} forbids multiple head literals: {rule!r}"
+                f"{dialect.value} forbids multiple head literals: {rule!r}",
+                span=span,
             )
         if rule.has_bottom_head() and dialect is not Dialect.N_DATALOG_BOTTOM:
-            raise DialectError(f"{dialect.value} forbids the ⊥ head literal: {rule!r}")
+            raise DialectError(
+                f"{dialect.value} forbids the ⊥ head literal: {rule!r}",
+                span=span,
+            )
         if rule.universal and dialect is not Dialect.N_DATALOG_FORALL:
             raise DialectError(
-                f"{dialect.value} forbids universal quantification: {rule!r}"
+                f"{dialect.value} forbids universal quantification: {rule!r}",
+                span=span,
             )
         has_negative_head = any(
             isinstance(l, Lit) and not l.positive for l in rule.head
         )
         if has_negative_head and dialect not in NEGATIVE_HEAD_DIALECTS:
             raise DialectError(
-                f"{dialect.value} forbids negative head literals: {rule!r}"
+                f"{dialect.value} forbids negative head literals: {rule!r}",
+                span=span,
             )
         if rule.equality_body() and dialect not in EQUALITY_DIALECTS:
             raise DialectError(
-                f"{dialect.value} forbids (in)equality body literals: {rule!r}"
+                f"{dialect.value} forbids (in)equality body literals: {rule!r}",
+                span=span,
             )
         if rule.negative_body() and dialect is Dialect.DATALOG:
-            raise DialectError(f"datalog forbids body negation: {rule!r}")
+            raise DialectError(
+                f"datalog forbids body negation: {rule!r}", span=span
+            )
         choice_goals = rule.choice_body()
         if choice_goals and dialect is not Dialect.DATALOG_CHOICE:
             raise DialectError(
-                f"{dialect.value} forbids choice goals: {rule!r}"
+                f"{dialect.value} forbids choice goals: {rule!r}", span=span
             )
         for goal in choice_goals:
             free = {
@@ -234,13 +247,15 @@ def validate_program(program: Program, dialect: Dialect) -> None:
                 names = sorted(v.name for v in free)
                 raise SafetyError(
                     f"choice variables {names} not bound by a non-choice "
-                    f"body literal: {rule!r}"
+                    f"body literal: {rule!r}",
+                    span=goal.span or span,
                 )
         if rule.invention_variables() and dialect not in INVENTION_DIALECTS:
             names = sorted(v.name for v in rule.invention_variables())
             raise SafetyError(
                 f"head variables {names} do not occur in the body (invention "
-                f"requires dialect datalog-neg-new): {rule!r}"
+                f"requires dialect datalog-neg-new): {rule!r}",
+                span=span,
             )
         _check_rule_safety(rule, dialect)
 

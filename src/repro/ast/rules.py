@@ -104,11 +104,15 @@ class ChoiceLit:
 
     def __post_init__(self) -> None:
         if not self.range:
-            raise ProgramError("choice goal needs at least one range variable")
+            raise ProgramError(
+                "choice goal needs at least one range variable", span=self.span
+            )
         overlap = set(self.domain) & set(self.range)
         if overlap:
             names = sorted(v.name for v in overlap)
-            raise ProgramError(f"choice domain/range overlap: {names}")
+            raise ProgramError(
+                f"choice domain/range overlap: {names}", span=self.span
+            )
 
     def __repr__(self) -> str:
         dom = ", ".join(v.name for v in self.domain)
@@ -146,6 +150,8 @@ class Rule:
                 raise ProgramError(
                     "equality and choice literals cannot occur in rule heads"
                 )
+        if not self.universal:
+            return
         body_vars = self.body_variables()
         for v in self.universal:
             if v not in body_vars:
@@ -156,7 +162,10 @@ class Rule:
         head_universal = self.head_variables() & set(self.universal)
         if head_universal:
             names = sorted(v.name for v in head_universal)
-            raise ProgramError(f"universal variables {names} occur in the head")
+            raise ProgramError(
+                f"universal variables {names} occur in the head",
+                span=self.span,
+            )
 
     def __repr__(self) -> str:
         head = ", ".join(repr(h) for h in self.head)

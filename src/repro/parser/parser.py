@@ -15,6 +15,13 @@ integers are constants — so ``win(x) :- moves(x, y), not win(y).``
 reads exactly like the paper's Example 3.2.  A bodyless rule such as
 ``delay.`` (Example 4.4's ``delay ←``) is allowed when its head is
 ground.
+
+Each production takes the token list and the index it starts at, and
+returns what it parsed and the index after it; no production steps
+past the closing EOF.  Punctuation, ``bottom`` and the negation
+keyword are told apart by their text.  One parse builds each distinct
+term once (``terms``: token text → :class:`~repro.terms.Var` or
+:class:`~repro.terms.Const`).
 """
 
 from __future__ import annotations
@@ -36,204 +43,204 @@ from repro.parser.lexer import KEYWORDS, Token, TokenKind, tokenize
 from repro.span import Span
 from repro.terms import Const, Term, Var
 
+_IDENT, _STRING, _NUMBER = TokenKind.IDENT, TokenKind.STRING, TokenKind.NUMBER
+_EOF = TokenKind.EOF
+_TERM_KINDS = frozenset({_IDENT, _STRING, _NUMBER})
+_NEGATION = ("!", "not")
+_IMPLIES = (":-", "<-")
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
-        self._pos = 0
 
-    # -- token helpers ---------------------------------------------------------
+def _error(message: str, tok: Token) -> ParseError:
+    return ParseError(message, tok.line, tok.column)
 
-    def _peek(self) -> Token:
-        # The token list ends with EOF, which ``_advance`` never passes.
-        return self._tokens[self._pos]
 
-    def _advance(self) -> Token:
-        tok = self._tokens[self._pos]
-        if tok.kind is not TokenKind.EOF:
-            self._pos += 1
-        return tok
+def _expected(what: str, tok: Token) -> ParseError:
+    return _error(f"expected {what!r}, found {tok.text!r}", tok)
 
-    def _expect(self, kind: TokenKind) -> Token:
-        tok = self._peek()
-        if tok.kind is not kind:
-            raise ParseError(
-                f"expected {kind.value!r}, found {tok.text!r}", tok.line, tok.column
-            )
-        return self._advance()
 
-    def _at_negation(self) -> bool:
-        tok = self._peek()
-        return tok.kind is TokenKind.BANG or tok.is_keyword("not")
+def _span(start: Token, end: Token) -> Span:
+    """Span from ``start`` through ``end``."""
+    return Span(start.line, start.column, end.line, end.column + len(end.text))
 
-    def _span_from(self, start: Token) -> Span:
-        """Span from ``start`` through the most recently consumed token."""
-        end = self._tokens[self._pos - 1] if self._pos else start
-        return Span(start.line, start.column, end.line, end.column + len(end.text))
 
-    # -- grammar ---------------------------------------------------------------
+def _variable(tok: Token) -> Var:
+    if tok.kind is not _IDENT:
+        raise _expected("ident", tok)
+    if tok.text in KEYWORDS:
+        raise _error(f"keyword {tok.text!r} cannot be a variable", tok)
+    return Var(tok.text)
 
-    def parse_program(self) -> list[Rule]:
-        rules: list[Rule] = []
-        while self._peek().kind is not TokenKind.EOF:
-            rules.append(self.parse_rule())
-        if not rules:
-            tok = self._peek()
-            raise ParseError("empty program", tok.line, tok.column)
-        return rules
 
-    def parse_rule(self) -> Rule:
-        start = self._peek()
-        head = [self._parse_head_literal()]
-        while self._peek().kind is TokenKind.COMMA:
-            self._advance()
-            head.append(self._parse_head_literal())
-        body: list[BodyLiteral] = []
-        universal: list[Var] = []
-        if self._peek().kind is TokenKind.IMPLIES:
-            self._advance()
-            if self._peek().kind is not TokenKind.PERIOD:
-                universal = self._parse_universal_prefix()
-                body.append(self._parse_body_literal())
-                while self._peek().kind is TokenKind.COMMA:
-                    self._advance()
-                    body.append(self._parse_body_literal())
-        self._expect(TokenKind.PERIOD)
-        return Rule(
-            tuple(head), tuple(body), tuple(universal), span=self._span_from(start)
-        )
-
-    def _parse_universal_prefix(self) -> list[Var]:
-        if not self._peek().is_keyword("forall"):
-            return []
-        self._advance()
-        variables: list[Var] = []
-        while self._peek().kind is TokenKind.IDENT:
-            tok = self._advance()
+def _term(tok: Token, terms: dict[str, Term]) -> Term:
+    term = terms.get(tok.text)
+    if term is None:
+        if tok.kind is _IDENT:
             if tok.text in KEYWORDS:
-                raise ParseError(
-                    f"keyword {tok.text!r} cannot be a variable", tok.line, tok.column
-                )
-            variables.append(Var(tok.text))
-        if not variables:
-            tok = self._peek()
-            raise ParseError("forall requires at least one variable", tok.line, tok.column)
-        self._expect(TokenKind.COLON)
-        return variables
+                raise _error(f"keyword {tok.text!r} cannot be a term", tok)
+            term = Var(tok.text)
+        elif tok.kind is _STRING or tok.kind is _NUMBER:
+            term = Const(tok.value)
+        else:
+            raise _error(f"expected a term, found {tok.text!r}", tok)
+        terms[tok.text] = term
+    return term
 
-    def _parse_head_literal(self) -> HeadLiteral:
-        tok = self._peek()
-        if tok.is_keyword("bottom"):
-            self._advance()
-            return BottomLit(span=self._span_from(tok))
-        positive = True
-        if self._at_negation():
-            self._advance()
-            positive = False
-        atom = self._parse_atom()
-        return Lit(atom, positive, span=self._span_from(tok))
 
-    def _parse_body_literal(self) -> BodyLiteral:
-        start = self._peek()
-        if self._at_negation():
-            self._advance()
-            atom = self._parse_atom()
-            return Lit(atom, False, span=self._span_from(start))
-        tok = self._peek()
-        if tok.is_keyword("choice"):
-            return self._parse_choice()
-        # A leading constant can only begin an (in)equality literal.
-        if tok.kind in (TokenKind.STRING, TokenKind.NUMBER):
-            left = self._parse_term()
-            return self._parse_equality_tail(left, start)
-        if tok.kind is TokenKind.IDENT:
-            after = self._tokens[self._pos + 1]  # ``tok`` is not EOF
-            if after.kind in (TokenKind.EQ, TokenKind.NEQ):
-                left = self._parse_term()
-                return self._parse_equality_tail(left, start)
-            atom = self._parse_atom()
-            return Lit(atom, True, span=self._span_from(start))
-        raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.column)
+def _atom(
+    tokens: list[Token], i: int, terms: dict[str, Term]
+) -> tuple[Atom, int]:
+    name = tokens[i]
+    if name.kind is not _IDENT:
+        raise _expected("ident", name)
+    if name.text in KEYWORDS:
+        raise _error(f"keyword {name.text!r} cannot be a relation name", name)
+    args: list[Term] = []
+    if tokens[i + 1].text == "(":
+        i += 2
+        if tokens[i].text != ")":
+            args.append(_term(tokens[i], terms))
+            i += 1
+            while tokens[i].text == ",":
+                args.append(_term(tokens[i + 1], terms))
+                i += 2
+        if tokens[i].text != ")":
+            raise _expected(")", tokens[i])
+    return Atom(name.text, tuple(args)), i + 1
 
-    def _parse_choice(self) -> "ChoiceLit":
-        """``choice((x, …), (y, …))`` — LDL's choice goal."""
-        start = self._advance()  # the 'choice' keyword
-        self._expect(TokenKind.LPAREN)
-        domain = self._parse_var_group()
-        self._expect(TokenKind.COMMA)
-        range_vars = self._parse_var_group()
-        self._expect(TokenKind.RPAREN)
-        return ChoiceLit(domain, range_vars, span=self._span_from(start))
 
-    def _parse_var_group(self) -> tuple[Var, ...]:
-        self._expect(TokenKind.LPAREN)
-        variables: list[Var] = []
-        if self._peek().kind is not TokenKind.RPAREN:
-            while True:
-                tok = self._expect(TokenKind.IDENT)
-                if tok.text in KEYWORDS:
-                    raise ParseError(
-                        f"keyword {tok.text!r} cannot be a variable",
-                        tok.line,
-                        tok.column,
-                    )
-                variables.append(Var(tok.text))
-                if self._peek().kind is not TokenKind.COMMA:
-                    break
-                self._advance()
-        self._expect(TokenKind.RPAREN)
-        return tuple(variables)
+def _head_literal(
+    tokens: list[Token], i: int, terms: dict[str, Term]
+) -> tuple[HeadLiteral, int]:
+    start = tokens[i]
+    if start.text == "bottom":
+        return BottomLit(span=_span(start, start)), i + 1
+    positive = start.text not in _NEGATION
+    atom, i = _atom(tokens, i if positive else i + 1, terms)
+    return Lit(atom, positive, span=_span(start, tokens[i - 1])), i
 
-    def _parse_equality_tail(self, left: Term, start: Token) -> EqLit:
-        op = self._advance()
-        if op.kind not in (TokenKind.EQ, TokenKind.NEQ):
-            raise ParseError(
-                f"expected '=' or '!=', found {op.text!r}", op.line, op.column
-            )
-        right = self._parse_term()
-        return EqLit(left, right, op.kind is TokenKind.EQ, span=self._span_from(start))
 
-    def _parse_atom(self) -> Atom:
-        tok = self._expect(TokenKind.IDENT)
-        if tok.text in KEYWORDS:
-            raise ParseError(
-                f"keyword {tok.text!r} cannot be a relation name", tok.line, tok.column
-            )
-        terms: list[Term] = []
-        if self._peek().kind is TokenKind.LPAREN:
-            self._advance()
-            if self._peek().kind is not TokenKind.RPAREN:
-                terms.append(self._parse_term())
-                while self._peek().kind is TokenKind.COMMA:
-                    self._advance()
-                    terms.append(self._parse_term())
-            self._expect(TokenKind.RPAREN)
-        return Atom(tok.text, tuple(terms))
+def _body_literal(
+    tokens: list[Token], i: int, terms: dict[str, Term]
+) -> tuple[BodyLiteral, int]:
+    start = tokens[i]
+    if start.text in _NEGATION:
+        atom, i = _atom(tokens, i + 1, terms)
+        return Lit(atom, False, span=_span(start, tokens[i - 1])), i
+    if start.text == "choice":
+        return _choice(tokens, i)
+    if start.kind is _IDENT and tokens[i + 1].text not in ("=", "!="):
+        atom, i = _atom(tokens, i, terms)
+        return Lit(atom, True, span=_span(start, tokens[i - 1])), i
+    if start.kind not in _TERM_KINDS:
+        raise _error(f"unexpected token {start.text!r}", start)
+    # An (in)equality: a leading constant can begin nothing else.
+    left = _term(start, terms)
+    op = tokens[i + 1]
+    if op.text != "=" and op.text != "!=":
+        raise _error(f"expected '=' or '!=', found {op.text!r}", op)
+    right = tokens[i + 2]
+    return EqLit(
+        left, _term(right, terms), op.text == "=", span=_span(start, right)
+    ), i + 3
 
-    def _parse_term(self) -> Term:
-        tok = self._advance()
-        if tok.kind is TokenKind.IDENT:
-            if tok.text in KEYWORDS:
-                raise ParseError(
-                    f"keyword {tok.text!r} cannot be a term", tok.line, tok.column
-                )
-            return Var(tok.text)
-        if tok.kind in (TokenKind.STRING, TokenKind.NUMBER):
-            return Const(tok.value)
-        raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.column)
+
+def _choice(tokens: list[Token], i: int) -> tuple[ChoiceLit, int]:
+    """``choice((x, …), (y, …))`` — LDL's choice goal."""
+    start = tokens[i]
+    if tokens[i + 1].text != "(":
+        raise _expected("(", tokens[i + 1])
+    domain, i = _variables(tokens, i + 2)
+    if tokens[i].text != ",":
+        raise _expected(",", tokens[i])
+    range_vars, i = _variables(tokens, i + 1)
+    if tokens[i].text != ")":
+        raise _expected(")", tokens[i])
+    return ChoiceLit(domain, range_vars, span=_span(start, tokens[i])), i + 1
+
+
+def _variables(tokens: list[Token], i: int) -> tuple[tuple[Var, ...], int]:
+    """A parenthesized, comma-separated variable group."""
+    if tokens[i].text != "(":
+        raise _expected("(", tokens[i])
+    variables: list[Var] = []
+    i += 1
+    if tokens[i].text != ")":
+        variables.append(_variable(tokens[i]))
+        i += 1
+        while tokens[i].text == ",":
+            variables.append(_variable(tokens[i + 1]))
+            i += 2
+    if tokens[i].text != ")":
+        raise _expected(")", tokens[i])
+    return tuple(variables), i + 1
+
+
+def _universal(tokens: list[Token], i: int) -> tuple[tuple[Var, ...], int]:
+    """The variables after ``forall`` and the index after the colon."""
+    variables: list[Var] = []
+    while tokens[i].kind is _IDENT:
+        variables.append(_variable(tokens[i]))
+        i += 1
+    if not variables:
+        raise _error("forall requires at least one variable", tokens[i])
+    if tokens[i].text != ":":
+        raise _expected(":", tokens[i])
+    return tuple(variables), i + 1
+
+
+def _rule(
+    tokens: list[Token], i: int, terms: dict[str, Term]
+) -> tuple[Rule, int]:
+    """The rule that starts at ``tokens[i]`` and the index after it."""
+    start = tokens[i]
+    lit, i = _head_literal(tokens, i, terms)
+    head = [lit]
+    while tokens[i].text == ",":
+        lit, i = _head_literal(tokens, i + 1, terms)
+        head.append(lit)
+    body: list[BodyLiteral] = []
+    universal: tuple[Var, ...] = ()
+    if tokens[i].text in _IMPLIES:
+        i += 1
+        if tokens[i].text != ".":
+            if tokens[i].text == "forall":
+                universal, i = _universal(tokens, i + 1)
+            lit, i = _body_literal(tokens, i, terms)
+            body.append(lit)
+            while tokens[i].text == ",":
+                lit, i = _body_literal(tokens, i + 1, terms)
+                body.append(lit)
+    end = tokens[i]
+    if end.text != ".":
+        raise _expected(".", end)
+    return Rule(tuple(head), tuple(body), universal, span=_span(start, end)), i + 1
+
+
+def _rules(tokens: list[Token]) -> list[Rule]:
+    rules: list[Rule] = []
+    terms: dict[str, Term] = {}
+    i = 0
+    while tokens[i].kind is not _EOF:
+        rule, i = _rule(tokens, i, terms)
+        rules.append(rule)
+    return rules
+
+
+def parse_rules(text: str) -> list[Rule]:
+    """The rules of ``text`` in source order, ``[]`` when it holds none.
+
+    For callers that read rules without building a program of them;
+    :func:`parse_program` parses the same way.
+    """
+    return _rules(tokenize(text))
 
 
 def parse_rule(text: str) -> Rule:
     """Parse a single rule (must consume the whole input)."""
-    parser = _Parser(tokenize(text))
-    rule = parser.parse_rule()
-    trailing = parser._peek()
-    if trailing.kind is not TokenKind.EOF:
-        raise ParseError(
-            f"trailing input after rule: {trailing.text!r}",
-            trailing.line,
-            trailing.column,
-        )
+    tokens = tokenize(text)
+    rule, i = _rule(tokens, 0, {})
+    if tokens[i].kind is not _EOF:
+        raise _error(f"trailing input after rule: {tokens[i].text!r}", tokens[i])
     return rule
 
 
@@ -247,9 +254,11 @@ def parse_program(
     ``dialect=None`` skips validation, which callers typically defer to
     the semantics engine they hand the program to.
     """
-    program = Program(
-        _Parser(tokenize(text)).parse_program(), name=name, source_text=text
-    )
+    tokens = tokenize(text)
+    rules = _rules(tokens)
+    if not rules:
+        raise _error("empty program", tokens[-1])
+    program = Program(rules, name=name, source_text=text)
     if dialect is not None:
         validate_program(program, dialect)
     return program

@@ -20,6 +20,7 @@ from typing import IO, Iterable
 
 from repro.errors import ReproError, SchemaError
 from repro.relational.instance import Database
+from repro.terms import Const
 
 
 # -- facts text ---------------------------------------------------------------
@@ -37,35 +38,40 @@ def facts_to_text(db: Database) -> str:
 def _render_value(value) -> str:
     if isinstance(value, int) and not isinstance(value, bool):
         return str(value)
-    return "'" + str(value) + "'"
+    return repr(Const(str(value)))  # quoted as the surface syntax reads it
 
 
 def facts_from_text(text: str) -> Database:
     """Parse a facts file: ground, positive, bodyless rules only.
 
     Blank (or comment-only) text is the empty instance.  The text is
-    tokenized once: tokens that hold only the closing EOF are blank
-    text, and any others are parsed as ``parse_program`` parses them.
+    parsed once, as ``parse_program`` parses it, and every fact is
+    checked (arities across the text, then each rule) before any is
+    loaded; each relation then loads in one batch.
     """
     from repro.ast.program import Program
-    from repro.parser.lexer import tokenize
-    from repro.parser.parser import _Parser
+    from repro.parser.parser import parse_rules
 
-    tokens = tokenize(text)
-    db = Database()
-    if len(tokens) == 1:
-        return db
-    program = Program(_Parser(tokens).parse_program(), source_text=text)
-    for rule in program.rules:
+    rules = parse_rules(text)
+    if not rules:
+        return Database()
+    Program(rules, source_text=text)  # an arity clash names its rule
+    rows: dict[str, list[tuple]] = {}
+    for rule in rules:
         if rule.body:
-            raise ReproError(f"facts text: rule has a body: {rule!r}")
+            raise ReproError(
+                f"facts text: rule has a body: {rule!r}", span=rule.span
+            )
         for lit in rule.head_literals():
             if not lit.positive or lit.variables():
                 raise ReproError(
-                    f"facts text: not a ground positive fact: {rule!r}"
+                    f"facts text: not a ground positive fact: {rule!r}",
+                    span=lit.span or rule.span,
                 )
-            db.add_fact(lit.relation, tuple(t.value for t in lit.atom.terms))
-    return db
+            rows.setdefault(lit.relation, []).append(
+                tuple([t.value for t in lit.atom.terms])
+            )
+    return Database(rows)
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -250,7 +250,7 @@ def propagate(
     adom: tuple,
     delta: Changes,
     rule_ids: tuple[int, ...] | None = None,
-    seed: Program | None = None,
+    seed: tuple[Program, tuple[int, ...]] | None = None,
     stats: EngineStats | None = None,
     tracer=None,
     within: Changes | None = None,
@@ -260,7 +260,8 @@ def propagate(
     Passes run until no head is new.  Each runs ``program``'s rules
     ``rule_ids`` (every rule when ``None``) on the facts the previous
     pass added, and the first on ``delta``; with ``seed`` given, the
-    first pass runs every rule of that program instead.  A head joins
+    first pass runs every rule of its program instead, each traced as
+    the ``program`` rule its index tuple names.  A head joins
     ``db`` through its relation object, which must exist; with
     ``within`` given, only a head in ``within`` does.  Every pass is
     add-only: a head already in ``db`` is a no-op here, so the kernels
@@ -270,7 +271,9 @@ def propagate(
     (:func:`repro.semantics.planner.reads`) would derive nothing, so it
     ends the loop without a pass.
     """
-    pass_program, ids = (program, rule_ids) if seed is None else (seed, None)
+    pass_program, ids, spans = (
+        (program, rule_ids, None) if seed is None else (seed[0], None, seed[1])
+    )
     reads = planner.reads(pass_program, ids)
     later = planner.reads(program, rule_ids)
     added: Changes = {}
@@ -279,9 +282,10 @@ def propagate(
         heads, _neg, fired = planner.consequences(
             pass_program, db, adom, delta=_frozen(delta), stats=stats,
             rule_ids=ids, count_call=True, tracer=tracer, add_only=True,
+            span_ids=spans,
         )
         firings += fired
-        pass_program, ids, reads = program, rule_ids, later
+        pass_program, ids, spans, reads = program, rule_ids, None, later
         delta = {}
         for relation, ts in heads.items():
             if within is not None:
@@ -300,7 +304,7 @@ def dred(
     frontier: Changes,
     probes: Callable[[], dict[str, list[RulePlan]]],
     rule_ids: tuple[int, ...] | None = None,
-    seed: Program | None = None,
+    seed: tuple[Program, tuple[int, ...]] | None = None,
     stats: EngineStats | None = None,
     keep: dict[str, Container[tuple]] | None = None,
     ghosts: Changes | None = None,
@@ -316,16 +320,16 @@ def dred(
     Phase 1 (over-delete): each pass runs those rules on the facts the
     previous pass over-deleted, to a fixpoint, the first on
     ``frontier``; with ``seed`` given, the first pass runs every rule
-    of that program instead.  A head joins the over-deletion when it is
-    in ``db``, not kept (``keep`` holds, by relation, the facts that
-    may never be deleted) and not over-deleted yet.  These passes read
-    consequences as "everything derivable", most of it still in
-    ``db``, so none is add-only; a frontier that no rule of the pass
-    reads positively ends the phase without a pass.  Every pass reads
-    ``db`` before anything leaves it; then ``ghosts`` (facts, by
-    relation, present only so that bodies match through them) and the
-    over-deleted facts leave together, one ``discard_batch`` per
-    relation.
+    of its program instead, as :func:`propagate`'s does.  A head joins
+    the over-deletion when it is in ``db``, not kept (``keep`` holds,
+    by relation, the facts that may never be deleted) and not
+    over-deleted yet.  These passes read consequences as "everything
+    derivable", most of it still in ``db``, so none is add-only; a
+    frontier that no rule of the pass reads positively ends the phase
+    without a pass.  Every pass reads ``db`` before anything leaves it;
+    then ``ghosts`` (facts, by relation, present only so that bodies
+    match through them) and the over-deleted facts leave together, one
+    ``discard_batch`` per relation.
 
     Phase 2 (delta-restricted rederive): the over-deleted candidates get
     head-bound support checks against what survived, through the probes
@@ -340,7 +344,9 @@ def dred(
     proportional to the over-deletion, not to ``db``.  ``stats`` and
     ``tracer`` go to every pass.
     """
-    pass_program, ids = (program, rule_ids) if seed is None else (seed, None)
+    pass_program, ids, spans = (
+        (program, rule_ids, None) if seed is None else (seed[0], None, seed[1])
+    )
     reads = planner.reads(pass_program, ids)
     later = planner.reads(program, rule_ids)
     overdeleted: Changes = {}
@@ -348,10 +354,10 @@ def dred(
     while frontier and not reads.isdisjoint(frontier):
         heads, _neg, fired = planner.consequences(
             pass_program, db, adom, delta=_frozen(frontier), stats=stats,
-            rule_ids=ids, count_call=True, tracer=tracer,
+            rule_ids=ids, count_call=True, tracer=tracer, span_ids=spans,
         )
         firings += fired
-        pass_program, ids, reads = program, rule_ids, later
+        pass_program, ids, spans, reads = program, rule_ids, None, later
         frontier = {}
         for relation, ts in heads.items():
             rel = db.relation(relation)

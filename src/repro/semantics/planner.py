@@ -868,6 +868,7 @@ def consequences(
     count_call: bool = False,
     tracer=None,
     add_only: bool = False,
+    span_ids: tuple[int, ...] | None = None,
 ) -> tuple[Heads, Heads, int]:
     """Planner-routed immediate consequences.
 
@@ -907,7 +908,9 @@ def consequences(
     ``tracer`` (a :class:`repro.obs.Tracer`, duck-typed), when given,
     receives one rule span per rule whose variant the pass runs: the
     pass takes the same decisions and reports the same, and each run
-    goes through :func:`_traced_run`.
+    goes through :func:`_traced_run`.  A span opens with the rule's
+    index in ``program``, or with ``span_ids[index]`` when given: a
+    seed program's rules report the rules they are variants of.
     """
     ctx = plan_context(program)
     if stats is not None and count_call:
@@ -938,7 +941,9 @@ def consequences(
             if 0 in sizes:
                 continue
             if tracer is not None and span is None:
-                span = tracer.rule_span(i, rule)
+                span = tracer.rule_span(
+                    i if span_ids is None else span_ids[i], rule
+                )
             restricted = None if name is None else delta[name]
             decision = state.decisions.get(occ)
             if (decision is not None and decision.report is report

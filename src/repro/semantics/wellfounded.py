@@ -170,8 +170,11 @@ def _transform(program: Program) -> Program:
 
 def _seed_variants(
     program: Program, transformed: Program
-) -> tuple[Program | None, Program | None]:
-    """The grow and shrink seed programs of ``transformed``, or ``None``.
+) -> tuple[Program | None, Program | None, tuple[int, ...]]:
+    """The grow and shrink seed programs of ``transformed`` (``None``
+    when no rule reads an assumption) and, for each of their rules, the
+    index of the rule it varies: the shrink variants match the grow
+    variants one for one.
 
     Each variant of a rule turns one negated ``R__wf_assumed``
     occurrence into the positive literal ``R__wf_flip`` over the same
@@ -188,7 +191,8 @@ def _seed_variants(
     flips = {_assumed_name(relation): relation for relation in program.idb}
     grow: list[Rule] = []
     shrink: list[Rule] = []
-    for rule in transformed.rules:
+    sources: list[int] = []
+    for index, rule in enumerate(transformed.rules):
         assumed = [
             k for k, lit in enumerate(rule.body)
             if isinstance(lit, Lit) and not lit.positive
@@ -214,12 +218,14 @@ def _seed_variants(
                 rule.head, body + tuple(EqLit(v, v) for v in unbound),
                 span=rule.span,
             ))
+            sources.append(index)
     if not grow:
-        return None, None
+        return None, None, ()
     name = transformed.name
     return (
         Program(grow, name=f"{name}-grow"),
         Program(shrink, name=f"{name}-shrink"),
+        tuple(sources),
     )
 
 
@@ -274,7 +280,9 @@ class _Alternation:
 
     def __init__(self, program: Program, db: Database, tracer=None):
         self.transformed = _transform(program)
-        self.grow, self.shrink = _seed_variants(program, self.transformed)
+        self.grow, self.shrink, self.sources = _seed_variants(
+            program, self.transformed
+        )
         programs = (self.transformed, self.grow, self.shrink)
         self.adom, self.adom_size = evaluation_domain(
             program, db, *(p for p in programs if p is not None)
@@ -356,7 +364,8 @@ class _Alternation:
         """
         added, firings = propagate(
             self.transformed, self.even.db, self.adom, _flipped(removed),
-            seed=self.grow, stats=self.recorder.stats, tracer=self.tracer,
+            seed=(self.grow, self.sources), stats=self.recorder.stats,
+            tracer=self.tracer,
         )
         self.even.size += _count(added)
         return firings, added
@@ -371,7 +380,8 @@ class _Alternation:
         """
         overdeleted, rederived, firings = dred(
             self.transformed, self.odd.db, self.adom, _flipped(gained),
-            self._probes, seed=self.shrink, stats=self.recorder.stats,
+            self._probes, seed=(self.shrink, self.sources),
+            stats=self.recorder.stats,
             keep=self.kept, tracer=self.tracer,
         )
         removed = _minus(overdeleted, rederived)

@@ -36,7 +36,9 @@ class Const:
 
     def __repr__(self) -> str:
         if isinstance(self.value, str):
-            return f"'{self.value}'"
+            # The surface syntax has no escapes: a ' goes inside "".
+            quote = '"' if "'" in self.value else "'"
+            return f"{quote}{self.value}{quote}"
         return repr(self.value)
 
 

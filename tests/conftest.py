@@ -14,7 +14,7 @@ from repro.workloads.graphs import chain, cycle, lollipop, random_gnp
 
 def _reference_consequences(program, db, adom, delta=None, stats=None,
                             rule_ids=None, count_call=False, tracer=None,
-                            add_only=False):
+                            add_only=False, span_ids=None):
     """Γ_P rule by rule through ``reference_matches``: the planner's
     contract (delta-aware, scoped to ``rule_ids``, heads by relation),
     none of its code.  It returns every head, as an ``add_only=False``

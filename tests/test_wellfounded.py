@@ -351,6 +351,27 @@ class TestIncrementalSteps:
         assert list(rules) == ["0"]
         assert [key for key in rules["0"] if key != "actual_rows"] == ["full"]
 
+    def test_seed_pass_spans_name_the_programs_rule(self):
+        # A seed pass runs variants of win's rule, which is rule 1 here:
+        # its spans open with that index, not the variant's own (0).
+        from repro.obs import CollectorSink, Tracer
+
+        sink = CollectorSink()
+        program = parse_program(
+            "reach(x, y) :- moves(x, y).\n"
+            "win(x) :- moves(x, y), not win(y).\n"
+        )
+        evaluate_wellfounded(
+            program, game_database(chain(8)), tracer=Tracer([sink])
+        )
+        seeded = [
+            event for event in sink.rule_events()
+            if event.rule == "win(x) :- moves(x, y), win__wf_flip(y)."
+        ]
+        assert len(seeded) == 7
+        assert {event.rule_index for event in seeded} == {1}
+        assert {event.span for event in seeded} == {program.rules[1].span}
+
     def test_replays_under_any_hash_seed(self):
         root = pathlib.Path(__file__).resolve().parent.parent
         path = os.pathsep.join(
